@@ -1,15 +1,14 @@
-//! Epoch-keyed proof caching for the RA's hot path.
+//! Version-keyed caching for the RA's hot path.
 //!
 //! At CDN scale many concurrent TLS flows present the same server
-//! certificates, so an RA rebuilds identical audit paths thousands of times
-//! between dictionary updates. An [`EpochKeyedCache`] memoizes a value per
-//! `(CA, key)`, keyed by the mirror's [`DictionaryEngine::epoch`]: a cached
-//! value is served only while the mirror's epoch is unchanged, because
-//! audit paths are valid exactly until the root advances. Freshness-only
-//! refreshes do not advance the epoch — the RA composes the cached proof
-//! with the *live* signed root and freshness statement, so cached statuses
-//! are never stale. [`ProofCache`] is the single-serial instantiation; the
-//! status server reuses the same policy for compressed chain multiproofs.
+//! certificates, so an RA answers identical status requests thousands of
+//! times between dictionary updates. An [`EpochKeyedCache`] memoizes a value
+//! per `(CA, key)` together with a monotonic per-CA version (the `epoch`
+//! argument): a cached value is served only while the caller's version is
+//! unchanged. [`crate::serve::StatusServer`] keys its encoded responses by
+//! the publication generation of the CA's
+//! [`ritm_dictionary::SnapshotCell`], which advances on every republish —
+//! freshness-only refreshes included — so cached bytes are never stale.
 //!
 //! The cache is **concurrent**: every method takes `&self` (reads go
 //! through a shared lock, counters are atomics), so any number of
@@ -17,17 +16,15 @@
 //! never require a `&mut` borrow anywhere in the call chain. Misses compute
 //! the value *outside* the write lock, so a slow proof generation never
 //! blocks concurrent hits.
-//!
-//! [`DictionaryEngine::epoch`]: ritm_dictionary::DictionaryEngine::epoch
 
 use parking_lot::RwLock;
-use ritm_dictionary::{CaId, RevocationProof, SerialNumber};
+use ritm_dictionary::CaId;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Default bound on cached proofs (a proof is a few hundred bytes, so the
-/// default tops out around a few MB — connection-table scale).
+/// Default bound on cached entries (an encoded status is a few hundred
+/// bytes, so the default tops out around a few MB — connection-table scale).
 pub const DEFAULT_CACHE_CAPACITY: usize = 16_384;
 
 /// Hit/miss counters, surfaced through the RA health report
@@ -81,9 +78,6 @@ pub struct EpochKeyedCache<K, V> {
     misses: AtomicU64,
     evictions: AtomicU64,
 }
-
-/// The RA's audit-path cache: one [`RevocationProof`] per `(CA, serial)`.
-pub type ProofCache = EpochKeyedCache<SerialNumber, RevocationProof>;
 
 impl<K: Eq + Hash, V: Clone> Default for EpochKeyedCache<K, V> {
     fn default() -> Self {
@@ -225,9 +219,6 @@ pub struct ShardedEpochCache<K, V> {
     shards: [EpochKeyedCache<K, V>; CACHE_SHARDS],
 }
 
-/// The sharded audit-path cache the status server's hot path reads.
-pub type ShardedProofCache = ShardedEpochCache<SerialNumber, RevocationProof>;
-
 impl<K: Eq + Hash, V: Clone> Default for ShardedEpochCache<K, V> {
     fn default() -> Self {
         ShardedEpochCache::new(DEFAULT_CACHE_CAPACITY)
@@ -291,6 +282,9 @@ mod tests {
     use super::*;
     use ritm_dictionary::proof::PresenceProof;
     use ritm_dictionary::tree::Leaf;
+    use ritm_dictionary::{RevocationProof, SerialNumber};
+
+    type Cache = EpochKeyedCache<SerialNumber, RevocationProof>;
 
     fn proof(tag: u32) -> RevocationProof {
         RevocationProof::Present(PresenceProof {
@@ -306,7 +300,7 @@ mod tests {
 
     #[test]
     fn second_lookup_hits_within_epoch() {
-        let cache = ProofCache::new(8);
+        let cache = Cache::new(8);
         let (ca, s) = key(1);
         let a = cache.get_or_insert(ca, s, 5, || proof(1));
         let b = cache.get_or_insert(ca, s, 5, || panic!("must be cached"));
@@ -323,7 +317,7 @@ mod tests {
 
     #[test]
     fn epoch_change_invalidates() {
-        let cache = ProofCache::new(8);
+        let cache = Cache::new(8);
         let (ca, s) = key(1);
         cache.get_or_insert(ca, s, 5, || proof(1));
         let regenerated = cache.get_or_insert(ca, s, 6, || proof(2));
@@ -338,7 +332,7 @@ mod tests {
 
     #[test]
     fn full_cache_never_evicts_other_cas_live_entries() {
-        let cache = ProofCache::new(2);
+        let cache = Cache::new(2);
         let ca_a = CaId::from_name("A");
         let ca_b = CaId::from_name("B");
         let s = SerialNumber::from_u24(1);
@@ -355,7 +349,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_stale_epochs_only() {
-        let cache = ProofCache::new(2);
+        let cache = Cache::new(2);
         cache.get_or_insert(key(1).0, key(1).1, 1, || proof(1));
         cache.get_or_insert(key(2).0, key(2).1, 1, || proof(2));
         // Full of epoch-1 entries; an epoch-2 insert purges them.
@@ -372,7 +366,7 @@ mod tests {
 
     #[test]
     fn lagging_reader_cannot_displace_newer_entries() {
-        let cache = ProofCache::new(2);
+        let cache = Cache::new(2);
         let (ca, s) = key(1);
         cache.get_or_insert(ca, s, 6, || proof(6));
         // A reader still on the epoch-5 snapshot gets its own proof, but
@@ -396,7 +390,7 @@ mod tests {
         // CA's stale entries, so once a multi-CA RA hit capacity, another
         // CA's dead entries sat forever and starved everyone else's
         // caching.
-        let cache = ProofCache::new(2);
+        let cache = Cache::new(2);
         let ca_a = CaId::from_name("A");
         let ca_b = CaId::from_name("B");
         let s1 = SerialNumber::from_u24(1);
@@ -429,7 +423,7 @@ mod tests {
 
     #[test]
     fn purge_ca_clears_only_that_ca() {
-        let cache = ProofCache::new(8);
+        let cache = Cache::new(8);
         let ca_a = CaId::from_name("A");
         let ca_b = CaId::from_name("B");
         let s = SerialNumber::from_u24(1);
@@ -447,7 +441,7 @@ mod tests {
 
     #[test]
     fn sharded_cache_behaves_like_one_cache() {
-        let cache = ShardedProofCache::new(64);
+        let cache = ShardedEpochCache::<SerialNumber, RevocationProof>::new(64);
         let ca = CaId::from_name("Shard");
         // Hits and misses behave per-key exactly like the flat cache,
         // whichever shard each key lands in.
@@ -470,7 +464,7 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_share_one_cache() {
-        let cache = ProofCache::new(64);
+        let cache = Cache::new(64);
         let (ca, s) = key(9);
         std::thread::scope(|scope| {
             for _ in 0..8 {

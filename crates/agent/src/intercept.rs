@@ -201,6 +201,12 @@ pub struct InterceptStats {
     pub flows_evicted_capacity: u64,
 }
 
+/// A server's endpoint plus one of the session ids it handed out.
+type SessionKey = (ritm_net::tcp::SocketAddr, Vec<u8>);
+
+/// Session → (second learned, chain seen at full-handshake time).
+type SessionCache = HashMap<SessionKey, (u64, Vec<(CaId, SerialNumber)>)>;
+
 /// The per-flow interception middlebox: a [`Middlebox`] over reassembled
 /// flows, stapling statuses from a shared [`StatusServer`] snapshot.
 #[derive(Debug)]
@@ -208,9 +214,10 @@ pub struct FlowTable {
     status: Arc<StatusServer>,
     config: InterceptConfig,
     flows: HashMap<FourTuple, Flow>,
-    /// session id → chain seen at full-handshake time, so resumption
-    /// flights (no Certificate message) still get a status verdict.
-    session_cache: HashMap<Vec<u8>, Vec<(CaId, SerialNumber)>>,
+    /// What full handshakes showed, so resumption flights (no Certificate
+    /// message) still get a status verdict. Session ids are only unique
+    /// per server, hence the endpoint in the key; bounded by `max_flows`.
+    session_cache: SessionCache,
     stats: InterceptStats,
 }
 
@@ -291,6 +298,21 @@ impl FlowTable {
         })
     }
 
+    /// Makes room in a full session memory for `incoming` (unless it is
+    /// already there) by forgetting the session learned longest ago.
+    fn forget_oldest_session(cache: &mut SessionCache, incoming: &SessionKey) {
+        if cache.contains_key(incoming) {
+            return;
+        }
+        let oldest = cache
+            .iter()
+            .min_by_key(|(_, (learned, _))| *learned)
+            .map(|(key, _)| key.clone());
+        if let Some(oldest) = oldest {
+            cache.remove(&oldest);
+        }
+    }
+
     /// Synthesizes RSTs for both directions of `tuple`.
     fn reset_segments(tuple: FourTuple, flow: &Flow) -> Vec<TcpSegment> {
         let rst = |direction: Direction, seq: u64| TcpSegment {
@@ -344,16 +366,20 @@ impl FlowTable {
                 Classification::ServerFlight(flight) => {
                     let chain: Vec<(CaId, SerialNumber)> = if flight.leaf.is_some() {
                         if !flight.session_id.is_empty() {
+                            let key = (seg.tuple.server, flight.session_id);
+                            if self.session_cache.len() >= self.config.max_flows {
+                                Self::forget_oldest_session(&mut self.session_cache, &key);
+                            }
                             self.session_cache
-                                .insert(flight.session_id.clone(), flight.chain.clone());
+                                .insert(key, (now_secs, flight.chain.clone()));
                         }
                         flight.chain
                     } else {
                         // Abbreviated flight: no Certificate message — the
                         // chain comes from full-handshake memory (Eq. 4).
                         self.session_cache
-                            .get(&flight.session_id)
-                            .cloned()
+                            .get(&(seg.tuple.server, flight.session_id))
+                            .map(|(_, chain)| chain.clone())
                             .unwrap_or_default()
                     };
                     if chain.is_empty() {
@@ -600,8 +626,8 @@ mod tests {
     use ritm_crypto::ed25519::SigningKey;
     use ritm_dictionary::{CaDictionary, MirrorDictionary};
     use ritm_tls::certificate::{Certificate, CertificateChain, TrustAnchors};
-    use ritm_tls::connection::{ClientConfig, ServerContext, ServerEvent, TlsClient};
-    use ritm_tls::engine::Action;
+    use ritm_tls::connection::{ClientConfig, ServerContext, ServerEvent};
+    use ritm_tls::engine::{Action, ClientEngine, ServerEngine};
 
     const T0: u64 = 1_000_000;
     fn now() -> SimTime {
@@ -656,8 +682,12 @@ mod tests {
     }
 
     fn seg(direction: Direction, seq: u64, payload: Vec<u8>) -> TcpSegment {
+        seg_at(tuple(), direction, seq, payload)
+    }
+
+    fn seg_at(tuple: FourTuple, direction: Direction, seq: u64, payload: Vec<u8>) -> TcpSegment {
         TcpSegment {
-            tuple: tuple(),
+            tuple,
             direction,
             seq,
             ack: 0,
@@ -670,10 +700,20 @@ mod tests {
     /// returning the RITM status payloads the client stream carried.
     fn drive_through(
         table: &mut FlowTable,
-        client: &mut TlsClient,
+        client: &mut ClientEngine,
         ctx: Arc<ServerContext>,
     ) -> Result<Vec<Vec<u8>>, String> {
-        let mut server = ritm_tls::connection::ServerConnection::new(ctx, [1u8; 32]);
+        drive_through_at(tuple(), table, client, ctx)
+    }
+
+    /// [`drive_through`] on an explicit 4-tuple.
+    fn drive_through_at(
+        tuple: FourTuple,
+        table: &mut FlowTable,
+        client: &mut ClientEngine,
+        ctx: Arc<ServerContext>,
+    ) -> Result<Vec<Vec<u8>>, String> {
+        let mut server = ServerEngine::new(ctx, [1u8; 32]);
         let mut engine_client = Vec::new(); // status payloads seen
         let mut to_server_seq = 0u64;
         let mut to_client_seq = 0u64;
@@ -682,7 +722,7 @@ mod tests {
             let mut to_client = Vec::new();
             for rec in to_server.drain(..) {
                 let bytes = rec.to_bytes();
-                let s = seg(Direction::ToServer, to_server_seq, bytes.clone());
+                let s = seg_at(tuple, Direction::ToServer, to_server_seq, bytes.clone());
                 to_server_seq += bytes.len() as u64;
                 for out in table.process(s, now()) {
                     if out.flags.rst {
@@ -701,7 +741,7 @@ mod tests {
             }
             for rec in to_client.drain(..) {
                 let bytes = rec.to_bytes();
-                let s = seg(Direction::ToClient, to_client_seq, bytes.clone());
+                let s = seg_at(tuple, Direction::ToClient, to_client_seq, bytes.clone());
                 to_client_seq += bytes.len() as u64;
                 for out in table.process(s, now()) {
                     if out.flags.rst {
@@ -728,7 +768,7 @@ mod tests {
             }
         }
         // Close the flow so a later handshake may reuse the 4-tuple.
-        let mut fin = seg(Direction::ToServer, to_server_seq, Vec::new());
+        let mut fin = seg_at(tuple, Direction::ToServer, to_server_seq, Vec::new());
         fin.flags.fin = true;
         table.process(fin, now());
         Ok(engine_client)
@@ -847,7 +887,7 @@ mod tests {
         let (chain, anchors, _) = pki(&ca, 1); // odd serial: not revoked
         let mut table = FlowTable::new(status, InterceptConfig::default());
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut client = TlsClient::new(
+        let mut client = ClientEngine::new(
             ClientConfig {
                 server_name: "example.com".into(),
                 anchors,
@@ -874,7 +914,7 @@ mod tests {
         let (chain, anchors, _) = pki(&ca, 4); // even serial: revoked
         let mut table = FlowTable::new(status, InterceptConfig::default());
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut client = TlsClient::new(
+        let mut client = ClientEngine::new(
             ClientConfig {
                 server_name: "example.com".into(),
                 anchors,
@@ -898,7 +938,7 @@ mod tests {
         let ctx = ServerContext::new(chain, [9u8; 20]);
 
         // Full handshake: the table memorizes session id → chain.
-        let mut client = TlsClient::new(
+        let mut client = ClientEngine::new(
             ClientConfig {
                 server_name: "example.com".into(),
                 anchors: anchors.clone(),
@@ -912,7 +952,7 @@ mod tests {
 
         // Resumption: no Certificate message crosses the wire, yet the
         // abbreviated flight is stapled from Eq. (4) memory.
-        let mut client2 = TlsClient::new(
+        let mut client2 = ClientEngine::new(
             ClientConfig {
                 server_name: "example.com".into(),
                 anchors,
@@ -925,6 +965,80 @@ mod tests {
         assert!(client2.is_established());
         assert_eq!(statuses.len(), 1, "resumption flight stapled too");
         assert_eq!(table.stats().statuses_injected, 2);
+    }
+
+    #[test]
+    fn resumption_verdict_is_for_the_server_being_resumed() {
+        // Session ids are server-scoped and every ServerContext numbers
+        // its sessions from 1: two servers behind one table hand out the
+        // same id for different certificates.
+        let (ca, status) = world();
+        let (chain_a, anchors, ca_key) = pki(&ca, 1);
+        let (chain_b, _, _) = pki(&ca, 3);
+        let (serial_a, serial_b) = (chain_a.0[0].serial, chain_b.0[0].serial);
+        let ctx_a = ServerContext::new(chain_a, [9u8; 20]);
+        let ctx_b = ServerContext::new(chain_b, [8u8; 20]);
+        let at = |server: u32| FourTuple {
+            client: tuple().client,
+            server: ritm_net::tcp::SocketAddr::new(server, 443),
+        };
+        let (at_a, at_b) = (at(0x0a00_0001), at(0x0a00_0002));
+        let config = |anchors: &TrustAnchors| ClientConfig {
+            server_name: "example.com".into(),
+            anchors: anchors.clone(),
+            enable_ritm: true,
+        };
+        let mut table = FlowTable::new(status, InterceptConfig::default());
+
+        // Full handshake with B, then with A (same session id, learned later).
+        let mut client_b = ClientEngine::new(config(&anchors), [2u8; 32], None);
+        drive_through_at(at_b, &mut table, &mut client_b, ctx_b.clone()).unwrap();
+        let session_b = client_b.session_state(T0 + 2).unwrap();
+        let mut client_a = ClientEngine::new(config(&anchors), [3u8; 32], None);
+        drive_through_at(at_a, &mut table, &mut client_a, ctx_a).unwrap();
+        assert_eq!(
+            client_a.session_state(T0 + 2).unwrap().session_id,
+            session_b.session_id
+        );
+
+        // Resuming with B must staple the status of B's certificate.
+        let mut resumed = ClientEngine::new(config(&anchors), [4u8; 32], Some(session_b));
+        let statuses = drive_through_at(at_b, &mut table, &mut resumed, ctx_b).unwrap();
+        assert!(resumed.is_established());
+        assert_eq!(statuses.len(), 1);
+        let payload = StatusPayload::from_bytes(&statuses[0]).unwrap();
+        let key = ca_key.verifying_key();
+        assert!(payload.statuses[0]
+            .validate(&serial_b, &key, 10, T0 + 2)
+            .is_ok());
+        assert!(payload.statuses[0]
+            .validate(&serial_a, &key, 10, T0 + 2)
+            .is_err());
+    }
+
+    #[test]
+    fn session_memory_is_bounded_by_max_flows() {
+        let (ca, status) = world();
+        let (chain, anchors, _) = pki(&ca, 1);
+        let config = InterceptConfig {
+            max_flows: 2,
+            ..Default::default()
+        };
+        let mut table = FlowTable::new(status, config);
+        let ctx = ServerContext::new(chain, [9u8; 20]);
+        for i in 0..3u8 {
+            let mut client = ClientEngine::new(
+                ClientConfig {
+                    server_name: "example.com".into(),
+                    anchors: anchors.clone(),
+                    enable_ritm: true,
+                },
+                [i; 32],
+                None,
+            );
+            drive_through(&mut table, &mut client, ctx.clone()).unwrap();
+        }
+        assert_eq!(table.session_cache.len(), 2);
     }
 
     #[test]
@@ -950,7 +1064,7 @@ mod tests {
         let (chain, anchors, _) = pki(&ca, 1);
         let mut table = FlowTable::new(status, InterceptConfig::default());
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut client = TlsClient::new(
+        let mut client = ClientEngine::new(
             ClientConfig {
                 server_name: "example.com".into(),
                 anchors,
@@ -966,7 +1080,7 @@ mod tests {
         assert_eq!(table.stats().flows_tracked, 1);
 
         // And the server flight arriving byte-by-byte still staples.
-        let mut server = ritm_tls::connection::ServerConnection::new(ctx, [1u8; 32]);
+        let mut server = ServerEngine::new(ctx, [1u8; 32]);
         let mut flight = Vec::new();
         for r in TlsRecord::parse_stream(&ch).unwrap() {
             let (outs, _) = server.process_record(&r, T0 + 2).unwrap();
@@ -993,7 +1107,7 @@ mod tests {
         let (chain, anchors, _) = pki(&ca, 1);
         let mut table = FlowTable::new(status, InterceptConfig::default());
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut client = TlsClient::new(
+        let mut client = ClientEngine::new(
             ClientConfig {
                 server_name: "example.com".into(),
                 anchors,
@@ -1004,7 +1118,7 @@ mod tests {
         );
         let ch = client.start().to_bytes();
         table.process(seg(Direction::ToServer, 0, ch.clone()), now());
-        let mut server = ritm_tls::connection::ServerConnection::new(ctx, [1u8; 32]);
+        let mut server = ServerEngine::new(ctx, [1u8; 32]);
         let mut flight = Vec::new();
         for r in TlsRecord::parse_stream(&ch).unwrap() {
             let (outs, _) = server.process_record(&r, T0 + 2).unwrap();
@@ -1038,7 +1152,7 @@ mod tests {
         let (chain, anchors, _) = pki(&ca, 1);
         let mut table = FlowTable::new(status, InterceptConfig::default());
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut engine = ritm_tls::engine::ClientEngine::new(
+        let mut engine = ClientEngine::new(
             ClientConfig {
                 server_name: "example.com".into(),
                 anchors,
@@ -1047,7 +1161,7 @@ mod tests {
             [2u8; 32],
             None,
         );
-        let mut server = ritm_tls::connection::ServerConnection::new(ctx, [1u8; 32]);
+        let mut server = ServerEngine::new(ctx, [1u8; 32]);
         let mut to_server_seq = 0u64;
         let mut to_client_seq = 0u64;
         let mut to_server = engine.start().to_bytes();

@@ -8,14 +8,17 @@
 //! * piggybacks revocation statuses onto server→client traffic — once at
 //!   ServerHello time and then at least every Δ — adjusting TCP sequence
 //!   numbers for the injected bytes ([`ra`]),
+//! * runs the same validation inline on reassembled TCP byte streams,
+//!   stapling at record boundaries and resetting revoked flows
+//!   ([`intercept`]),
 //! * serves proofs lock-free from `Arc`-shared, epoch-stamped dictionary
 //!   snapshots ([`serve`]): writers publish a new snapshot per epoch,
 //!   readers never block on issuance or refresh,
-//! * reuses audit paths for hot serials across concurrent flows through a
-//!   concurrent epoch-keyed proof cache ([`cache`]), invalidated exactly
-//!   when the mirrored root advances,
+//! * answers hot status requests from fully encoded responses cached per
+//!   publication generation ([`cache`]), invalidated on every republish,
 //! * exposes that read path as a wire-protocol endpoint ([`service`])
 //!   servable over any `ritm-proto` transport,
+//! * persists and resumes mirrors across restarts ([`persist`]),
 //! * and monitors CAs for equivocation and its own cache health
 //!   ([`monitor`]).
 //!
@@ -35,7 +38,7 @@ pub mod service;
 pub mod state;
 pub mod sync;
 
-pub use cache::{CacheStats, EpochKeyedCache, ProofCache, ShardedEpochCache, ShardedProofCache};
+pub use cache::{CacheStats, EpochKeyedCache, ShardedEpochCache};
 pub use dpi::{classify, classify_records, Classification, ServerFlight, StreamClassifier};
 pub use intercept::{FlowStage, FlowTable, InterceptConfig, InterceptStats, TcpBuffer};
 pub use monitor::{ConsistencyMonitor, MisbehaviorReport, RaHealthReport};

@@ -11,7 +11,7 @@
 use crate::cache::CacheStats;
 use crate::ra::{RaStats, RevocationAgent};
 use ritm_dictionary::consistency::{EquivocationProof, Observation, RootObservatory};
-use ritm_dictionary::{CaId, MirrorEngine, SignedRoot};
+use ritm_dictionary::{CaId, SignedRoot};
 
 /// A misbehavior report ready to hand to a vendor or auditor.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,16 +67,16 @@ impl ConsistencyMonitor {
     /// randomly contact … other RAs and compare their locally-stored
     /// statements" procedure. Seeds the observatory with the local view
     /// first so a conflicting peer view is caught.
-    pub fn cross_check_with_peer<M: MirrorEngine>(
+    pub fn cross_check_with_peer(
         &mut self,
-        local: &RevocationAgent<M>,
+        local: &RevocationAgent,
         peer_roots: &[SignedRoot],
         source: &str,
     ) -> Vec<MisbehaviorReport> {
         let cas: Vec<CaId> = local.followed_cas().copied().collect();
         for ca in cas {
             if let Some(mirror) = local.mirror(&ca) {
-                self.check(*mirror.current_signed_root(), "local-mirror");
+                self.check(*mirror.signed_root(), "local-mirror");
             }
         }
         peer_roots
@@ -92,10 +92,10 @@ impl ConsistencyMonitor {
 }
 
 /// A point-in-time operational snapshot of one RA: packet counters plus the
-/// hit/miss statistics of both epoch-keyed caches (single-serial audit
-/// paths and compressed chain multiproofs). This is what an operator
-/// dashboard (or the bench harness) scrapes to see whether hot flows are
-/// actually reusing audit paths.
+/// hit/miss statistics of both encoded-response caches (`GetStatus` and
+/// single-CA `GetMultiStatus` bodies). This is what an operator dashboard
+/// (or the bench harness) scrapes to see whether hot requests are actually
+/// answered from cached bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RaHealthReport {
     /// CAs currently mirrored.
@@ -104,37 +104,36 @@ pub struct RaHealthReport {
     pub tracked_connections: usize,
     /// Packet/status counters.
     pub stats: RaStats,
-    /// Proof-cache counters (hits, misses, evictions) for single-serial
-    /// audit paths.
-    pub proof_cache: CacheStats,
-    /// Counters of the compressed chain-multiproof memo (same epoch-keyed
-    /// policy; hot chains across concurrent flows reuse one multiproof).
-    pub multi_cache: CacheStats,
+    /// Counters (hits, misses, evictions) of the encoded `GetStatus`
+    /// response cache — the one the wire path serves from.
+    pub encoded_cache: CacheStats,
+    /// Counters of the encoded single-CA `GetMultiStatus` response cache.
+    pub encoded_multi_cache: CacheStats,
 }
 
 impl RaHealthReport {
-    /// Proof-cache hit fraction in `[0, 1]` (single-serial audit paths).
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.proof_cache.hit_rate()
+    /// Encoded `GetStatus` cache hit fraction in `[0, 1]`.
+    pub fn encoded_hit_rate(&self) -> f64 {
+        self.encoded_cache.hit_rate()
     }
 
-    /// Multiproof-memo hit fraction in `[0, 1]`.
-    pub fn multi_cache_hit_rate(&self) -> f64 {
-        self.multi_cache.hit_rate()
+    /// Encoded `GetMultiStatus` cache hit fraction in `[0, 1]`.
+    pub fn encoded_multi_hit_rate(&self) -> f64 {
+        self.encoded_multi_cache.hit_rate()
     }
 }
 
-impl<M: MirrorEngine> RevocationAgent<M> {
-    /// Snapshots the RA's operational counters, including both epoch-keyed
-    /// caches' hit/miss statistics.
+impl RevocationAgent {
+    /// Snapshots the RA's operational counters, including both
+    /// encoded-response caches' hit/miss statistics.
     pub fn health_report(&self) -> RaHealthReport {
         let server = self.status_server();
         RaHealthReport {
             mirrored_cas: self.followed_cas().count(),
             tracked_connections: self.table.len(),
             stats: self.stats,
-            proof_cache: server.cache_stats(),
-            multi_cache: server.multi_cache_stats(),
+            encoded_cache: server.encoded_cache_stats(),
+            encoded_multi_cache: server.encoded_multi_cache_stats(),
         }
     }
 }
@@ -206,7 +205,7 @@ mod tests {
     }
 
     #[test]
-    fn health_report_surfaces_multiproof_memo_counters() {
+    fn health_report_surfaces_encoded_cache_counters() {
         use ritm_crypto::ed25519::SigningKey as Sk;
         let mut rng = StdRng::seed_from_u64(51);
         let mut ca = ritm_dictionary::CaDictionary::new(
@@ -228,21 +227,23 @@ mod tests {
             .apply_issuance(&iss, 1_001)
             .unwrap();
 
-        // A compressed 3-cert chain: the leaf goes through the single-serial
-        // cache, the 2-cert run through the multiproof memo. Built twice, so
-        // the second pass hits both caches.
+        // One serial and one compressed 3-cert chain, each served twice:
+        // the second pass hits the respective encoded cache.
         let chain: Vec<(CaId, SerialNumber)> = [1u32, 11, 21]
             .iter()
             .map(|&v| (ca.ca(), SerialNumber::from_u24(v)))
             .collect();
         let server = ra.status_server();
         for _ in 0..2 {
-            server.build_status(&chain, true).unwrap();
+            server.encoded_status(&chain[0].0, &chain[0].1).unwrap();
+            server.encoded_multi_status(&chain, true).unwrap();
         }
         let health = ra.health_report();
-        assert_eq!((health.proof_cache.hits, health.proof_cache.misses), (1, 1));
-        assert_eq!((health.multi_cache.hits, health.multi_cache.misses), (1, 1));
-        assert!((health.multi_cache_hit_rate() - 0.5).abs() < 1e-9);
+        let (single, multi) = (health.encoded_cache, health.encoded_multi_cache);
+        assert_eq!((single.hits, single.misses), (1, 1));
+        assert_eq!((multi.hits, multi.misses), (1, 1));
+        assert!((health.encoded_hit_rate() - 0.5).abs() < 1e-9);
+        assert!((health.encoded_multi_hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl core::fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
-impl RevocationAgent<MirrorDictionary> {
+impl RevocationAgent {
     /// Serializes one mirror's persistent state, or `None` if the CA is not
     /// followed. Write the bytes wherever durability lives (a file, a KV
     /// store); feed them back through [`RevocationAgent::resume_ca`] after

@@ -11,11 +11,9 @@ use crate::dpi::{classify, Classification};
 use crate::serve::StatusServer;
 use crate::state::{Stage, StateTable};
 use ritm_cdn::regions::Region;
-use ritm_dictionary::{
-    CaId, FreshnessStatement, MirrorDictionary, MirrorEngine, SerialNumber, SignedRoot,
-};
+use ritm_dictionary::{CaId, FreshnessStatement, MirrorDictionary, SerialNumber, SignedRoot};
 use ritm_net::middlebox::Middlebox;
-use ritm_net::tcp::{Direction, TcpSegment};
+use ritm_net::tcp::{Direction, SocketAddr, TcpSegment};
 use ritm_net::time::{SimDuration, SimTime};
 pub use ritm_proto::StatusPayload;
 use ritm_tls::record::{ContentType, TlsRecord};
@@ -68,10 +66,7 @@ pub struct RaStats {
     pub statuses_replaced: u64,
 }
 
-/// The Revocation Agent, generic over the mirror engine it runs
-/// ([`MirrorDictionary`] by default); the RA code depends only on the
-/// [`MirrorEngine`] trait, so alternative backends (sharded mirrors,
-/// disk-backed stores) slot in without touching the packet path.
+/// The Revocation Agent.
 ///
 /// # Read/write split
 ///
@@ -83,29 +78,31 @@ pub struct RaStats {
 /// works from `&self`, and any number of threads holding the server handle
 /// can serve concurrent handshake flows without ever blocking on (or
 /// being blocked by) dictionary updates.
-pub struct RevocationAgent<M: MirrorEngine = MirrorDictionary> {
+pub struct RevocationAgent {
     /// Configuration.
     pub config: RaConfig,
-    pub(crate) mirrors: HashMap<CaId, M>,
-    /// The lock-free read side: per-CA snapshot cells + shared proof cache.
+    pub(crate) mirrors: HashMap<CaId, MirrorDictionary>,
+    /// The lock-free read side: per-CA snapshot cells + encoded-response
+    /// caches.
     server: Arc<StatusServer>,
     /// Eq. (4) connection table.
     pub table: StateTable,
-    /// Session-id → certificate identity, learned from full handshakes, so
-    /// *resumed* connections (which never carry a Certificate message) can
-    /// still be served statuses (§III, "RITM supports two mechanisms of TLS
-    /// resumption").
-    session_cache: HashMap<Vec<u8>, (CaId, SerialNumber)>,
+    /// (Server endpoint, session id) → certificate identity, learned from
+    /// full handshakes, so *resumed* connections (which never carry a
+    /// Certificate message) can still be served statuses (§III, "RITM
+    /// supports two mechanisms of TLS resumption"). Session ids are only
+    /// unique per server, hence the endpoint in the key.
+    session_cache: HashMap<(SocketAddr, Vec<u8>), (CaId, SerialNumber)>,
     /// Operational counters.
     pub stats: RaStats,
 }
 
-impl<M: MirrorEngine> core::fmt::Debug for RevocationAgent<M> {
+impl core::fmt::Debug for RevocationAgent {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RevocationAgent")
             .field("mirrors", &self.mirrors.len())
             .field("connections", &self.table.len())
-            .field("proof_cache", &self.server.cache_stats())
+            .field("encoded_cache", &self.server.encoded_cache_stats())
             .field("stats", &self.stats)
             .finish()
     }
@@ -116,27 +113,27 @@ impl<M: MirrorEngine> core::fmt::Debug for RevocationAgent<M> {
 /// root, or freshness changed, the guard builds a fresh snapshot **off the
 /// read path** and publishes it RCU-style — readers keep serving the old
 /// snapshot until the swap and never observe a half-applied update.
-pub struct MirrorWriteGuard<'a, M: MirrorEngine> {
-    mirror: &'a mut M,
+pub struct MirrorWriteGuard<'a> {
+    mirror: &'a mut MirrorDictionary,
     server: Arc<StatusServer>,
     before: (u64, SignedRoot, FreshnessStatement),
 }
 
-impl<M: MirrorEngine> core::ops::Deref for MirrorWriteGuard<'_, M> {
-    type Target = M;
+impl core::ops::Deref for MirrorWriteGuard<'_> {
+    type Target = MirrorDictionary;
 
-    fn deref(&self) -> &M {
+    fn deref(&self) -> &MirrorDictionary {
         self.mirror
     }
 }
 
-impl<M: MirrorEngine> core::ops::DerefMut for MirrorWriteGuard<'_, M> {
-    fn deref_mut(&mut self) -> &mut M {
+impl core::ops::DerefMut for MirrorWriteGuard<'_> {
+    fn deref_mut(&mut self) -> &mut MirrorDictionary {
         self.mirror
     }
 }
 
-impl<M: MirrorEngine> Drop for MirrorWriteGuard<'_, M> {
+impl Drop for MirrorWriteGuard<'_> {
     fn drop(&mut self) {
         // Never publish while unwinding: the mirror may be mid-mutation,
         // and snapshotting a half-applied state would hand every reader
@@ -146,8 +143,8 @@ impl<M: MirrorEngine> Drop for MirrorWriteGuard<'_, M> {
         }
         let after = (
             self.mirror.epoch(),
-            *self.mirror.current_signed_root(),
-            *self.mirror.current_freshness(),
+            *self.mirror.signed_root(),
+            *self.mirror.freshness(),
         );
         if after == self.before {
             return;
@@ -161,7 +158,7 @@ impl<M: MirrorEngine> Drop for MirrorWriteGuard<'_, M> {
             // O(chunks) Arc bumps.
             if self
                 .server
-                .publish_refresh(&self.mirror.engine_ca(), after.1, after.2)
+                .publish_refresh(&self.mirror.ca(), after.1, after.2)
             {
                 return;
             }
@@ -173,19 +170,9 @@ impl<M: MirrorEngine> Drop for MirrorWriteGuard<'_, M> {
     }
 }
 
-impl RevocationAgent<MirrorDictionary> {
-    /// Creates an RA over in-memory [`MirrorDictionary`] mirrors — the
-    /// default engine. (Defined on the concrete default so plain
-    /// `RevocationAgent::new(..)` call sites infer the engine type.)
+impl RevocationAgent {
+    /// Creates an RA with no mirrored dictionaries yet.
     pub fn new(config: RaConfig) -> Self {
-        Self::with_engine(config)
-    }
-}
-
-impl<M: MirrorEngine> RevocationAgent<M> {
-    /// Creates an RA with no mirrored dictionaries yet, over any
-    /// [`MirrorEngine`] backend.
-    pub fn with_engine(config: RaConfig) -> Self {
         RevocationAgent {
             config,
             mirrors: HashMap::new(),
@@ -209,7 +196,7 @@ impl<M: MirrorEngine> RevocationAgent<M> {
         key: ritm_crypto::ed25519::VerifyingKey,
         genesis: ritm_dictionary::SignedRoot,
     ) -> Result<(), ritm_dictionary::UpdateError> {
-        let mut mirror = M::bootstrap(ca, key, genesis)?;
+        let mut mirror = MirrorDictionary::new(ca, key, genesis)?;
         mirror.set_delta(self.config.delta);
         self.install_mirror(ca, mirror);
         Ok(())
@@ -217,10 +204,9 @@ impl<M: MirrorEngine> RevocationAgent<M> {
 
     /// Installs an already-built mirror (harnesses delivering state out of
     /// band — warm standbys, tests, experiments) and publishes its current
-    /// snapshot. Any previously-cached proofs for the CA are purged: a
-    /// fresh mirror restarts its epoch counter, and leftover higher-epoch
-    /// entries would otherwise shadow the new epochs.
-    pub fn install_mirror(&mut self, ca: CaId, mirror: M) {
+    /// snapshot. Any previously-cached responses for the CA are purged with
+    /// its publication cell, whose generation counter restarts.
+    pub fn install_mirror(&mut self, ca: CaId, mirror: MirrorDictionary) {
         if self.mirrors.contains_key(&ca) {
             self.server.retire(&ca);
         }
@@ -232,7 +218,7 @@ impl<M: MirrorEngine> RevocationAgent<M> {
     }
 
     /// Read access to a mirror.
-    pub fn mirror(&self, ca: &CaId) -> Option<&M> {
+    pub fn mirror(&self, ca: &CaId) -> Option<&MirrorDictionary> {
         self.mirrors.get(ca)
     }
 
@@ -240,14 +226,10 @@ impl<M: MirrorEngine> RevocationAgent<M> {
     /// that deliver updates out of band (tests, experiments). The returned
     /// guard republishes the CA's snapshot on drop if anything changed, so
     /// concurrent readers pick up the new epoch at the next load.
-    pub fn mirror_mut(&mut self, ca: &CaId) -> Option<MirrorWriteGuard<'_, M>> {
+    pub fn mirror_mut(&mut self, ca: &CaId) -> Option<MirrorWriteGuard<'_>> {
         let server = Arc::clone(&self.server);
         let mirror = self.mirrors.get_mut(ca)?;
-        let before = (
-            mirror.epoch(),
-            *mirror.current_signed_root(),
-            *mirror.current_freshness(),
-        );
+        let before = (mirror.epoch(), *mirror.signed_root(), *mirror.freshness());
         Some(MirrorWriteGuard {
             mirror,
             server,
@@ -267,22 +249,16 @@ impl<M: MirrorEngine> RevocationAgent<M> {
         Arc::clone(&self.server)
     }
 
-    /// Proof-cache counter snapshot (also surfaced via
-    /// [`crate::monitor::RaHealthReport`]).
-    pub fn proof_cache_stats(&self) -> crate::cache::CacheStats {
-        self.server.cache_stats()
-    }
-
     /// Builds the status payload for a chain of `(issuer, serial)` pairs.
     /// Returns `None` when the leaf's CA is not mirrored (the RA then stays
     /// silent rather than injecting garbage).
     ///
-    /// Works from `&self`: proofs are served from the published snapshots
-    /// through the epoch-keyed proof cache, so read-only callers (and any
-    /// thread holding [`RevocationAgent::status_server`]) never contend
-    /// with mirror updates. The signed root and freshness compose from the
-    /// same snapshot as the proof, so the status always verifies against
-    /// its own root.
+    /// Works from `&self`: proofs are built from the published snapshots,
+    /// so read-only callers (and any thread holding
+    /// [`RevocationAgent::status_server`]) never contend with mirror
+    /// updates. The signed root and freshness compose from the same
+    /// snapshot as the proof, so the status always verifies against its
+    /// own root.
     pub fn build_status(&self, chain: &[(CaId, SerialNumber)]) -> Option<StatusPayload> {
         if chain.is_empty() {
             return None;
@@ -383,11 +359,14 @@ impl<M: MirrorEngine> RevocationAgent<M> {
                     Some((ca, serial)) => {
                         if !flight.session_id.is_empty() {
                             self.session_cache
-                                .insert(flight.session_id.clone(), (ca, serial));
+                                .insert((tuple.server, flight.session_id.clone()), (ca, serial));
                         }
                         Some((ca, serial))
                     }
-                    None => self.session_cache.get(&flight.session_id).copied(),
+                    None => self
+                        .session_cache
+                        .get(&(tuple.server, flight.session_id.clone()))
+                        .copied(),
                 };
                 if let Some((ca, serial)) = identity {
                     self.table.update(&tuple, |s| {
@@ -476,7 +455,7 @@ impl<M: MirrorEngine> RevocationAgent<M> {
     }
 }
 
-impl<M: MirrorEngine> Middlebox for RevocationAgent<M> {
+impl Middlebox for RevocationAgent {
     fn process(&mut self, segment: TcpSegment, now: SimTime) -> Vec<TcpSegment> {
         self.handle_segment(segment, now)
     }
@@ -502,7 +481,7 @@ mod tests {
     use rand::SeedableRng;
     use ritm_crypto::ed25519::SigningKey;
     use ritm_dictionary::CaDictionary;
-    use ritm_net::tcp::{FourTuple, SocketAddr, TcpFlags};
+    use ritm_net::tcp::{FourTuple, TcpFlags};
     use ritm_tls::extensions::Extension;
     use ritm_tls::handshake::{ClientHello, HandshakeMessage, ServerHello};
 
@@ -669,6 +648,58 @@ mod tests {
             )
             .unwrap();
         assert!(outcome.is_revoked(), "client learns the cert is revoked");
+    }
+
+    #[test]
+    fn resumed_flight_gets_the_status_of_its_own_server() {
+        // Two servers hand out the same session id for different
+        // certificates; an abbreviated flight (ServerHello only) from the
+        // first must be served the first one's (revoked) serial.
+        let mut f = fixture();
+        let at = |server: u32| FourTuple {
+            client: tuple().client,
+            server: SocketAddr::new(server, 443),
+        };
+        for (server, serial) in [(2, 105), (3, 500)] {
+            let mut hello = client_hello_segment(true);
+            hello.tuple = at(server);
+            f.ra.process(hello, SimTime::from_secs(T0 + 2));
+            let mut flight = server_flight_segment(&f.ca, serial);
+            flight.tuple = at(server);
+            f.ra.process(flight, SimTime::from_secs(T0 + 2));
+        }
+        let resumed = HandshakeMessage::ServerHello(ServerHello {
+            version: 0x0303,
+            random: [3u8; 32],
+            session_id: vec![5; 32],
+            cipher_suite: 0xc02f,
+            extensions: vec![],
+        });
+        let rec = TlsRecord::new(
+            ContentType::Handshake,
+            HandshakeMessage::encode_all(&[resumed]),
+        );
+        let tuple2 = FourTuple {
+            client: SocketAddr::new(1, 9013),
+            ..at(2)
+        };
+        let mut hello = client_hello_segment(true);
+        hello.tuple = tuple2;
+        f.ra.process(hello, SimTime::from_secs(T0 + 3));
+        let out = f.ra.process(
+            TcpSegment::data(tuple2, Direction::ToClient, 0, 0, rec.to_bytes()),
+            SimTime::from_secs(T0 + 3),
+        );
+        let payload = extract_status(&out[0]).expect("resumed flight served a status");
+        let outcome = payload.statuses[0]
+            .validate(
+                &SerialNumber::from_u24(105),
+                &f.ca.verifying_key(),
+                10,
+                T0 + 3,
+            )
+            .expect("status is for the first server's serial");
+        assert!(outcome.is_revoked());
     }
 
     #[test]
@@ -921,37 +952,33 @@ mod tests {
     }
 
     #[test]
-    fn proof_cache_serves_hot_serials_and_invalidates_on_epoch_change() {
+    fn refresh_keeps_the_audit_path_and_issuance_replaces_it() {
         let mut f = fixture();
         let chain = [(f.ca.ca(), SerialNumber::from_u24(105))];
 
-        // First build: miss; repeated builds for the same serial: hits.
         let first = f.ra.build_status(&chain).unwrap();
         for _ in 0..5 {
             let again = f.ra.build_status(&chain).unwrap();
-            assert_eq!(again, first, "cached proof must compose the same status");
+            assert_eq!(again, first, "repeated builds compose the same status");
         }
-        let stats = f.ra.proof_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (5, 1));
 
-        // A freshness-only refresh does NOT advance the epoch: the cached
-        // audit path is still served, composed with the *new* freshness.
+        // A freshness-only refresh does NOT advance the epoch: the audit
+        // path is unchanged, composed with the *new* freshness.
         let msg = f.ca.refresh(&mut f.rng, T0 + 11);
         f.ra.mirror_mut(&f.ca.ca())
             .unwrap()
             .apply_refresh(&msg, T0 + 11)
             .unwrap();
         let refreshed = f.ra.build_status(&chain).unwrap();
-        assert_eq!(f.ra.proof_cache_stats().hits, 6);
         assert_eq!(refreshed.statuses[0].proof, first.statuses[0].proof);
         assert_eq!(
             &refreshed.statuses[0].freshness,
             f.ra.mirror(&f.ca.ca()).unwrap().freshness(),
-            "cached proof must carry live freshness"
+            "status must carry live freshness"
         );
 
-        // A new issuance advances the epoch: the stale path must not be
-        // served, and the regenerated status verifies against the new root.
+        // A new issuance advances the epoch: the path changes, and the
+        // new status verifies against the new root.
         let iss =
             f.ca.insert(&[SerialNumber::from_u24(999)], &mut f.rng, T0 + 12)
                 .unwrap();
@@ -960,12 +987,6 @@ mod tests {
             .apply_issuance(&iss, T0 + 12)
             .unwrap();
         let after = f.ra.build_status(&chain).unwrap();
-        let stats = f.ra.proof_cache_stats();
-        assert_eq!(
-            (stats.hits, stats.misses),
-            (6, 2),
-            "epoch change forces a miss"
-        );
         assert_ne!(after.statuses[0].proof, first.statuses[0].proof);
         let outcome = after.statuses[0]
             .validate(

@@ -3,9 +3,8 @@
 //! A production RA splits into one writer (applying issuance batches and
 //! freshness refreshes to its mirrors) and many readers (handshake flows
 //! needing revocation statuses *now*). [`StatusServer`] is the read side:
-//! it holds one [`SnapshotCell`] per mirrored CA plus the shared
-//! epoch-keyed [`ShardedProofCache`], and builds complete status
-//! payloads from
+//! it holds one [`SnapshotCell`] per mirrored CA plus the generation-keyed
+//! caches of encoded responses, and builds complete status payloads from
 //! `&self` — so an `Arc<StatusServer>` can be handed to any number of
 //! threads while the owning [`crate::ra::RevocationAgent`] keeps mutating
 //! its mirrors. Writers publish a fresh [`DictionarySnapshot`] after every
@@ -13,20 +12,19 @@
 //! readers pick it up on their next load without ever blocking on the
 //! update itself.
 
-use crate::cache::{CacheStats, EpochKeyedCache, ShardedEpochCache, ShardedProofCache};
+use crate::cache::{CacheStats, EpochKeyedCache, ShardedEpochCache};
 use crate::ra::StatusPayload;
 use parking_lot::RwLock;
 use ritm_dictionary::{
-    CaId, DictionarySnapshot, MultiProof, MultiRevocationStatus, RevocationStatus, SerialNumber,
-    SnapshotCell,
+    CaId, DictionarySnapshot, MultiRevocationStatus, RevocationStatus, SerialNumber, SnapshotCell,
 };
 use ritm_proto::RitmResponse;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Bound on memoized chain multiproofs (distinct hot chains are few —
-/// bounded by the server-certificate working set, not by flows).
-const MULTI_CACHE_CAPACITY: usize = 1_024;
+/// Bound on cached chain responses (distinct hot chains are few — bounded
+/// by the server-certificate working set, not by flows).
+const ENCODED_MULTI_CAPACITY: usize = 1_024;
 
 /// Cache key for an encoded multi-status body: the exact chain asked
 /// for, plus whether compression was requested (the two produce
@@ -37,10 +35,6 @@ type EncodedMultiKey = (Vec<(CaId, SerialNumber)>, bool);
 #[derive(Debug)]
 pub struct StatusServer {
     cells: RwLock<HashMap<CaId, Arc<SnapshotCell>>>,
-    cache: ShardedProofCache,
-    /// Memo for compressed chain runs, same epoch-keyed policy as the
-    /// single-serial cache; valid while the CA's epoch is unchanged.
-    multi_cache: EpochKeyedCache<Vec<SerialNumber>, MultiProof>,
     /// Fully encoded `GetStatus` response bodies (`kind ‖ fields`),
     /// keyed by the cell's publication *generation* — not the epoch,
     /// because a freshness-only refresh changes the served bytes without
@@ -65,10 +59,8 @@ impl StatusServer {
     pub fn new() -> Self {
         StatusServer {
             cells: RwLock::new(HashMap::new()),
-            cache: ShardedProofCache::default(),
-            multi_cache: EpochKeyedCache::new(MULTI_CACHE_CAPACITY),
             encoded: ShardedEpochCache::default(),
-            encoded_multi: EpochKeyedCache::new(MULTI_CACHE_CAPACITY),
+            encoded_multi: EpochKeyedCache::new(ENCODED_MULTI_CAPACITY),
         }
     }
 
@@ -113,14 +105,13 @@ impl StatusServer {
         cell.publish(current.with_root_and_freshness(signed_root, freshness))
     }
 
-    /// Drops a CA's publication slot and purges its cached proofs. Called
-    /// when the RA stops mirroring the CA; also run before re-installing a
-    /// fresh mirror, whose restarted epoch counter would otherwise be
-    /// blocked from caching by leftover higher-epoch entries.
+    /// Drops a CA's publication slot and purges its cached responses.
+    /// Called when the RA stops mirroring the CA; also run before
+    /// re-installing a fresh mirror, whose restarted generation counter
+    /// would otherwise be blocked from caching by leftover
+    /// higher-generation entries.
     pub fn retire(&self, ca: &CaId) {
         self.cells.write().remove(ca);
-        self.cache.purge_ca(ca);
-        self.multi_cache.purge_ca(ca);
         self.encoded.purge_ca(ca);
         self.encoded_multi.purge_ca(ca);
     }
@@ -143,16 +134,6 @@ impl StatusServer {
         self.cells.read().len()
     }
 
-    /// Proof-cache counter snapshot (single-serial audit paths).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Counter snapshot of the compressed chain-multiproof memo.
-    pub fn multi_cache_stats(&self) -> CacheStats {
-        self.multi_cache.stats()
-    }
-
     /// Counter snapshot of the encoded single-status response cache.
     pub fn encoded_cache_stats(&self) -> CacheStats {
         self.encoded.stats()
@@ -163,50 +144,12 @@ impl StatusServer {
         self.encoded_multi.stats()
     }
 
-    /// Builds one full status for `serial`, going through the epoch-keyed
-    /// proof cache. The signed root and freshness come from the same
-    /// snapshot as the proof's epoch, so the composed status always
+    /// Builds one full status for `serial`. The proof, signed root and
+    /// freshness all come from one snapshot, so the composed status always
     /// verifies against its own root.
     pub fn status_for(&self, ca: &CaId, serial: &SerialNumber) -> Option<RevocationStatus> {
         let snap = self.snapshot(ca)?;
-        Some(self.status_from(&snap, serial))
-    }
-
-    /// [`StatusServer::status_for`] against an already-loaded snapshot
-    /// (hot chains load one snapshot per CA run).
-    fn status_from(&self, snap: &DictionarySnapshot, serial: &SerialNumber) -> RevocationStatus {
-        let proof = self
-            .cache
-            .get_or_insert(snap.ca(), *serial, snap.epoch(), || snap.proof(serial));
-        RevocationStatus {
-            proof,
-            signed_root: *snap.signed_root(),
-            freshness: *snap.freshness(),
-        }
-    }
-
-    /// Builds one compressed status for a same-CA serial run, memoized per
-    /// `(CA, serials, epoch)` — hot chains across concurrent flows reuse
-    /// the multiproof exactly like single serials reuse audit paths. Only
-    /// the proof is cached; the signed root and freshness always come from
-    /// the given snapshot, so a freshness-only refresh (same epoch) is
-    /// picked up immediately.
-    fn multi_status_from(
-        &self,
-        snap: &DictionarySnapshot,
-        serials: Vec<SerialNumber>,
-    ) -> MultiRevocationStatus {
-        let proof =
-            self.multi_cache
-                .get_or_insert(snap.ca(), serials.clone(), snap.epoch(), || {
-                    snap.multi_proof(&serials)
-                });
-        MultiRevocationStatus {
-            serials,
-            proof,
-            signed_root: *snap.signed_root(),
-            freshness: *snap.freshness(),
-        }
+        Some(snap.status(serial))
     }
 
     /// Builds the status payload for a chain of `(issuer, serial)` pairs.
@@ -248,10 +191,10 @@ impl StatusServer {
             let snap = self.snapshot(&ca)?;
             if compress && run - i >= 2 {
                 let serials: Vec<SerialNumber> = certs[i..run].iter().map(|(_, s)| *s).collect();
-                multi.push(self.multi_status_from(&snap, serials));
+                multi.push(multi_status_from(&snap, serials));
             } else {
                 for (_, serial) in &certs[i..run] {
-                    statuses.push(self.status_from(&snap, serial));
+                    statuses.push(snap.status(serial));
                 }
             }
             i = run;
@@ -274,8 +217,7 @@ impl StatusServer {
         let generation = cell.generation();
         let snap = cell.load();
         Some(self.encoded.get_or_insert(*ca, *serial, generation, || {
-            RitmResponse::Status(StatusPayload::single(vec![self.status_from(&snap, serial)]))
-                .to_shared_body()
+            RitmResponse::Status(StatusPayload::single(vec![snap.status(serial)])).to_shared_body()
         }))
     }
 
@@ -301,38 +243,47 @@ impl StatusServer {
             *first_ca,
             (chain.to_vec(), compress),
             generation,
-            || {
-                RitmResponse::Status(self.single_ca_payload(&snap, chain, compress))
-                    .to_shared_body()
-            },
+            || RitmResponse::Status(single_ca_payload(&snap, chain, compress)).to_shared_body(),
         ))
     }
+}
 
-    /// [`StatusServer::build_status`] specialized to a one-CA chain over
-    /// one already-loaded snapshot: the leaf stays individual; the rest
-    /// of the chain is one compressed run (when `compress` and it has ≥2
-    /// certificates) or individual statuses, all composed from the same
-    /// snapshot.
-    fn single_ca_payload(
-        &self,
-        snap: &DictionarySnapshot,
-        chain: &[(CaId, SerialNumber)],
-        compress: bool,
-    ) -> StatusPayload {
-        let mut statuses = Vec::with_capacity(chain.len());
-        let mut multi = Vec::new();
-        statuses.push(self.status_from(snap, &chain[0].1));
-        let rest = &chain[1..];
-        if compress && rest.len() >= 2 {
-            let serials: Vec<SerialNumber> = rest.iter().map(|(_, s)| *s).collect();
-            multi.push(self.multi_status_from(snap, serials));
-        } else {
-            for (_, serial) in rest {
-                statuses.push(self.status_from(snap, serial));
-            }
-        }
-        StatusPayload { statuses, multi }
+/// One compressed status for a same-CA serial run: proof, signed root and
+/// freshness all from `snap`, like [`DictionarySnapshot::status`].
+fn multi_status_from(
+    snap: &DictionarySnapshot,
+    serials: Vec<SerialNumber>,
+) -> MultiRevocationStatus {
+    MultiRevocationStatus {
+        proof: snap.multi_proof(&serials),
+        serials,
+        signed_root: *snap.signed_root(),
+        freshness: *snap.freshness(),
     }
+}
+
+/// [`StatusServer::build_status`] specialized to a one-CA chain over one
+/// already-loaded snapshot: the leaf stays individual; the rest of the chain
+/// is one compressed run (when `compress` and it has ≥2 certificates) or
+/// individual statuses, all composed from the same snapshot.
+fn single_ca_payload(
+    snap: &DictionarySnapshot,
+    chain: &[(CaId, SerialNumber)],
+    compress: bool,
+) -> StatusPayload {
+    let mut statuses = Vec::with_capacity(chain.len());
+    let mut multi = Vec::new();
+    statuses.push(snap.status(&chain[0].1));
+    let rest = &chain[1..];
+    if compress && rest.len() >= 2 {
+        let serials: Vec<SerialNumber> = rest.iter().map(|(_, s)| *s).collect();
+        multi.push(multi_status_from(snap, serials));
+    } else {
+        for (_, serial) in rest {
+            statuses.push(snap.status(serial));
+        }
+    }
+    StatusPayload { statuses, multi }
 }
 
 #[cfg(test)]
@@ -364,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn serves_statuses_through_the_cache() {
+    fn repeated_builds_compose_equal_statuses() {
         let (ca, m) = setup(20);
         let server = StatusServer::new();
         assert!(server.publish(m.snapshot()));
@@ -372,8 +323,6 @@ mod tests {
         let first = server.status_for(&ca.ca(), &serial).unwrap();
         let second = server.status_for(&ca.ca(), &serial).unwrap();
         assert_eq!(first, second);
-        let stats = server.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
         assert!(first
             .validate(&serial, &ca.verifying_key(), 10, T0 + 2)
             .unwrap()
@@ -404,8 +353,7 @@ mod tests {
             .unwrap();
         assert!(statuses.iter().all(|s| !s.is_revoked()));
 
-        // A second build reuses the memoized multiproof (same epoch) and
-        // must compose an identical payload.
+        // A second build must compose an identical payload.
         let again = server.build_status(&chain, true).unwrap();
         assert_eq!(again, payload);
 

@@ -2,9 +2,8 @@
 //!
 //! [`StatusService`] wraps the `Arc`-shared, lock-free [`StatusServer`]:
 //! `GetStatus` and `GetMultiStatus` build statuses exactly like the in-path
-//! piggybacking does (same snapshots, same epoch-keyed proof caches), and
-//! `GetSignedRoot` serves the current mirrored root for consistency
-//! cross-checks. Because [`StatusServer`] is already `&self`-only, the
+//! piggybacking does (same snapshots), and `GetSignedRoot` serves the
+//! current mirrored root for consistency cross-checks. Because [`StatusServer`] is already `&self`-only, the
 //! service needs no interior mutability at all — any number of transport
 //! threads (loopback callers, simulator events, TCP pool workers) serve
 //! concurrently while the owning [`crate::ra::RevocationAgent`] keeps

@@ -23,16 +23,8 @@
 use crate::ra::RevocationAgent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-#[cfg(any(test, feature = "legacy-harness"))]
-use ritm_cdn::network::Cdn;
-#[cfg(any(test, feature = "legacy-harness"))]
-use ritm_cdn::service::EdgeService;
-use ritm_dictionary::{
-    CaId, EngineError, MirrorEngine, RevocationIssuance, UpdateError, UpdateMessage,
-};
+use ritm_dictionary::{CaId, RevocationIssuance, UpdateError};
 use ritm_net::time::{SimDuration, SimTime};
-#[cfg(any(test, feature = "legacy-harness"))]
-use ritm_proto::Loopback;
 use ritm_proto::{ProtoError, RitmRequest, RitmResponse, RoundTrip, Transport, TransportMeta};
 
 /// Bounded retry with exponential backoff and jitter, applied to every
@@ -204,7 +196,7 @@ fn flight_with_retry<T: Transport>(
     }
 }
 
-impl<M: MirrorEngine> RevocationAgent<M> {
+impl RevocationAgent {
     /// One periodic pull (every Δ) over the wire protocol: for each
     /// mirrored CA, request the latest issuance bundle and freshness
     /// statement through `transport`, apply them, and repair any detected
@@ -323,7 +315,7 @@ impl<M: MirrorEngine> RevocationAgent<M> {
                         let res = self
                             .mirror_mut(&ca)
                             .expect("followed ca has a mirror")
-                            .apply_update(UpdateMessage::Refresh(&msg), now_secs);
+                            .apply_refresh(&msg, now_secs);
                         match res {
                             Ok(()) => report.freshness_applied += 1,
                             Err(_) => report.rejected += 1,
@@ -375,7 +367,7 @@ impl<M: MirrorEngine> RevocationAgent<M> {
                     let applied = self
                         .mirror_mut(&ca)
                         .expect("followed ca has a mirror")
-                        .apply_update(UpdateMessage::Issuance(&issuance), now_secs)
+                        .apply_issuance(&issuance, now_secs)
                         .is_ok();
                     if !applied {
                         report.rejected += 1;
@@ -433,7 +425,7 @@ impl<M: MirrorEngine> RevocationAgent<M> {
                             if self
                                 .mirror_mut(&ca)
                                 .expect("followed ca has a mirror")
-                                .apply_update(UpdateMessage::Issuance(&catchup), now_secs)
+                                .apply_issuance(&catchup, now_secs)
                                 .is_ok()
                             {
                                 report.issuances_applied += 1;
@@ -457,27 +449,6 @@ impl<M: MirrorEngine> RevocationAgent<M> {
         if applied_any {
             report.catchups += 1;
         }
-    }
-
-    /// Compatibility shim for harnesses that own a [`Cdn`] directly: wraps
-    /// it in a borrowed [`EdgeService`] behind an in-process [`Loopback`]
-    /// and runs [`RevocationAgent::sync_via`] — the sync itself always
-    /// speaks the wire protocol. `rng` seeds the edge's latency sampling.
-    ///
-    /// Only compiled with the `legacy-harness` feature; default builds are
-    /// deprecation-clean.
-    #[cfg(feature = "legacy-harness")]
-    #[deprecated(note = "build an EdgeService + Transport and call sync_via")]
-    pub fn sync<R: rand::Rng + ?Sized>(
-        &mut self,
-        cdn: &mut Cdn,
-        now: SimTime,
-        rng: &mut R,
-    ) -> SyncReport {
-        let service = EdgeService::new(&mut *cdn, self.config.region, rng.next_u64());
-        service.set_now(now);
-        let mut transport = Loopback::new(service);
-        self.sync_via(&mut transport, now)
     }
 
     /// Applies one pulled issuance bundle. Returns `Some(have)` when the
@@ -511,7 +482,7 @@ impl<M: MirrorEngine> RevocationAgent<M> {
         };
         let outcome = {
             let mut mirror = self.mirror_mut(&ca).expect("followed ca has a mirror");
-            mirror.apply_update(UpdateMessage::Issuance(&issuance), now_secs)
+            mirror.apply_issuance(&issuance, now_secs)
             // Guard drops here, republishing the snapshot if the update
             // landed — before any catch-up round-trip.
         };
@@ -522,7 +493,7 @@ impl<M: MirrorEngine> RevocationAgent<M> {
                 None
             }
             // Paper's sync protocol: request everything after `have`.
-            Err(EngineError::Update(UpdateError::Desynchronized { have, .. })) => Some(have),
+            Err(UpdateError::Desynchronized { have, .. }) => Some(have),
             Err(_) => {
                 report.rejected += 1;
                 None
@@ -538,9 +509,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ritm_ca::CertificationAuthority;
+    use ritm_cdn::network::Cdn;
     use ritm_cdn::origin::ContentKey;
+    use ritm_cdn::service::EdgeService;
     use ritm_crypto::ed25519::SigningKey;
     use ritm_dictionary::{RefreshMessage, SerialNumber};
+    use ritm_proto::Loopback;
 
     const T0: u64 = 1_000_000;
 
@@ -965,25 +939,6 @@ mod tests {
         assert_eq!(report.catchup_pages, 0, "no pages from a v1 peer");
         assert_eq!(report.rejected, 0);
         assert_eq!(w.ra.mirror(&w.ca.id()).unwrap().len(), 9);
-    }
-
-    #[test]
-    #[cfg(feature = "legacy-harness")]
-    fn legacy_sync_shim_still_speaks_the_protocol() {
-        // The deprecated harness entry point must remain byte-for-byte a
-        // protocol sync: same counters as the explicit transport path.
-        let mut w = world();
-        issue_and_revoke(&mut w, 0..5, T0 + 1);
-        w.ca.refresh(&mut w.cdn, &mut w.rng, T0 + 2).unwrap();
-        #[allow(deprecated)]
-        let report = {
-            let mut rng = StdRng::seed_from_u64(99);
-            w.ra.sync(&mut w.cdn, SimTime::from_secs(T0 + 2), &mut rng)
-        };
-        assert_eq!(report.issuances_applied, 1);
-        assert_eq!(report.revocations_applied, 5);
-        assert_eq!(report.freshness_applied, 1);
-        assert!(report.bytes_downloaded > 0 && report.bytes_uploaded > 0);
     }
 
     #[test]

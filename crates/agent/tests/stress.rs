@@ -161,10 +161,7 @@ fn snapshot_readers_race_one_writer_without_stale_roots() {
         }
     });
 
-    // After the race every reader saw the final epoch's data eventually;
-    // the cache served hot serials across readers.
-    let stats = server.cache_stats();
-    assert!(stats.hits + stats.misses > 0);
+    // After the race the final epoch's data is what readers are served.
     let final_snap = server.snapshot(&ca_id).expect("published");
     assert_eq!(final_snap.len() as u64, BATCHES * BATCH_SIZE as u64);
 }

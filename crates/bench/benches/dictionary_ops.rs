@@ -1,8 +1,8 @@
 //! Criterion benchmarks for the authenticated dictionary itself: insert and
 //! update scaling (§VII-D), an ablation over dictionary size showing the
 //! logarithmic proof cost that Table III relies on, the incremental engine
-//! against full rebuilds (10k/100k/1M leaves), cold vs epoch-cached proof
-//! construction, parallel vs sequential full rebuilds on the [`HashPool`],
+//! against full rebuilds (10k/100k/1M leaves), proof construction,
+//! parallel vs sequential full rebuilds on the [`HashPool`],
 //! compressed chain multiproofs vs independent audit paths, concurrent
 //! snapshot-based proof serving vs a serialized `&mut`-style baseline, and
 //! structurally-shared snapshot publication (`snapshot_publish/persistent`)
@@ -18,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ritm_agent::{ProofCache, StatusServer, StatusService};
+use ritm_agent::{StatusServer, StatusService};
 use ritm_crypto::SigningKey;
 use ritm_dictionary::tree::{Leaf, MerkleTree};
 use ritm_dictionary::{CaDictionary, CaId, HashPool, MirrorDictionary, SerialNumber};
@@ -203,7 +203,7 @@ fn bench_incremental_vs_rebuild(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_cold_vs_cached_proof(c: &mut Criterion) {
+fn bench_prove_hot_serial(c: &mut Criterion) {
     let mut g = c.benchmark_group("prove_hot_serial");
     for &n in heavy_sizes() {
         g.sample_size(if n >= 1_000_000 { 10 } else { 20 });
@@ -211,12 +211,6 @@ fn bench_cold_vs_cached_proof(c: &mut Criterion) {
         let query = SerialNumber::from_u24(0x700001); // absent (odd serial)
         g.bench_with_input(BenchmarkId::new("cold", n), &n, |b, _| {
             b.iter(|| black_box(mirror.proof(black_box(&query))))
-        });
-        g.bench_with_input(BenchmarkId::new("cached", n), &n, |b, _| {
-            let cache = ProofCache::default();
-            let ca = mirror.ca();
-            let epoch = mirror.epoch();
-            b.iter(|| black_box(cache.get_or_insert(ca, query, epoch, || mirror.proof(&query))))
         });
     }
     g.finish();
@@ -1001,7 +995,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
     targets = bench_insert_1000, bench_prove_scaling, bench_incremental_vs_rebuild,
-        bench_cold_vs_cached_proof, bench_status_validation, bench_parallel_rebuild,
+        bench_prove_hot_serial, bench_status_validation, bench_parallel_rebuild,
         bench_snapshot_publish, bench_multiproof_chain, bench_concurrent_serving,
         bench_protocol_roundtrip, bench_catchup_paged, bench_event_serve,
         bench_status_serve_hot, bench_throughput, bench_handshake

@@ -2,7 +2,7 @@
 //! fleet (consistent-hash placement, signed-root gossip, one shard pinned
 //! stale and one killed mid-run) serving a zipf-distributed population of
 //! one million clients. Reports the Fig. 7 headline — wire bytes per user
-//! per day — plus fleet-wide and per-shard proof-cache hit rates, status
+//! per day — plus fleet-wide and per-shard encoded-cache hit rates, status
 //! latency percentiles, and router spillover counters.
 //!
 //! Hand-rolled main (no criterion sampling): one cold run is the
@@ -51,9 +51,9 @@ fn main() {
         opts.shards, opts.cas, report.clients, report.requests, build, run, req_per_sec,
     );
     println!(
-        "  bytes/user/day {:.1}  proof-cache hit {:.3}  latency mean {:.2} ms p99 {:.2} ms",
+        "  bytes/user/day {:.1}  encoded-cache hit {:.3}  latency mean {:.2} ms p99 {:.2} ms",
         report.bytes_per_user_day,
-        report.proof_cache_hit_rate,
+        report.encoded_hit_rate,
         report.mean_status_latency_ms,
         report.p99_status_latency_ms,
     );
@@ -66,8 +66,8 @@ fn main() {
         report.router.cross_region,
         report.router.unroutable,
     );
-    for (shard, rate) in &report.per_shard_hit_rate {
-        println!("  shard {shard}: proof-cache hit {rate:.3}");
+    for (shard, rate) in &report.per_shard_encoded_hit_rate {
+        println!("  shard {shard}: encoded-cache hit {rate:.3}");
     }
     assert!(
         report.requests >= report.clients,
@@ -91,10 +91,10 @@ fn main() {
         "bytes",
     );
     json_record(
-        "fleet/proof_cache_hit_rate",
+        "fleet/encoded_hit_rate",
         n,
         None,
-        report.proof_cache_hit_rate,
+        report.encoded_hit_rate,
         "fraction",
     );
     json_record(
@@ -126,7 +126,7 @@ fn main() {
         report.stale_rejections as f64,
         "requests",
     );
-    for (shard, rate) in &report.per_shard_hit_rate {
+    for (shard, rate) in &report.per_shard_encoded_hit_rate {
         json_record(
             &format!("fleet/shard_hit_rate/{shard}"),
             n,

@@ -225,9 +225,8 @@ fn main() {
         upd.max, upd.min, upd.mean
     );
 
-    // --- Incremental engine summary: batch apply vs full rebuild, and the
-    //     RA's epoch-keyed proof cache (cold vs hot path), on the same
-    //     largest-CRL dictionary.
+    // --- Incremental engine summary: batch apply vs full rebuild, on the
+    //     same largest-CRL dictionary.
     println!();
     println!("incremental dictionary engine ({DICT_SIZE}-entry dictionary):");
     {
@@ -268,27 +267,6 @@ fn main() {
             full_ms,
             incr_ms,
             full_ms / incr_ms.max(1e-9)
-        );
-
-        let cache = ritm_agent::ProofCache::default();
-        let ca_id = mirror.ca();
-        let epoch = mirror.epoch();
-        let cold = time_op(|| {
-            black_box(mirror.proof(black_box(&query)));
-        });
-        let cached = time_op(|| {
-            black_box(cache.get_or_insert(ca_id, query, epoch, || mirror.proof(&query)));
-        });
-        let cold_us = stats(&cold).mean;
-        let cached_us = stats(&cached).mean;
-        let cs = cache.stats();
-        println!(
-            "  proof construction: cold {:.2} µs, epoch-cached {:.3} µs  ({:.0}x; {} hits / {} misses)",
-            cold_us,
-            cached_us,
-            cold_us / cached_us.max(1e-9),
-            cs.hits,
-            cs.misses
         );
     }
 

@@ -1,10 +1,10 @@
 //! # ritm-bench — the experiment harness (paper §VII)
 //!
-//! One binary per table/figure regenerates the paper's evaluation; see
-//! DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-//! outputs. This library holds shared helpers: text tables, summary
-//! statistics, CDFs, and the RA-download cost model used by Fig. 6,
-//! Table II, and Fig. 7.
+//! One binary per table/figure regenerates the paper's evaluation (the
+//! end-to-end benchmark claims are judged with is the separate package
+//! under `benchmark/`; see `benchmark/README.md`). This library holds
+//! shared helpers: text tables, summary statistics, CDFs, and the
+//! RA-download cost model used by Fig. 6, Table II, and Fig. 7.
 
 use ritm_workloads::heartbleed::Bin;
 

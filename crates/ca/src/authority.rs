@@ -6,10 +6,7 @@ use rand::RngCore;
 use ritm_cdn::network::Cdn;
 use ritm_cdn::origin::PublishError;
 use ritm_crypto::ed25519::{SigningKey, VerifyingKey};
-use ritm_dictionary::{
-    CaDictionary, CaId, DictionaryEngine, EngineError, RefreshMessage, RevocationIssuance,
-    SerialNumber,
-};
+use ritm_dictionary::{CaDictionary, CaId, RefreshMessage, RevocationIssuance, SerialNumber};
 use ritm_tls::certificate::Certificate;
 use std::collections::HashMap;
 
@@ -22,9 +19,6 @@ pub enum CaError {
     UnknownSerial(SerialNumber),
     /// The CDN refused the publish.
     Publish(PublishError),
-    /// The dictionary engine refused the operation (cannot happen for the
-    /// default [`CaDictionary`] engine, which is always authoritative).
-    Engine(EngineError),
     /// The attached issuance log failed to persist a record. The in-memory
     /// dictionary is ahead of stable storage at this point — treat as
     /// fatal and restart from the log.
@@ -37,7 +31,6 @@ impl core::fmt::Display for CaError {
             CaError::DuplicateSerial(s) => write!(f, "serial {s} already issued"),
             CaError::UnknownSerial(s) => write!(f, "serial {s} was not issued by this CA"),
             CaError::Publish(e) => write!(f, "distribution point rejected publish: {e}"),
-            CaError::Engine(e) => write!(f, "dictionary engine refused: {e}"),
             CaError::Wal(k) => write!(f, "issuance log append failed: {k:?}"),
         }
     }
@@ -51,25 +44,16 @@ impl From<PublishError> for CaError {
     }
 }
 
-impl From<EngineError> for CaError {
-    fn from(e: EngineError) -> Self {
-        CaError::Engine(e)
-    }
-}
-
-/// A certification authority participating in RITM, generic over its
-/// authoritative [`DictionaryEngine`] (a single [`CaDictionary`] by
-/// default; a [`ritm_dictionary::ShardedCa`] slots in for expiry-sharded
-/// deployments, §VIII).
+/// A certification authority participating in RITM.
 ///
 /// Owns the signing key, the issued-certificate registry, and the
 /// authenticated dictionary; pushes every dictionary change to the CDN
 /// origin.
-pub struct CertificationAuthority<E: DictionaryEngine = CaDictionary> {
+pub struct CertificationAuthority {
     name: String,
     id: CaId,
     key: SigningKey,
-    dictionary: E,
+    dictionary: CaDictionary,
     issued: HashMap<SerialNumber, Certificate>,
     next_serial: u32,
     delta: u64,
@@ -78,19 +62,19 @@ pub struct CertificationAuthority<E: DictionaryEngine = CaDictionary> {
     wal: Option<crate::wal::IssuanceLog>,
 }
 
-impl<E: DictionaryEngine> core::fmt::Debug for CertificationAuthority<E> {
+impl core::fmt::Debug for CertificationAuthority {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("CertificationAuthority")
             .field("name", &self.name)
             .field("id", &self.id)
             .field("issued", &self.issued.len())
-            .field("revoked", &self.dictionary.revocation_count())
+            .field("revoked", &self.dictionary.len())
             .field("epoch", &self.dictionary.epoch())
             .finish()
     }
 }
 
-impl CertificationAuthority<CaDictionary> {
+impl CertificationAuthority {
     /// Creates a CA with a fresh dictionary and registers it with the CDN
     /// origin (publishing its bootstrap manifest, §VIII).
     pub fn new<R: RngCore + ?Sized>(
@@ -108,8 +92,6 @@ impl CertificationAuthority<CaDictionary> {
     }
 
     /// Replays issuances for a desynchronized RA (sync protocol, §III).
-    /// Specific to the single-dictionary engine, which keeps the full
-    /// issuance log.
     pub fn issuance_since(&self, have: u64) -> RevocationIssuance {
         self.dictionary.issuance_since(have)
     }
@@ -152,17 +134,15 @@ impl CertificationAuthority<CaDictionary> {
             CaDictionary::replay(id, key.clone(), delta, chain_len, records, rng, now)?;
         Ok(Self::with_engine(name, key, delta, dictionary, cdn))
     }
-}
 
-impl<E: DictionaryEngine> CertificationAuthority<E> {
-    /// Wraps an already-built engine into a CA and registers it with the
-    /// CDN origin (publishing its bootstrap manifest, §VIII). The engine's
-    /// CA id must be derived from `name`.
+    /// Wraps an already-built dictionary into a CA and registers it with the
+    /// CDN origin (publishing its bootstrap manifest, §VIII). The
+    /// dictionary's CA id must be derived from `name`.
     pub fn with_engine(
         name: &str,
         key: SigningKey,
         delta: u64,
-        dictionary: E,
+        dictionary: CaDictionary,
         cdn: &mut Cdn,
     ) -> Self {
         let id = CaId::from_name(name);
@@ -217,13 +197,12 @@ impl<E: DictionaryEngine> CertificationAuthority<E> {
         self.manifest().to_json_signed(&self.key).into_bytes()
     }
 
-    /// Read access to the dictionary engine (e.g. for bootstrap signed
-    /// roots).
-    pub fn dictionary(&self) -> &E {
+    /// Read access to the dictionary (e.g. for bootstrap signed roots).
+    pub fn dictionary(&self) -> &CaDictionary {
         &self.dictionary
     }
 
-    /// The engine's monotonic content epoch.
+    /// The dictionary's monotonic content epoch.
     pub fn epoch(&self) -> u64 {
         self.dictionary.epoch()
     }
@@ -286,8 +265,7 @@ impl<E: DictionaryEngine> CertificationAuthority<E> {
                 return Err(CaError::UnknownSerial(*s));
             }
         }
-        let mut rng = rng; // reborrow as a Sized RngCore for dyn dispatch
-        let Some(issuance) = self.dictionary.insert_batch(serials, &mut rng, now)? else {
+        let Some(issuance) = self.dictionary.insert(serials, rng, now) else {
             return Ok(None);
         };
         // Durability before dissemination: once a peer can observe this
@@ -297,7 +275,7 @@ impl<E: DictionaryEngine> CertificationAuthority<E> {
         }
         cdn.origin.publish_issuance(self.id, &issuance)?;
         // Keep the freshness object in sync with the new chain.
-        if let Some(f) = self.dictionary.freshness_for(now) {
+        if let Some(f) = self.dictionary.current_freshness(now) {
             cdn.origin
                 .publish_refresh(self.id, &RefreshMessage::Freshness(f))?;
         }
@@ -316,20 +294,19 @@ impl<E: DictionaryEngine> CertificationAuthority<E> {
         rng: &mut R,
         now: u64,
     ) -> Result<RefreshMessage, CaError> {
-        let mut rng = rng;
-        let msg = self.dictionary.refresh_period(&mut rng, now)?;
+        let msg = self.dictionary.refresh(rng, now);
         cdn.origin.publish_refresh(self.id, &msg)?;
         Ok(msg)
     }
 
     /// Whether a serial is currently revoked.
     pub fn is_revoked(&self, serial: &SerialNumber) -> bool {
-        self.dictionary.contains_serial(serial)
+        self.dictionary.contains(serial)
     }
 
     /// Number of revocations issued.
     pub fn revocation_count(&self) -> usize {
-        self.dictionary.revocation_count() as usize
+        self.dictionary.len()
     }
 }
 

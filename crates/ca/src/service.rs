@@ -9,7 +9,7 @@
 //! never the fan-out bottleneck) and status requests (an RA's job).
 
 use crate::authority::CertificationAuthority;
-use ritm_dictionary::{DictionaryEngine, RefreshMessage};
+use ritm_dictionary::RefreshMessage;
 use ritm_proto::{ProtoError, RitmRequest, RitmResponse, Service};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -84,7 +84,7 @@ impl Service for CaService {
                     return RitmResponse::Error(ProtoError::UnknownCa(id));
                 }
                 let now = self.now_secs.load(Ordering::SeqCst);
-                match ca.dictionary().freshness_for(now) {
+                match ca.dictionary().current_freshness(now) {
                     Some(f) => RitmResponse::Freshness(RefreshMessage::Freshness(f)),
                     None => RitmResponse::Error(ProtoError::NotFound),
                 }

@@ -13,7 +13,8 @@ use ritm_crypto::ed25519::VerifyingKey;
 use ritm_dictionary::{CaId, SerialNumber};
 use ritm_tls::alert::AlertDescription;
 use ritm_tls::certificate::TrustAnchors;
-use ritm_tls::connection::{ClientConfig, ClientEvent, TlsClient, TlsError};
+use ritm_tls::connection::{ClientConfig, ClientEvent, TlsError};
+use ritm_tls::engine::ClientEngine;
 use ritm_tls::record::TlsRecord;
 use ritm_tls::session::SessionState;
 use std::collections::HashMap;
@@ -83,7 +84,7 @@ pub enum RitmEvent {
 
 /// A RITM-supported TLS client connection.
 pub struct RitmClient {
-    tls: TlsClient,
+    tls: ClientEngine,
     config: RitmClientConfig,
     chain: Vec<(CaId, SerialNumber)>,
     pending_status: Vec<StatusPayload>,
@@ -138,7 +139,7 @@ impl RitmClient {
             Some((s, c)) => (Some(s), c),
             None => (None, Vec::new()),
         };
-        let tls = TlsClient::new(
+        let tls = ClientEngine::new(
             ClientConfig {
                 server_name: config.server_name.clone(),
                 anchors: config.anchors.clone(),
@@ -367,7 +368,8 @@ mod tests {
     use ritm_net::tcp::{Direction, FourTuple, SocketAddr, TcpSegment};
     use ritm_net::time::SimTime;
     use ritm_tls::certificate::{Certificate, CertificateChain};
-    use ritm_tls::connection::{ServerConnection, ServerContext};
+    use ritm_tls::connection::ServerContext;
+    use ritm_tls::engine::ServerEngine;
 
     const T0: u64 = 1_000_000;
     const DELTA: u64 = 10;
@@ -383,7 +385,7 @@ mod tests {
     struct World {
         ca: CaDictionary,
         ra: RevocationAgent,
-        server: ServerConnection,
+        server: ServerEngine,
         client: RitmClient,
         rng: StdRng,
     }
@@ -426,7 +428,7 @@ mod tests {
         }
 
         let ctx = ServerContext::new(CertificateChain(vec![cert]), [9u8; 20]);
-        let server = ServerConnection::new(ctx, [3u8; 32]);
+        let server = ServerEngine::new(ctx, [3u8; 32]);
 
         let mut anchors = TrustAnchors::new();
         anchors.add(ca.ca(), ca.verifying_key());

@@ -1,6 +1,6 @@
 //! Simulator-node adapters for the TLS endpoints.
 //!
-//! These wrap [`RitmClient`] and [`ServerConnection`] as
+//! These wrap [`RitmClient`] and [`ServerEngine`] as
 //! [`NetNode`]s so full RITM connections run over the packet-level network
 //! simulator with an RA middlebox in between.
 
@@ -8,7 +8,8 @@ use ritm_client::{RitmClient, RitmEvent};
 use ritm_net::sim::{Context, NetNode};
 use ritm_net::tcp::{Direction, FourTuple, TcpSegment};
 use ritm_net::time::SimDuration;
-use ritm_tls::connection::{ServerConnection, TlsError};
+use ritm_tls::connection::TlsError;
+use ritm_tls::engine::ServerEngine;
 use ritm_tls::record::TlsRecord;
 
 /// Timer id used by the client's periodic staleness check.
@@ -122,7 +123,7 @@ impl NetNode for ClientNode {
 /// The server endpoint node.
 pub struct ServerNode {
     /// The wrapped TLS server connection.
-    pub conn: ServerConnection,
+    pub conn: ServerEngine,
     tuple: FourTuple,
     sent_bytes: u64,
     recv_bytes: u64,
@@ -136,7 +137,7 @@ pub struct ServerNode {
 
 impl ServerNode {
     /// Wraps `conn` for connection `tuple`.
-    pub fn new(conn: ServerConnection, tuple: FourTuple) -> Self {
+    pub fn new(conn: ServerEngine, tuple: FourTuple) -> Self {
         ServerNode {
             conn,
             tuple,

@@ -23,9 +23,11 @@ use ritm_net::middlebox::MiddleboxNode;
 use ritm_net::sim::{Path, Simulator};
 use ritm_net::tcp::{Addr, FourTuple, SocketAddr};
 use ritm_net::time::{SimDuration, SimTime};
+use ritm_proto::message::{split_frame, RequestEnvelope, PROTOCOL_VERSION};
 use ritm_proto::{Loopback, RitmRequest, RitmResponse, Service};
 use ritm_tls::certificate::{Certificate, CertificateChain, TrustAnchors};
-use ritm_tls::connection::{ServerConnection, ServerContext};
+use ritm_tls::connection::ServerContext;
+use ritm_tls::engine::ServerEngine;
 use ritm_workloads::isc::IscDataset;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -163,12 +165,12 @@ impl RitmWorld {
     }
 
     /// The CA dictionary's current content epoch (every revocation batch
-    /// advances it; the RA's proof cache keys on the mirrored copy's).
+    /// advances it).
     pub fn dictionary_epoch(&self) -> u64 {
         self.ca.dictionary().epoch()
     }
 
-    /// Operational snapshot of the shared RA, including proof-cache
+    /// Operational snapshot of the shared RA, including encoded-cache
     /// hit/miss counters.
     pub fn ra_health(&self) -> RaHealthReport {
         self.ra.borrow().health_report()
@@ -304,7 +306,7 @@ impl RitmWorld {
             self.root_tracker.clone(),
         );
         let client_node = Rc::new(RefCell::new(ClientNode::new(client, tuple)));
-        let server_conn = ServerConnection::new(self.server_ctx.clone(), [42u8; 32]);
+        let server_conn = ServerEngine::new(self.server_ctx.clone(), [42u8; 32]);
         let server_node = Rc::new(RefCell::new(ServerNode::new(server_conn, tuple)));
 
         let mut sim = Simulator::new();
@@ -465,10 +467,10 @@ pub struct FleetRunReport {
     pub bytes_total: u64,
     /// Wire bytes per user for the simulated day.
     pub bytes_per_user_day: f64,
-    /// Fleet-wide proof-cache hit fraction.
-    pub proof_cache_hit_rate: f64,
-    /// Per-shard proof-cache hit fraction, in fleet-name order.
-    pub per_shard_hit_rate: Vec<(String, f64)>,
+    /// Fleet-wide hit fraction of the encoded `GetStatus` response caches.
+    pub encoded_hit_rate: f64,
+    /// Per-shard encoded-cache hit fraction, in fleet-name order.
+    pub per_shard_encoded_hit_rate: Vec<(String, f64)>,
     /// Mean status latency (milliseconds, sampled per request).
     pub mean_status_latency_ms: f64,
     /// 99th-percentile status latency (milliseconds).
@@ -824,8 +826,19 @@ impl FleetWorld {
                 let idx = node_index[&*route.node];
                 let req = RitmRequest::GetStatus { ca, serial };
                 bytes_total += req.encoded_len() as u64 + 4;
-                let resp = services[idx].handle(req);
-                bytes_total += resp.encoded_len() as u64 + 4;
+                // The entry a deployed event server uses, so the shard's
+                // encoded-response cache is the one exercised (and counted).
+                let frame = services[idx]
+                    .serve_envelope(RequestEnvelope {
+                        reply_version: PROTOCOL_VERSION,
+                        request_id: 0,
+                        request: Ok(req),
+                    })
+                    .to_vec();
+                bytes_total += frame.len() as u64;
+                let resp = split_frame(&frame)
+                    .ok()
+                    .and_then(|(body, _)| RitmResponse::decode_body(body).ok());
                 let model = if route.cross_region {
                     region.origin_latency()
                 } else {
@@ -835,7 +848,7 @@ impl FleetWorld {
                 latencies_us.push(lat.min(u64::from(u32::MAX)) as u32);
 
                 let accepted = match &resp {
-                    RitmResponse::Status(payload) => {
+                    Some(RitmResponse::Status(payload)) => {
                         if r % opts.validate_every == 0 {
                             full_validations += 1;
                             match validate_payload_tracked(
@@ -878,15 +891,10 @@ impl FleetWorld {
 
         self.gossip_round();
         let health = self.health();
-        let per_shard_hit_rate: Vec<(String, f64)> = self
-            .nodes
+        let per_shard_encoded_hit_rate: Vec<(String, f64)> = health
+            .shards
             .iter()
-            .map(|n| {
-                (
-                    n.name().to_string(),
-                    n.ra.health_report().proof_cache.hit_rate(),
-                )
-            })
+            .map(|s| (s.node.clone(), s.ra.encoded_hit_rate()))
             .collect();
 
         let requests = latencies_us.len() as u64;
@@ -906,8 +914,8 @@ impl FleetWorld {
             requests,
             bytes_total,
             bytes_per_user_day: bytes_total as f64 / opts.clients as f64,
-            proof_cache_hit_rate: health.proof_cache_hit_rate(),
-            per_shard_hit_rate,
+            encoded_hit_rate: health.encoded_hit_rate(),
+            per_shard_encoded_hit_rate,
             mean_status_latency_ms: mean_us / 1_000.0,
             p99_status_latency_ms: f64::from(p99_us) / 1_000.0,
             router: self.router.stats(),
@@ -1002,12 +1010,12 @@ mod tests {
     }
 
     #[test]
-    fn hot_serial_reuses_cached_proofs_until_epoch_advances() {
+    fn root_tracker_follows_the_epoch_across_connections() {
         let mut w = RitmWorld::new(8, 10, DeploymentModel::CloseToClients);
         let epoch0 = w.dictionary_epoch();
 
-        // Several connections to the same server: after the first proof is
-        // built, the rest of the statuses reuse the cached audit path.
+        // Several connections to the same server, each with periodic
+        // statuses for the same hot serial.
         for _ in 0..3 {
             let out = w.run_connection(&ConnectionOptions {
                 duration_secs: 12,
@@ -1016,12 +1024,6 @@ mod tests {
             });
             assert!(out.alive_at_end, "events: {:?}", out.events);
         }
-        let health = w.ra_health();
-        assert!(
-            health.proof_cache.hits > 0,
-            "periodic statuses for a hot serial must hit the cache: {health:?}"
-        );
-        assert!(health.cache_hit_rate() > 0.5, "{health:?}");
 
         // The accepted dictionary epoch persists across connections: the
         // world-level tracker remembers the newest root every client saw.
@@ -1031,9 +1033,8 @@ mod tests {
             .expect("tracker advanced by accepted statuses");
         assert_eq!(size0, 0, "no revocations yet");
 
-        // A revocation batch advances the epoch and invalidates the cache:
-        // the next status is a fresh miss.
-        let misses_before = w.ra_health().proof_cache.misses;
+        // A revocation batch advances the epoch: the next status proves
+        // against the new root.
         let victim = w.issue_certificate("other.example").serial;
         w.revoke(victim);
         assert!(w.dictionary_epoch() > epoch0);
@@ -1042,10 +1043,6 @@ mod tests {
             ..Default::default()
         });
         assert!(out.alive_at_end, "events: {:?}", out.events);
-        assert!(
-            w.ra_health().proof_cache.misses > misses_before,
-            "epoch change must force proof regeneration"
-        );
         let (size1, _) = w.root_tracker.newest(&w.ca.id()).expect("tracker kept");
         assert!(size1 > size0, "tracker must follow the advanced epoch");
     }
@@ -1167,12 +1164,14 @@ mod tests {
         assert_eq!(report.clients, 60_000);
         assert!(report.requests >= report.clients);
         assert!(report.bytes_per_user_day > 0.0);
+        // Measured 0.986 on this seed (512 hot serials, one republish when
+        // the stale shard heals); the threshold leaves a margin below it.
         assert!(
-            report.proof_cache_hit_rate > 0.5,
-            "hot Zipf traffic must hit the proof cache: {}",
-            report.proof_cache_hit_rate
+            report.encoded_hit_rate > 0.95,
+            "hot Zipf traffic must hit the encoded cache: {}",
+            report.encoded_hit_rate
         );
-        assert_eq!(report.per_shard_hit_rate.len(), 3);
+        assert_eq!(report.per_shard_encoded_hit_rate.len(), 3);
         assert!(report.p99_status_latency_ms >= report.mean_status_latency_ms);
         assert!(report.full_validations > 0);
         assert!(report.revoked_seen > 0, "half the hot set is revoked");

@@ -855,9 +855,8 @@ impl MirrorDictionary {
 
     /// Monotonic content epoch: advances whenever the mirrored tree is
     /// mutated (every accepted issuance; a rejected one rolls content back
-    /// but still advances the epoch, harmlessly refilling caches), so RAs
-    /// can key proof caches on it. Freshness-only refreshes do not advance
-    /// it — audit paths stay valid across them.
+    /// but still advances the epoch, harmlessly). Freshness-only refreshes
+    /// do not advance it — audit paths stay valid across them.
     pub fn epoch(&self) -> u64 {
         self.tree.epoch()
     }

@@ -9,9 +9,6 @@
 //! * [`tree`] — the sorted-leaf Merkle tree: epoch-aware, with incremental
 //!   batch application ([`tree::MerkleTree::apply_sorted_batch`]) and audit
 //!   paths;
-//! * [`engine`] — the [`DictionaryEngine`] / [`MirrorEngine`] traits
-//!   (Fig. 2 `insert`/`refresh`/`update`/`prove` plus `root` and `epoch`)
-//!   that CA, RA, and client code program against;
 //! * [`chunk`] / [`persistent`] — the copy-on-write chunked storage and the
 //!   structurally-shared [`PersistentTree`] mirrors publish snapshots from
 //!   in O(chunks) instead of O(n);
@@ -67,7 +64,6 @@
 pub mod chunk;
 pub mod consistency;
 pub mod dictionary;
-pub mod engine;
 pub mod freshness;
 pub mod parallel;
 pub mod persistent;
@@ -82,7 +78,6 @@ pub use dictionary::{
     CaDictionary, MirrorDictionary, MultiRevocationStatus, RefreshMessage, RevocationIssuance,
     RevocationStatus, StatusError, UpdateError,
 };
-pub use engine::{DictionaryEngine, EngineError, MirrorEngine, UpdateMessage};
 pub use freshness::{FreshnessError, FreshnessStatement};
 pub use parallel::HashPool;
 pub use persistent::PersistentTree;

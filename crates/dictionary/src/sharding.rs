@@ -7,22 +7,16 @@
 //! a whole shard once every certificate it covers has expired, bounding RA
 //! storage without giving up the append-only property *within* each shard.
 
-use crate::dictionary::{CaDictionary, RefreshMessage, RevocationIssuance, RevocationStatus};
+use crate::dictionary::{CaDictionary, RevocationIssuance};
 use crate::root::CaId;
 use crate::serial::SerialNumber;
 use rand::{RngCore, SeedableRng};
-use ritm_crypto::digest::Digest20;
-use ritm_crypto::ed25519::{SigningKey, VerifyingKey};
+use ritm_crypto::ed25519::SigningKey;
 use std::collections::BTreeMap;
 
 /// Seconds per expiry bucket. One quarter keeps the shard count small while
 /// letting RAs reclaim space regularly.
 pub const DEFAULT_BUCKET_SECS: u64 = 90 * 24 * 3600;
-
-/// Default certificate lifetime assumed when a revocation arrives without
-/// expiry metadata: the CA/B Forum's 39-month bound at the time of the
-/// paper.
-pub const DEFAULT_CERT_LIFETIME_SECS: u64 = 39 * 30 * 24 * 3600;
 
 /// A CA maintaining one dictionary per certificate-expiry bucket.
 #[derive(Debug)]
@@ -34,10 +28,6 @@ pub struct ShardedCa {
     bucket_secs: u64,
     /// Bucket start time → dictionary for certs expiring within the bucket.
     shards: BTreeMap<u64, CaDictionary>,
-    /// Monotonic content version across every shard (bumped on revocations
-    /// and pruning; shard-local epochs alone could regress when a shard is
-    /// dropped).
-    epoch: u64,
 }
 
 impl ShardedCa {
@@ -51,37 +41,12 @@ impl ShardedCa {
             chain_len,
             bucket_secs,
             shards: BTreeMap::new(),
-            epoch: 0,
         }
     }
 
     /// The CA identity shared by all shards (each shard gets a derived id).
     pub fn ca(&self) -> CaId {
         self.ca
-    }
-
-    /// The group verifying key (every shard signs with the same key).
-    pub fn verifying_key(&self) -> VerifyingKey {
-        self.key.verifying_key()
-    }
-
-    /// Monotonic content version across all shards.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// A digest binding every live shard's root (shard ids are derived from
-    /// bucket numbers, so the fold is order-stable over the sorted map).
-    pub fn combined_root(&self) -> Digest20 {
-        let mut acc = crate::tree::empty_root();
-        for (bucket, dict) in &self.shards {
-            let mut buf = Vec::with_capacity(20 + 8 + 20);
-            buf.extend_from_slice(acc.as_bytes());
-            buf.extend_from_slice(&bucket.to_be_bytes());
-            buf.extend_from_slice(dict.signed_root().root.as_bytes());
-            acc = Digest20::hash(&buf);
-        }
-        acc
     }
 
     /// Identifier of the shard for a certificate expiring at `expiry`.
@@ -118,40 +83,7 @@ impl ShardedCa {
             .shards
             .entry(bucket)
             .or_insert_with(|| CaDictionary::new(shard_id, key, delta, chain_len, rng, now));
-        let issued = dict.insert(&[serial], rng, now).map(|iss| (shard_id, iss));
-        if issued.is_some() {
-            self.epoch += 1;
-        }
-        issued
-    }
-
-    /// Batch-revokes serials whose expiry is unknown, routing the whole
-    /// batch to the bucket for `now +`
-    /// [`DEFAULT_CERT_LIFETIME_SECS`] (the CA/B-bounded worst case, so the
-    /// shard is never reclaimed before the certificates could expire).
-    ///
-    /// Returns `None` when every serial was already revoked in that shard.
-    pub fn revoke_batch_default_expiry<R: RngCore + ?Sized>(
-        &mut self,
-        serials: &[SerialNumber],
-        rng: &mut R,
-        now: u64,
-    ) -> Option<RevocationIssuance> {
-        let expiry = now + DEFAULT_CERT_LIFETIME_SECS;
-        let bucket = self.bucket_of(expiry);
-        let shard_id = self.shard_id(expiry);
-        let delta = self.delta;
-        let chain_len = self.chain_len;
-        let key = self.key.clone();
-        let dict = self
-            .shards
-            .entry(bucket)
-            .or_insert_with(|| CaDictionary::new(shard_id, key, delta, chain_len, rng, now));
-        let issued = dict.insert(serials, rng, now);
-        if issued.is_some() {
-            self.epoch += 1;
-        }
-        issued
+        dict.insert(&[serial], rng, now).map(|iss| (shard_id, iss))
     }
 
     /// Batch-revokes `(serial, expiry)` pairs, routing each to its expiry
@@ -215,53 +147,10 @@ impl ShardedCa {
                 let ca = dict.ca();
                 (ca, dict.insert(&serials, &mut shard_rng, now))
             });
-        let out: Vec<(CaId, RevocationIssuance)> = issued
+        issued
             .into_iter()
             .filter_map(|(ca, iss)| iss.map(|i| (ca, i)))
-            .collect();
-        if !out.is_empty() {
-            self.epoch += 1;
-        }
-        out
-    }
-
-    /// The newest shard's freshness statement for `now`, if any shard
-    /// exists.
-    pub fn newest_shard_freshness(&self, now: u64) -> Option<crate::FreshnessStatement> {
-        self.shards
-            .values()
-            .next_back()
-            .and_then(|d| d.current_freshness(now))
-    }
-
-    /// Fig. 2 `refresh` for the newest shard (the one still accepting
-    /// revocations). Returns `None` when no shard exists yet.
-    pub fn refresh_newest<R: RngCore + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        now: u64,
-    ) -> Option<RefreshMessage> {
-        self.shards
-            .values_mut()
-            .next_back()
-            .map(|d| d.refresh(rng, now))
-    }
-
-    /// Builds a revocation status for `serial`: a presence proof from the
-    /// shard holding it, otherwise an absence proof from the newest shard.
-    ///
-    /// Absence here is **per-shard**: it proves the serial absent from the
-    /// newest shard's dictionary only. Callers needing global absence must
-    /// query every live shard (each shard is its own dictionary with its
-    /// own signed root). Returns `None` when no shard exists or the owning
-    /// shard has no current freshness statement.
-    pub fn prove(&self, serial: &SerialNumber, now: u64) -> Option<RevocationStatus> {
-        let owner = self
-            .shards
-            .values()
-            .find(|d| d.contains(serial))
-            .or_else(|| self.shards.values().next_back())?;
-        owner.prove(serial, now)
+            .collect()
     }
 
     /// Number of live shards.
@@ -287,9 +176,6 @@ impl ShardedCa {
             if let Some(d) = self.shards.remove(b) {
                 dropped_revs += d.len();
             }
-        }
-        if !expired.is_empty() {
-            self.epoch += 1;
         }
         (expired.len(), dropped_revs)
     }

@@ -86,8 +86,7 @@ impl DictionarySnapshot {
     }
 
     /// The content epoch this snapshot was taken at. Proofs generated from
-    /// the snapshot are valid exactly for this epoch — proof caches key on
-    /// it.
+    /// the snapshot are valid exactly for this epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }

@@ -81,7 +81,7 @@ pub fn empty_root() -> Digest20 {
 /// [`MerkleTree::rebuild`].
 ///
 /// Every content change bumps a monotonic [`MerkleTree::epoch`], which
-/// higher layers use to key proof caches.
+/// snapshot publication orders on.
 ///
 /// # Examples
 ///

@@ -43,7 +43,7 @@ pub struct ShardHealth {
     pub node: String,
     /// Home region.
     pub region: Region,
-    /// The per-agent report (mirrored CAs, proof/multiproof cache
+    /// The per-agent report (mirrored CAs, encoded-response cache
     /// counters, packet stats).
     pub ra: RaHealthReport,
     /// Accumulated sync counters.
@@ -57,10 +57,10 @@ pub struct ShardHealth {
 pub struct FleetHealthReport {
     /// Per-shard slices, in fleet-name order.
     pub shards: Vec<ShardHealth>,
-    /// Fleet-total proof-cache counters (single-serial audit paths).
-    pub proof_cache: CacheStats,
-    /// Fleet-total multiproof-memo counters.
-    pub multi_cache: CacheStats,
+    /// Fleet-total counters of the encoded `GetStatus` response caches.
+    pub encoded_cache: CacheStats,
+    /// Fleet-total counters of the encoded `GetMultiStatus` response caches.
+    pub encoded_multi_cache: CacheStats,
     /// Fleet-total sync counters.
     pub sync: SyncTotals,
     /// Gossip counters summed over every node's ledger.
@@ -84,15 +84,15 @@ impl FleetHealthReport {
         I: IntoIterator<Item = &'a FleetNode>,
     {
         let mut shards = Vec::new();
-        let mut proof_cache = CacheStats::default();
-        let mut multi_cache = CacheStats::default();
+        let mut encoded_cache = CacheStats::default();
+        let mut encoded_multi_cache = CacheStats::default();
         let mut sync = SyncTotals::default();
         let mut gossip = GossipStats::default();
         let mut stale = BTreeSet::new();
         for node in nodes {
             let shard = node.health();
-            add_cache(&mut proof_cache, &shard.ra.proof_cache);
-            add_cache(&mut multi_cache, &shard.ra.multi_cache);
+            add_cache(&mut encoded_cache, &shard.ra.encoded_cache);
+            add_cache(&mut encoded_multi_cache, &shard.ra.encoded_multi_cache);
             sync.absorb(&shard.sync);
             let ledger = node.ledger().lock().expect("ledger lock");
             let s = ledger.stats();
@@ -109,17 +109,17 @@ impl FleetHealthReport {
         shards.sort_by(|a, b| a.node.cmp(&b.node));
         FleetHealthReport {
             shards,
-            proof_cache,
-            multi_cache,
+            encoded_cache,
+            encoded_multi_cache,
             sync,
             gossip,
             stale_peers: stale.into_iter().collect(),
         }
     }
 
-    /// Fleet-wide proof-cache hit fraction in `[0, 1]`.
-    pub fn proof_cache_hit_rate(&self) -> f64 {
-        self.proof_cache.hit_rate()
+    /// Fleet-wide encoded `GetStatus` cache hit fraction in `[0, 1]`.
+    pub fn encoded_hit_rate(&self) -> f64 {
+        self.encoded_cache.hit_rate()
     }
 
     /// Whether every ledger sees a single, fully-propagated view: no

@@ -23,7 +23,7 @@
 //!   region, and ledger; [`FleetService`] answers both status and the new
 //!   `GossipRoots`/`GossipAck` wire kinds, so one socket serves clients
 //!   and peers alike.
-//! - [`health`] — [`FleetHealthReport`] aggregates per-shard proof-cache
+//! - [`health`] — [`FleetHealthReport`] aggregates per-shard encoded-cache
 //!   hit/miss and sync retry/give-up counters with the gossip verdict.
 //!
 //! Routing lives on the CDN side ([`ritm_cdn::FleetRouter`], with

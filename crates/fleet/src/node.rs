@@ -7,9 +7,11 @@ use std::sync::{Arc, Mutex};
 use ritm_agent::{RevocationAgent, StatusService, SyncReport};
 use ritm_cdn::Region;
 use ritm_crypto::ed25519::VerifyingKey;
-use ritm_dictionary::{CaId, MirrorDictionary, MirrorEngine, SignedRoot, UpdateError};
+use ritm_dictionary::{CaId, MirrorDictionary, SignedRoot, UpdateError};
+use ritm_proto::message::RequestEnvelope;
 use ritm_proto::{
-    ProtoError, RitmRequest, RitmResponse, Service, Transport, TransportError, MAX_GOSSIP_ROOTS,
+    Frame, ProtoError, RitmRequest, RitmResponse, Service, Transport, TransportError,
+    MAX_GOSSIP_ROOTS,
 };
 
 use crate::gossip::{GossipAnomaly, RootLedger};
@@ -98,7 +100,7 @@ impl FleetNode {
         let mut cas: Vec<CaId> = self.ra.followed_cas().copied().collect();
         cas.sort_by_key(|ca| ca.0);
         cas.into_iter()
-            .filter_map(|ca| self.ra.mirror(&ca).map(|m| (ca, *m.current_signed_root())))
+            .filter_map(|ca| self.ra.mirror(&ca).map(|m| (ca, *m.signed_root())))
             .collect()
     }
 
@@ -232,6 +234,17 @@ impl Service for FleetService {
                 }
             }
             other => self.status.handle(other),
+        }
+    }
+
+    /// Everything but gossip goes to [`StatusService::serve_envelope`], so
+    /// a fleet shard answers hot statuses from the encoded-response cache
+    /// exactly like a standalone RA (the default would rebuild and
+    /// re-encode through [`Service::handle`]).
+    fn serve_envelope(&self, env: RequestEnvelope) -> Frame {
+        match &env.request {
+            Ok(RitmRequest::GossipRoots { .. }) => Frame::from_bytes(self.handle_envelope(env)),
+            _ => self.status.serve_envelope(env),
         }
     }
 }

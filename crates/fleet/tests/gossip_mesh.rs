@@ -12,7 +12,7 @@ use ritm_crypto::digest::Digest20;
 use ritm_crypto::ed25519::SigningKey;
 use ritm_dictionary::{CaDictionary, CaId, SerialNumber, SignedRoot};
 use ritm_fleet::{FleetHealthReport, FleetNode, GossipAnomaly, PinnedGossipPeer};
-use ritm_proto::{Loopback, RitmRequest, RitmResponse, Service};
+use ritm_proto::{Body, Loopback, RitmRequest, Service};
 
 const T0: u64 = 1_397_000_000;
 
@@ -131,21 +131,25 @@ fn gossip_detects_stale_peer_and_split_view_across_the_wire() {
         matches!(&anomalies[..], [GossipAnomaly::SplitView { size, .. }] if *size == current.size)
     );
 
-    // Serve a hot status twice through A's service so the proof cache
-    // registers a hit, then check the fleet aggregates.
+    // Serve a hot status twice through A's service, as frames (the entry
+    // an event server uses): the fleet service must not lose the status
+    // service's encoded-response cache, so both replies share one body.
     let svc = node_a.service();
-    for _ in 0..2 {
-        let resp = svc.handle(RitmRequest::GetStatus {
-            ca: ca.ca(),
-            serial: SerialNumber::from_u64(1),
-        });
-        assert!(matches!(resp, RitmResponse::Status(_)));
+    let frame = RitmRequest::GetStatus {
+        ca: ca.ca(),
+        serial: SerialNumber::from_u64(1),
+    }
+    .to_frame_v2(1);
+    let (first, second) = (svc.serve_frame(&frame), svc.serve_frame(&frame));
+    match (first.body(), second.body()) {
+        (Body::Shared(a), Body::Shared(b)) => assert!(std::sync::Arc::ptr_eq(a, b)),
+        other => panic!("expected two shared bodies, got {other:?}"),
     }
 
     let report = FleetHealthReport::aggregate([&node_a, &node_b]);
     assert_eq!(report.shards.len(), 2);
     assert_eq!(report.gossip.split_views, 1);
-    assert!(report.proof_cache.hits >= 1, "second fetch must hit");
+    assert!(report.encoded_cache.hits >= 1, "second fetch must hit");
     assert!(
         !report.is_converged(),
         "the injected fork keeps the fleet un-converged"

@@ -116,16 +116,13 @@ fn sixty_four_concurrent_clients_on_two_threads() {
     assert_eq!(served, (CLIENTS * FLIGHTS_PER_CLIENT * FLIGHT_SIZE) as u64);
 
     // Every request went through the encoded-response cache (hot serials
-    // repeat, so some were served without touching the proof layer)...
+    // repeat, so some were served without building a proof).
     let encoded = service.server().encoded_cache_stats();
     assert_eq!(encoded.hits + encoded.misses, served);
     assert!(
         encoded.hits > 0,
         "hot serials must hit the encoded cache: {encoded:?}"
     );
-    // ...and the proof cache underneath only ever sees encoded misses.
-    let stats = service.server().cache_stats();
-    assert_eq!(stats.hits + stats.misses, encoded.misses);
 }
 
 #[test]

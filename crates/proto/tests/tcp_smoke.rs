@@ -86,9 +86,4 @@ fn concurrent_tcp_clients_get_valid_statuses() {
 
     let served = server.shutdown();
     assert_eq!(served, (THREADS * REQUESTS_PER_THREAD) as u64);
-
-    // The epoch-keyed cache saw real traffic (hot serials repeat).
-    let stats = service.server().cache_stats();
-    assert_eq!(stats.hits + stats.misses, served);
-    assert!(stats.hits > 0, "hot serials must hit the cache: {stats:?}");
 }

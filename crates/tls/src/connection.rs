@@ -1,24 +1,19 @@
-//! Lockstep TLS connection drivers — compatibility shims over the sans-io
-//! engines in [`crate::engine`].
+//! The types both TLS endpoints share — configuration, the server's
+//! long-lived context, the events a driver sees, the error type — and an
+//! in-memory handshake driver over the engines in [`crate::engine`].
 //!
-//! Historically this module held the full client/server state machines;
-//! they now live in [`crate::engine`] as [`ClientEngine`]/[`ServerEngine`]
-//! so the same logic can be driven byte-at-a-time by the event runtime.
-//! [`TlsClient`] and [`ServerConnection`] remain as thin wrappers exposing
-//! the original record-granular API (`process_record` on complete,
-//! pre-framed records) for the discrete-event simulator and existing
-//! callers. The protocol itself is unchanged: enough of TLS 1.2 for RITM's
-//! purposes — plaintext negotiation carrying real certificate chains (what
-//! the RA's DPI inspects), Finished messages bound to the handshake
-//! transcript (so middlebox *tampering* is detected, §V "MITM and Blocking
-//! Attack"), session-id and session-ticket resumption, alerts, and
-//! application-data records.
+//! The protocol is enough of TLS 1.2 for RITM's purposes: plaintext
+//! negotiation carrying real certificate chains (what the RA's DPI
+//! inspects), Finished messages bound to the handshake transcript (so
+//! middlebox *tampering* is detected, §V "MITM and Blocking Attack"),
+//! session-id and session-ticket resumption, alerts, and application-data
+//! records.
 
-use crate::alert::{Alert, AlertDescription};
+use crate::alert::Alert;
 use crate::certificate::{CertError, CertificateChain, TrustAnchors};
 use crate::engine::{ClientEngine, ServerEngine};
 use crate::record::TlsRecord;
-use crate::session::{ServerSessionCache, SessionState};
+use crate::session::ServerSessionCache;
 use parking_lot::Mutex;
 use ritm_crypto::digest::Digest20;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,54 +147,6 @@ pub enum ServerEvent {
     ConnectionClosed,
 }
 
-/// One server-side TLS connection (lockstep shim over [`ServerEngine`]).
-#[derive(Debug)]
-pub struct ServerConnection {
-    engine: ServerEngine,
-}
-
-impl ServerConnection {
-    /// Creates a connection bound to the shared context; `random` is the
-    /// server random for this connection.
-    pub fn new(ctx: Arc<ServerContext>, random: [u8; 32]) -> Self {
-        ServerConnection {
-            engine: ServerEngine::new(ctx, random),
-        }
-    }
-
-    /// `true` once the handshake completed.
-    pub fn is_established(&self) -> bool {
-        self.engine.is_established()
-    }
-
-    /// Consumes one inbound record and produces response records + events.
-    ///
-    /// # Errors
-    ///
-    /// Any [`TlsError`]; the connection then refuses further input.
-    pub fn process_record(
-        &mut self,
-        record: &TlsRecord,
-        now: u64,
-    ) -> Result<(Vec<TlsRecord>, Vec<ServerEvent>), TlsError> {
-        self.engine.process_record(record, now)
-    }
-
-    /// Sends application data (only once established).
-    ///
-    /// # Errors
-    ///
-    /// [`TlsError::Closed`] if the handshake has not completed.
-    pub fn send_data(&mut self, data: &[u8]) -> Result<TlsRecord, TlsError> {
-        self.engine.send_data(data)
-    }
-
-    /// The underlying sans-io engine (for byte-granular driving).
-    pub fn into_engine(self) -> ServerEngine {
-        self.engine
-    }
-}
-
 /// Client-side configuration.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -234,91 +181,12 @@ pub enum ClientEvent {
     ConnectionClosed,
 }
 
-/// One client-side TLS connection (lockstep shim over [`ClientEngine`]).
-#[derive(Debug)]
-pub struct TlsClient {
-    engine: ClientEngine,
-}
-
-impl TlsClient {
-    /// Creates a client connection; `resume_from` enables an abbreviated
-    /// handshake using a cached session.
-    pub fn new(config: ClientConfig, random: [u8; 32], resume_from: Option<SessionState>) -> Self {
-        TlsClient {
-            engine: ClientEngine::new(config, random, resume_from),
-        }
-    }
-
-    /// `true` once the handshake completed.
-    pub fn is_established(&self) -> bool {
-        self.engine.is_established()
-    }
-
-    /// The validated server chain (present after a full handshake).
-    pub fn server_chain(&self) -> Option<&CertificateChain> {
-        self.engine.server_chain()
-    }
-
-    /// Session ticket issued by the server, if any.
-    pub fn take_ticket(&mut self) -> Option<crate::handshake::SessionTicket> {
-        self.engine.take_ticket()
-    }
-
-    /// The established session's state (for caching in a
-    /// [`ClientSessionCache`](crate::session::ClientSessionCache)).
-    pub fn session_state(&self, now: u64) -> Option<SessionState> {
-        self.engine.session_state(now)
-    }
-
-    /// Starts the handshake, producing the ClientHello record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice.
-    pub fn start(&mut self) -> TlsRecord {
-        self.engine.start()
-    }
-
-    /// Consumes one inbound record and produces response records + events.
-    ///
-    /// # Errors
-    ///
-    /// Any [`TlsError`]; the connection then refuses further input.
-    pub fn process_record(
-        &mut self,
-        record: &TlsRecord,
-        now: u64,
-    ) -> Result<(Vec<TlsRecord>, Vec<ClientEvent>), TlsError> {
-        self.engine.process_record(record, now)
-    }
-
-    /// Sends application data (only once established).
-    ///
-    /// # Errors
-    ///
-    /// [`TlsError::Closed`] if the handshake has not completed.
-    pub fn send_data(&mut self, data: &[u8]) -> Result<TlsRecord, TlsError> {
-        self.engine.send_data(data)
-    }
-
-    /// Aborts the connection with a fatal alert (e.g. on a revoked
-    /// certificate — paper §III steps 5/7).
-    pub fn abort(&mut self, description: AlertDescription) -> TlsRecord {
-        self.engine.abort(description)
-    }
-
-    /// The underlying sans-io engine (for byte-granular driving).
-    pub fn into_engine(self) -> ClientEngine {
-        self.engine
-    }
-}
-
 /// Drives a full in-memory handshake between `client` and `server`,
 /// returning all events both sides emitted. Used heavily by tests and by
 /// higher-level crates that do not need packet-level simulation.
 pub fn drive_handshake(
-    client: &mut TlsClient,
-    server: &mut ServerConnection,
+    client: &mut ClientEngine,
+    server: &mut ServerEngine,
     now: u64,
 ) -> Result<(Vec<ClientEvent>, Vec<ServerEvent>), TlsError> {
     let mut client_events = Vec::new();
@@ -346,9 +214,11 @@ pub fn drive_handshake(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alert::AlertDescription;
     use crate::certificate::{Certificate, TrustAnchors};
     use crate::handshake::DEFAULT_CIPHER_SUITE;
     use crate::record::ContentType;
+    use crate::session::SessionState;
     use ritm_crypto::ed25519::SigningKey;
     use ritm_dictionary::{CaId, SerialNumber};
 
@@ -385,8 +255,8 @@ mod tests {
     fn full_handshake_completes() {
         let (chain, anchors) = test_pki();
         let ctx = ServerContext::new(chain.clone(), [9u8; 20]);
-        let mut server = ServerConnection::new(ctx, [1u8; 32]);
-        let mut client = TlsClient::new(client_config(anchors), [2u8; 32], None);
+        let mut server = ServerEngine::new(ctx, [1u8; 32]);
+        let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
         let (cev, sev) = drive_handshake(&mut client, &mut server, NOW).unwrap();
         assert!(client.is_established());
         assert!(server.is_established());
@@ -402,8 +272,8 @@ mod tests {
     fn ritm_terminator_confirms_support() {
         let (chain, anchors) = test_pki();
         let ctx = ServerContext::new_ritm_terminator(chain, [9u8; 20]);
-        let mut server = ServerConnection::new(ctx, [1u8; 32]);
-        let mut client = TlsClient::new(client_config(anchors), [2u8; 32], None);
+        let mut server = ServerEngine::new(ctx, [1u8; 32]);
+        let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
         let (cev, _) = drive_handshake(&mut client, &mut server, NOW).unwrap();
         assert!(cev.iter().any(|e| matches!(
             e,
@@ -418,13 +288,13 @@ mod tests {
     fn session_id_resumption_skips_certificate() {
         let (chain, anchors) = test_pki();
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut server = ServerConnection::new(ctx.clone(), [1u8; 32]);
-        let mut client = TlsClient::new(client_config(anchors.clone()), [2u8; 32], None);
+        let mut server = ServerEngine::new(ctx.clone(), [1u8; 32]);
+        let mut client = ClientEngine::new(client_config(anchors.clone()), [2u8; 32], None);
         drive_handshake(&mut client, &mut server, NOW).unwrap();
         let session = client.session_state(NOW).unwrap();
 
-        let mut server2 = ServerConnection::new(ctx, [3u8; 32]);
-        let mut client2 = TlsClient::new(client_config(anchors), [4u8; 32], Some(session));
+        let mut server2 = ServerEngine::new(ctx, [3u8; 32]);
+        let mut client2 = ClientEngine::new(client_config(anchors), [4u8; 32], Some(session));
         let (cev, sev) = drive_handshake(&mut client2, &mut server2, NOW + 10).unwrap();
         assert!(cev
             .iter()
@@ -440,8 +310,8 @@ mod tests {
     fn session_tickets_are_issued_and_usable() {
         let (chain, anchors) = test_pki();
         let ctx = ServerContext::new(chain, [9u8; 20]).with_tickets();
-        let mut server = ServerConnection::new(ctx.clone(), [1u8; 32]);
-        let mut client = TlsClient::new(client_config(anchors.clone()), [2u8; 32], None);
+        let mut server = ServerEngine::new(ctx.clone(), [1u8; 32]);
+        let mut client = ClientEngine::new(client_config(anchors.clone()), [2u8; 32], None);
         drive_handshake(&mut client, &mut server, NOW).unwrap();
         let ticket = client.take_ticket().expect("ticket issued");
         // The server can recover session state from its own ticket.
@@ -457,14 +327,14 @@ mod tests {
     fn unknown_session_id_falls_back_to_full_handshake() {
         let (chain, anchors) = test_pki();
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut server = ServerConnection::new(ctx, [1u8; 32]);
+        let mut server = ServerEngine::new(ctx, [1u8; 32]);
         let bogus = SessionState {
             session_id: vec![7; 32],
             cipher_suite: DEFAULT_CIPHER_SUITE,
             cert_chain_hash: Digest20::ZERO,
             established_at: NOW,
         };
-        let mut client = TlsClient::new(client_config(anchors), [2u8; 32], Some(bogus));
+        let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], Some(bogus));
         let (cev, _) = drive_handshake(&mut client, &mut server, NOW).unwrap();
         assert!(cev
             .iter()
@@ -480,15 +350,15 @@ mod tests {
         // resume — the server treats it like an unknown id.
         let (chain, anchors) = test_pki();
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut server = ServerConnection::new(ctx.clone(), [1u8; 32]);
-        let mut client = TlsClient::new(client_config(anchors.clone()), [2u8; 32], None);
+        let mut server = ServerEngine::new(ctx.clone(), [1u8; 32]);
+        let mut client = ClientEngine::new(client_config(anchors.clone()), [2u8; 32], None);
         drive_handshake(&mut client, &mut server, NOW).unwrap();
         let session = client.session_state(NOW).unwrap();
 
         // Well past SESSION_LIFETIME_SECS: full handshake with certificate.
         let later = NOW + crate::session::SESSION_LIFETIME_SECS + 1;
-        let mut server2 = ServerConnection::new(ctx.clone(), [3u8; 32]);
-        let mut client2 = TlsClient::new(
+        let mut server2 = ServerEngine::new(ctx.clone(), [3u8; 32]);
+        let mut client2 = ClientEngine::new(
             client_config(anchors.clone()),
             [4u8; 32],
             Some(session.clone()),
@@ -503,8 +373,8 @@ mod tests {
             .any(|e| matches!(e, ClientEvent::CertificateReceived(_))));
 
         // Just inside the lifetime the same session still resumes.
-        let mut server3 = ServerConnection::new(ctx, [5u8; 32]);
-        let mut client3 = TlsClient::new(client_config(anchors), [6u8; 32], Some(session));
+        let mut server3 = ServerEngine::new(ctx, [5u8; 32]);
+        let mut client3 = ClientEngine::new(client_config(anchors), [6u8; 32], Some(session));
         let (cev, _) = drive_handshake(
             &mut client3,
             &mut server3,
@@ -520,8 +390,8 @@ mod tests {
     fn untrusted_chain_fails_handshake() {
         let (chain, _) = test_pki();
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut server = ServerConnection::new(ctx, [1u8; 32]);
-        let mut client = TlsClient::new(client_config(TrustAnchors::new()), [2u8; 32], None);
+        let mut server = ServerEngine::new(ctx, [1u8; 32]);
+        let mut client = ClientEngine::new(client_config(TrustAnchors::new()), [2u8; 32], None);
         let err = drive_handshake(&mut client, &mut server, NOW).unwrap_err();
         assert!(matches!(err, TlsError::Certificate(_)));
     }
@@ -532,8 +402,8 @@ mod tests {
         // binding (§V): here the client sees a modified ServerHello.
         let (chain, anchors) = test_pki();
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut server = ServerConnection::new(ctx, [1u8; 32]);
-        let mut client = TlsClient::new(client_config(anchors), [2u8; 32], None);
+        let mut server = ServerEngine::new(ctx, [1u8; 32]);
+        let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
 
         let ch = client.start();
         let (srv_out, _) = server.process_record(&ch, NOW).unwrap();
@@ -556,8 +426,8 @@ mod tests {
     fn data_flows_after_establishment() {
         let (chain, anchors) = test_pki();
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut server = ServerConnection::new(ctx, [1u8; 32]);
-        let mut client = TlsClient::new(client_config(anchors), [2u8; 32], None);
+        let mut server = ServerEngine::new(ctx, [1u8; 32]);
+        let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
         drive_handshake(&mut client, &mut server, NOW).unwrap();
 
         let rec = client.send_data(b"GET /").unwrap();
@@ -573,8 +443,8 @@ mod tests {
     fn data_before_establishment_rejected() {
         let (chain, anchors) = test_pki();
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut server = ServerConnection::new(ctx, [1u8; 32]);
-        let mut client = TlsClient::new(client_config(anchors), [2u8; 32], None);
+        let mut server = ServerEngine::new(ctx, [1u8; 32]);
+        let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
         assert!(client.send_data(b"x").is_err());
         assert!(server.send_data(b"x").is_err());
         let rec = TlsRecord::new(ContentType::ApplicationData, vec![1]);
@@ -585,8 +455,8 @@ mod tests {
     fn ritm_status_record_surfaces_to_client() {
         let (chain, anchors) = test_pki();
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut server = ServerConnection::new(ctx, [1u8; 32]);
-        let mut client = TlsClient::new(client_config(anchors), [2u8; 32], None);
+        let mut server = ServerEngine::new(ctx, [1u8; 32]);
+        let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
         drive_handshake(&mut client, &mut server, NOW).unwrap();
         let rec = TlsRecord::new(ContentType::RitmStatus, vec![0xAB; 64]);
         let (_, evs) = client.process_record(&rec, NOW).unwrap();
@@ -600,8 +470,8 @@ mod tests {
     fn client_abort_closes_server() {
         let (chain, anchors) = test_pki();
         let ctx = ServerContext::new(chain, [9u8; 20]);
-        let mut server = ServerConnection::new(ctx, [1u8; 32]);
-        let mut client = TlsClient::new(client_config(anchors), [2u8; 32], None);
+        let mut server = ServerEngine::new(ctx, [1u8; 32]);
+        let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
         drive_handshake(&mut client, &mut server, NOW).unwrap();
         let alert = client.abort(AlertDescription::CertificateRevoked);
         let err = server.process_record(&alert, NOW).unwrap_err();

@@ -1,26 +1,25 @@
 //! Sans-io, resumable TLS engines: bytes in, typed actions out.
 //!
 //! [`ClientEngine`] and [`ServerEngine`] carry the complete handshake logic
-//! of this crate; the lockstep `TlsClient`/`ServerConnection` wrappers in
-//! [`crate::connection`] are thin compatibility shims over them. The engines
-//! are *sans-io*: nothing here reads sockets or clocks. A driver pushes
-//! whatever bytes it happens to have — a whole flight, a single byte, a
-//! record split at any boundary — into [`ClientEngine::feed`] /
-//! [`ServerEngine::feed`] and gets back [`Action`]s telling it what to do:
-//! write bytes, wait for more input, surface a completed handshake, or tear
-//! the connection down with an alert. An internal [`RecordAssembler`]
+//! of this crate. The engines are *sans-io*: nothing here reads sockets or
+//! clocks. A driver pushes whatever bytes it happens to have — a whole
+//! flight, a single byte, a record split at any boundary — into
+//! [`ClientEngine::feed`] / [`ServerEngine::feed`] and gets back
+//! [`Action`]s telling it what to do: write bytes, wait for more input,
+//! surface a completed handshake, or tear the connection down with an alert. An internal [`RecordAssembler`]
 //! (shaped like `ritm-rt`'s `FrameReader`) buffers partial records across
 //! calls, so one engine instance survives `WouldBlock` at any byte boundary
 //! — exactly the property the event runtime needs to drive thousands of
 //! concurrent handshakes on a two-thread executor (see [`crate::event`]).
 //!
 //! The record-level entry points ([`ClientEngine::process_record`] /
-//! [`ServerEngine::process_record`]) remain public so packet-granular
-//! callers (the discrete-event simulator, the lockstep shims) can keep
-//! driving the same state machine; `feed` is the byte-granular path layered
-//! on top. Both paths share every state transition, so the byte stream an
-//! engine emits is bit-identical to the lockstep baseline regardless of how
-//! its input was fragmented (property-tested in `tests/engine_stream.rs`).
+//! [`ServerEngine::process_record`]) are public so packet-granular callers
+//! (the discrete-event simulator, [`crate::connection::drive_handshake`])
+//! can drive the same state machine on whole records; `feed` is the
+//! byte-granular path layered on top. Both paths share every state
+//! transition, so the byte stream an engine emits is bit-identical
+//! regardless of how its input was fragmented (property-tested in
+//! `tests/properties.rs`).
 
 use crate::alert::{Alert, AlertDescription};
 use crate::certificate::{CertError, CertificateChain};
@@ -195,7 +194,7 @@ impl ServerEngine {
     }
 
     /// Consumes one inbound record and produces response records + events —
-    /// the record-granular (lockstep) entry point.
+    /// the record-granular entry point.
     ///
     /// # Errors
     ///
@@ -566,7 +565,7 @@ impl ClientEngine {
     }
 
     /// Consumes one inbound record and produces response records + events —
-    /// the record-granular (lockstep) entry point.
+    /// the record-granular entry point.
     ///
     /// # Errors
     ///

@@ -12,13 +12,13 @@
 //!   NewSessionTicket framing;
 //! * [`extensions`] — the RITM request & confirmation extensions;
 //! * [`certificate`] — certificates, chains, trust anchors (an X.509/DER
-//!   substitute, see DESIGN.md);
+//!   substitute);
 //! * [`session`] — session-id and session-ticket resumption;
 //! * [`alert`] — connection interruption;
 //! * [`engine`] — sans-io resumable client/server handshake engines
 //!   (`feed` bytes in, typed [`engine::Action`]s out, any fragmentation);
-//! * [`connection`] — the lockstep record-granular API, now a thin
-//!   compatibility shim over the engines;
+//! * [`connection`] — the types both endpoints share (configuration,
+//!   server context, events, errors) and an in-memory handshake driver;
 //! * [`event`] — adapters driving an engine as a `ritm-rt` task over a
 //!   non-blocking socket.
 //!
@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use ritm_tls::certificate::{Certificate, CertificateChain, TrustAnchors};
-//! use ritm_tls::connection::{drive_handshake, ClientConfig, ServerConnection, ServerContext, TlsClient};
+//! use ritm_tls::{drive_handshake, ClientConfig, ClientEngine, ServerContext, ServerEngine};
 //! use ritm_crypto::SigningKey;
 //! use ritm_dictionary::{CaId, SerialNumber};
 //!
@@ -41,15 +41,15 @@
 //! anchors.add(CaId::from_name("CA1"), ca_key.verifying_key());
 //!
 //! let ctx = ServerContext::new(CertificateChain(vec![leaf]), [0u8; 20]);
-//! let mut server = ritm_tls::connection::ServerConnection::new(ctx, [1u8; 32]);
-//! let mut client = TlsClient::new(
+//! let mut server = ServerEngine::new(ctx, [1u8; 32]);
+//! let mut client = ClientEngine::new(
 //!     ClientConfig { server_name: "example.com".into(), anchors, enable_ritm: true },
 //!     [2u8; 32],
 //!     None,
 //! );
 //! drive_handshake(&mut client, &mut server, now)?;
 //! assert!(client.is_established());
-//! # Ok::<(), ritm_tls::connection::TlsError>(())
+//! # Ok::<(), ritm_tls::TlsError>(())
 //! ```
 
 pub mod alert;
@@ -65,8 +65,7 @@ pub mod session;
 pub use alert::{Alert, AlertDescription, AlertLevel};
 pub use certificate::{CertError, Certificate, CertificateChain, TrustAnchors};
 pub use connection::{
-    drive_handshake, ClientConfig, ClientEvent, ServerConnection, ServerContext, ServerEvent,
-    TlsClient, TlsError,
+    drive_handshake, ClientConfig, ClientEvent, ServerContext, ServerEvent, TlsError,
 };
 pub use engine::{Action, ClientEngine, RecordAssembler, ServerEngine};
 pub use event::{drive_handshake_task, HandshakeEngine, HandshakeOutcome, HandshakeTaskError};

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use ritm_crypto::ed25519::SigningKey;
 use ritm_dictionary::{CaId, SerialNumber};
 use ritm_tls::certificate::{Certificate, CertificateChain, TrustAnchors};
-use ritm_tls::connection::{ClientConfig, ServerConnection, ServerContext, TlsClient};
+use ritm_tls::connection::{ClientConfig, ServerContext};
 use ritm_tls::engine::{Action, ClientEngine, RecordAssembler, ServerEngine};
 use ritm_tls::extensions::Extension;
 use ritm_tls::handshake::{ClientHello, HandshakeMessage, ServerHello, SessionTicket};
@@ -42,12 +42,13 @@ fn engine_config(anchors: TrustAnchors) -> ClientConfig {
     }
 }
 
-/// Runs the lockstep (record-granular) drivers to completion, returning
-/// the exact bytes each side put on the wire.
+/// Runs both engines to completion in lockstep, one whole record per
+/// `process_record` call, returning the exact bytes each side put on the
+/// wire.
 fn lockstep_transcript(chain: CertificateChain, anchors: TrustAnchors) -> (Vec<u8>, Vec<u8>) {
     let ctx = ServerContext::new(chain, [9u8; 20]);
-    let mut client = TlsClient::new(engine_config(anchors), [2u8; 32], None);
-    let mut server = ServerConnection::new(ctx, [1u8; 32]);
+    let mut client = ClientEngine::new(engine_config(anchors), [2u8; 32], None);
+    let mut server = ServerEngine::new(ctx, [1u8; 32]);
     let mut client_bytes = Vec::new();
     let mut server_bytes = Vec::new();
     let mut to_server = vec![client.start()];
@@ -266,8 +267,8 @@ proptest! {
         let (golden_client, golden_server) =
             lockstep_transcript(chain.clone(), anchors.clone());
 
-        // Same keys, same randoms, fresh context: the engine pair must put
-        // bit-identical bytes on the wire no matter how reads fragment.
+        // Same keys, same randoms, fresh context: `feed` must put the bytes
+        // `process_record` did on the wire no matter how reads fragment.
         let mut client = ClientEngine::new(engine_config(anchors), [2u8; 32], None);
         let mut server = ServerEngine::new(ServerContext::new(chain, [9u8; 20]), [1u8; 32]);
         let start = client.start().to_bytes();

@@ -12,14 +12,14 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`crypto`] | `ritm-crypto` | SHA-256/512, 20-byte digests, hash chains, Ed25519, hardened wire codecs — all from scratch |
-//! | [`dictionary`] | `ritm-dictionary` | the authenticated dictionary (Fig. 2) as an **incremental engine**: epoch-aware sorted-leaf Merkle trees with O(b·log n) batch application, the [`dictionary::DictionaryEngine`] / [`dictionary::MirrorEngine`] traits, signed roots, freshness statements, proofs, expiry sharding |
-//! | [`tls`] | `ritm-tls` | wire-format TLS substrate with the RITM extension and record type |
+//! | [`dictionary`] | `ritm-dictionary` | the authenticated dictionary (Fig. 2) as an **incremental engine**: epoch-aware sorted-leaf Merkle trees with O(b·log n) batch application, CA-side [`dictionary::CaDictionary`] and RA-side [`dictionary::MirrorDictionary`], signed roots, freshness statements, proofs, expiry sharding |
+//! | [`tls`] | `ritm-tls` | wire-format TLS substrate with the RITM extension and record type: sans-io [`tls::ClientEngine`] / [`tls::ServerEngine`] |
 //! | [`net`] | `ritm-net` | deterministic discrete-event network simulator with in-path middleboxes |
 //! | [`rt`] | `ritm-rt` | std-only readiness-based runtime: reactor, ≤2-thread executor with wakers, incremental frame codecs |
 //! | [`proto`] | `ritm-proto` | the versioned RITM wire protocol: request/response envelopes, the transport-agnostic `Service` trait, loopback / simulator / blocking-TCP / event-driven transports with request pipelining |
 //! | [`cdn`] | `ritm-cdn` | the dissemination network: origin, TTL edge caches, CloudFront-style billing |
-//! | [`ca`] | `ritm-ca` | certification authorities (generic over their dictionary engine), bootstrap manifests, a misbehaving CA |
-//! | [`agent`] | `ritm-agent` | the Revocation Agent: DPI, Eq. 4 state, piggybacking, an epoch-keyed proof cache for hot serials, CDN sync, health/consistency monitoring |
+//! | [`ca`] | `ritm-ca` | certification authorities, their crash-durable issuance log, bootstrap manifests, a misbehaving CA |
+//! | [`agent`] | `ritm-agent` | the Revocation Agent: DPI, Eq. 4 state, piggybacking, the inline interception lane, lock-free status serving with a generation-keyed cache of encoded responses, CDN sync, health/consistency monitoring |
 //! | [`fleet`] | `ritm-fleet` | the sharded RA fleet (§VIII): consistent-hash mirror placement with serial-range lanes, signed-root gossip with stale/split-view detection, fleet health aggregation |
 //! | [`client`] | `ritm-client` | the RITM client: step-5 validation, 2Δ enforcement, epoch-tagged root tracking (replay protection), downgrade protection |
 //! | [`baselines`] | `ritm-baselines` | CRL/OCSP/stapling/CRLSet/SLC/RevCast/log-based comparison models |
@@ -38,12 +38,13 @@
 //!    full O(n) rebuild (measured ≥20× for a 100-serial batch into a
 //!    1M-leaf dictionary; see `crates/bench/benches/dictionary_ops.rs`).
 //! 2. **Epochs** — every applied batch advances a monotonic epoch on the
-//!    tree, its dictionaries, and the engine trait; audit paths are valid
-//!    exactly while the epoch is unchanged.
-//! 3. **Proof caching** — the RA memoizes audit paths per `(CA, serial)`
-//!    keyed by mirror epoch ([`agent::cache::ProofCache`]), so hot serials
-//!    across concurrent flows reuse proofs until the root advances;
-//!    freshness statements are always composed live. Hit/miss counters
+//!    tree and its dictionaries; audit paths are valid exactly while the
+//!    epoch is unchanged.
+//! 3. **Response caching** — the RA caches the fully encoded response per
+//!    `(CA, serial)`, keyed by the publication generation of the CA's
+//!    snapshot ([`agent::serve::StatusServer::encoded_status`]), so hot
+//!    serials across concurrent connections share one allocation until the
+//!    next republish (issuance or freshness refresh). Hit/miss counters
 //!    surface through [`agent::monitor::RaHealthReport`], and clients
 //!    reject replayed (older-epoch) roots via
 //!    [`client::validator::RootTracker`].

@@ -16,7 +16,8 @@ use ritm::net::sim::{Path, Simulator};
 use ritm::net::tcp::{Addr, FourTuple, SocketAddr};
 use ritm::net::time::{SimDuration, SimTime};
 use ritm::tls::certificate::{Certificate, CertificateChain, TrustAnchors};
-use ritm::tls::connection::{ServerConnection, ServerContext};
+use ritm::tls::connection::ServerContext;
+use ritm::tls::engine::ServerEngine;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -86,7 +87,7 @@ fn two_ras_on_path_inject_exactly_one_status() {
     let client = RitmClient::new(config, [5u8; 32], None);
     let client_node = Rc::new(RefCell::new(ClientNode::new(client, tuple)));
     let server_node = Rc::new(RefCell::new(ServerNode::new(
-        ServerConnection::new(ctx, [6u8; 32]),
+        ServerEngine::new(ctx, [6u8; 32]),
         tuple,
     )));
 

@@ -14,7 +14,8 @@ use ritm::net::middlebox::Middlebox;
 use ritm::net::tcp::{Direction, FourTuple, SocketAddr, TcpSegment};
 use ritm::net::time::SimTime;
 use ritm::tls::certificate::{Certificate, CertificateChain, TrustAnchors};
-use ritm::tls::connection::{ServerConnection, ServerContext};
+use ritm::tls::connection::ServerContext;
+use ritm::tls::engine::ServerEngine;
 use ritm::tls::record::TlsRecord;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -96,7 +97,7 @@ fn connect(
         server: SocketAddr::new(2, 443),
     };
     let mut client = RitmClient::new(w.config.clone(), [w.next_port as u8; 32], resume);
-    let mut server = ServerConnection::new(w.ctx.clone(), [3u8; 32]);
+    let mut server = ServerEngine::new(w.ctx.clone(), [3u8; 32]);
     let mut events = Vec::new();
     let mut to_server = vec![client.start()];
     for _ in 0..8 {
@@ -191,7 +192,7 @@ fn resumption_without_ra_is_blocked_by_policy() {
 
     // Direct client↔server resumption with no RA on the path.
     let mut client2 = RitmClient::new(w.config.clone(), [99u8; 32], Some(resume));
-    let mut server = ServerConnection::new(w.ctx.clone(), [4u8; 32]);
+    let mut server = ServerEngine::new(w.ctx.clone(), [4u8; 32]);
     let mut events = Vec::new();
     let mut to_server = vec![client2.start()];
     for _ in 0..8 {
