@@ -355,26 +355,13 @@ mod tests {
         drive_handshake(&mut client, &mut server, NOW).unwrap();
         let session = client.session_state(NOW).unwrap();
 
-        // Well past SESSION_LIFETIME_SECS: full handshake with certificate.
-        let later = NOW + crate::session::SESSION_LIFETIME_SECS + 1;
-        let mut server2 = ServerEngine::new(ctx.clone(), [3u8; 32]);
-        let mut client2 = ClientEngine::new(
+        // Just inside the lifetime the session still resumes.
+        let mut server3 = ServerEngine::new(ctx.clone(), [5u8; 32]);
+        let mut client3 = ClientEngine::new(
             client_config(anchors.clone()),
-            [4u8; 32],
+            [6u8; 32],
             Some(session.clone()),
         );
-        let (cev, sev) = drive_handshake(&mut client2, &mut server2, later).unwrap();
-        assert!(cev
-            .iter()
-            .any(|e| matches!(e, ClientEvent::HandshakeComplete { resumed: false, .. })));
-        assert!(sev.contains(&ServerEvent::HandshakeComplete { resumed: false }));
-        assert!(cev
-            .iter()
-            .any(|e| matches!(e, ClientEvent::CertificateReceived(_))));
-
-        // Just inside the lifetime the same session still resumes.
-        let mut server3 = ServerEngine::new(ctx, [5u8; 32]);
-        let mut client3 = ClientEngine::new(client_config(anchors), [6u8; 32], Some(session));
         let (cev, _) = drive_handshake(
             &mut client3,
             &mut server3,
@@ -384,6 +371,58 @@ mod tests {
         assert!(cev
             .iter()
             .any(|e| matches!(e, ClientEvent::HandshakeComplete { resumed: true, .. })));
+
+        // Well past SESSION_LIFETIME_SECS: full handshake with certificate
+        // (whose `store` also drops the expired session from the cache).
+        let later = NOW + crate::session::SESSION_LIFETIME_SECS + 1;
+        let mut server2 = ServerEngine::new(ctx, [3u8; 32]);
+        let mut client2 = ClientEngine::new(client_config(anchors), [4u8; 32], Some(session));
+        let (cev, sev) = drive_handshake(&mut client2, &mut server2, later).unwrap();
+        assert!(cev
+            .iter()
+            .any(|e| matches!(e, ClientEvent::HandshakeComplete { resumed: false, .. })));
+        assert!(sev.contains(&ServerEvent::HandshakeComplete { resumed: false }));
+        assert!(cev
+            .iter()
+            .any(|e| matches!(e, ClientEvent::CertificateReceived(_))));
+    }
+
+    #[test]
+    fn evicted_session_falls_back_and_the_newest_still_resumes() {
+        // The server's session cache used to grow by one entry per full
+        // handshake, forever. Ten capacities' worth of sessions later it
+        // holds at most one capacity, the newest session resumes, and the
+        // first — long evicted — gets a full handshake like any unknown id.
+        use crate::session::SERVER_SESSION_CACHE_CAPACITY;
+        let (chain, anchors) = test_pki();
+        let ctx = ServerContext::new(chain, [9u8; 20]);
+        let full_handshake = |seed: u8| {
+            let mut server = ServerEngine::new(ctx.clone(), [seed; 32]);
+            let mut client = ClientEngine::new(client_config(anchors.clone()), [seed; 32], None);
+            drive_handshake(&mut client, &mut server, NOW).unwrap();
+            client.session_state(NOW).unwrap()
+        };
+        let resumes = |session: SessionState| {
+            let mut server = ServerEngine::new(ctx.clone(), [7u8; 32]);
+            let mut client =
+                ClientEngine::new(client_config(anchors.clone()), [8u8; 32], Some(session));
+            let (cev, _) = drive_handshake(&mut client, &mut server, NOW).unwrap();
+            cev.iter()
+                .any(|e| matches!(e, ClientEvent::HandshakeComplete { resumed: true, .. }))
+        };
+
+        let first = full_handshake(1);
+        for n in 0..10 * SERVER_SESSION_CACHE_CAPACITY as u64 {
+            ctx.cache.lock().store(SessionState {
+                session_id: n.to_be_bytes().to_vec(),
+                ..first.clone()
+            });
+            assert!(ctx.cache.lock().len() <= SERVER_SESSION_CACHE_CAPACITY);
+        }
+        let newest = full_handshake(2);
+        assert_eq!(ctx.cache.lock().len(), SERVER_SESSION_CACHE_CAPACITY);
+        assert!(resumes(newest));
+        assert!(!resumes(first));
     }
 
     #[test]

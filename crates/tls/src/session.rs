@@ -8,7 +8,8 @@
 
 use crate::handshake::SessionTicket;
 use ritm_crypto::digest::Digest20;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Default session lifetime in seconds (also the minted ticket lifetime).
 /// Sessions older than this fall back to a full handshake.
@@ -36,10 +37,33 @@ impl SessionState {
     }
 }
 
-/// Server-side session cache, keyed by session id.
+/// Sessions a [`ServerSessionCache`] holds before it forgets the oldest.
+/// A constant, not a knob: no caller needs another size, and a resumption
+/// that misses only costs a full handshake.
+pub const SERVER_SESSION_CACHE_CAPACITY: usize = 256;
+
+/// What the server keeps per session besides the id it is filed under.
+#[derive(Debug)]
+struct Slot {
+    cipher_suite: u16,
+    cert_chain_hash: Digest20,
+    established_at: u64,
+    /// Breaks ties between sessions established in the same second, in
+    /// arrival order.
+    seq: u64,
+}
+
+/// Server-side session cache, keyed by session id and bounded by
+/// [`SERVER_SESSION_CACHE_CAPACITY`].
+///
+/// `by_age` orders the same sessions by establishment time, so making room
+/// is popping its first entry; the id bytes are allocated once and shared
+/// by both maps.
 #[derive(Debug, Default)]
 pub struct ServerSessionCache {
-    sessions: HashMap<Vec<u8>, SessionState>,
+    sessions: HashMap<Arc<[u8]>, Slot>,
+    by_age: BTreeMap<(u64, u64), Arc<[u8]>>,
+    next_seq: u64,
     /// Secret used to mint and validate stateless tickets.
     ticket_secret: [u8; 20],
 }
@@ -48,32 +72,55 @@ impl ServerSessionCache {
     /// Creates a cache with the given ticket-protection secret.
     pub fn new(ticket_secret: [u8; 20]) -> Self {
         ServerSessionCache {
-            sessions: HashMap::new(),
             ticket_secret,
+            ..ServerSessionCache::default()
         }
     }
 
-    /// Stores a session for id-based resumption.
+    /// Stores a session for id-based resumption. Sessions that have
+    /// outlived [`SESSION_LIFETIME_SECS`] at `state.established_at` are
+    /// dropped first; if the cache is still full, the oldest-established
+    /// session makes room.
     pub fn store(&mut self, state: SessionState) {
-        self.sessions.insert(state.session_id.clone(), state);
+        let now = state.established_at;
+        while let Some(entry) = self.by_age.first_entry() {
+            let stale = now.saturating_sub(entry.key().0) > SESSION_LIFETIME_SECS;
+            if !stale && self.sessions.len() < SERVER_SESSION_CACHE_CAPACITY {
+                break;
+            }
+            self.sessions.remove(&entry.remove());
+        }
+        let id: Arc<[u8]> = state.session_id.into();
+        let slot = Slot {
+            cipher_suite: state.cipher_suite,
+            cert_chain_hash: state.cert_chain_hash,
+            established_at: state.established_at,
+            seq: self.next_seq,
+        };
+        self.next_seq += 1;
+        self.by_age
+            .insert((slot.established_at, slot.seq), Arc::clone(&id));
+        if let Some(replaced) = self.sessions.insert(id, slot) {
+            self.by_age.remove(&(replaced.established_at, replaced.seq));
+        }
     }
 
     /// Looks up a session by id.
-    pub fn lookup(&self, session_id: &[u8]) -> Option<&SessionState> {
-        self.sessions.get(session_id)
+    pub fn lookup(&self, session_id: &[u8]) -> Option<SessionState> {
+        let slot = self.sessions.get(session_id)?;
+        Some(SessionState {
+            session_id: session_id.to_vec(),
+            cipher_suite: slot.cipher_suite,
+            cert_chain_hash: slot.cert_chain_hash,
+            established_at: slot.established_at,
+        })
     }
 
     /// Looks up a session by id, treating sessions older than `lifetime`
     /// seconds as absent — expired entries must fall back to a full
     /// handshake exactly like unknown ids.
-    pub fn lookup_fresh(
-        &self,
-        session_id: &[u8],
-        now: u64,
-        lifetime: u64,
-    ) -> Option<&SessionState> {
-        self.sessions
-            .get(session_id)
+    pub fn lookup_fresh(&self, session_id: &[u8], now: u64, lifetime: u64) -> Option<SessionState> {
+        self.lookup(session_id)
             .filter(|s| s.is_fresh(now, lifetime))
     }
 
@@ -188,7 +235,7 @@ mod tests {
     fn id_cache_round_trip() {
         let mut cache = ServerSessionCache::new([1u8; 20]);
         cache.store(state(1));
-        assert_eq!(cache.lookup(&[1u8; 32]), Some(&state(1)));
+        assert_eq!(cache.lookup(&[1u8; 32]), Some(state(1)));
         assert_eq!(cache.lookup(&[2u8; 32]), None);
         assert_eq!(cache.len(), 1);
     }
@@ -201,6 +248,56 @@ mod tests {
         assert!(cache.lookup_fresh(&[1u8; 32], 1_000 + 3601, 3600).is_none());
         // A clock slightly behind the establishment time still resumes.
         assert!(cache.lookup_fresh(&[1u8; 32], 500, 3600).is_some());
+    }
+
+    #[test]
+    fn store_makes_room_oldest_established_first() {
+        let mut cache = ServerSessionCache::new([1u8; 20]);
+        let session = |n: usize, at: u64| SessionState {
+            session_id: (n as u64).to_be_bytes().to_vec(),
+            established_at: at,
+            ..state(0)
+        };
+        // Arrival order and establishment order differ: the first stored
+        // session is the youngest.
+        cache.store(session(0, 5_000));
+        for n in 1..SERVER_SESSION_CACHE_CAPACITY {
+            cache.store(session(n, 1_000 + n as u64));
+        }
+        assert_eq!(cache.len(), SERVER_SESSION_CACHE_CAPACITY);
+        cache.store(session(SERVER_SESSION_CACHE_CAPACITY, 3_000));
+        assert_eq!(cache.len(), SERVER_SESSION_CACHE_CAPACITY);
+        assert!(cache.lookup(&1u64.to_be_bytes()).is_none(), "oldest went");
+        assert!(
+            cache.lookup(&0u64.to_be_bytes()).is_some(),
+            "youngest stays"
+        );
+        assert!(cache.lookup(&2u64.to_be_bytes()).is_some());
+
+        // Re-storing an id replaces it without growing either index.
+        cache.store(session(2, 3_500));
+        assert_eq!(cache.len(), SERVER_SESSION_CACHE_CAPACITY);
+        assert_eq!(cache.by_age.len(), SERVER_SESSION_CACHE_CAPACITY);
+        assert_eq!(
+            cache.lookup(&2u64.to_be_bytes()).unwrap().established_at,
+            3_500
+        );
+    }
+
+    #[test]
+    fn store_drops_sessions_past_their_lifetime() {
+        let mut cache = ServerSessionCache::new([1u8; 20]);
+        for id in 1..=3 {
+            cache.store(state(id)); // established_at = 1_000
+        }
+        let late = SessionState {
+            established_at: 1_000 + SESSION_LIFETIME_SECS + 1,
+            ..state(9)
+        };
+        cache.store(late.clone());
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.by_age.len(), 1);
+        assert_eq!(cache.lookup(&[9u8; 32]), Some(late));
     }
 
     #[test]
