@@ -1,8 +1,11 @@
 //! The RA's deep-packet-inspection module (paper §VI).
 //!
-//! Two stages, matching the Table III cost breakdown: a cheap per-packet
-//! *TLS detection* test, and — only for handshake packets of supported
-//! connections — *certificate parsing*.
+//! Two stages, matching the Table III cost breakdown: a cheap *TLS
+//! detection* test, and — only for handshake records of supported
+//! connections — *certificate parsing*. The interception lane runs both
+//! through [`StreamClassifier`], which works on a reassembled stream;
+//! [`classify`] is the same logic on one isolated payload, kept as the
+//! per-packet cost Table III measures.
 
 use ritm_dictionary::{CaId, SerialNumber};
 use ritm_tls::engine::RecordAssembler;
@@ -28,6 +31,15 @@ pub enum Classification {
     ServerFlight(ServerFlight),
     /// Contains a Finished message (handshake completion marker).
     Finished,
+    /// A complete `RitmStatus` record — an RA further upstream already
+    /// stapled ([`StreamClassifier`] only; §VIII "Multiple RAs").
+    RitmStatus {
+        /// Stream offset of the record's first header byte, counted from
+        /// the first byte pushed into the classifier.
+        offset: u64,
+        /// Encoded length of the record, header included.
+        len: usize,
+    },
 }
 
 /// The server's first flight as seen by the RA.
@@ -42,81 +54,26 @@ pub struct ServerFlight {
     pub chain: Vec<(CaId, SerialNumber)>,
 }
 
-/// Classifies one TCP payload. This is the RA's per-packet entry point; the
-/// `looks_like_tls` prefilter runs first so non-TLS traffic pays only a few
-/// comparisons.
+/// Classifies one TCP payload in isolation (blind to anything split across
+/// payloads — the lane uses [`StreamClassifier`]): the first ClientHello or
+/// server flight among its whole records, else a Finished, else
+/// [`Classification::TlsOther`]. The `looks_like_tls` prefilter runs first
+/// so non-TLS traffic pays only a few comparisons.
 pub fn classify(payload: &[u8]) -> Classification {
     if !looks_like_tls(payload) {
         return Classification::NotTls;
     }
-    let Ok(records) = TlsRecord::parse_stream(payload) else {
-        // Prefilter matched but full parse failed — treat as opaque TLS-ish
-        // traffic and stay out of the way (non-invasiveness, §VII-F).
-        return Classification::TlsOther;
-    };
-    classify_records(&records)
-}
-
-/// Classifies a batch of already-reassembled records (the loop behind
-/// [`classify`], usable when the caller has a record stream rather than a
-/// raw packet payload).
-pub fn classify_records(records: &[TlsRecord]) -> Classification {
-    let mut server_flight: Option<ServerFlight> = None;
-    let mut finished = false;
-    for rec in records {
-        if rec.content_type != ContentType::Handshake {
-            continue;
-        }
-        let Ok(messages) = HandshakeMessage::parse_all(&rec.payload) else {
-            return Classification::TlsOther;
-        };
-        for msg in messages {
-            match msg {
-                HandshakeMessage::ClientHello(ch) => {
-                    return Classification::ClientHello {
-                        ritm: ch.has_ritm_extension(),
-                        resumption: !ch.session_id.is_empty(),
-                    };
-                }
-                HandshakeMessage::ServerHello(sh) => {
-                    server_flight = Some(ServerFlight {
-                        session_id: sh.session_id.clone(),
-                        leaf: None,
-                        chain: Vec::new(),
-                    });
-                }
-                HandshakeMessage::Certificate(chain) => {
-                    let parsed: Vec<(CaId, SerialNumber)> =
-                        chain.0.iter().map(|c| (c.issuer, c.serial)).collect();
-                    let leaf = parsed.first().copied();
-                    match &mut server_flight {
-                        Some(f) => {
-                            f.leaf = leaf;
-                            f.chain = parsed;
-                        }
-                        None => {
-                            // Certificate without a preceding ServerHello in
-                            // this payload (split across segments).
-                            server_flight = Some(ServerFlight {
-                                session_id: Vec::new(),
-                                leaf,
-                                chain: parsed,
-                            });
-                        }
-                    }
-                }
-                HandshakeMessage::Finished(_) => finished = true,
-                _ => {}
-            }
+    // Prefilter matched but nothing conclusive parsed — treat as opaque
+    // TLS-ish traffic and stay out of the way (non-invasiveness, §VII-F).
+    let mut verdict = Classification::TlsOther;
+    for c in StreamClassifier::new().push(payload) {
+        match c {
+            Classification::ClientHello { .. } | Classification::ServerFlight(_) => return c,
+            Classification::Finished => verdict = c,
+            _ => {}
         }
     }
-    if let Some(f) = server_flight {
-        return Classification::ServerFlight(f);
-    }
-    if finished {
-        return Classification::Finished;
-    }
-    Classification::TlsOther
+    verdict
 }
 
 /// Stream-granular classifier for one direction of one flow.
@@ -127,12 +84,23 @@ pub fn classify_records(records: &[TlsRecord]) -> Classification {
 /// [`RecordAssembler`]) and carries the server-flight accumulator across
 /// record boundaries, so a ServerHello in one segment and the Certificate
 /// in the next still produce one [`Classification::ServerFlight`].
+///
+/// Until the direction's opening message (ClientHello or server flight) has
+/// classified, *every* complete record yields a classification —
+/// [`Classification::TlsOther`] when it is nothing else — so a caller that
+/// withholds the bytes it pushes can tell "a record that is not part of the
+/// opening" from "no whole record yet". After the opening, application data
+/// yields nothing (and allocates nothing).
 #[derive(Debug, Default)]
 pub struct StreamClassifier {
     assembler: RecordAssembler,
     flight: Option<ServerFlight>,
     /// Set once the stream proved to be non-TLS; everything after is opaque.
     dead: bool,
+    /// Set once a ClientHello or a server flight completed.
+    opened: bool,
+    /// Stream offset of the next record the assembler will complete.
+    offset: u64,
 }
 
 impl StreamClassifier {
@@ -172,8 +140,23 @@ impl StreamClassifier {
     }
 
     fn classify_record(&mut self, rec: &TlsRecord, out: &mut Vec<Classification>) {
-        if rec.content_type != ContentType::Handshake {
-            return;
+        let offset = self.offset;
+        self.offset += rec.encoded_len() as u64;
+        match rec.content_type {
+            ContentType::Handshake => {}
+            ContentType::RitmStatus => {
+                out.push(Classification::RitmStatus {
+                    offset,
+                    len: rec.encoded_len(),
+                });
+                return;
+            }
+            _ => {
+                if !self.opened {
+                    out.push(Classification::TlsOther);
+                }
+                return;
+            }
         }
         let Ok(messages) = HandshakeMessage::parse_all(&rec.payload) else {
             out.push(Classification::TlsOther);
@@ -182,6 +165,7 @@ impl StreamClassifier {
         for msg in messages {
             match msg {
                 HandshakeMessage::ClientHello(ch) => {
+                    self.opened = true;
                     out.push(Classification::ClientHello {
                         ritm: ch.has_ritm_extension(),
                         resumption: !ch.session_id.is_empty(),
@@ -209,6 +193,7 @@ impl StreamClassifier {
                 HandshakeMessage::ServerHelloDone => {
                     // The full flight is complete once HelloDone arrives.
                     if let Some(f) = self.flight.take() {
+                        self.opened = true;
                         out.push(Classification::ServerFlight(f));
                     }
                 }
@@ -216,6 +201,7 @@ impl StreamClassifier {
                     // An abbreviated flight (SH + Finished, no certificate)
                     // completes at the Finished marker instead.
                     if let Some(f) = self.flight.take() {
+                        self.opened = true;
                         out.push(Classification::ServerFlight(f));
                     }
                     out.push(Classification::Finished);

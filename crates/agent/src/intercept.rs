@@ -1,20 +1,46 @@
-//! The inline interception lane: per-flow TCP reassembly feeding DPI, with
-//! status stapling and revoked-flow resets (paper §III steps 4–7, §VI).
+//! The RA's interception lane: per-flow TCP reassembly feeding DPI, with
+//! status stapling, the multi-RA rule and revoked-flow resets (paper §III
+//! steps 2–7, §VI, §VIII).
 //!
-//! Where [`crate::ra`] classifies *individual packets* (and is therefore
-//! blind to handshakes fragmented across segments), this module holds one
-//! flow record per 4-tuple (Eq. 4): a [`TcpBuffer`] per direction
-//! reassembles the byte stream in sequence order, a
-//! [`StreamClassifier`] classifies across
-//! record and segment boundaries, and the flow walks
+//! One [`FlowTable`] is the only middlebox the RA has. It holds one flow
+//! record per 4-tuple (Eq. 4): a [`TcpBuffer`] per direction reassembles
+//! the byte stream in sequence order, a [`StreamClassifier`] classifies
+//! across record and segment boundaries, and the flow walks
 //! `WaitForClientHello → WaitForServerFlight → Established` (or `Bypass` /
-//! `Reset`). On the server's flight the RA looks the chain up in the
-//! lock-free [`StatusServer`] snapshot and either
+//! `Reset`).
 //!
-//! * staples a [`StatusPayload`] into the server→client stream as a
-//!   dedicated `RitmStatus` record — injected at a record boundary, with
-//!   every later segment's sequence numbers translated (§VIII) — or
-//! * resets both directions of a *revoked* flow mid-handshake.
+//! # Hold, decide, release
+//!
+//! While a flow is in `WaitForServerFlight` the lane *withholds* every
+//! server→client byte until the server's first flight is complete
+//! (`ServerHelloDone`, or `Finished` for an abbreviated flight). Only then
+//! does it know everything the decision needs — the chain, whether it is
+//! revoked, and whether an RA further upstream already stapled — so it
+//! decides once:
+//!
+//! * chain revoked and `reset_revoked` ⇒ drop the held bytes, RST both ways;
+//! * no upstream status ⇒ staple ours as a dedicated `RitmStatus` record
+//!   **in front of** the held bytes;
+//! * upstream status staler by `(size, timestamp)` ⇒ substitute ours for
+//!   its byte range; otherwise leave it (§VIII "Multiple RAs");
+//! * nothing to prove (unknown session, CA not mirrored) ⇒ release as is.
+//!
+//! The status precedes the flight because an abbreviated flight carries the
+//! server's `Finished` in the same record as its `ServerHello`: a client
+//! that requires a status must have validated one by the time it processes
+//! that record, and there is no later record boundary before it. In front
+//! is also correct for full handshakes (clients buffer a status that
+//! precedes the Certificate).
+//!
+//! What is held is bounded by [`MAX_HELD_BYTES`] (one upstream status
+//! record plus one flight record). Past the bound, on a complete record
+//! that belongs to neither, on non-TLS bytes, or on FIN/RST from either
+//! side, the held bytes go out unmodified ahead of anything else and the
+//! flow is left alone. Nothing is ever held outside `WaitForServerFlight`:
+//! Δ re-stapling on established flows appends the status right after the
+//! first segment that ends on a record boundary. Released and injected
+//! bytes are sequenced contiguously, and every later segment of the flow
+//! is translated by the (signed) length difference.
 //!
 //! [`spawn_inline_relay`] bridges real sockets into this segment-granular
 //! core: two `ritm-rt` tasks pump bytes between a client-side and a
@@ -22,20 +48,40 @@
 //! [`StreamSegmenter`], so the same `FlowTable` serves both the
 //! discrete-event simulator (as a [`Middlebox`]) and the event runtime.
 
-use crate::dpi::{Classification, StreamClassifier};
+use crate::dpi::{Classification, ServerFlight, StreamClassifier};
 use crate::ra::StatusPayload;
 use crate::serve::StatusServer;
 use parking_lot::Mutex;
-use ritm_dictionary::{CaId, SerialNumber};
+use ritm_dictionary::{CaId, SerialNumber, SignedRoot};
 use ritm_net::middlebox::Middlebox;
-use ritm_net::tcp::{Direction, FourTuple, StreamSegmenter, TcpFlags, TcpSegment};
+use ritm_net::tcp::{
+    Direction, FourTuple, SeqTranslator, SocketAddr, StreamSegmenter, TcpFlags, TcpSegment,
+};
 use ritm_net::time::{SimDuration, SimTime};
 use ritm_rt::net::{read_some, write_all};
 use ritm_rt::Handle;
 use ritm_tls::record::{ContentType, TlsRecord, MAX_RECORD_LEN};
 use std::collections::{BTreeMap, HashMap};
 use std::net::{Shutdown, TcpStream};
+use std::ops::Range;
 use std::sync::Arc;
+
+/// Most out-of-order bytes one direction of one flow may park (an unscaled
+/// TCP receive window).
+pub const MAX_PENDING_BYTES: usize = 64 * 1024;
+/// Most out-of-order segments one direction of one flow may park.
+pub const MAX_PENDING_SEGMENTS: usize = 64;
+/// Most server→client bytes a flow withholds while it waits for the first
+/// flight: one upstream status record plus one flight record.
+pub const MAX_HELD_BYTES: usize = 2 * (5 + MAX_RECORD_LEN);
+
+/// A segment [`TcpBuffer`] refuses: parking it would exceed
+/// [`MAX_PENDING_BYTES`] or [`MAX_PENDING_SEGMENTS`], or it overlaps parked
+/// bytes and disagrees with them (the endpoint keeps the first copy, so a
+/// second one must not get to rewrite what the classifier judges). The
+/// stream can no longer be judged and the flow is reset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamFault;
 
 /// In-order TCP stream reassembly for one direction of one flow: segments
 /// arrive with arbitrary gaps, overlaps, and duplicates; contiguous bytes
@@ -44,6 +90,7 @@ use std::sync::Arc;
 pub struct TcpBuffer {
     next_seq: u64,
     pending: BTreeMap<u64, Vec<u8>>,
+    pending_bytes: usize,
     initialized: bool,
 }
 
@@ -61,40 +108,64 @@ impl TcpBuffer {
 
     /// Inserts one segment's payload at `seq`, returning whatever bytes
     /// became contiguous (possibly empty while a gap is open).
-    pub fn insert(&mut self, seq: u64, payload: &[u8]) -> Vec<u8> {
+    ///
+    /// # Errors
+    ///
+    /// [`StreamFault`], see there.
+    pub fn insert(&mut self, seq: u64, payload: &[u8]) -> Result<Vec<u8>, StreamFault> {
         if !self.initialized {
             self.next_seq = seq;
             self.initialized = true;
         }
-        if !payload.is_empty() && seq + payload.len() as u64 > self.next_seq {
-            // Keep only the part we have not delivered yet.
-            let (seq, data) = if seq < self.next_seq {
-                let skip = (self.next_seq - seq) as usize;
-                (self.next_seq, payload[skip..].to_vec())
-            } else {
-                (seq, payload.to_vec())
-            };
-            // On overlap keep the longer of the two candidates.
-            match self.pending.get(&seq) {
-                Some(existing) if existing.len() >= data.len() => {}
-                _ => {
-                    self.pending.insert(seq, data);
+        let end = seq.checked_add(payload.len() as u64).ok_or(StreamFault)?;
+        if end <= self.next_seq {
+            return Ok(Vec::new()); // empty, or a retransmit of delivered bytes
+        }
+        // Keep only the part we have not delivered yet.
+        let skip = self.next_seq.saturating_sub(seq) as usize;
+        let (seq, data) = (seq + skip as u64, &payload[skip..]);
+        for (&parked_seq, parked) in self.pending.range(..end) {
+            let lo = seq.max(parked_seq);
+            let hi = end.min(parked_seq + parked.len() as u64);
+            if lo < hi {
+                let ours = &data[(lo - seq) as usize..(hi - seq) as usize];
+                let theirs = &parked[(lo - parked_seq) as usize..(hi - parked_seq) as usize];
+                if ours != theirs {
+                    return Err(StreamFault);
                 }
             }
         }
-        let mut out = Vec::new();
-        while let Some((&seq, _)) = self.pending.first_key_value() {
-            if seq > self.next_seq {
+        if seq > self.next_seq {
+            // Out of order: park it. A same-`seq` copy that is no longer
+            // adds nothing (the overlap was just checked identical).
+            let replaced = self.pending.get(&seq).map_or(0, Vec::len);
+            if replaced >= data.len() {
+                return Ok(Vec::new());
+            }
+            if self.pending_bytes - replaced + data.len() > MAX_PENDING_BYTES
+                || (replaced == 0 && self.pending.len() >= MAX_PENDING_SEGMENTS)
+            {
+                return Err(StreamFault);
+            }
+            self.pending_bytes += data.len() - replaced;
+            self.pending.insert(seq, data.to_vec());
+            return Ok(Vec::new());
+        }
+        let mut out = data.to_vec();
+        self.next_seq = end;
+        while let Some(entry) = self.pending.first_entry() {
+            if *entry.key() > self.next_seq {
                 break;
             }
-            let (seq, data) = self.pending.pop_first().expect("first entry exists");
+            let (seq, data) = entry.remove_entry();
+            self.pending_bytes -= data.len();
             let skip = (self.next_seq - seq) as usize;
             if skip < data.len() {
                 out.extend_from_slice(&data[skip..]);
                 self.next_seq += (data.len() - skip) as u64;
             }
         }
-        out
+        Ok(out)
     }
 }
 
@@ -104,13 +175,17 @@ pub enum FlowStage {
     /// Client→server bytes are being reassembled until a ClientHello
     /// classifies (or the stream proves non-TLS / non-RITM).
     WaitForClientHello,
-    /// A RITM ClientHello passed; awaiting the server's first flight.
+    /// A RITM ClientHello passed; server→client bytes are withheld until
+    /// the server's first flight is complete and judged.
     WaitForServerFlight,
-    /// Handshake complete; only periodic Δ re-stapling remains.
+    /// The first flight was judged and released; only periodic Δ
+    /// re-stapling remains.
     Established,
-    /// Non-TLS or non-RITM: forward untouched, never inspect again.
+    /// Non-TLS, non-RITM, or a first flight the lane gave up on: forward
+    /// untouched, never inspect again.
     Bypass,
-    /// The flow was reset (revoked chain); drop everything.
+    /// The flow was reset (revoked chain, hostile reassembly); drop
+    /// everything.
     Reset,
 }
 
@@ -122,29 +197,70 @@ struct Flow {
     to_client: TcpBuffer,
     classify_to_server: StreamClassifier,
     classify_to_client: StreamClassifier,
-    translator: ritm_net::tcp::SeqTranslator,
+    translator: SeqTranslator,
     chain: Vec<(CaId, SerialNumber)>,
     last_status: u64,
-    /// Status waiting for a record boundary in the server→client stream.
+    /// Server→client bytes withheld in `WaitForServerFlight` — every byte
+    /// the server has sent so far, so offsets into it are the
+    /// classifier's stream offsets. Empty in every other stage.
+    held: Vec<u8>,
+    /// Where in `held` the first upstream RA's status record lies.
+    upstream: Option<Range<usize>>,
+    /// Δ re-staple waiting for a record boundary in the server→client
+    /// stream.
     pending_status: Option<StatusPayload>,
-    /// Last time (seconds) a segment touched this flow, either direction.
-    last_seen: u64,
+    /// Last second a segment touched this flow, either direction, and the
+    /// tie-breaker it is filed under in [`FlowTable::by_last_seen`].
+    last_seen: (u64, u64),
 }
 
 impl Flow {
-    fn new(now_secs: u64) -> Self {
+    fn new(last_seen: (u64, u64)) -> Self {
         Flow {
             stage: FlowStage::WaitForClientHello,
             to_server: TcpBuffer::new(),
             to_client: TcpBuffer::new(),
             classify_to_server: StreamClassifier::new(),
             classify_to_client: StreamClassifier::new(),
-            translator: ritm_net::tcp::SeqTranslator::new(),
+            translator: SeqTranslator::new(),
             chain: Vec::new(),
             last_status: 0,
+            held: Vec::new(),
+            upstream: None,
             pending_status: None,
-            last_seen: now_secs,
+            last_seen,
         }
+    }
+
+    /// Releases everything held as fresh, contiguously sequenced segments:
+    /// as it came, or with `record` in place of `range` (empty to insert)
+    /// as a segment of its own. Nothing held and nothing to staple: nothing.
+    fn release(
+        &mut self,
+        tuple: FourTuple,
+        ack: u64,
+        staple: Option<(Range<usize>, Vec<u8>)>,
+    ) -> Vec<TcpSegment> {
+        let mut before = std::mem::take(&mut self.held);
+        // Client-side sequence number of the first held byte.
+        let mut seq = (self.to_client.next_seq() - before.len() as u64)
+            .saturating_add_signed(self.translator.shift());
+        let (record, after) = staple.map_or_else(Default::default, |(range, record)| {
+            let after = before.split_off(range.end);
+            before.truncate(range.start);
+            self.translator
+                .shift_by(record.len() as i64 - range.len() as i64);
+            (record, after)
+        });
+        [before, record, after]
+            .into_iter()
+            .filter(|piece| !piece.is_empty())
+            .map(|piece| {
+                let seg = TcpSegment::data(tuple, Direction::ToClient, seq, ack, piece);
+                seq = seg.seq_end();
+                seg
+            })
+            .collect()
     }
 }
 
@@ -186,14 +302,22 @@ impl Default for InterceptConfig {
 pub struct InterceptStats {
     /// Flows that presented a RITM ClientHello and were tracked.
     pub flows_tracked: u64,
-    /// Flows that proved non-TLS or non-RITM and were bypassed.
+    /// Flows that proved non-TLS or non-RITM, or whose first flight the
+    /// lane gave up holding, and were bypassed.
     pub flows_bypassed: u64,
-    /// Flows reset because their chain contained a revoked certificate.
+    /// Flows reset because their chain contained a revoked certificate or
+    /// their segments could not be reassembled consistently.
     pub flows_reset: u64,
-    /// Status payloads stapled into server→client streams.
+    /// Status payloads stapled into server→client streams (added or
+    /// substituted for a staler upstream one).
     pub statuses_injected: u64,
-    /// Total bytes those stapled records added.
+    /// Total bytes of those stapled records.
     pub bytes_injected: u64,
+    /// Of `statuses_injected`, the ones that replaced a staler upstream
+    /// RA's status (§VIII "Multiple RAs").
+    pub statuses_replaced: u64,
+    /// Upstream statuses at least as fresh as ours, left in place (§VIII).
+    pub statuses_left_in_place: u64,
     /// Flows reaped after `idle_timeout` seconds without traffic.
     pub flows_evicted_idle: u64,
     /// Flows evicted least-recently-seen-first because the table hit
@@ -202,23 +326,60 @@ pub struct InterceptStats {
 }
 
 /// A server's endpoint plus one of the session ids it handed out.
-type SessionKey = (ritm_net::tcp::SocketAddr, Vec<u8>);
+type SessionKey = (SocketAddr, Vec<u8>);
 
-/// Session → (second learned, chain seen at full-handshake time).
-type SessionCache = HashMap<SessionKey, (u64, Vec<(CaId, SerialNumber)>)>;
+/// What a full handshake showed under one session id.
+#[derive(Debug)]
+struct Session {
+    /// Tie-breaker this session is filed under in
+    /// [`FlowTable::sessions_by_age`], with the second it was learned.
+    learned: (u64, u64),
+    chain: Vec<(CaId, SerialNumber)>,
+}
 
-/// The per-flow interception middlebox: a [`Middlebox`] over reassembled
-/// flows, stapling statuses from a shared [`StatusServer`] snapshot.
+/// The RA's middlebox: a [`Middlebox`] over reassembled flows, stapling
+/// statuses from a shared [`StatusServer`] snapshot.
 #[derive(Debug)]
 pub struct FlowTable {
     status: Arc<StatusServer>,
     config: InterceptConfig,
     flows: HashMap<FourTuple, Flow>,
+    /// The same flows ordered by `(last_seen second, tie-breaker)`, so
+    /// reaping and capacity eviction pop from the front.
+    by_last_seen: BTreeMap<(u64, u64), FourTuple>,
     /// What full handshakes showed, so resumption flights (no Certificate
     /// message) still get a status verdict. Session ids are only unique
     /// per server, hence the endpoint in the key; bounded by `max_flows`.
-    session_cache: SessionCache,
+    session_cache: HashMap<SessionKey, Session>,
+    /// The same sessions ordered by `(second learned, tie-breaker)`.
+    sessions_by_age: BTreeMap<(u64, u64), SessionKey>,
+    /// Source of tie-breakers for both orderings.
+    next_tick: u64,
     stats: InterceptStats,
+}
+
+/// `true` if any certificate of `chain` is revoked in the current
+/// snapshot of its CA's dictionary.
+fn any_revoked(status: &StatusServer, chain: &[(CaId, SerialNumber)]) -> bool {
+    chain.iter().any(|(ca, serial)| {
+        status
+            .snapshot(ca)
+            .is_some_and(|snap| snap.contains(serial))
+    })
+}
+
+/// `ours` as a `RitmStatus` record, unless it would not fit one (extremely
+/// long chains only: stay silent rather than corrupt the stream).
+fn status_record(ours: &StatusPayload) -> Option<Vec<u8>> {
+    let encoded = ours.to_bytes();
+    (encoded.len() <= MAX_RECORD_LEN)
+        .then(|| TlsRecord::new(ContentType::RitmStatus, encoded).to_bytes())
+}
+
+/// The multi-RA freshness order (§VIII): "replaces a revocation status only
+/// if its own version of the dictionary is more recent".
+fn fresher(ours: &SignedRoot, theirs: &SignedRoot) -> bool {
+    (ours.size, ours.timestamp) > (theirs.size, theirs.timestamp)
 }
 
 impl FlowTable {
@@ -228,7 +389,10 @@ impl FlowTable {
             status,
             config,
             flows: HashMap::new(),
+            by_last_seen: BTreeMap::new(),
             session_cache: HashMap::new(),
+            sessions_by_age: BTreeMap::new(),
+            next_tick: 0,
             stats: InterceptStats::default(),
         }
     }
@@ -248,23 +412,32 @@ impl FlowTable {
         self.flows.is_empty()
     }
 
+    /// Where `tuple`'s flow is in its lifecycle, if it is tracked.
+    pub fn stage(&self, tuple: &FourTuple) -> Option<FlowStage> {
+        self.flows.get(tuple).map(|f| f.stage)
+    }
+
     /// Reaps every flow idle for at least `idle_timeout` seconds —
     /// half-open handshakes that never completed included — returning how
     /// many were evicted. Runs automatically when admission hits
     /// `max_flows`; call it periodically to bound memory between
     /// admissions too.
     pub fn reap(&mut self, now: SimTime) -> usize {
-        self.reap_at(now.as_secs())
-    }
-
-    fn reap_at(&mut self, now_secs: u64) -> usize {
-        let timeout = self.config.idle_timeout;
-        let before = self.flows.len();
-        self.flows
-            .retain(|_, f| now_secs.saturating_sub(f.last_seen) < timeout);
-        let evicted = before - self.flows.len();
+        let mut evicted = 0;
+        while let Some(oldest) = self.by_last_seen.first_entry() {
+            if now.as_secs().saturating_sub(oldest.key().0) < self.config.idle_timeout {
+                break;
+            }
+            self.flows.remove(&oldest.remove());
+            evicted += 1;
+        }
         self.stats.flows_evicted_idle += evicted as u64;
         evicted
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.next_tick += 1;
+        self.next_tick
     }
 
     /// Makes room for one more flow: reap idle entries first; if the
@@ -273,48 +446,44 @@ impl FlowTable {
         if self.flows.len() < self.config.max_flows {
             return;
         }
-        self.reap_at(now_secs);
+        self.reap(SimTime::from_secs(now_secs));
         if self.flows.len() < self.config.max_flows {
             return;
         }
-        if let Some(victim) = self
-            .flows
-            .iter()
-            .min_by_key(|(_, f)| f.last_seen)
-            .map(|(t, _)| *t)
-        {
+        if let Some((_, victim)) = self.by_last_seen.pop_first() {
             self.flows.remove(&victim);
             self.stats.flows_evicted_capacity += 1;
         }
     }
 
-    /// `true` if any certificate of `chain` is revoked in the current
-    /// snapshot of its CA's dictionary.
-    fn any_revoked(status: &StatusServer, chain: &[(CaId, SerialNumber)]) -> bool {
-        chain.iter().any(|(ca, serial)| {
-            status
-                .snapshot(ca)
-                .is_some_and(|snap| snap.contains(serial))
-        })
-    }
-
-    /// Makes room in a full session memory for `incoming` (unless it is
-    /// already there) by forgetting the session learned longest ago.
-    fn forget_oldest_session(cache: &mut SessionCache, incoming: &SessionKey) {
-        if cache.contains_key(incoming) {
-            return;
-        }
-        let oldest = cache
-            .iter()
-            .min_by_key(|(_, (learned, _))| *learned)
-            .map(|(key, _)| key.clone());
-        if let Some(oldest) = oldest {
-            cache.remove(&oldest);
+    fn forget_flow(&mut self, tuple: &FourTuple) {
+        if let Some(flow) = self.flows.remove(tuple) {
+            self.by_last_seen.remove(&flow.last_seen);
         }
     }
 
-    /// Synthesizes RSTs for both directions of `tuple`.
-    fn reset_segments(tuple: FourTuple, flow: &Flow) -> Vec<TcpSegment> {
+    /// Remembers the chain a full handshake showed under `key`, forgetting
+    /// the session learned longest ago when the memory is full.
+    fn learn_session(&mut self, key: SessionKey, chain: Vec<(CaId, SerialNumber)>, now_secs: u64) {
+        let learned = (now_secs, self.tick());
+        let session = Session { learned, chain };
+        if let Some(known) = self.session_cache.insert(key.clone(), session) {
+            self.sessions_by_age.remove(&known.learned);
+        }
+        self.sessions_by_age.insert(learned, key);
+        if self.session_cache.len() > self.config.max_flows {
+            if let Some((_, oldest)) = self.sessions_by_age.pop_first() {
+                self.session_cache.remove(&oldest);
+            }
+        }
+    }
+
+    /// Marks `flow` reset and synthesizes RSTs for both directions of
+    /// `tuple`; whatever it held is dropped.
+    fn reset(stats: &mut InterceptStats, tuple: FourTuple, flow: &mut Flow) -> Vec<TcpSegment> {
+        flow.stage = FlowStage::Reset;
+        flow.held = Vec::new();
+        stats.flows_reset += 1;
         let rst = |direction: Direction, seq: u64| TcpSegment {
             tuple,
             direction,
@@ -334,10 +503,12 @@ impl FlowTable {
         ]
     }
 
-    fn handle_to_server(&mut self, seg: &mut TcpSegment) {
+    fn handle_to_server(&mut self, mut seg: TcpSegment) -> Vec<TcpSegment> {
         let flow = self.flows.get_mut(&seg.tuple).expect("flow exists");
         if flow.stage == FlowStage::WaitForClientHello {
-            let bytes = flow.to_server.insert(seg.seq, seg.payload.as_slice());
+            let Ok(bytes) = flow.to_server.insert(seg.seq, &seg.payload) else {
+                return Self::reset(&mut self.stats, seg.tuple, flow);
+            };
             for c in flow.classify_to_server.push(&bytes) {
                 match c {
                     Classification::ClientHello { ritm: true, .. } => {
@@ -352,70 +523,124 @@ impl FlowTable {
                 }
             }
         }
-        flow.translator.translate(seg);
+        flow.translator.translate(&mut seg);
+        vec![seg]
     }
 
-    fn handle_to_client(&mut self, seg: &mut TcpSegment, now_secs: u64) -> Option<Vec<TcpSegment>> {
+    /// `WaitForServerFlight`: swallow the segment into `held`; once the
+    /// flight is complete, decide and release (module docs).
+    fn hold(&mut self, seg: TcpSegment, now_secs: u64) -> Vec<TcpSegment> {
+        let tuple = seg.tuple;
+        let flow = self.flows.get_mut(&tuple).expect("flow exists");
+        let Ok(bytes) = flow.to_client.insert(seg.seq, &seg.payload) else {
+            return Self::reset(&mut self.stats, tuple, flow);
+        };
+        flow.held.extend_from_slice(&bytes);
+        let mut flight = None;
+        let mut give_up = flow.held.len() > MAX_HELD_BYTES;
+        for c in flow.classify_to_client.push(&bytes) {
+            match c {
+                Classification::RitmStatus { offset, len } => {
+                    let start = offset as usize;
+                    flow.upstream.get_or_insert(start..start + len);
+                }
+                Classification::ServerFlight(f) if flight.is_none() => flight = Some(f),
+                // The abbreviated flight's own completion marker.
+                Classification::Finished if flight.is_some() => {}
+                _ => give_up = true,
+            }
+        }
+        match flight {
+            Some(flight) => self.judge(tuple, flight, seg.ack, now_secs),
+            None if give_up => {
+                flow.stage = FlowStage::Bypass;
+                self.stats.flows_bypassed += 1;
+                flow.release(tuple, seg.ack, None)
+            }
+            None => Vec::new(),
+        }
+    }
+
+    /// The one decision per flow: `flight` is complete and everything the
+    /// server sent so far is in `held`.
+    fn judge(
+        &mut self,
+        tuple: FourTuple,
+        flight: ServerFlight,
+        ack: u64,
+        now_secs: u64,
+    ) -> Vec<TcpSegment> {
+        let chain = if flight.leaf.is_some() {
+            if !flight.session_id.is_empty() {
+                let key = (tuple.server, flight.session_id);
+                self.learn_session(key, flight.chain.clone(), now_secs);
+            }
+            flight.chain
+        } else {
+            // Abbreviated flight: no Certificate message — the chain comes
+            // from full-handshake memory (Eq. 4).
+            self.session_cache
+                .get(&(tuple.server, flight.session_id))
+                .map(|s| s.chain.clone())
+                .unwrap_or_default()
+        };
+        let flow = self.flows.get_mut(&tuple).expect("flow exists");
+        if self.config.reset_revoked && any_revoked(&self.status, &chain) {
+            return Self::reset(&mut self.stats, tuple, flow);
+        }
+        flow.stage = FlowStage::Established;
+        flow.chain = chain;
+        let ours = self
+            .status
+            .build_status(&flow.chain, self.config.compress)
+            .and_then(|ours| Some((*ours.primary_root()?, status_record(&ours)?)));
+        let Some((our_root, record)) = ours else {
+            // Nothing to prove for this flow.
+            return flow.release(tuple, ack, None);
+        };
+        // An upstream record counts only if it parses to a status with a
+        // root; garbage is left for the client to reject beside ours.
+        let upstream = flow.upstream.take().and_then(|range| {
+            let theirs = StatusPayload::from_bytes(&flow.held[range.start + 5..range.end]).ok()?;
+            Some((range, *theirs.primary_root()?))
+        });
+        flow.last_status = now_secs;
+        let replaced = match upstream {
+            Some((_, their_root)) if !fresher(&our_root, &their_root) => {
+                self.stats.statuses_left_in_place += 1;
+                return flow.release(tuple, ack, None);
+            }
+            Some((range, _)) => {
+                self.stats.statuses_replaced += 1;
+                range
+            }
+            None => 0..0,
+        };
+        self.stats.statuses_injected += 1;
+        self.stats.bytes_injected += record.len() as u64;
+        flow.release(tuple, ack, Some((replaced, record)))
+    }
+
+    /// `Established`: forward, and re-staple every Δ at a record boundary.
+    fn handle_established(&mut self, mut seg: TcpSegment, now_secs: u64) -> Vec<TcpSegment> {
         let flow = self.flows.get_mut(&seg.tuple).expect("flow exists");
         // Reassemble on the server's original sequence space — translation
         // happens on the way out.
-        let bytes = flow.to_client.insert(seg.seq, seg.payload.as_slice());
-        let classifications = flow.classify_to_client.push(&bytes);
-        for c in classifications {
-            match c {
-                Classification::ServerFlight(flight) => {
-                    let chain: Vec<(CaId, SerialNumber)> = if flight.leaf.is_some() {
-                        if !flight.session_id.is_empty() {
-                            let key = (seg.tuple.server, flight.session_id);
-                            if self.session_cache.len() >= self.config.max_flows {
-                                Self::forget_oldest_session(&mut self.session_cache, &key);
-                            }
-                            self.session_cache
-                                .insert(key, (now_secs, flight.chain.clone()));
-                        }
-                        flight.chain
-                    } else {
-                        // Abbreviated flight: no Certificate message — the
-                        // chain comes from full-handshake memory (Eq. 4).
-                        self.session_cache
-                            .get(&(seg.tuple.server, flight.session_id))
-                            .map(|(_, chain)| chain.clone())
-                            .unwrap_or_default()
-                    };
-                    if chain.is_empty() {
-                        continue; // nothing to prove for this flow
-                    }
-                    if self.config.reset_revoked && Self::any_revoked(&self.status, &chain) {
-                        flow.stage = FlowStage::Reset;
-                        self.stats.flows_reset += 1;
-                        return Some(Self::reset_segments(seg.tuple, flow));
-                    }
-                    flow.chain = chain;
-                    flow.pending_status =
-                        self.status.build_status(&flow.chain, self.config.compress);
-                }
-                Classification::Finished if flow.stage == FlowStage::WaitForServerFlight => {
-                    flow.stage = FlowStage::Established;
-                }
-                Classification::NotTls => {
-                    flow.stage = FlowStage::Bypass;
-                    self.stats.flows_bypassed += 1;
-                }
-                _ => {}
-            }
-        }
+        let Ok(bytes) = flow.to_client.insert(seg.seq, &seg.payload) else {
+            return Self::reset(&mut self.stats, seg.tuple, flow);
+        };
+        // Only record boundaries matter from here on. A stream that stops
+        // being TLS never reaches one again: it keeps being forwarded (and
+        // translated), just never re-stapled.
+        flow.classify_to_client.push(&bytes);
 
-        // Periodic Δ re-staple on long-lived established flows.
-        if flow.stage == FlowStage::Established
-            && !flow.chain.is_empty()
+        if !flow.chain.is_empty()
             && flow.pending_status.is_none()
             && flow.last_status > 0
             && now_secs.saturating_sub(flow.last_status) >= self.config.delta
         {
-            if self.config.reset_revoked && Self::any_revoked(&self.status, &flow.chain) {
-                flow.stage = FlowStage::Reset;
-                self.stats.flows_reset += 1;
-                return Some(Self::reset_segments(seg.tuple, flow));
+            if self.config.reset_revoked && any_revoked(&self.status, &flow.chain) {
+                return Self::reset(&mut self.stats, seg.tuple, flow);
             }
             flow.pending_status = self.status.build_status(&flow.chain, self.config.compress);
         }
@@ -423,80 +648,111 @@ impl FlowTable {
         // Staple only at a record boundary: the classifier's reassembler is
         // empty exactly when the stream ends on a whole record, so the
         // injected record cannot split one of the server's.
-        let boundary =
-            flow.classify_to_client.buffered() == 0 && !seg.payload.as_slice().is_empty();
-        if boundary && flow.pending_status.is_some() {
-            let payload = flow.pending_status.take().expect("checked above");
-            let encoded = payload.to_bytes();
-            if encoded.len() <= MAX_RECORD_LEN {
-                let record = TlsRecord::new(ContentType::RitmStatus, encoded).to_bytes();
-                // Translate the triggering segment with the pre-injection
-                // offset; the status record then occupies the stream right
-                // after it (§VIII sequence translation).
-                flow.translator.translate(seg);
-                let status_seg = TcpSegment {
-                    tuple: seg.tuple,
-                    direction: Direction::ToClient,
-                    seq: seg.seq + seg.payload.len() as u64,
-                    ack: seg.ack,
-                    flags: TcpFlags::default(),
-                    payload: record.clone(),
-                };
-                flow.translator.record_injection(record.len());
-                flow.last_status = now_secs;
-                self.stats.statuses_injected += 1;
-                self.stats.bytes_injected += record.len() as u64;
-                return Some(vec![seg.clone(), status_seg]);
-            }
-            // Oversized payload (would not fit one record): drop it rather
-            // than corrupt the stream. Extremely long chains only.
+        let boundary = flow.classify_to_client.buffered() == 0
+            && !seg.payload.is_empty()
+            && !(seg.flags.fin || seg.flags.rst);
+        flow.translator.translate(&mut seg);
+        if !boundary {
+            return vec![seg];
         }
-        flow.translator.translate(seg);
-        None
+        let Some(record) = flow.pending_status.take().and_then(|p| status_record(&p)) else {
+            return vec![seg];
+        };
+        // The status record occupies the stream right after the triggering
+        // segment (§VIII sequence translation).
+        let status_seg = TcpSegment::data(
+            seg.tuple,
+            Direction::ToClient,
+            seg.seq_end(),
+            seg.ack,
+            record,
+        );
+        flow.translator.shift_by(status_seg.payload.len() as i64);
+        flow.last_status = now_secs;
+        self.stats.statuses_injected += 1;
+        self.stats.bytes_injected += status_seg.payload.len() as u64;
+        vec![seg, status_seg]
     }
 }
 
 impl Middlebox for FlowTable {
-    fn process(&mut self, mut segment: TcpSegment, now: SimTime) -> Vec<TcpSegment> {
+    fn process(&mut self, segment: TcpSegment, now: SimTime) -> Vec<TcpSegment> {
         let now_secs = now.as_secs();
         let closing = segment.flags.fin || segment.flags.rst;
         let tuple = segment.tuple;
 
         // First sight of a flow: only a client-side opener starts tracking,
         // and admission may first evict an idle or least-recently-seen flow.
-        if !self.flows.contains_key(&tuple) {
-            if segment.direction != Direction::ToServer {
-                return vec![segment];
-            }
-            self.admit_one(now_secs);
-            self.flows.insert(tuple, Flow::new(now_secs));
-        } else if let Some(flow) = self.flows.get_mut(&tuple) {
-            flow.last_seen = now_secs;
-        }
-
-        let stage = self.flows[&tuple].stage;
-        let out = match stage {
-            FlowStage::Reset => {
-                // A reset flow forwards nothing more in either direction.
-                if closing {
-                    self.flows.remove(&tuple);
+        let stage = match self.flows.get(&tuple).map(|f| (f.last_seen, f.stage)) {
+            None => {
+                if segment.direction != Direction::ToServer {
+                    return vec![segment];
                 }
-                return Vec::new();
+                self.admit_one(now_secs);
+                let last_seen = (now_secs, self.tick());
+                self.by_last_seen.insert(last_seen, tuple);
+                self.flows.insert(tuple, Flow::new(last_seen));
+                FlowStage::WaitForClientHello
             }
-            FlowStage::Bypass => vec![segment],
-            _ => match segment.direction {
-                Direction::ToServer => {
-                    self.handle_to_server(&mut segment);
-                    vec![segment]
+            Some((filed, stage)) => {
+                // Re-filed once a second at most: the fast path pays for
+                // the ordering only when the second changes.
+                if filed.0 != now_secs {
+                    let last_seen = (now_secs, self.tick());
+                    self.by_last_seen.remove(&filed);
+                    self.by_last_seen.insert(last_seen, tuple);
+                    self.flows
+                        .get_mut(&tuple)
+                        .expect("just looked up")
+                        .last_seen = last_seen;
                 }
-                Direction::ToClient => match self.handle_to_client(&mut segment, now_secs) {
-                    Some(replacement) => replacement,
-                    None => vec![segment],
-                },
-            },
+                stage
+            }
+        };
+        let (direction, ack) = (segment.direction, segment.ack);
+        let mut out = match (stage, direction) {
+            // A reset flow forwards nothing more in either direction.
+            (FlowStage::Reset, _) => Vec::new(),
+            (FlowStage::Bypass, _) | (FlowStage::WaitForClientHello, Direction::ToClient) => {
+                vec![segment]
+            }
+            (_, Direction::ToServer) => self.handle_to_server(segment),
+            (FlowStage::WaitForServerFlight, Direction::ToClient) => {
+                let flags = segment.flags;
+                let mut out = self.hold(segment, now_secs);
+                let flow = &self.flows[&tuple];
+                if closing && flow.stage != FlowStage::Reset {
+                    // `hold` swallowed the segment: its FIN/RST follows
+                    // whatever the server sent before it.
+                    let mut bare = TcpSegment::data(
+                        tuple,
+                        Direction::ToClient,
+                        flow.to_client.next_seq(),
+                        ack,
+                        Vec::new(),
+                    );
+                    bare.flags = flags;
+                    flow.translator.translate(&mut bare);
+                    out.push(bare);
+                }
+                out
+            }
+            (FlowStage::Established, Direction::ToClient) => {
+                self.handle_established(segment, now_secs)
+            }
         };
         if closing {
-            self.flows.remove(&tuple);
+            // Whatever is still held goes out ahead of the close, carrying
+            // the server's ack (when it is the client that closes: of the
+            // client bytes the lane has seen).
+            if let Some(flow) = self.flows.get_mut(&tuple) {
+                let ack = match direction {
+                    Direction::ToClient => ack,
+                    Direction::ToServer => flow.to_server.next_seq(),
+                };
+                out.splice(0..0, flow.release(tuple, ack, None));
+            }
+            self.forget_flow(&tuple);
         }
         out
     }
@@ -557,9 +813,10 @@ pub fn spawn_inline_relay(
 }
 
 /// One direction's pump: read from `from`, run segments through the table,
-/// write surviving payloads to `to` (both synthesized directions map to
-/// `to` or `from`'s peer — the table only re-emits segments for the pumped
-/// direction, plus RSTs which close both sockets).
+/// write surviving payloads to `to`. The table re-emits segments for the
+/// pumped direction, plus — rarely — the other one's: RSTs, which close
+/// both sockets, and server bytes still withheld when the *client* closes,
+/// which go back out through `from`.
 fn spawn_pump(
     handle: &Handle,
     table: Arc<Mutex<FlowTable>>,
@@ -598,10 +855,15 @@ fn spawn_pump(
             }
             let mut write_failed = false;
             for out in outs {
-                if out.payload.is_empty() || out.direction != direction {
+                if out.payload.is_empty() {
                     continue;
                 }
-                if write_all(&reactor, &to, &out.payload).await.is_err() {
+                let socket = if out.direction == direction {
+                    &to
+                } else {
+                    &from
+                };
+                if write_all(&reactor, socket, &out.payload).await.is_err() {
                     write_failed = true;
                     break;
                 }
@@ -871,14 +1133,73 @@ mod tests {
     #[test]
     fn tcp_buffer_reorders_and_dedups() {
         let mut b = TcpBuffer::new();
-        assert_eq!(b.insert(100, b"ab"), b"ab");
+        assert_eq!(b.insert(100, b"ab").unwrap(), b"ab");
         // Out of order: hold 104.. until 102.. arrives.
-        assert_eq!(b.insert(104, b"ef"), b"");
-        assert_eq!(b.insert(102, b"cd"), b"cdef");
+        assert_eq!(b.insert(104, b"ef").unwrap(), b"");
+        assert_eq!(b.insert(102, b"cd").unwrap(), b"cdef");
         // Duplicate and overlapping retransmits deliver nothing new.
-        assert_eq!(b.insert(100, b"ab"), b"");
-        assert_eq!(b.insert(105, b"fgh"), b"gh");
+        assert_eq!(b.insert(100, b"ab").unwrap(), b"");
+        assert_eq!(b.insert(105, b"fgh").unwrap(), b"gh");
         assert_eq!(b.next_seq(), 108);
+    }
+
+    #[test]
+    fn tcp_buffer_keeps_the_first_copy_and_rejects_a_different_one() {
+        let mut b = TcpBuffer::new();
+        assert_eq!(b.insert(0, b"ab").unwrap(), b"ab");
+        assert_eq!(b.insert(4, b"efgh").unwrap(), b"");
+        // Identical overlap, any alignment: accepted, the parked copy stays.
+        assert_eq!(b.insert(4, b"ef").unwrap(), b"");
+        assert_eq!(b.insert(5, b"fghi").unwrap(), b"");
+        // A second copy that disagrees with the parked one — same `seq` and
+        // longer, or straddling it — is refused.
+        assert_eq!(b.insert(4, b"eXghij"), Err(StreamFault));
+        assert_eq!(b.insert(3, b"dE"), Err(StreamFault));
+        // The stream the classifier judges is the first copy.
+        assert_eq!(b.insert(2, b"cd").unwrap(), b"cdefghi");
+    }
+
+    #[test]
+    fn tcp_buffer_caps_out_of_order_bytes_and_segments() {
+        let mut b = TcpBuffer::new();
+        b.insert(0, b"x").unwrap();
+        // Segments: one-byte islands, every other byte.
+        for i in 0..MAX_PENDING_SEGMENTS as u64 {
+            assert_eq!(b.insert(10 + 2 * i, b"y").unwrap(), b"");
+        }
+        assert_eq!(b.insert(5, b"y"), Err(StreamFault));
+
+        // Bytes: a few big islands.
+        let mut b = TcpBuffer::new();
+        b.insert(0, b"x").unwrap();
+        let island = vec![7u8; MAX_PENDING_BYTES / 4];
+        for i in 0..4u64 {
+            let seq = 10 + i * (island.len() as u64 + 1);
+            assert_eq!(b.insert(seq, &island).unwrap(), b"");
+        }
+        assert_eq!(b.insert(5, b"y"), Err(StreamFault));
+        // In-order data is never subject to the caps.
+        assert_eq!(b.insert(1, b"abcd").unwrap(), b"abcd");
+    }
+
+    #[test]
+    fn hostile_reassembly_resets_the_flow_both_ways() {
+        let (_, status) = world();
+        let mut table = FlowTable::new(status, InterceptConfig::default());
+        // A ClientHello-looking opener, then two copies of the same
+        // out-of-order bytes that disagree.
+        opener(tuple(), now(), &mut table);
+        table.process(seg(Direction::ToServer, 10, b"aaaa".to_vec()), now());
+        let outs = table.process(seg(Direction::ToServer, 10, b"aaXa".to_vec()), now());
+        assert_eq!(outs.len(), 2);
+        assert!(outs.iter().all(|s| s.flags.rst));
+        assert_ne!(outs[0].direction, outs[1].direction);
+        assert_eq!(table.stats().flows_reset, 1);
+        assert_eq!(table.stage(&tuple()), Some(FlowStage::Reset));
+        // Nothing more is forwarded on a reset flow.
+        assert!(table
+            .process(seg(Direction::ToServer, 1, b"b".to_vec()), now())
+            .is_empty());
     }
 
     #[test]
@@ -1092,12 +1413,12 @@ mod tests {
                 stapled.extend_from_slice(&out.payload);
             }
         }
-        // The forwarded stream must now contain a RitmStatus record after
-        // the flight.
+        // Nothing came out until the last byte completed the flight; then
+        // the status record, then the flight.
         let records = TlsRecord::parse_stream(&stapled).unwrap();
-        assert!(records
-            .iter()
-            .any(|r| r.content_type == ContentType::RitmStatus));
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0].content_type, ContentType::RitmStatus);
+        assert_eq!(TlsRecord::encode_stream(&records[1..]), flight);
         assert_eq!(table.stats().statuses_injected, 1);
     }
 
@@ -1125,13 +1446,11 @@ mod tests {
             flight.extend(TlsRecord::encode_stream(&outs));
         }
         let outs = table.process(seg(Direction::ToClient, 0, flight.clone()), now());
-        assert_eq!(outs.len(), 2, "flight + status record");
-        let injected = outs[1].payload.len() as u64;
-        assert_eq!(
-            outs[1].seq,
-            flight.len() as u64,
-            "status right after flight"
-        );
+        assert_eq!(outs.len(), 2, "status record + flight");
+        let injected = outs[0].payload.len() as u64;
+        assert_eq!(outs[0].seq, 0, "status in front of the flight");
+        assert_eq!(outs[1].seq, injected, "flight right after it");
+        assert_eq!(outs[1].payload, flight);
         // The server's next segment is shifted by the injected bytes.
         let next = table.process(
             seg(
@@ -1142,6 +1461,111 @@ mod tests {
             now(),
         );
         assert_eq!(next[0].seq, flight.len() as u64 + injected);
+    }
+
+    /// A tracked flow (RITM ClientHello seen) and the server's flight bytes
+    /// for it, not yet sent.
+    fn tracked_flow(table: &mut FlowTable, ca: &CaDictionary) -> Vec<u8> {
+        let (chain, anchors, _) = pki(ca, 1);
+        let mut client = ClientEngine::new(
+            ClientConfig {
+                server_name: "example.com".into(),
+                anchors,
+                enable_ritm: true,
+            },
+            [2u8; 32],
+            None,
+        );
+        let ch = client.start().to_bytes();
+        table.process(seg(Direction::ToServer, 0, ch.clone()), now());
+        let mut server = ServerEngine::new(ServerContext::new(chain, [9u8; 20]), [1u8; 32]);
+        match &server.feed(T0 + 2, &ch)[..] {
+            [Action::SendBytes(flight)] => flight.clone(),
+            other => panic!("expected the flight, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn never_completing_first_record_is_released_at_the_hold_bound() {
+        let (ca, status) = world();
+        let mut table = FlowTable::new(status, InterceptConfig::default());
+        tracked_flow(&mut table, &ca);
+        // A handshake record header promising the largest body a header
+        // can, trickled in 1 KiB segments that never complete it.
+        let mut stream = vec![22u8, 3, 3, 0xff, 0xff];
+        stream.resize(2 * MAX_HELD_BYTES, 0xab);
+        let mut released = Vec::new();
+        let mut seq = 0;
+        for chunk in stream.chunks(1024) {
+            released = table.process(seg(Direction::ToClient, seq as u64, chunk.to_vec()), now());
+            seq += chunk.len();
+            if !released.is_empty() {
+                break;
+            }
+        }
+        assert!(seq <= MAX_HELD_BYTES + 1024, "held past the bound");
+        assert_eq!(released.len(), 1);
+        assert_eq!(released[0].seq, 0);
+        assert_eq!(released[0].payload, stream[..seq], "exactly as it came");
+        assert_eq!(table.stage(&tuple()), Some(FlowStage::Bypass));
+        assert_eq!(table.stats().statuses_injected, 0);
+        // From here on the flow is forwarded as is…
+        let more = table.process(seg(Direction::ToClient, seq as u64, vec![0xab; 10]), now());
+        assert_eq!((more[0].seq, more[0].payload.len()), (seq as u64, 10));
+        // …and goes the way of every idle flow.
+        assert_eq!(table.reap(SimTime::from_secs(T0 + 2 + 60)), 1);
+        assert!(table.is_empty());
+    }
+
+    #[test]
+    fn record_that_is_not_part_of_the_flight_ends_the_hold() {
+        let (ca, status) = world();
+        let mut table = FlowTable::new(status, InterceptConfig::default());
+        let flight = tracked_flow(&mut table, &ca);
+        // The server answers the ClientHello with a fatal alert instead.
+        let alert = TlsRecord::new(ContentType::Alert, vec![2, 40]).to_bytes();
+        let outs = table.process(seg(Direction::ToClient, 0, alert.clone()), now());
+        assert_eq!(outs.len(), 1);
+        assert_eq!(outs[0].payload, alert);
+        assert_eq!(table.stage(&tuple()), Some(FlowStage::Bypass));
+        // Whatever follows is no longer withheld.
+        let outs = table.process(seg(Direction::ToClient, alert.len() as u64, flight), now());
+        assert_eq!(outs.len(), 1);
+        assert_eq!(table.stats().statuses_injected, 0);
+    }
+
+    #[test]
+    fn fin_mid_hold_flushes_the_held_bytes_first() {
+        let (ca, status) = world();
+        for closer in [Direction::ToClient, Direction::ToServer] {
+            let mut table = FlowTable::new(status.clone(), InterceptConfig::default());
+            let flight = tracked_flow(&mut table, &ca);
+            let half = flight.len() / 2;
+            assert!(table
+                .process(seg(Direction::ToClient, 0, flight[..half].to_vec()), now())
+                .is_empty());
+            // Either side closes while half a flight is withheld. The
+            // server's FIN carries a few more bytes.
+            let (seq, tail) = match closer {
+                Direction::ToClient => (half as u64, flight[half..half + 3].to_vec()),
+                Direction::ToServer => (1_000, Vec::new()),
+            };
+            let mut fin = seg(closer, seq, tail.clone());
+            fin.flags.fin = true;
+            let outs = table.process(fin, now());
+            assert_eq!(outs.len(), 2, "{closer:?}");
+            assert_eq!(outs[0].direction, Direction::ToClient);
+            assert!(!outs[0].flags.fin);
+            assert_eq!(outs[0].seq, 0);
+            assert_eq!(outs[0].payload, flight[..half + tail.len()]);
+            assert_eq!(outs[1].direction, closer);
+            assert!(outs[1].flags.fin && outs[1].payload.is_empty());
+            if closer == Direction::ToClient {
+                assert_eq!(outs[1].seq, outs[0].seq_end());
+            }
+            assert!(table.is_empty(), "closed flows are forgotten");
+            assert_eq!(table.stats().statuses_injected, 0);
+        }
     }
 
     #[test]

@@ -3,14 +3,18 @@
 //! The RA is RITM's central component: an in-path middlebox that
 //!
 //! * mirrors CA dictionaries by pulling from the CDN every Δ ([`sync`]),
-//! * inspects TLS traffic with a two-stage DPI ([`dpi`]),
-//! * tracks supported connections in the Eq. (4) state table ([`state`]),
-//! * piggybacks revocation statuses onto server→client traffic — once at
-//!   ServerHello time and then at least every Δ — adjusting TCP sequence
-//!   numbers for the injected bytes ([`ra`]),
-//! * runs the same validation inline on reassembled TCP byte streams,
-//!   stapling at record boundaries and resetting revoked flows
-//!   ([`intercept`]),
+//!   applying what it pulls through the one writer ([`ra`]),
+//! * runs **one interception lane** ([`intercept`]): per-flow TCP
+//!   reassembly feeding a fragmentation-proof DPI ([`dpi`]) over the
+//!   Eq. (4) flow table. While a flow waits for the server's first flight
+//!   the lane withholds the server's bytes (at most one upstream status
+//!   record plus one flight record), then decides once — reset a revoked
+//!   chain, staple a status record *in front of* the flight (an
+//!   abbreviated flight carries the server's Finished in the same record,
+//!   so there is no later place a strict client would accept), replace a
+//!   staler upstream RA's status or leave a fresher one (§VIII) — and
+//!   releases. Established flows are re-stapled at least every Δ, with TCP
+//!   sequence numbers translated for every byte added or removed,
 //! * serves proofs lock-free from `Arc`-shared, epoch-stamped dictionary
 //!   snapshots ([`serve`]): writers publish a new snapshot per epoch,
 //!   readers never block on issuance or refresh,
@@ -35,16 +39,16 @@ pub mod persist;
 pub mod ra;
 pub mod serve;
 pub mod service;
-pub mod state;
 pub mod sync;
 
 pub use cache::{CacheStats, EpochKeyedCache, ShardedEpochCache};
-pub use dpi::{classify, classify_records, Classification, ServerFlight, StreamClassifier};
-pub use intercept::{FlowStage, FlowTable, InterceptConfig, InterceptStats, TcpBuffer};
+pub use dpi::{classify, Classification, ServerFlight, StreamClassifier};
+pub use intercept::{
+    FlowStage, FlowTable, InterceptConfig, InterceptStats, StreamFault, TcpBuffer,
+};
 pub use monitor::{ConsistencyMonitor, MisbehaviorReport, RaHealthReport};
 pub use persist::{MirrorSnapshot, ResumeError};
-pub use ra::{MirrorWriteGuard, RaConfig, RaStats, RevocationAgent, StatusPayload};
+pub use ra::{MirrorWriteGuard, RaConfig, RevocationAgent, StatusPayload};
 pub use serve::StatusServer;
 pub use service::StatusService;
-pub use state::{ConnState, Stage, StateTable};
 pub use sync::{RetryPolicy, SyncPolicy, SyncReport};

@@ -9,7 +9,7 @@
 //! [`EquivocationProof`] reported to, e.g., software vendors.
 
 use crate::cache::CacheStats;
-use crate::ra::{RaStats, RevocationAgent};
+use crate::ra::RevocationAgent;
 use ritm_dictionary::consistency::{EquivocationProof, Observation, RootObservatory};
 use ritm_dictionary::{CaId, SignedRoot};
 
@@ -91,8 +91,8 @@ impl ConsistencyMonitor {
     }
 }
 
-/// A point-in-time operational snapshot of one RA: packet counters plus the
-/// hit/miss statistics of both encoded-response caches (`GetStatus` and
+/// A point-in-time operational snapshot of one RA: the hit/miss statistics
+/// of both encoded-response caches (`GetStatus` and
 /// single-CA `GetMultiStatus` bodies). This is what an operator dashboard
 /// (or the bench harness) scrapes to see whether hot requests are actually
 /// answered from cached bytes.
@@ -100,10 +100,6 @@ impl ConsistencyMonitor {
 pub struct RaHealthReport {
     /// CAs currently mirrored.
     pub mirrored_cas: usize,
-    /// Live entries in the Eq. (4) connection table.
-    pub tracked_connections: usize,
-    /// Packet/status counters.
-    pub stats: RaStats,
     /// Counters (hits, misses, evictions) of the encoded `GetStatus`
     /// response cache — the one the wire path serves from.
     pub encoded_cache: CacheStats,
@@ -130,8 +126,6 @@ impl RevocationAgent {
         let server = self.status_server();
         RaHealthReport {
             mirrored_cas: self.followed_cas().count(),
-            tracked_connections: self.table.len(),
-            stats: self.stats,
             encoded_cache: server.encoded_cache_stats(),
             encoded_multi_cache: server.encoded_multi_cache_stats(),
         }

@@ -1,65 +1,13 @@
-//! Concurrency stress tests for the RA's shared state: the Eq. 4 connection
-//! table is hit from many packet-processing threads in a production
-//! middlebox, so it must stay consistent under contention — and the
+//! Concurrency stress test for the RA's shared state: the
 //! snapshot-published proof path must serve concurrent readers correct,
 //! monotonically-fresh statuses while a writer applies revocation batches.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ritm_agent::ra::{RaConfig, RevocationAgent};
-use ritm_agent::state::{Stage, StateTable};
 use ritm_crypto::ed25519::SigningKey;
 use ritm_dictionary::{CaDictionary, CaId, SerialNumber};
-use ritm_net::tcp::{FourTuple, SocketAddr};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-fn tuple(thread_id: u16, conn: u16) -> FourTuple {
-    FourTuple {
-        client: SocketAddr::new(0x0a00_0000 + thread_id as u32, conn),
-        server: SocketAddr::new(2, 443),
-    }
-}
-
-#[test]
-fn state_table_survives_contention() {
-    let table = StateTable::new();
-    const THREADS: u16 = 8;
-    const CONNS: u16 = 500;
-
-    std::thread::scope(|s| {
-        for th in 0..THREADS {
-            let table = &table;
-            s.spawn(move || {
-                for conn in 0..CONNS {
-                    let t = tuple(th, conn);
-                    table.insert(t);
-                    table.update(&t, |st| {
-                        st.stage = Stage::ServerHello;
-                        st.ca = Some(CaId::from_name("StressCA"));
-                        st.serial = Some(SerialNumber::from_u24(conn as u32));
-                        st.last_status = 1_000 + conn as u64;
-                    });
-                    assert!(table.contains(&t));
-                    // Every other connection closes immediately.
-                    if conn % 2 == 0 {
-                        assert!(table.remove(&t).is_some());
-                    }
-                }
-            });
-        }
-    });
-
-    // Exactly the odd connections remain, each with its final state.
-    assert_eq!(table.len(), (THREADS as usize) * (CONNS as usize) / 2);
-    for th in 0..THREADS {
-        for conn in (1..CONNS).step_by(2) {
-            let st = table.get(&tuple(th, conn)).expect("odd connections kept");
-            assert_eq!(st.stage, Stage::ServerHello);
-            assert_eq!(st.serial, Some(SerialNumber::from_u24(conn as u32)));
-            assert_eq!(st.last_status, 1_000 + conn as u64);
-        }
-    }
-}
 
 #[test]
 fn snapshot_readers_race_one_writer_without_stale_roots() {
@@ -164,39 +112,4 @@ fn snapshot_readers_race_one_writer_without_stale_roots() {
     // After the race the final epoch's data is what readers are served.
     let final_snap = server.snapshot(&ca_id).expect("published");
     assert_eq!(final_snap.len() as u64, BATCHES * BATCH_SIZE as u64);
-}
-
-#[test]
-fn concurrent_eviction_is_linearizable() {
-    let table = StateTable::new();
-    for conn in 0..1_000u16 {
-        let t = tuple(0, conn);
-        table.insert(t);
-        table.update(&t, |st| st.last_status = conn as u64 + 1);
-    }
-    std::thread::scope(|s| {
-        // Evictors and writers race.
-        for _ in 0..4 {
-            let table = &table;
-            s.spawn(move || {
-                table.evict_idle(501);
-            });
-        }
-        let table = &table;
-        s.spawn(move || {
-            for conn in 0..1_000u16 {
-                table.update(&tuple(0, conn), |st| st.stage = Stage::Established);
-            }
-        });
-    });
-    // Everything below the cutoff is gone (writers never resurrect entries).
-    for conn in 0..500u16 {
-        assert!(
-            !table.contains(&tuple(0, conn)),
-            "conn {conn} must be evicted"
-        );
-    }
-    for conn in 500..1_000u16 {
-        assert!(table.contains(&tuple(0, conn)), "conn {conn} must survive");
-    }
 }

@@ -1,4 +1,4 @@
-//! Ablation over Δ (the design knob DESIGN.md calls out): end-to-end
+//! Ablation over Δ (the one design knob; README, "Substitutions"): end-to-end
 //! revocation-detection latency on a live connection, per-RA dissemination
 //! bandwidth, and the attack window — all as functions of Δ.
 //!

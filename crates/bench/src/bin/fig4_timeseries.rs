@@ -1,8 +1,8 @@
 //! Fig. 4: number of revocations issued between January 2014 and June 2015,
 //! with a focus on the Heartbleed peak (16–17 April 2014).
 //!
-//! Regenerates both panels from the synthetic ISC time series (see
-//! DESIGN.md for the substitution).
+//! Regenerates both panels from the synthetic ISC time series (README,
+//! "Substitutions").
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -87,6 +87,6 @@ fn main() {
     );
     println!("note: our storage includes an 8-byte revocation number per entry, and our");
     println!(
-        "memory keeps every tree level; constants differ, scaling matches (see EXPERIMENTS.md)"
+        "memory keeps every tree level; constants differ, scaling matches (README, Substitutions)"
     );
 }

@@ -4,8 +4,8 @@
 //! A CA that starts deploying RITM publishes a short signed manifest at a
 //! predefined location; RAs poll it (e.g. weekly) to discover the CDN
 //! address of the dictionary and the CA's local Δ. The JSON encoder/parser
-//! here is deliberately minimal (flat object, string/number values) —
-//! justified in DESIGN.md in lieu of a serde dependency.
+//! here is deliberately minimal (flat object, string/number values), in
+//! lieu of a serde dependency (README, "Substitutions").
 
 use ritm_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use ritm_crypto::hex;

@@ -2,7 +2,7 @@
 //!
 //! Calibrated to the public Amazon CloudFront price sheet and edge map of
 //! the paper's era (2015). Absolute numbers are a substitution for the real
-//! CloudFront measurements (see DESIGN.md); the experiments depend on the
+//! CloudFront measurements (README, "Substitutions"); the experiments depend on the
 //! *relative* structure — tiered volume discounts and regional price/latency
 //! differences — which is preserved.
 

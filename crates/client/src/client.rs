@@ -361,7 +361,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use ritm_agent::{RaConfig, RevocationAgent};
+    use ritm_agent::{FlowTable, InterceptConfig, RaConfig, RevocationAgent};
     use ritm_crypto::ed25519::SigningKey;
     use ritm_dictionary::CaDictionary;
     use ritm_net::middlebox::Middlebox;
@@ -381,13 +381,18 @@ mod tests {
         }
     }
 
-    /// Full test world: CA, RA mirroring it, TLS server, RITM client.
+    /// Full test world: CA, RA mirroring it (its lane leaves the verdict
+    /// on a revoked chain to the client), TLS server, RITM client.
     struct World {
         ca: CaDictionary,
         ra: RevocationAgent,
+        lane: FlowTable,
         server: ServerEngine,
         client: RitmClient,
         rng: StdRng,
+        /// Next sequence number of each direction's stream.
+        seq_up: u64,
+        seq_down: u64,
     }
 
     fn world(revoke_server_cert: bool, policy: DowngradePolicy) -> World {
@@ -445,12 +450,23 @@ mod tests {
             [4u8; 32],
             None,
         );
+        let lane = FlowTable::new(
+            ra.status_server(),
+            InterceptConfig {
+                delta: DELTA,
+                reset_revoked: false,
+                ..Default::default()
+            },
+        );
         World {
             ca,
             ra,
+            lane,
             server,
             client,
             rng,
+            seq_up: 0,
+            seq_down: 0,
         }
     }
 
@@ -459,15 +475,14 @@ mod tests {
     fn drive(w: &mut World, now: u64) -> Vec<RitmEvent> {
         let mut events = Vec::new();
         let mut to_server = vec![w.client.start()];
-        let mut seq_up = 0u64;
-        let mut seq_down = 0u64;
         for _ in 0..8 {
             let mut to_client = Vec::new();
             for rec in to_server.drain(..) {
                 // client → RA → server
-                let seg = TcpSegment::data(tuple(), Direction::ToServer, seq_up, 0, rec.to_bytes());
-                seq_up += rec.encoded_len() as u64;
-                for out_seg in w.ra.process(seg, SimTime::from_secs(now)) {
+                let seg =
+                    TcpSegment::data(tuple(), Direction::ToServer, w.seq_up, 0, rec.to_bytes());
+                w.seq_up += rec.encoded_len() as u64;
+                for out_seg in w.lane.process(seg, SimTime::from_secs(now)) {
                     for r in TlsRecord::parse_stream(&out_seg.payload).unwrap() {
                         // A fatal alert from the client legitimately kills
                         // the server side; stop feeding it afterwards.
@@ -481,9 +496,9 @@ mod tests {
             for rec in to_client.drain(..) {
                 // server → RA → client
                 let seg =
-                    TcpSegment::data(tuple(), Direction::ToClient, seq_down, 0, rec.to_bytes());
-                seq_down += rec.encoded_len() as u64;
-                for out_seg in w.ra.process(seg, SimTime::from_secs(now)) {
+                    TcpSegment::data(tuple(), Direction::ToClient, w.seq_down, 0, rec.to_bytes());
+                w.seq_down += rec.encoded_len() as u64;
+                for out_seg in w.lane.process(seg, SimTime::from_secs(now)) {
                     for r in TlsRecord::parse_stream(&out_seg.payload).unwrap() {
                         match w.client.process_record(&r, now) {
                             Ok((outs, evs)) => {
@@ -602,9 +617,9 @@ mod tests {
         // Δ later, the server sends data; the RA piggybacks the new status.
         let now = T0 + 2 + DELTA + 1;
         let data = w.server.send_data(b"payload").unwrap();
-        let seg = TcpSegment::data(tuple(), Direction::ToClient, 50_000, 0, data.to_bytes());
+        let seg = TcpSegment::data(tuple(), Direction::ToClient, w.seq_down, 0, data.to_bytes());
         let mut aborted = false;
-        for out_seg in w.ra.process(seg, SimTime::from_secs(now)) {
+        for out_seg in w.lane.process(seg, SimTime::from_secs(now)) {
             for r in TlsRecord::parse_stream(&out_seg.payload).unwrap() {
                 if let Ok((_, evs)) = w.client.process_record(&r, now) {
                     aborted |= evs

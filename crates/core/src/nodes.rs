@@ -29,6 +29,8 @@ pub struct ClientNode {
     pub events: Vec<(u64, RitmEvent)>,
     /// First TLS error, if any.
     pub error: Option<TlsError>,
+    /// When (seconds) a TCP reset tore the connection down, if one did.
+    pub reset_at: Option<u64>,
     /// Period of the staleness tick (0 disables re-arming).
     pub tick_period: SimDuration,
     /// Ticks left before the node stops re-arming (bounds the simulation).
@@ -45,6 +47,7 @@ impl ClientNode {
             recv_bytes: 0,
             events: Vec::new(),
             error: None,
+            reset_at: None,
             tick_period: SimDuration::from_secs(1),
             remaining_ticks: 600,
         }
@@ -83,8 +86,13 @@ impl NetNode for ClientNode {
         if self.error.is_some() {
             return;
         }
-        self.recv_bytes = self.recv_bytes.max(segment.seq_end());
         let now = ctx.now.as_secs();
+        if segment.flags.rst {
+            self.reset_at = Some(now);
+            self.error = Some(TlsError::Closed);
+            return;
+        }
+        self.recv_bytes = self.recv_bytes.max(segment.seq_end());
         let Ok(records) = TlsRecord::parse_stream(&segment.payload) else {
             return;
         };

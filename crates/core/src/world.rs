@@ -6,7 +6,7 @@ use crate::deployment::DeploymentModel;
 use crate::nodes::{ClientNode, ServerNode, CLIENT_TICK_TIMER, SERVER_SEND_BASE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ritm_agent::{RaConfig, RaHealthReport, RevocationAgent};
+use ritm_agent::{FlowTable, InterceptConfig, RaConfig, RaHealthReport, RevocationAgent};
 use ritm_ca::CertificationAuthority;
 use ritm_cdn::network::Cdn;
 use ritm_cdn::regions::ALL_REGIONS;
@@ -74,6 +74,9 @@ pub struct ConnectionOutcome {
     pub events: Vec<(u64, RitmEvent)>,
     /// Statuses the RA injected during this run.
     pub statuses_injected: u64,
+    /// When (seconds from start) the RA reset the connection, if it did
+    /// (hard-fail deployments only, see [`RitmWorld::hard_fail`]).
+    pub reset_at: Option<u64>,
 }
 
 /// The assembled RITM world.
@@ -86,8 +89,14 @@ pub struct RitmWorld {
     pub cdn: Cdn,
     /// The certification authority.
     pub ca: CertificationAuthority,
-    /// The shared RA (also placed on simulated paths).
-    pub ra: Rc<RefCell<RevocationAgent>>,
+    /// The RA's write side: mirrors the CA and publishes snapshots.
+    pub ra: RevocationAgent,
+    /// The RA's interception lane over `ra`'s status server — the
+    /// middlebox placed on simulated paths, shared by every connection.
+    /// Soft-fail by default (a revoked status is stapled and the *client*
+    /// aborts), which is what the scenarios asserting the client's own
+    /// verdict need; see [`RitmWorld::hard_fail`].
+    pub lane: Rc<RefCell<FlowTable>>,
     /// The server's certificate chain.
     pub server_chain: CertificateChain,
     /// Current world time (Unix seconds).
@@ -134,7 +143,7 @@ impl RitmWorld {
         });
         ra.follow_ca(ca.id(), ca.verifying_key(), *ca.dictionary().signed_root())
             .expect("genesis bootstrap");
-        let ra = Rc::new(RefCell::new(ra));
+        let lane = Rc::new(RefCell::new(Self::lane_over(&ra, delta, false)));
 
         let server_ctx = if deployment.server_confirms() {
             ServerContext::new_ritm_terminator(server_chain.clone(), [7u8; 20])
@@ -148,6 +157,7 @@ impl RitmWorld {
             cdn,
             ca,
             ra,
+            lane,
             server_chain,
             now: EPOCH,
             root_tracker: ritm_client::RootTracker::new(),
@@ -157,6 +167,25 @@ impl RitmWorld {
         };
         world.refresh_and_sync();
         world
+    }
+
+    fn lane_over(ra: &RevocationAgent, delta: u64, reset_revoked: bool) -> FlowTable {
+        FlowTable::new(
+            ra.status_server(),
+            InterceptConfig {
+                delta,
+                reset_revoked,
+                ..InterceptConfig::default()
+            },
+        )
+    }
+
+    /// Switches the RA to the hard-fail deployment: a flow whose chain is
+    /// revoked is reset in both directions by the RA itself instead of
+    /// being handed the presence proof.
+    pub fn hard_fail(mut self) -> Self {
+        self.lane = Rc::new(RefCell::new(Self::lane_over(&self.ra, self.delta, true)));
+        self
     }
 
     /// The server certificate's serial.
@@ -173,7 +202,7 @@ impl RitmWorld {
     /// Operational snapshot of the shared RA, including encoded-cache
     /// hit/miss counters.
     pub fn ra_health(&self) -> RaHealthReport {
-        self.ra.borrow().health_report()
+        self.ra.health_report()
     }
 
     /// CA publishes its current refresh and the RA pulls (one Δ cycle).
@@ -190,11 +219,12 @@ impl RitmWorld {
     /// deployment would.
     fn sync_ra(&mut self) {
         use rand::RngCore;
-        let mut ra = self.ra.borrow_mut();
-        let service = EdgeService::new(&mut self.cdn, ra.config.region, self.rng.next_u64());
+        let region = self.ra.config.region;
+        let service = EdgeService::new(&mut self.cdn, region, self.rng.next_u64());
         service.set_now(SimTime::from_secs(self.now));
         let mut transport = Loopback::new(service);
-        ra.sync_via(&mut transport, SimTime::from_secs(self.now));
+        self.ra
+            .sync_via(&mut transport, SimTime::from_secs(self.now));
     }
 
     /// Exposes the world's RA read path as a real event-driven OS-socket
@@ -209,7 +239,7 @@ impl RitmWorld {
     ///
     /// Propagates socket bind failures.
     pub fn serve_statuses_event(&self) -> std::io::Result<ritm_proto::EventServer> {
-        let service = ritm_agent::StatusService::new(self.ra.borrow().status_server());
+        let service = ritm_agent::StatusService::new(self.ra.status_server());
         ritm_proto::EventServer::spawn(Arc::new(service), 2)
     }
 
@@ -227,7 +257,7 @@ impl RitmWorld {
         &self,
         handle: &ritm_rt::Handle,
     ) -> std::io::Result<ritm_proto::EventServer> {
-        let service = ritm_agent::StatusService::new(self.ra.borrow().status_server());
+        let service = ritm_agent::StatusService::new(self.ra.status_server());
         ritm_proto::EventServer::spawn_on(
             Arc::new(service),
             handle,
@@ -315,7 +345,7 @@ impl RitmWorld {
         let s_id = sim.add_node(Box::new(server_node.clone()));
         let [h1, h2] = self.deployment.hop_latencies(opts.wan_latency);
         if opts.with_ra {
-            let ra_id = sim.add_node(Box::new(MiddleboxNode::new(self.ra.clone())));
+            let ra_id = sim.add_node(Box::new(MiddleboxNode::new(self.lane.clone())));
             sim.add_path(
                 Addr(0x0a00_0001),
                 Addr(0x0a00_0002),
@@ -343,8 +373,7 @@ impl RitmWorld {
         sim.arm_timer(c_id, SimDuration::from_secs(1), CLIENT_TICK_TIMER);
         client_node.borrow_mut().remaining_ticks = opts.duration_secs as u32 + 2;
 
-        let statuses_before =
-            self.ra.borrow().stats.statuses_sent + self.ra.borrow().stats.statuses_replaced;
+        let statuses_before = self.lane.borrow().stats().statuses_injected;
 
         // Kick off the handshake.
         let first = client_node.borrow_mut().start_segment();
@@ -374,8 +403,7 @@ impl RitmWorld {
         sim.run_until(SimTime::from_secs(end));
         self.now = end;
 
-        let statuses_after =
-            self.ra.borrow().stats.statuses_sent + self.ra.borrow().stats.statuses_replaced;
+        let statuses_after = self.lane.borrow().stats().statuses_injected;
 
         let node = client_node.borrow();
         self.root_tracker = node.client.root_tracker().clone();
@@ -389,11 +417,12 @@ impl RitmWorld {
             _ => None,
         });
         ConnectionOutcome {
-            alive_at_end: node.client.is_established(),
+            alive_at_end: node.client.is_established() && node.reset_at.is_none(),
             established_at,
             aborted,
             events,
             statuses_injected: statuses_after - statuses_before,
+            reset_at: node.reset_at.map(|t| t - start),
         }
     }
 }
@@ -568,11 +597,7 @@ impl FleetWorld {
                 FleetNode::new(
                     name,
                     region,
-                    RevocationAgent::new(RaConfig {
-                        delta,
-                        region,
-                        ..Default::default()
-                    }),
+                    RevocationAgent::new(RaConfig { delta, region }),
                 )
             })
             .collect();

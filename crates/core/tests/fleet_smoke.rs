@@ -23,11 +23,7 @@ fn node(name: &str, region: Region) -> FleetNode {
     FleetNode::new(
         name,
         region,
-        RevocationAgent::new(RaConfig {
-            delta: 10,
-            region,
-            ..Default::default()
-        }),
+        RevocationAgent::new(RaConfig { delta: 10, region }),
     )
 }
 

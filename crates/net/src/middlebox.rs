@@ -1,9 +1,9 @@
 //! The middlebox abstraction: in-path nodes that inspect, modify, or
 //! passively forward TCP segments.
 //!
-//! RITM's Revocation Agent is implemented (in `ritm-agent`) as a
-//! [`Middlebox`]; wrapping it in a [`MiddleboxNode`] puts it on a simulated
-//! path. Non-RITM traffic must pass through untouched — the paper's
+//! The Revocation Agent's interception lane (`ritm-agent`'s `FlowTable`)
+//! is a [`Middlebox`]; wrapping it in a [`MiddleboxNode`] puts it on a
+//! simulated path. Non-RITM traffic must pass through untouched — the paper's
 //! backward-compatibility requirement (§VII-F, "RAs are completely
 //! non-invasive for non-supported clients").
 

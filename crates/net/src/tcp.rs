@@ -193,20 +193,21 @@ impl TcpSegment {
     }
 }
 
-/// Per-connection sequence-number translation for a middlebox that injects
-/// bytes into the server→client stream (paper §VIII: "the RA must adjust the
-/// sequence numbers of the TCP session").
+/// Per-connection sequence-number translation for a middlebox that changes
+/// the length of the server→client stream (paper §VIII: "the RA must adjust
+/// the sequence numbers of the TCP session").
 ///
-/// After the RA has injected `delta` bytes toward the client:
-/// * server→client segments keep their `seq` but the client believes the
-///   stream is `delta` bytes longer, so the RA **shifts `seq` up** for bytes
-///   sent after the injection point;
-/// * client→server segments acknowledge `delta` more bytes than the server
-///   sent, so the RA **shifts `ack` down**.
+/// The shift is signed: injecting a status record lengthens what the client
+/// sees, and replacing an upstream RA's status with a shorter one shortens
+/// it. With a net shift of `d` bytes toward the client:
+/// * server→client segments sent after the change have their `seq` moved by
+///   `+d` (the client's view of the stream is `d` bytes longer);
+/// * client→server segments acknowledge `d` more bytes than the server
+///   sent, so their `ack` is moved by `−d`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeqTranslator {
-    /// Total bytes injected into the server→client stream so far.
-    injected: u64,
+    /// Client-side stream length minus server-side stream length so far.
+    shift: i64,
 }
 
 impl SeqTranslator {
@@ -215,26 +216,28 @@ impl SeqTranslator {
         SeqTranslator::default()
     }
 
-    /// Total injected bytes.
-    pub fn injected(&self) -> u64 {
-        self.injected
+    /// Net bytes added to (positive) or removed from (negative) the
+    /// server→client stream so far.
+    pub fn shift(&self) -> i64 {
+        self.shift
     }
 
-    /// Records that `n` bytes were appended to a server→client segment.
-    pub fn record_injection(&mut self, n: usize) {
-        self.injected += n as u64;
+    /// Records that the server→client stream grew by `delta` bytes
+    /// (shrank, when negative) at the current position.
+    pub fn shift_by(&mut self, delta: i64) {
+        self.shift += delta;
     }
 
     /// Rewrites a segment in flight. Must be called on *every* segment of
-    /// the connection after the first injection.
+    /// the connection after the first change.
     pub fn translate(&self, seg: &mut TcpSegment) {
         match seg.direction {
             Direction::ToClient => {
-                seg.seq += self.injected;
+                seg.seq = seg.seq.saturating_add_signed(self.shift);
                 // The server's ack of client bytes is unaffected.
             }
             Direction::ToServer => {
-                seg.ack = seg.ack.saturating_sub(self.injected);
+                seg.ack = seg.ack.saturating_add_signed(-self.shift);
             }
         }
     }
@@ -333,7 +336,7 @@ mod tests {
     #[test]
     fn translator_shifts_both_directions() {
         let mut tr = SeqTranslator::new();
-        tr.record_injection(700);
+        tr.shift_by(700);
         let mut down = TcpSegment::data(tuple(), Direction::ToClient, 5000, 42, vec![1]);
         tr.translate(&mut down);
         assert_eq!(down.seq, 5700);
@@ -348,9 +351,19 @@ mod tests {
     #[test]
     fn translator_accumulates() {
         let mut tr = SeqTranslator::new();
-        tr.record_injection(100);
-        tr.record_injection(200);
-        assert_eq!(tr.injected(), 300);
+        tr.shift_by(100);
+        tr.shift_by(200);
+        assert_eq!(tr.shift(), 300);
+        // A shorter replacement moves the shift back down, below zero if
+        // the stream ends up shorter than the server sent it.
+        tr.shift_by(-350);
+        assert_eq!(tr.shift(), -50);
+        let mut down = TcpSegment::data(tuple(), Direction::ToClient, 5000, 42, vec![1]);
+        tr.translate(&mut down);
+        assert_eq!(down.seq, 4950);
+        let mut up = TcpSegment::data(tuple(), Direction::ToServer, 42, 4951, vec![]);
+        tr.translate(&mut up);
+        assert_eq!(up.ack, 5001);
     }
 
     #[test]

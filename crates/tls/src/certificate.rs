@@ -1,6 +1,6 @@
 //! Certificates and chains.
 //!
-//! A compact substitute for X.509/DER (documented in DESIGN.md): the fields
+//! A compact substitute for X.509/DER (README, "Substitutions"): the fields
 //! RITM actually inspects — serial number, issuing CA, validity window,
 //! subject, public key — in a deterministic binary encoding, signed with
 //! Ed25519 by the issuer. RAs parse these straight off `Certificate`

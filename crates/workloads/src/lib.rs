@@ -1,7 +1,7 @@
 //! # ritm-workloads — dataset synthesizers for the evaluation (§VII)
 //!
 //! Substitutes for the paper's proprietary/unavailable inputs, each pinned
-//! to the published aggregates (see DESIGN.md):
+//! to the published aggregates (README, "Substitutions"):
 //!
 //! * [`isc`] — the Internet Storm Center CRL dataset (254 CRLs, 1,381,992
 //!   revocations, largest 339,557 entries / 7.5 MB);

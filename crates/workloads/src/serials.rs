@@ -8,7 +8,7 @@ use std::collections::HashSet;
 
 /// Serial length mix. Only the 3-byte share is published; the remainder is
 /// synthesized to cover the 1–20-byte range RFC 5280 permits (documented
-/// substitution, DESIGN.md).
+/// substitution: README, "Substitutions").
 pub const LENGTH_MIX: [(usize, f64); 6] = [
     (1, 0.04),
     (2, 0.12),

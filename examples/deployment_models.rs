@@ -22,6 +22,7 @@ fn run_model(model: DeploymentModel, seed: u64) {
         outcome.alive_at_end,
         outcome.statuses_injected,
     );
+    assert!(outcome.alive_at_end && outcome.statuses_injected >= 2);
 
     // Downgrade attempt: the adversary tunnels around the RA.
     let outcome = world.run_connection(&ConnectionOptions {
@@ -41,7 +42,7 @@ fn run_model(model: DeploymentModel, seed: u64) {
                  inside the TLS-protected ServerHello, so the missing status is conclusive"
             );
         }
-        (m, a) => println!("  tunnelled past RA:  {m:?} -> {a:?}"),
+        (m, a) => panic!("tunnelled past RA: {m:?} -> {a:?}, expected a MissingStatus abort"),
     }
     println!();
 }

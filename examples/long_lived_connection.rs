@@ -40,6 +40,22 @@ fn main() {
         other => panic!("expected a mid-connection revocation abort, got {other:?}"),
     }
     println!();
+
+    // The hard-fail deployment: the RA does not leave the verdict to the
+    // client, it resets the established flow itself at the first packet
+    // past Δ after it learned of the revocation.
+    let mut world = RitmWorld::new(7, delta, DeploymentModel::CloseToClients).hard_fail();
+    let outcome = world.run_connection(&ConnectionOptions {
+        duration_secs: 90,
+        server_sends_at: (1..90).step_by(4).collect(),
+        revoke_at: Some(25),
+        ..Default::default()
+    });
+    let t = outcome.reset_at.expect("a hard-fail RA resets the flow");
+    println!("same session behind a hard-fail RA: flow RESET by the RA at +{t}s");
+    assert!(outcome.aborted.is_none() && !outcome.alive_at_end);
+    assert!(t > 25 && t - 25 <= 2 * delta + 1);
+    println!();
     println!("no other deployed revocation scheme re-checks an open connection;");
     println!("with OCSP/CRL this session would have survived until its next restart.");
 }

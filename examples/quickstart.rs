@@ -94,13 +94,17 @@ fn main() {
 
     for cert in [&good, &bad] {
         let chain = [(ca.id(), cert.serial)];
-        let payload = ra.build_status(&chain).expect("CA is mirrored");
+        let payload = ra
+            .status_server()
+            .build_status(&chain, true)
+            .expect("CA is mirrored");
         println!(
             "status for {} is {} bytes on the wire",
             cert.subject,
             payload.to_bytes().len()
         );
-        match validate_payload(&payload, &chain, &ca_keys, delta, check_time) {
+        let verdict = validate_payload(&payload, &chain, &ca_keys, delta, check_time);
+        match &verdict {
             Ok(Verdict::AllValid) => println!("  -> {}: fresh absence proof, ACCEPT", cert.subject),
             Ok(Verdict::Revoked { number, .. }) => {
                 println!(
@@ -110,5 +114,8 @@ fn main() {
             }
             Err(e) => println!("  -> {}: status rejected ({e})", cert.subject),
         }
+        let revoked = matches!(verdict, Ok(Verdict::Revoked { .. }));
+        assert_eq!(revoked, cert.serial == bad.serial, "{verdict:?}");
+        assert!(verdict.is_ok(), "{verdict:?}");
     }
 }

@@ -19,7 +19,7 @@
 //! | [`proto`] | `ritm-proto` | the versioned RITM wire protocol: request/response envelopes, the transport-agnostic `Service` trait, loopback / simulator / blocking-TCP / event-driven transports with request pipelining |
 //! | [`cdn`] | `ritm-cdn` | the dissemination network: origin, TTL edge caches, CloudFront-style billing |
 //! | [`ca`] | `ritm-ca` | certification authorities, their crash-durable issuance log, bootstrap manifests, a misbehaving CA |
-//! | [`agent`] | `ritm-agent` | the Revocation Agent: DPI, Eq. 4 state, piggybacking, the inline interception lane, lock-free status serving with a generation-keyed cache of encoded responses, CDN sync, health/consistency monitoring |
+//! | [`agent`] | `ritm-agent` | the Revocation Agent: the mirror writer, and its one interception lane (`FlowTable`: DPI, Eq. 4 flow state, hold-decide-release stapling, the §VIII multi-RA rule, revoked-flow resets); lock-free status serving with a generation-keyed cache of encoded responses, CDN sync, health/consistency monitoring |
 //! | [`fleet`] | `ritm-fleet` | the sharded RA fleet (§VIII): consistent-hash mirror placement with serial-range lanes, signed-root gossip with stale/split-view detection, fleet health aggregation |
 //! | [`client`] | `ritm-client` | the RITM client: step-5 validation, 2Δ enforcement, epoch-tagged root tracking (replay protection), downgrade protection |
 //! | [`baselines`] | `ritm-baselines` | CRL/OCSP/stapling/CRLSet/SLC/RevCast/log-based comparison models |

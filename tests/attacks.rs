@@ -4,7 +4,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ritm::agent::{ConsistencyMonitor, RaConfig, RevocationAgent, StatusPayload};
+use ritm::agent::{
+    ConsistencyMonitor, FlowTable, InterceptConfig, RaConfig, RevocationAgent, StatusPayload,
+};
 use ritm::ca::{EquivocatingCa, View};
 use ritm::client::AbortReason;
 use ritm::core::{ConnectionOptions, DeploymentModel, RitmWorld};
@@ -152,22 +154,26 @@ fn non_ritm_traffic_is_untouched_by_attacked_paths() {
     use ritm::net::tcp::{Direction, FourTuple, SocketAddr, TcpSegment};
     use ritm::net::time::SimTime;
 
-    let mut ra = RevocationAgent::new(RaConfig {
+    let ra = RevocationAgent::new(RaConfig {
         delta: DELTA,
         ..Default::default()
     });
+    let mut lane = FlowTable::new(ra.status_server(), InterceptConfig::default());
     let tuple = FourTuple {
         client: SocketAddr::new(1, 80),
         server: SocketAddr::new(2, 80),
     };
+    let mut seq = 0;
     for payload in [
         b"GET / HTTP/1.1\r\n".to_vec(),
         vec![0u8; 0],
         vec![0xff; 1400],
     ] {
-        let seg = TcpSegment::data(tuple, Direction::ToServer, 0, 0, payload);
-        let out = ra.process(seg.clone(), SimTime::from_secs(T0));
+        let seg = TcpSegment::data(tuple, Direction::ToServer, seq, 0, payload);
+        seq = seg.seq_end();
+        let out = lane.process(seg.clone(), SimTime::from_secs(T0));
         assert_eq!(out, vec![seg]);
     }
-    assert_eq!(ra.stats.statuses_sent, 0);
+    assert_eq!(lane.stats().flows_bypassed, 1);
+    assert_eq!(lane.stats().statuses_injected, 0);
 }

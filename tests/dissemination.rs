@@ -33,7 +33,6 @@ fn make_ra(region: Region, cas: &[&CertificationAuthority]) -> RevocationAgent {
     let mut ra = RevocationAgent::new(RaConfig {
         delta: DELTA,
         region,
-        ..Default::default()
     });
     for ca in cas {
         ra.follow_ca(ca.id(), ca.verifying_key(), *ca.dictionary().signed_root())

@@ -57,6 +57,26 @@ fn mid_connection_revocation_bounded_by_two_delta() {
 }
 
 #[test]
+fn mid_connection_revocation_resets_the_flow_under_hard_fail() {
+    // The hard-fail twin of the test above: past Δ the RA does not hand an
+    // established flow the presence proof, it resets it — still within 2Δ.
+    let delta = 10u64;
+    let mut w = RitmWorld::new(14, delta, DeploymentModel::CloseToClients).hard_fail();
+    let out = w.run_connection(&ConnectionOptions {
+        duration_secs: 6 * delta,
+        server_sends_at: (1..6 * delta).step_by(2).collect(),
+        revoke_at: Some(delta),
+        ..Default::default()
+    });
+    assert_eq!(out.established_at, Some(0));
+    let t = out.reset_at.expect("the RA must reset the flow");
+    assert!(t > delta && t <= 3 * delta + 2, "reset at +{t}s");
+    assert!(out.aborted.is_none(), "the client never saw the proof");
+    assert!(!out.alive_at_end);
+    assert_eq!(w.lane.borrow().stats().flows_reset, 1);
+}
+
+#[test]
 fn consecutive_connections_share_one_ra() {
     // One RA serves many connections; state is created and torn down per
     // connection while the mirrored dictionary persists.
@@ -68,9 +88,9 @@ fn consecutive_connections_share_one_ra() {
         });
         assert!(out.alive_at_end, "connection {i}");
     }
-    let stats = w.ra.borrow().stats;
-    assert_eq!(stats.supported_connections, 5);
-    assert!(stats.statuses_sent >= 5);
+    let stats = w.lane.borrow().stats();
+    assert_eq!(stats.flows_tracked, 5);
+    assert!(stats.statuses_injected >= 5);
 }
 
 #[test]
@@ -105,13 +125,10 @@ fn world_advance_keeps_dictionaries_fresh() {
 fn statuses_are_small_on_the_wire() {
     // §VII-D: the piggybacked status must stay in the hundreds of bytes.
     let w = RitmWorld::new(8, 10, DeploymentModel::CloseToClients);
-    let ra = w.ra.clone();
-    let serial = w.server_serial();
-    let payload = ra
-        .borrow_mut()
-        .build_status(&[(w.ca.id(), serial)])
-        .expect("mirrored");
+    let payload =
+        w.ra.status_server()
+            .build_status(&[(w.ca.id(), w.server_serial())], true)
+            .expect("mirrored");
     let len = payload.to_bytes().len();
     assert!(len < 900, "status {len} B exceeds the paper's envelope");
-    drop(w);
 }

@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ritm::agent::{RaConfig, RevocationAgent};
+use ritm::agent::{FlowTable, InterceptConfig, RaConfig, RevocationAgent};
 use ritm::ca::CertificationAuthority;
 use ritm::cdn::network::Cdn;
 use ritm::client::{DowngradePolicy, RitmClient, RitmClientConfig, RitmEvent};
@@ -39,7 +39,8 @@ fn two_ras_on_path_inject_exactly_one_status() {
         T0,
     );
 
-    // Two RAs bootstrap from the same genesis and stay in sync.
+    // Two RAs bootstrap from the same genesis and stay in sync; each puts
+    // its interception lane on the path.
     let make_ra = || {
         let mut ra = RevocationAgent::new(RaConfig {
             delta: DELTA,
@@ -47,7 +48,13 @@ fn two_ras_on_path_inject_exactly_one_status() {
         });
         ra.follow_ca(ca.id(), ca.verifying_key(), *ca.dictionary().signed_root())
             .unwrap();
-        Rc::new(RefCell::new(ra))
+        Rc::new(RefCell::new(FlowTable::new(
+            ra.status_server(),
+            InterceptConfig {
+                delta: DELTA,
+                ..Default::default()
+            },
+        )))
     };
     let ra_near_client = make_ra();
     let ra_near_server = make_ra();
@@ -128,10 +135,11 @@ fn two_ras_on_path_inject_exactly_one_status() {
     );
 
     // The server-side RA injected; the client-side RA left it in place.
-    let near_server = ra_near_server.borrow().stats;
-    let near_client = ra_near_client.borrow().stats;
-    assert_eq!(near_server.statuses_sent, 1);
-    assert_eq!(near_client.statuses_sent, 0);
+    let near_server = ra_near_server.borrow().stats();
+    let near_client = ra_near_client.borrow().stats();
+    assert_eq!(near_server.statuses_injected, 1);
+    assert_eq!(near_server.statuses_left_in_place, 0);
+    assert_eq!(near_client.statuses_injected, 0);
     assert_eq!(near_client.statuses_left_in_place, 1);
     assert_eq!(near_client.statuses_replaced, 0);
 }

@@ -1,12 +1,13 @@
 //! Integration tests for TLS session resumption under RITM (§III: "RITM
 //! supports two mechanisms of TLS resumption"): the abbreviated handshake
-//! carries no Certificate message, so the RA serves statuses from its
-//! session cache and the client validates them against identities it
-//! remembered from the original handshake.
+//! carries no Certificate message, so the RA's lane serves statuses from
+//! its session memory — stapled in front of the abbreviated flight, whose
+//! one record also carries the server's Finished — and the client validates
+//! them against identities it remembered from the original handshake.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ritm::agent::{RaConfig, RevocationAgent};
+use ritm::agent::{FlowTable, InterceptConfig, RaConfig, RevocationAgent};
 use ritm::client::{AbortReason, DowngradePolicy, RitmClient, RitmClientConfig, RitmEvent};
 use ritm::crypto::SigningKey;
 use ritm::dictionary::{CaDictionary, CaId, SerialNumber};
@@ -26,13 +27,16 @@ const DELTA: u64 = 10;
 struct World {
     ca: CaDictionary,
     ra: RevocationAgent,
+    lane: FlowTable,
     ctx: Arc<ServerContext>,
     config: RitmClientConfig,
     rng: StdRng,
     next_port: u16,
 }
 
-fn world() -> World {
+/// `reset_revoked` picks the deployment: `false` staples the presence proof
+/// and leaves the verdict to the client, `true` has the RA reset the flow.
+fn world(reset_revoked: bool) -> World {
     let mut rng = StdRng::seed_from_u64(71);
     let ca_key = SigningKey::from_seed([1u8; 32]);
     let ca = CaDictionary::new(
@@ -74,9 +78,18 @@ fn world() -> World {
         delta: DELTA,
         policy: DowngradePolicy::AlwaysRequire,
     };
+    let lane = FlowTable::new(
+        ra.status_server(),
+        InterceptConfig {
+            delta: DELTA,
+            reset_revoked,
+            ..Default::default()
+        },
+    );
     World {
         ca,
         ra,
+        lane,
         ctx,
         config,
         rng,
@@ -84,13 +97,13 @@ fn world() -> World {
     }
 }
 
-/// Drives one client connection through the RA, returning the client and
-/// its events.
+/// Drives one client connection through the RA's lane, returning the
+/// client, its events, and the directions the lane sent an RST in.
 fn connect(
     w: &mut World,
     resume: Option<(ritm::tls::session::SessionState, Vec<(CaId, SerialNumber)>)>,
     now: u64,
-) -> (RitmClient, Vec<RitmEvent>) {
+) -> (RitmClient, Vec<RitmEvent>, Vec<Direction>) {
     w.next_port += 1;
     let tuple = FourTuple {
         client: SocketAddr::new(1, w.next_port),
@@ -100,29 +113,39 @@ fn connect(
     let mut server = ServerEngine::new(w.ctx.clone(), [3u8; 32]);
     let mut events = Vec::new();
     let mut to_server = vec![client.start()];
+    let (mut seq_up, mut seq_down) = (0u64, 0u64);
     for _ in 0..8 {
         let mut to_client = Vec::new();
         for rec in to_server.drain(..) {
-            let seg = TcpSegment::data(tuple, Direction::ToServer, 0, 0, rec.to_bytes());
-            for out in w.ra.process(seg, SimTime::from_secs(now)) {
+            let seg =
+                TcpSegment::data(tuple, Direction::ToServer, seq_up, seq_down, rec.to_bytes());
+            seq_up = seg.seq_end();
+            for out in w.lane.process(seg, SimTime::from_secs(now)) {
                 for r in TlsRecord::parse_stream(&out.payload).unwrap() {
                     match server.process_record(&r, now) {
                         Ok((outs, _)) => to_client.extend(outs),
-                        Err(_) => return (client, events),
+                        Err(_) => return (client, events, Vec::new()),
                     }
                 }
             }
         }
         for rec in to_client.drain(..) {
-            let seg = TcpSegment::data(tuple, Direction::ToClient, 0, 0, rec.to_bytes());
-            for out in w.ra.process(seg, SimTime::from_secs(now)) {
+            let seg =
+                TcpSegment::data(tuple, Direction::ToClient, seq_down, seq_up, rec.to_bytes());
+            seq_down = seg.seq_end();
+            let outs = w.lane.process(seg, SimTime::from_secs(now));
+            if outs.iter().any(|o| o.flags.rst) {
+                let resets = outs.iter().map(|o| o.direction).collect();
+                return (client, events, resets);
+            }
+            for out in outs {
                 for r in TlsRecord::parse_stream(&out.payload).unwrap() {
                     match client.process_record(&r, now) {
                         Ok((outs, evs)) => {
                             to_server.extend(outs);
                             events.extend(evs);
                         }
-                        Err(_) => return (client, events),
+                        Err(_) => return (client, events, Vec::new()),
                     }
                 }
             }
@@ -131,21 +154,21 @@ fn connect(
             break;
         }
     }
-    (client, events)
+    (client, events, Vec::new())
 }
 
 #[test]
 fn resumed_session_still_gets_statuses() {
-    let mut w = world();
+    let mut w = world(false);
     // Full handshake: client remembers the session + chain identities.
-    let (client, events) = connect(&mut w, None, T0 + 1);
+    let (client, events, _) = connect(&mut w, None, T0 + 1);
     assert!(client.is_established(), "{events:?}");
     assert!(events.contains(&RitmEvent::StatusAccepted));
     let resume = client.resumption_data(T0 + 1).expect("session cached");
 
     // Abbreviated handshake through the same RA: no Certificate message on
     // the wire, but the RA's session cache supplies the identity.
-    let (client2, events2) = connect(&mut w, Some(resume), T0 + 3);
+    let (client2, events2, _) = connect(&mut w, Some(resume), T0 + 3);
     assert!(client2.is_established(), "{events2:?}");
     assert!(
         events2
@@ -159,22 +182,25 @@ fn resumed_session_still_gets_statuses() {
     );
 }
 
-#[test]
-fn resumed_session_blocks_revoked_certificate() {
-    let mut w = world();
-    let (client, _) = connect(&mut w, None, T0 + 1);
+/// A full handshake, then the certificate is revoked between the sessions.
+fn resume_after_revocation(w: &mut World) -> (RitmClient, Vec<RitmEvent>, Vec<Direction>) {
+    let (client, _, _) = connect(w, None, T0 + 1);
     let resume = client.resumption_data(T0 + 1).expect("session cached");
-
-    // Certificate is revoked between the sessions.
     let serial = SerialNumber::from_u24(0x0042);
     let iss = w.ca.insert(&[serial], &mut w.rng, T0 + 2).unwrap();
     w.ra.mirror_mut(&w.ca.ca())
         .unwrap()
         .apply_issuance(&iss, T0 + 2)
         .unwrap();
+    connect(w, Some(resume), T0 + 4)
+}
 
+#[test]
+fn resumed_session_blocks_revoked_certificate() {
     // Resumption must fail: the RA's status now carries a presence proof.
-    let (client2, events2) = connect(&mut w, Some(resume), T0 + 4);
+    let mut w = world(false);
+    let (client2, events2, resets) = resume_after_revocation(&mut w);
+    assert!(resets.is_empty());
     assert!(!client2.is_established());
     assert!(
         events2
@@ -185,9 +211,22 @@ fn resumed_session_blocks_revoked_certificate() {
 }
 
 #[test]
+fn resumed_session_of_revoked_certificate_is_reset_under_hard_fail() {
+    // The hard-fail twin: the RA itself resets the abbreviated flight of a
+    // since-revoked certificate; the client never sees a byte of it.
+    let mut w = world(true);
+    let (client2, events2, resets) = resume_after_revocation(&mut w);
+    assert_eq!(resets.len(), 2, "one RST each way: {resets:?}");
+    assert!(resets.contains(&Direction::ToClient) && resets.contains(&Direction::ToServer));
+    assert!(!client2.is_established());
+    assert!(events2.is_empty(), "{events2:?}");
+    assert_eq!(w.lane.stats().flows_reset, 1);
+}
+
+#[test]
 fn resumption_without_ra_is_blocked_by_policy() {
-    let mut w = world();
-    let (client, _) = connect(&mut w, None, T0 + 1);
+    let mut w = world(false);
+    let (client, _, _) = connect(&mut w, None, T0 + 1);
     let resume = client.resumption_data(T0 + 1).expect("session cached");
 
     // Direct client↔server resumption with no RA on the path.
