@@ -8,7 +8,7 @@ use ritm_cdn::origin::PublishError;
 use ritm_crypto::ed25519::{SigningKey, VerifyingKey};
 use ritm_dictionary::{CaDictionary, CaId, RefreshMessage, RevocationIssuance, SerialNumber};
 use ritm_tls::certificate::Certificate;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Errors from CA operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +46,7 @@ impl From<PublishError> for CaError {
 
 /// A certification authority participating in RITM.
 ///
-/// Owns the signing key, the issued-certificate registry, and the
+/// Owns the signing key, the registry of issued serials, and the
 /// authenticated dictionary; pushes every dictionary change to the CDN
 /// origin.
 pub struct CertificationAuthority {
@@ -54,7 +54,9 @@ pub struct CertificationAuthority {
     id: CaId,
     key: SigningKey,
     dictionary: CaDictionary,
-    issued: HashMap<SerialNumber, Certificate>,
+    /// Serials only: `revoke` asks whether this CA issued a serial and
+    /// nothing reads the certificate back, so it is not kept.
+    issued: HashSet<SerialNumber>,
     next_serial: u32,
     delta: u64,
     /// Crash-durability hook: when attached, every issuance is appended
@@ -152,7 +154,7 @@ impl CertificationAuthority {
             id,
             key,
             dictionary,
-            issued: HashMap::new(),
+            issued: HashSet::new(),
             next_serial: 1,
             delta,
             wal: None,
@@ -242,7 +244,7 @@ impl CertificationAuthority {
             subject_key,
             false,
         );
-        self.issued.insert(serial, cert.clone());
+        self.issued.insert(serial);
         cert
     }
 
@@ -261,7 +263,7 @@ impl CertificationAuthority {
         now: u64,
     ) -> Result<Option<RevocationIssuance>, CaError> {
         for s in serials {
-            if !self.issued.contains_key(s) {
+            if !self.issued.contains(s) {
                 return Err(CaError::UnknownSerial(*s));
             }
         }
@@ -352,6 +354,39 @@ mod tests {
             .origin
             .fetch(&ContentKey::Latest { ca: ca.id() })
             .is_some());
+    }
+
+    #[test]
+    fn issued_registry_keeps_serials_not_certificates() {
+        let (mut ca, mut cdn, mut rng) = setup();
+        let k = SigningKey::from_seed([7u8; 32]).verifying_key();
+        let serials: Vec<SerialNumber> = (0..1_000)
+            .map(|i| {
+                ca.issue_certificate(&format!("host{i}.example"), k, 500, 2_000_000)
+                    .serial
+            })
+            .collect();
+        assert!(format!("{ca:?}").contains("issued: 1000"));
+
+        let half = &serials[..500];
+        let iss = ca.revoke(half, &mut cdn, &mut rng, 1_001).unwrap().unwrap();
+        assert_eq!(iss.serials.len(), 500);
+        assert_eq!(ca.revocation_count(), 500);
+        assert!(half.iter().all(|s| ca.is_revoked(s)));
+        assert!(serials[500..].iter().all(|s| !ca.is_revoked(s)));
+
+        // A serial this CA never issued is refused, alone or inside a batch
+        // of known ones, and refuses the whole batch.
+        let unissued = SerialNumber::from_u24(5_000_000);
+        for batch in [vec![unissued], vec![serials[600], unissued]] {
+            let err = ca.revoke(&batch, &mut cdn, &mut rng, 1_002).unwrap_err();
+            assert_eq!(err, CaError::UnknownSerial(unissued));
+        }
+        assert!(!ca.is_revoked(&serials[600]));
+
+        // Re-revoking is still recognised as issued — and is a no-op.
+        assert_eq!(ca.revoke(&half[..10], &mut cdn, &mut rng, 1_003), Ok(None));
+        assert_eq!(ca.revocation_count(), 500);
     }
 
     #[test]

@@ -4,6 +4,13 @@
 //! trees and hash chains, trading collision margin for bandwidth. This module
 //! provides the [`Digest20`] newtype plus the `H(.)` convenience functions
 //! used by the authenticated dictionary and freshness chains.
+//!
+//! Everything here hashes through [`sha256::digest`], which compresses a
+//! message of at most [`sha256::ONE_BLOCK_MAX`] (55) bytes exactly once and
+//! never allocates. Every fixed-shape `H(.)` in RITM fits: a chain link is
+//! 20 bytes, [`Digest20::hash_pair`] 40, a dictionary node 41, a leaf at most
+//! 30 — so each costs one compression, on the CPU's SHA extensions where it
+//! has them (see [`sha256`]'s module docs for the dispatch).
 
 use crate::hex;
 use crate::sha256;

@@ -3,10 +3,14 @@
 //! recodings — lives on the stack, and the base-point tables are statics.
 //! A signature check runs once per certificate and once per stapled root on
 //! the handshake path, so an allocation creeping in here is paid by every
-//! connection. Same counting-allocator pattern as
+//! connection. Neither do the dictionary's fixed-shape hashes —
+//! `Digest20::hash` of anything that fits one block, `hash_pair`, every
+//! hash-chain link — which a dictionary update calls tens of thousands of
+//! times. Same counting-allocator pattern as
 //! `crates/bench/tests/alloc_budget.rs`, counting this thread only so the
 //! test harness's own bookkeeping cannot leak into the number.
 
+use ritm_crypto::digest::{h_iter, Digest20};
 use ritm_crypto::ed25519::{Signature, SigningKey};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -99,4 +103,21 @@ fn sign_and_verify_do_not_allocate() {
         assert!(off_curve.verify(&message, &first).is_err());
     });
     assert_eq!(spent, 0, "50 sign + 103 verify");
+}
+
+#[test]
+fn fixed_shape_hashes_do_not_allocate() {
+    let node = [0x01u8; 41];
+    let (link, spent) = allocations_in(|| {
+        let a = Digest20::hash(node);
+        let b = Digest20::hash(&node[..30]);
+        let pair = Digest20::hash_pair(&a, &b);
+        h_iter(pair, 64)
+    });
+    assert_ne!(link, Digest20::ZERO);
+    assert_eq!(spent, 0, "hash + hash_pair + h_iter(x, 64)");
+
+    // Longer inputs take the streaming hasher, which lives on the stack too.
+    let (_, spent) = allocations_in(|| Digest20::hash([0x5au8; 300]));
+    assert_eq!(spent, 0, "streaming hasher");
 }

@@ -8,7 +8,7 @@
 //! count.
 
 use crate::parallel::HashPool;
-use crate::serial::SerialNumber;
+use crate::serial::{SerialNumber, MAX_SERIAL_LEN};
 use ritm_crypto::digest::Digest20;
 
 /// Domain-separation prefix for leaf hashes.
@@ -47,12 +47,14 @@ impl Leaf {
     /// `H(0x00 ‖ len(serial) ‖ serial ‖ number)`.
     pub fn hash(&self) -> Digest20 {
         LEAF_HASHES.with(|c| c.set(c.get() + 1));
-        let mut buf = Vec::with_capacity(2 + self.serial.len() + 8);
-        buf.push(LEAF_PREFIX);
-        buf.push(self.serial.len() as u8);
-        buf.extend_from_slice(self.serial.as_bytes());
-        buf.extend_from_slice(&self.number.to_be_bytes());
-        Digest20::hash(buf)
+        let serial = self.serial.as_bytes();
+        let mut buf = [0u8; 2 + MAX_SERIAL_LEN + 8];
+        buf[0] = LEAF_PREFIX;
+        buf[1] = serial.len() as u8;
+        buf[2..2 + serial.len()].copy_from_slice(serial);
+        let end = 2 + serial.len() + 8;
+        buf[end - 8..end].copy_from_slice(&self.number.to_be_bytes());
+        Digest20::hash(&buf[..end])
     }
 }
 

@@ -1,0 +1,139 @@
+//! Byte identity of everything the dictionary hashes.
+//!
+//! The hex constants below were recorded at commit `c0e06c3`, when every
+//! digest came from the scalar streaming SHA-256 and `Leaf::hash` built its
+//! preimage in a `Vec`. A faster compression function, a one-block padding
+//! path or a stack preimage may change how a digest is computed, never which
+//! digest: CAs, RAs, clients, WALs and snapshots written by an older build
+//! must keep agreeing with this one. The inputs are generated by a PRNG
+//! written out here, so they cannot drift with a vendored crate.
+
+use ritm_crypto::{Digest20, HashChain};
+use ritm_dictionary::persistent::PersistentTree;
+use ritm_dictionary::tree::{Leaf, MerkleTree};
+use ritm_dictionary::{HashPool, SerialNumber};
+use std::collections::BTreeSet;
+
+const BUILD_ROOT: &str = "13bb9ec3371325609aab530fe732c46521fd1864";
+const BATCHED_ROOT: &str = "798f2cd8cec561e9d01acdad70fb0e42914675d0";
+const CHAIN_ANCHOR: &str = "6362c6b413c32fd0e4b0703568cf78bea1571338";
+
+/// SplitMix64.
+struct Seeded(u64);
+
+impl Seeded {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// 10 000 three-byte serials in a seeded order; revocation numbers follow
+/// that order, as they would had a CA revoked them one by one.
+fn permuted_leaves() -> Vec<Leaf> {
+    let mut rng = Seeded(2016);
+    let mut values: Vec<u32> = (0..10_000).map(|i| i * 1_677).collect();
+    for i in (1..values.len()).rev() {
+        values.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    values
+        .iter()
+        .zip(1u64..)
+        .map(|(&v, number)| Leaf::new(SerialNumber::from_u24(v), number))
+        .collect()
+}
+
+/// 200 batches of 1–64 fresh serials of every length from 2 to 20 bytes,
+/// each batch sorted as `apply_sorted_batch` requires.
+fn seeded_batches(present: &mut BTreeSet<SerialNumber>) -> Vec<Vec<Leaf>> {
+    let mut rng = Seeded(360);
+    let mut number = present.len() as u64;
+    (0..200)
+        .map(|_| {
+            let mut batch = BTreeSet::new();
+            for _ in 0..1 + rng.below(64) {
+                let mut bytes = [0u8; 20];
+                for chunk in bytes.chunks_mut(8) {
+                    let word = rng.next().to_be_bytes();
+                    chunk.copy_from_slice(&word[..chunk.len()]);
+                }
+                let len = 2 + rng.below(19) as usize;
+                let serial = SerialNumber::new(&bytes[..len]).unwrap();
+                if present.insert(serial) {
+                    batch.insert(serial);
+                }
+            }
+            batch
+                .into_iter()
+                .map(|serial| {
+                    number += 1;
+                    Leaf::new(serial, number)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn roots_are_the_ones_recorded_before_the_hash_kernel_changed() {
+    let leaves = permuted_leaves();
+    let mut dense = MerkleTree::new();
+    dense.extend_leaves(leaves.iter().copied());
+    dense.rebuild();
+    assert_eq!(dense.len(), 10_000);
+    assert_eq!(dense.root().to_string(), BUILD_ROOT);
+
+    let mut persistent =
+        PersistentTree::from_sorted_leaves(dense.leaves().iter().copied(), HashPool::global());
+    assert_eq!(persistent.root(), dense.root());
+
+    let mut present: BTreeSet<SerialNumber> = leaves.iter().map(|l| l.serial).collect();
+    let batches = seeded_batches(&mut present);
+    assert!(batches.iter().all(|b| !b.is_empty()));
+    for batch in &batches {
+        assert!(dense.apply_sorted_batch(batch), "incremental path");
+        assert!(persistent.apply_sorted_batch(batch), "incremental path");
+        assert_eq!(persistent.root(), dense.root());
+    }
+    assert_eq!(dense.len(), present.len());
+    assert_eq!(dense.root().to_string(), BATCHED_ROOT);
+
+    // Nothing incremental left to hide behind: a from-scratch build of the
+    // final leaf set lands on the same recorded root.
+    let mut rebuilt = MerkleTree::new();
+    rebuilt.extend_leaves(dense.leaves().iter().copied());
+    rebuilt.rebuild();
+    assert_eq!(rebuilt.root().to_string(), BATCHED_ROOT);
+}
+
+#[test]
+fn chain_anchor_is_the_one_recorded_before_the_hash_kernel_changed() {
+    let chain = HashChain::from_seed([7; 20], 360);
+    assert_eq!(chain.anchor().to_string(), CHAIN_ANCHOR);
+}
+
+#[test]
+fn leaf_hash_is_the_digest_of_the_documented_preimage() {
+    for len in 1..=20u8 {
+        let bytes: Vec<u8> = (0..len).map(|i| i.wrapping_mul(29) ^ len).collect();
+        let leaf = Leaf::new(
+            SerialNumber::new(&bytes).unwrap(),
+            0x0102_0304_0506_0708 * u64::from(len),
+        );
+        let mut preimage = vec![0x00, len];
+        preimage.extend_from_slice(&bytes);
+        preimage.extend_from_slice(&leaf.number.to_be_bytes());
+        assert_eq!(
+            leaf.hash(),
+            Digest20::hash(&preimage),
+            "serial of {len} bytes"
+        );
+    }
+}
