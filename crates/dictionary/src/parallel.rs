@@ -4,9 +4,11 @@
 //! thousands of independent leaves and interior nodes; on a multi-core RA
 //! or CA that work is embarrassingly parallel. [`HashPool`] splits an index
 //! range (or a list of owned tasks) into one contiguous chunk per worker
-//! and runs the chunks on `std::thread::scope` threads — std-only, no
-//! external dependencies, and results are concatenated back in input order
-//! so parallel and sequential execution are bit-identical.
+//! and runs the chunks on `std::thread::scope` threads, the calling thread
+//! taking the last chunk itself (a 2-worker pool spawns one thread per
+//! call, not two) — std-only, no external dependencies, and results are
+//! concatenated back in input order so parallel and sequential execution
+//! are bit-identical.
 //!
 //! Small inputs (below [`PAR_THRESHOLD`]) and single-worker pools run
 //! inline: spawning threads for a handful of hashes costs more than it
@@ -83,16 +85,20 @@ impl HashPool {
         let f = &f;
         let mut out = Vec::with_capacity(n);
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..chunks)
+            // The caller hashes the last chunk itself instead of idling.
+            let handles: Vec<_> = (0..chunks - 1)
                 .map(|c| {
                     let lo = start + c * per;
                     let hi = (lo + per).min(end);
                     s.spawn(move || (lo..hi).map(f).collect::<Vec<U>>())
                 })
                 .collect();
+            let own_lo = (start + (chunks - 1) * per).min(end);
+            let own: Vec<U> = (own_lo..end).map(f).collect();
             for h in handles {
                 out.extend(h.join().expect("hash worker panicked"));
             }
+            out.extend(own);
         });
         out
     }
@@ -119,15 +125,18 @@ impl HashPool {
         std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(chunks);
             let mut rest = tasks;
-            while !rest.is_empty() {
-                let tail = rest.split_off(per.min(rest.len()));
+            // Spawn every chunk but the last; the caller runs that one.
+            while rest.len() > per {
+                let tail = rest.split_off(per);
                 let chunk = rest;
                 rest = tail;
                 handles.push(s.spawn(move || chunk.into_iter().map(f).collect::<Vec<U>>()));
             }
+            let own: Vec<U> = rest.into_iter().map(f).collect();
             for h in handles {
                 out.extend(h.join().expect("task worker panicked"));
             }
+            out.extend(own);
         });
         out
     }

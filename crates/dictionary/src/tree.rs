@@ -9,7 +9,8 @@
 
 use crate::parallel::HashPool;
 use crate::serial::{SerialNumber, MAX_SERIAL_LEN};
-use ritm_crypto::digest::Digest20;
+use ritm_crypto::digest::{Digest20, DIGEST_LEN};
+use ritm_crypto::sha256;
 
 /// Domain-separation prefix for leaf hashes.
 const LEAF_PREFIX: u8 = 0x00;
@@ -58,13 +59,25 @@ impl Leaf {
     }
 }
 
-/// Hashes an interior node from its two children.
+/// Hashes an interior node from its two children:
+/// `H(0x01 ‖ left ‖ right)`.
+///
+/// The 41-byte message is written straight into its one SHA-256 block,
+/// padding included (`0x80`, zeros, bit length 328), so a node costs one
+/// compression and no other copy — every tree rehash and every audit-path
+/// check is a run of these.
 pub fn node_hash(left: &Digest20, right: &Digest20) -> Digest20 {
-    let mut buf = [0u8; 41];
-    buf[0] = NODE_PREFIX;
-    buf[1..21].copy_from_slice(left.as_bytes());
-    buf[21..41].copy_from_slice(right.as_bytes());
-    Digest20::hash(buf)
+    const MESSAGE_LEN: usize = 1 + 2 * DIGEST_LEN;
+    let mut block = [0u8; sha256::BLOCK_LEN];
+    block[0] = NODE_PREFIX;
+    block[1..1 + DIGEST_LEN].copy_from_slice(left.as_bytes());
+    block[1 + DIGEST_LEN..MESSAGE_LEN].copy_from_slice(right.as_bytes());
+    block[MESSAGE_LEN] = 0x80;
+    block[sha256::BLOCK_LEN - 8..].copy_from_slice(&(MESSAGE_LEN as u64 * 8).to_be_bytes());
+    let full = sha256::digest_padded_block(&block);
+    let mut out = [0u8; DIGEST_LEN];
+    out.copy_from_slice(&full[..DIGEST_LEN]);
+    Digest20::from_bytes(out)
 }
 
 /// The root reported for an empty dictionary (no revocations yet).
@@ -217,43 +230,32 @@ impl MerkleTree {
         if self.levels.is_empty() {
             self.levels.push(Vec::new());
         }
-        if dirty_from == old_len {
-            // Pure append (fresh serials sort after every existing leaf —
-            // the common issuance pattern): extend in place, no merge.
-            self.leaves.extend_from_slice(batch);
-            self.levels[0].extend(batch_hashes);
-        } else {
-            // Merge the sorted batch into the sorted leaves (and their
-            // hashes into level 0) in one pass; no hashing of old leaves.
-            let new_len = old_len + batch.len();
-            let mut merged = Vec::with_capacity(new_len);
-            let mut merged_hashes = Vec::with_capacity(new_len);
-            let mut old = self.leaves[dirty_from..].iter().peekable();
-            let mut new = batch.iter().peekable();
-            merged.extend_from_slice(&self.leaves[..dirty_from]);
-            merged_hashes.extend_from_slice(&self.levels[0][..dirty_from]);
-            let mut old_idx = dirty_from;
-            let mut new_idx = 0;
-            loop {
-                let take_old = match (old.peek(), new.peek()) {
-                    (Some(o), Some(n)) => o.serial < n.serial,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                if take_old {
-                    merged.push(*old.next().expect("peeked"));
-                    merged_hashes.push(self.levels[0][old_idx]);
-                    old_idx += 1;
-                } else {
-                    merged.push(*new.next().expect("peeked"));
-                    merged_hashes.push(batch_hashes[new_idx]);
-                    new_idx += 1;
-                }
+        // Grow both arrays by b and merge from the back: old leaves right of
+        // the front move right by the number of batch leaves that sort
+        // after them, batch leaves drop into the gaps, and nothing left of
+        // `dirty_from` moves. No old leaf is rehashed and no full-size
+        // buffer is allocated. A pure append (fresh serials sort after
+        // every existing leaf — the common issuance pattern) skips the loop.
+        self.leaves.extend_from_slice(batch);
+        self.levels[0].extend_from_slice(&batch_hashes);
+        let hashes = &mut self.levels[0];
+        let (mut old, mut new) = (old_len, batch.len());
+        while old > dirty_from {
+            let write = old + new - 1;
+            if batch[new - 1].serial > self.leaves[old - 1].serial {
+                new -= 1;
+                self.leaves[write] = batch[new];
+                hashes[write] = batch_hashes[new];
+            } else {
+                old -= 1;
+                self.leaves[write] = self.leaves[old];
+                hashes[write] = hashes[old];
             }
-            self.leaves = merged;
-            self.levels[0] = merged_hashes;
         }
+        // Every moved old leaf sorts after batch[0] (dirty_from is its lower
+        // bound), so the batch's head is what remains for the gap.
+        self.leaves[dirty_from..dirty_from + new].copy_from_slice(&batch[..new]);
+        hashes[dirty_from..dirty_from + new].copy_from_slice(&batch_hashes[..new]);
         self.rehash_levels_from(dirty_from, pool);
         self.epoch += 1;
         true
@@ -659,6 +661,26 @@ mod tests {
         concat.extend_from_slice(a.as_bytes());
         concat.extend_from_slice(b.as_bytes());
         assert_ne!(node, Digest20::hash(&concat));
+    }
+
+    #[test]
+    fn node_hash_is_the_prefixed_pair_digest() {
+        // The hand-padded block must hash exactly the 41-byte message.
+        use rand::{rngs::StdRng, RngCore, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x4e4f_4445);
+        for i in 0..10_000 {
+            let mut pair = [0u8; 2 * DIGEST_LEN];
+            rng.fill_bytes(&mut pair);
+            let left = Digest20::from_bytes(pair[..DIGEST_LEN].try_into().unwrap());
+            let right = Digest20::from_bytes(pair[DIGEST_LEN..].try_into().unwrap());
+            let mut message = vec![NODE_PREFIX];
+            message.extend_from_slice(&pair);
+            assert_eq!(
+                node_hash(&left, &right),
+                Digest20::hash(&message),
+                "pair {i}"
+            );
+        }
     }
 
     #[test]

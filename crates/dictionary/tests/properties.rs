@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ritm_crypto::SigningKey;
+use ritm_dictionary::chunk::CHUNK;
 use ritm_dictionary::persistent::PersistentTree;
 use ritm_dictionary::tree::{Leaf, MerkleTree};
 use ritm_dictionary::{
@@ -387,6 +388,106 @@ proptest! {
                 );
                 prop_assert_eq!(got, Some(*root), "published snapshot path broke");
             }
+        }
+    }
+
+    /// The persistent tree's whole-chunk merge at the chunk boundaries it
+    /// creates: a dictionary of `k·CHUNK − 1`, `k·CHUNK` or `k·CHUNK + 1`
+    /// leaves, a dirty front just before, at or just after a chunk edge,
+    /// and a batch of `CHUNK − 1`, `CHUNK` or `CHUNK + 1` leaves (or a
+    /// couple), clustered in one gap or spread, with a snapshot published
+    /// before the batch and held across it. Persistent ≡ dense (root, every
+    /// audit path, multiproof bytes); every chunk left of the front stays
+    /// shared with the snapshot; and rolling the batch back — what a mirror
+    /// does when the batch's signed root does not commit to it — leaves the
+    /// tree bit-identical to the snapshot.
+    #[test]
+    fn persistent_merge_at_chunk_boundaries(
+        k in 1usize..=3,
+        len_edge in 0usize..3,
+        front_chunk in 0usize..=3,
+        front_edge in 0usize..3,
+        batch_pick in 0usize..5,
+        stride_pick in 0usize..3,
+    ) {
+        let batch_len = [1, 2, CHUNK - 1, CHUNK, CHUNK + 1][batch_pick];
+        let stride = [0, 1, 7][stride_pick];
+        // Base leaf i has serial (i + 1) << 16; a batch leaf aimed at gap g
+        // (just before base leaf g) has serial (g << 16) + 1 + offset.
+        let n = k * CHUNK + len_edge - 1;
+        let front = (front_chunk * CHUNK + front_edge).saturating_sub(1).min(n);
+        let base: Vec<Leaf> = (0..n)
+            .map(|i| Leaf::new(SerialNumber::from_u64(((i + 1) as u64) << 16), i as u64 + 1))
+            .collect();
+        let mut batch: Vec<Leaf> = (0..batch_len)
+            .map(|j| {
+                let (gap, offset) = if stride == 0 { (front, j) } else { (front + stride * j, 0) };
+                let serial = SerialNumber::from_u64(((gap as u64) << 16) + 1 + offset as u64);
+                Leaf::new(serial, (n + j) as u64 + 1)
+            })
+            .collect();
+        batch.sort_by_key(|l| l.serial);
+
+        let mut dense = MerkleTree::new();
+        let mut persistent = PersistentTree::new();
+        dense.apply_sorted_batch(&base);
+        persistent.apply_sorted_batch(&base);
+        let snapshot = persistent.clone();
+        let levels = 1 + (usize::BITS - (n + batch_len - 1).leading_zeros()) as usize;
+
+        prop_assert!(dense.apply_sorted_batch(&batch));
+        prop_assert!(persistent.apply_sorted_batch(&batch));
+        prop_assert_eq!(persistent.root(), dense.root());
+        prop_assert_eq!(persistent.len(), n + batch_len);
+        for i in 0..dense.len() {
+            prop_assert_eq!(persistent.leaf(i), dense.leaves()[i]);
+            prop_assert_eq!(persistent.audit_path(i), dense.audit_path(i), "path {}", i);
+        }
+        let probes = [0, front.saturating_sub(1), front, CHUNK - 1, CHUNK, CHUNK + 1, dense.len() - 1];
+        let mut queries: Vec<SerialNumber> = probes
+            .iter()
+            .map(|&i| dense.leaves()[i.min(dense.len() - 1)].serial)
+            .collect();
+        queries.push(SerialNumber::from_u64(((front as u64) << 16) + 0x8000)); // absent
+        queries.push(SerialNumber::from_u64(u64::MAX)); // absent, past the end
+        prop_assert_eq!(
+            ritm_dictionary::MultiProof::generate(&persistent, &queries).to_bytes(),
+            ritm_dictionary::MultiProof::generate(&dense, &queries).to_bytes()
+        );
+
+        // Leaves and level 0 are cut at the front, level l at front >> l:
+        // every whole chunk left of that cut is still the snapshot's.
+        let left_of_front = front / CHUNK
+            + (0..levels).map(|l| (front >> l) / CHUNK).sum::<usize>();
+        prop_assert_eq!(persistent.shared_chunks_with(&snapshot), left_of_front);
+        prop_assert_eq!(snapshot.len(), n);
+        for i in [0, front.saturating_sub(1), n - 1] {
+            prop_assert_eq!(
+                ritm_dictionary::tree::root_from_path(i, n, snapshot.leaf(i).hash(), &snapshot.audit_path(i)),
+                Some(snapshot.root())
+            );
+        }
+
+        // A forged signed root: one batch leaf's revocation number changed.
+        let mut forged_batch = batch.clone();
+        forged_batch[0].number += 1;
+        let mut forged = MerkleTree::new();
+        forged.apply_sorted_batch(&base);
+        forged.apply_sorted_batch(&forged_batch);
+        prop_assert_ne!(persistent.root(), forged.root());
+        // Roll back as the mirror does, serials in issuance order.
+        let mut issued: Vec<Leaf> = batch.clone();
+        issued.sort_by_key(|l| l.number);
+        let serials: Vec<SerialNumber> = issued.iter().map(|l| l.serial).collect();
+        prop_assert_eq!(persistent.remove_sorted_batch(&serials), batch_len);
+        prop_assert_eq!(dense.remove_sorted_batch(&serials), batch_len);
+        prop_assert_eq!(persistent.root(), snapshot.root());
+        prop_assert_eq!(persistent.len(), n);
+        for i in 0..n {
+            prop_assert_eq!(persistent.leaf(i), snapshot.leaf(i));
+            let path = persistent.audit_path(i);
+            prop_assert_eq!(&path, &snapshot.audit_path(i), "path {} after rollback", i);
+            prop_assert_eq!(&path, &dense.audit_path(i));
         }
     }
 
