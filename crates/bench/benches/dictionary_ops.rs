@@ -2,7 +2,6 @@
 //! update scaling (§VII-D), an ablation over dictionary size showing the
 //! logarithmic proof cost that Table III relies on, the incremental engine
 //! against full rebuilds (10k/100k/1M leaves), proof construction,
-//! parallel vs sequential full rebuilds on the [`HashPool`],
 //! compressed chain multiproofs vs independent audit paths, concurrent
 //! snapshot-based proof serving vs a serialized `&mut`-style baseline, and
 //! structurally-shared snapshot publication (`snapshot_publish/persistent`)
@@ -21,7 +20,7 @@ use rand::SeedableRng;
 use ritm_agent::{StatusServer, StatusService};
 use ritm_crypto::SigningKey;
 use ritm_dictionary::tree::{Leaf, MerkleTree};
-use ritm_dictionary::{CaDictionary, CaId, HashPool, MirrorDictionary, SerialNumber};
+use ritm_dictionary::{CaDictionary, CaId, MirrorDictionary, SerialNumber};
 use ritm_proto::event::{EventServer, EventTransport};
 use ritm_proto::{Loopback, RitmRequest, RitmResponse, Service, Transport};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -224,49 +223,6 @@ fn bench_status_validation(c: &mut Criterion) {
     c.bench_function("client_full_status_validation_100k", |b| {
         b.iter(|| status.validate(&query, &key, 10, T0 + 2).expect("valid"))
     });
-}
-
-/// Full rebuilds on the scoped-thread pool vs single-threaded, per worker
-/// count. On a multi-core host the 1M-leaf rebuild should scale with
-/// workers; the per-worker numbers land in BENCH_dictionary.json either
-/// way so the trajectory is visible per machine. The host's available
-/// parallelism is recorded alongside.
-fn bench_parallel_rebuild(c: &mut Criterion) {
-    criterion::json_record(
-        "available_parallelism",
-        None,
-        None,
-        std::thread::available_parallelism().map_or(1, |n| n.get()) as f64,
-        "cores",
-    );
-    let mut g = c.benchmark_group("parallel_rebuild");
-    g.sample_size(10);
-    let sizes: &[u32] = if criterion::smoke_mode() {
-        &[100_000]
-    } else {
-        &[100_000, 1_000_000]
-    };
-    for &n in sizes {
-        let base = built_tree(n);
-        for workers in [1usize, 2, 4, 8] {
-            let pool = HashPool::new(workers);
-            g.bench_with_input(
-                BenchmarkId::new(format!("workers{workers}"), n),
-                &n,
-                |b, _| {
-                    b.iter_batched(
-                        || base.clone(),
-                        |mut t| {
-                            t.rebuild_with(&pool);
-                            black_box(t.root())
-                        },
-                        criterion::BatchSize::LargeInput,
-                    )
-                },
-            );
-        }
-    }
-    g.finish();
 }
 
 /// Compressed 5-serial chain multiproof vs 5 independent audit paths: time
@@ -995,9 +951,9 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
     targets = bench_insert_1000, bench_prove_scaling, bench_incremental_vs_rebuild,
-        bench_prove_hot_serial, bench_status_validation, bench_parallel_rebuild,
-        bench_snapshot_publish, bench_multiproof_chain, bench_concurrent_serving,
-        bench_protocol_roundtrip, bench_catchup_paged, bench_event_serve,
-        bench_status_serve_hot, bench_throughput, bench_handshake
+        bench_prove_hot_serial, bench_status_validation, bench_snapshot_publish,
+        bench_multiproof_chain, bench_concurrent_serving, bench_protocol_roundtrip,
+        bench_catchup_paged, bench_event_serve, bench_status_serve_hot, bench_throughput,
+        bench_handshake
 }
 criterion_main!(benches);

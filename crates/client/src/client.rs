@@ -19,6 +19,14 @@ use ritm_tls::record::TlsRecord;
 use ritm_tls::session::SessionState;
 use std::collections::HashMap;
 
+/// Most status records a [`RitmClient`] buffers before the server's
+/// `Certificate` arrives. The RA's lane staples its status in front of the
+/// server's first flight, so an early status is the normal case: one per
+/// RA on path, two with a second RA (§VIII). Anything beyond the cap is
+/// rejected with [`ValidationError::PendingFull`] and dropped, so a peer
+/// cannot grow the buffer without bound.
+pub const MAX_PENDING_STATUSES: usize = 4;
+
 /// How the client defends against downgrade attacks (§IV, §V).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DowngradePolicy {
@@ -87,6 +95,8 @@ pub struct RitmClient {
     tls: ClientEngine,
     config: RitmClientConfig,
     chain: Vec<(CaId, SerialNumber)>,
+    /// Statuses that arrived before the chain, at most
+    /// [`MAX_PENDING_STATUSES`].
     pending_status: Vec<StatusPayload>,
     /// Per-CA newest accepted dictionary epoch (replay protection).
     root_tracker: RootTracker,
@@ -241,9 +251,15 @@ impl RitmClient {
             return;
         };
         if self.chain.is_empty() {
-            // Certificate not seen yet (should not happen given record
-            // ordering, but a hostile RA could reorder): buffer it.
-            self.pending_status.push(payload);
+            // Certificate not seen yet: the lane staples in front of the
+            // server's flight, so buffer it until the chain is known.
+            if self.pending_status.len() < MAX_PENDING_STATUSES {
+                self.pending_status.push(payload);
+            } else {
+                events.push(RitmEvent::StatusRejected(ValidationError::PendingFull {
+                    cap: MAX_PENDING_STATUSES,
+                }));
+            }
             return;
         }
         match validate_payload_tracked(
@@ -473,6 +489,16 @@ mod tests {
     /// Drives the handshake through the RA, record by record, collecting
     /// client events.
     fn drive(w: &mut World, now: u64) -> Vec<RitmEvent> {
+        drive_with(w, now, |_| {})
+    }
+
+    /// [`drive`], with `edit` rewriting the records of every segment the
+    /// lane delivers to the client before the client reads them.
+    fn drive_with(
+        w: &mut World,
+        now: u64,
+        mut edit: impl FnMut(&mut Vec<TlsRecord>),
+    ) -> Vec<RitmEvent> {
         let mut events = Vec::new();
         let mut to_server = vec![w.client.start()];
         for _ in 0..8 {
@@ -499,7 +525,9 @@ mod tests {
                     TcpSegment::data(tuple(), Direction::ToClient, w.seq_down, 0, rec.to_bytes());
                 w.seq_down += rec.encoded_len() as u64;
                 for out_seg in w.lane.process(seg, SimTime::from_secs(now)) {
-                    for r in TlsRecord::parse_stream(&out_seg.payload).unwrap() {
+                    let mut records = TlsRecord::parse_stream(&out_seg.payload).unwrap();
+                    edit(&mut records);
+                    for r in records {
                         match w.client.process_record(&r, now) {
                             Ok((outs, evs)) => {
                                 to_server.extend(outs);
@@ -658,5 +686,40 @@ mod tests {
         let (_, evs) = w.client.process_record(&rec, T0 + 3).unwrap();
         assert!(matches!(evs[0], RitmEvent::StatusRejected(_)));
         assert!(w.client.is_established(), "garbage must not DoS the client");
+    }
+
+    #[test]
+    fn early_statuses_are_capped_and_the_stapled_one_still_validates() {
+        use ritm_tls::record::ContentType;
+        const FLOOD: usize = 10_000;
+        let mut w = world(false, DowngradePolicy::AlwaysRequire);
+        let mut flooded = false;
+        let events = drive_with(&mut w, T0 + 2, |records| {
+            // Behind the lane's staple and before the server's Certificate:
+            // 10 000 well-formed status records that prove nothing.
+            if !flooded && records.first().map(|r| r.content_type) == Some(ContentType::RitmStatus)
+            {
+                flooded = true;
+                let junk =
+                    TlsRecord::new(ContentType::RitmStatus, StatusPayload::default().to_bytes());
+                records.splice(1..1, std::iter::repeat_n(junk, FLOOD));
+            }
+        });
+        assert!(flooded, "the lane stapled a status in front of the flight");
+        // FLOOD + 1 statuses arrived before the chain; all but the cap were
+        // dropped unread, so the buffer held exactly the cap.
+        let count = |wanted: &RitmEvent| events.iter().filter(|e| *e == wanted).count();
+        let full = RitmEvent::StatusRejected(ValidationError::PendingFull {
+            cap: MAX_PENDING_STATUSES,
+        });
+        assert_eq!(count(&full), FLOOD + 1 - MAX_PENDING_STATUSES);
+        assert!(w.client.pending_status.is_empty(), "drained at Certificate");
+        assert_eq!(
+            count(&RitmEvent::StatusAccepted),
+            1,
+            "the stapled status, buffered first, validates"
+        );
+        assert!(events.contains(&RitmEvent::Established { resumed: false }));
+        assert!(w.client.is_established());
     }
 }

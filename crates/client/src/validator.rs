@@ -48,6 +48,13 @@ pub enum ValidationError {
         /// The CA whose root regressed.
         ca: CaId,
     },
+    /// The status arrived before the server's certificate while the client
+    /// already held as many early statuses as it buffers; it was dropped
+    /// unread.
+    PendingFull {
+        /// Early statuses the client buffers at most.
+        cap: usize,
+    },
 }
 
 impl core::fmt::Display for ValidationError {
@@ -66,6 +73,9 @@ impl core::fmt::Display for ValidationError {
                     f,
                     "signed root for CA {ca} regressed behind an already-seen epoch"
                 )
+            }
+            ValidationError::PendingFull { cap } => {
+                write!(f, "{cap} statuses already wait for the certificate")
             }
         }
     }

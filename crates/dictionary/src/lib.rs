@@ -12,8 +12,6 @@
 //! * [`chunk`] / [`persistent`] — the copy-on-write chunked storage and the
 //!   structurally-shared [`PersistentTree`] mirrors publish snapshots from
 //!   in O(chunks) instead of O(n);
-//! * [`parallel`] — the scoped-thread [`HashPool`] that fans tree hashing
-//!   out across cores;
 //! * [`snapshot`] — immutable, epoch-stamped [`DictionarySnapshot`]s
 //!   published RCU-style through [`SnapshotCell`]s for lock-free proof
 //!   serving;
@@ -65,7 +63,6 @@ pub mod chunk;
 pub mod consistency;
 pub mod dictionary;
 pub mod freshness;
-pub mod parallel;
 pub mod persistent;
 pub mod proof;
 pub mod root;
@@ -79,7 +76,6 @@ pub use dictionary::{
     RevocationStatus, StatusError, UpdateError,
 };
 pub use freshness::{FreshnessError, FreshnessStatement};
-pub use parallel::HashPool;
 pub use persistent::PersistentTree;
 pub use proof::{MultiProof, PresenceProof, ProofError, ProvenStatus, RevocationProof};
 pub use root::{CaId, SignedRoot};

@@ -25,7 +25,6 @@
 //! proptested in `tests/properties.rs`.
 
 use crate::chunk::ChunkedVec;
-use crate::parallel::HashPool;
 use crate::serial::SerialNumber;
 use crate::tree::{empty_root, node_hash, Leaf, TreeReader};
 use ritm_crypto::digest::Digest20;
@@ -55,9 +54,9 @@ impl PersistentTree {
     }
 
     /// Builds a tree from leaves already sorted by serial.
-    pub fn from_sorted_leaves(leaves: impl IntoIterator<Item = Leaf>, pool: &HashPool) -> Self {
+    pub fn from_sorted_leaves(leaves: impl IntoIterator<Item = Leaf>) -> Self {
         let mut tree = PersistentTree::new();
-        tree.rebuild_from(leaves.into_iter().collect(), pool);
+        tree.rebuild_from(leaves.into_iter().collect());
         tree
     }
 
@@ -124,20 +123,14 @@ impl PersistentTree {
         path
     }
 
-    /// Applies a batch of new leaves on the global [`HashPool`]; see
-    /// [`PersistentTree::apply_sorted_batch_with`].
-    pub fn apply_sorted_batch(&mut self, batch: &[Leaf]) -> bool {
-        self.apply_sorted_batch_with(batch, HashPool::global())
-    }
-
     /// Applies a batch of new leaves, copying only the chunks whose
     /// contents change and rehashing only node paths at or after the first
     /// changed position — the persistent counterpart of
-    /// [`crate::tree::MerkleTree::apply_sorted_batch_with`], with identical
+    /// [`crate::tree::MerkleTree::apply_sorted_batch`], with identical
     /// results and epoch behaviour. Returns `true` when the incremental
     /// path ran (`batch` strictly sorted, no serial already present);
     /// otherwise the tree is rebuilt from scratch, which is always correct.
-    pub fn apply_sorted_batch_with(&mut self, batch: &[Leaf], pool: &HashPool) -> bool {
+    pub fn apply_sorted_batch(&mut self, batch: &[Leaf]) -> bool {
         if batch.is_empty() {
             return true;
         }
@@ -147,12 +140,12 @@ impl PersistentTree {
             let mut all: Vec<Leaf> = self.leaves.iter().copied().collect();
             all.extend_from_slice(batch);
             all.sort_by_key(|l| l.serial);
-            self.rebuild_from(all, pool);
+            self.rebuild_from(all);
             self.epoch += 1;
             return false;
         }
 
-        let batch_hashes = pool.map_range(0, batch.len(), |i| batch[i].hash());
+        let batch_hashes: Vec<Digest20> = batch.iter().map(Leaf::hash).collect();
         let dirty_from = self.lower_bound(&batch[0].serial);
         if self.levels.is_empty() {
             self.levels.push(ChunkedVec::new());
@@ -188,7 +181,7 @@ impl PersistentTree {
         }
         self.leaves.extend(old_leaves[from..].iter().copied());
         self.levels[0].extend(old_hashes[from..].iter().copied());
-        self.rehash_levels_from(dirty_from, pool);
+        self.rehash_levels_from(dirty_from);
         self.epoch += 1;
         true
     }
@@ -224,7 +217,7 @@ impl PersistentTree {
         if self.leaves.is_empty() {
             self.levels.clear();
         } else {
-            self.rehash_levels_from(first, HashPool::global());
+            self.rehash_levels_from(first);
         }
         self.epoch += 1;
         removed
@@ -232,21 +225,21 @@ impl PersistentTree {
 
     /// Rebuilds everything from `leaves` (sorted by serial) — the fallback
     /// when incremental invariants do not hold.
-    fn rebuild_from(&mut self, leaves: Vec<Leaf>, pool: &HashPool) {
+    fn rebuild_from(&mut self, leaves: Vec<Leaf>) {
         self.levels.clear();
-        let hashes = pool.map_range(0, leaves.len(), |i| leaves[i].hash());
+        let hashes = leaves.iter().map(Leaf::hash).collect();
         self.leaves = leaves.into_iter().collect();
         if self.leaves.is_empty() {
             return;
         }
-        self.levels.push(hashes.into_iter().collect());
-        self.rehash_levels_from(0, pool);
+        self.levels.push(hashes);
+        self.rehash_levels_from(0);
     }
 
     /// Rebuilds interior levels above valid level-0 hashes, recomputing
     /// only nodes whose subtree includes a position `>= dirty_from` —
     /// chunks fully left of the dirty front stay shared with any clone.
-    fn rehash_levels_from(&mut self, mut dirty_from: usize, pool: &HashPool) {
+    fn rehash_levels_from(&mut self, mut dirty_from: usize) {
         let mut k = 0;
         while self.levels[k].len() > 1 {
             let child_len = self.levels[k].len();
@@ -261,11 +254,10 @@ impl PersistentTree {
             // The children under the dirty parents, as one flat slice.
             let start = parent.len();
             let child = children[k].suffix_to_vec(2 * start);
-            let fresh = pool.map_range(0, parent_len - start, |j| match child.get(2 * j + 1) {
+            parent.extend((0..parent_len - start).map(|j| match child.get(2 * j + 1) {
                 Some(right) => node_hash(&child[2 * j], right),
                 None => child[2 * j], // odd node promoted
-            });
-            parent.extend(fresh);
+            }));
             k += 1;
         }
         self.levels.truncate(k + 1);

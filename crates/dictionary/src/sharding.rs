@@ -87,25 +87,21 @@ impl ShardedCa {
     }
 
     /// Batch-revokes `(serial, expiry)` pairs, routing each to its expiry
-    /// bucket and applying the per-shard batches **concurrently** on
-    /// `pool`: shards are independent dictionaries (own tree, own hash
-    /// chain, own signed root), so a Heartbleed-scale revocation storm
-    /// spanning several buckets inserts, rebuilds, and re-signs every
-    /// shard in parallel.
+    /// bucket and inserting one batch per shard, in bucket order: shards
+    /// are independent dictionaries (own tree, own hash chain, own signed
+    /// root), so a Heartbleed-scale revocation storm spanning several
+    /// buckets costs one insert and one re-signature per shard.
     ///
-    /// Missing shards are created first (sequentially — creation is cheap);
-    /// each shard's insert then runs on its own worker with an independent
-    /// RNG seeded from the caller's. Returns the issuances in bucket order
-    /// (deterministic; empty entries for shards where every serial was
-    /// already revoked are omitted).
+    /// Missing shards are created first; each shard's insert then runs
+    /// with its own RNG seeded from the caller's. Returns the issuances in
+    /// bucket order (deterministic; shards where every serial was already
+    /// revoked are omitted).
     pub fn revoke_batch_sharded<R: RngCore + ?Sized>(
         &mut self,
         entries: &[(SerialNumber, u64)],
-        pool: &crate::parallel::HashPool,
         rng: &mut R,
         now: u64,
     ) -> Vec<(CaId, RevocationIssuance)> {
-        use std::collections::BTreeMap;
         let mut by_bucket: BTreeMap<u64, Vec<SerialNumber>> = BTreeMap::new();
         for (serial, expiry) in entries {
             by_bucket
@@ -113,8 +109,8 @@ impl ShardedCa {
                 .or_default()
                 .push(*serial);
         }
-        // Create missing shards up front so the parallel phase only needs
-        // disjoint &mut borrows of existing dictionaries.
+        // Missing shards draw their hash chains from the caller's RNG
+        // first; the per-shard seeds follow, in bucket order.
         for &bucket in by_bucket.keys() {
             if !self.shards.contains_key(&bucket) {
                 let dict = CaDictionary::new(
@@ -128,29 +124,17 @@ impl ShardedCa {
                 self.shards.insert(bucket, dict);
             }
         }
-        // Seed one RNG per shard from the caller's stream (deterministic
-        // given the caller's seed, independent across workers).
-        let seeds: BTreeMap<u64, u64> = by_bucket.keys().map(|&b| (b, rng.next_u64())).collect();
-        let tasks: Vec<(u64, &mut CaDictionary, Vec<SerialNumber>, u64)> = {
-            let mut batches = by_bucket;
-            self.shards
-                .iter_mut()
-                .filter_map(|(bucket, dict)| {
-                    let serials = batches.remove(bucket)?;
-                    Some((*bucket, dict, serials, seeds[bucket]))
-                })
-                .collect()
-        };
-        let issued: Vec<(CaId, Option<RevocationIssuance>)> =
-            pool.run_tasks(tasks, |(_bucket, dict, serials, seed)| {
-                let mut shard_rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let ca = dict.ca();
-                (ca, dict.insert(&serials, &mut shard_rng, now))
-            });
+        let mut issued = Vec::new();
+        for (bucket, serials) in by_bucket {
+            // One RNG per shard, seeded from the caller's stream in bucket
+            // order (deterministic given the caller's seed).
+            let mut shard_rng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
+            let dict = self.shards.get_mut(&bucket).expect("created above");
+            if let Some(iss) = dict.insert(&serials, &mut shard_rng, now) {
+                issued.push((dict.ca(), iss));
+            }
+        }
         issued
-            .into_iter()
-            .filter_map(|(ca, iss)| iss.map(|i| (ca, i)))
-            .collect()
     }
 
     /// Number of live shards.
@@ -284,9 +268,9 @@ mod tests {
 
     #[test]
     fn parallel_sharded_batch_matches_sequential_routing() {
-        // The same entries applied via revoke_batch_sharded (multi-worker)
-        // and via per-entry revoke (sequential) must land in the same
-        // shards with the same revocations.
+        // The same entries applied via revoke_batch_sharded (one batch per
+        // shard) and via per-entry revoke must land in the same shards
+        // with the same revocations.
         let (mut par, _) = sharded();
         let (mut seq, mut rng_seq) = sharded();
         let entries: Vec<(SerialNumber, u64)> = (0..40u32)
@@ -294,8 +278,7 @@ mod tests {
             .collect();
 
         let mut rng_par = StdRng::seed_from_u64(11);
-        let pool = crate::parallel::HashPool::new(4);
-        let issued = par.revoke_batch_sharded(&entries, &pool, &mut rng_par, 0);
+        let issued = par.revoke_batch_sharded(&entries, &mut rng_par, 0);
         assert_eq!(issued.len(), 4, "one issuance per touched bucket");
 
         for (serial, expiry) in &entries {
@@ -310,7 +293,7 @@ mod tests {
         }
 
         // Re-applying the same serials yields nothing new.
-        let again = par.revoke_batch_sharded(&entries, &pool, &mut rng_par, 1);
+        let again = par.revoke_batch_sharded(&entries, &mut rng_par, 1);
         assert!(again.is_empty());
     }
 

@@ -7,7 +7,6 @@
 //! level is promoted unchanged (RFC 6962 style), so the tree handles any leaf
 //! count.
 
-use crate::parallel::HashPool;
 use crate::serial::{SerialNumber, MAX_SERIAL_LEN};
 use ritm_crypto::digest::{Digest20, DIGEST_LEN};
 use ritm_crypto::sha256;
@@ -171,25 +170,15 @@ impl MerkleTree {
     }
 
     /// Recomputes all interior levels. Idempotent (does not bump the epoch
-    /// unless leaves were invalidated since the last build). Large trees are
-    /// hashed on the global [`HashPool`]; use [`MerkleTree::rebuild_with`]
-    /// to control the worker count explicitly.
+    /// unless leaves were invalidated since the last build).
     pub fn rebuild(&mut self) {
-        self.rebuild_with(HashPool::global());
-    }
-
-    /// [`MerkleTree::rebuild`] on an explicit pool: leaf hashing and each
-    /// interior level fan out across the pool's workers (contiguous chunks,
-    /// joined in order, so the result is bit-identical to sequential).
-    pub fn rebuild_with(&mut self, pool: &HashPool) {
         self.levels.clear();
         if self.leaves.is_empty() {
             return;
         }
-        let leaves = &self.leaves;
         self.levels
-            .push(pool.map_range(0, leaves.len(), |i| leaves[i].hash()));
-        self.rehash_levels_from(0, pool);
+            .push(self.leaves.iter().map(Leaf::hash).collect());
+        self.rehash_levels_from(0);
     }
 
     /// Applies a batch of new leaves, rehashing only the node paths at or
@@ -205,13 +194,6 @@ impl MerkleTree {
     /// always correct; the return value reports which path ran (`true` =
     /// incremental).
     pub fn apply_sorted_batch(&mut self, batch: &[Leaf]) -> bool {
-        self.apply_sorted_batch_with(batch, HashPool::global())
-    }
-
-    /// [`MerkleTree::apply_sorted_batch`] on an explicit pool: the batch's
-    /// leaf hashes (and the rehashed interior suffix) fan out across the
-    /// pool's workers when the batch is large.
-    pub fn apply_sorted_batch_with(&mut self, batch: &[Leaf], pool: &HashPool) -> bool {
         if batch.is_empty() {
             return true;
         }
@@ -220,11 +202,11 @@ impl MerkleTree {
             && batch.iter().all(|l| self.find(&l.serial).is_none());
         if !invariants_hold {
             self.extend_leaves(batch.iter().copied());
-            self.rebuild_with(pool);
+            self.rebuild();
             return false;
         }
 
-        let batch_hashes = pool.map_range(0, batch.len(), |i| batch[i].hash());
+        let batch_hashes: Vec<Digest20> = batch.iter().map(Leaf::hash).collect();
         let dirty_from = self.leaves.partition_point(|l| l.serial < batch[0].serial);
         let old_len = self.leaves.len();
         if self.levels.is_empty() {
@@ -256,7 +238,7 @@ impl MerkleTree {
         // bound), so the batch's head is what remains for the gap.
         self.leaves[dirty_from..dirty_from + new].copy_from_slice(&batch[..new]);
         hashes[dirty_from..dirty_from + new].copy_from_slice(&batch_hashes[..new]);
-        self.rehash_levels_from(dirty_from, pool);
+        self.rehash_levels_from(dirty_from);
         self.epoch += 1;
         true
     }
@@ -305,7 +287,7 @@ impl MerkleTree {
         if self.leaves.is_empty() {
             self.levels.clear();
         } else {
-            self.rehash_levels_from(first, HashPool::global());
+            self.rehash_levels_from(first);
         }
         self.epoch += 1;
         removed
@@ -313,10 +295,9 @@ impl MerkleTree {
 
     /// Rebuilds the interior levels above valid level-0 hashes, recomputing
     /// only nodes whose subtree includes a position `>= dirty_from` and
-    /// reusing everything to the left. Wide dirty spans within a level are
-    /// hashed in parallel on `pool` (each parent node depends only on its
-    /// two children, so a level is embarrassingly parallel).
-    fn rehash_levels_from(&mut self, mut dirty_from: usize, pool: &HashPool) {
+    /// reusing everything to the left. Fresh parents are written straight
+    /// into their level, with no per-level temporary.
+    fn rehash_levels_from(&mut self, mut dirty_from: usize) {
         let mut k = 0;
         while self.levels[k].len() > 1 {
             let child_len = self.levels[k].len();
@@ -329,14 +310,14 @@ impl MerkleTree {
             let child = &children[k];
             let parent = &mut parents[0];
             parent.truncate(dirty_from.min(parent_len));
-            let fresh = pool.map_range(parent.len(), parent_len, |j| {
+            let start = parent.len();
+            parent.extend((start..parent_len).map(|j| {
                 if 2 * j + 1 < child_len {
                     node_hash(&child[2 * j], &child[2 * j + 1])
                 } else {
                     child[2 * j] // odd node promoted
                 }
-            });
-            parent.extend(fresh);
+            }));
             k += 1;
         }
         self.levels.truncate(k + 1);
@@ -700,27 +681,58 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rebuild_matches_sequential() {
-        // Above PAR_THRESHOLD leaves so the pool actually fans out; the
-        // parallel chunking must be invisible in the resulting tree.
-        let n = crate::parallel::PAR_THRESHOLD as u32 + 513;
-        let mut seq = MerkleTree::new();
-        seq.extend_leaves((0..n).map(|i| Leaf::new(SerialNumber::from_u24(i * 2), i as u64 + 1)));
-        let mut par = seq.clone();
-        seq.rebuild_with(&HashPool::sequential());
-        par.rebuild_with(&HashPool::new(4));
-        assert_eq!(seq.root(), par.root());
+    fn rebuild_matches_incremental_across_chunk_boundaries() {
+        // 4 609 leaves: level 0 crosses 4 096, and odd nodes are promoted
+        // on several levels. A full rebuild and one incremental batch from
+        // empty must land on the same tree.
+        let n = 4_609u32;
+        let leaves: Vec<Leaf> = (0..n)
+            .map(|i| Leaf::new(SerialNumber::from_u24(i * 2), i as u64 + 1))
+            .collect();
+        let mut rebuilt = MerkleTree::new();
+        rebuilt.extend_leaves(leaves.iter().copied());
+        rebuilt.rebuild();
+        let mut incremental = MerkleTree::new();
+        assert!(incremental.apply_sorted_batch(&leaves));
+        assert_eq!(rebuilt.root(), incremental.root());
         for i in [0usize, 1, 4095, 4096, n as usize - 1] {
-            assert_eq!(seq.audit_path(i), par.audit_path(i), "path {i}");
+            assert_eq!(rebuilt.audit_path(i), incremental.audit_path(i), "path {i}");
         }
 
-        // Incremental batches through a multi-worker pool stay identical too.
-        let batch: Vec<Leaf> = (0..crate::parallel::PAR_THRESHOLD as u32 + 11)
-            .map(|i| Leaf::new(SerialNumber::from_u24(n * 2 + 1 + i), (n + i) as u64 + 1))
+        // A second large batch interleaved with the first: merged in place
+        // on one side, re-sorted and rebuilt on the other.
+        let batch: Vec<Leaf> = (0..4_107u32)
+            .map(|i| Leaf::new(SerialNumber::from_u24(i * 2 + 1), (n + i) as u64 + 1))
             .collect();
-        assert!(seq.apply_sorted_batch_with(&batch, &HashPool::sequential()));
-        assert!(par.apply_sorted_batch_with(&batch, &HashPool::new(4)));
-        assert_eq!(seq.root(), par.root());
+        assert!(incremental.apply_sorted_batch(&batch));
+        rebuilt.extend_leaves(batch.iter().copied());
+        rebuilt.rebuild();
+        assert_eq!(rebuilt.root(), incremental.root());
+        for i in [0usize, 1, 4095, 4096, rebuilt.len() - 1] {
+            assert_eq!(rebuilt.audit_path(i), incremental.audit_path(i), "path {i}");
+        }
+    }
+
+    #[test]
+    fn rebuild_counts_every_leaf_hash_on_the_calling_thread() {
+        // `leaf_hash_calls` is per thread, so it counts every hash only if
+        // the rebuild never hands leaves to another thread.
+        let mut t = MerkleTree::new();
+        t.extend_leaves((0..10_000u32).map(|i| Leaf::new(SerialNumber::from_u24(i), i as u64 + 1)));
+        let before = leaf_hash_calls();
+        t.rebuild();
+        assert_eq!(leaf_hash_calls() - before, 10_000);
+    }
+
+    #[test]
+    fn apply_sorted_batch_counts_every_leaf_hash_on_the_calling_thread() {
+        let mut t = tree_with(&[1]);
+        let batch: Vec<Leaf> = (0..5_000u32)
+            .map(|i| Leaf::new(SerialNumber::from_u24(i + 2), i as u64 + 2))
+            .collect();
+        let before = leaf_hash_calls();
+        assert!(t.apply_sorted_batch(&batch));
+        assert_eq!(leaf_hash_calls() - before, 5_000);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use ritm_crypto::{Digest20, HashChain};
 use ritm_dictionary::persistent::PersistentTree;
 use ritm_dictionary::tree::{Leaf, MerkleTree};
-use ritm_dictionary::{HashPool, SerialNumber};
+use ritm_dictionary::SerialNumber;
 use std::collections::BTreeSet;
 
 const BUILD_ROOT: &str = "13bb9ec3371325609aab530fe732c46521fd1864";
@@ -90,8 +90,7 @@ fn roots_are_the_ones_recorded_before_the_hash_kernel_changed() {
     assert_eq!(dense.len(), 10_000);
     assert_eq!(dense.root().to_string(), BUILD_ROOT);
 
-    let mut persistent =
-        PersistentTree::from_sorted_leaves(dense.leaves().iter().copied(), HashPool::global());
+    let mut persistent = PersistentTree::from_sorted_leaves(dense.leaves().iter().copied());
     assert_eq!(persistent.root(), dense.root());
 
     let mut present: BTreeSet<SerialNumber> = leaves.iter().map(|l| l.serial).collect();
