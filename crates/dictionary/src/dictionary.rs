@@ -392,20 +392,11 @@ impl CaDictionary {
             if !ok {
                 return Err(i);
             }
-            let first_number = rec.first_number;
-            let mut in_batch = std::collections::HashSet::new();
-            for s in &rec.serials {
-                if dict.tree.find(s).is_some() || !in_batch.insert(*s) {
-                    return Err(i);
-                }
-            }
-            let mut batch: Vec<Leaf> = rec
-                .serials
-                .iter()
-                .enumerate()
-                .map(|(j, s)| Leaf::new(*s, first_number + j as u64))
-                .collect();
-            batch.sort_by_key(|l| l.serial);
+            let Some(batch) = checked_batch(&rec.serials, rec.first_number, |s| {
+                dict.tree.find(s).is_some()
+            }) else {
+                return Err(i);
+            };
             dict.tree.apply_sorted_batch(&batch);
             if dict.tree.root() != sr.root || dict.tree.len() as u64 != sr.size {
                 dict.tree.remove_sorted_batch(&rec.serials);
@@ -481,23 +472,31 @@ impl CaDictionary {
         now: u64,
     ) -> Option<RevocationIssuance> {
         let first_number = self.log.len() as u64 + 1;
-        let mut added = Vec::new();
-        let mut in_batch = std::collections::HashSet::new();
-        for s in serials {
-            if self.tree.find(s).is_some() || !in_batch.insert(*s) {
-                continue;
-            }
-            added.push(*s);
-        }
-        if added.is_empty() {
+        // Sorted by (serial, input index), the first occurrence of a repeat
+        // leads its run; `number` holds the input index until renumbering.
+        let mut batch: Vec<Leaf> = serials
+            .iter()
+            .zip(0..)
+            .map(|(&s, i)| Leaf::new(s, i))
+            .collect();
+        batch.sort_unstable_by(by_serial_then_number);
+        batch.dedup_by(|later, first| later.serial == first.serial);
+        batch.retain(|l| self.tree.find(&l.serial).is_none());
+        if batch.is_empty() {
             return None;
         }
-        let mut batch: Vec<Leaf> = added
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Leaf::new(*s, first_number + i as u64))
-            .collect();
-        batch.sort_by_key(|l| l.serial);
+        // Number the survivors in input order: `number[i]` is input `i`'s
+        // revocation number, or 0 if it was skipped.
+        let mut number = vec![0; serials.len()];
+        batch.iter().for_each(|l| number[l.number as usize] = 1);
+        let mut added = Vec::with_capacity(batch.len());
+        for (s, n) in serials.iter().zip(&mut number).filter(|(_, n)| **n != 0) {
+            *n = first_number + added.len() as u64;
+            added.push(*s);
+        }
+        batch
+            .iter_mut()
+            .for_each(|l| l.number = number[l.number as usize]);
         self.tree.apply_sorted_batch(&batch);
         self.log.extend_from_slice(&added);
         self.chain = HashChain::generate(rng, self.chain_len);
@@ -615,31 +614,9 @@ impl CaDictionary {
             None => (self.signed_root.timestamp, self.signed_root.anchor),
         };
         let mut tree = MerkleTree::new();
-        let mut leaves: Vec<Leaf> = self.log[..end as usize]
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Leaf::new(*s, i as u64 + 1))
-            .collect();
-        leaves.sort_by_key(|l| l.serial);
-        tree.apply_sorted_batch(&leaves);
+        let leaves = checked_batch(&self.log[..end as usize], 1, |_| false);
+        tree.apply_sorted_batch(&leaves.expect("the log holds distinct serials"));
         SignedRoot::create(&self.key, self.ca, tree.root(), end, anchor, ts)
-    }
-
-    /// The latest issuance batch (what a `FetchDelta` pull would return),
-    /// or `None` before any revocation.
-    pub fn latest_issuance(&self) -> Option<RevocationIssuance> {
-        let (&(end, _), prev) = match self.batch_roots.split_last() {
-            Some((last, prev)) => (last, prev),
-            None => return None,
-        };
-        let first = prev.last().map(|(e, _)| *e).unwrap_or(0);
-        Some(RevocationIssuance {
-            first_number: first + 1,
-            serials: self.log[first as usize..end as usize].to_vec(),
-            // Always the *current* root: a post-crash rotation supersedes
-            // the root recorded at the batch boundary.
-            signed_root: self.signed_root,
-        })
     }
 
     /// Builds a full revocation status (Eq. 3) directly from the CA's own
@@ -782,18 +759,7 @@ impl MirrorDictionary {
         signed_root
             .verify(&ca_key)
             .map_err(|_| UpdateError::BadSignature)?;
-        let mut in_batch = std::collections::HashSet::new();
-        for s in serials {
-            if !in_batch.insert(*s) {
-                return Err(UpdateError::DuplicateSerial);
-            }
-        }
-        let mut leaves: Vec<Leaf> = serials
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Leaf::new(*s, i as u64 + 1))
-            .collect();
-        leaves.sort_by_key(|l| l.serial);
+        let leaves = checked_batch(serials, 1, |_| false).ok_or(UpdateError::DuplicateSerial)?;
         let mut tree = PersistentTree::new();
         tree.apply_sorted_batch(&leaves);
         if tree.root() != signed_root.root || tree.len() as u64 != signed_root.size {
@@ -895,22 +861,13 @@ impl MirrorDictionary {
                 got: issuance.first_number,
             });
         }
-        let mut in_batch = std::collections::HashSet::new();
-        for s in &issuance.serials {
-            if self.tree.find(s).is_some() || !in_batch.insert(*s) {
-                return Err(UpdateError::DuplicateSerial);
-            }
-        }
+        let batch = checked_batch(&issuance.serials, issuance.first_number, |s| {
+            self.tree.find(s).is_some()
+        })
+        .ok_or(UpdateError::DuplicateSerial)?;
         // Verify-then-commit without an O(n) scratch clone: apply the batch
         // incrementally, and roll it back (removing exactly the inserted
         // leaves) if the resulting root does not match the signed root.
-        let mut batch: Vec<Leaf> = issuance
-            .serials
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Leaf::new(*s, issuance.first_number + i as u64))
-            .collect();
-        batch.sort_by_key(|l| l.serial);
         self.tree.apply_sorted_batch(&batch);
         if self.tree.root() != sr.root || self.tree.len() as u64 != sr.size {
             self.tree.remove_sorted_batch(&issuance.serials);
@@ -1022,6 +979,30 @@ impl MirrorDictionary {
     pub fn memory_bytes(&self) -> usize {
         self.tree.memory_bytes()
     }
+}
+
+/// The leaves for `serials`, numbered in input order from `first_number`
+/// and sorted by serial — or `None` when a serial repeats in the batch or
+/// is already `present`. The one duplicate check of every bulk load: a
+/// mirror's update and restore, and the CA's log replay and page roots.
+fn checked_batch(
+    serials: &[SerialNumber],
+    first_number: u64,
+    present: impl Fn(&SerialNumber) -> bool,
+) -> Option<Vec<Leaf>> {
+    let mut batch: Vec<Leaf> = serials
+        .iter()
+        .zip(first_number..)
+        .map(|(&s, n)| Leaf::new(s, n))
+        .collect();
+    batch.sort_unstable_by(by_serial_then_number);
+    let distinct = batch.windows(2).all(|w| w[0].serial != w[1].serial);
+    (distinct && !batch.iter().any(|l| present(&l.serial))).then_some(batch)
+}
+
+/// Leaves by serial, and repeats of one serial by number.
+fn by_serial_then_number(a: &Leaf, b: &Leaf) -> core::cmp::Ordering {
+    a.serial.cmp(&b.serial).then(a.number.cmp(&b.number))
 }
 
 #[cfg(test)]

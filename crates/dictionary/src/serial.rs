@@ -35,6 +35,10 @@ impl std::error::Error for SerialError {}
 /// A certificate serial number: 1–20 bytes, compared lexicographically —
 /// the sort order of dictionary leaves (paper §III).
 ///
+/// Invariant: `bytes` past `len` are zero. Every constructor goes through
+/// [`SerialNumber::new`], which zero-fills them; the derived `Eq` and
+/// `Hash` and the integer comparison in `Ord` rely on it.
+///
 /// # Examples
 ///
 /// ```
@@ -109,8 +113,16 @@ impl PartialOrd for SerialNumber {
 
 impl Ord for SerialNumber {
     fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        // Lexicographic over the meaningful bytes, as the paper sorts leaves.
-        self.as_bytes().cmp(other.as_bytes())
+        // Lexicographic over the meaningful bytes, as the paper sorts leaves:
+        // the zero-padded buffer as a big-endian `u128` and `u32`, then the
+        // length, which breaks the tie a proper prefix leaves.
+        let key = |s: &Self| {
+            let (head, tail) = s.bytes.split_at(16);
+            let head = u128::from_be_bytes(head.try_into().expect("16 bytes"));
+            let tail = u32::from_be_bytes(tail.try_into().expect("4 bytes"));
+            (head, tail, s.len)
+        };
+        key(self).cmp(&key(other))
     }
 }
 

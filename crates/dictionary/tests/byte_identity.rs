@@ -8,15 +8,20 @@
 //! must keep agreeing with this one. The inputs are generated by a PRNG
 //! written out here, so they cannot drift with a vendored crate.
 
-use ritm_crypto::{Digest20, HashChain};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use ritm_crypto::{Digest20, HashChain, SigningKey};
 use ritm_dictionary::persistent::PersistentTree;
 use ritm_dictionary::tree::{Leaf, MerkleTree};
-use ritm_dictionary::SerialNumber;
+use ritm_dictionary::{CaDictionary, CaId, MirrorDictionary, SerialNumber};
 use std::collections::BTreeSet;
 
 const BUILD_ROOT: &str = "13bb9ec3371325609aab530fe732c46521fd1864";
 const BATCHED_ROOT: &str = "798f2cd8cec561e9d01acdad70fb0e42914675d0";
 const CHAIN_ANCHOR: &str = "6362c6b413c32fd0e4b0703568cf78bea1571338";
+/// Recorded at commit `38798ca`, while `SerialNumber::cmp` still compared
+/// byte slices.
+const EDGE_ROOT: &str = "c6c3b2387490c224f6abdf2357f8ea88d6957ef7";
 
 /// SplitMix64.
 struct Seeded(u64);
@@ -110,6 +115,67 @@ fn roots_are_the_ones_recorded_before_the_hash_kernel_changed() {
     rebuilt.extend_leaves(dense.leaves().iter().copied());
     rebuilt.rebuild();
     assert_eq!(rebuilt.root().to_string(), BATCHED_ROOT);
+}
+
+/// Serials that differ only by a trailing `00`, by being a prefix, or at
+/// the last of 20 bytes — the pairs an order over the zero-padded bytes
+/// could get wrong — listed in revocation order, which is not sorted.
+const EDGE_SERIALS: [&[u8]; 8] = [
+    &[0x01, 0x00],
+    &[0xff; 20],
+    &[0x00, 0x00],
+    &[0x01, 0xff],
+    &[0x02],
+    &[0x01],
+    &[0x01, 0x00, 0x00],
+    &[0x00],
+];
+
+#[test]
+fn edge_serials_sort_and_hash_as_recorded_before_the_serial_order_changed() {
+    let serials: Vec<SerialNumber> = EDGE_SERIALS
+        .iter()
+        .map(|b| SerialNumber::new(b).unwrap())
+        .collect();
+    let mut dense = MerkleTree::new();
+    dense.extend_leaves(serials.iter().zip(1u64..).map(|(&s, n)| Leaf::new(s, n)));
+    dense.rebuild();
+    let sorted: Vec<&[u8]> = dense.leaves().iter().map(|l| l.serial.as_bytes()).collect();
+    let expected: [&[u8]; 8] = [
+        &[0x00],
+        &[0x00, 0x00],
+        &[0x01],
+        &[0x01, 0x00],
+        &[0x01, 0x00, 0x00],
+        &[0x01, 0xff],
+        &[0x02],
+        &[0xff; 20],
+    ];
+    assert_eq!(sorted, expected);
+    assert_eq!(dense.root().to_string(), EDGE_ROOT);
+
+    // The dictionaries sort their own batches: the CA's insert, the
+    // mirror's update and a restore from the issuance order all land on
+    // the recorded root.
+    let mut rng = StdRng::seed_from_u64(7);
+    let key = SigningKey::from_seed([3; 32]);
+    let ca_id = CaId::from_name("EdgeCA");
+    let mut ca = CaDictionary::new(ca_id, key, 10, 16, &mut rng, 1_000);
+    let mut mirror = MirrorDictionary::new(ca_id, ca.verifying_key(), *ca.signed_root()).unwrap();
+    let issuance = ca.insert(&serials, &mut rng, 1_001).unwrap();
+    assert_eq!(issuance.serials, serials);
+    assert_eq!(issuance.signed_root.root.to_string(), EDGE_ROOT);
+    mirror.apply_issuance(&issuance, 1_001).unwrap();
+    assert_eq!(mirror.signed_root().root.to_string(), EDGE_ROOT);
+    let restored = MirrorDictionary::restore(
+        ca_id,
+        ca.verifying_key(),
+        10,
+        &mirror.serials_in_issuance_order(),
+        issuance.signed_root,
+    )
+    .unwrap();
+    assert_eq!(restored.signed_root().root.to_string(), EDGE_ROOT);
 }
 
 #[test]

@@ -5,14 +5,15 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ritm_crypto::SigningKey;
+use ritm_crypto::{Digest20, SigningKey};
 use ritm_dictionary::chunk::CHUNK;
 use ritm_dictionary::persistent::PersistentTree;
-use ritm_dictionary::tree::{Leaf, MerkleTree};
+use ritm_dictionary::tree::{empty_root, node_hash, Leaf, MerkleTree};
 use ritm_dictionary::{
-    CaDictionary, CaId, MirrorDictionary, ProvenStatus, RevocationStatus, SerialNumber,
+    CaDictionary, CaId, MirrorDictionary, ProvenStatus, RefreshMessage, RevocationIssuance,
+    RevocationStatus, SerialNumber, SignedRoot, UpdateError,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 const DELTA: u64 = 10;
 const T0: u64 = 1_000_000;
@@ -524,4 +525,216 @@ proptest! {
         let res = old_status.validate(&victim_serial, &ca.verifying_key(), DELTA, much_later);
         prop_assert!(res.is_err(), "stale absence status accepted at +3Δ");
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `SerialNumber`'s order over its zero-padded bytes is the byte order
+    /// of its meaningful bytes, and equality is `cmp`'s `Equal`. Pairs share
+    /// a prefix of 0–20 bytes and end in short tails drawn mostly from
+    /// `00` (the padding byte) and `ff`, so prefix pairs, trailing zeros and
+    /// 20-byte serials come up in every case.
+    #[test]
+    fn serial_order_is_byte_order(
+        pairs in prop::collection::vec(
+            (
+                prop::collection::vec(edge_byte(), 0..=20usize),
+                prop::collection::vec(edge_byte(), 0..4usize),
+                prop::collection::vec(edge_byte(), 0..4usize),
+            ),
+            1..64usize,
+        ),
+    ) {
+        for (prefix, tail_a, tail_b) in &pairs {
+            let (a, b) = (joined(prefix, tail_a), joined(prefix, tail_b));
+            prop_assert_eq!(a.cmp(&b), a.as_bytes().cmp(b.as_bytes()), "{} vs {}", a, b);
+            prop_assert_eq!(a == b, a.cmp(&b).is_eq(), "{} vs {}", a, b);
+        }
+    }
+
+    /// The dictionaries' batch checks decide exactly what the per-serial
+    /// `HashSet` checks they replaced decided: `insert` skips the same
+    /// serials and numbers the rest in input order; `apply_issuance` and
+    /// `restore` reject the same batches with the same error, and `replay`
+    /// stops at the same record. A rejected update leaves the mirror's tree
+    /// as it was.
+    #[test]
+    fn batch_checks_agree_with_the_hashset_algorithm(
+        history in prop::collection::vec(prop::collection::vec(colliding_serial(), 0..12usize), 0..4usize),
+        batch in prop::collection::vec(colliding_serial(), 0..16usize),
+        wrong_root in any::<bool>(),
+    ) {
+        let key = SigningKey::from_seed([4u8; 32]);
+        let ca_id = CaId::from_name("BatchCA");
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut ca = CaDictionary::new(ca_id, key.clone(), DELTA, 256, &mut rng, T0);
+        let mut mirror = MirrorDictionary::new(ca_id, ca.verifying_key(), *ca.signed_root()).unwrap();
+        let mut log: Vec<SerialNumber> = Vec::new();
+        let mut records = Vec::new();
+        for (i, serials) in history.iter().enumerate() {
+            let now = T0 + 1 + i as u64;
+            let added = hashset_insert(&log, serials);
+            match ca.insert(serials, &mut rng, now) {
+                None => prop_assert!(added.is_empty(), "insert skipped {:?}", added),
+                Some(iss) => {
+                    prop_assert_eq!(iss.first_number, log.len() as u64 + 1);
+                    prop_assert_eq!(&iss.serials, &added);
+                    log.extend_from_slice(&added);
+                    prop_assert_eq!(iss.signed_root.root, reference_root(&log));
+                    prop_assert_eq!(iss.signed_root.size, log.len() as u64);
+                    mirror.apply_issuance(&iss, now).unwrap();
+                    records.push(iss);
+                }
+            }
+        }
+
+        // `batch` as it stands, under a valid signature over the root it
+        // would give (or a corrupted one): only the batch check and the
+        // root check can reject it.
+        let mut all = log.clone();
+        all.extend_from_slice(&batch);
+        let mut root = *reference_root(&all).as_bytes();
+        if wrong_root {
+            root[0] ^= 1;
+        }
+        let now = T0 + 50;
+        let signed_root = SignedRoot::create(
+            &key,
+            ca_id,
+            Digest20::from_bytes(root),
+            all.len() as u64,
+            ca.signed_root().anchor,
+            now,
+        );
+        let crafted = RevocationIssuance {
+            first_number: log.len() as u64 + 1,
+            serials: batch.clone(),
+            signed_root,
+        };
+        let expected = if hashset_has_duplicate(&log, &batch) {
+            Err(UpdateError::DuplicateSerial)
+        } else if wrong_root {
+            Err(UpdateError::RootMismatch)
+        } else {
+            Ok(())
+        };
+
+        let before = mirror.clone();
+        prop_assert_eq!(mirror.apply_issuance(&crafted, now), expected);
+        if expected.is_err() {
+            prop_assert_eq!(mirror.len(), before.len());
+            prop_assert_eq!(mirror.signed_root(), before.signed_root());
+            prop_assert_eq!(mirror.serials_in_issuance_order(), log.clone());
+            // A rotation over the old content is accepted only if the
+            // tree's root is the old root again.
+            let rotated = SignedRoot::create(
+                &key,
+                ca_id,
+                reference_root(&log),
+                log.len() as u64,
+                ca.signed_root().anchor,
+                now,
+            );
+            let mut probe = mirror.clone();
+            prop_assert_eq!(probe.apply_refresh(&RefreshMessage::NewRoot(rotated), now), Ok(()));
+        }
+
+        let restored = MirrorDictionary::restore(ca_id, ca.verifying_key(), DELTA, &all, signed_root);
+        prop_assert_eq!(restored.map(|m| *m.signed_root()), expected.map(|()| signed_root));
+
+        records.push(crafted);
+        let replayed = CaDictionary::replay(ca_id, key, DELTA, 256, &records, &mut rng, now);
+        let expected_stop = match expected {
+            Ok(()) if !batch.is_empty() => None,
+            _ => Some(records.len() - 1),
+        };
+        prop_assert_eq!(replayed.as_ref().err().copied(), expected_stop);
+        if let Ok(dict) = replayed {
+            prop_assert_eq!(dict.len(), all.len());
+            prop_assert_eq!(dict.signed_root().root, reference_root(&all));
+        }
+    }
+}
+
+/// A byte biased toward the ones a padded-integer order could confuse:
+/// `00` (what `SerialNumber` pads with), `01` and `ff`.
+fn edge_byte() -> impl Strategy<Value = u8> {
+    prop_oneof![Just(0x00u8), Just(0x01u8), Just(0xffu8), any::<u8>()]
+}
+
+/// `prefix ‖ tail`, cut to 20 bytes; an empty result becomes `00`.
+fn joined(prefix: &[u8], tail: &[u8]) -> SerialNumber {
+    let mut bytes = [prefix, tail].concat();
+    bytes.truncate(20);
+    if bytes.is_empty() {
+        bytes.push(0x00);
+    }
+    SerialNumber::new(&bytes).unwrap()
+}
+
+/// Mostly 1–3-byte serials over `00`, `01` and `ff` (39 in all, so batches
+/// repeat serials and meet the tree's, and hold prefix pairs), now and then
+/// a random 20-byte one.
+fn colliding_serial() -> impl Strategy<Value = SerialNumber> {
+    let short = || {
+        prop::collection::vec(0usize..3, 1..=3usize).prop_map(|digits| {
+            let bytes: Vec<u8> = digits.iter().map(|&d| [0x00, 0x01, 0xff][d]).collect();
+            SerialNumber::new(&bytes).unwrap()
+        })
+    };
+    prop_oneof![
+        short(),
+        short(),
+        any::<[u8; 20]>().prop_map(|b| SerialNumber::new(&b).unwrap()),
+    ]
+}
+
+/// `CaDictionary::insert`'s rule as the per-serial `HashSet` check wrote
+/// it: the first occurrence of each serial not yet in `log`, in input order.
+fn hashset_insert(log: &[SerialNumber], serials: &[SerialNumber]) -> Vec<SerialNumber> {
+    let present: HashSet<&SerialNumber> = log.iter().collect();
+    let mut in_batch = HashSet::new();
+    serials
+        .iter()
+        .filter(|s| !present.contains(s) && in_batch.insert(**s))
+        .copied()
+        .collect()
+}
+
+/// The per-serial `HashSet` check of an update: does `serials` repeat a
+/// serial or carry one already in `log`?
+fn hashset_has_duplicate(log: &[SerialNumber], serials: &[SerialNumber]) -> bool {
+    let present: HashSet<&SerialNumber> = log.iter().collect();
+    let mut in_batch = HashSet::new();
+    serials
+        .iter()
+        .any(|s| present.contains(s) || !in_batch.insert(*s))
+}
+
+/// The root by definition, independent of `SerialNumber`'s `Ord`: leaves
+/// numbered in `log` order and sorted by their bytes, hashed, then paired
+/// level by level with an odd node promoted.
+fn reference_root(log: &[SerialNumber]) -> Digest20 {
+    let mut leaves: Vec<Leaf> = log
+        .iter()
+        .zip(1u64..)
+        .map(|(&s, n)| Leaf::new(s, n))
+        .collect();
+    leaves.sort_by(|a, b| a.serial.as_bytes().cmp(b.serial.as_bytes()));
+    let mut level: Vec<Digest20> = leaves.iter().map(Leaf::hash).collect();
+    if level.is_empty() {
+        return empty_root();
+    }
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|pair| match pair {
+                [left, right] => node_hash(left, right),
+                [odd] => *odd,
+                _ => unreachable!("chunks(2)"),
+            })
+            .collect();
+    }
+    level[0]
 }
