@@ -72,8 +72,7 @@ impl Service for StatusService {
             | RitmRequest::FetchFreshness { .. }
             | RitmRequest::CatchUp { .. }
             | RitmRequest::CatchUpPaged { .. }
-            | RitmRequest::GetManifest { .. }
-            | RitmRequest::GossipRoots { .. } => RitmResponse::Error(ProtoError::Unsupported),
+            | RitmRequest::GetManifest { .. } => RitmResponse::Error(ProtoError::Unsupported),
         }
     }
 

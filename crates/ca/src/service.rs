@@ -91,8 +91,7 @@ impl Service for CaService {
             }
             RitmRequest::FetchDelta { .. }
             | RitmRequest::GetStatus { .. }
-            | RitmRequest::GetMultiStatus { .. }
-            | RitmRequest::GossipRoots { .. } => RitmResponse::Error(ProtoError::Unsupported),
+            | RitmRequest::GetMultiStatus { .. } => RitmResponse::Error(ProtoError::Unsupported),
         }
     }
 }

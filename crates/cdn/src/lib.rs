@@ -41,7 +41,6 @@ pub mod network;
 pub mod origin;
 pub mod pricing;
 pub mod regions;
-pub mod router;
 pub mod service;
 
 pub use edge::{EdgeServer, PullStats};
@@ -49,5 +48,4 @@ pub use network::Cdn;
 pub use origin::{ContentKey, Origin, PublishError};
 pub use pricing::{aggregate_tiered_cost_usd, tiered_cost_usd, TrafficLedger};
 pub use regions::{Region, ALL_REGIONS};
-pub use router::{FleetRouter, Route, RouterStats, ShardTopology};
 pub use service::EdgeService;

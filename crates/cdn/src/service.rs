@@ -176,9 +176,9 @@ impl<C: BorrowMut<Cdn> + Send> Service for EdgeService<C> {
                     None => RitmResponse::Error(ProtoError::UnknownCa(ca)),
                 }
             }
-            RitmRequest::GetStatus { .. }
-            | RitmRequest::GetMultiStatus { .. }
-            | RitmRequest::GossipRoots { .. } => RitmResponse::Error(ProtoError::Unsupported),
+            RitmRequest::GetStatus { .. } | RitmRequest::GetMultiStatus { .. } => {
+                RitmResponse::Error(ProtoError::Unsupported)
+            }
         }
     }
 

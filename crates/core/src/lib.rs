@@ -12,7 +12,4 @@ pub mod world;
 
 pub use deployment::DeploymentModel;
 pub use nodes::{ClientNode, ServerNode};
-pub use world::{
-    ConnectionOptions, ConnectionOutcome, FleetOptions, FleetRunReport, FleetWorld, RitmWorld,
-    EPOCH,
-};
+pub use world::{ConnectionOptions, ConnectionOutcome, RitmWorld, EPOCH};

@@ -22,8 +22,7 @@
 //! * [`dictionary`] — [`CaDictionary`] (`insert`/`refresh`) and
 //!   [`MirrorDictionary`] (`update`/`prove`), plus [`RevocationStatus`],
 //!   Eq. (3);
-//! * [`consistency`] — equivocation detection and misbehavior proofs;
-//! * [`sharding`] — expiry-based dictionary splitting (§VIII).
+//! * [`consistency`] — equivocation detection and misbehavior proofs.
 //!
 //! # Examples
 //!
@@ -67,7 +66,6 @@ pub mod persistent;
 pub mod proof;
 pub mod root;
 pub mod serial;
-pub mod sharding;
 pub mod snapshot;
 pub mod tree;
 
@@ -80,5 +78,4 @@ pub use persistent::PersistentTree;
 pub use proof::{MultiProof, PresenceProof, ProofError, ProvenStatus, RevocationProof};
 pub use root::{CaId, SignedRoot};
 pub use serial::{SerialError, SerialNumber};
-pub use sharding::ShardedCa;
 pub use snapshot::{DictionarySnapshot, SnapshotCell};

@@ -49,8 +49,8 @@ pub use fault::{FaultPlan, FaultStats, FaultTransport};
 pub use frame::{Body, Frame, FRAME_HEADER_MAX};
 pub use message::{
     peek_request_envelope, split_frame, RequestEnvelope, RitmRequest, RitmResponse, MAX_CHAIN_LEN,
-    MAX_FRAME_LEN, MAX_GOSSIP_ROOTS, MAX_PAGE_LIMIT, MAX_SUPPORTED_VERSION, MIN_SUPPORTED_VERSION,
-    PROTOCOL_V2, PROTOCOL_VERSION,
+    MAX_FRAME_LEN, MAX_PAGE_LIMIT, MAX_SUPPORTED_VERSION, MIN_SUPPORTED_VERSION, PROTOCOL_V2,
+    PROTOCOL_VERSION,
 };
 pub use payload::StatusPayload;
 pub use service::Service;

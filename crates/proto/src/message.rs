@@ -76,42 +76,6 @@ pub const MAX_PAGE_LIMIT: u32 = 1 << 20;
 /// instead of letting response encoding panic.
 pub const MAX_CHAIN_LEN: usize = 254;
 
-/// Upper bound on the `(ca, signed_root)` entries one gossip exchange may
-/// carry in either direction. Each entry is a fixed 136 bytes on the wire,
-/// so a full vector stays well under [`MAX_FRAME_LEN`]; a fleet mirroring
-/// more CAs than this gossips them across several exchanges.
-pub const MAX_GOSSIP_ROOTS: usize = 4096;
-
-/// Fixed wire size of one gossip entry: an 8-byte CA id followed by a
-/// [`SignedRoot`] ([`ritm_dictionary::root::SIGNED_ROOT_LEN`] bytes).
-const GOSSIP_ENTRY_LEN: usize = 8 + ritm_dictionary::root::SIGNED_ROOT_LEN;
-
-fn encode_gossip_roots(w: &mut Writer, roots: &[(CaId, SignedRoot)]) {
-    assert!(roots.len() <= MAX_GOSSIP_ROOTS, "gossip vector overflow");
-    w.u16(roots.len() as u16);
-    for (ca, root) in roots {
-        encode_ca(w, ca);
-        w.bytes(&root.to_bytes());
-    }
-}
-
-fn decode_gossip_roots(r: &mut Reader<'_>) -> Result<Vec<(CaId, SignedRoot)>, DecodeError> {
-    let len_pos = r.position();
-    let n = r.u16("gossip root count")? as usize;
-    if n > MAX_GOSSIP_ROOTS {
-        return Err(DecodeError::new(
-            "gossip root count exceeds MAX_GOSSIP_ROOTS",
-            len_pos,
-        ));
-    }
-    r.check_count(n, GOSSIP_ENTRY_LEN, "gossip root count exceeds buffer")?;
-    let mut roots = Vec::with_capacity(n);
-    for _ in 0..n {
-        roots.push((decode_ca(r)?, SignedRoot::decode(r)?));
-    }
-    Ok(roots)
-}
-
 const REQ_FETCH_DELTA: u8 = 0x01;
 const REQ_FETCH_FRESHNESS: u8 = 0x02;
 const REQ_CATCH_UP: u8 = 0x03;
@@ -120,7 +84,7 @@ const REQ_GET_MULTI_STATUS: u8 = 0x05;
 const REQ_GET_SIGNED_ROOT: u8 = 0x06;
 const REQ_GET_MANIFEST: u8 = 0x07;
 const REQ_CATCH_UP_PAGED: u8 = 0x08;
-const REQ_GOSSIP_ROOTS: u8 = 0x09;
+// 0x09 (`GossipRoots`) and 0x89 (`GossipAck`) are retired: never reuse them.
 
 const RESP_DELTA: u8 = 0x81;
 const RESP_FRESHNESS: u8 = 0x82;
@@ -128,7 +92,6 @@ const RESP_STATUS: u8 = 0x84;
 const RESP_SIGNED_ROOT: u8 = 0x86;
 const RESP_MANIFEST: u8 = 0x87;
 const RESP_DELTA_PAGE: u8 = 0x88;
-const RESP_GOSSIP_ACK: u8 = 0x89;
 const RESP_ERROR: u8 = 0xEE;
 
 const REFRESH_TAG_FRESHNESS: u8 = 0;
@@ -196,18 +159,6 @@ pub enum RitmRequest {
         /// clamp it further to honor [`MAX_FRAME_LEN`]).
         limit: u32,
     },
-    /// RA↔RA fleet gossip: the sender's current signed roots, one per
-    /// mirrored CA. The receiver verifies each against its pinned CA keys,
-    /// folds them into its fleet view (flagging stale peers and split
-    /// views), and answers [`GossipAck`](RitmResponse::GossipAck) with its
-    /// own roots — a symmetric push–pull exchange. Servers predating this
-    /// kind answer `Malformed` ("unknown request kind"), which a gossiping
-    /// node records as "peer does not gossip" rather than an outage.
-    GossipRoots {
-        /// The sender's `(ca, signed_root)` pairs, at most
-        /// [`MAX_GOSSIP_ROOTS`].
-        roots: Vec<(CaId, SignedRoot)>,
-    },
 }
 
 /// One response. Kind `0xEE` carries the typed error taxonomy; everything
@@ -234,14 +185,6 @@ pub enum RitmResponse {
         issuance: RevocationIssuance,
         /// Serials still missing after this page.
         remaining: u64,
-    },
-    /// The receiver's half of a gossip exchange (answers
-    /// [`GossipRoots`](RitmRequest::GossipRoots)): its own current signed
-    /// roots, so one round trip synchronizes both directions.
-    GossipAck {
-        /// The receiver's `(ca, signed_root)` pairs, at most
-        /// [`MAX_GOSSIP_ROOTS`].
-        roots: Vec<(CaId, SignedRoot)>,
     },
     /// The request failed; see [`ProtoError`].
     Error(ProtoError),
@@ -277,7 +220,6 @@ impl RitmRequest {
             RitmRequest::GetSignedRoot { .. } => "get_signed_root",
             RitmRequest::GetManifest { .. } => "get_manifest",
             RitmRequest::CatchUpPaged { .. } => "catch_up_paged",
-            RitmRequest::GossipRoots { .. } => "gossip_roots",
         }
     }
 
@@ -295,7 +237,6 @@ impl RitmRequest {
             RitmRequest::GetMultiStatus { chain, .. } => {
                 1 + chain.iter().map(|(_, s)| 8 + 1 + s.len()).sum::<usize>() + 1
             }
-            RitmRequest::GossipRoots { roots } => 2 + roots.len() * GOSSIP_ENTRY_LEN,
         }
     }
 
@@ -351,10 +292,6 @@ impl RitmRequest {
                 encode_ca(w, ca);
                 w.u64(*have);
                 w.u32(*limit);
-            }
-            RitmRequest::GossipRoots { roots } => {
-                w.u8(REQ_GOSSIP_ROOTS);
-                encode_gossip_roots(w, roots);
             }
         }
     }
@@ -474,9 +411,6 @@ impl RitmRequest {
                 have: r.u64("catch-up have")?,
                 limit: r.u32("catch-up page limit")?,
             },
-            REQ_GOSSIP_ROOTS => RitmRequest::GossipRoots {
-                roots: decode_gossip_roots(r)?,
-            },
             _ => return Err(DecodeError::new("unknown request kind", pos)),
         };
         r.finish("request trailing bytes")?;
@@ -539,7 +473,6 @@ impl RitmResponse {
             RitmResponse::SignedRoot(_) => "signed_root",
             RitmResponse::Manifest(_) => "manifest",
             RitmResponse::DeltaPage { .. } => "delta_page",
-            RitmResponse::GossipAck { .. } => "gossip_ack",
             RitmResponse::Error(_) => "error",
         }
     }
@@ -560,7 +493,6 @@ impl RitmResponse {
             RitmResponse::SignedRoot(_) => ritm_dictionary::root::SIGNED_ROOT_LEN,
             RitmResponse::Manifest(m) => 4 + m.len(),
             RitmResponse::DeltaPage { issuance, .. } => 4 + issuance.encoded_len() + 8,
-            RitmResponse::GossipAck { roots } => 2 + roots.len() * GOSSIP_ENTRY_LEN,
             RitmResponse::Error(e) => e.encoded_len(),
         }
     }
@@ -613,10 +545,6 @@ impl RitmResponse {
                 w.u32(issuance.encoded_len() as u32);
                 issuance.encode_into(w);
                 w.u64(*remaining);
-            }
-            RitmResponse::GossipAck { roots } => {
-                w.u8(RESP_GOSSIP_ACK);
-                encode_gossip_roots(w, roots);
             }
             RitmResponse::Error(e) => {
                 w.u8(RESP_ERROR);
@@ -736,9 +664,6 @@ impl RitmResponse {
                     remaining: r.u64("page remaining")?,
                 }
             }
-            RESP_GOSSIP_ACK => RitmResponse::GossipAck {
-                roots: decode_gossip_roots(r)?,
-            },
             RESP_ERROR => RitmResponse::Error(ProtoError::decode(r)?),
             _ => return Err(DecodeError::new("unknown response kind", pos)),
         };
@@ -854,85 +779,32 @@ mod tests {
         assert!(matches!(env.request, Err(ProtoError::Malformed { .. })));
     }
 
-    fn gossip_roots(n: u32) -> Vec<(CaId, SignedRoot)> {
-        let key = ritm_crypto::ed25519::SigningKey::from_seed([7u8; 32]);
-        (0..n)
-            .map(|i| {
-                let ca = CaId::from_name(&format!("GossipCA{i}"));
-                let digest = ritm_crypto::digest::Digest20::hash(i.to_be_bytes());
-                let anchor = ritm_crypto::digest::Digest20::hash([i as u8, 0xAA]);
-                (
-                    ca,
-                    SignedRoot::create(
-                        &key,
-                        ca,
-                        digest,
-                        u64::from(i),
-                        anchor,
-                        1_000 + u64::from(i),
-                    ),
-                )
-            })
-            .collect()
-    }
-
     #[test]
-    fn gossip_frames_round_trip_exactly_presized() {
-        let req = RitmRequest::GossipRoots {
-            roots: gossip_roots(5),
-        };
-        let frame = req.to_frame();
-        assert_eq!(frame.len(), 4 + req.encoded_len());
-        assert_eq!(frame.capacity(), frame.len(), "pre-sized, no realloc");
-        let (body, rest) = split_frame(&frame).unwrap();
-        assert!(rest.is_empty());
-        assert_eq!(RitmRequest::decode_body(body).unwrap(), req);
-
-        let resp = RitmResponse::GossipAck {
-            roots: gossip_roots(3),
-        };
-        let frame = resp.to_frame();
-        assert_eq!(frame.len(), 4 + resp.encoded_len());
-        let (body, _) = split_frame(&frame).unwrap();
-        assert_eq!(RitmResponse::decode_body(body).unwrap(), resp);
-
-        // Empty vectors are legal in both directions (a node mirroring
-        // nothing yet can still join the gossip mesh).
-        let empty = RitmRequest::GossipRoots { roots: Vec::new() };
-        let frame = empty.to_frame();
-        let (body, _) = split_frame(&frame).unwrap();
-        assert_eq!(RitmRequest::decode_body(body).unwrap(), empty);
-    }
-
-    #[test]
-    fn forged_gossip_count_is_malformed_not_an_allocation() {
-        // A count claiming more entries than the buffer could possibly
-        // hold must die in check_count before any Vec::with_capacity.
+    fn retired_gossip_kinds_are_unknown_kinds() {
+        // A well-formed v2 gossip exchange as the retired 0x09/0x89 kinds
+        // framed it (an empty root vector): both directions must now fail
+        // as unknown kinds at the kind byte, right after the 4-byte id.
         let mut w = Writer::new();
-        w.u8(PROTOCOL_VERSION);
-        w.u8(0x09); // GossipRoots
-        w.u16(4000); // claims 4000 entries, carries none
-        let err = RitmRequest::decode_body(w.as_bytes()).unwrap_err();
-        assert!(matches!(err, ProtoError::Malformed { .. }));
-
-        // Past the absolute cap: rejected even if the bytes were there.
-        let mut w = Writer::new();
-        w.u8(PROTOCOL_VERSION);
+        w.u8(PROTOCOL_V2);
+        w.u32(7);
         w.u8(0x09);
-        w.u16(MAX_GOSSIP_ROOTS as u16 + 1);
-        let err = RitmRequest::decode_body(w.as_bytes()).unwrap_err();
-        assert!(matches!(err, ProtoError::Malformed { .. }));
+        w.u16(0);
+        assert_eq!(
+            RitmRequest::decode_body(w.as_bytes()),
+            Err(ProtoError::Malformed { offset: 5 })
+        );
 
-        // Trailing bytes after a well-formed vector are rejected too.
-        let req = RitmRequest::GossipRoots {
-            roots: gossip_roots(1),
-        };
-        let mut frame = req.to_frame();
-        frame.push(0);
-        let len = u32::from_be_bytes(frame[..4].try_into().unwrap()) + 1;
-        frame[..4].copy_from_slice(&len.to_be_bytes());
-        let (body, _) = split_frame(&frame).unwrap();
-        assert!(RitmRequest::decode_body(body).is_err());
+        let mut w = Writer::new();
+        w.u8(PROTOCOL_V2);
+        w.u32(7);
+        w.u8(0x89);
+        w.u16(0);
+        match RitmResponse::decode_body(w.as_bytes()) {
+            Err(TransportError::BadResponse(e)) => {
+                assert_eq!((e.context, e.offset), ("unknown response kind", 5));
+            }
+            other => panic!("expected an unknown response kind, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1017,7 +889,10 @@ mod tests {
         expected.extend_from_slice(&req.to_frame_v2(42));
         assert_eq!(scratch, expected);
 
-        let resp = RitmResponse::SignedRoot(gossip_roots(1)[0].1);
+        let key = ritm_crypto::ed25519::SigningKey::from_seed([7u8; 32]);
+        let digest = ritm_crypto::digest::Digest20::hash(b"into");
+        let root = SignedRoot::create(&key, CaId::from_name("IntoCA"), digest, 1, digest, 1_000);
+        let resp = RitmResponse::SignedRoot(root);
         let mut scratch = Vec::new();
         resp.to_frame_for_into(PROTOCOL_VERSION, 0, &mut scratch);
         resp.to_frame_for_into(PROTOCOL_V2, 7, &mut scratch);

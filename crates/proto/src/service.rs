@@ -235,6 +235,23 @@ mod tests {
     }
 
     #[test]
+    fn retired_gossip_kind_gets_a_malformed_reply() {
+        // A v2 frame of the retired 0x09 kind (an empty root vector):
+        // answered `Malformed` in the peer's envelope, never handed on.
+        let frame = [0, 0, 0, 8, PROTOCOL_V2, 0, 0, 0, 42, 0x09, 0, 0];
+        let resp_frame = Stub.handle_frame(&frame);
+        let (body, _) = split_frame(&resp_frame).unwrap();
+        assert_eq!(
+            RitmResponse::decode_envelope(body).unwrap(),
+            (
+                PROTOCOL_V2,
+                42,
+                RitmResponse::Error(ProtoError::Malformed { offset: 5 })
+            )
+        );
+    }
+
+    #[test]
     fn garbage_frame_yields_typed_error_not_panic() {
         for garbage in [&[][..], &[1, 2, 3][..], &[0, 0, 0, 99, 7][..]] {
             let resp_frame = Stub.handle_frame(garbage);

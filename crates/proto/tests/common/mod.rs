@@ -7,11 +7,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use ritm_crypto::digest::Digest20;
 use ritm_crypto::ed25519::SigningKey;
 use ritm_dictionary::{
     CaDictionary, CaId, MirrorDictionary, RefreshMessage, RevocationIssuance, SerialNumber,
-    SignedRoot,
 };
 use ritm_proto::{ProtoError, RitmRequest, RitmResponse, StatusPayload};
 
@@ -27,32 +25,6 @@ pub fn arbitrary_ca(rng: &mut StdRng) -> CaId {
     let mut b = [0u8; 8];
     rng.fill_bytes(&mut b);
     CaId(b)
-}
-
-/// An rng-varied `(ca, signed_root)` gossip vector (validly signed, so the
-/// shapes match what a fleet node actually puts on the wire).
-pub fn arbitrary_gossip_roots(rng: &mut StdRng) -> Vec<(CaId, SignedRoot)> {
-    let mut seed = [0u8; 32];
-    rng.fill_bytes(&mut seed);
-    let key = SigningKey::from_seed(seed);
-    (0..rng.gen_range(0usize..12))
-        .map(|_| {
-            let ca = arbitrary_ca(rng);
-            let mut digest = [0u8; 20];
-            rng.fill_bytes(&mut digest);
-            let mut anchor = [0u8; 20];
-            rng.fill_bytes(&mut anchor);
-            let root = SignedRoot::create(
-                &key,
-                ca,
-                Digest20::from_bytes(digest),
-                rng.gen(),
-                Digest20::from_bytes(anchor),
-                rng.gen(),
-            );
-            (ca, root)
-        })
-        .collect()
 }
 
 /// One request per wire kind, with rng-varied fields.
@@ -90,9 +62,6 @@ pub fn requests(rng: &mut StdRng) -> Vec<RitmRequest> {
         },
         RitmRequest::GetManifest {
             ca: arbitrary_ca(rng),
-        },
-        RitmRequest::GossipRoots {
-            roots: arbitrary_gossip_roots(rng),
         },
     ]
 }
@@ -169,9 +138,6 @@ pub fn responses(rng: &mut StdRng) -> Vec<RitmResponse> {
         RitmResponse::Status(StatusPayload::default()),
         RitmResponse::SignedRoot(*mirror.signed_root()),
         RitmResponse::Manifest((0..rng.gen_range(0usize..200)).map(|_| rng.gen()).collect()),
-        RitmResponse::GossipAck {
-            roots: arbitrary_gossip_roots(rng),
-        },
     ];
     out.extend(
         [

@@ -12,7 +12,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`crypto`] | `ritm-crypto` | SHA-256/512, 20-byte digests, hash chains, Ed25519, hardened wire codecs — all from scratch |
-//! | [`dictionary`] | `ritm-dictionary` | the authenticated dictionary (Fig. 2) as an **incremental engine**: epoch-aware sorted-leaf Merkle trees with O(b·log n) batch application, CA-side [`dictionary::CaDictionary`] and RA-side [`dictionary::MirrorDictionary`], signed roots, freshness statements, proofs, expiry sharding |
+//! | [`dictionary`] | `ritm-dictionary` | the authenticated dictionary (Fig. 2) as an **incremental engine**: epoch-aware sorted-leaf Merkle trees with O(b·log n) batch application, CA-side [`dictionary::CaDictionary`] and RA-side [`dictionary::MirrorDictionary`], signed roots, freshness statements, proofs |
 //! | [`tls`] | `ritm-tls` | wire-format TLS substrate with the RITM extension and record type: sans-io [`tls::ClientEngine`] / [`tls::ServerEngine`] |
 //! | [`net`] | `ritm-net` | deterministic discrete-event network simulator with in-path middleboxes |
 //! | [`rt`] | `ritm-rt` | std-only readiness-based runtime: reactor, ≤2-thread executor with wakers, incremental frame codecs |
@@ -20,7 +20,6 @@
 //! | [`cdn`] | `ritm-cdn` | the dissemination network: origin, TTL edge caches, CloudFront-style billing |
 //! | [`ca`] | `ritm-ca` | certification authorities, their crash-durable issuance log, bootstrap manifests, a misbehaving CA |
 //! | [`agent`] | `ritm-agent` | the Revocation Agent: the mirror writer, and its one interception lane (`FlowTable`: DPI, Eq. 4 flow state, hold-decide-release stapling, the §VIII multi-RA rule, revoked-flow resets); lock-free status serving with a generation-keyed cache of encoded responses, CDN sync, health/consistency monitoring |
-//! | [`fleet`] | `ritm-fleet` | the sharded RA fleet (§VIII): consistent-hash mirror placement with serial-range lanes, signed-root gossip with stale/split-view detection, fleet health aggregation |
 //! | [`client`] | `ritm-client` | the RITM client: step-5 validation, 2Δ enforcement, epoch-tagged root tracking (replay protection), downgrade protection |
 //! | [`baselines`] | `ritm-baselines` | CRL/OCSP/stapling/CRLSet/SLC/RevCast/log-based comparison models |
 //! | [`workloads`] | `ritm-workloads` | ISC CRL, Heartbleed, city-population, PlanetLab synthesizers |
@@ -76,7 +75,6 @@ pub use ritm_client as client;
 pub use ritm_core as core;
 pub use ritm_crypto as crypto;
 pub use ritm_dictionary as dictionary;
-pub use ritm_fleet as fleet;
 pub use ritm_net as net;
 pub use ritm_proto as proto;
 pub use ritm_rt as rt;
