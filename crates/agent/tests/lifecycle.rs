@@ -20,14 +20,7 @@ const T0: u64 = 1_000_000;
 /// Dense-rebuild oracle over the issuance log (serials in issuance order,
 /// numbered from 1).
 fn oracle_of(log: &[SerialNumber]) -> MerkleTree {
-    let mut tree = MerkleTree::new();
-    tree.extend_leaves(
-        log.iter()
-            .enumerate()
-            .map(|(i, s)| Leaf::new(*s, i as u64 + 1)),
-    );
-    tree.rebuild();
-    tree
+    MerkleTree::from_leaves(log.iter().zip(1..).map(|(s, n)| Leaf::new(*s, n)))
 }
 
 proptest! {

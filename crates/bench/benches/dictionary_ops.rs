@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use ritm_agent::{StatusServer, StatusService};
 use ritm_crypto::SigningKey;
 use ritm_dictionary::tree::{Leaf, MerkleTree};
-use ritm_dictionary::{CaDictionary, CaId, MirrorDictionary, SerialNumber};
+use ritm_dictionary::{CaDictionary, CaId, MirrorDictionary, PersistentTree, SerialNumber};
 use ritm_proto::event::{EventServer, EventTransport};
 use ritm_proto::{Loopback, RitmRequest, RitmResponse, Service, Transport};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -66,13 +66,10 @@ const T0: u64 = 1_397_000_000;
 /// CDN-scale dictionary.
 const BATCH: u32 = 100;
 
-fn built_tree(n: u32) -> MerkleTree {
-    let mut tree = MerkleTree::new();
-    let leaves: Vec<Leaf> = (0..n)
+fn base_leaves(n: u32) -> Vec<Leaf> {
+    (0..n)
         .map(|i| Leaf::new(SerialNumber::from_u24(i * 2), i as u64 + 1))
-        .collect();
-    tree.apply_sorted_batch(&leaves);
-    tree
+        .collect()
 }
 
 fn fresh_batch(n: u32) -> Vec<Leaf> {
@@ -172,25 +169,15 @@ fn bench_incremental_vs_rebuild(c: &mut Criterion) {
     for &n in heavy_sizes() {
         // Slow at 1M (a full rebuild is ~2n hashes); fewer samples there.
         g.sample_size(if n >= 1_000_000 { 10 } else { 20 });
-        let base = built_tree(n);
+        let base = base_leaves(n);
         let batch = fresh_batch(n);
         g.bench_with_input(BenchmarkId::new("full_rebuild", n), &n, |b, _| {
-            b.iter_batched(
-                || {
-                    let mut t = base.clone();
-                    t.extend_leaves(batch.iter().copied());
-                    t
-                },
-                |mut t| {
-                    t.rebuild();
-                    black_box(t.root())
-                },
-                criterion::BatchSize::LargeInput,
-            )
+            b.iter(|| black_box(MerkleTree::from_leaves(base.iter().chain(&batch).copied()).root()))
         });
+        let tree = PersistentTree::from_sorted_leaves(base);
         g.bench_with_input(BenchmarkId::new("incremental", n), &n, |b, _| {
             b.iter_batched(
-                || base.clone(),
+                || tree.clone(),
                 |mut t| {
                     t.apply_sorted_batch(&batch);
                     black_box(t.root())
@@ -317,8 +304,7 @@ fn bench_snapshot_publish(c: &mut Criterion) {
 
         // Dense baseline: the deep clone a `MerkleTree`-backed snapshot
         // paid (tree clone + Arc allocation, off the read path).
-        let mut dense = built_tree(n);
-        dense.apply_sorted_batch(&fresh_batch(n));
+        let dense = MerkleTree::from_leaves(base_leaves(n).into_iter().chain(fresh_batch(n)));
         g.bench_with_input(BenchmarkId::new("dense", n), &n, |b, _| {
             b.iter(|| black_box(std::sync::Arc::new(dense.clone())))
         });

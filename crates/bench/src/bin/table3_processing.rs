@@ -231,11 +231,10 @@ fn main() {
     println!("incremental dictionary engine ({DICT_SIZE}-entry dictionary):");
     {
         use ritm_dictionary::tree::{Leaf, MerkleTree};
-        let mut base = MerkleTree::new();
+        use ritm_dictionary::PersistentTree;
         let leaves: Vec<Leaf> = (0..DICT_SIZE)
             .map(|i| Leaf::new(SerialNumber::from_u24(i * 2), i as u64 + 1))
             .collect();
-        base.apply_sorted_batch(&leaves);
         let batch: Vec<Leaf> = (0..100u32)
             .map(|i| {
                 Leaf::new(
@@ -244,15 +243,14 @@ fn main() {
                 )
             })
             .collect();
+        let base = PersistentTree::from_sorted_leaves(leaves.iter().copied());
 
         let reps = 10;
         let mut full = Vec::new();
         let mut incr = Vec::new();
         for _ in 0..reps {
-            let mut t = base.clone();
-            t.extend_leaves(batch.iter().copied());
             let started = Instant::now();
-            t.rebuild();
+            black_box(MerkleTree::from_leaves(leaves.iter().chain(&batch).copied()).root());
             full.push(started.elapsed().as_secs_f64() * 1e3);
 
             let mut t = base.clone();

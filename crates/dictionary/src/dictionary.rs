@@ -2,15 +2,15 @@
 //!
 //! [`CaDictionary`] is the trusted, CA-side structure implementing `insert`
 //! and `refresh`; [`MirrorDictionary`] is the untrusted copy every RA keeps,
-//! implementing `update` and `prove`. Both wrap the same sorted-leaf
-//! [`crate::tree::MerkleTree`] structure.
+//! implementing `update` and `prove`. Both write through the same
+//! structurally-shared [`PersistentTree`].
 
 use crate::freshness::{FreshnessError, FreshnessStatement};
 use crate::persistent::PersistentTree;
 use crate::proof::{ProofError, ProvenStatus, RevocationProof};
 use crate::root::{CaId, SignedRoot};
 use crate::serial::SerialNumber;
-use crate::tree::{Leaf, MerkleTree};
+use crate::tree::Leaf;
 use rand::RngCore;
 use ritm_crypto::ed25519::{SigningKey, VerifyingKey};
 use ritm_crypto::hashchain::HashChain;
@@ -313,7 +313,7 @@ impl MultiRevocationStatus {
 pub struct CaDictionary {
     ca: CaId,
     key: SigningKey,
-    tree: MerkleTree,
+    tree: PersistentTree,
     /// Full issuance log by number (1-based), for RA catch-up sync.
     log: Vec<SerialNumber>,
     /// Historical `(end_count, signed_root)` per applied batch, in
@@ -340,7 +340,7 @@ impl CaDictionary {
         rng: &mut R,
         now: u64,
     ) -> Self {
-        let tree = MerkleTree::new();
+        let tree = PersistentTree::new();
         let chain = HashChain::generate(rng, chain_len);
         let signed_root = SignedRoot::create(&key, ca, tree.root(), 0, chain.anchor(), now);
         CaDictionary {
@@ -370,8 +370,9 @@ impl CaDictionary {
     ///
     /// # Errors
     ///
-    /// The index of the first record that failed verification; records
-    /// before it were applied (callers typically truncate the log there).
+    /// The index of the first record that failed verification. The partial
+    /// dictionary is discarded; callers typically truncate the log there
+    /// and replay again.
     pub fn replay<R: RngCore + ?Sized>(
         ca: CaId,
         key: SigningKey,
@@ -399,7 +400,6 @@ impl CaDictionary {
             };
             dict.tree.apply_sorted_batch(&batch);
             if dict.tree.root() != sr.root || dict.tree.len() as u64 != sr.size {
-                dict.tree.remove_sorted_batch(&rec.serials);
                 return Err(i);
             }
             dict.log.extend_from_slice(&rec.serials);
@@ -449,7 +449,7 @@ impl CaDictionary {
     }
 
     /// Monotonic content epoch of the underlying tree (see
-    /// [`crate::tree::MerkleTree::epoch`]).
+    /// [`PersistentTree::epoch`]).
     pub fn epoch(&self) -> u64 {
         self.tree.epoch()
     }
@@ -460,8 +460,9 @@ impl CaDictionary {
     }
 
     /// Fig. 2 `insert`, batched: revokes `serials` (duplicates and
-    /// already-revoked serials are skipped), rebuilds the tree, rotates the
-    /// hash chain, and returns the issuance message to disseminate.
+    /// already-revoked serials are skipped), applies them to the tree,
+    /// rotates the hash chain, and returns the issuance message to
+    /// disseminate.
     ///
     /// Returns `None` when every serial was already revoked (nothing to
     /// disseminate).
@@ -613,9 +614,9 @@ impl CaDictionary {
             Some((_, sr)) => (sr.timestamp, sr.anchor),
             None => (self.signed_root.timestamp, self.signed_root.anchor),
         };
-        let mut tree = MerkleTree::new();
         let leaves = checked_batch(&self.log[..end as usize], 1, |_| false);
-        tree.apply_sorted_batch(&leaves.expect("the log holds distinct serials"));
+        let tree =
+            PersistentTree::from_sorted_leaves(leaves.expect("the log holds distinct serials"));
         SignedRoot::create(&self.key, self.ca, tree.root(), end, anchor, ts)
     }
 
@@ -693,8 +694,7 @@ pub const MAX_TIMESTAMP_SKEW: u64 = 300;
 /// a [`crate::snapshot::DictionarySnapshot`] for publication clones only
 /// the chunk spine (O(chunks) `Arc` bumps), and subsequent batches
 /// copy-on-write only the chunks they dirty — publish cost tracks the
-/// batch, not the dictionary. (The CA side keeps the dense
-/// [`MerkleTree`], which wins when nothing is ever cloned.)
+/// batch, not the dictionary.
 #[derive(Debug, Clone)]
 pub struct MirrorDictionary {
     ca: CaId,

@@ -6,12 +6,14 @@
 //! fresh with hash-chain statements.
 //!
 //! * [`serial`] — certificate serial numbers (the leaf keys);
-//! * [`tree`] — the sorted-leaf Merkle tree: epoch-aware, with incremental
-//!   batch application ([`tree::MerkleTree::apply_sorted_batch`]) and audit
-//!   paths;
+//! * [`tree`] — leaf and node hashing, audit-path verification, the
+//!   [`tree::TreeReader`] trait proofs are generated against, and the
+//!   built-once reference [`tree::MerkleTree`] tests compare with;
 //! * [`chunk`] / [`persistent`] — the copy-on-write chunked storage and the
-//!   structurally-shared [`PersistentTree`] mirrors publish snapshots from
-//!   in O(chunks) instead of O(n);
+//!   structurally-shared [`PersistentTree`] both dictionaries write through,
+//!   with incremental batch application
+//!   ([`PersistentTree::apply_sorted_batch`]); mirrors publish snapshots
+//!   from it in O(chunks) instead of O(n);
 //! * [`snapshot`] — immutable, epoch-stamped [`DictionarySnapshot`]s
 //!   published RCU-style through [`SnapshotCell`]s for lock-free proof
 //!   serving;

@@ -1,28 +1,24 @@
-//! The structurally-shared (persistent) sorted-leaf hash tree used by
-//! mirrors and snapshots.
+//! The structurally-shared (persistent) sorted-leaf hash tree: the one tree
+//! both dictionaries write through.
 //!
-//! [`PersistentTree`] is semantically identical to the dense
-//! [`crate::tree::MerkleTree`] — same leaf/node hashing, same incremental
-//! batch application, same epochs — but stores its leaves and interior
-//! levels in copy-on-write [`ChunkedVec`]s. Cloning the tree (what snapshot
-//! publication does) costs O(chunks) `Arc` bumps instead of an O(n) level
-//! copy, and a mutation after a clone copies only the chunks it dirties:
-//! publishing after a b-leaf append batch into an n-leaf dictionary
-//! allocates O(b·log n + chunks), not O(n).
+//! [`PersistentTree`] stores its leaves and interior levels in
+//! copy-on-write [`ChunkedVec`]s. Cloning the tree (what the mirror's
+//! snapshot publication does) costs O(chunks) `Arc` bumps instead of an
+//! O(n) level copy, and a mutation after a clone copies only the chunks it
+//! dirties: publishing after a b-leaf append batch into an n-leaf
+//! dictionary allocates O(b·log n + chunks), not O(n). The CA never clones
+//! its tree, so it only pays the chunked layout.
 //!
-//! Writes move whole chunk slices: a batch copies the suffix right of its
-//! dirty front out with [`ChunkedVec::suffix_to_vec`], merges it with the
-//! batch run by run, and re-appends through [`ChunkedVec::extend`], which
-//! fills a chunk at a time; each level rehash reads its children the same
-//! way. The dense tree is still somewhat cheaper per write, because its
-//! levels are contiguous and nothing is copied out: a 5-serial batch into
-//! 50k random leaves measured 2.1–2.4 ms on the dense tree and 3.0–3.2 ms
-//! here, publish included (5.7 ms before the bulk path), on a 2-CPU Xeon
-//! with SHA extensions. The CA keeps the dense tree, since it never clones.
+//! Writes move whole chunk slices: a batch keeps the old leaves and hashes
+//! readable through a clone, cuts the tree at its dirty front, and
+//! re-appends the suffix merged with the batch run by run through
+//! [`ChunkedVec::extend_from_range`] and [`ChunkedVec::extend_from_slice`],
+//! so each value is copied once, a chunk slice at a time.
 //!
-//! Bit-equivalence with the dense tree (identical roots, audit paths, and
-//! multiproof bytes over arbitrary batch/remove/publish interleavings) is
-//! proptested in `tests/properties.rs`.
+//! Bit-equivalence with the built-once reference [`crate::tree::MerkleTree`]
+//! (identical roots, audit paths, and multiproof bytes over arbitrary
+//! batch/remove/publish interleavings) is proptested in
+//! `tests/properties.rs`.
 
 use crate::chunk::ChunkedVec;
 use crate::serial::SerialNumber;
@@ -33,9 +29,9 @@ use ritm_crypto::digest::Digest20;
 /// copy-on-write storage. Cheap to clone; clones share every untouched
 /// chunk with their ancestor.
 ///
-/// Unlike the dense tree, the interior levels are *always* valid: every
-/// mutating operation leaves the tree proof-ready, so there is no
-/// `rebuild()` step and [`PersistentTree::root`] never panics.
+/// The interior levels are *always* valid: every mutating operation leaves
+/// the tree proof-ready, so there is no `rebuild()` step and
+/// [`PersistentTree::root`] never panics.
 #[derive(Debug, Clone, Default)]
 pub struct PersistentTree {
     /// Leaves sorted lexicographically by serial.
@@ -43,7 +39,8 @@ pub struct PersistentTree {
     /// `levels[0]` = leaf hashes, `levels.last()` = `[root]`; empty for an
     /// empty tree.
     levels: Vec<ChunkedVec<Digest20>>,
-    /// Monotonic content version; bumped exactly like the dense tree's.
+    /// Monotonic content version, bumped by every call that changes the
+    /// leaves.
     epoch: u64,
 }
 
@@ -70,8 +67,9 @@ impl PersistentTree {
         self.leaves.is_empty()
     }
 
-    /// Monotonic content version (same semantics as
-    /// [`crate::tree::MerkleTree::epoch`]).
+    /// Monotonic content version: bumped by every call that changes the
+    /// leaves, so audit paths and proofs generated at one epoch remain
+    /// valid exactly while `epoch()` is unchanged.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -125,11 +123,10 @@ impl PersistentTree {
 
     /// Applies a batch of new leaves, copying only the chunks whose
     /// contents change and rehashing only node paths at or after the first
-    /// changed position — the persistent counterpart of
-    /// [`crate::tree::MerkleTree::apply_sorted_batch`], with identical
-    /// results and epoch behaviour. Returns `true` when the incremental
-    /// path ran (`batch` strictly sorted, no serial already present);
-    /// otherwise the tree is rebuilt from scratch, which is always correct.
+    /// changed position: no old leaf is rehashed, and nodes strictly left
+    /// of the front are reused. Returns `true` when the incremental path
+    /// ran (`batch` strictly sorted, no serial already present); otherwise
+    /// the tree is rebuilt from scratch, which is always correct.
     pub fn apply_sorted_batch(&mut self, batch: &[Leaf]) -> bool {
         if batch.is_empty() {
             return true;
@@ -150,54 +147,60 @@ impl PersistentTree {
         if self.levels.is_empty() {
             self.levels.push(ChunkedVec::new());
         }
-        // Positions at/after the dirty front shift, so that suffix is copied
-        // out (whole chunk slices), cut, and re-appended merged with the
-        // batch — a chunk at a time; values are copied, but no old leaf is
-        // rehashed. A pure append (the common issuance pattern) has an empty
-        // suffix: only the tail chunk is ever copied.
-        let old_leaves = self.leaves.suffix_to_vec(dirty_from);
-        let old_hashes = self.levels[0].suffix_to_vec(dirty_from);
+        // Positions at/after the dirty front shift. A clone keeps the old
+        // sequences readable (O(chunks) `Arc` bumps); the tree is cut at the
+        // front and re-appended merged with the batch, whole slices at a
+        // time: values are copied once, and no old leaf is rehashed. A pure
+        // append (the common issuance pattern) has nothing to re-append.
+        let (old_leaves, old_hashes) = (self.leaves.clone(), self.levels[0].clone());
         self.leaves.truncate(dirty_from);
         self.levels[0].truncate(dirty_from);
         // Alternate runs: the old leaves that sort before batch[j], then the
         // batch leaves that sort before the next old leaf — two binary
         // searches per run instead of a comparison per element.
-        let (mut from, mut j) = (0, 0);
+        let (mut from, mut j) = (dirty_from, 0);
         while j < batch.len() {
-            let to = from + old_leaves[from..].partition_point(|l| l.serial < batch[j].serial);
-            let end = match old_leaves.get(to) {
-                Some(next) => j + batch[j..].partition_point(|l| l.serial < next.serial),
-                None => batch.len(),
+            let to = old_leaves.partition_point(|l| l.serial < batch[j].serial);
+            let end = if to < old_leaves.len() {
+                let next = old_leaves.get(to).serial;
+                j + batch[j..].partition_point(|l| l.serial < next)
+            } else {
+                batch.len()
             };
-            self.leaves
-                .extend(old_leaves[from..to].iter().chain(&batch[j..end]).copied());
-            self.levels[0].extend(
-                old_hashes[from..to]
-                    .iter()
-                    .chain(&batch_hashes[j..end])
-                    .copied(),
-            );
+            self.leaves.extend_from_range(&old_leaves, from..to);
+            self.levels[0].extend_from_range(&old_hashes, from..to);
+            self.leaves.extend_from_slice(&batch[j..end]);
+            self.levels[0].extend_from_slice(&batch_hashes[j..end]);
             (from, j) = (to, end);
         }
-        self.leaves.extend(old_leaves[from..].iter().copied());
-        self.levels[0].extend(old_hashes[from..].iter().copied());
+        self.leaves
+            .extend_from_range(&old_leaves, from..old_leaves.len());
+        self.levels[0].extend_from_range(&old_hashes, from..old_hashes.len());
         self.rehash_levels_from(dirty_from);
         self.epoch += 1;
         true
     }
 
     /// Removes the leaves carrying `serials`, splicing retained hashes and
-    /// rehashing interior nodes only from the first removed position (same
-    /// fixed algorithm as [`crate::tree::MerkleTree::remove_sorted_batch`]:
-    /// no retained leaf is rehashed, and duplicate-serial leaves cannot
-    /// leave a stale hash left of the rehash front). Returns how many
-    /// leaves were removed.
+    /// rehashing interior nodes only from the first removed position — the
+    /// mirror's verify-then-commit rollback. No retained leaf is rehashed.
+    /// Returns how many leaves were removed.
     pub fn remove_sorted_batch(&mut self, serials: &[SerialNumber]) -> usize {
-        let Some(first) = crate::tree::rollback_front(
-            serials,
-            |s| self.leaves.binary_search_by(|l| l.serial.cmp(s)).ok(),
-            |i| self.leaves.get(i).serial,
-        ) else {
+        // The rehash front is the first removed *position*. The unsorted
+        // fallback can leave duplicate-serial leaves, and a binary search
+        // may hit the later one: walk each hit back over its duplicates, or
+        // a stale hash would stay left of the front.
+        let Some(first) = serials
+            .iter()
+            .filter_map(|s| {
+                let mut i = self.find(s)?;
+                while i > 0 && self.leaves.get(i - 1).serial == *s {
+                    i -= 1;
+                }
+                Some(i)
+            })
+            .min()
+        else {
             return 0;
         };
         let before = self.len();
@@ -251,12 +254,15 @@ impl PersistentTree {
             let (children, parents) = self.levels.split_at_mut(k + 1);
             let parent = &mut parents[0];
             parent.truncate(dirty_from.min(parent_len));
-            // The children under the dirty parents, as one flat slice.
             let start = parent.len();
-            let child = children[k].suffix_to_vec(2 * start);
-            parent.extend((0..parent_len - start).map(|j| match child.get(2 * j + 1) {
-                Some(right) => node_hash(&child[2 * j], right),
-                None => child[2 * j], // odd node promoted
+            let child = &children[k];
+            parent.extend((start..parent_len).map(|j| {
+                let left = child.get(2 * j);
+                if 2 * j + 1 < child_len {
+                    node_hash(left, child.get(2 * j + 1))
+                } else {
+                    *left // odd node promoted
+                }
             }));
             k += 1;
         }
@@ -298,8 +304,8 @@ impl PersistentTree {
                 .sum::<usize>()
     }
 
-    /// Bytes to persist just the revocation data — the paper's "storage"
-    /// metric (matches the dense tree's accounting).
+    /// Bytes to persist just the revocation data (serial bytes plus an
+    /// 8-byte revocation number per entry) — the paper's "storage" metric.
     pub fn storage_bytes(&self) -> usize {
         self.leaves.iter().map(|l| l.serial.len() + 8).sum()
     }
@@ -335,7 +341,7 @@ impl TreeReader for PersistentTree {
 mod tests {
     use super::*;
     use crate::chunk::{slots_materialized, CHUNK};
-    use crate::tree::MerkleTree;
+    use crate::tree::{leaf_hash_calls, MerkleTree};
 
     fn leaves(serials: impl IntoIterator<Item = u32>) -> Vec<Leaf> {
         let mut out: Vec<Leaf> = serials
@@ -347,11 +353,17 @@ mod tests {
         out
     }
 
-    fn dense_of(t: &PersistentTree) -> MerkleTree {
-        let mut d = MerkleTree::new();
-        d.extend_leaves(t.iter_leaves().copied());
-        d.rebuild();
-        d
+    fn reference_of(t: &PersistentTree) -> MerkleTree {
+        MerkleTree::from_leaves(t.iter_leaves().copied())
+    }
+
+    /// Root and the audit paths at `indices` equal the reference's.
+    fn assert_matches(t: &PersistentTree, reference: &MerkleTree, indices: &[usize]) {
+        assert_eq!(t.root(), reference.root());
+        assert_eq!(t.len(), reference.len());
+        for &i in indices {
+            assert_eq!(t.audit_path(i), reference.audit_path(i), "path {i}");
+        }
     }
 
     #[test]
@@ -359,12 +371,8 @@ mod tests {
         for n in 0..=33u32 {
             let batch = leaves((0..n).map(|i| i * 3 + 1));
             let mut p = PersistentTree::new();
-            assert!(p.apply_sorted_batch(&batch) || batch.is_empty());
-            let d = {
-                let mut d = MerkleTree::new();
-                d.apply_sorted_batch(&batch);
-                d
-            };
+            assert!(p.apply_sorted_batch(&batch));
+            let d = MerkleTree::from_leaves(batch.iter().copied());
             assert_eq!(p.root(), d.root(), "n = {n}");
             for i in 0..p.len() {
                 assert_eq!(p.audit_path(i), d.audit_path(i), "n = {n}, i = {i}");
@@ -376,10 +384,8 @@ mod tests {
     #[test]
     fn append_and_merge_batches_match_dense() {
         let mut p = PersistentTree::new();
-        let mut d = MerkleTree::new();
         let first = leaves((0..CHUNK as u32 + 100).map(|i| i * 4 + 2));
         assert!(p.apply_sorted_batch(&first));
-        d.apply_sorted_batch(&first);
         // A merge batch landing in the middle, then a pure append.
         let mid = leaves((0..50u32).map(|i| i * 8 + 3));
         let mid: Vec<Leaf> = mid
@@ -388,15 +394,11 @@ mod tests {
             .map(|(i, l)| Leaf::new(l.serial, 10_000 + i as u64))
             .collect();
         assert!(p.apply_sorted_batch(&mid));
-        d.apply_sorted_batch(&mid);
         let tail = leaves((0..70u32).map(|i| 0x400000 + i));
         assert!(p.apply_sorted_batch(&tail));
-        d.apply_sorted_batch(&tail);
-        assert_eq!(p.root(), d.root());
-        assert_eq!(p.epoch(), d.epoch(), "both bump once per applied batch");
-        for i in [0usize, 1, CHUNK - 1, CHUNK, p.len() - 1] {
-            assert_eq!(p.audit_path(i), d.audit_path(i), "path {i}");
-        }
+        let d = MerkleTree::from_leaves(first.iter().chain(&mid).chain(&tail).copied());
+        assert_matches(&p, &d, &[0, 1, CHUNK - 1, CHUNK, p.len() - 1]);
+        assert_eq!(p.epoch(), 3, "one bump per applied batch");
     }
 
     #[test]
@@ -406,9 +408,7 @@ mod tests {
         shuffled.swap(0, 3);
         let mut p = PersistentTree::new();
         assert!(!p.apply_sorted_batch(&shuffled));
-        let mut d = MerkleTree::new();
-        d.apply_sorted_batch(&shuffled);
-        assert_eq!(p.root(), d.root());
+        assert_eq!(p.root(), MerkleTree::from_leaves(shuffled).root());
     }
 
     #[test]
@@ -425,11 +425,127 @@ mod tests {
         let serials: Vec<SerialNumber> = batch.iter().map(|l| l.serial).collect();
         assert_eq!(p.remove_sorted_batch(&serials), 30);
         assert_eq!(p.root(), root_before);
-        assert_eq!(p.root(), dense_of(&p).root());
+        assert_eq!(p.root(), reference_of(&p).root());
         // Removing absent serials is a no-op that does not bump the epoch.
         let e = p.epoch();
         assert_eq!(p.remove_sorted_batch(&[SerialNumber::from_u24(1)]), 0);
         assert_eq!(p.epoch(), e);
+    }
+
+    #[test]
+    fn rebuild_matches_incremental_across_chunk_boundaries() {
+        // 4 609 leaves: level 0 spans five chunks, and odd nodes are
+        // promoted on several levels. A bulk build, one incremental batch
+        // from empty and the reference must land on the same tree.
+        let n = 4_609u32;
+        let first: Vec<Leaf> = (0..n)
+            .map(|i| Leaf::new(SerialNumber::from_u24(i * 2), i as u64 + 1))
+            .collect();
+        let rebuilt = PersistentTree::from_sorted_leaves(first.iter().copied());
+        let mut incremental = PersistentTree::new();
+        assert!(incremental.apply_sorted_batch(&first));
+        let reference = MerkleTree::from_leaves(first.iter().copied());
+        let probes = [0usize, 1, 4095, 4096, n as usize - 1];
+        assert_matches(&rebuilt, &reference, &probes);
+        assert_matches(&incremental, &reference, &probes);
+
+        // A second large batch interleaved with the first: merged run by
+        // run on one side, sorted and built from scratch on the other.
+        let batch: Vec<Leaf> = (0..4_107u32)
+            .map(|i| Leaf::new(SerialNumber::from_u24(i * 2 + 1), (n + i) as u64 + 1))
+            .collect();
+        assert!(incremental.apply_sorted_batch(&batch));
+        let reference = MerkleTree::from_leaves(first.iter().chain(&batch).copied());
+        assert_matches(
+            &incremental,
+            &reference,
+            &[0, 1, 4095, 4096, reference.len() - 1],
+        );
+    }
+
+    #[test]
+    fn rebuild_counts_every_leaf_hash_on_the_calling_thread() {
+        // `leaf_hash_calls` is per thread, so it counts every hash only if
+        // the bulk build never hands leaves to another thread.
+        let all = leaves(0..10_000u32);
+        let before = leaf_hash_calls();
+        let t = PersistentTree::from_sorted_leaves(all);
+        assert_eq!(leaf_hash_calls() - before, 10_000);
+        assert_eq!(t.len(), 10_000);
+    }
+
+    #[test]
+    fn apply_sorted_batch_counts_every_leaf_hash_on_the_calling_thread() {
+        let mut t = PersistentTree::from_sorted_leaves(leaves([1]));
+        let batch: Vec<Leaf> = (0..5_000u32)
+            .map(|i| Leaf::new(SerialNumber::from_u24(i + 2), i as u64 + 2))
+            .collect();
+        let before = leaf_hash_calls();
+        assert!(t.apply_sorted_batch(&batch));
+        assert_eq!(leaf_hash_calls() - before, 5_000);
+    }
+
+    #[test]
+    fn rollback_rehashes_no_retained_leaves() {
+        // Regression: remove_sorted_batch used to rehash every retained
+        // leaf at/after the rehash front — rolling back a small batch near
+        // the front cost O(n) leaf hashes. The fixed path splices the
+        // still-valid hashes and must compute ZERO leaf hashes.
+        let n = 4096u32;
+        let base = leaves((0..n).map(|i| i * 2 + 10));
+        let mut t = PersistentTree::from_sorted_leaves(base.iter().copied());
+        let root_before_batch = t.root();
+        // Batch lands near the front of the sort order.
+        let batch: Vec<Leaf> = (0..4u32)
+            .map(|i| Leaf::new(SerialNumber::from_u24(i * 2 + 11), (n + i) as u64 + 1))
+            .collect();
+        assert!(t.apply_sorted_batch(&batch));
+
+        let serials: Vec<SerialNumber> = batch.iter().map(|l| l.serial).collect();
+        let hashes_before = leaf_hash_calls();
+        assert_eq!(t.remove_sorted_batch(&serials), 4);
+        assert_eq!(
+            leaf_hash_calls() - hashes_before,
+            0,
+            "rollback must splice retained leaf hashes, not recompute them"
+        );
+        assert_eq!(t.root(), root_before_batch);
+        assert_eq!(t.root(), MerkleTree::from_leaves(base).root());
+    }
+
+    #[test]
+    fn duplicate_serial_rollback_leaves_no_stale_hash() {
+        // Regression: a batch that repeats a present serial takes the
+        // unsorted fallback, which keeps both leaves, and a binary search
+        // may land on the *later* duplicate. Deriving the rehash front from
+        // it left a stale hash at the earlier duplicate's position. Layout
+        // [1, 2, 2, 3]: binary search for 2 lands on index 2 while index 1
+        // is also removed.
+        let mut t = PersistentTree::from_sorted_leaves(leaves([1, 2, 3]));
+        let repeat = Leaf::new(SerialNumber::from_u24(2), 4);
+        assert!(
+            !t.apply_sorted_batch(&[repeat]),
+            "a repeat takes the fallback"
+        );
+        assert_eq!(t.len(), 4);
+        assert_eq!(
+            t.find(&repeat.serial),
+            Some(2),
+            "the search hits the later 2"
+        );
+        assert_eq!(t.remove_sorted_batch(&[repeat.serial]), 2);
+        assert_eq!(t.len(), 2);
+        // The surviving tree must be bit-identical to a fresh build of the
+        // remaining leaves (stale level-0 hashes would change the root).
+        assert_matches(&t, &reference_of(&t), &[0, 1]);
+    }
+
+    #[test]
+    fn storage_accounting() {
+        let t = PersistentTree::from_sorted_leaves(leaves([1, 2, 3, 4]));
+        // 4 leaves × (3-byte serial + 8-byte number)
+        assert_eq!(t.storage_bytes(), 4 * 11);
+        assert!(t.memory_bytes() > t.storage_bytes());
     }
 
     #[test]
@@ -458,7 +574,7 @@ mod tests {
         assert_ne!(p.root(), root_snap);
         assert_eq!(snap.root(), root_snap, "retained snapshot unchanged");
         assert_eq!(snap.len(), 4 * CHUNK);
-        assert_eq!(snap.root(), dense_of(&snap).root());
+        assert_eq!(snap.root(), reference_of(&snap).root());
     }
 
     #[test]
@@ -498,6 +614,6 @@ mod tests {
         let republished = p.clone();
         assert_eq!(slots_materialized() - before, 0);
         drop(published);
-        assert_eq!(republished.root(), dense_of(&p).root());
+        assert_eq!(republished.root(), reference_of(&p).root());
     }
 }

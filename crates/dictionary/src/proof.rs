@@ -23,12 +23,12 @@ pub struct PresenceProof {
 }
 
 impl PresenceProof {
-    /// Builds the proof for leaf `index` of `tree` (dense or persistent —
-    /// any [`TreeReader`]).
+    /// Builds the proof for leaf `index` of `tree` (the dictionaries'
+    /// persistent tree or the reference — any [`TreeReader`]).
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of bounds or the tree needs a rebuild.
+    /// Panics if `index` is out of bounds.
     pub fn generate<T: TreeReader>(tree: &T, index: usize) -> Self {
         PresenceProof {
             leaf: tree.leaf(index),
@@ -341,11 +341,6 @@ impl MultiProof {
     /// Queries may arrive in any order and may repeat; the needed leaves
     /// are deduplicated. For an empty tree the proof is empty (the
     /// [`empty_root`] answers every query).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tree needs a rebuild (same contract as
-    /// [`RevocationProof::generate`]).
     pub fn generate<T: TreeReader>(tree: &T, serials: &[SerialNumber]) -> Self {
         let mut needed = std::collections::BTreeMap::new();
         if tree.is_empty() {
@@ -608,12 +603,12 @@ mod tests {
     use crate::tree::MerkleTree;
 
     fn tree_with(serials: &[u32]) -> MerkleTree {
-        let mut t = MerkleTree::new();
-        for (i, s) in serials.iter().enumerate() {
-            t.insert_sorted(Leaf::new(SerialNumber::from_u24(*s), i as u64 + 1));
-        }
-        t.rebuild();
-        t
+        MerkleTree::from_leaves(
+            serials
+                .iter()
+                .zip(1..)
+                .map(|(s, n)| Leaf::new(SerialNumber::from_u24(*s), n)),
+        )
     }
 
     fn sn(v: u32) -> SerialNumber {
@@ -651,7 +646,7 @@ mod tests {
 
     #[test]
     fn empty_dictionary_absence() {
-        let t = MerkleTree::new();
+        let t = MerkleTree::default();
         let p = RevocationProof::generate(&t, &sn(1));
         assert_eq!(p, RevocationProof::AbsentEmpty);
         assert!(p.verify(&sn(1), &t.root(), 0).is_ok());
@@ -813,7 +808,7 @@ mod tests {
 
     #[test]
     fn multiproof_empty_tree() {
-        let t = MerkleTree::new();
+        let t = MerkleTree::default();
         let queries = [sn(1), sn(2)];
         let mp = MultiProof::generate(&t, &queries);
         let statuses = mp.verify(&queries, &t.root(), 0).unwrap();
@@ -830,7 +825,7 @@ mod tests {
         let t = tree_with(&[10, 20, 30]);
         let mp = MultiProof::generate(&t, &[]);
         assert_eq!(mp.verify(&[], &t.root(), 3).unwrap(), vec![]);
-        let empty = MerkleTree::new();
+        let empty = MerkleTree::default();
         let mp = MultiProof::generate(&empty, &[]);
         assert_eq!(mp.verify(&[], &empty.root(), 0).unwrap(), vec![]);
     }

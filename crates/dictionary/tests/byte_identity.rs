@@ -89,31 +89,25 @@ fn seeded_batches(present: &mut BTreeSet<SerialNumber>) -> Vec<Vec<Leaf>> {
 #[test]
 fn roots_are_the_ones_recorded_before_the_hash_kernel_changed() {
     let leaves = permuted_leaves();
-    let mut dense = MerkleTree::new();
-    dense.extend_leaves(leaves.iter().copied());
-    dense.rebuild();
-    assert_eq!(dense.len(), 10_000);
-    assert_eq!(dense.root().to_string(), BUILD_ROOT);
+    let reference = MerkleTree::from_leaves(leaves.iter().copied());
+    assert_eq!(reference.len(), 10_000);
+    assert_eq!(reference.root().to_string(), BUILD_ROOT);
 
-    let mut persistent = PersistentTree::from_sorted_leaves(dense.leaves().iter().copied());
-    assert_eq!(persistent.root(), dense.root());
+    let mut persistent = PersistentTree::from_sorted_leaves(reference.leaves().iter().copied());
+    assert_eq!(persistent.root(), reference.root());
 
     let mut present: BTreeSet<SerialNumber> = leaves.iter().map(|l| l.serial).collect();
     let batches = seeded_batches(&mut present);
     assert!(batches.iter().all(|b| !b.is_empty()));
     for batch in &batches {
-        assert!(dense.apply_sorted_batch(batch), "incremental path");
         assert!(persistent.apply_sorted_batch(batch), "incremental path");
-        assert_eq!(persistent.root(), dense.root());
     }
-    assert_eq!(dense.len(), present.len());
-    assert_eq!(dense.root().to_string(), BATCHED_ROOT);
+    assert_eq!(persistent.len(), present.len());
+    assert_eq!(persistent.root().to_string(), BATCHED_ROOT);
 
     // Nothing incremental left to hide behind: a from-scratch build of the
     // final leaf set lands on the same recorded root.
-    let mut rebuilt = MerkleTree::new();
-    rebuilt.extend_leaves(dense.leaves().iter().copied());
-    rebuilt.rebuild();
+    let rebuilt = MerkleTree::from_leaves(persistent.iter_leaves().copied());
     assert_eq!(rebuilt.root().to_string(), BATCHED_ROOT);
 }
 
@@ -137,10 +131,13 @@ fn edge_serials_sort_and_hash_as_recorded_before_the_serial_order_changed() {
         .iter()
         .map(|b| SerialNumber::new(b).unwrap())
         .collect();
-    let mut dense = MerkleTree::new();
-    dense.extend_leaves(serials.iter().zip(1u64..).map(|(&s, n)| Leaf::new(s, n)));
-    dense.rebuild();
-    let sorted: Vec<&[u8]> = dense.leaves().iter().map(|l| l.serial.as_bytes()).collect();
+    let reference =
+        MerkleTree::from_leaves(serials.iter().zip(1u64..).map(|(&s, n)| Leaf::new(s, n)));
+    let sorted: Vec<&[u8]> = reference
+        .leaves()
+        .iter()
+        .map(|l| l.serial.as_bytes())
+        .collect();
     let expected: [&[u8]; 8] = [
         &[0x00],
         &[0x00, 0x00],
@@ -152,7 +149,7 @@ fn edge_serials_sort_and_hash_as_recorded_before_the_serial_order_changed() {
         &[0xff; 20],
     ];
     assert_eq!(sorted, expected);
-    assert_eq!(dense.root().to_string(), EDGE_ROOT);
+    assert_eq!(reference.root().to_string(), EDGE_ROOT);
 
     // The dictionaries sort their own batches: the CA's insert, the
     // mirror's update and a restore from the issuance order all land on

@@ -11,7 +11,7 @@ use ritm_dictionary::persistent::PersistentTree;
 use ritm_dictionary::tree::{empty_root, node_hash, Leaf, MerkleTree};
 use ritm_dictionary::{
     CaDictionary, CaId, MirrorDictionary, ProvenStatus, RefreshMessage, RevocationIssuance,
-    RevocationStatus, SerialNumber, SignedRoot, UpdateError,
+    RevocationProof, RevocationStatus, SerialNumber, SignedRoot, UpdateError,
 };
 use std::collections::{BTreeSet, HashSet};
 
@@ -124,14 +124,15 @@ proptest! {
     }
 
     /// The incremental engine is bit-identical to full rebuilds: for any
-    /// sequence of batches, `apply_sorted_batch` produces the same root and
-    /// the same audit path for every leaf as a from-scratch `rebuild`, and
-    /// the epoch advances with every applied batch.
+    /// sequence of batches, `PersistentTree::apply_sorted_batch` produces
+    /// the same root and the same audit path for every leaf as the
+    /// reference built from scratch, and the epoch advances with every
+    /// applied batch.
     #[test]
     fn incremental_batches_match_full_rebuild(
         batches in prop::collection::vec(prop::collection::vec(0u32..10_000, 1..60), 1..8),
     ) {
-        let mut incremental = MerkleTree::new();
+        let mut incremental = PersistentTree::new();
         let mut number = 0u64;
         let mut epochs_seen = vec![incremental.epoch()];
         for batch in &batches {
@@ -159,10 +160,8 @@ proptest! {
             }
             epochs_seen.push(incremental.epoch());
 
-            // Reference: identical leaves, rebuilt from scratch.
-            let mut reference = MerkleTree::new();
-            reference.extend_leaves(incremental.leaves().iter().copied());
-            reference.rebuild();
+            // Reference: identical leaves, built from scratch.
+            let reference = MerkleTree::from_leaves(incremental.iter_leaves().copied());
             prop_assert_eq!(reference.root(), incremental.root());
             prop_assert_eq!(reference.len(), incremental.len());
             for i in 0..incremental.len() {
@@ -187,7 +186,7 @@ proptest! {
         initial in prop::collection::vec(0u32..5_000, 1..80),
         batch in prop::collection::vec(5_000u32..6_000, 1..30),
     ) {
-        let mut tree = MerkleTree::new();
+        let mut tree = PersistentTree::new();
         let mut leaves: Vec<Leaf> = initial
             .iter()
             .collect::<BTreeSet<_>>()
@@ -197,8 +196,8 @@ proptest! {
             .collect();
         leaves.sort_by_key(|l| l.serial);
         tree.apply_sorted_batch(&leaves);
-        let root_before = tree.root();
-        let paths_before: Vec<_> = (0..tree.len()).map(|i| tree.audit_path(i)).collect();
+        let reference = MerkleTree::from_leaves(leaves);
+        prop_assert_eq!(tree.root(), reference.root());
 
         let fresh: Vec<Leaf> = batch
             .iter()
@@ -208,13 +207,13 @@ proptest! {
             .map(|(i, &v)| Leaf::new(SerialNumber::from_u24(v), 1_000 + i as u64))
             .collect();
         tree.apply_sorted_batch(&fresh);
-        prop_assert_ne!(tree.root(), root_before);
+        prop_assert_ne!(tree.root(), reference.root());
         let serials: Vec<SerialNumber> = fresh.iter().map(|l| l.serial).collect();
         let removed = tree.remove_sorted_batch(&serials);
         prop_assert_eq!(removed, fresh.len());
-        prop_assert_eq!(tree.root(), root_before);
-        for (i, path) in paths_before.iter().enumerate() {
-            prop_assert_eq!(&tree.audit_path(i), path);
+        prop_assert_eq!(tree.root(), reference.root());
+        for i in 0..reference.len() {
+            prop_assert_eq!(tree.audit_path(i), reference.audit_path(i));
         }
     }
 
@@ -230,7 +229,6 @@ proptest! {
         growth in prop::collection::vec(6_000u32..6_500, 1..4),
     ) {
         // Canonical tree construction (unique serials, issuance numbering).
-        let mut tree = MerkleTree::new();
         let mut number = 0u64;
         let mut fresh: Vec<Leaf> = Vec::new();
         for &v in &batch {
@@ -240,8 +238,7 @@ proptest! {
                 fresh.push(Leaf::new(serial, number));
             }
         }
-        fresh.sort_by_key(|l| l.serial);
-        tree.apply_sorted_batch(&fresh);
+        let tree = MerkleTree::from_leaves(fresh);
 
         let serials: Vec<SerialNumber> =
             queries.iter().map(|&v| SerialNumber::from_u24(v)).collect();
@@ -280,7 +277,7 @@ proptest! {
             .enumerate()
             .map(|(i, &v)| Leaf::new(SerialNumber::from_u24(v), number + i as u64 + 1))
             .collect();
-        tree.apply_sorted_batch(&grow);
+        let tree = MerkleTree::from_leaves(tree.leaves().iter().chain(&grow).copied());
         let new_root = tree.root();
         let new_size = tree.len() as u64;
         prop_assert!(
@@ -295,11 +292,13 @@ proptest! {
         }
     }
 
-    /// The structurally-shared tree is bit-equivalent to the dense one:
+    /// The structurally-shared tree is bit-equivalent to the reference:
     /// over a random interleaving of batches, rollbacks, and publishes
-    /// (clones), both trees produce identical roots, audit paths, and
-    /// multiproof bytes — and every published snapshot keeps serving its
-    /// frozen epoch's exact root and paths while the writer keeps mutating.
+    /// (clones), it holds the leaves a plain model says it should, and its
+    /// root, audit paths, and proof and multiproof bytes equal those of a
+    /// `MerkleTree` built from scratch after every step — and every
+    /// published snapshot keeps serving its frozen epoch's exact root and
+    /// paths while the writer keeps mutating.
     #[test]
     fn persistent_tree_matches_dense_over_interleavings(
         rounds in prop::collection::vec(
@@ -311,14 +310,13 @@ proptest! {
         ),
         queries in prop::collection::vec(0u32..9_000, 1..10),
     ) {
-        let mut dense = MerkleTree::new();
         let mut persistent = PersistentTree::new();
+        // The leaves the tree should hold, in no particular order.
+        let mut model: Vec<Leaf> = Vec::new();
         let mut number = 0u64;
-        // Published snapshots with the dense root frozen at publish time.
+        // Published snapshots with the reference root frozen at publish time.
         let mut published: Vec<(PersistentTree, ritm_crypto::digest::Digest20, usize)> = Vec::new();
-        let serials_of = |q: &[u32]| -> Vec<SerialNumber> {
-            q.iter().map(|&v| SerialNumber::from_u24(v)).collect()
-        };
+        let qs: Vec<SerialNumber> = queries.iter().map(|&v| SerialNumber::from_u24(v)).collect();
 
         for (batch, action) in &rounds {
             // Canonicalize like the dictionary layer: unique fresh serials,
@@ -326,49 +324,44 @@ proptest! {
             let mut fresh: Vec<Leaf> = Vec::new();
             for &v in batch {
                 let serial = SerialNumber::from_u24(v);
-                if dense.find(&serial).is_none() && fresh.iter().all(|l| l.serial != serial) {
+                if persistent.find(&serial).is_none() && fresh.iter().all(|l| l.serial != serial) {
                     number += 1;
                     fresh.push(Leaf::new(serial, number));
                 }
             }
             fresh.sort_by_key(|l| l.serial);
-            prop_assert_eq!(dense.apply_sorted_batch(&fresh), persistent.apply_sorted_batch(&fresh));
+            prop_assert!(persistent.apply_sorted_batch(&fresh));
+            model.extend_from_slice(&fresh);
 
-            match action % 3 {
-                0 => {
-                    // Publish: freeze the persistent tree (O(chunks) clone).
-                    published.push((persistent.clone(), dense.root(), dense.len()));
-                }
-                1 if !fresh.is_empty() => {
-                    // Roll the batch straight back out of both trees.
-                    let serials: Vec<SerialNumber> = fresh.iter().map(|l| l.serial).collect();
-                    prop_assert_eq!(
-                        dense.remove_sorted_batch(&serials),
-                        persistent.remove_sorted_batch(&serials)
-                    );
-                }
-                _ => {}
+            if action % 3 == 1 && !fresh.is_empty() {
+                // Roll the batch straight back out.
+                let serials: Vec<SerialNumber> = fresh.iter().map(|l| l.serial).collect();
+                prop_assert_eq!(persistent.remove_sorted_batch(&serials), fresh.len());
+                model.truncate(model.len() - fresh.len());
             }
 
-            // Bit-equivalence after every round.
-            prop_assert_eq!(dense.root(), persistent.root());
-            prop_assert_eq!(dense.len(), persistent.len());
-            for i in 0..dense.len() {
-                prop_assert_eq!(dense.audit_path(i), persistent.audit_path(i), "path {}", i);
+            // Bit-equivalence with the reference after every round.
+            let reference = MerkleTree::from_leaves(model.iter().copied());
+            prop_assert!(persistent.iter_leaves().eq(reference.leaves()), "leaves diverged");
+            prop_assert_eq!(persistent.root(), reference.root());
+            for i in 0..reference.len() {
+                prop_assert_eq!(persistent.audit_path(i), reference.audit_path(i), "path {}", i);
             }
-            let qs = serials_of(&queries);
-            let mp_dense = ritm_dictionary::MultiProof::generate(&dense, &qs);
-            let mp_persistent = ritm_dictionary::MultiProof::generate(&persistent, &qs);
             prop_assert_eq!(
-                mp_dense.to_bytes(),
-                mp_persistent.to_bytes(),
+                ritm_dictionary::MultiProof::generate(&reference, &qs).to_bytes(),
+                ritm_dictionary::MultiProof::generate(&persistent, &qs).to_bytes(),
                 "multiproof bytes diverged"
             );
             for q in &qs {
                 prop_assert_eq!(
-                    ritm_dictionary::RevocationProof::generate(&dense, q).to_bytes(),
+                    ritm_dictionary::RevocationProof::generate(&reference, q).to_bytes(),
                     ritm_dictionary::RevocationProof::generate(&persistent, q).to_bytes()
                 );
+            }
+
+            if action % 3 == 0 {
+                // Publish: freeze the persistent tree (O(chunks) clone).
+                published.push((persistent.clone(), reference.root(), reference.len()));
             }
         }
 
@@ -397,8 +390,8 @@ proptest! {
     /// leaves, a dirty front just before, at or just after a chunk edge,
     /// and a batch of `CHUNK − 1`, `CHUNK` or `CHUNK + 1` leaves (or a
     /// couple), clustered in one gap or spread, with a snapshot published
-    /// before the batch and held across it. Persistent ≡ dense (root, every
-    /// audit path, multiproof bytes); every chunk left of the front stays
+    /// before the batch and held across it. Persistent ≡ reference (root,
+    /// every audit path, multiproof bytes); every chunk left of the front stays
     /// shared with the snapshot; and rolling the batch back — what a mirror
     /// does when the batch's signed root does not commit to it — leaves the
     /// tree bit-identical to the snapshot.
@@ -429,31 +422,29 @@ proptest! {
             .collect();
         batch.sort_by_key(|l| l.serial);
 
-        let mut dense = MerkleTree::new();
         let mut persistent = PersistentTree::new();
-        dense.apply_sorted_batch(&base);
         persistent.apply_sorted_batch(&base);
         let snapshot = persistent.clone();
         let levels = 1 + (usize::BITS - (n + batch_len - 1).leading_zeros()) as usize;
 
-        prop_assert!(dense.apply_sorted_batch(&batch));
         prop_assert!(persistent.apply_sorted_batch(&batch));
-        prop_assert_eq!(persistent.root(), dense.root());
+        let reference = MerkleTree::from_leaves(base.iter().chain(&batch).copied());
+        prop_assert_eq!(persistent.root(), reference.root());
         prop_assert_eq!(persistent.len(), n + batch_len);
-        for i in 0..dense.len() {
-            prop_assert_eq!(persistent.leaf(i), dense.leaves()[i]);
-            prop_assert_eq!(persistent.audit_path(i), dense.audit_path(i), "path {}", i);
+        for i in 0..reference.len() {
+            prop_assert_eq!(persistent.leaf(i), reference.leaves()[i]);
+            prop_assert_eq!(persistent.audit_path(i), reference.audit_path(i), "path {}", i);
         }
-        let probes = [0, front.saturating_sub(1), front, CHUNK - 1, CHUNK, CHUNK + 1, dense.len() - 1];
+        let probes = [0, front.saturating_sub(1), front, CHUNK - 1, CHUNK, CHUNK + 1, reference.len() - 1];
         let mut queries: Vec<SerialNumber> = probes
             .iter()
-            .map(|&i| dense.leaves()[i.min(dense.len() - 1)].serial)
+            .map(|&i| reference.leaves()[i.min(reference.len() - 1)].serial)
             .collect();
         queries.push(SerialNumber::from_u64(((front as u64) << 16) + 0x8000)); // absent
         queries.push(SerialNumber::from_u64(u64::MAX)); // absent, past the end
         prop_assert_eq!(
             ritm_dictionary::MultiProof::generate(&persistent, &queries).to_bytes(),
-            ritm_dictionary::MultiProof::generate(&dense, &queries).to_bytes()
+            ritm_dictionary::MultiProof::generate(&reference, &queries).to_bytes()
         );
 
         // Leaves and level 0 are cut at the front, level l at front >> l:
@@ -472,23 +463,22 @@ proptest! {
         // A forged signed root: one batch leaf's revocation number changed.
         let mut forged_batch = batch.clone();
         forged_batch[0].number += 1;
-        let mut forged = MerkleTree::new();
-        forged.apply_sorted_batch(&base);
-        forged.apply_sorted_batch(&forged_batch);
+        let forged = MerkleTree::from_leaves(base.iter().chain(&forged_batch).copied());
         prop_assert_ne!(persistent.root(), forged.root());
         // Roll back as the mirror does, serials in issuance order.
         let mut issued: Vec<Leaf> = batch.clone();
         issued.sort_by_key(|l| l.number);
         let serials: Vec<SerialNumber> = issued.iter().map(|l| l.serial).collect();
         prop_assert_eq!(persistent.remove_sorted_batch(&serials), batch_len);
-        prop_assert_eq!(dense.remove_sorted_batch(&serials), batch_len);
+        let reference = MerkleTree::from_leaves(base);
         prop_assert_eq!(persistent.root(), snapshot.root());
+        prop_assert_eq!(persistent.root(), reference.root());
         prop_assert_eq!(persistent.len(), n);
         for i in 0..n {
             prop_assert_eq!(persistent.leaf(i), snapshot.leaf(i));
             let path = persistent.audit_path(i);
             prop_assert_eq!(&path, &snapshot.audit_path(i), "path {} after rollback", i);
-            prop_assert_eq!(&path, &dense.audit_path(i));
+            prop_assert_eq!(&path, &reference.audit_path(i));
         }
     }
 
@@ -558,12 +548,16 @@ proptest! {
     /// serials and numbers the rest in input order; `apply_issuance` and
     /// `restore` reject the same batches with the same error, and `replay`
     /// stops at the same record. A rejected update leaves the mirror's tree
-    /// as it was.
+    /// as it was. Along the way the CA's tree is held to the reference
+    /// `MerkleTree` over the same log: its root, its proof bytes for
+    /// `queries`, and the root every catch-up page is signed over, pages
+    /// cut mid-batch included.
     #[test]
     fn batch_checks_agree_with_the_hashset_algorithm(
         history in prop::collection::vec(prop::collection::vec(colliding_serial(), 0..12usize), 0..4usize),
         batch in prop::collection::vec(colliding_serial(), 0..16usize),
         wrong_root in any::<bool>(),
+        queries in prop::collection::vec(colliding_serial(), 1..6usize),
     ) {
         let key = SigningKey::from_seed([4u8; 32]);
         let ca_id = CaId::from_name("BatchCA");
@@ -583,9 +577,26 @@ proptest! {
                     log.extend_from_slice(&added);
                     prop_assert_eq!(iss.signed_root.root, reference_root(&log));
                     prop_assert_eq!(iss.signed_root.size, log.len() as u64);
+                    let reference = reference_tree(&log);
+                    prop_assert_eq!(ca.signed_root().root, reference.root());
+                    for q in &queries {
+                        let status = ca.prove(q, now).expect("fresh at its own timestamp");
+                        prop_assert_eq!(
+                            status.proof.to_bytes(),
+                            RevocationProof::generate(&reference, q).to_bytes()
+                        );
+                    }
                     mirror.apply_issuance(&iss, now).unwrap();
                     records.push(iss);
                 }
+            }
+        }
+        for have in 0..=log.len() {
+            for limit in 1..=3 {
+                let (page, _) = ca.issuance_page(have as u64, limit);
+                let end = have + page.serials.len();
+                prop_assert_eq!(page.signed_root.size, end as u64);
+                prop_assert_eq!(page.signed_root.root, reference_tree(&log[..end]).root());
             }
         }
 
@@ -710,6 +721,11 @@ fn hashset_has_duplicate(log: &[SerialNumber], serials: &[SerialNumber]) -> bool
     serials
         .iter()
         .any(|s| present.contains(s) || !in_batch.insert(*s))
+}
+
+/// The reference tree over `log`, numbered in log order.
+fn reference_tree(log: &[SerialNumber]) -> MerkleTree {
+    MerkleTree::from_leaves(log.iter().zip(1..).map(|(&s, n)| Leaf::new(s, n)))
 }
 
 /// The root by definition, independent of `SerialNumber`'s `Ord`: leaves

@@ -32,7 +32,8 @@
 //!
 //! 1. **Incremental Merkle updates** — applying a revocation batch rehashes
 //!    only the node paths at or after the first changed leaf position
-//!    ([`dictionary::tree::MerkleTree::apply_sorted_batch`]); for the
+//!    ([`dictionary::PersistentTree::apply_sorted_batch`], the one tree
+//!    the CA and its mirrors both write through); for the
 //!    common append-heavy issuance pattern that is O(b·log n) instead of a
 //!    full O(n) rebuild (measured ≥20× for a 100-serial batch into a
 //!    1M-leaf dictionary; see `crates/bench/benches/dictionary_ops.rs`).
