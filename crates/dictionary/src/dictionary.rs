@@ -6,6 +6,7 @@
 //! structurally-shared [`PersistentTree`].
 
 use crate::freshness::{FreshnessError, FreshnessStatement};
+use crate::issuance_log::IssuanceLog;
 use crate::persistent::PersistentTree;
 use crate::proof::{ProofError, ProvenStatus, RevocationProof};
 use crate::root::{CaId, SignedRoot};
@@ -315,7 +316,7 @@ pub struct CaDictionary {
     key: SigningKey,
     tree: PersistentTree,
     /// Full issuance log by number (1-based), for RA catch-up sync.
-    log: Vec<SerialNumber>,
+    log: IssuanceLog,
     /// Historical `(end_count, signed_root)` per applied batch, in
     /// ascending `end_count` order — the per-version roots paged catch-up
     /// replies anchor to. Fed by [`CaDictionary::insert`] and by log
@@ -347,7 +348,7 @@ impl CaDictionary {
             ca,
             key,
             tree,
-            log: Vec::new(),
+            log: IssuanceLog::default(),
             batch_roots: Vec::new(),
             chain,
             chain_len,
@@ -402,7 +403,7 @@ impl CaDictionary {
             if dict.tree.root() != sr.root || dict.tree.len() as u64 != sr.size {
                 return Err(i);
             }
-            dict.log.extend_from_slice(&rec.serials);
+            dict.log.extend(&rec.serials);
             dict.batch_roots.push((dict.log.len() as u64, *sr));
         }
         // Post-replay rotation: the recovered dictionary signs the same
@@ -499,7 +500,7 @@ impl CaDictionary {
             .iter_mut()
             .for_each(|l| l.number = number[l.number as usize]);
         self.tree.apply_sorted_batch(&batch);
-        self.log.extend_from_slice(&added);
+        self.log.extend(&added);
         self.chain = HashChain::generate(rng, self.chain_len);
         self.signed_root = SignedRoot::create(
             &self.key,
@@ -554,7 +555,7 @@ impl CaDictionary {
         let idx = (have as usize).min(self.log.len());
         RevocationIssuance {
             first_number: have + 1,
-            serials: self.log[idx..].to_vec(),
+            serials: self.log.range(idx, self.log.len()),
             signed_root: self.signed_root,
         }
     }
@@ -597,7 +598,7 @@ impl CaDictionary {
         };
         let issuance = RevocationIssuance {
             first_number: have + 1,
-            serials: self.log[have as usize..end as usize].to_vec(),
+            serials: self.log.range(have as usize, end as usize),
             signed_root,
         };
         (issuance, total - end)
@@ -614,7 +615,7 @@ impl CaDictionary {
             Some((_, sr)) => (sr.timestamp, sr.anchor),
             None => (self.signed_root.timestamp, self.signed_root.anchor),
         };
-        let leaves = checked_batch(&self.log[..end as usize], 1, |_| false);
+        let leaves = checked_batch(&self.log.range(0, end as usize), 1, |_| false);
         let tree =
             PersistentTree::from_sorted_leaves(leaves.expect("the log holds distinct serials"));
         SignedRoot::create(&self.key, self.ca, tree.root(), end, anchor, ts)
@@ -635,9 +636,12 @@ impl CaDictionary {
         self.tree.storage_bytes()
     }
 
-    /// Paper §VII-D memory metric: bytes to hold the built dictionary.
+    /// Paper §VII-D memory metric: bytes to hold the built dictionary,
+    /// its issuance log and its per-batch roots.
     pub fn memory_bytes(&self) -> usize {
         self.tree.memory_bytes()
+            + self.log.heap_bytes()
+            + self.batch_roots.capacity() * core::mem::size_of::<(u64, SignedRoot)>()
     }
 }
 

@@ -64,6 +64,7 @@ pub mod chunk;
 pub mod consistency;
 pub mod dictionary;
 pub mod freshness;
+mod issuance_log;
 pub mod persistent;
 pub mod proof;
 pub mod root;

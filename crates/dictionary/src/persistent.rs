@@ -15,6 +15,15 @@
 //! [`ChunkedVec::extend_from_range`] and [`ChunkedVec::extend_from_slice`],
 //! so each value is copied once, a chunk slice at a time.
 //!
+//! Only tree level 0 (the leaf hashes) and levels ≥ 3 are stored; levels 1
+//! and 2 — 15 of every 20 bytes of interior nodes — are hashed from level 0
+//! on demand, which adds 4 node hashes to an audit path. Level 0 must stay:
+//! a batch copies the leaf hashes right of its front, shifted, instead of
+//! rehashing them, so without it every batch would rehash about half the
+//! dictionary's leaves. Rebuilding level 3 from level 0 computes the same
+//! level-1 and level-2 nodes the stored levels used to, only without
+//! keeping them, so the write path does no extra hashing.
+//!
 //! Bit-equivalence with the built-once reference [`crate::tree::MerkleTree`]
 //! (identical roots, audit paths, and multiproof bytes over arbitrary
 //! batch/remove/publish interleavings) is proptested in
@@ -25,19 +34,24 @@ use crate::serial::SerialNumber;
 use crate::tree::{empty_root, node_hash, Leaf, TreeReader};
 use ritm_crypto::digest::Digest20;
 
+/// The lowest stored level above level 0: levels `1..STORED_FROM` are
+/// computed on demand (see the module docs).
+const STORED_FROM: usize = 3;
+
 /// A Merkle tree over sorted dictionary leaves with `Arc`-chunked,
 /// copy-on-write storage. Cheap to clone; clones share every untouched
 /// chunk with their ancestor.
 ///
-/// The interior levels are *always* valid: every mutating operation leaves
+/// The stored levels are *always* valid: every mutating operation leaves
 /// the tree proof-ready, so there is no `rebuild()` step and
 /// [`PersistentTree::root`] never panics.
 #[derive(Debug, Clone, Default)]
 pub struct PersistentTree {
     /// Leaves sorted lexicographically by serial.
     leaves: ChunkedVec<Leaf>,
-    /// `levels[0]` = leaf hashes, `levels.last()` = `[root]`; empty for an
-    /// empty tree.
+    /// `levels[k]` is tree level `k`: `levels[0]` the leaf hashes,
+    /// `levels.last()` the root's level. Levels `1..STORED_FROM` are
+    /// always empty (computed by [`node`]); empty for an empty tree.
     levels: Vec<ChunkedVec<Digest20>>,
     /// Monotonic content version, bumped by every call that changes the
     /// leaves.
@@ -86,9 +100,9 @@ impl PersistentTree {
 
     /// The current root ([`empty_root`] for an empty tree).
     pub fn root(&self) -> Digest20 {
-        match self.levels.last() {
-            Some(top) => *top.get(0),
-            None => empty_root(),
+        match self.levels.len() {
+            0 => empty_root(),
+            height => node(&self.levels, height - 1, 0),
         }
     }
 
@@ -109,14 +123,13 @@ impl PersistentTree {
     /// Panics if `index` is out of bounds.
     pub fn audit_path(&self, index: usize) -> Vec<Digest20> {
         assert!(index < self.len(), "leaf index out of bounds");
-        let mut path = Vec::new();
-        let mut idx = index;
-        for level in &self.levels[..self.levels.len() - 1] {
-            let sibling = idx ^ 1;
-            if sibling < level.len() {
-                path.push(*level.get(sibling));
+        let top = self.levels.len() - 1;
+        let mut path = Vec::with_capacity(top);
+        for k in 0..top {
+            let sibling = (index >> k) ^ 1;
+            if sibling < level_len(self.len(), k) {
+                path.push(node(&self.levels, k, sibling));
             }
-            idx /= 2;
         }
         path
     }
@@ -142,7 +155,6 @@ impl PersistentTree {
             return false;
         }
 
-        let batch_hashes: Vec<Digest20> = batch.iter().map(Leaf::hash).collect();
         let dirty_from = self.lower_bound(&batch[0].serial);
         if self.levels.is_empty() {
             self.levels.push(ChunkedVec::new());
@@ -170,7 +182,7 @@ impl PersistentTree {
             self.leaves.extend_from_range(&old_leaves, from..to);
             self.levels[0].extend_from_range(&old_hashes, from..to);
             self.leaves.extend_from_slice(&batch[j..end]);
-            self.levels[0].extend_from_slice(&batch_hashes[j..end]);
+            self.levels[0].extend(batch[j..end].iter().map(Leaf::hash));
             (from, j) = (to, end);
         }
         self.leaves
@@ -239,36 +251,25 @@ impl PersistentTree {
         self.rehash_levels_from(0);
     }
 
-    /// Rebuilds interior levels above valid level-0 hashes, recomputing
-    /// only nodes whose subtree includes a position `>= dirty_from` —
-    /// chunks fully left of the dirty front stay shared with any clone.
-    fn rehash_levels_from(&mut self, mut dirty_from: usize) {
-        let mut k = 0;
-        while self.levels[k].len() > 1 {
-            let child_len = self.levels[k].len();
-            let parent_len = child_len.div_ceil(2);
-            dirty_from /= 2;
-            if self.levels.len() == k + 1 {
-                self.levels.push(ChunkedVec::new());
-            }
-            let (children, parents) = self.levels.split_at_mut(k + 1);
-            let parent = &mut parents[0];
-            parent.truncate(dirty_from.min(parent_len));
-            let start = parent.len();
-            let child = &children[k];
-            parent.extend((start..parent_len).map(|j| {
-                let left = child.get(2 * j);
-                if 2 * j + 1 < child_len {
-                    node_hash(left, child.get(2 * j + 1))
-                } else {
-                    *left // odd node promoted
-                }
-            }));
-            k += 1;
+    /// Rebuilds the stored interior levels above valid level-0 hashes,
+    /// recomputing only nodes whose subtree includes a position
+    /// `>= dirty_from` — chunks fully left of the dirty front stay shared
+    /// with any clone. Level [`STORED_FROM`] is hashed straight from level
+    /// 0 through the unstored levels between them.
+    fn rehash_levels_from(&mut self, dirty_from: usize) {
+        let n = self.leaves.len();
+        let height = level_count(n);
+        self.levels.resize_with(height, ChunkedVec::new);
+        for k in STORED_FROM..height {
+            let (below, level) = self.levels.split_at_mut(k);
+            let level = &mut level[0];
+            let len = level_len(n, k);
+            level.truncate((dirty_from >> k).min(len));
+            let start = level.len();
+            level.extend((start..len).map(|j| parent(below, k, j)));
         }
-        self.levels.truncate(k + 1);
-        debug_assert_eq!(self.levels[0].len(), self.leaves.len());
-        debug_assert_eq!(self.levels.last().expect("non-empty").len(), 1);
+        debug_assert_eq!(self.levels[0].len(), n);
+        debug_assert_eq!(level_len(n, height - 1), 1);
     }
 
     /// Chunks (across leaves and all levels) this tree shares with `other`
@@ -333,7 +334,39 @@ impl TreeReader for PersistentTree {
     }
 
     fn level_node(&self, level: usize, index: usize) -> Digest20 {
-        *self.levels[level].get(index)
+        node(&self.levels, level, index)
+    }
+}
+
+/// Levels of a tree over `n ≥ 1` leaves, level 0 and the root's included.
+fn level_count(n: usize) -> usize {
+    1 + (usize::BITS - (n - 1).leading_zeros()) as usize
+}
+
+/// Nodes on level `k` of a tree over `n` leaves.
+fn level_len(n: usize, k: usize) -> usize {
+    n.div_ceil(1 << k)
+}
+
+/// Node `j` of level `k`: read from `levels` where that level is stored,
+/// otherwise hashed from level 0 by [`parent`].
+fn node(levels: &[ChunkedVec<Digest20>], k: usize, j: usize) -> Digest20 {
+    if k == 0 || k >= STORED_FROM {
+        *levels[k].get(j)
+    } else {
+        parent(levels, k, j)
+    }
+}
+
+/// Node `j` of level `k` hashed from its children on level `k − 1`; an odd
+/// last child is promoted unchanged. `levels` needs to hold level 0 and the
+/// stored levels below `k` only.
+fn parent(levels: &[ChunkedVec<Digest20>], k: usize, j: usize) -> Digest20 {
+    let left = node(levels, k - 1, 2 * j);
+    if 2 * j + 1 < level_len(levels[0].len(), k - 1) {
+        node_hash(&left, &node(levels, k - 1, 2 * j + 1))
+    } else {
+        left
     }
 }
 
@@ -341,7 +374,7 @@ impl TreeReader for PersistentTree {
 mod tests {
     use super::*;
     use crate::chunk::{slots_materialized, CHUNK};
-    use crate::tree::{leaf_hash_calls, MerkleTree};
+    use crate::tree::{leaf_hash_calls, node_hash_calls, MerkleTree};
 
     fn leaves(serials: impl IntoIterator<Item = u32>) -> Vec<Leaf> {
         let mut out: Vec<Leaf> = serials
@@ -483,6 +516,59 @@ mod tests {
         let before = leaf_hash_calls();
         assert!(t.apply_sorted_batch(&batch));
         assert_eq!(leaf_hash_calls() - before, 5_000);
+    }
+
+    /// The node hashes a full rehash from `front` costs over `n` leaves
+    /// when every level is stored, Σ_{k≥1} (len_k − ⌊front/2^k⌋), plus 4:
+    /// hashing level 3 from level 0 starts at a multiple of 8 leaves, up to
+    /// 3 level-1 and 1 level-2 nodes left of the front.
+    fn node_hash_bound(n: usize, front: usize) -> u64 {
+        let right_of_front: usize = (1..level_count(n))
+            .map(|k| level_len(n, k) - (front >> k))
+            .sum();
+        right_of_front as u64 + 4
+    }
+
+    #[test]
+    fn batches_hash_only_the_nodes_right_of_their_front() {
+        // Base leaf i has serial (i + 1) << 16; a batch aimed at gap `front`
+        // (just before base leaf `front`) sorts there as one run.
+        for n in [CHUNK - 1, CHUNK + 1, 3 * CHUNK - 1, 3 * CHUNK + 1] {
+            let base =
+                PersistentTree::from_sorted_leaves((0..n).map(|i| {
+                    Leaf::new(SerialNumber::from_u64(((i + 1) as u64) << 16), i as u64 + 1)
+                }));
+            for b in [1, CHUNK - 1, CHUNK + 1] {
+                for front in [0, n / 2, n] {
+                    let batch: Vec<Leaf> = (0..b)
+                        .map(|j| {
+                            let serial = ((front as u64) << 16) + 1 + j as u64;
+                            Leaf::new(SerialNumber::from_u64(serial), (n + j) as u64 + 1)
+                        })
+                        .collect();
+                    let mut t = base.clone();
+                    let before = node_hash_calls();
+                    assert!(t.apply_sorted_batch(&batch));
+                    let spent = node_hash_calls() - before;
+                    let bound = node_hash_bound(n + b, front);
+                    assert!(
+                        spent <= bound,
+                        "apply {b} at {front} of {n}: {spent} > {bound}"
+                    );
+
+                    let serials: Vec<SerialNumber> = batch.iter().map(|l| l.serial).collect();
+                    let before = node_hash_calls();
+                    assert_eq!(t.remove_sorted_batch(&serials), b);
+                    let spent = node_hash_calls() - before;
+                    let bound = node_hash_bound(n, front);
+                    assert!(
+                        spent <= bound,
+                        "remove {b} at {front} of {n}: {spent} > {bound}"
+                    );
+                    assert_eq!(t.root(), base.root());
+                }
+            }
+        }
     }
 
     #[test]

@@ -155,11 +155,12 @@ impl RevocationProof {
         if tree.is_empty() {
             return RevocationProof::AbsentEmpty;
         }
-        if let Some(idx) = tree.find(serial) {
-            return RevocationProof::Present(PresenceProof::generate(tree, idx));
-        }
+        // One search answers both cases: a present serial is its own lower
+        // bound.
         let lb = tree.lower_bound(serial);
-        if lb == 0 {
+        if lb < tree.len() && tree.leaf(lb).serial == *serial {
+            RevocationProof::Present(PresenceProof::generate(tree, lb))
+        } else if lb == 0 {
             RevocationProof::AbsentBelow(PresenceProof::generate(tree, 0))
         } else if lb == tree.len() {
             RevocationProof::AbsentAbove(PresenceProof::generate(tree, tree.len() - 1))

@@ -24,6 +24,7 @@ const NODE_PREFIX: u8 = 0x01;
 
 thread_local! {
     static LEAF_HASHES: core::cell::Cell<u64> = const { core::cell::Cell::new(0) };
+    static NODE_HASHES: core::cell::Cell<u64> = const { core::cell::Cell::new(0) };
 }
 
 /// Leaf hashes computed by this thread so far (monotonic; measure work as a
@@ -31,6 +32,13 @@ thread_local! {
 /// rollback and incremental batches must never rehash retained leaves.
 pub fn leaf_hash_calls() -> u64 {
     LEAF_HASHES.with(core::cell::Cell::get)
+}
+
+/// Interior-node hashes ([`node_hash`]) computed by this thread so far
+/// (monotonic; measure work as a delta): a batch must rehash only the
+/// nodes at or right of its front.
+pub fn node_hash_calls() -> u64 {
+    NODE_HASHES.with(core::cell::Cell::get)
 }
 
 /// A dictionary leaf: a revoked serial plus its consecutive revocation
@@ -72,6 +80,7 @@ impl Leaf {
 /// compression and no other copy — every tree rehash and every audit-path
 /// check is a run of these.
 pub fn node_hash(left: &Digest20, right: &Digest20) -> Digest20 {
+    NODE_HASHES.with(|c| c.set(c.get() + 1));
     const MESSAGE_LEN: usize = 1 + 2 * DIGEST_LEN;
     let mut block = [0u8; sha256::BLOCK_LEN];
     block[0] = NODE_PREFIX;
@@ -224,7 +233,8 @@ pub trait TreeReader {
     /// Bottom-up sibling hashes for leaf `index`.
     fn audit_path(&self, index: usize) -> Vec<Digest20>;
 
-    /// The cached hash at `(level, index)` (level 0 = leaf hashes).
+    /// The node hash at `(level, index)` (level 0 = leaf hashes), read
+    /// from storage or computed from the levels below it.
     fn level_node(&self, level: usize, index: usize) -> Digest20;
 }
 
