@@ -7,9 +7,9 @@
 //! structurally-shared snapshot publication (`snapshot_publish/persistent`)
 //! vs the PR 2 dense deep-clone baseline (`snapshot_publish/dense`), and
 //! the event-driven serving stack over real sockets (`event_serve`: single
-//! round trips, 8-deep in-order v1 flights, the same flight multiplexed on
-//! envelope v2, and a slow-`CatchUp` head-of-line scenario the v2
-//! out-of-order server overlaps away).
+//! round trips, an 8-deep flight multiplexed on envelope v2, and a
+//! slow-`CatchUp` head-of-line scenario the out-of-order server overlaps
+//! away).
 //!
 //! With `BENCH_JSON=BENCH_dictionary.json` every result lands in a JSON
 //! perf-trajectory file; `BENCH_SMOKE=1` shrinks sizes and samples for CI.
@@ -488,7 +488,7 @@ fn bench_protocol_roundtrip(c: &mut Criterion) {
     g.bench_function("loopback_get_status", |b| {
         b.iter(|| black_box(transport.round_trip(&get_status).expect("served")))
     });
-    // And the raw frame path (what a TCP worker executes per request).
+    // And the raw frame path (what a socket server executes per request).
     let service = StatusService::new(transport.service().server().clone());
     g.bench_function("handle_frame_get_status", |b| {
         b.iter(|| black_box(service.handle_frame(black_box(&status_frame))))
@@ -570,15 +570,13 @@ impl ritm_proto::Service for SlowCatchUp {
 
 /// The event-driven serving stack end to end over real OS sockets: one
 /// `EventServer` (≤2 threads) in front of the RA's status endpoint, a
-/// non-blocking client. Tracks (a) the single-request round trip — the
-/// per-request cost of the reactor/codec machinery vs the in-process
-/// `loopback_get_status` number above — and (b) an 8-deep in-order v1
-/// flight (the transport pinned to v1, so the number stays comparable
-/// across the envelope-v2 change), (c) the same flight multiplexed on
-/// envelope v2 (per-frame request ids, out-of-order completion), and
-/// (d) the payoff case: a ~1ms `CatchUp` heading the flight, which
-/// in-order serving would add wholesale to every status behind it but
-/// out-of-order completion overlaps with all 8.
+/// non-blocking client on envelope v2. Tracks (a) the single-request
+/// round trip — the per-request cost of the reactor/codec machinery vs
+/// the in-process `loopback_get_status` number above — (b) an 8-deep
+/// flight multiplexed on per-frame request ids, and (c) the payoff case:
+/// a ~1ms `CatchUp` heading the flight, which in-order serving would add
+/// wholesale to every status behind it but out-of-order completion
+/// overlaps with all 8.
 fn bench_event_serve(c: &mut Criterion) {
     let n: u32 = if criterion::smoke_mode() {
         10_000
@@ -591,9 +589,7 @@ fn bench_event_serve(c: &mut Criterion) {
     let service = Arc::new(StatusService::new(Arc::new(server)));
     let event_server =
         EventServer::spawn(Arc::clone(&service) as Arc<dyn ritm_proto::Service>, 2).unwrap();
-    // Pinned to v1: byte-identical to the pre-v2 client, so these two
-    // records keep their baseline meaning.
-    let mut transport = EventTransport::connect_pinned_v1(event_server.addr()).unwrap();
+    let mut mux = EventTransport::connect(event_server.addr()).unwrap();
 
     let get_status = RitmRequest::GetStatus {
         ca: ca.ca(),
@@ -602,7 +598,7 @@ fn bench_event_serve(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("event_serve");
     g.bench_function("roundtrip_get_status", |b| {
-        b.iter(|| black_box(transport.round_trip(&get_status).expect("served")))
+        b.iter(|| black_box(mux.round_trip(&get_status).expect("served")))
     });
     let flight: Vec<RitmRequest> = (0..8u32)
         .map(|i| RitmRequest::GetStatus {
@@ -610,18 +606,8 @@ fn bench_event_serve(c: &mut Criterion) {
             serial: SerialNumber::from_u24(0x700001 + i * 2),
         })
         .collect();
-    g.bench_function("pipelined_8x_get_status", |b| {
-        b.iter(|| {
-            for r in transport.round_trip_many(black_box(&flight)) {
-                black_box(r.expect("served"));
-            }
-        })
-    });
-
-    // The same flight on envelope v2: +4 id bytes per frame buys
-    // out-of-order completion (invisible here — statuses are uniform —
-    // but the overhead must stay in the noise vs the v1 number).
-    let mut mux = EventTransport::connect(event_server.addr()).unwrap();
+    // +4 id bytes per frame buy out-of-order completion (invisible here —
+    // statuses are uniform).
     g.bench_function("multiplexed_8x_get_status", |b| {
         b.iter(|| {
             for r in mux.round_trip_many(black_box(&flight)) {
@@ -654,7 +640,7 @@ fn bench_event_serve(c: &mut Criterion) {
     g.finish();
     drop(slow_mux);
     slow_server.shutdown();
-    drop((transport, mux));
+    drop(mux);
     event_server.shutdown();
 }
 

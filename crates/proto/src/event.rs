@@ -1,9 +1,8 @@
 //! Event-driven serving over real OS sockets: many connections, ≤2 threads.
 //!
-//! [`EventServer`] is the deployment-shaped counterpart to the blocking
-//! [`crate::tcp::TcpServer`]: instead of one OS thread per connection, every
-//! connection is a small task on a [`ritm_rt`] executor. Sockets are
-//! `set_nonblocking`; partial frames are resumed by
+//! [`EventServer`] is the crate's socket server: instead of one OS thread
+//! per connection, every connection is a small task on a [`ritm_rt`]
+//! executor. Sockets are `set_nonblocking`; partial frames are resumed by
 //! [`ritm_rt::FrameReader`] / [`ritm_rt::FrameWriter`]; a task whose socket
 //! is not ready parks in the reactor and costs nothing but its buffers.
 //! Several servers can share one runtime ([`EventServer::spawn_on`]): an
@@ -14,15 +13,15 @@
 //!
 //! # Out-of-order completion (envelope v2)
 //!
-//! A v1 connection is answered strictly in request order — that in-order
-//! guarantee is what made id-less pipelining safe, and it is preserved
-//! byte-identically for v1 peers. A **v2** frame instead spawns its own
-//! handler task: replies are written back tagged with the request's id as
-//! each handler finishes, so one slow `CatchUp` no longer head-of-line
-//! blocks the `GetStatus` requests behind it on the same connection.
-//! [`EventTransport`] correlates replies by id; against a v1-only server
-//! it transparently falls back to the in-order path (see
-//! [`EventTransport::negotiated_version`]).
+//! A **v2** frame spawns its own handler task: replies are written back
+//! tagged with the request's id as each handler finishes, so one slow
+//! `CatchUp` does not head-of-line block the `GetStatus` requests behind
+//! it on the same connection. [`EventTransport`] speaks only v2 and
+//! correlates replies by id. Every other frame — v1, an unknown version,
+//! or a v2 header too short to carry an id — is answered inline and in
+//! request order through [`Service::serve_envelope`], the same choke point
+//! the in-process transports use, so an unsupported version gets the same
+//! typed `UnsupportedVersion` reply bytes on every transport.
 //!
 //! # Backpressure and keepalive
 //!
@@ -38,8 +37,7 @@
 
 use crate::error::TransportError;
 use crate::message::{
-    split_frame, RequestEnvelope, RitmRequest, RitmResponse, MAX_FRAME_LEN, MAX_SUPPORTED_VERSION,
-    PROTOCOL_V2, PROTOCOL_VERSION,
+    split_frame, RequestEnvelope, RitmRequest, RitmResponse, MAX_FRAME_LEN, PROTOCOL_V2,
 };
 use crate::service::Service;
 use crate::transport::{RoundTrip, Transport, TransportMeta};
@@ -55,7 +53,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Resource bounds and negotiation ceiling for one [`EventServer`].
+/// Resource bounds for one [`EventServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct EventServerConfig {
     /// Connections held open at once; the acceptor pauses past this.
@@ -66,9 +64,6 @@ pub struct EventServerConfig {
     /// Idle window after which a connection with nothing in flight is
     /// dropped (`None` = never).
     pub keepalive: Option<Duration>,
-    /// Highest envelope version this server answers in — pin to
-    /// [`PROTOCOL_VERSION`] to exercise a v1-only peer.
-    pub max_version: u8,
 }
 
 impl Default for EventServerConfig {
@@ -78,7 +73,6 @@ impl Default for EventServerConfig {
             // Two maximal frames: one mid-write, one queued behind it.
             max_buffered_bytes: 2 * MAX_FRAME_LEN,
             keepalive: Some(Duration::from_secs(60)),
-            max_version: MAX_SUPPORTED_VERSION,
         }
     }
 }
@@ -245,9 +239,8 @@ impl EventServer {
     /// anything), drains this server's tasks, and returns the total
     /// requests served. On an owned runtime the executor is joined; on a
     /// shared runtime only this server's tasks are waited for — the
-    /// runtime (and any other servers on it) keeps running. Like
-    /// [`crate::tcp::TcpServer::shutdown`], this ends an experiment; it
-    /// does not drain in-flight client batches.
+    /// runtime (and any other servers on it) keeps running. This ends an
+    /// experiment; it does not drain in-flight client batches.
     pub fn shutdown(mut self) -> u64 {
         self.closing.store(true, Ordering::SeqCst);
         match self.runtime.take() {
@@ -372,9 +365,9 @@ enum ReadStep {
     Close,
 }
 
-/// One connection's task: read frames and answer them — inline and in
-/// order for v1 frames (byte-identical to the pre-v2 server), via a
-/// spawned per-request handler task for v2 frames (out-of-order, tagged).
+/// One connection's task: read frames and answer them — via a spawned
+/// per-request handler task for v2 frames (out-of-order, tagged), inline
+/// and in order for every other frame.
 #[allow(clippy::too_many_arguments)]
 async fn serve_connection(
     stream: TcpStream,
@@ -441,32 +434,16 @@ async fn serve_connection(
             }
             ReadStep::Frame(frame) => {
                 last_frame = Instant::now();
-                let body_version = frame.get(4).copied().unwrap_or(PROTOCOL_VERSION);
-                if body_version > config.max_version {
-                    // Negotiation ceiling (including a server pinned to
-                    // v1): answer in v1, in order — what a probing client
-                    // can always parse.
-                    let reply = RitmResponse::Error(ProtoError::UnsupportedVersion {
-                        requested: body_version,
-                        supported: config.max_version,
-                    })
-                    .to_frame();
-                    pool.put(frame);
-                    conn.lock_writer().queue(reply);
-                    if drive_flush(&conn, &reactor, &closing).await {
-                        stats.served.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        break;
-                    }
-                } else if body_version >= PROTOCOL_V2 {
+                let Ok((body, _)) = split_frame(&frame) else {
+                    break;
+                };
+                let env = RequestEnvelope::decode(body);
+                // The drained request frame recycles into the pool.
+                pool.put(frame);
+                if env.reply_version == PROTOCOL_V2 {
                     // v2: out-of-order — each request gets its own handler
                     // task; the reply carries the echoed id, so completion
                     // order is free to differ from arrival order.
-                    let Ok((body, _)) = split_frame(&frame) else {
-                        break;
-                    };
-                    let env = RequestEnvelope::decode(body);
-                    pool.put(frame);
                     conn.inflight.fetch_add(1, Ordering::SeqCst);
                     tasks.fetch_add(1, Ordering::SeqCst);
                     let service = Arc::clone(&service);
@@ -482,19 +459,17 @@ async fn serve_connection(
                         tasks.fetch_sub(1, Ordering::SeqCst);
                     });
                 } else {
-                    // v1: inline and strictly in order — the guarantee
-                    // id-less pipelining depends on, preserved
-                    // byte-identically. `serve_frame` lets a caching
-                    // service answer with a shared body (header + cached
-                    // bytes, no copy); the drained request frame recycles
-                    // into the pool.
+                    // Every other frame (v1, an unknown version, a v2
+                    // header too short for an id): inline and strictly in
+                    // order through the service's one choke point, which
+                    // answers an unsupported version with a typed v1
+                    // `UnsupportedVersion` reply.
                     let Ok(resp) =
-                        std::panic::catch_unwind(AssertUnwindSafe(|| service.serve_frame(&frame)))
+                        std::panic::catch_unwind(AssertUnwindSafe(|| service.serve_envelope(env)))
                     else {
                         conn.kill();
                         break;
                     };
-                    pool.put(frame);
                     resp.queue_onto(&mut conn.lock_writer());
                     if drive_flush(&conn, &reactor, &closing).await {
                         stats.served.fetch_add(1, Ordering::Relaxed);
@@ -594,29 +569,15 @@ const CLIENT_DEADLINE: Duration = Duration::from_secs(30);
 /// Client-side sleep while the socket is not ready in either direction.
 const CLIENT_POLL_INTERVAL: Duration = Duration::from_micros(200);
 
-/// What envelope version the peer has been observed to speak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PeerVersion {
-    /// Nothing observed yet: the next flight probes v2.
-    Unknown,
-    /// The peer answered v2 frames in v2: multiplexed from here on.
-    V2,
-    /// The peer rejected v2 (or was pinned): in-order v1, byte-identical
-    /// to the id-less pipelining path.
-    V1,
-}
-
 /// The non-blocking client: one connection, pipelined round trips.
 ///
-/// [`Transport::round_trip`] behaves like the blocking client; the payoff
-/// is [`Transport::round_trip_many`], which keeps every request of a batch
-/// in flight at once. Against a v2 server the batch is **multiplexed**:
-/// each request carries a fresh id and replies are correlated by the
-/// echoed id, so they may complete in any order. Against a v1 server the
-/// first flight triggers a transparent fallback (the server answers every
-/// v2 frame with a v1 `UnsupportedVersion` error, in order; the client
-/// drains them, pins v1, and re-sends the flight id-less) and every
-/// subsequent flight is byte-identical to the pre-v2 pipelining client.
+/// [`Transport::round_trip`] is a one-request flight; the payoff is
+/// [`Transport::round_trip_many`], which keeps every request of a batch
+/// in flight at once. The batch is **multiplexed** on envelope v2: each
+/// request carries a fresh id and replies are correlated by the echoed
+/// id, so they may complete in any order. A reply in any other envelope
+/// version (a v1-only server's `UnsupportedVersion`, say) fails the flight
+/// with [`TransportError::VersionMismatch`].
 ///
 /// Any transport-level failure (EOF, I/O error, deadline) **poisons the
 /// connection**: the stream may be mid-frame, so it must never be reused.
@@ -631,10 +592,6 @@ pub struct EventTransport {
     /// Set after any transport-level failure; the stream may hold
     /// misaligned bytes, so it must never be reused.
     broken: bool,
-    peer: PeerVersion,
-    /// What `peer` resets to after a reconnect: `V1` keeps a pin,
-    /// `Unknown` re-probes (the restarted peer may speak differently).
-    reset_peer: PeerVersion,
     /// Next request id to assign (wrapping; uniqueness only matters
     /// within one flight, where ids are consecutive).
     next_id: u32,
@@ -645,29 +602,13 @@ pub struct EventTransport {
 }
 
 impl EventTransport {
-    /// Connects to an [`EventServer`] (or any frame-speaking server). The
-    /// first flight probes envelope v2 and negotiates down transparently
-    /// if the server only speaks v1.
+    /// Connects to an [`EventServer`] (or any server speaking envelope
+    /// v2).
     ///
     /// # Errors
     ///
     /// Propagates connect failures.
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
-        Self::connect_as(addr, PeerVersion::Unknown)
-    }
-
-    /// Connects pinned to envelope v1: no probe, in-order pipelining,
-    /// byte-identical to the pre-v2 client. For peers known to be v1-only
-    /// (or for measuring the in-order baseline).
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect failures.
-    pub fn connect_pinned_v1(addr: SocketAddr) -> std::io::Result<Self> {
-        Self::connect_as(addr, PeerVersion::V1)
-    }
-
-    fn connect_as(addr: SocketAddr, peer: PeerVersion) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
@@ -677,18 +618,15 @@ impl EventTransport {
             stream,
             reader: FrameReader::with_pool(MAX_FRAME_LEN, pool.clone()),
             broken: false,
-            peer,
-            reset_peer: peer,
             next_id: 1,
             pool,
         })
     }
 
     /// Tears down the (possibly poisoned) stream and dials the same
-    /// address again: fresh socket, fresh framing state, version
-    /// re-probed — or the v1 pin kept. Runs automatically at the start of
-    /// any flight on a broken transport; call it directly to re-dial
-    /// eagerly.
+    /// address again: fresh socket, fresh framing state. Runs
+    /// automatically at the start of any flight on a broken transport;
+    /// call it directly to re-dial eagerly.
     ///
     /// # Errors
     ///
@@ -711,7 +649,6 @@ impl EventTransport {
         self.stream = stream;
         self.reader = FrameReader::with_pool(MAX_FRAME_LEN, self.pool.clone());
         self.broken = false;
-        self.peer = self.reset_peer;
         Ok(())
     }
 
@@ -727,17 +664,9 @@ impl EventTransport {
         self.reader.resident_capacity()
     }
 
-    /// The envelope version negotiated with the peer: `None` before the
-    /// first flight, then `Some(2)` (multiplexed) or `Some(1)` (in-order).
-    pub fn negotiated_version(&self) -> Option<u8> {
-        match self.peer {
-            PeerVersion::Unknown => None,
-            PeerVersion::V2 => Some(PROTOCOL_V2),
-            PeerVersion::V1 => Some(PROTOCOL_VERSION),
-        }
-    }
-
-    /// Runs one flight, dispatched on the negotiated envelope version.
+    /// Runs one flight: every request tagged with a consecutive id,
+    /// replies routed into their slot by the echoed id as they arrive — in
+    /// any order.
     fn flight(&mut self, reqs: &[RitmRequest]) -> Vec<Result<RoundTrip, TransportError>> {
         // A poisoned stream is never reused, but a flight boundary is a
         // safe place to dial afresh: nothing of *this* flight has been
@@ -753,21 +682,6 @@ impl EventTransport {
                 })
                 .collect();
         }
-        match self.peer {
-            PeerVersion::V1 => self.flight_in_order(reqs),
-            PeerVersion::Unknown | PeerVersion::V2 => self.flight_multiplexed(reqs),
-        }
-    }
-
-    /// The multiplexed flight: every request tagged with a consecutive
-    /// id, replies routed into their slot by the echoed id as they
-    /// arrive — in any order. Falls back to [`Self::flight_in_order`]
-    /// (re-sending the whole flight) when an unknown peer turns out to
-    /// speak only v1.
-    fn flight_multiplexed(
-        &mut self,
-        reqs: &[RitmRequest],
-    ) -> Vec<Result<RoundTrip, TransportError>> {
         let n = reqs.len();
         let base = self.next_id;
         self.next_id = self.next_id.wrapping_add(n as u32);
@@ -787,7 +701,6 @@ impl EventTransport {
         let mut slots: Vec<Option<Result<RoundTrip, TransportError>>> =
             (0..n).map(|_| None).collect();
         let mut received = 0usize;
-        let mut fallback = false;
         let mut failed = false;
         // First unfilled slot gets the specific failure; the rest a
         // generic one (an unattributable stream failure fails the whole
@@ -829,76 +742,53 @@ impl EventTransport {
                     let now = Instant::now();
                     let latency = SimDuration::from_micros((now - last_reply).as_micros() as u64);
                     last_reply = now;
+                    // Only v2 replies carry the id that says which request
+                    // they answer.
                     let decoded = split_frame(&reply)
                         .map_err(TransportError::from)
-                        .and_then(|(body, _)| RitmResponse::decode_envelope(body));
+                        .and_then(|(body, _)| RitmResponse::decode_envelope(body))
+                        .and_then(|(version, id, response)| match version {
+                            PROTOCOL_V2 => Ok((id, response)),
+                            got => Err(TransportError::VersionMismatch { got }),
+                        });
                     match decoded {
+                        Err(TransportError::VersionMismatch { got }) => {
+                            // The peer speaks another envelope version, so
+                            // no request of this flight gets an answer.
+                            for slot in slots.iter_mut().filter(|s| s.is_none()) {
+                                *slot = Some(Err(TransportError::VersionMismatch { got }));
+                            }
+                            failed = true;
+                            break;
+                        }
                         Err(e) => {
                             fail_all(&mut slots, e);
                             failed = true;
                             break;
                         }
-                        Ok((version, id, response)) => {
-                            if fallback {
-                                // Draining the v1 server's in-order error
-                                // replies to the rest of the probe flight;
-                                // only their arrival matters.
-                                if version >= PROTOCOL_V2 {
-                                    fail_all(
-                                        &mut slots,
-                                        TransportError::VersionMismatch { got: version },
-                                    );
-                                    failed = true;
-                                    break;
-                                }
-                            } else if version >= PROTOCOL_V2 {
-                                self.peer = PeerVersion::V2;
-                                // Ids are consecutive from `base`, so the
-                                // slot index is a subtraction away.
-                                let idx = id.wrapping_sub(base) as usize;
-                                if idx >= n || slots[idx].is_some() {
-                                    fail_all(
-                                        &mut slots,
-                                        TransportError::Io(std::io::Error::new(
-                                            ErrorKind::InvalidData,
-                                            "reply carries an id this flight never sent",
-                                        )),
-                                    );
-                                    failed = true;
-                                    break;
-                                }
-                                slots[idx] = Some(Ok(RoundTrip {
-                                    response,
-                                    meta: TransportMeta {
-                                        request_bytes: request_lens[idx],
-                                        response_bytes: reply.len() as u64,
-                                        latency,
-                                    },
-                                }));
-                            } else if self.peer == PeerVersion::Unknown
-                                && matches!(
-                                    response,
-                                    RitmResponse::Error(ProtoError::UnsupportedVersion {
-                                        requested: PROTOCOL_V2,
-                                        ..
-                                    })
-                                )
-                            {
-                                // The peer is v1-only: keep draining its
-                                // in-order rejections, then re-send the
-                                // flight id-less.
-                                fallback = true;
-                            } else {
-                                // A v1 reply from a server that already
-                                // spoke v2 (or a non-negotiation v1 reply
-                                // to a v2 probe): protocol violation.
+                        Ok((id, response)) => {
+                            // Ids are consecutive from `base`, so the slot
+                            // index is a subtraction away.
+                            let idx = id.wrapping_sub(base) as usize;
+                            if idx >= n || slots[idx].is_some() {
                                 fail_all(
                                     &mut slots,
-                                    TransportError::VersionMismatch { got: version },
+                                    TransportError::Io(std::io::Error::new(
+                                        ErrorKind::InvalidData,
+                                        "reply carries an id this flight never sent",
+                                    )),
                                 );
                                 failed = true;
                                 break;
                             }
+                            slots[idx] = Some(Ok(RoundTrip {
+                                response,
+                                meta: TransportMeta {
+                                    request_bytes: request_lens[idx],
+                                    response_bytes: reply.len() as u64,
+                                    latency,
+                                },
+                            }));
                         }
                     }
                     // The decoded reply buffer goes back to the pool for
@@ -938,129 +828,12 @@ impl EventTransport {
             // misattribute them.
             self.broken = true;
             let _ = self.stream.shutdown(std::net::Shutdown::Both);
-            return slots
-                .into_iter()
-                .map(|s| s.unwrap_or(Err(TransportError::NoResponse)))
-                .collect();
-        }
-        if fallback {
-            self.peer = PeerVersion::V1;
-            return self.flight_in_order(reqs);
         }
         slots
             .into_iter()
             .map(|s| s.unwrap_or(Err(TransportError::NoResponse)))
             .collect()
     }
-
-    /// The in-order v1 flight: queues every request frame onto the wire
-    /// and decodes responses as they stream back, in request order —
-    /// byte-identical to the pre-v2 pipelining client. Each response's
-    /// latency is charged since the previous response arrived (the first
-    /// since flight start), so the flight's summed latency is its
-    /// wall-clock duration — comparable across transports.
-    fn flight_in_order(&mut self, reqs: &[RitmRequest]) -> Vec<Result<RoundTrip, TransportError>> {
-        // Same one-scratch-buffer flight encoding as the multiplexed path
-        // (byte-identical to queueing each `to_frame()` separately).
-        let mut writer = FrameWriter::with_pool(self.pool.clone());
-        let mut scratch = self.pool.get();
-        let mut request_lens = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            let before = scratch.len();
-            req.to_frame_into(&mut scratch);
-            request_lens.push((scratch.len() - before) as u64);
-        }
-        writer.queue(scratch);
-        let mut results: Vec<Result<RoundTrip, TransportError>> = Vec::with_capacity(reqs.len());
-        let fail_rest = |results: &mut Vec<Result<RoundTrip, TransportError>>,
-                         n: usize,
-                         kind: ErrorKind,
-                         msg: &str| {
-            while results.len() < n {
-                results.push(Err(TransportError::Io(std::io::Error::new(kind, msg))));
-            }
-        };
-        // Same progress-based deadline as the multiplexed flight.
-        let mut last_progress = Instant::now();
-        let mut last_reply = last_progress;
-        while results.len() < reqs.len() {
-            let mut progress = false;
-            let written_before = writer.written();
-            match writer.poll_write(&mut self.stream) {
-                FrameWrite::Done | FrameWrite::WouldBlock => {
-                    progress |= writer.written() > written_before;
-                }
-                FrameWrite::Err(e) => {
-                    let (kind, msg) = (e.kind(), "pipelined write failed");
-                    fail_rest(&mut results, reqs.len(), kind, msg);
-                    break;
-                }
-            }
-            let mut got_frame = false;
-            match self.reader.poll_frame(&mut self.stream) {
-                FrameRead::Frame(reply) => {
-                    progress = true;
-                    got_frame = true;
-                    let now = Instant::now();
-                    let latency = SimDuration::from_micros((now - last_reply).as_micros() as u64);
-                    last_reply = now;
-                    results.push(decode_reply(&reply, latency));
-                    self.pool.put(reply);
-                }
-                FrameRead::WouldBlock => {}
-                FrameRead::Eof => {
-                    while results.len() < reqs.len() {
-                        results.push(Err(TransportError::NoResponse));
-                    }
-                    break;
-                }
-                FrameRead::Err(e) => {
-                    let (kind, msg) = (e.kind(), "pipelined read failed");
-                    fail_rest(&mut results, reqs.len(), kind, msg);
-                    break;
-                }
-            }
-            if progress {
-                last_progress = Instant::now();
-            }
-            if !got_frame && results.len() < reqs.len() {
-                if last_progress.elapsed() > CLIENT_DEADLINE {
-                    while results.len() < reqs.len() {
-                        results.push(Err(TransportError::NoResponse));
-                    }
-                    break;
-                }
-                if !progress {
-                    std::thread::sleep(CLIENT_POLL_INTERVAL);
-                }
-            }
-        }
-        if results.iter().any(Result::is_err) {
-            self.broken = true;
-            let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        }
-        // Attach exact request-frame sizes (responses arrive in request
-        // order, so results[i] answers reqs[i]).
-        for (len, r) in request_lens.iter().zip(results.iter_mut()) {
-            if let Ok(rt) = r {
-                rt.meta.request_bytes = *len;
-            }
-        }
-        results
-    }
-}
-
-fn decode_reply(reply: &[u8], latency: SimDuration) -> Result<RoundTrip, TransportError> {
-    let (body, _) = split_frame(reply)?;
-    let response = RitmResponse::decode_body(body)?;
-    Ok(RoundTrip {
-        response,
-        meta: TransportMeta {
-            request_bytes: 0, // filled by the caller per request index
-            response_bytes: reply.len() as u64,
-            latency,
-        },
-    })
 }
 
 impl Transport for EventTransport {
@@ -1112,7 +885,6 @@ mod tests {
         let server = EventServer::spawn(Arc::new(Nope), 2).unwrap();
         assert!(server.thread_count() <= 2);
         let mut t = EventTransport::connect(server.addr()).unwrap();
-        assert_eq!(t.negotiated_version(), None);
         let req = RitmRequest::GetManifest {
             ca: CaId::from_name("EvCA"),
         };
@@ -1122,7 +894,6 @@ mod tests {
             // v2 frames carry 4 extra id bytes over the v1 baseline.
             assert_eq!(rt.meta.request_bytes as usize, req.to_frame().len() + 4);
         }
-        assert_eq!(t.negotiated_version(), Some(PROTOCOL_V2));
         drop(t);
         assert_eq!(server.shutdown(), 3);
     }
@@ -1217,14 +988,12 @@ mod tests {
         // behind the next one both come up empty...
         assert!(t.round_trip(&req).is_err());
         assert!(t.round_trip(&req).is_err());
-        // ...but following the restarted server to its new address works,
-        // with version negotiation re-run from scratch.
+        // ...but following the restarted server to its new address works.
         let server = EventServer::spawn(Arc::new(EchoCa), 1).unwrap();
         t.reconnect_to(server.addr()).unwrap();
         assert!(!t.is_broken());
         let rt = t.round_trip(&req).unwrap();
         assert_eq!(rt.response, RitmResponse::Error(ProtoError::UnknownCa(ca)));
-        assert_eq!(t.negotiated_version(), Some(PROTOCOL_V2));
         drop(t);
         server.shutdown();
     }
@@ -1253,19 +1022,5 @@ mod tests {
         assert_eq!(rt.response, RitmResponse::Error(ProtoError::NotFound));
         drop((t1, t2));
         server.shutdown();
-    }
-
-    #[test]
-    fn v1_pinned_transport_sends_baseline_frames() {
-        let server = EventServer::spawn(Arc::new(EchoCa), 2).unwrap();
-        let mut t = EventTransport::connect_pinned_v1(server.addr()).unwrap();
-        assert_eq!(t.negotiated_version(), Some(PROTOCOL_VERSION));
-        let ca = CaId::from_name("PinCA");
-        let req = RitmRequest::GetManifest { ca };
-        let rt = t.round_trip(&req).unwrap();
-        assert_eq!(rt.response, RitmResponse::Error(ProtoError::UnknownCa(ca)));
-        assert_eq!(rt.meta.request_bytes as usize, req.to_frame().len());
-        drop(t);
-        assert_eq!(server.shutdown(), 1);
     }
 }

@@ -6,8 +6,8 @@
 //! modes of a lossy network. Every decision comes from a private
 //! [`StdRng`] stream, so a failing run replays bit-identically from its
 //! seed; the wrapped transport is only ever driven through its public
-//! interface, so the same wrapper exercises loopback, simulated, TCP, and
-//! event-driven transports alike.
+//! interface, so the same wrapper exercises loopback, simulated and
+//! event-driven socket transports alike.
 //!
 //! The semantics are honest to where each fault strikes: a dropped
 //! *request* never reaches the service, a dropped *response* was fully

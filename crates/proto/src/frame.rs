@@ -110,8 +110,8 @@ impl Frame {
     }
 
     /// Coalesces into one contiguous byte vector — byte-identical to what
-    /// `to_frame_for` would have produced. For tests and the blocking
-    /// transports; the event path writes the parts without joining them.
+    /// `to_frame_for` would have produced. For tests; the event path
+    /// writes the parts without joining them.
     pub fn to_vec(&self) -> Vec<u8> {
         match &self.body {
             Body::Owned(v) if self.header_len == 0 => v.clone(),

@@ -17,16 +17,15 @@
 //!   implemented by the CDN edge (`ritm-cdn`), the RA read path
 //!   (`ritm-agent`, over its lock-free `StatusServer`), and the CA
 //!   manifest endpoint (`ritm-ca`).
-//! * [`Transport`] — the client half, with four interchangeable
+//! * [`Transport`] — the client half, with three interchangeable
 //!   implementations: in-process [`Loopback`], the [`sim::SimTransport`]
-//!   adapter carrying frames in `ritm-net` `TcpSegment` payloads, the
-//!   blocking [`tcp::TcpTransport`] / [`tcp::TcpServer`] pair over real
-//!   `std::net` sockets with a bounded acceptor pool, and the non-blocking
-//!   [`event::EventTransport`] / [`event::EventServer`] pair that
-//!   multiplexes every connection onto a ≤2-thread `ritm-rt` runtime
-//!   (shareable across several servers), keeps request batches in flight
-//!   at once ([`Transport::round_trip_many`]), and — on envelope v2 —
-//!   completes them out of order, correlated by request id.
+//!   adapter carrying frames in `ritm-net` `TcpSegment` payloads, and the
+//!   non-blocking [`event::EventTransport`] / [`event::EventServer`] pair
+//!   over real `std::net` sockets, which multiplexes every connection onto
+//!   a ≤2-thread `ritm-rt` runtime (shareable across several servers),
+//!   keeps request batches in flight at once
+//!   ([`Transport::round_trip_many`]), and completes them out of order on
+//!   envelope v2, correlated by request id.
 //!
 //! Byte accounting is exact and transport-invariant: a round trip reports
 //! the encoded frame sizes ([`TransportMeta`]), so the Fig. 7 download
@@ -40,7 +39,6 @@ pub mod message;
 pub mod payload;
 pub mod service;
 pub mod sim;
-pub mod tcp;
 pub mod transport;
 
 pub use error::{ProtoError, TransportError};

@@ -4,8 +4,8 @@
 //! a CA's manifest endpoint — expressed as a pure request→response
 //! function from `&self`. Implementations are `Send + Sync` so one service
 //! instance can sit behind any transport: called in-process, placed on a
-//! `ritm-net` simulated path, or served from a real TCP acceptor pool, all
-//! without caring which.
+//! `ritm-net` simulated path, or served over real sockets by an
+//! [`EventServer`](crate::EventServer), all without caring which.
 
 use crate::frame::Frame;
 use crate::message::{split_frame, RequestEnvelope, RitmRequest, RitmResponse, PROTOCOL_V2};

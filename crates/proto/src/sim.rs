@@ -7,7 +7,7 @@
 //! simulation per round trip, so the existing latency and middlebox
 //! machinery (drops, extra hops, RA-style in-path boxes) applies unchanged
 //! to real protocol traffic — the same frames, byte for byte, that the
-//! loopback and TCP transports move.
+//! loopback and socket transports move.
 
 use crate::error::TransportError;
 use crate::message::{split_frame, RitmRequest, RitmResponse};

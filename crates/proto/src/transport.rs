@@ -9,8 +9,9 @@
 //! * [`crate::sim::SimTransport`] — frames ride in `TcpSegment` payloads
 //!   across a deterministic `ritm-net` simulation, so latency/middlebox
 //!   experiments run unchanged over the real protocol.
-//! * [`crate::tcp::TcpTransport`] — frames cross a real `std::net` socket
-//!   to a [`crate::tcp::TcpServer`].
+//! * [`crate::event::EventTransport`] — frames cross a real `std::net`
+//!   socket to a [`crate::event::EventServer`], multiplexed on envelope v2
+//!   (each frame carries a 4-byte request id the reply echoes).
 
 use crate::error::TransportError;
 use crate::message::{split_frame, RitmRequest, RitmResponse};

@@ -1,8 +1,8 @@
 //! Event-driven smoke test (the CI `event-smoke` step): one `EventServer`
 //! on ≤2 OS threads serves ≥64 *simultaneously connected* OS-socket
-//! clients — 8× the blocking `proto-smoke` scenario, which needs a thread
-//! per connection — with every response validating cryptographically,
-//! pipelined flights preserving order, and zero transport failures. Plus
+//! clients — a thread per connection would need 64 — with every response
+//! validating cryptographically, pipelined flights preserving order, and
+//! zero transport failures. Plus
 //! the idle-cost half of the story: 1k+ concurrent connections parked on
 //! one shared runtime decay the reactor tick to its 50ms ceiling (no
 //! sub-millisecond sweeps while nothing is ready), and a live request

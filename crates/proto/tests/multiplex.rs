@@ -1,21 +1,17 @@
-//! Acceptance for the v2 multiplexed event stack: the negotiation matrix
-//! (v2↔v2 multiplexes; v2↔v1 falls back — transparently and
-//! byte-identically — to in-order v1 pipelining), out-of-order completion
-//! (a slow `CatchUp` no longer head-of-line blocks the `GetStatus`
-//! requests behind it), connection-count backpressure (the acceptor
-//! pauses at the cap and resumes as connections close), the keepalive
-//! reaper (idle connections are dropped with a typed goodbye; connections
-//! with work in flight are not), and the shared multi-endpoint runtime
-//! (RA + CA + edge servers on one ≤2-thread reactor/executor pair, torn
-//! down independently).
+//! Acceptance for the v2 multiplexed event stack: v2↔v2 multiplexes with
+//! ids echoed, a v1 reply fails the whole flight and poisons the client,
+//! out-of-order completion (a slow `CatchUp` no longer head-of-line blocks
+//! the `GetStatus` requests behind it), connection-count backpressure (the
+//! acceptor pauses at the cap and resumes as connections close), the
+//! keepalive reaper (idle connections are dropped with a typed goodbye;
+//! connections with work in flight are not), and the shared
+//! multi-endpoint runtime (RA + CA + edge servers on one ≤2-thread
+//! reactor/executor pair, torn down independently).
 
 use ritm_dictionary::{CaId, SerialNumber};
 use ritm_proto::event::{EventServer, EventServerConfig, EventTransport};
-use ritm_proto::{
-    ProtoError, RitmRequest, RitmResponse, Service, Transport, MAX_SUPPORTED_VERSION,
-    PROTOCOL_VERSION,
-};
-use std::io::Read;
+use ritm_proto::{ProtoError, RitmRequest, RitmResponse, Service, Transport, TransportError};
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,67 +40,68 @@ impl Service for EchoCa {
     }
 }
 
-fn v1_pinned_config() -> EventServerConfig {
-    EventServerConfig {
-        max_version: PROTOCOL_VERSION,
-        ..EventServerConfig::default()
-    }
-}
-
-#[test]
-fn negotiation_matrix_v2_multiplexes_and_v1_falls_back_byte_identically() {
-    let reqs: Vec<RitmRequest> = (0..3)
+fn negotiation_requests() -> Vec<RitmRequest> {
+    (0..3)
         .map(|i| RitmRequest::GetManifest {
             ca: CaId::from_name(&format!("NegCA{i}")),
         })
-        .collect();
-    let v1_lens: Vec<usize> = reqs.iter().map(|r| r.to_frame().len()).collect();
+        .collect()
+}
 
-    // v2 client ↔ v2 server: the first flight pins v2 and every request
-    // frame carries the 4-byte id.
+#[test]
+fn negotiation_v2_multiplexes_with_ids_echoed() {
+    let reqs = negotiation_requests();
+    // Every request frame is the v1 encoding plus the 4-byte id, and every
+    // reply lands in the slot of the request it answers.
     let server = EventServer::spawn(Arc::new(EchoCa), 2).unwrap();
     let mut t = EventTransport::connect(server.addr()).unwrap();
-    assert_eq!(t.negotiated_version(), None);
     for (i, r) in t.round_trip_many(&reqs).into_iter().enumerate() {
         let rt = r.expect("v2 flight");
-        assert_eq!(rt.meta.request_bytes as usize, v1_lens[i] + 4);
-    }
-    assert_eq!(t.negotiated_version(), Some(MAX_SUPPORTED_VERSION));
-    drop(t);
-    server.shutdown();
-
-    // v2 client ↔ v1-pinned server: the probe flight is rejected with
-    // typed `UnsupportedVersion` replies, the client drains them, pins
-    // v1, and transparently re-sends — the caller sees only v1-priced
-    // successes. Every later flight is byte-identical in-order v1.
-    let server = EventServer::spawn_with(Arc::new(EchoCa), 2, v1_pinned_config()).unwrap();
-    let mut t = EventTransport::connect(server.addr()).unwrap();
-    for (i, r) in t.round_trip_many(&reqs).into_iter().enumerate() {
-        let rt = r.expect("fallback flight succeeds");
+        assert_eq!(rt.meta.request_bytes as usize, reqs[i].to_frame().len() + 4);
         assert_eq!(
             rt.response,
             RitmResponse::Error(ProtoError::UnknownCa(CaId::from_name(&format!("NegCA{i}"))))
         );
-        assert_eq!(
-            rt.meta.request_bytes as usize, v1_lens[i],
-            "post-fallback frames must be the id-less v1 encoding"
+    }
+    drop(t);
+    assert_eq!(server.shutdown(), 3);
+}
+
+#[test]
+fn v1_reply_fails_the_whole_flight_and_poisons_the_transport() {
+    // A v1-only peer: answers every frame, whatever it says, with a v1
+    // `UnsupportedVersion { requested: 2, supported: 1 }` frame.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stub = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let reply = RitmResponse::Error(ProtoError::UnsupportedVersion {
+            requested: 2,
+            supported: 1,
+        })
+        .to_frame();
+        let mut prefix = [0u8; 4];
+        while stream.read_exact(&mut prefix).is_ok() {
+            let mut body = vec![0u8; u32::from_be_bytes(prefix) as usize];
+            if stream.read_exact(&mut body).is_err() || stream.write_all(&reply).is_err() {
+                break;
+            }
+        }
+    });
+    let mut t = EventTransport::connect(addr).unwrap();
+    let results = t.round_trip_many(&negotiation_requests());
+    // No slot is `Ok`: the reply carries no id, so no request of the
+    // flight can claim it.
+    assert_eq!(results.len(), 3);
+    for (i, r) in results.iter().enumerate() {
+        assert!(
+            matches!(r, Err(TransportError::VersionMismatch { got: 1 })),
+            "slot {i}: {r:?}"
         );
     }
-    assert_eq!(t.negotiated_version(), Some(PROTOCOL_VERSION));
-    let rt = t.round_trip(&reqs[0]).expect("pinned-v1 steady state");
-    assert_eq!(rt.meta.request_bytes as usize, v1_lens[0]);
+    assert!(t.is_broken());
     drop(t);
-    // The server answered 3 probe rejections + 3 re-sent + 1 follow-up.
-    assert_eq!(server.shutdown(), 7);
-
-    // v1-pinned client ↔ v2 server: no probe, v1 frames from the start.
-    let server = EventServer::spawn(Arc::new(EchoCa), 2).unwrap();
-    let mut t = EventTransport::connect_pinned_v1(server.addr()).unwrap();
-    assert_eq!(t.negotiated_version(), Some(PROTOCOL_VERSION));
-    let rt = t.round_trip(&reqs[0]).unwrap();
-    assert_eq!(rt.meta.request_bytes as usize, v1_lens[0]);
-    drop(t);
-    assert_eq!(server.shutdown(), 1);
+    stub.join().unwrap();
 }
 
 const FAST_REQUESTS: u64 = 8;

@@ -1,17 +1,15 @@
 //! Acceptance: the full CA → CDN edge → RA sync → client status fetch
 //! pipeline runs entirely through `Service`/`Transport` over (a) the
-//! in-process loopback, (b) the `ritm-net` simulator, (c) a real
-//! `std::net` TCP socket served thread-per-connection, and (d) the
+//! in-process loopback, (b) the `ritm-net` simulator, and (c) the
 //! event-driven `EventServer`/`EventTransport` pair (non-blocking sockets,
-//! ≤2 server threads, pipelined flights) — and all four transports move
+//! ≤2 server threads, pipelined flights) — and the transports move
 //! byte-identical envelopes: same signed roots, same revocation verdicts,
-//! same request and response byte counts. The event lane runs twice: once
-//! negotiating envelope v2 (multiplexed, request-id tagged — every frame
-//! exactly 4 bytes larger in each direction, nothing else different) and
-//! once pinned to v1, which must be byte-identical to the baseline
-//! including every count. Plus version negotiation: an unknown-version
-//! request yields a typed `ProtoError::UnsupportedVersion` response, never
-//! a panic or a silent drop.
+//! same request and response byte counts. The event lane speaks envelope
+//! v2 (multiplexed, request-id tagged), so every frame is exactly 4 bytes
+//! larger in each direction and nothing else differs. Plus version
+//! negotiation: an unknown-version request yields a typed
+//! `ProtoError::UnsupportedVersion` response, never a panic or a silent
+//! drop, and the socket it arrived on keeps answering v1 frames in order.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +23,6 @@ use ritm_dictionary::{SerialNumber, SignedRoot};
 use ritm_net::time::{SimDuration, SimTime};
 use ritm_proto::event::{EventServer, EventTransport};
 use ritm_proto::sim::SimTransport;
-use ritm_proto::tcp::{TcpServer, TcpTransport};
 use ritm_proto::{
     split_frame, Loopback, ProtoError, RitmRequest, RitmResponse, Service, Transport,
     MAX_SUPPORTED_VERSION,
@@ -180,43 +177,18 @@ fn run_simulated() -> PipelineOutcome {
     )
 }
 
-fn run_tcp() -> (PipelineOutcome, u64) {
-    let (ca, cdn, genesis) = build_world();
-    let edge = Arc::new(EdgeService::new(cdn, Region::Europe, 99));
-    edge.set_now(SimTime::from_secs(T0 + 2));
-    let edge_server = TcpServer::spawn(Arc::clone(&edge) as Arc<dyn Service>, 2).unwrap();
-    let edge_transport = TcpTransport::connect(edge_server.addr()).unwrap();
-
-    let mut status_server_slot = None;
-    let outcome = run_pipeline(&ca, genesis, edge_transport, |status| {
-        let server = TcpServer::spawn(Arc::new(status) as Arc<dyn Service>, 2).unwrap();
-        let t = TcpTransport::connect(server.addr()).unwrap();
-        status_server_slot = Some(server);
-        t
-    });
-    let served = edge_server.shutdown() + status_server_slot.unwrap().shutdown();
-    (outcome, served)
-}
-
-fn run_event(pin_v1: bool) -> (PipelineOutcome, u64, usize) {
-    let connect = |addr| {
-        if pin_v1 {
-            EventTransport::connect_pinned_v1(addr)
-        } else {
-            EventTransport::connect(addr)
-        }
-    };
+fn run_event() -> (PipelineOutcome, u64, usize) {
     let (ca, cdn, genesis) = build_world();
     let edge = Arc::new(EdgeService::new(cdn, Region::Europe, 99));
     edge.set_now(SimTime::from_secs(T0 + 2));
     let edge_server = EventServer::spawn(Arc::clone(&edge) as Arc<dyn Service>, 2).unwrap();
     let threads = edge_server.thread_count();
-    let edge_transport = connect(edge_server.addr()).unwrap();
+    let edge_transport = EventTransport::connect(edge_server.addr()).unwrap();
 
     let mut status_server_slot = None;
     let outcome = run_pipeline(&ca, genesis, edge_transport, |status| {
         let server = EventServer::spawn(Arc::new(status) as Arc<dyn Service>, 2).unwrap();
-        let t = connect(server.addr()).unwrap();
+        let t = EventTransport::connect(server.addr()).unwrap();
         status_server_slot = Some(server);
         t
     });
@@ -228,21 +200,11 @@ fn run_event(pin_v1: bool) -> (PipelineOutcome, u64, usize) {
 fn pipeline_is_transport_invariant() {
     let loopback = normalized(run_loopback());
     let simulated = normalized(run_simulated());
-    let (tcp, tcp_served) = run_tcp();
-    let tcp = normalized(tcp);
-    let (event, event_served, event_threads) = run_event(false);
+    let (event, event_served, event_threads) = run_event();
     let mut event = normalized(event);
-    let (event_v1, event_v1_served, _) = run_event(true);
-    let event_v1 = normalized(event_v1);
 
     // Identical signed roots, verdicts, payload bytes, and byte counts.
     assert_eq!(loopback, simulated);
-    assert_eq!(loopback, tcp);
-
-    // The v1-pinned event lane is byte-identical to the baseline — the
-    // v2 envelope changed nothing for v1 peers, down to the last count.
-    assert_eq!(loopback, event_v1);
-    assert_eq!(event_v1_served, 5);
 
     // The v2 event lane moved the exact same protocol bytes plus the
     // 4-byte request id per frame, each direction: sync is two frames up
@@ -273,22 +235,20 @@ fn pipeline_is_transport_invariant() {
     assert_eq!(loopback.valid_verdict, Verdict::AllValid);
     assert_eq!(loopback.manifest_delta, DELTA);
     assert!(loopback.sync.bytes_downloaded > 0 && loopback.sync.bytes_uploaded > 0);
-    // TCP really served every round trip: sync (2) + manifest (1) on the
-    // edge server, two status fetches on the status server.
-    assert_eq!(tcp_served, 5);
-    // The event-driven lane served the same five, from ≤2 OS threads per
-    // server instead of a thread per connection.
+    // The event lane really served every round trip over its sockets:
+    // sync (2) + manifest (1) on the edge server, two status fetches on
+    // the status server — from ≤2 OS threads per server.
     assert_eq!(event_served, 5);
     assert!(event_threads <= 2, "event server must stay on ≤2 threads");
 }
 
 #[test]
 fn flight_scratch_encoding_is_byte_identical_to_per_frame_encoding() {
-    // The event transport now encodes a whole flight into one pooled
-    // scratch buffer (`to_frame_into` / `to_frame_v2_into`) written as a
-    // single segment. The wire must not be able to tell: the scratch
-    // bytes are exactly the concatenation of the per-request frames, and
-    // the recorded per-request lengths match the individual encodings.
+    // The event transport encodes a whole flight into one pooled scratch
+    // buffer (`to_frame_v2_into`) written as a single segment. The wire
+    // must not be able to tell: the scratch bytes are exactly the
+    // concatenation of the per-request frames, and the recorded
+    // per-request lengths match the individual encodings.
     let ca = ritm_dictionary::CaId::from_name("FlightCA");
     let reqs: Vec<RitmRequest> = (0..7u32)
         .map(|i| RitmRequest::GetStatus {
@@ -298,7 +258,7 @@ fn flight_scratch_encoding_is_byte_identical_to_per_frame_encoding() {
         .chain(std::iter::once(RitmRequest::GetSignedRoot { ca }))
         .collect();
 
-    // v2 (multiplexed) flight with consecutive ids.
+    // A multiplexed flight with consecutive ids.
     let base = 41u32;
     let mut scratch = Vec::new();
     let mut lens = Vec::new();
@@ -314,15 +274,6 @@ fn flight_scratch_encoding_is_byte_identical_to_per_frame_encoding() {
         expected.extend_from_slice(&frame);
     }
     assert_eq!(scratch, expected, "v2 flight scratch differs from frames");
-
-    // v1 (in-order) flight.
-    let mut scratch = Vec::new();
-    let mut expected = Vec::new();
-    for req in &reqs {
-        req.to_frame_into(&mut scratch);
-        expected.extend_from_slice(&req.to_frame());
-    }
-    assert_eq!(scratch, expected, "v1 flight scratch differs from frames");
 }
 
 #[test]
@@ -346,59 +297,35 @@ fn unknown_version_yields_typed_error_on_every_transport() {
         })
     );
 
-    // Real TCP: the server answers (no drop, no crash) with the same error.
-    let server = TcpServer::spawn(Arc::clone(&edge) as Arc<dyn Service>, 1).unwrap();
-    {
-        use std::io::{Read, Write};
-        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-        stream.write_all(&frame).unwrap();
-        let mut prefix = [0u8; 4];
-        stream.read_exact(&mut prefix).unwrap();
-        let len = u32::from_be_bytes(prefix) as usize;
-        let mut body = vec![0u8; len];
-        stream.read_exact(&mut body).unwrap();
-        assert_eq!(
-            RitmResponse::decode_body(&body).unwrap(),
-            RitmResponse::Error(ProtoError::UnsupportedVersion {
-                requested: 42,
-                supported: MAX_SUPPORTED_VERSION,
-            })
-        );
-        // And the connection stays usable for a well-formed retry at the
-        // supported version.
-        stream
-            .write_all(&RitmRequest::GetSignedRoot { ca: ca.id() }.to_frame())
-            .unwrap();
-        stream.read_exact(&mut prefix).unwrap();
-        let len = u32::from_be_bytes(prefix) as usize;
-        let mut body = vec![0u8; len];
-        stream.read_exact(&mut body).unwrap();
-        assert!(matches!(
-            RitmResponse::decode_body(&body).unwrap(),
-            RitmResponse::SignedRoot(_)
-        ));
-    }
-    server.shutdown();
-
-    // Event-driven server: same typed negotiation over a blocking client
+    // Event-driven server: the same reply bytes over a blocking client
     // socket (the server side is non-blocking; the wire is the wire).
     let server = EventServer::spawn(Arc::clone(&edge) as Arc<dyn Service>, 2).unwrap();
     {
         use std::io::{Read, Write};
         let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        let read_reply = |stream: &mut std::net::TcpStream| {
+            let mut prefix = [0u8; 4];
+            stream.read_exact(&mut prefix).unwrap();
+            let mut reply = prefix.to_vec();
+            reply.resize(4 + u32::from_be_bytes(prefix) as usize, 0);
+            stream.read_exact(&mut reply[4..]).unwrap();
+            reply
+        };
         stream.write_all(&frame).unwrap();
-        let mut prefix = [0u8; 4];
-        stream.read_exact(&mut prefix).unwrap();
-        let len = u32::from_be_bytes(prefix) as usize;
-        let mut body = vec![0u8; len];
-        stream.read_exact(&mut body).unwrap();
-        assert_eq!(
-            RitmResponse::decode_body(&body).unwrap(),
-            RitmResponse::Error(ProtoError::UnsupportedVersion {
-                requested: 42,
-                supported: MAX_SUPPORTED_VERSION,
-            })
-        );
+        assert_eq!(read_reply(&mut stream), resp_frame);
+
+        // The connection stays usable: a pipelined burst of three v1
+        // frames, written at once, is answered inline and in request
+        // order, each reply byte-identical to the in-process one.
+        let burst = [
+            RitmRequest::GetSignedRoot { ca: ca.id() }.to_frame(),
+            RitmRequest::GetManifest { ca: ca.id() }.to_frame(),
+            RitmRequest::FetchDelta { ca: ca.id() }.to_frame(),
+        ];
+        stream.write_all(&burst.concat()).unwrap();
+        for request in &burst {
+            assert_eq!(read_reply(&mut stream), edge.handle_frame(request));
+        }
     }
-    server.shutdown();
+    assert_eq!(server.shutdown(), 4);
 }

@@ -1,11 +1,11 @@
 //! # ritm-rt — a std-only readiness-based runtime
 //!
 //! The paper's middlebox/CDN deployment only pays off if one edge or RA
-//! process can hold open connections from very many clients at once. The
-//! blocking `TcpServer` in `ritm-proto` burns an OS thread per connection;
-//! this crate provides the event-driven alternative the serving stack is
-//! built on, using nothing outside `std` (the build environment has no
-//! crates.io access, so `mio`/`tokio` are not options):
+//! process can hold open connections from very many clients at once, which
+//! a thread per connection cannot. This crate provides the event-driven
+//! runtime the serving stack (`ritm-proto`'s `EventServer`) is built on,
+//! using nothing outside `std` (the build environment has no crates.io
+//! access, so `mio`/`tokio` are not options):
 //!
 //! * [`Reactor`] — readiness scheduling for `set_nonblocking` `std::net`
 //!   sockets. `std` exposes no selector (`epoll`/`kqueue`), so readiness is
