@@ -94,6 +94,7 @@ fn main() {
         memory10 as f64 / memory as f64,
     );
     println!("note: our storage includes an 8-byte revocation number per entry, and our");
-    println!("memory keeps 32-byte leaves, their hashes and tree levels >= 3 (levels 1 and 2");
-    println!("are hashed on demand); constants differ, scaling matches (README, Substitutions)");
+    println!("memory keeps each serial once in a packed log, an 8-byte sorted entry per leaf,");
+    println!("the leaf hashes and tree levels >= 3 (levels 1 and 2 are hashed on demand);");
+    println!("constants differ, scaling matches (README, Substitutions)");
 }

@@ -2,16 +2,24 @@
 //! heap bytes per leaf of a `CaDictionary` and of a `MirrorDictionary`, as
 //! the allocator sees them, and the transient peak of a bulk load.
 //!
-//! Each figure is a slope between a 20k- and a 40k-leaf dictionary of
-//! 3-byte serials, so fixed costs (keys, hash chains, the last partly
-//! filled chunk of each level) cancel out. The gates:
-//! - a mirror holds at most 61 B per leaf and a CA at most 66 (the tree
-//!   stores level 0 and levels ≥ 3 only; the CA's log is packed);
+//! Each per-leaf figure is a slope between a 20k- and a 40k-leaf
+//! dictionary, so fixed costs (keys, hash chains, the last partly filled
+//! chunk of each sequence) cancel out. Both dictionaries hold the same
+//! tree: an 8-byte entry per leaf (serial prefix and revocation number),
+//! level 0 and levels ≥ 3, and each serial once, in the tree's packed log.
+//! The gates:
+//! - with 3-byte serials, a mirror and a CA each hold at most 43.5 B per
+//!   leaf (measured 41.4);
+//! - with 16-byte serials, at most 57 B per leaf (measured 55.0), below
+//!   the 58.5 and 75.6 B the mirror and the CA held when every leaf carried
+//!   a whole `SerialNumber` and the CA a second copy in its own log;
 //! - each dictionary's `memory_bytes()` self-report is within 2 B per leaf
 //!   of the allocator's slope;
 //! - a 40k-leaf `apply_issuance` peaks at most 34 B per leaf above what it
 //!   leaves live: the sorted batch of leaves, and no second per-leaf copy
-//!   such as a vector of their hashes.
+//!   such as a vector of their hashes;
+//! - a 100-leaf mirror holds at most 16 KiB in all: a sequence's last
+//!   chunk is sized to its contents, not allocated whole.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,9 +102,28 @@ struct Sample {
     mirror_reported: usize,
 }
 
-/// Builds a CA and its mirror over `n` distinct 3-byte serials in one
-/// batch, measuring the CA's insert and the mirror's `apply_issuance`.
-fn sample(n: usize) -> Sample {
+/// Distinct 3-byte serials; an odd stride scatters them over the 24-bit
+/// space.
+fn three_bytes(i: u32) -> SerialNumber {
+    SerialNumber::from_u24(i.wrapping_mul(7_919))
+}
+
+/// Distinct 16-byte serials, scattered the same way in their first bytes.
+fn sixteen_bytes(i: u32) -> SerialNumber {
+    let mut bytes = [0u8; 16];
+    bytes[..4].copy_from_slice(&i.wrapping_mul(7_919).rotate_left(8).to_be_bytes());
+    bytes[4..12].copy_from_slice(
+        &u64::from(i)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .to_be_bytes(),
+    );
+    bytes[12..].copy_from_slice(&i.to_be_bytes());
+    SerialNumber::new(&bytes).unwrap()
+}
+
+/// Builds a CA and its mirror over `n` distinct serials in one batch,
+/// measuring the CA's insert and the mirror's `apply_issuance`.
+fn sample(n: usize, serial: fn(u32) -> SerialNumber) -> Sample {
     let mut rng = StdRng::seed_from_u64(5);
     let mut ca = CaDictionary::new(
         CaId::from_name("MemCA"),
@@ -107,10 +134,7 @@ fn sample(n: usize) -> Sample {
         T0,
     );
     let genesis = *ca.signed_root();
-    // An odd stride scatters the serials over the 24-bit space.
-    let serials: Vec<SerialNumber> = (0..n as u32)
-        .map(|i| SerialNumber::from_u24(i.wrapping_mul(7_919)))
-        .collect();
+    let serials: Vec<SerialNumber> = (0..n as u32).map(serial).collect();
     let ((), ca_tally) = measured(|| {
         ca.insert(&serials, &mut rng, T0 + 1)
             .expect("fresh serials");
@@ -136,31 +160,80 @@ fn slope(small: f64, large: f64) -> f64 {
     (large - small) / (LARGE - SMALL) as f64
 }
 
+/// Per-leaf slopes of the CA and the mirror, and how far each one's
+/// `memory_bytes()` slope is from it.
+struct Slopes {
+    mirror: f64,
+    ca: f64,
+    mirror_reported: f64,
+    ca_reported: f64,
+}
+
+fn slopes(small: &Sample, large: &Sample) -> Slopes {
+    Slopes {
+        mirror: slope(small.mirror_live as f64, large.mirror_live as f64),
+        ca: slope(small.ca_live as f64, large.ca_live as f64),
+        mirror_reported: slope(small.mirror_reported as f64, large.mirror_reported as f64),
+        ca_reported: slope(small.ca_reported as f64, large.ca_reported as f64),
+    }
+}
+
+/// Asserts the per-leaf budget and the `memory_bytes()` agreement.
+fn assert_within(s: &Slopes, budget: f64, serials: &str) {
+    println!(
+        "{serials} serials, live B/leaf: mirror {:.2} (memory_bytes {:.2}), CA {:.2} \
+         (memory_bytes {:.2})",
+        s.mirror, s.mirror_reported, s.ca, s.ca_reported
+    );
+    assert!(
+        s.mirror <= budget,
+        "{serials}: mirror holds {:.2} B/leaf, budget {budget}",
+        s.mirror
+    );
+    assert!(
+        s.ca <= budget,
+        "{serials}: CA holds {:.2} B/leaf, budget {budget}",
+        s.ca
+    );
+    assert!(
+        (s.mirror_reported - s.mirror).abs() <= 2.0,
+        "{serials}: mirror memory_bytes() says {:.2} B/leaf, the allocator {:.2}",
+        s.mirror_reported,
+        s.mirror
+    );
+    assert!(
+        (s.ca_reported - s.ca).abs() <= 2.0,
+        "{serials}: CA memory_bytes() says {:.2} B/leaf, the allocator {:.2}",
+        s.ca_reported,
+        s.ca
+    );
+}
+
 #[test]
 fn dictionaries_stay_within_their_bytes_per_leaf() {
-    let (small, large) = (sample(SMALL), sample(LARGE));
-    let mirror = slope(small.mirror_live as f64, large.mirror_live as f64);
-    let ca = slope(small.ca_live as f64, large.ca_live as f64);
-    let mirror_reported = slope(small.mirror_reported as f64, large.mirror_reported as f64);
-    let ca_reported = slope(small.ca_reported as f64, large.ca_reported as f64);
+    let (small, large) = (sample(SMALL, three_bytes), sample(LARGE, three_bytes));
+    assert_within(&slopes(&small, &large), 43.5, "3-byte");
     let peak = large.mirror_peak_above_live as f64 / LARGE as f64;
-    println!(
-        "live B/leaf: mirror {mirror:.2} (memory_bytes {mirror_reported:.2}), \
-         CA {ca:.2} (memory_bytes {ca_reported:.2}); \
-         apply_issuance peak above live {peak:.2} B/leaf"
-    );
-    assert!(mirror <= 61.0, "mirror holds {mirror:.2} B/leaf, budget 61");
-    assert!(ca <= 66.0, "CA holds {ca:.2} B/leaf, budget 66");
-    assert!(
-        (mirror_reported - mirror).abs() <= 2.0,
-        "mirror memory_bytes() says {mirror_reported:.2} B/leaf, the allocator {mirror:.2}"
-    );
-    assert!(
-        (ca_reported - ca).abs() <= 2.0,
-        "CA memory_bytes() says {ca_reported:.2} B/leaf, the allocator {ca:.2}"
-    );
+    println!("apply_issuance peak above live {peak:.2} B/leaf");
     assert!(
         peak <= 34.0,
         "a {LARGE}-leaf apply_issuance peaks {peak:.2} B/leaf above live, budget 34"
+    );
+}
+
+#[test]
+fn long_serials_cost_less_than_a_serial_per_leaf() {
+    let (small, large) = (sample(SMALL, sixteen_bytes), sample(LARGE, sixteen_bytes));
+    assert_within(&slopes(&small, &large), 57.0, "16-byte");
+}
+
+#[test]
+fn a_small_mirror_has_a_small_fixed_cost() {
+    let s = sample(100, three_bytes);
+    println!("100-leaf mirror: {} B live", s.mirror_live);
+    assert!(
+        s.mirror_live <= 16 * 1024,
+        "a 100-leaf mirror holds {} B, budget 16 KiB",
+        s.mirror_live
     );
 }

@@ -6,7 +6,7 @@
 //! verifies this message and initiates the dissemination process").
 
 use ritm_crypto::ed25519::VerifyingKey;
-use ritm_dictionary::{CaId, RefreshMessage, RevocationIssuance, SerialNumber, SignedRoot};
+use ritm_dictionary::{CaId, RefreshMessage, RevocationIssuance, SerialLog, SignedRoot};
 use std::collections::HashMap;
 
 /// Content key addressing one CA's dissemination feed.
@@ -65,8 +65,9 @@ pub struct Origin {
     /// Full revocation log per CA (in issuance order) — what lets the
     /// origin answer the catch-up requests of the paper's synchronization
     /// protocol ("the RA contacts an edge server specifying the number of
-    /// valid consecutive revocations it has observed", §III).
-    logs: HashMap<CaId, Vec<SerialNumber>>,
+    /// valid consecutive revocations it has observed", §III). Packed, as
+    /// the dictionaries hold theirs.
+    logs: HashMap<CaId, SerialLog>,
     /// Per-CA `(end_count, signed_root)` at each published batch boundary,
     /// ascending — the historical roots paged catch-up replies anchor to.
     boundary_roots: HashMap<CaId, Vec<(u64, SignedRoot)>>,
@@ -112,7 +113,7 @@ impl Origin {
             // an equivocation attempt and is refused.
             return Err(PublishError::BadSignature);
         }
-        log.extend_from_slice(&issuance.serials);
+        log.extend(&issuance.serials);
         self.boundary_roots
             .entry(ca)
             .or_default()
@@ -140,7 +141,7 @@ impl Origin {
         let idx = (have as usize).min(log.len());
         let issuance = RevocationIssuance {
             first_number: have + 1,
-            serials: log[idx..].to_vec(),
+            serials: log.range(idx, log.len()),
             signed_root: *root,
         };
         Some(issuance.to_bytes())
@@ -188,7 +189,7 @@ impl Origin {
         };
         let issuance = RevocationIssuance {
             first_number: have + 1,
-            serials: log[have as usize..end as usize].to_vec(),
+            serials: log.range(have as usize, end as usize),
             signed_root,
         };
         Some((issuance.to_bytes(), total - end))

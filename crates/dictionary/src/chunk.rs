@@ -27,6 +27,11 @@
 //! roughly halved the mirror's batch apply plus publish (5.7 → 3.0 ms for 5
 //! serials into 50k leaves).
 //!
+//! Only whole chunks are allocated at [`CHUNK`] slots. A sequence's last
+//! chunk starts at the size it needs and doubles up to [`CHUNK`] as it
+//! fills, so a small tree costs its leaves, not a full chunk per stored
+//! level, and a full chunk is never reallocated.
+//!
 //! Every slot materialized by a copy-on-write clone, extend, or truncation is
 //! counted in a thread-local tally ([`slots_materialized`]) so tests and
 //! benches can assert the O(b·log n + chunks) publish cost instead of
@@ -52,6 +57,24 @@ pub fn slots_materialized() -> u64 {
 
 fn note(slots: usize) {
     MATERIALIZED.with(|c| c.set(c.get() + slots as u64));
+}
+
+/// The capacity a chunk of capacity `cap` needs to hold `need` elements:
+/// unchanged while they fit, otherwise doubled (at least to `need`) and
+/// never past [`CHUNK`].
+fn grown(cap: usize, need: usize) -> usize {
+    debug_assert!(need <= CHUNK, "a chunk holds at most CHUNK elements");
+    if need <= cap {
+        cap
+    } else {
+        need.max((2 * cap).min(CHUNK))
+    }
+}
+
+/// Makes room in `chunk` for `extra` more elements by the [`grown`] rule.
+fn reserve<T>(chunk: &mut Vec<T>, extra: usize) {
+    let cap = grown(chunk.capacity(), chunk.len() + extra);
+    chunk.reserve_exact(cap - chunk.len());
 }
 
 /// A chunked sequence with `Arc`-shared, copy-on-write chunks.
@@ -102,6 +125,15 @@ impl<T: Clone> ChunkedVec<T> {
         &self.chunks[index / CHUNK][index % CHUNK]
     }
 
+    /// The elements from `index` to the end of the chunk holding it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index >= len()`.
+    pub fn rest_of_chunk(&self, index: usize) -> &[T] {
+        &self.chunks[index / CHUNK][index % CHUNK..]
+    }
+
     /// Chunks this sequence shares with `other` (same `Arc`), for sharing
     /// assertions in tests.
     pub fn shared_chunks_with(&self, other: &Self) -> usize {
@@ -117,18 +149,21 @@ impl<T: Clone> ChunkedVec<T> {
         self.chunks.len()
     }
 
-    /// A unique (copy-on-write) reference to chunk `ci`. A copy is given
-    /// the full [`CHUNK`] capacity, so topping up a copied tail chunk never
-    /// reallocates.
-    fn chunk_mut(&mut self, ci: usize) -> &mut Vec<T> {
+    /// A unique (copy-on-write) reference to chunk `ci`, with room for
+    /// `extra` more elements. A copy gets the capacity the [`grown`] rule
+    /// gives the original, so topping up a copied tail chunk reallocates no
+    /// more often than topping up the original would.
+    fn chunk_mut(&mut self, ci: usize, extra: usize) -> &mut Vec<T> {
         let arc = &mut self.chunks[ci];
         if Arc::get_mut(arc).is_none() {
             note(arc.len());
-            let mut copy = Vec::with_capacity(CHUNK);
+            let mut copy = Vec::with_capacity(grown(arc.capacity(), arc.len() + extra));
             copy.extend_from_slice(arc);
             *arc = Arc::new(copy);
         }
-        Arc::get_mut(arc).expect("chunk unique after copy-on-write")
+        let chunk = Arc::get_mut(arc).expect("chunk unique after copy-on-write");
+        reserve(chunk, extra);
+        chunk
     }
 
     /// Appends every element of `iter`, a chunk at a time: the tail chunk
@@ -138,22 +173,25 @@ impl<T: Clone> ChunkedVec<T> {
     pub fn extend(&mut self, iter: impl IntoIterator<Item = T>) {
         let mut iter = iter.into_iter().peekable();
         let mut added = 0;
-        let room = (CHUNK - self.len % CHUNK) % CHUNK;
-        if room > 0 && iter.peek().is_some() {
+        while iter.peek().is_some() {
+            let room = CHUNK - self.len % CHUNK;
+            if room == CHUNK {
+                self.chunks.push(Arc::new(Vec::new()));
+            }
             let ci = self.chunks.len() - 1;
-            let tail = self.chunk_mut(ci);
+            let hint = iter.size_hint().0.clamp(1, room);
+            let tail = self.chunk_mut(ci, hint);
             let before = tail.len();
-            tail.extend(iter.by_ref().take(room));
-            added += tail.len() - before;
+            for item in iter.by_ref().take(room) {
+                if tail.len() == tail.capacity() {
+                    reserve(tail, 1);
+                }
+                tail.push(item);
+            }
+            let pushed = tail.len() - before;
+            self.len += pushed;
+            added += pushed;
         }
-        while let Some(first) = iter.next() {
-            let mut chunk = Vec::with_capacity(CHUNK);
-            chunk.push(first);
-            chunk.extend(iter.by_ref().take(CHUNK - 1));
-            added += chunk.len();
-            self.chunks.push(Arc::new(chunk));
-        }
-        self.len += added;
         note(added);
     }
 
@@ -188,10 +226,9 @@ impl<T: Clone> ChunkedVec<T> {
                     Some(chunk) => chunk.truncate(tail_len),
                     None => {
                         note(tail_len);
-                        // Full capacity, as in `chunk_mut`: a cut is
-                        // usually topped up again by the next extend.
-                        let mut prefix = Vec::with_capacity(CHUNK);
-                        prefix.extend_from_slice(&self.chunks[ci][..tail_len]);
+                        // Exactly the kept prefix: the next extend grows
+                        // it by the doubling rule.
+                        let prefix = self.chunks[ci][..tail_len].to_vec();
                         self.chunks[ci] = Arc::new(prefix);
                     }
                 }
@@ -264,13 +301,29 @@ impl<T: Copy> ChunkedVec<T> {
         if room > 0 && !items.is_empty() {
             let (head, rest) = items.split_at(room.min(items.len()));
             let ci = self.chunks.len() - 1;
-            self.chunk_mut(ci).extend_from_slice(head);
+            self.chunk_mut(ci, head.len()).extend_from_slice(head);
             items = rest;
         }
         for part in items.chunks(CHUNK) {
-            let mut chunk = Vec::with_capacity(CHUNK);
-            chunk.extend_from_slice(part);
-            self.chunks.push(Arc::new(chunk));
+            self.chunks.push(Arc::new(part.to_vec()));
+        }
+    }
+
+    /// Copies the elements at `from..from + out.len()` into `out`, across
+    /// a chunk edge where the range straddles one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the range runs past `len()`.
+    pub fn copy_to(&self, mut from: usize, out: &mut [T]) {
+        assert!(from + out.len() <= self.len, "chunked range out of bounds");
+        let mut done = 0;
+        while done < out.len() {
+            let chunk = &self.chunks[from / CHUNK];
+            let at = from % CHUNK;
+            let n = (out.len() - done).min(chunk.len() - at);
+            out[done..done + n].copy_from_slice(&chunk[at..at + n]);
+            (done, from) = (done + n, from + n);
         }
     }
 
@@ -404,6 +457,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn capacities(v: &ChunkedVec<u32>) -> Vec<usize> {
+        v.chunks.iter().map(|c| c.capacity()).collect()
+    }
+
+    #[test]
+    fn the_last_chunk_grows_by_doubling_up_to_a_full_chunk() {
+        // A bulk load sizes every chunk exactly: full ones at CHUNK, the
+        // last at what it holds.
+        let v = filled(2 * CHUNK + 5);
+        assert_eq!(capacities(&v), [CHUNK, CHUNK, 5]);
+        assert_eq!(
+            v.heap_bytes(),
+            (2 * CHUNK + 5) * 4 + v.chunks.capacity() * 8
+        );
+
+        // Topping up doubles the last chunk, never past CHUNK.
+        let mut v = filled(3);
+        v.extend_from_slice(&[3]);
+        assert_eq!(capacities(&v), [6]);
+        v.extend(4..600u32);
+        assert_eq!(capacities(&v), [600]);
+        v.extend(600..700u32);
+        assert_eq!(capacities(&v), [CHUNK]);
+        let full = v.chunks[0].as_ptr();
+        v.extend(700..CHUNK as u32 + 1);
+        assert_eq!(capacities(&v), [CHUNK, 1]);
+        assert_eq!(
+            v.chunks[0].as_ptr(),
+            full,
+            "a full chunk is never reallocated"
+        );
+        assert!(v.iter().copied().eq(0..CHUNK as u32 + 1));
+
+        // A copy-on-write cut keeps exactly the prefix; a shared tail copy
+        // gets the capacity its top-up needs.
+        let mut v = filled(CHUNK + 10);
+        let _published = v.clone();
+        v.truncate(CHUNK + 4);
+        assert_eq!(capacities(&v), [CHUNK, 4]);
+        let _published = v.clone();
+        v.extend([7]);
+        assert_eq!(capacities(&v), [CHUNK, 8]);
     }
 
     #[test]

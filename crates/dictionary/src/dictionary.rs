@@ -3,10 +3,11 @@
 //! [`CaDictionary`] is the trusted, CA-side structure implementing `insert`
 //! and `refresh`; [`MirrorDictionary`] is the untrusted copy every RA keeps,
 //! implementing `update` and `prove`. Both write through the same
-//! structurally-shared [`PersistentTree`].
+//! structurally-shared [`PersistentTree`], whose packed serial log is each
+//! side's one copy of its serials: the CA's catch-up pages and the mirror's
+//! persisted serial list read ranges of it.
 
 use crate::freshness::{FreshnessError, FreshnessStatement};
-use crate::issuance_log::IssuanceLog;
 use crate::persistent::PersistentTree;
 use crate::proof::{ProofError, ProvenStatus, RevocationProof};
 use crate::root::{CaId, SignedRoot};
@@ -314,9 +315,9 @@ impl MultiRevocationStatus {
 pub struct CaDictionary {
     ca: CaId,
     key: SigningKey,
+    /// The tree, whose serial log by number (1-based) also serves RA
+    /// catch-up sync.
     tree: PersistentTree,
-    /// Full issuance log by number (1-based), for RA catch-up sync.
-    log: IssuanceLog,
     /// Historical `(end_count, signed_root)` per applied batch, in
     /// ascending `end_count` order — the per-version roots paged catch-up
     /// replies anchor to. Fed by [`CaDictionary::insert`] and by log
@@ -348,7 +349,6 @@ impl CaDictionary {
             ca,
             key,
             tree,
-            log: IssuanceLog::default(),
             batch_roots: Vec::new(),
             chain,
             chain_len,
@@ -389,7 +389,7 @@ impl CaDictionary {
             let sr = &rec.signed_root;
             let ok = sr.ca == ca
                 && sr.verify(&verifying).is_ok()
-                && rec.first_number == dict.log.len() as u64 + 1
+                && rec.first_number == dict.tree.len() as u64 + 1
                 && !rec.serials.is_empty();
             if !ok {
                 return Err(i);
@@ -403,8 +403,7 @@ impl CaDictionary {
             if dict.tree.root() != sr.root || dict.tree.len() as u64 != sr.size {
                 return Err(i);
             }
-            dict.log.extend(&rec.serials);
-            dict.batch_roots.push((dict.log.len() as u64, *sr));
+            dict.batch_roots.push((dict.tree.len() as u64, *sr));
         }
         // Post-replay rotation: the recovered dictionary signs the same
         // content under a fresh chain.
@@ -473,7 +472,7 @@ impl CaDictionary {
         rng: &mut R,
         now: u64,
     ) -> Option<RevocationIssuance> {
-        let first_number = self.log.len() as u64 + 1;
+        let first_number = self.tree.len() as u64 + 1;
         // Sorted by (serial, input index), the first occurrence of a repeat
         // leads its run; `number` holds the input index until renumbering.
         let mut batch: Vec<Leaf> = serials
@@ -500,7 +499,6 @@ impl CaDictionary {
             .iter_mut()
             .for_each(|l| l.number = number[l.number as usize]);
         self.tree.apply_sorted_batch(&batch);
-        self.log.extend(&added);
         self.chain = HashChain::generate(rng, self.chain_len);
         self.signed_root = SignedRoot::create(
             &self.key,
@@ -511,7 +509,7 @@ impl CaDictionary {
             now,
         );
         self.batch_roots
-            .push((self.log.len() as u64, self.signed_root));
+            .push((self.tree.len() as u64, self.signed_root));
         Some(RevocationIssuance {
             first_number,
             serials: added,
@@ -552,10 +550,10 @@ impl CaDictionary {
     /// of consecutive valid revocations) — the catch-up half of the paper's
     /// synchronization protocol.
     pub fn issuance_since(&self, have: u64) -> RevocationIssuance {
-        let idx = (have as usize).min(self.log.len());
+        let idx = (have as usize).min(self.tree.len());
         RevocationIssuance {
             first_number: have + 1,
-            serials: self.log.range(idx, self.log.len()),
+            serials: self.tree.log().range(idx, self.tree.len()),
             signed_root: self.signed_root,
         }
     }
@@ -573,7 +571,7 @@ impl CaDictionary {
     /// stay monotonic). A page ending at the current size carries the
     /// *current* signed root, so rotations are never regressed.
     pub fn issuance_page(&self, have: u64, limit: u32) -> (RevocationIssuance, u64) {
-        let total = self.log.len() as u64;
+        let total = self.tree.len() as u64;
         let have = have.min(total);
         let target = have.saturating_add((limit as u64).max(1)).min(total);
         // Largest batch boundary in (have, target], if any.
@@ -598,7 +596,7 @@ impl CaDictionary {
         };
         let issuance = RevocationIssuance {
             first_number: have + 1,
-            serials: self.log.range(have as usize, end as usize),
+            serials: self.tree.log().range(have as usize, end as usize),
             signed_root,
         };
         (issuance, total - end)
@@ -615,7 +613,7 @@ impl CaDictionary {
             Some((_, sr)) => (sr.timestamp, sr.anchor),
             None => (self.signed_root.timestamp, self.signed_root.anchor),
         };
-        let leaves = checked_batch(&self.log.range(0, end as usize), 1, |_| false);
+        let leaves = checked_batch(&self.tree.log().range(0, end as usize), 1, |_| false);
         let tree =
             PersistentTree::from_sorted_leaves(leaves.expect("the log holds distinct serials"));
         SignedRoot::create(&self.key, self.ca, tree.root(), end, anchor, ts)
@@ -636,11 +634,10 @@ impl CaDictionary {
         self.tree.storage_bytes()
     }
 
-    /// Paper §VII-D memory metric: bytes to hold the built dictionary,
-    /// its issuance log and its per-batch roots.
+    /// Paper §VII-D memory metric: bytes to hold the built dictionary
+    /// (its serial log included) and its per-batch roots.
     pub fn memory_bytes(&self) -> usize {
         self.tree.memory_bytes()
-            + self.log.heap_bytes()
             + self.batch_roots.capacity() * core::mem::size_of::<(u64, SignedRoot)>()
     }
 }
@@ -782,15 +779,10 @@ impl MirrorDictionary {
 
     /// The mirrored serials in issuance order (numbers `1..=len`) — what a
     /// persistence layer saves so [`MirrorDictionary::restore`] can rebuild
-    /// and re-verify the tree.
+    /// and re-verify the tree. A read of the tree's log, which is already
+    /// in that order.
     pub fn serials_in_issuance_order(&self) -> Vec<SerialNumber> {
-        let mut pairs: Vec<(u64, SerialNumber)> = self
-            .tree
-            .iter_leaves()
-            .map(|l| (l.number, l.serial))
-            .collect();
-        pairs.sort_unstable_by_key(|(n, _)| *n);
-        pairs.into_iter().map(|(_, s)| s).collect()
+        self.tree.log().range(0, self.tree.len())
     }
 
     /// Sets the dissemination period Δ (from the CA manifest, §VIII).

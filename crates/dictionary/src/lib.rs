@@ -13,7 +13,9 @@
 //!   structurally-shared [`PersistentTree`] both dictionaries write through,
 //!   with incremental batch application
 //!   ([`PersistentTree::apply_sorted_batch`]); mirrors publish snapshots
-//!   from it in O(chunks) instead of O(n);
+//!   from it in O(chunks) instead of O(n). The tree's sorted leaves hold a
+//!   serial prefix and a revocation number; every serial is held once, in
+//!   the tree's packed [`SerialLog`];
 //! * [`snapshot`] — immutable, epoch-stamped [`DictionarySnapshot`]s
 //!   published RCU-style through [`SnapshotCell`]s for lock-free proof
 //!   serving;
@@ -77,6 +79,7 @@ pub use dictionary::{
     RevocationStatus, StatusError, UpdateError,
 };
 pub use freshness::{FreshnessError, FreshnessStatement};
+pub use issuance_log::SerialLog;
 pub use persistent::PersistentTree;
 pub use proof::{MultiProof, PresenceProof, ProofError, ProvenStatus, RevocationProof};
 pub use root::{CaId, SignedRoot};

@@ -1,7 +1,7 @@
 //! The structurally-shared (persistent) sorted-leaf hash tree: the one tree
 //! both dictionaries write through.
 //!
-//! [`PersistentTree`] stores its leaves and interior levels in
+//! [`PersistentTree`] stores its leaves, interior levels and serial log in
 //! copy-on-write [`ChunkedVec`]s. Cloning the tree (what the mirror's
 //! snapshot publication does) costs O(chunks) `Arc` bumps instead of an
 //! O(n) level copy, and a mutation after a clone copies only the chunks it
@@ -24,19 +24,55 @@
 //! level-1 and level-2 nodes the stored levels used to, only without
 //! keeping them, so the write path does no extra hashing.
 //!
+//! Each serial is held once, on the CA and the RA alike: in the tree's
+//! [`SerialLog`], by revocation number. The sorted leaf array holds 8 bytes
+//! per leaf, the serial's first 4 bytes (big-endian) and its revocation
+//! number, instead of a 32-byte [`Leaf`]. A search compares prefixes and
+//! reads the log only when they tie, and [`PersistentTree::leaf`] rebuilds
+//! a leaf from its entry and the log in O(1). That layout sets the one new
+//! rule: a batch's numbers must be exactly `len + 1 ..= len + b`, in any
+//! order, which both dictionaries' batch checks already guarantee. The
+//! leaf hash still covers the whole serial and its `u64` number, so no
+//! digest, root or proof byte depends on the layout. Numbers are `u32` and
+//! log offsets too, so a tree holds at most 4 GiB of log: more than 200 M
+//! 20-byte serials.
+//!
+//! The log is chunked like the rest, so a snapshot shares it, and a
+//! rollback truncates it copy-on-write without reaching into a snapshot
+//! taken before the batch.
+//!
 //! Bit-equivalence with the built-once reference [`crate::tree::MerkleTree`]
 //! (identical roots, audit paths, and multiproof bytes over arbitrary
 //! batch/remove/publish interleavings) is proptested in
 //! `tests/properties.rs`.
 
 use crate::chunk::ChunkedVec;
+use crate::issuance_log::SerialLog;
 use crate::serial::SerialNumber;
 use crate::tree::{empty_root, node_hash, Leaf, TreeReader};
+use core::cmp::Ordering;
 use ritm_crypto::digest::Digest20;
 
 /// The lowest stored level above level 0: levels `1..STORED_FROM` are
 /// computed on demand (see the module docs).
 const STORED_FROM: usize = 3;
+
+/// One leaf of the sorted array: the serial's first 4 bytes and the
+/// revocation number that finds the whole serial in the log.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    prefix: u32,
+    number: u32,
+}
+
+impl Entry {
+    fn of(leaf: &Leaf) -> Self {
+        Entry {
+            prefix: leaf.serial.prefix(),
+            number: leaf.number as u32,
+        }
+    }
+}
 
 /// A Merkle tree over sorted dictionary leaves with `Arc`-chunked,
 /// copy-on-write storage. Cheap to clone; clones share every untouched
@@ -45,14 +81,20 @@ const STORED_FROM: usize = 3;
 /// The stored levels are *always* valid: every mutating operation leaves
 /// the tree proof-ready, so there is no `rebuild()` step and
 /// [`PersistentTree::root`] never panics.
+///
+/// Leaf numbers are revocation numbers: a tree of `n` leaves carries the
+/// numbers `1..=n`, and every batch continues them (see
+/// [`PersistentTree::apply_sorted_batch`]).
 #[derive(Debug, Clone, Default)]
 pub struct PersistentTree {
-    /// Leaves sorted lexicographically by serial.
-    leaves: ChunkedVec<Leaf>,
+    /// The leaves sorted lexicographically by serial, each as an [`Entry`].
+    entries: ChunkedVec<Entry>,
     /// `levels[k]` is tree level `k`: `levels[0]` the leaf hashes,
     /// `levels.last()` the root's level. Levels `1..STORED_FROM` are
     /// always empty (computed by [`node`]); empty for an empty tree.
     levels: Vec<ChunkedVec<Digest20>>,
+    /// Every leaf's serial, by revocation number.
+    log: SerialLog,
     /// Monotonic content version, bumped by every call that changes the
     /// leaves.
     epoch: u64,
@@ -64,21 +106,28 @@ impl PersistentTree {
         PersistentTree::default()
     }
 
-    /// Builds a tree from leaves already sorted by serial.
+    /// Builds a tree from leaves already sorted by serial and numbered
+    /// `1..=n` in any order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the numbers are not exactly `1..=n`.
     pub fn from_sorted_leaves(leaves: impl IntoIterator<Item = Leaf>) -> Self {
+        let leaves: Vec<Leaf> = leaves.into_iter().collect();
         let mut tree = PersistentTree::new();
-        tree.rebuild_from(leaves.into_iter().collect());
+        tree.log.append_numbered(&leaves);
+        tree.rebuild_from(&leaves);
         tree
     }
 
     /// Number of leaves.
     pub fn len(&self) -> usize {
-        self.leaves.len()
+        self.entries.len()
     }
 
     /// `true` if the tree holds no leaves.
     pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
+        self.entries.is_empty()
     }
 
     /// Monotonic content version: bumped by every call that changes the
@@ -88,14 +137,24 @@ impl PersistentTree {
         self.epoch
     }
 
-    /// The leaf at `index`.
+    /// The leaf at `index`, rebuilt from its entry and the log.
     pub fn leaf(&self, index: usize) -> Leaf {
-        *self.leaves.get(index)
+        let number = self.entries.get(index).number;
+        Leaf::new(self.log.get(number as usize - 1), number.into())
     }
 
     /// Iterates the sorted leaves.
-    pub fn iter_leaves(&self) -> impl Iterator<Item = &Leaf> {
-        self.leaves.iter()
+    pub fn iter_leaves(&self) -> Leaves<'_> {
+        Leaves {
+            tree: self,
+            next: 0,
+        }
+    }
+
+    /// The serials by revocation number — the one serial store, which
+    /// snapshots share and catch-up pages read.
+    pub fn log(&self) -> &SerialLog {
+        &self.log
     }
 
     /// The current root ([`empty_root`] for an empty tree).
@@ -108,12 +167,15 @@ impl PersistentTree {
 
     /// Binary-searches for `serial`, returning the leaf index if revoked.
     pub fn find(&self, serial: &SerialNumber) -> Option<usize> {
-        self.leaves.binary_search_by(|l| l.serial.cmp(serial)).ok()
+        let prefix = serial.prefix();
+        self.entries
+            .binary_search_by(|e| compare(&self.log, e, serial, prefix))
+            .ok()
     }
 
     /// Index of the first leaf with serial `>= serial`.
     pub fn lower_bound(&self, serial: &SerialNumber) -> usize {
-        self.leaves.partition_point(|l| l.serial < *serial)
+        lower_bound(&self.entries, &self.log, serial)
     }
 
     /// The audit path (bottom-up sibling hashes) for leaf `index`.
@@ -140,17 +202,29 @@ impl PersistentTree {
     /// of the front are reused. Returns `true` when the incremental path
     /// ran (`batch` strictly sorted, no serial already present); otherwise
     /// the tree is rebuilt from scratch, which is always correct.
+    ///
+    /// # Panics
+    ///
+    /// Panics, leaving the tree unchanged, unless the batch's numbers are
+    /// exactly `len() + 1 ..= len() + batch.len()` (in any order) — the
+    /// issuance numbering both dictionaries check before they get here.
     pub fn apply_sorted_batch(&mut self, batch: &[Leaf]) -> bool {
         if batch.is_empty() {
             return true;
         }
+        assert_eq!(
+            self.log.len(),
+            self.len(),
+            "removed leaves left a gap in the numbers"
+        );
         let invariants_hold = batch.windows(2).all(|w| w[0].serial < w[1].serial)
             && batch.iter().all(|l| self.find(&l.serial).is_none());
+        self.log.append_numbered(batch);
         if !invariants_hold {
-            let mut all: Vec<Leaf> = self.leaves.iter().copied().collect();
+            let mut all: Vec<Leaf> = self.iter_leaves().collect();
             all.extend_from_slice(batch);
             all.sort_by_key(|l| l.serial);
-            self.rebuild_from(all);
+            self.rebuild_from(&all);
             self.epoch += 1;
             return false;
         }
@@ -164,29 +238,29 @@ impl PersistentTree {
         // front and re-appended merged with the batch, whole slices at a
         // time: values are copied once, and no old leaf is rehashed. A pure
         // append (the common issuance pattern) has nothing to re-append.
-        let (old_leaves, old_hashes) = (self.leaves.clone(), self.levels[0].clone());
-        self.leaves.truncate(dirty_from);
+        let (old_entries, old_hashes) = (self.entries.clone(), self.levels[0].clone());
+        self.entries.truncate(dirty_from);
         self.levels[0].truncate(dirty_from);
         // Alternate runs: the old leaves that sort before batch[j], then the
         // batch leaves that sort before the next old leaf — two binary
         // searches per run instead of a comparison per element.
         let (mut from, mut j) = (dirty_from, 0);
         while j < batch.len() {
-            let to = old_leaves.partition_point(|l| l.serial < batch[j].serial);
-            let end = if to < old_leaves.len() {
-                let next = old_leaves.get(to).serial;
+            let to = lower_bound(&old_entries, &self.log, &batch[j].serial);
+            let end = if to < old_entries.len() {
+                let next = self.log.get(old_entries.get(to).number as usize - 1);
                 j + batch[j..].partition_point(|l| l.serial < next)
             } else {
                 batch.len()
             };
-            self.leaves.extend_from_range(&old_leaves, from..to);
+            self.entries.extend_from_range(&old_entries, from..to);
             self.levels[0].extend_from_range(&old_hashes, from..to);
-            self.leaves.extend_from_slice(&batch[j..end]);
+            self.entries.extend(batch[j..end].iter().map(Entry::of));
             self.levels[0].extend(batch[j..end].iter().map(Leaf::hash));
             (from, j) = (to, end);
         }
-        self.leaves
-            .extend_from_range(&old_leaves, from..old_leaves.len());
+        self.entries
+            .extend_from_range(&old_entries, from..old_entries.len());
         self.levels[0].extend_from_range(&old_hashes, from..old_hashes.len());
         self.rehash_levels_from(dirty_from);
         self.epoch += 1;
@@ -196,6 +270,8 @@ impl PersistentTree {
     /// Removes the leaves carrying `serials`, splicing retained hashes and
     /// rehashing interior nodes only from the first removed position — the
     /// mirror's verify-then-commit rollback. No retained leaf is rehashed.
+    /// The log drops every number above the largest one kept, copy-on-write,
+    /// so a clone taken before the removal still reads all of them.
     /// Returns how many leaves were removed.
     pub fn remove_sorted_batch(&mut self, serials: &[SerialNumber]) -> usize {
         // The rehash front is the first removed *position*. The unsorted
@@ -206,7 +282,7 @@ impl PersistentTree {
             .iter()
             .filter_map(|s| {
                 let mut i = self.find(s)?;
-                while i > 0 && self.leaves.get(i - 1).serial == *s {
+                while i > 0 && self.leaf(i - 1).serial == *s {
                     i -= 1;
                 }
                 Some(i)
@@ -217,19 +293,39 @@ impl PersistentTree {
         };
         let before = self.len();
         let doomed: std::collections::HashSet<&SerialNumber> = serials.iter().collect();
-        let (kept_leaves, kept_hashes): (Vec<Leaf>, Vec<Digest20>) = self
-            .leaves
+        let mut lowest_removed = u32::MAX;
+        let (kept_entries, kept_hashes): (Vec<Entry>, Vec<Digest20>) = self
+            .entries
             .suffix_to_vec(first)
             .into_iter()
             .zip(self.levels[0].suffix_to_vec(first))
-            .filter(|(leaf, _)| !doomed.contains(&leaf.serial))
+            .filter(|(entry, _)| {
+                let removed = doomed.contains(&self.log.get(entry.number as usize - 1));
+                if removed {
+                    lowest_removed = lowest_removed.min(entry.number);
+                }
+                !removed
+            })
             .unzip();
-        self.leaves.truncate(first);
+        self.entries.truncate(first);
         self.levels[0].truncate(first);
-        self.leaves.extend(kept_leaves);
+        self.entries.extend(kept_entries);
         self.levels[0].extend(kept_hashes);
         let removed = before - self.len();
-        if self.leaves.is_empty() {
+        // Removing the latest numbers (a rolled-back batch) keeps the log
+        // at the new length; anything else keeps it up to the largest
+        // number left.
+        let keep = if lowest_removed as usize > self.log.len() - removed {
+            self.log.len() - removed
+        } else {
+            self.entries
+                .iter()
+                .map(|e| e.number as usize)
+                .max()
+                .unwrap_or(0)
+        };
+        self.log.truncate(keep);
+        if self.entries.is_empty() {
             self.levels.clear();
         } else {
             self.rehash_levels_from(first);
@@ -238,16 +334,16 @@ impl PersistentTree {
         removed
     }
 
-    /// Rebuilds everything from `leaves` (sorted by serial) — the fallback
+    /// Rebuilds the entries and levels from `leaves` (sorted by serial,
+    /// every serial already in the log) — the bulk load, and the fallback
     /// when incremental invariants do not hold.
-    fn rebuild_from(&mut self, leaves: Vec<Leaf>) {
+    fn rebuild_from(&mut self, leaves: &[Leaf]) {
         self.levels.clear();
-        let hashes = leaves.iter().map(Leaf::hash).collect();
-        self.leaves = leaves.into_iter().collect();
-        if self.leaves.is_empty() {
+        self.entries = leaves.iter().map(Entry::of).collect();
+        if leaves.is_empty() {
             return;
         }
-        self.levels.push(hashes);
+        self.levels.push(leaves.iter().map(Leaf::hash).collect());
         self.rehash_levels_from(0);
     }
 
@@ -257,7 +353,7 @@ impl PersistentTree {
     /// with any clone. Level [`STORED_FROM`] is hashed straight from level
     /// 0 through the unstored levels between them.
     fn rehash_levels_from(&mut self, dirty_from: usize) {
-        let n = self.leaves.len();
+        let n = self.entries.len();
         let height = level_count(n);
         self.levels.resize_with(height, ChunkedVec::new);
         for k in STORED_FROM..height {
@@ -272,10 +368,11 @@ impl PersistentTree {
         debug_assert_eq!(level_len(n, height - 1), 1);
     }
 
-    /// Chunks (across leaves and all levels) this tree shares with `other`
-    /// — what a published snapshot keeps alive for free.
+    /// Chunks (across the sorted entries and all stored levels) this tree
+    /// shares with `other` — what a published snapshot keeps alive for
+    /// free. The log's are counted by [`SerialLog::shared_chunks_with`].
     pub fn shared_chunks_with(&self, other: &Self) -> usize {
-        self.leaves.shared_chunks_with(&other.leaves)
+        self.entries.shared_chunks_with(&other.entries)
             + self
                 .levels
                 .iter()
@@ -284,9 +381,9 @@ impl PersistentTree {
                 .sum::<usize>()
     }
 
-    /// Total chunks across leaves and levels.
+    /// Total chunks across the sorted entries and the stored levels.
     pub fn chunk_count(&self) -> usize {
-        self.leaves.chunk_count()
+        self.entries.chunk_count()
             + self
                 .levels
                 .iter()
@@ -297,19 +394,70 @@ impl PersistentTree {
     /// Approximate reachable heap bytes (shared chunks counted in full) —
     /// the §VII-D memory metric.
     pub fn memory_bytes(&self) -> usize {
-        self.leaves.heap_bytes()
+        self.entries.heap_bytes()
             + self
                 .levels
                 .iter()
                 .map(ChunkedVec::heap_bytes)
                 .sum::<usize>()
+            + self.log.heap_bytes()
     }
 
     /// Bytes to persist just the revocation data (serial bytes plus an
     /// 8-byte revocation number per entry) — the paper's "storage" metric.
     pub fn storage_bytes(&self) -> usize {
-        self.leaves.iter().map(|l| l.serial.len() + 8).sum()
+        self.iter_leaves().map(|l| l.serial.len() + 8).sum()
     }
+}
+
+/// The leaves of a [`PersistentTree`] in sorted order, each rebuilt by
+/// value from its entry and the log.
+#[derive(Debug, Clone)]
+pub struct Leaves<'a> {
+    tree: &'a PersistentTree,
+    next: usize,
+}
+
+impl Leaves<'_> {
+    /// The iterator itself: the leaves are already values, so there is
+    /// nothing to copy. It keeps `iter_leaves().copied()` — the spelling
+    /// for an iterator of `&Leaf` — meaning what it says.
+    pub fn copied(self) -> Self {
+        self
+    }
+}
+
+impl Iterator for Leaves<'_> {
+    type Item = Leaf;
+
+    fn next(&mut self) -> Option<Leaf> {
+        (self.next < self.tree.len()).then(|| {
+            self.next += 1;
+            self.tree.leaf(self.next - 1)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.tree.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Leaves<'_> {}
+
+/// How the leaf `entry` sorts against `serial`, whose prefix is `prefix`:
+/// by the prefixes, and by the whole serial from `log` only on a tie.
+fn compare(log: &SerialLog, entry: &Entry, serial: &SerialNumber, prefix: u32) -> Ordering {
+    entry
+        .prefix
+        .cmp(&prefix)
+        .then_with(|| log.get(entry.number as usize - 1).cmp(serial))
+}
+
+/// Index of the first of `entries` whose serial is `>= serial`.
+fn lower_bound(entries: &ChunkedVec<Entry>, log: &SerialLog, serial: &SerialNumber) -> usize {
+    let prefix = serial.prefix();
+    entries.partition_point(|e| compare(log, e, serial, prefix) == Ordering::Less)
 }
 
 impl TreeReader for PersistentTree {
@@ -424,14 +572,93 @@ mod tests {
         let mid: Vec<Leaf> = mid
             .into_iter()
             .enumerate()
-            .map(|(i, l)| Leaf::new(l.serial, 10_000 + i as u64))
+            .map(|(i, l)| Leaf::new(l.serial, (first.len() + 1 + i) as u64))
             .collect();
         assert!(p.apply_sorted_batch(&mid));
-        let tail = leaves((0..70u32).map(|i| 0x400000 + i));
+        let tail: Vec<Leaf> = leaves((0..70u32).map(|i| 0x400000 + i))
+            .into_iter()
+            .enumerate()
+            .map(|(i, l)| Leaf::new(l.serial, (p.len() + 1 + i) as u64))
+            .collect();
         assert!(p.apply_sorted_batch(&tail));
         let d = MerkleTree::from_leaves(first.iter().chain(&mid).chain(&tail).copied());
         assert_matches(&p, &d, &[0, 1, CHUNK - 1, CHUNK, p.len() - 1]);
         assert_eq!(p.epoch(), 3, "one bump per applied batch");
+    }
+
+    #[test]
+    fn prefix_ties_match_dense() {
+        // Serials whose 4-byte prefixes tie: 1–20 bytes of `12 34 56 78`
+        // then `00`/`ff`, `[1,2,3]` with 0–2 trailing zeros, and 1–20 bytes
+        // of `ff`. Two batches, each numbered on from the tree's length.
+        let mut serials: Vec<SerialNumber> = Vec::new();
+        for len in 1..=20 {
+            let mut bytes = vec![0x12, 0x34, 0x56, 0x78];
+            bytes.resize(len.max(4), if len % 2 == 0 { 0x00 } else { 0xff });
+            bytes.truncate(len);
+            serials.push(SerialNumber::new(&bytes).unwrap());
+            serials.push(SerialNumber::new(&vec![0xff; len]).unwrap());
+        }
+        for zeros in [&[][..], &[0], &[0, 0]] {
+            serials.push(SerialNumber::new(&[&[1, 2, 3][..], zeros].concat()).unwrap());
+        }
+        serials.sort();
+        serials.dedup();
+        let numbered: Vec<Leaf> = serials
+            .iter()
+            .zip(1..)
+            .map(|(&s, n)| Leaf::new(s, n))
+            .collect();
+        let (odd, even): (Vec<Leaf>, Vec<Leaf>) =
+            numbered.iter().partition(|l| l.serial.len() % 2 == 1);
+        let renumber = |batch: &[Leaf], first: usize| -> Vec<Leaf> {
+            (batch.iter().zip(first..))
+                .map(|(l, n)| Leaf::new(l.serial, n as u64))
+                .collect()
+        };
+        let mut t = PersistentTree::new();
+        assert!(t.apply_sorted_batch(&renumber(&odd, 1)));
+        assert!(t.apply_sorted_batch(&renumber(&even, odd.len() + 1)));
+        let reference = reference_of(&t);
+        assert_eq!(
+            reference
+                .leaves()
+                .iter()
+                .map(|l| l.serial)
+                .collect::<Vec<_>>(),
+            serials
+        );
+        assert_matches(&t, &reference, &(0..t.len()).collect::<Vec<_>>());
+        let absent = [
+            SerialNumber::new(&[0x12, 0x34, 0x57]).unwrap(),
+            SerialNumber::new(&[0x12, 0x34, 0x56, 0x78, 0x01]).unwrap(),
+            SerialNumber::new(&[1, 2, 3, 0, 0, 0]).unwrap(),
+            SerialNumber::new(&[1, 2, 2, 0xff]).unwrap(),
+            SerialNumber::new(&[0]).unwrap(),
+        ];
+        for (i, s) in serials.iter().enumerate() {
+            assert_eq!(t.find(s), Some(i), "find {s:?}");
+            assert_eq!(t.lower_bound(s), i, "lower_bound {s:?}");
+        }
+        for s in &absent {
+            assert_eq!(t.find(s), None, "find {s:?}");
+            assert_eq!(t.lower_bound(s), serials.partition_point(|x| x < s));
+        }
+        let queries: Vec<SerialNumber> = serials.iter().chain(&absent).copied().collect();
+        assert_eq!(
+            crate::proof::MultiProof::generate(&t, &queries).to_bytes(),
+            crate::proof::MultiProof::generate(&reference, &queries).to_bytes()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "batch numbers must be exactly 5..=6")]
+    fn a_batch_that_skips_a_number_panics() {
+        let mut t = PersistentTree::from_sorted_leaves(leaves([1, 2, 3, 4]));
+        t.apply_sorted_batch(&[
+            Leaf::new(SerialNumber::from_u24(8), 5),
+            Leaf::new(SerialNumber::from_u24(9), 7),
+        ]);
     }
 
     #[test]
@@ -451,7 +678,7 @@ mod tests {
         p.apply_sorted_batch(&base);
         let root_before = p.root();
         let batch: Vec<Leaf> = (0..30u32)
-            .map(|i| Leaf::new(SerialNumber::from_u24(i * 16 + 1), 600 + i as u64))
+            .map(|i| Leaf::new(SerialNumber::from_u24(i * 16 + 1), 501 + i as u64))
             .collect();
         p.apply_sorted_batch(&batch);
         assert_ne!(p.root(), root_before);
@@ -653,7 +880,7 @@ mod tests {
         let tail: Vec<Leaf> = tail
             .into_iter()
             .enumerate()
-            .map(|(i, l)| Leaf::new(l.serial, 9_000 + i as u64))
+            .map(|(i, l)| Leaf::new(l.serial, (4 * CHUNK + 1 + i) as u64))
             .collect();
         let root_snap = snap.root();
         p.apply_sorted_batch(&tail);
@@ -661,6 +888,51 @@ mod tests {
         assert_eq!(snap.root(), root_snap, "retained snapshot unchanged");
         assert_eq!(snap.len(), 4 * CHUNK);
         assert_eq!(snap.root(), reference_of(&snap).root());
+    }
+
+    #[test]
+    fn publish_after_batch_materializes_the_batch_in_the_log() {
+        // The log is shared with every published snapshot: a batch after a
+        // publish writes its own entries plus at most one copied tail
+        // chunk per log sequence (bytes and offsets), a republish writes
+        // nothing, and rolling the batch back out of a clone leaves both
+        // snapshots reading every entry they had.
+        let n = 16 * CHUNK;
+        let b = 100usize;
+        let mut p = PersistentTree::from_sorted_leaves(leaves((0..n as u32).map(|i| i * 2)));
+        let published = p.clone();
+        assert_eq!(published.log().shared_chunks_with(p.log()), 4 * 16 + 16);
+        let batch: Vec<Leaf> = (0..b as u32)
+            .map(|i| Leaf::new(SerialNumber::from_u24(1 + 2 * i), (n + 1) as u64 + i as u64))
+            .collect();
+
+        let mut log = p.log().clone();
+        let before = slots_materialized();
+        log.append_numbered(&batch);
+        let written = (slots_materialized() - before) as usize;
+        // 4 bytes and one offset per 3-byte serial.
+        assert!(written <= 5 * b + 2 * CHUNK, "{written} log slots");
+
+        assert!(p.apply_sorted_batch(&batch));
+        let before = slots_materialized();
+        let republished = p.clone();
+        assert_eq!(slots_materialized() - before, 0);
+
+        let serials: Vec<SerialNumber> = batch.iter().map(|l| l.serial).collect();
+        let mut rolled_back = republished.clone();
+        assert_eq!(rolled_back.remove_sorted_batch(&serials), b);
+        assert_eq!(rolled_back.log().len(), n);
+        assert_eq!(rolled_back.root(), published.root());
+        assert_eq!(published.log().range(0, n), rolled_back.log().range(0, n));
+        assert_eq!(republished.log().len(), n + b);
+        assert_eq!(republished.log().range(n, n + b), serials_by_number(&batch));
+    }
+
+    /// The serials of `batch` in revocation-number order.
+    fn serials_by_number(batch: &[Leaf]) -> Vec<SerialNumber> {
+        let mut by_number = batch.to_vec();
+        by_number.sort_by_key(|l| l.number);
+        by_number.iter().map(|l| l.serial).collect()
     }
 
     #[test]

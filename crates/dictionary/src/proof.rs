@@ -156,19 +156,22 @@ impl RevocationProof {
             return RevocationProof::AbsentEmpty;
         }
         // One search answers both cases: a present serial is its own lower
-        // bound.
+        // bound. The leaf there is read once, for the test and the proof.
         let lb = tree.lower_bound(serial);
-        if lb < tree.len() && tree.leaf(lb).serial == *serial {
-            RevocationProof::Present(PresenceProof::generate(tree, lb))
+        if lb == tree.len() {
+            return RevocationProof::AbsentAbove(PresenceProof::generate(tree, lb - 1));
+        }
+        let upper = PresenceProof {
+            leaf: tree.leaf(lb),
+            index: lb as u64,
+            path: tree.audit_path(lb),
+        };
+        if upper.leaf.serial == *serial {
+            RevocationProof::Present(upper)
         } else if lb == 0 {
-            RevocationProof::AbsentBelow(PresenceProof::generate(tree, 0))
-        } else if lb == tree.len() {
-            RevocationProof::AbsentAbove(PresenceProof::generate(tree, tree.len() - 1))
+            RevocationProof::AbsentBelow(upper)
         } else {
-            RevocationProof::AbsentBetween(
-                PresenceProof::generate(tree, lb - 1),
-                PresenceProof::generate(tree, lb),
-            )
+            RevocationProof::AbsentBetween(PresenceProof::generate(tree, lb - 1), upper)
         }
     }
 

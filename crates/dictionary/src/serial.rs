@@ -103,6 +103,32 @@ impl SerialNumber {
     pub fn is_empty(&self) -> bool {
         false
     }
+
+    /// The serial of `len` bytes at the front of `window`; the bytes past
+    /// them are ignored. A fixed-size copy and a mask instead of
+    /// [`SerialNumber::new`]'s length-dependent copy: the serial log reads
+    /// every leaf a proof carries through here. `len` must be 1–20, as
+    /// every length the log wrote from a serial is; debug builds check it.
+    pub(crate) fn from_window(window: &[u8; MAX_SERIAL_LEN], len: usize) -> Self {
+        debug_assert!((1..=MAX_SERIAL_LEN).contains(&len), "serial length {len}");
+        let mut bytes = *window;
+        for (i, b) in bytes.iter_mut().enumerate() {
+            if i >= len {
+                *b = 0;
+            }
+        }
+        SerialNumber {
+            bytes,
+            len: len as u8,
+        }
+    }
+
+    /// The first 4 bytes, zero-padded, as a big-endian integer. Serials
+    /// whose prefixes differ compare as their prefixes do; equal prefixes
+    /// say nothing.
+    pub(crate) fn prefix(&self) -> u32 {
+        u32::from_be_bytes(self.bytes[..4].try_into().expect("4 bytes"))
+    }
 }
 
 impl PartialOrd for SerialNumber {

@@ -37,7 +37,9 @@ pub struct DictionarySnapshot {
     /// Structurally shared with the mirror it was frozen from: cloning a
     /// [`PersistentTree`] bumps one `Arc` per chunk, so publication costs
     /// O(chunks) regardless of dictionary size, and republications share
-    /// every chunk the writer has not dirtied since.
+    /// every chunk the writer has not dirtied since. That includes the
+    /// tree's serial log: the mirror truncating it to roll a rejected batch
+    /// back copies the chunks it cuts, so the snapshot keeps its serials.
     tree: PersistentTree,
     signed_root: SignedRoot,
     freshness: FreshnessStatement,

@@ -72,6 +72,15 @@ impl Leaf {
     }
 }
 
+/// A leaf equals a borrowed leaf with the same serial and number, so the
+/// by-value leaves of [`crate::PersistentTree::iter_leaves`] compare with a
+/// slice of leaves.
+impl PartialEq<&Leaf> for Leaf {
+    fn eq(&self, other: &&Leaf) -> bool {
+        self == *other
+    }
+}
+
 /// Hashes an interior node from its two children:
 /// `H(0x01 ‖ left ‖ right)`.
 ///

@@ -204,7 +204,7 @@ proptest! {
             .collect::<BTreeSet<_>>()
             .into_iter()
             .enumerate()
-            .map(|(i, &v)| Leaf::new(SerialNumber::from_u24(v), 1_000 + i as u64))
+            .map(|(i, &v)| Leaf::new(SerialNumber::from_u24(v), (tree.len() + 1 + i) as u64))
             .collect();
         tree.apply_sorted_batch(&fresh);
         prop_assert_ne!(tree.root(), reference.root());
@@ -338,6 +338,7 @@ proptest! {
                 let serials: Vec<SerialNumber> = fresh.iter().map(|l| l.serial).collect();
                 prop_assert_eq!(persistent.remove_sorted_batch(&serials), fresh.len());
                 model.truncate(model.len() - fresh.len());
+                number -= fresh.len() as u64;
             }
 
             // Bit-equivalence with the reference after every round.
@@ -674,6 +675,122 @@ proptest! {
             prop_assert_eq!(dict.signed_root().root, reference_root(&all));
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The tree's 8-byte entries compare serial prefixes and read the log
+    /// only on a tie. Over serials that tie: ones sharing a 4-byte prefix,
+    /// ones of every length from 1 to 20 bytes under one first byte, and
+    /// `[1,2,3]` padded with 0–17 zero bytes, batches applied one by one
+    /// land on the reference's root, leaves, audit paths and multiproof
+    /// bytes; `find` and `lower_bound` agree with a byte-order search of
+    /// the reference's leaves; and the log reads back in issuance order.
+    #[test]
+    fn prefix_ties_match_the_reference(
+        batches in prop::collection::vec(prop::collection::vec(tie_serial(), 1..40), 1..5),
+        queries in prop::collection::vec(tie_serial(), 1..12),
+    ) {
+        let mut tree = PersistentTree::new();
+        let mut log: Vec<SerialNumber> = Vec::new();
+        for batch in &batches {
+            let mut fresh: Vec<Leaf> = Vec::new();
+            for s in batch {
+                if tree.find(s).is_none() && fresh.iter().all(|l| l.serial != *s) {
+                    fresh.push(Leaf::new(*s, (log.len() + fresh.len() + 1) as u64));
+                }
+            }
+            log.extend(fresh.iter().map(|l| l.serial));
+            fresh.sort_by_key(|l| l.serial);
+            prop_assert!(tree.apply_sorted_batch(&fresh));
+
+            let reference = reference_tree(&log);
+            prop_assert_eq!(tree.root(), reference.root());
+            prop_assert_eq!(tree.root(), reference_root(&log));
+            for i in 0..reference.len() {
+                prop_assert_eq!(tree.leaf(i), reference.leaves()[i]);
+                prop_assert_eq!(tree.audit_path(i), reference.audit_path(i), "path {}", i);
+            }
+            let leaves = reference.leaves();
+            for q in queries.iter().chain(&log) {
+                let below = leaves.partition_point(|l| l.serial.as_bytes() < q.as_bytes());
+                prop_assert_eq!(tree.lower_bound(q), below, "lower_bound {:?}", q);
+                let at = leaves.iter().position(|l| l.serial == *q);
+                prop_assert_eq!(tree.find(q), at, "find {:?}", q);
+            }
+            prop_assert_eq!(
+                ritm_dictionary::MultiProof::generate(&tree, &queries).to_bytes(),
+                ritm_dictionary::MultiProof::generate(&reference, &queries).to_bytes()
+            );
+            prop_assert_eq!(tree.log().range(0, tree.len()), log.clone());
+        }
+    }
+
+    /// A mirror that rejects a validly signed batch whose serials do not
+    /// match its root rolls the batch back out of its tree and its log:
+    /// `len()`, `root()` and `serials_in_issuance_order()` read as before,
+    /// a snapshot published before the batch proves every serial (and a
+    /// few absent ones) byte-identically, and the genuine batch then
+    /// applies.
+    #[test]
+    fn rejected_batch_leaves_the_mirror_and_its_snapshot_intact(
+        initial in prop::collection::vec(0u32..50_000, 1..300),
+        batch in prop::collection::vec(0u32..50_000, 1..40),
+        forged_at in any::<u8>(),
+    ) {
+        let (mut ca, mut mirror, _) = setup(&[initial]);
+        let serials: Vec<SerialNumber> = batch.iter().map(|&v| SerialNumber::from_u24(v)).collect();
+        let Some(genuine) = ca.insert(&serials, &mut StdRng::seed_from_u64(9), T0 + 100) else {
+            return Ok(());
+        };
+        // One serial swapped for one nobody revoked: same signed root.
+        let mut forged = genuine.clone();
+        let at = forged_at as usize % forged.serials.len();
+        forged.serials[at] = SerialNumber::from_u24(0x80_0000 + at as u32);
+
+        let snapshot = mirror.snapshot();
+        let (len, root) = (mirror.len(), *mirror.signed_root());
+        let in_order = mirror.serials_in_issuance_order();
+        let mut probes = in_order.clone();
+        probes.extend(forged.serials.iter().chain(&genuine.serials).copied());
+        probes.push(SerialNumber::from_u24(0));
+        probes.push(SerialNumber::from_u24(0xff_ffff));
+        let proofs: Vec<Vec<u8>> = probes.iter().map(|s| snapshot.proof(s).to_bytes()).collect();
+
+        prop_assert_eq!(
+            mirror.apply_issuance(&forged, T0 + 100),
+            Err(UpdateError::RootMismatch)
+        );
+        prop_assert_eq!(mirror.len(), len);
+        prop_assert_eq!(mirror.signed_root().root, root.root);
+        prop_assert_eq!(mirror.serials_in_issuance_order(), in_order.clone());
+        // The mirror's own paths, hence its tree's root, are the old ones.
+        for (s, proof) in probes.iter().zip(&proofs) {
+            prop_assert_eq!(&snapshot.proof(s).to_bytes(), proof, "snapshot proof of {:?}", s);
+            prop_assert_eq!(&mirror.proof(s).to_bytes(), proof, "mirror proof of {:?}", s);
+        }
+
+        mirror.apply_issuance(&genuine, T0 + 100).unwrap();
+        let mut grown = in_order;
+        grown.extend(&genuine.serials);
+        prop_assert_eq!(mirror.serials_in_issuance_order(), grown);
+        for (s, proof) in probes.iter().zip(&proofs) {
+            prop_assert_eq!(&snapshot.proof(s).to_bytes(), proof);
+        }
+    }
+}
+
+/// Serials whose 4-byte prefixes tie: a shared `12 34 56 78` and a tail
+/// of up to 3 edge bytes; 1–20 bytes under the first byte `12`; or
+/// `[1, 2, 3]` padded with 0–17 zero bytes.
+fn tie_serial() -> impl Strategy<Value = SerialNumber> {
+    prop_oneof![
+        prop::collection::vec(edge_byte(), 0..4)
+            .prop_map(|tail| joined(&[0x12, 0x34, 0x56, 0x78], &tail)),
+        prop::collection::vec(edge_byte(), 0..20).prop_map(|tail| joined(&[0x12], &tail)),
+        prop::collection::vec(Just(0u8), 0..18).prop_map(|zeros| joined(&[1, 2, 3], &zeros)),
+    ]
 }
 
 /// A byte biased toward the ones a padded-integer order could confuse:
