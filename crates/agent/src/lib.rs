@@ -22,7 +22,8 @@
 //!   publication generation ([`cache`]), invalidated on every republish,
 //! * exposes that read path as a wire-protocol endpoint ([`service`])
 //!   servable over any `ritm-proto` transport,
-//! * persists and resumes mirrors across restarts ([`persist`]),
+//! * resumes mirrors across restarts from their issuance logs
+//!   ([`persist`]),
 //! * and monitors CAs for equivocation and its own cache health
 //!   ([`monitor`]).
 //!
@@ -47,7 +48,6 @@ pub use intercept::{
     FlowStage, FlowTable, InterceptConfig, InterceptStats, StreamFault, TcpBuffer,
 };
 pub use monitor::{ConsistencyMonitor, MisbehaviorReport, RaHealthReport};
-pub use persist::{MirrorSnapshot, ResumeError};
 pub use ra::{MirrorWriteGuard, RaConfig, RevocationAgent, StatusPayload};
 pub use serve::StatusServer;
 pub use service::StatusService;

@@ -70,7 +70,6 @@ impl Service for StatusService {
             // Dissemination requests belong to CDN edges, manifests to CAs.
             RitmRequest::FetchDelta { .. }
             | RitmRequest::FetchFreshness { .. }
-            | RitmRequest::CatchUp { .. }
             | RitmRequest::CatchUpPaged { .. }
             | RitmRequest::GetManifest { .. } => RitmResponse::Error(ProtoError::Unsupported),
         }

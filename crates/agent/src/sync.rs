@@ -13,7 +13,7 @@
 //! while sequential transports run the identical frames one at a time. On
 //! an envelope-v2 peer the flight is additionally *multiplexed*: each
 //! request carries a request id and the server may answer out of order,
-//! so one slow delta (a large `CatchUp`) no longer delays the freshness
+//! so one slow delta (a large catch-up page) no longer delays the freshness
 //! statements queued behind it — the transport correlates replies by id
 //! and the sync logic sees them in request order regardless.
 //! The per-Δ download volume measured here is exactly what Fig. 7 plots —
@@ -200,13 +200,14 @@ impl RevocationAgent {
     /// One periodic pull (every Δ) over the wire protocol: for each
     /// mirrored CA, request the latest issuance bundle and freshness
     /// statement through `transport`, apply them, and repair any detected
-    /// desynchronization with a `CatchUp` request.
+    /// desynchronization with paged `CatchUpPaged` requests.
     ///
     /// The pull is batched into at most two pipelined flights
     /// ([`Transport::round_trip_many`]): every CA's `FetchDelta` and
-    /// `FetchFreshness` go out together, then one `CatchUp` per
-    /// desynchronized CA. On a pipelining transport (the event-driven
-    /// `EventTransport`) a whole sync round therefore costs ~2 RTTs
+    /// `FetchFreshness` go out together, then the first `CatchUpPaged` of
+    /// each desynchronized CA, whose further pages follow one by one. On a
+    /// pipelining transport (the event-driven `EventTransport`) a whole
+    /// sync round without a multi-page gap costs ~2 RTTs
     /// regardless of how many CAs the RA mirrors; on sequential transports
     /// the batches degrade to the former one-at-a-time behaviour with
     /// byte-identical frames. Per CA the application order is unchanged:
@@ -219,9 +220,8 @@ impl RevocationAgent {
     /// Every round trip runs under the default [`SyncPolicy`]: failed
     /// flights re-send only their failed entries with exponential backoff
     /// and jitter instead of silently dropping the round, and gaps are
-    /// repaired with *paged* catch-up, so no gap — however large — can
-    /// dead-end in a `ResponseTooLarge` refusal. Use
-    /// [`RevocationAgent::sync_via_with`] to tune the policy.
+    /// repaired in pages that each fit a frame, so no gap — however large —
+    /// dead-ends. Use [`RevocationAgent::sync_via_with`] to tune the policy.
     pub fn sync_via<T: Transport>(&mut self, transport: &mut T, now: SimTime) -> SyncReport {
         self.sync_via_with(transport, now, &SyncPolicy::default())
     }
@@ -331,9 +331,9 @@ impl RevocationAgent {
 
     /// Pulls catch-up pages for one desynchronized CA until the server
     /// reports nothing remaining, applying each as it lands. `first` is
-    /// the (already retried) response to the first `CatchUpPaged`; a peer
-    /// predating the paged protocol answers it `Malformed`, which falls
-    /// back to one unpaged `CatchUp`.
+    /// the (already retried) response to the first `CatchUpPaged`. Any
+    /// reply other than a page (a `Malformed` refusal included) counts as
+    /// rejected.
     #[allow(clippy::too_many_arguments)]
     fn drain_pages<T: Transport>(
         &mut self,
@@ -346,114 +346,73 @@ impl RevocationAgent {
         report: &mut SyncReport,
     ) {
         let mut result = first;
-        let mut applied_any = false;
         let mut pages = 0u32;
         // `None` = retries exhausted, already accounted as gave_up.
         while let Some(rt) = result.take() {
-            match rt.response {
-                RitmResponse::DeltaPage {
-                    issuance,
-                    remaining,
-                } => {
-                    if issuance.serials.is_empty() {
-                        // An empty page with `remaining > 0` can never make
-                        // progress; empty with 0 means already caught up.
-                        if remaining > 0 {
-                            report.rejected += 1;
-                        }
-                        break;
-                    }
-                    let serials = issuance.serials.len() as u64;
-                    let applied = self
-                        .mirror_mut(&ca)
-                        .expect("followed ca has a mirror")
-                        .apply_issuance(&issuance, now_secs)
-                        .is_ok();
-                    if !applied {
-                        report.rejected += 1;
-                        break;
-                    }
-                    report.catchup_pages += 1;
-                    report.issuances_applied += 1;
-                    report.revocations_applied += serials;
-                    applied_any = true;
-                    pages += 1;
-                    if remaining == 0 {
-                        break;
-                    }
-                    if pages >= policy.max_pages {
-                        report.rejected += 1;
-                        break;
-                    }
-                    let have = self
-                        .mirror(&ca)
-                        .expect("followed ca has a mirror")
-                        .consecutive_count();
-                    result = flight_with_retry(
-                        transport,
-                        &[RitmRequest::CatchUpPaged {
-                            ca,
-                            have,
-                            limit: policy.page_limit,
-                        }],
-                        &policy.retry,
-                        rng,
-                        report,
-                    )
-                    .pop()
-                    .expect("one result per request");
-                }
-                // A pre-paging peer cannot decode the CatchUpPaged frame:
-                // negotiate down to the unpaged form, once.
-                RitmResponse::Error(ProtoError::Malformed { .. }) if !applied_any => {
-                    let have = self
-                        .mirror(&ca)
-                        .expect("followed ca has a mirror")
-                        .consecutive_count();
-                    let fallback = flight_with_retry(
-                        transport,
-                        &[RitmRequest::CatchUp { ca, have }],
-                        &policy.retry,
-                        rng,
-                        report,
-                    )
-                    .pop()
-                    .expect("one result per request");
-                    if let Some(rt) = fallback {
-                        if let RitmResponse::Delta(catchup) = rt.response {
-                            let serials = catchup.serials.len() as u64;
-                            if self
-                                .mirror_mut(&ca)
-                                .expect("followed ca has a mirror")
-                                .apply_issuance(&catchup, now_secs)
-                                .is_ok()
-                            {
-                                report.issuances_applied += 1;
-                                report.revocations_applied += serials;
-                                applied_any = true;
-                            } else {
-                                report.rejected += 1;
-                            }
-                        } else {
-                            report.rejected += 1;
-                        }
-                    }
-                    break;
-                }
-                _ => {
+            let RitmResponse::DeltaPage {
+                issuance,
+                remaining,
+            } = rt.response
+            else {
+                report.rejected += 1;
+                break;
+            };
+            if issuance.serials.is_empty() {
+                // An empty page with `remaining > 0` can never make
+                // progress; empty with 0 means already caught up.
+                if remaining > 0 {
                     report.rejected += 1;
-                    break;
                 }
+                break;
             }
+            let serials = issuance.serials.len() as u64;
+            let applied = self
+                .mirror_mut(&ca)
+                .expect("followed ca has a mirror")
+                .apply_issuance(&issuance, now_secs)
+                .is_ok();
+            if !applied {
+                report.rejected += 1;
+                break;
+            }
+            report.catchup_pages += 1;
+            report.issuances_applied += 1;
+            report.revocations_applied += serials;
+            pages += 1;
+            if remaining == 0 {
+                break;
+            }
+            if pages >= policy.max_pages {
+                report.rejected += 1;
+                break;
+            }
+            let have = self
+                .mirror(&ca)
+                .expect("followed ca has a mirror")
+                .consecutive_count();
+            result = flight_with_retry(
+                transport,
+                &[RitmRequest::CatchUpPaged {
+                    ca,
+                    have,
+                    limit: policy.page_limit,
+                }],
+                &policy.retry,
+                rng,
+                report,
+            )
+            .pop()
+            .expect("one result per request");
         }
-        if applied_any {
+        if pages > 0 {
             report.catchups += 1;
         }
     }
 
     /// Applies one pulled issuance bundle. Returns `Some(have)` when the
-    /// mirror detected a gap and a `CatchUp { have }` follow-up is needed
-    /// (issued by the caller's second flight).
+    /// mirror detected a gap and a catch-up from `have` is needed (issued
+    /// by the caller's second flight). A bundle numbered from 0, or past
+    /// `u64::MAX`, is hostile: it counts as rejected.
     fn apply_delta(
         &mut self,
         ca: CaId,
@@ -465,7 +424,14 @@ impl RevocationAgent {
             .mirror(&ca)
             .expect("followed ca has a mirror")
             .consecutive_count();
-        let last = issuance.first_number + issuance.serials.len() as u64 - 1;
+        let last = match issuance.first_number {
+            0 => None,
+            first => (first - 1).checked_add(issuance.serials.len() as u64),
+        };
+        let Some(last) = last else {
+            report.rejected += 1;
+            return None;
+        };
         if last <= have {
             return None; // nothing new in the bundle
         }
@@ -502,8 +468,9 @@ impl RevocationAgent {
     }
 }
 
+/// The sync fixture, shared with [`crate::persist`]'s tests.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ra::RaConfig;
     use rand::rngs::StdRng;
@@ -516,16 +483,16 @@ mod tests {
     use ritm_dictionary::{RefreshMessage, SerialNumber};
     use ritm_proto::Loopback;
 
-    const T0: u64 = 1_000_000;
+    pub(crate) const T0: u64 = 1_000_000;
 
-    struct World {
-        ca: CertificationAuthority,
-        cdn: Cdn,
-        ra: RevocationAgent,
-        rng: StdRng,
+    pub(crate) struct World {
+        pub(crate) ca: CertificationAuthority,
+        pub(crate) cdn: Cdn,
+        pub(crate) ra: RevocationAgent,
+        pub(crate) rng: StdRng,
     }
 
-    fn world() -> World {
+    pub(crate) fn world() -> World {
         let mut rng = StdRng::seed_from_u64(31);
         let mut cdn = Cdn::new(SimDuration::from_secs(5));
         let ca = CertificationAuthority::new(
@@ -548,7 +515,7 @@ mod tests {
 
     /// One sync pass over the real protocol: borrowed edge service behind
     /// an in-process loopback transport.
-    fn sync(w: &mut World, now: u64) -> SyncReport {
+    pub(crate) fn sync(w: &mut World, now: u64) -> SyncReport {
         let region = w.ra.config.region;
         let service = EdgeService::new(&mut w.cdn, region, 17);
         service.set_now(SimTime::from_secs(now));
@@ -556,7 +523,7 @@ mod tests {
         w.ra.sync_via(&mut transport, SimTime::from_secs(now))
     }
 
-    fn issue_and_revoke(w: &mut World, subjects: core::ops::Range<u32>, now: u64) {
+    pub(crate) fn issue_and_revoke(w: &mut World, subjects: core::ops::Range<u32>, now: u64) {
         let key = SigningKey::from_seed([7u8; 32]).verifying_key();
         let serials: Vec<SerialNumber> = subjects
             .map(|i| {
@@ -623,7 +590,7 @@ mod tests {
         issue_and_revoke(&mut w, 4..6, T0 + 3);
         // Publish the *full* history (overlapping the RA's 4 known entries)
         // as the Latest bundle; the RA must trim the known prefix.
-        let full = w.ca.issuance_since(0);
+        let full = w.ca.dictionary().issuance_since(0);
         w.cdn
             .origin
             .publish_raw(ContentKey::Latest { ca: w.ca.id() }, full.to_bytes());
@@ -826,11 +793,9 @@ mod tests {
     }
 
     #[test]
-    fn megagap_dead_ends_unpaged_but_converges_paged() {
-        // A ~1.6M-serial gap (20-byte serials, 21 wire bytes each) used to
-        // dead-end: the unpaged CatchUp response exceeds MAX_FRAME_LEN and
-        // the server degrades it to ResponseTooLarge, which the RA could
-        // only count as rejected, forever. Paged catch-up converges in
+    fn megagap_converges_in_pages() {
+        // A ~1.6M-serial gap (20-byte serials, 21 wire bytes each) encodes
+        // past MAX_FRAME_LEN as one bundle. Paged catch-up converges in
         // MAX_PAGE_LIMIT-sized pages that each fit a frame.
         const N: u64 = 1_600_000;
         const BATCH: u64 = 200_000;
@@ -868,24 +833,9 @@ mod tests {
             cdn.origin.publish_issuance(ca.ca(), &iss).unwrap();
             from += BATCH;
         }
-        let region = ra.config.region;
-        let service = EdgeService::new(&mut cdn, region, 17);
+        let service = EdgeService::new(&mut cdn, ra.config.region, 17);
         service.set_now(SimTime::from_secs(now));
         let mut transport = Loopback::new(service);
-
-        // The unpaged protocol cannot carry the gap in one response.
-        let id = ca.ca();
-        let rt = transport
-            .round_trip(&RitmRequest::CatchUp { ca: id, have: 0 })
-            .unwrap();
-        assert!(
-            matches!(
-                rt.response,
-                RitmResponse::Error(ProtoError::ResponseTooLarge { .. })
-            ),
-            "expected ResponseTooLarge, got a {}-byte response",
-            rt.meta.response_bytes
-        );
 
         // The paged sync converges, and the total envelope bytes show the
         // gap really moved — more than any single frame may carry.
@@ -902,43 +852,40 @@ mod tests {
             "downloaded {} bytes",
             report.bytes_downloaded
         );
-        assert_eq!(ra.mirror(&id).unwrap().len() as u64, N);
-        assert_eq!(ra.mirror(&id).unwrap().signed_root(), ca.signed_root());
+        let mirror = ra.mirror(&ca.ca()).unwrap();
+        assert_eq!(mirror.len() as u64, N);
+        assert_eq!(mirror.signed_root(), ca.signed_root());
     }
 
-    /// Simulates a peer predating the paged protocol: `CatchUpPaged` is an
-    /// unknown frame kind to it, answered `Malformed`.
-    struct PrePaging<S>(S);
+    /// A hostile sync peer: one fixed bundle for `FetchDelta`, else `NotFound`.
+    struct FixedDelta(RevocationIssuance);
 
-    impl<S: ritm_proto::Service> ritm_proto::Service for PrePaging<S> {
+    impl ritm_proto::Service for FixedDelta {
         fn handle(&self, req: RitmRequest) -> RitmResponse {
             match req {
-                RitmRequest::CatchUpPaged { .. } => {
-                    RitmResponse::Error(ProtoError::Malformed { offset: 5 })
-                }
-                other => self.0.handle(other),
+                RitmRequest::FetchDelta { .. } => RitmResponse::Delta(self.0.clone()),
+                _ => RitmResponse::Error(ProtoError::NotFound),
             }
-        }
-
-        fn take_latency(&self) -> SimDuration {
-            self.0.take_latency()
         }
     }
 
     #[test]
-    fn pre_paging_peer_falls_back_to_unpaged_catchup() {
+    fn hostile_bundle_numbers_are_rejected_not_a_panic() {
+        // Numbered from 0 with no serials, or running past u64::MAX.
         let mut w = world();
-        issue_and_revoke(&mut w, 0..4, T0 + 1);
-        issue_and_revoke(&mut w, 4..9, T0 + 2);
-        let region = w.ra.config.region;
-        let service = EdgeService::new(&mut w.cdn, region, 17);
-        service.set_now(SimTime::from_secs(T0 + 3));
-        let mut transport = Loopback::new(PrePaging(service));
-        let report = w.ra.sync_via(&mut transport, SimTime::from_secs(T0 + 3));
-        assert_eq!(report.catchups, 1);
-        assert_eq!(report.catchup_pages, 0, "no pages from a v1 peer");
-        assert_eq!(report.rejected, 0);
-        assert_eq!(w.ra.mirror(&w.ca.id()).unwrap().len(), 9);
+        let signed_root = *w.ca.dictionary().signed_root();
+        let two = vec![SerialNumber::from_u24(1), SerialNumber::from_u24(2)];
+        for (first_number, serials) in [(0, Vec::new()), (u64::MAX, two)] {
+            let bundle = RevocationIssuance {
+                first_number,
+                serials,
+                signed_root,
+            };
+            let mut transport = Loopback::new(FixedDelta(bundle));
+            let report = w.ra.sync_via(&mut transport, SimTime::from_secs(T0 + 1));
+            assert_eq!((report.rejected, report.issuances_applied), (1, 0));
+        }
+        assert_eq!(w.ra.mirror(&w.ca.id()).unwrap().len(), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! vs the PR 2 dense deep-clone baseline (`snapshot_publish/dense`), and
 //! the event-driven serving stack over real sockets (`event_serve`: single
 //! round trips, an 8-deep flight multiplexed on envelope v2, and a
-//! slow-`CatchUp` head-of-line scenario the out-of-order server overlaps
+//! slow-`CatchUpPaged` head-of-line scenario the out-of-order server overlaps
 //! away).
 //!
 //! With `BENCH_JSON=BENCH_dictionary.json` every result lands in a JSON
@@ -553,14 +553,14 @@ fn bench_catchup_paged(c: &mut Criterion) {
     g.finish();
 }
 
-/// Delays `CatchUp` by ~1ms (a stand-in for a large delta rebuild) and
+/// Delays `CatchUpPaged` by ~1ms (a stand-in for a large page build) and
 /// delegates everything else — the head-of-line blocker the multiplexed
 /// envelope exists to defeat.
 struct SlowCatchUp(Arc<StatusService>);
 
 impl ritm_proto::Service for SlowCatchUp {
     fn handle(&self, req: RitmRequest) -> RitmResponse {
-        if matches!(req, RitmRequest::CatchUp { .. }) {
+        if matches!(req, RitmRequest::CatchUpPaged { .. }) {
             std::thread::sleep(std::time::Duration::from_millis(1));
             return RitmResponse::Error(ritm_proto::ProtoError::NotFound);
         }
@@ -574,7 +574,7 @@ impl ritm_proto::Service for SlowCatchUp {
 /// round trip — the per-request cost of the reactor/codec machinery vs
 /// the in-process `loopback_get_status` number above — (b) an 8-deep
 /// flight multiplexed on per-frame request ids, and (c) the payoff case:
-/// a ~1ms `CatchUp` heading the flight, which in-order serving would add
+/// a ~1ms `CatchUpPaged` heading the flight, which in-order serving would add
 /// wholesale to every status behind it but out-of-order completion
 /// overlaps with all 8.
 fn bench_event_serve(c: &mut Criterion) {
@@ -616,7 +616,7 @@ fn bench_event_serve(c: &mut Criterion) {
         })
     });
 
-    // The HOL case: a ~1ms CatchUp ahead of the 8 statuses. Multiplexed,
+    // The HOL case: a ~1ms catch-up page ahead of the 8 statuses. Multiplexed,
     // the statuses complete while it sleeps, so the flight costs ~max
     // (≈1ms), not sum (≈1ms + 8 statuses serialized behind it).
     let slow_server = EventServer::spawn(
@@ -625,9 +625,10 @@ fn bench_event_serve(c: &mut Criterion) {
     )
     .unwrap();
     let mut slow_mux = EventTransport::connect(slow_server.addr()).unwrap();
-    let mut hol_flight = vec![RitmRequest::CatchUp {
+    let mut hol_flight = vec![RitmRequest::CatchUpPaged {
         ca: ca.ca(),
         have: 0,
+        limit: 64,
     }];
     hol_flight.extend(flight.iter().cloned());
     g.bench_function("slow_catchup_plus_8x_get_status", |b| {

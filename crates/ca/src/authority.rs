@@ -93,19 +93,6 @@ impl CertificationAuthority {
         Self::with_engine(name, key, delta, dictionary, cdn)
     }
 
-    /// Replays issuances for a desynchronized RA (sync protocol, §III).
-    pub fn issuance_since(&self, have: u64) -> RevocationIssuance {
-        self.dictionary.issuance_since(have)
-    }
-
-    /// One bounded page of the catch-up replay: at most `limit` serials,
-    /// anchored to a historical (or synthesized mid-batch) signed root.
-    /// Returns the page and how many serials remain beyond it (`0` =
-    /// caught up). See [`CaDictionary::issuance_page`].
-    pub fn issuance_page(&self, have: u64, limit: u32) -> (RevocationIssuance, u64) {
-        self.dictionary.issuance_page(have, limit)
-    }
-
     /// Rebuilds a crashed CA from its replayed issuance log (typically the
     /// records a [`crate::wal::IssuanceLog::open`] scan recovered). Each
     /// record is re-verified mirror-grade; the hash chain is rotated (its

@@ -8,8 +8,8 @@
 //!   experiments;
 //! * [`service`] — the CA's direct manifest/catch-up endpoint over the
 //!   `ritm-proto` wire API;
-//! * [`wal`] — the crash-durable, CRC-framed issuance log replayed at
-//!   startup (torn tails are truncated to the last complete record).
+//! * [`wal`] — the crash-durable, CRC-framed issuance log of the CA and
+//!   the RA (torn tails are truncated to the last complete record).
 
 pub mod authority;
 pub mod manifest;

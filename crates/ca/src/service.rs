@@ -58,12 +58,6 @@ impl Service for CaService {
                 }
                 RitmResponse::SignedRoot(*ca.dictionary().signed_root())
             }
-            RitmRequest::CatchUp { ca: id, have } => {
-                if id != ca.id() {
-                    return RitmResponse::Error(ProtoError::UnknownCa(id));
-                }
-                RitmResponse::Delta(ca.issuance_since(have))
-            }
             RitmRequest::CatchUpPaged {
                 ca: id,
                 have,
@@ -72,8 +66,9 @@ impl Service for CaService {
                 if id != ca.id() {
                     return RitmResponse::Error(ProtoError::UnknownCa(id));
                 }
-                let (issuance, remaining) =
-                    ca.issuance_page(have, limit.min(ritm_proto::MAX_PAGE_LIMIT));
+                let (issuance, remaining) = ca
+                    .dictionary()
+                    .issuance_page(have, limit.min(ritm_proto::MAX_PAGE_LIMIT));
                 RitmResponse::DeltaPage {
                     issuance,
                     remaining,
@@ -152,9 +147,16 @@ mod tests {
             svc.handle(RitmRequest::FetchFreshness { ca: id }),
             RitmResponse::Freshness(RefreshMessage::Freshness(_))
         ));
-        match svc.handle(RitmRequest::CatchUp { ca: id, have: 0 }) {
-            RitmResponse::Delta(iss) => assert!(iss.serials.is_empty()),
-            other => panic!("expected delta, got {other:?}"),
+        match svc.handle(RitmRequest::CatchUpPaged {
+            ca: id,
+            have: 0,
+            limit: 64,
+        }) {
+            RitmResponse::DeltaPage {
+                issuance,
+                remaining,
+            } => assert!(issuance.serials.is_empty() && remaining == 0),
+            other => panic!("expected a page, got {other:?}"),
         }
         assert_eq!(
             svc.handle(RitmRequest::FetchDelta { ca: id }),

@@ -1,10 +1,11 @@
-//! Crash-durable issuance log for the CA.
+//! Crash-durable issuance log, of the CA and the RA alike.
 //!
 //! Every revocation issuance is appended to an append-only file *before*
 //! it is disseminated, so a CA process that dies at any point can rebuild
 //! its dictionary — including every historical signed root paged catch-up
 //! anchors to — by replaying the log through
-//! [`CaDictionary::replay`](ritm_dictionary::CaDictionary::replay).
+//! [`CaDictionary::replay`](ritm_dictionary::CaDictionary::replay). An RA
+//! appends what each sync applied, and resumes from it.
 //!
 //! ## Record framing
 //!

@@ -46,35 +46,11 @@ impl Cdn {
         Some((bytes, stats))
     }
 
-    /// A desynchronized RA's catch-up request (paper §III sync protocol):
-    /// goes straight through to the origin (parametrized requests are not
-    /// cacheable), billed like any other download.
-    pub fn pull_since<R: rand::Rng + ?Sized>(
-        &mut self,
-        region: Region,
-        ca: ritm_dictionary::CaId,
-        have: u64,
-        rng: &mut R,
-    ) -> Option<(Vec<u8>, PullStats)> {
-        let bytes = self.origin.fetch_since(ca, have)?;
-        self.ledger.record(region, bytes.len() as u64);
-        let latency = region.origin_latency().sample(rng)
-            + region.edge_latency().sample(rng)
-            + ritm_net::time::SimDuration::from_secs_f64(
-                bytes.len() as f64 / region.bandwidth_bytes_per_sec(),
-            );
-        let stats = PullStats {
-            bytes: bytes.len() as u64,
-            cache_hit: false,
-            latency,
-        };
-        Some((bytes, stats))
-    }
-
-    /// One page of a desynchronized RA's catch-up (the bounded variant of
-    /// [`Cdn::pull_since`]): straight through to the origin, billed like
-    /// any other download. Returns the encoded issuance page, the count of
-    /// serials remaining beyond it, and the pull statistics.
+    /// One page of a desynchronized RA's catch-up (paper §III sync
+    /// protocol): straight through to the origin (parametrized requests
+    /// are not cacheable), billed like any other download at its encoded
+    /// size. Returns the issuance page, the count of serials remaining
+    /// beyond it, and the pull statistics.
     pub fn pull_page<R: rand::Rng + ?Sized>(
         &mut self,
         region: Region,
@@ -82,20 +58,21 @@ impl Cdn {
         have: u64,
         limit: u32,
         rng: &mut R,
-    ) -> Option<(Vec<u8>, u64, PullStats)> {
-        let (bytes, remaining) = self.origin.fetch_page(ca, have, limit)?;
-        self.ledger.record(region, bytes.len() as u64);
+    ) -> Option<(ritm_dictionary::RevocationIssuance, u64, PullStats)> {
+        let (page, remaining) = self.origin.fetch_page(ca, have, limit)?;
+        let bytes = page.encoded_len() as u64;
+        self.ledger.record(region, bytes);
         let latency = region.origin_latency().sample(rng)
             + region.edge_latency().sample(rng)
             + ritm_net::time::SimDuration::from_secs_f64(
-                bytes.len() as f64 / region.bandwidth_bytes_per_sec(),
+                bytes as f64 / region.bandwidth_bytes_per_sec(),
             );
         let stats = PullStats {
-            bytes: bytes.len() as u64,
+            bytes,
             cache_hit: false,
             latency,
         };
-        Some((bytes, remaining, stats))
+        Some((page, remaining, stats))
     }
 
     /// Borrow a regional edge (for cache statistics).

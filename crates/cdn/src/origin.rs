@@ -132,32 +132,17 @@ impl Origin {
         Ok(())
     }
 
-    /// Synthesizes the catch-up issuance for an RA holding `have`
-    /// consecutive revocations (the paper's sync protocol, §III). Returns
-    /// the encoded [`RevocationIssuance`] covering everything newer.
-    pub fn fetch_since(&self, ca: CaId, have: u64) -> Option<Vec<u8>> {
-        let log = self.logs.get(&ca)?;
-        let root = self.latest_root.get(&ca)?;
-        let idx = (have as usize).min(log.len());
-        let issuance = RevocationIssuance {
-            first_number: have + 1,
-            serials: log.range(idx, log.len()),
-            signed_root: *root,
-        };
-        Some(issuance.to_bytes())
-    }
-
     /// One page of the catch-up replay for an RA holding `have`
     /// consecutive revocations: roughly `limit` serials ending at a
     /// published batch boundary, anchored to the root recorded there.
-    /// Returns the encoded [`RevocationIssuance`] and how many serials
+    /// Returns the page's [`RevocationIssuance`] and how many serials
     /// remain beyond it (`0` = caught up).
     ///
     /// The origin holds no signing key, so it can only anchor pages to
     /// roots the CA actually published: when a single batch alone exceeds
     /// `limit`, that batch is served whole (the limit is soft here; the
     /// CA's own endpoint can synthesize true mid-batch cuts).
-    pub fn fetch_page(&self, ca: CaId, have: u64, limit: u32) -> Option<(Vec<u8>, u64)> {
+    pub fn fetch_page(&self, ca: CaId, have: u64, limit: u32) -> Option<(RevocationIssuance, u64)> {
         let log = self.logs.get(&ca)?;
         let latest = self.latest_root.get(&ca)?;
         let total = log.len() as u64;
@@ -168,7 +153,7 @@ impl Origin {
                 serials: Vec::new(),
                 signed_root: *latest,
             };
-            return Some((issuance.to_bytes(), 0));
+            return Some((issuance, 0));
         }
         let roots = self.boundary_roots.get(&ca)?;
         let target = have.saturating_add((limit as u64).max(1)).min(total);
@@ -192,7 +177,7 @@ impl Origin {
             serials: log.range(have as usize, end as usize),
             signed_root,
         };
-        Some((issuance.to_bytes(), total - end))
+        Some((issuance, total - end))
     }
 
     /// Publishes a periodic refresh (freshness statement or rotated root).

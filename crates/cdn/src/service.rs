@@ -2,8 +2,8 @@
 //!
 //! [`EdgeService`] exposes one regional edge of a [`Cdn`] through the
 //! versioned RITM envelope vocabulary: `FetchDelta` and `FetchFreshness`
-//! map to the edge's cached pulls, `CatchUp` to the origin's parametrized
-//! catch-up synthesis, `GetManifest` to the bootstrap manifest, and
+//! map to the edge's cached pulls, `CatchUpPaged` to the origin's
+//! parametrized catch-up pages, `GetManifest` to the bootstrap manifest, and
 //! `GetSignedRoot` to the origin's latest verified root. Status requests
 //! are refused with [`ProtoError::Unsupported`] — statuses are the RA's
 //! job, not the CDN's.
@@ -126,37 +126,17 @@ impl<C: BorrowMut<Cdn> + Send> Service for EdgeService<C> {
                     Err(e) => RitmResponse::Error(e),
                 }
             }
-            RitmRequest::CatchUp { ca, have } => {
-                // Parametrized requests are not cacheable: straight to the
-                // origin, billed like any other download (§III).
-                let mut guard = self.cdn.lock().expect("cdn lock");
-                let cdn: &mut Cdn = (*guard).borrow_mut();
-                let mut rng = self.rng.lock().expect("rng lock");
-                match cdn.pull_since(self.region, ca, have, &mut *rng) {
-                    Some((bytes, stats)) => {
-                        self.charge(stats.latency);
-                        match RevocationIssuance::from_bytes(&bytes) {
-                            Ok(iss) => RitmResponse::Delta(iss),
-                            Err(_) => RitmResponse::Error(ProtoError::Internal),
-                        }
-                    }
-                    None => RitmResponse::Error(ProtoError::NotFound),
-                }
-            }
             RitmRequest::CatchUpPaged { ca, have, limit } => {
                 let limit = limit.min(ritm_proto::MAX_PAGE_LIMIT);
                 let mut guard = self.cdn.lock().expect("cdn lock");
                 let cdn: &mut Cdn = (*guard).borrow_mut();
                 let mut rng = self.rng.lock().expect("rng lock");
                 match cdn.pull_page(self.region, ca, have, limit, &mut *rng) {
-                    Some((bytes, remaining, stats)) => {
+                    Some((issuance, remaining, stats)) => {
                         self.charge(stats.latency);
-                        match RevocationIssuance::from_bytes(&bytes) {
-                            Ok(issuance) => RitmResponse::DeltaPage {
-                                issuance,
-                                remaining,
-                            },
-                            Err(_) => RitmResponse::Error(ProtoError::Internal),
+                        RitmResponse::DeltaPage {
+                            issuance,
+                            remaining,
                         }
                     }
                     None => RitmResponse::Error(ProtoError::NotFound),
@@ -258,15 +238,20 @@ mod tests {
             cdn.origin.publish_issuance(ca.ca(), &iss).unwrap();
         }
         let svc = EdgeService::new(cdn, Region::Japan, 7);
-        match svc.handle(RitmRequest::CatchUp {
+        match svc.handle(RitmRequest::CatchUpPaged {
             ca: ca.ca(),
             have: 1,
+            limit: 64,
         }) {
-            RitmResponse::Delta(iss) => {
-                assert_eq!(iss.first_number, 2);
-                assert_eq!(iss.serials.len(), 2);
+            RitmResponse::DeltaPage {
+                issuance,
+                remaining,
+            } => {
+                assert_eq!(issuance.first_number, 2);
+                assert_eq!(issuance.serials.len(), 2);
+                assert_eq!(remaining, 0);
             }
-            other => panic!("expected Delta, got {other:?}"),
+            other => panic!("expected DeltaPage, got {other:?}"),
         }
     }
 

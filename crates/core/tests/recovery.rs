@@ -9,9 +9,11 @@
 //!   it to its new address, and paged catch-up with retry/backoff
 //!   converges both to identical signed roots.
 //! * **RA crash** — the RA dies with a gap outstanding. It restarts from
-//!   its persisted mirror snapshot, serves immediately at the snapshot
-//!   root, and closes only the remaining gap; a corrupted snapshot falls
-//!   back to a fresh bootstrap and still converges.
+//!   its own issuance log (one record appended per sync, in the CA's log
+//!   framing), serves immediately at the last logged root, and closes only
+//!   the remaining gap; a torn last record resumes at the record before
+//!   it, and a corrupted only record falls back to a fresh bootstrap —
+//!   both still converge.
 //!
 //! Throughout, a client pins every served root in a [`RootTracker`]: no
 //! endpoint ever serves a root older than one the client already accepted.
@@ -19,6 +21,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ritm_agent::{RaConfig, RevocationAgent, StatusService, SyncPolicy};
+use ritm_ca::wal::{decode_records, encode_record};
 use ritm_ca::{CaService, CertificationAuthority, IssuanceLog, TailState};
 use ritm_cdn::network::Cdn;
 use ritm_client::{fetch_status, RootTracker};
@@ -43,6 +46,11 @@ fn signing_key() -> SigningKey {
     SigningKey::from_seed([21u8; 32])
 }
 
+/// A CA named `name` with a 2^16-link chain, created at `T0`.
+fn new_ca(name: &str, cdn: &mut Cdn, rng: &mut StdRng) -> CertificationAuthority {
+    CertificationAuthority::new(name, signing_key(), DELTA, 1 << 16, cdn, rng, T0)
+}
+
 /// Issues `n` fresh certificates and revokes them in one batch at `now`.
 fn revoke_batch(
     ca: &mut CertificationAuthority,
@@ -59,6 +67,30 @@ fn revoke_batch(
         })
         .collect();
     ca.revoke(&serials, cdn, rng, now).unwrap().unwrap();
+}
+
+/// An RA with no mirror yet, running at the CA's Δ.
+fn fresh_ra() -> RevocationAgent {
+    RevocationAgent::new(RaConfig {
+        delta: DELTA,
+        ..Default::default()
+    })
+}
+
+/// Paged catch-up at `page_limit` serials a page, default retries.
+fn paged(page_limit: u32) -> SyncPolicy {
+    SyncPolicy {
+        page_limit,
+        ..Default::default()
+    }
+}
+
+/// Appends what `ra` applied for `ca` since `persisted` revocations to its
+/// issuance log, as an RA does after every sync; returns the new count.
+fn append_applied(log: &mut IssuanceLog, ra: &RevocationAgent, ca: CaId, persisted: u64) -> u64 {
+    let mirror = ra.mirror(&ca).unwrap();
+    log.append(&mirror.issuance_since(persisted)).unwrap();
+    mirror.len() as u64
 }
 
 /// Spawns an event server over the shared CA handle, clocked at `now`.
@@ -103,15 +135,7 @@ fn ca_killed_mid_sync_restarts_from_log_and_converges() {
     // A CA with an attached issuance log, 5 batches deep (200 revocations).
     let (log, scan) = IssuanceLog::open(&path).unwrap();
     assert!(scan.records.is_empty());
-    let mut ca = CertificationAuthority::new(
-        "CrashCA",
-        signing_key(),
-        DELTA,
-        1 << 16,
-        &mut cdn,
-        &mut rng,
-        T0,
-    );
+    let mut ca = new_ca("CrashCA", &mut cdn, &mut rng);
     ca.attach_wal(log);
     let genesis = *ca.dictionary().signed_root();
     let (ca_id, key) = (ca.id(), ca.verifying_key());
@@ -123,10 +147,7 @@ fn ca_killed_mid_sync_restarts_from_log_and_converges() {
 
     // An RA begins catching up over a lossy link — and is interrupted
     // after a single page (`max_pages: 1`), leaving it mid-sync.
-    let mut ra = RevocationAgent::new(RaConfig {
-        delta: DELTA,
-        ..Default::default()
-    });
+    let mut ra = fresh_ra();
     ra.follow_ca(ca_id, key, genesis).unwrap();
     let mut sync_t = FaultTransport::new(
         EventTransport::connect(server.addr()).unwrap(),
@@ -134,9 +155,8 @@ fn ca_killed_mid_sync_restarts_from_log_and_converges() {
         77,
     );
     let interrupted = SyncPolicy {
-        page_limit: 64,
         max_pages: 1,
-        ..Default::default()
+        ..paged(64)
     };
     ra.sync_via_with(&mut sync_t, SimTime::from_secs(T0 + 6), &interrupted);
     let partial = ra.mirror(&ca_id).unwrap().len();
@@ -198,14 +218,7 @@ fn ca_killed_mid_sync_restarts_from_log_and_converges() {
     // The RA follows the restarted CA to its new address and converges
     // under the same injected faults.
     sync_t.inner_mut().reconnect_to(server2.addr()).unwrap();
-    let report = ra.sync_via_with(
-        &mut sync_t,
-        SimTime::from_secs(T0 + 22),
-        &SyncPolicy {
-            page_limit: 64,
-            ..Default::default()
-        },
-    );
+    let report = ra.sync_via_with(&mut sync_t, SimTime::from_secs(T0 + 22), &paged(64));
     assert_eq!(report.gave_up, 0, "bounded retry must absorb the faults");
     assert_eq!(report.rejected, 0);
     assert_eq!(report.catchups, 1);
@@ -244,50 +257,48 @@ fn ca_killed_mid_sync_restarts_from_log_and_converges() {
 }
 
 #[test]
-fn ra_killed_mid_sync_resumes_from_snapshot_and_converges() {
+fn ra_killed_mid_sync_resumes_from_its_log_and_converges() {
+    let path = wal_path("ra-crash");
+    let _ = std::fs::remove_file(&path);
     let mut rng = StdRng::seed_from_u64(902);
     let mut cdn = Cdn::new(SimDuration::from_secs(5));
-    let mut ca = CertificationAuthority::new(
-        "RaCrashCA",
-        signing_key(),
-        DELTA,
-        1 << 16,
-        &mut cdn,
-        &mut rng,
-        T0,
-    );
+    let mut ca = new_ca("RaCrashCA", &mut cdn, &mut rng);
     let genesis = *ca.dictionary().signed_root();
     let (ca_id, key) = (ca.id(), ca.verifying_key());
-    for b in 0..3u64 {
+    for b in 0..2u64 {
         revoke_batch(&mut ca, &mut cdn, &mut rng, BATCH, T0 + 1 + b);
     }
     let shared = Arc::new(Mutex::new(ca));
-    let (svc, server) = spawn_ca_server(&shared, T0 + 4);
+    let (svc, server) = spawn_ca_server(&shared, T0 + 3);
 
-    // RA #1 syncs fully (120 revocations) and persists its snapshot — the
-    // durability point a production RA would hit after every pass.
-    let mut ra1 = RevocationAgent::new(RaConfig {
-        delta: DELTA,
-        ..Default::default()
-    });
+    // RA #1 syncs twice (80, then 120 revocations) and appends what each
+    // pass applied to its issuance log — the durability point a production
+    // RA would hit after every pass.
+    let mut ra1 = fresh_ra();
     ra1.follow_ca(ca_id, key, genesis).unwrap();
+    let (mut log, _) = IssuanceLog::open(&path).unwrap();
     let mut sync_t = FaultTransport::new(
         EventTransport::connect(server.addr()).unwrap(),
         FaultPlan::lossy(0.25),
         31,
     );
-    ra1.sync_via_with(
-        &mut sync_t,
-        SimTime::from_secs(T0 + 4),
-        &SyncPolicy {
-            page_limit: 64,
-            ..Default::default()
-        },
+    ra1.sync_via_with(&mut sync_t, SimTime::from_secs(T0 + 3), &paged(64));
+    let mut persisted = append_applied(&mut log, &ra1, ca_id, 0);
+    assert_eq!(persisted, 80);
+    revoke_batch(
+        &mut shared.lock().unwrap(),
+        &mut cdn,
+        &mut rng,
+        BATCH,
+        T0 + 4,
     );
-    assert_eq!(ra1.mirror(&ca_id).unwrap().len(), 120);
-    let snapshot = ra1.snapshot_mirror(&ca_id).unwrap();
+    svc.set_now(T0 + 5);
+    ra1.sync_via_with(&mut sync_t, SimTime::from_secs(T0 + 5), &paged(64));
+    persisted = append_applied(&mut log, &ra1, ca_id, persisted);
+    assert_eq!(persisted, 120);
+    drop(log);
 
-    // A client pins the snapshot-era root.
+    // A client pins the last logged root.
     let ra1_server =
         EventServer::spawn(Arc::new(StatusService::new(ra1.status_server())), 1).unwrap();
     let mut client = EventTransport::connect(ra1_server.addr()).unwrap();
@@ -298,7 +309,7 @@ fn ra_killed_mid_sync_resumes_from_snapshot_and_converges() {
         ca_id,
         &key,
         SerialNumber::from_u24(1),
-        T0 + 4,
+        T0 + 5,
     );
 
     // The CA keeps revoking while the RA is down (the gap), then the RA
@@ -311,13 +322,12 @@ fn ra_killed_mid_sync_resumes_from_snapshot_and_converges() {
     ra1_server.shutdown();
     drop(ra1);
 
-    // RA #2 resumes from the snapshot: it serves immediately at the
-    // snapshot root (never older than what the client pinned) …
-    let mut ra2 = RevocationAgent::new(RaConfig {
-        delta: DELTA,
-        ..Default::default()
-    });
-    assert_eq!(ra2.resume_ca(key, &snapshot).unwrap(), ca_id);
+    // RA #2 resumes from its log: it serves immediately at the last
+    // logged root (never older than what the client pinned) …
+    let (mut log, scan) = IssuanceLog::open(&path).unwrap();
+    assert_eq!((scan.records.len(), scan.tail), (2, TailState::Clean));
+    let mut ra2 = fresh_ra();
+    assert_eq!(ra2.resume_ca(key, &scan.records).unwrap(), ca_id);
     assert_eq!(ra2.mirror(&ca_id).unwrap().len(), 120);
     let ra2_server =
         EventServer::spawn(Arc::new(StatusService::new(ra2.status_server())), 1).unwrap();
@@ -332,14 +342,7 @@ fn ra_killed_mid_sync_resumes_from_snapshot_and_converges() {
     );
 
     // … then closes exactly the remaining gap, paged, under faults.
-    let report = ra2.sync_via_with(
-        &mut sync_t,
-        SimTime::from_secs(T0 + 12),
-        &SyncPolicy {
-            page_limit: 32,
-            ..Default::default()
-        },
-    );
+    let report = ra2.sync_via_with(&mut sync_t, SimTime::from_secs(T0 + 12), &paged(32));
     assert_eq!(report.gave_up, 0);
     assert_eq!(report.rejected, 0);
     assert_eq!(report.catchups, 1);
@@ -348,11 +351,9 @@ fn ra_killed_mid_sync_resumes_from_snapshot_and_converges() {
         report.revocations_applied, 80,
         "resume means only the gap is re-downloaded"
     );
+    let ca_root = *shared.lock().unwrap().dictionary().signed_root();
     assert_eq!(ra2.mirror(&ca_id).unwrap().len(), 200);
-    assert_eq!(
-        ra2.mirror(&ca_id).unwrap().signed_root(),
-        shared.lock().unwrap().dictionary().signed_root()
-    );
+    assert_eq!(ra2.mirror(&ca_id).unwrap().signed_root(), &ca_root);
     let newest = check_revoked(
         &mut client,
         &mut tracker,
@@ -362,36 +363,48 @@ fn ra_killed_mid_sync_resumes_from_snapshot_and_converges() {
         T0 + 12,
     );
     assert_eq!(newest.size, 200);
+    assert_eq!(append_applied(&mut log, &ra2, ca_id, persisted), 200);
+    let only_record = ra2.mirror(&ca_id).unwrap().issuance_since(0);
+    drop(log);
 
-    // A corrupted snapshot is rejected and the fallback path — fresh
-    // bootstrap plus full catch-up — still converges.
-    let mut tampered = snapshot.clone();
-    let mid = tampered.len() / 2;
-    tampered[mid] ^= 0x10;
-    let mut ra3 = RevocationAgent::new(RaConfig {
-        delta: DELTA,
-        ..Default::default()
-    });
-    assert!(ra3.resume_ca(key, &tampered).is_err());
-    ra3.follow_ca(ca_id, key, genesis).unwrap();
-    let report = ra3.sync_via_with(
-        &mut sync_t,
-        SimTime::from_secs(T0 + 12),
-        &SyncPolicy {
-            page_limit: 64,
-            ..Default::default()
-        },
-    );
+    // A crash mid-append tears the last record: the log's open truncates
+    // it, the RA resumes at the previous record, and the gap closes.
+    let torn_len = std::fs::metadata(&path).unwrap().len() - 3;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(torn_len)
+        .unwrap();
+    let (_, scan) = IssuanceLog::open(&path).unwrap();
+    assert_eq!((scan.records.len(), scan.tail), (2, TailState::Torn));
+    let mut ra3 = fresh_ra();
+    ra3.resume_ca(key, &scan.records).unwrap();
+    assert_eq!(ra3.mirror(&ca_id).unwrap().len(), 120);
+    let report = ra3.sync_via_with(&mut sync_t, SimTime::from_secs(T0 + 12), &paged(64));
+    assert_eq!(report.gave_up, 0);
+    assert_eq!(report.revocations_applied, 80);
+    assert_eq!(ra3.mirror(&ca_id).unwrap().signed_root(), &ca_root);
+
+    // Corrupting a log's only record leaves nothing to resume from, and
+    // the fallback — fresh bootstrap plus full catch-up — still converges.
+    let mut corrupt = encode_record(&only_record);
+    let mid = corrupt.len() / 2;
+    corrupt[mid] ^= 0x10;
+    let scan = decode_records(&corrupt);
+    assert_eq!(scan.tail, TailState::Corrupt);
+    let mut ra4 = fresh_ra();
+    assert!(ra4.resume_ca(key, &scan.records).is_err());
+    ra4.follow_ca(ca_id, key, genesis).unwrap();
+    let report = ra4.sync_via_with(&mut sync_t, SimTime::from_secs(T0 + 12), &paged(64));
     assert_eq!(report.gave_up, 0);
     assert_eq!(
         report.revocations_applied, 200,
         "full re-download from zero"
     );
-    assert_eq!(
-        ra3.mirror(&ca_id).unwrap().signed_root(),
-        shared.lock().unwrap().dictionary().signed_root()
-    );
+    assert_eq!(ra4.mirror(&ca_id).unwrap().signed_root(), &ca_root);
 
     ra2_server.shutdown();
     server.shutdown();
+    std::fs::remove_file(&path).unwrap();
 }

@@ -550,12 +550,7 @@ impl CaDictionary {
     /// of consecutive valid revocations) — the catch-up half of the paper's
     /// synchronization protocol.
     pub fn issuance_since(&self, have: u64) -> RevocationIssuance {
-        let idx = (have as usize).min(self.tree.len());
-        RevocationIssuance {
-            first_number: have + 1,
-            serials: self.tree.log().range(idx, self.tree.len()),
-            signed_root: self.signed_root,
-        }
+        issuance_since(&self.tree, have, self.signed_root)
     }
 
     /// One page of the catch-up replay for an RA holding `have`
@@ -734,29 +729,26 @@ impl MirrorDictionary {
         })
     }
 
-    /// Restores a mirror from persisted parts: the serials in issuance
-    /// order plus the last accepted signed root. The tree is rebuilt from
+    /// Restores a mirror of the CA that `signed_root` names from persisted
+    /// parts: the serials in issuance order plus the last accepted signed
+    /// root. The tree is rebuilt from
     /// scratch and accepted only if it reproduces the signed root exactly —
-    /// a tampered snapshot can never resurrect a mirror that disagrees
-    /// with what the CA signed. The freshness statement is re-derived from
-    /// the root's anchor (the restored RA refreshes on its next sync).
+    /// a tampered log can never resurrect a mirror that disagrees with
+    /// what the CA signed. The freshness statement is re-derived from the
+    /// root's anchor (the restored RA refreshes on its next sync).
     ///
     /// `ca_key` comes from the caller's pinned configuration, never from
-    /// the snapshot itself.
+    /// the persisted bytes themselves.
     ///
     /// # Errors
     ///
     /// See [`UpdateError`]; the same checks an `update` would run.
     pub fn restore(
-        ca: CaId,
         ca_key: VerifyingKey,
         delta: u64,
         serials: &[SerialNumber],
         signed_root: SignedRoot,
     ) -> Result<Self, UpdateError> {
-        if signed_root.ca != ca {
-            return Err(UpdateError::WrongCa);
-        }
         signed_root
             .verify(&ca_key)
             .map_err(|_| UpdateError::BadSignature)?;
@@ -768,7 +760,7 @@ impl MirrorDictionary {
         }
         let freshness = FreshnessStatement::new(signed_root.anchor);
         Ok(MirrorDictionary {
-            ca,
+            ca: signed_root.ca,
             ca_key,
             tree,
             delta,
@@ -777,12 +769,13 @@ impl MirrorDictionary {
         })
     }
 
-    /// The mirrored serials in issuance order (numbers `1..=len`) — what a
-    /// persistence layer saves so [`MirrorDictionary::restore`] can rebuild
-    /// and re-verify the tree. A read of the tree's log, which is already
-    /// in that order.
-    pub fn serials_in_issuance_order(&self) -> Vec<SerialNumber> {
-        self.tree.log().range(0, self.tree.len())
+    /// Every mirrored revocation after `have`, under the mirror's current
+    /// signed root — the record an RA appends to its issuance log so that
+    /// [`MirrorDictionary::restore`] can rebuild and re-verify the tree
+    /// after a restart. `issuance_since(0).serials` is every serial in
+    /// issuance order; a record with no serials persists a rotated root.
+    pub fn issuance_since(&self, have: u64) -> RevocationIssuance {
+        issuance_since(&self.tree, have, self.signed_root)
     }
 
     /// Sets the dissemination period Δ (from the CA manifest, §VIII).
@@ -974,6 +967,18 @@ impl MirrorDictionary {
     /// Paper §VII-D memory metric.
     pub fn memory_bytes(&self) -> usize {
         self.tree.memory_bytes()
+    }
+}
+
+/// The revocations after `have` in `tree`'s log, numbered from `have + 1`
+/// (`have` clamped to the tree's size), under `signed_root`.
+fn issuance_since(tree: &PersistentTree, have: u64, signed_root: SignedRoot) -> RevocationIssuance {
+    let len = tree.len();
+    let idx = usize::try_from(have).map_or(len, |h| h.min(len));
+    RevocationIssuance {
+        first_number: idx as u64 + 1,
+        serials: tree.log().range(idx, len),
+        signed_root,
     }
 }
 
@@ -1466,17 +1471,11 @@ mod tests {
         let iss = ca.insert(&serials(1..30), &mut rng, T0 + 1).unwrap();
         ra.apply_issuance(&iss, T0 + 1).unwrap();
 
-        let saved = ra.serials_in_issuance_order();
+        let saved = ra.issuance_since(0).serials;
         assert_eq!(saved, iss.serials, "issuance order must be preserved");
 
-        let back = MirrorDictionary::restore(
-            ra.ca(),
-            ca.verifying_key(),
-            DELTA,
-            &saved,
-            *ra.signed_root(),
-        )
-        .expect("clean restore");
+        let back = MirrorDictionary::restore(ca.verifying_key(), DELTA, &saved, *ra.signed_root())
+            .expect("clean restore");
         assert_eq!(back.signed_root(), ra.signed_root());
         assert_eq!(back.consecutive_count(), ra.consecutive_count());
 
@@ -1484,7 +1483,7 @@ mod tests {
         let mut evil = saved.clone();
         evil[0] = SerialNumber::from_u24(999);
         assert_eq!(
-            MirrorDictionary::restore(ra.ca(), ca.verifying_key(), DELTA, &evil, *ra.signed_root())
+            MirrorDictionary::restore(ca.verifying_key(), DELTA, &evil, *ra.signed_root())
                 .unwrap_err(),
             UpdateError::RootMismatch
         );

@@ -165,10 +165,9 @@ fn edge_serials_sort_and_hash_as_recorded_before_the_serial_order_changed() {
     mirror.apply_issuance(&issuance, 1_001).unwrap();
     assert_eq!(mirror.signed_root().root.to_string(), EDGE_ROOT);
     let restored = MirrorDictionary::restore(
-        ca_id,
         ca.verifying_key(),
         10,
-        &mirror.serials_in_issuance_order(),
+        &mirror.issuance_since(0).serials,
         issuance.signed_root,
     )
     .unwrap();

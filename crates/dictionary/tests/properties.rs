@@ -645,7 +645,7 @@ proptest! {
         if expected.is_err() {
             prop_assert_eq!(mirror.len(), before.len());
             prop_assert_eq!(mirror.signed_root(), before.signed_root());
-            prop_assert_eq!(mirror.serials_in_issuance_order(), log.clone());
+            prop_assert_eq!(mirror.issuance_since(0).serials, log.clone());
             // A rotation over the old content is accepted only if the
             // tree's root is the old root again.
             let rotated = SignedRoot::create(
@@ -660,7 +660,7 @@ proptest! {
             prop_assert_eq!(probe.apply_refresh(&RefreshMessage::NewRoot(rotated), now), Ok(()));
         }
 
-        let restored = MirrorDictionary::restore(ca_id, ca.verifying_key(), DELTA, &all, signed_root);
+        let restored = MirrorDictionary::restore(ca.verifying_key(), DELTA, &all, signed_root);
         prop_assert_eq!(restored.map(|m| *m.signed_root()), expected.map(|()| signed_root));
 
         records.push(crafted);
@@ -729,7 +729,7 @@ proptest! {
 
     /// A mirror that rejects a validly signed batch whose serials do not
     /// match its root rolls the batch back out of its tree and its log:
-    /// `len()`, `root()` and `serials_in_issuance_order()` read as before,
+    /// `len()`, `root()` and `issuance_since(0).serials` read as before,
     /// a snapshot published before the batch proves every serial (and a
     /// few absent ones) byte-identically, and the genuine batch then
     /// applies.
@@ -751,7 +751,7 @@ proptest! {
 
         let snapshot = mirror.snapshot();
         let (len, root) = (mirror.len(), *mirror.signed_root());
-        let in_order = mirror.serials_in_issuance_order();
+        let in_order = mirror.issuance_since(0).serials;
         let mut probes = in_order.clone();
         probes.extend(forged.serials.iter().chain(&genuine.serials).copied());
         probes.push(SerialNumber::from_u24(0));
@@ -764,7 +764,7 @@ proptest! {
         );
         prop_assert_eq!(mirror.len(), len);
         prop_assert_eq!(mirror.signed_root().root, root.root);
-        prop_assert_eq!(mirror.serials_in_issuance_order(), in_order.clone());
+        prop_assert_eq!(mirror.issuance_since(0).serials, in_order.clone());
         // The mirror's own paths, hence its tree's root, are the old ones.
         for (s, proof) in probes.iter().zip(&proofs) {
             prop_assert_eq!(&snapshot.proof(s).to_bytes(), proof, "snapshot proof of {:?}", s);
@@ -774,7 +774,7 @@ proptest! {
         mirror.apply_issuance(&genuine, T0 + 100).unwrap();
         let mut grown = in_order;
         grown.extend(&genuine.serials);
-        prop_assert_eq!(mirror.serials_in_issuance_order(), grown);
+        prop_assert_eq!(mirror.issuance_since(0).serials, grown);
         for (s, proof) in probes.iter().zip(&proofs) {
             prop_assert_eq!(&snapshot.proof(s).to_bytes(), proof);
         }

@@ -41,9 +41,9 @@ pub enum ProtoError {
     Internal,
     /// The response was built but could not be framed: its encoding is
     /// `len` bytes against the framing cap `max`
-    /// ([`crate::MAX_FRAME_LEN`]). The observable trigger for chunked
-    /// catch-up — an RA seeing this on a `CatchUp` knows the gap itself is
-    /// the problem, not the origin.
+    /// ([`crate::MAX_FRAME_LEN`]). Catch-up pages are clamped to fit, so
+    /// this names a server that built an unframeable reply, not a gap too
+    /// large to close.
     ResponseTooLarge {
         /// Encoded size the response would have had.
         len: u64,

@@ -15,8 +15,8 @@
 //!
 //! A **v2** frame spawns its own handler task: replies are written back
 //! tagged with the request's id as each handler finishes, so one slow
-//! `CatchUp` does not head-of-line block the `GetStatus` requests behind
-//! it on the same connection. [`EventTransport`] speaks only v2 and
+//! `CatchUpPaged` page does not head-of-line block the `GetStatus` requests
+//! behind it on the same connection. [`EventTransport`] speaks only v2 and
 //! correlates replies by id. Every other frame — v1, an unknown version,
 //! or a v2 header too short to carry an id — is answered inline and in
 //! request order through [`Service::serve_envelope`], the same choke point

@@ -52,16 +52,14 @@ pub const MIN_SUPPORTED_VERSION: u8 = 1;
 pub const MAX_SUPPORTED_VERSION: u8 = PROTOCOL_V2;
 
 /// Upper bound on one frame body. Generous enough for a full catch-up
-/// bundle (a million 20-byte serials), small enough that a hostile length
-/// prefix cannot drive an allocation into the gigabytes.
+/// page ([`MAX_PAGE_LIMIT`] serials of up to 20 bytes each), small enough
+/// that a hostile length prefix cannot drive an allocation into the
+/// gigabytes.
 ///
 /// A response that would exceed this cap degrades to a typed
 /// [`ProtoError::ResponseTooLarge`] (carrying the would-be size and this
-/// cap) at the service choke point; an RA whose catch-up gap encodes past
-/// it (≥ ~1.5M serials missed in one Δ) cannot converge through `CatchUp`
-/// alone — chunked catch-up with historical roots is a recorded future
-/// protocol extension (see ROADMAP), and this error is its observable
-/// trigger.
+/// cap) at the service choke point. Catch-up never reaches it: a gap of
+/// any size is served as `CatchUpPaged` pages that each fit.
 pub const MAX_FRAME_LEN: usize = 1 << 25;
 
 /// Upper bound servers clamp a paged catch-up `limit` to. Serials encode
@@ -78,13 +76,13 @@ pub const MAX_CHAIN_LEN: usize = 254;
 
 const REQ_FETCH_DELTA: u8 = 0x01;
 const REQ_FETCH_FRESHNESS: u8 = 0x02;
-const REQ_CATCH_UP: u8 = 0x03;
 const REQ_GET_STATUS: u8 = 0x04;
 const REQ_GET_MULTI_STATUS: u8 = 0x05;
 const REQ_GET_SIGNED_ROOT: u8 = 0x06;
 const REQ_GET_MANIFEST: u8 = 0x07;
 const REQ_CATCH_UP_PAGED: u8 = 0x08;
-// 0x09 (`GossipRoots`) and 0x89 (`GossipAck`) are retired: never reuse them.
+// Retired, never reuse: 0x03 (the unpaged `CatchUp`), 0x09 (`GossipRoots`)
+// and 0x89 (`GossipAck`). They decode as unknown kinds.
 
 const RESP_DELTA: u8 = 0x81;
 const RESP_FRESHNESS: u8 = 0x82;
@@ -109,14 +107,6 @@ pub enum RitmRequest {
     FetchFreshness {
         /// CA whose statement is pulled.
         ca: CaId,
-    },
-    /// The §III catch-up request of a desynchronized RA holding `have`
-    /// consecutive revocations.
-    CatchUp {
-        /// CA to catch up on.
-        ca: CaId,
-        /// Consecutive revocations the requester already holds.
-        have: u64,
     },
     /// One certificate's full revocation status (proof + root + freshness).
     GetStatus {
@@ -143,13 +133,11 @@ pub enum RitmRequest {
         /// CA whose manifest is requested.
         ca: CaId,
     },
-    /// The paged form of [`CatchUp`](RitmRequest::CatchUp): at most `limit`
-    /// serials per reply, so any gap — even one whose full bundle would
-    /// blow past [`MAX_FRAME_LEN`] — converges in bounded pages, each
-    /// anchored to a historical signed root. Servers predating this kind
-    /// answer `Malformed` ("unknown request kind"), which a client treats
-    /// as "fall back to the unpaged form" — old servers keep answering the
-    /// unpaged request byte-identically.
+    /// The §III catch-up request of a desynchronized RA holding `have`
+    /// consecutive revocations, paged: at most `limit` serials per reply,
+    /// so any gap — even one whose full bundle would blow past
+    /// [`MAX_FRAME_LEN`] — converges in bounded pages, each anchored to a
+    /// historical signed root.
     CatchUpPaged {
         /// CA to catch up on.
         ca: CaId,
@@ -165,7 +153,7 @@ pub enum RitmRequest {
 /// else is the success payload for the matching request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RitmResponse {
-    /// An issuance bundle (answers `FetchDelta` and `CatchUp`).
+    /// An issuance bundle (answers `FetchDelta`).
     Delta(RevocationIssuance),
     /// A freshness statement or rotated root (answers `FetchFreshness`).
     Freshness(RefreshMessage),
@@ -214,7 +202,6 @@ impl RitmRequest {
         match self {
             RitmRequest::FetchDelta { .. } => "fetch_delta",
             RitmRequest::FetchFreshness { .. } => "fetch_freshness",
-            RitmRequest::CatchUp { .. } => "catch_up",
             RitmRequest::GetStatus { .. } => "get_status",
             RitmRequest::GetMultiStatus { .. } => "get_multi_status",
             RitmRequest::GetSignedRoot { .. } => "get_signed_root",
@@ -231,7 +218,6 @@ impl RitmRequest {
             | RitmRequest::FetchFreshness { .. }
             | RitmRequest::GetSignedRoot { .. }
             | RitmRequest::GetManifest { .. } => 8,
-            RitmRequest::CatchUp { .. } => 16,
             RitmRequest::CatchUpPaged { .. } => 20,
             RitmRequest::GetStatus { serial, .. } => 8 + 1 + serial.len(),
             RitmRequest::GetMultiStatus { chain, .. } => {
@@ -258,11 +244,6 @@ impl RitmRequest {
             RitmRequest::FetchFreshness { ca } => {
                 w.u8(REQ_FETCH_FRESHNESS);
                 encode_ca(w, ca);
-            }
-            RitmRequest::CatchUp { ca, have } => {
-                w.u8(REQ_CATCH_UP);
-                encode_ca(w, ca);
-                w.u64(*have);
             }
             RitmRequest::GetStatus { ca, serial } => {
                 w.u8(REQ_GET_STATUS);
@@ -375,10 +356,6 @@ impl RitmRequest {
         let req = match r.u8("request kind")? {
             REQ_FETCH_DELTA => RitmRequest::FetchDelta { ca: decode_ca(r)? },
             REQ_FETCH_FRESHNESS => RitmRequest::FetchFreshness { ca: decode_ca(r)? },
-            REQ_CATCH_UP => RitmRequest::CatchUp {
-                ca: decode_ca(r)?,
-                have: r.u64("catch-up have")?,
-            },
             REQ_GET_STATUS => RitmRequest::GetStatus {
                 ca: decode_ca(r)?,
                 serial: decode_serial(r)?,
@@ -781,25 +758,20 @@ mod tests {
 
     #[test]
     fn retired_gossip_kinds_are_unknown_kinds() {
-        // A well-formed v2 gossip exchange as the retired 0x09/0x89 kinds
-        // framed it (an empty root vector): both directions must now fail
-        // as unknown kinds at the kind byte, right after the 4-byte id.
-        let mut w = Writer::new();
-        w.u8(PROTOCOL_V2);
-        w.u32(7);
-        w.u8(0x09);
-        w.u16(0);
-        assert_eq!(
-            RitmRequest::decode_body(w.as_bytes()),
-            Err(ProtoError::Malformed { offset: 5 })
-        );
-
-        let mut w = Writer::new();
-        w.u8(PROTOCOL_V2);
-        w.u32(7);
-        w.u8(0x89);
-        w.u16(0);
-        match RitmResponse::decode_body(w.as_bytes()) {
+        // Well-formed v2 bodies as the retired kinds framed them — the
+        // unpaged catch-up request 0x03 (ca ‖ have), and the gossip request
+        // 0x09 and reply 0x89 (an empty root vector) — must now fail as
+        // unknown kinds at the kind byte, right after the 4-byte id.
+        let mut catch_up = vec![PROTOCOL_V2, 0, 0, 0, 7, 0x03];
+        catch_up.extend_from_slice(&[7; 16]);
+        for body in [catch_up, vec![PROTOCOL_V2, 0, 0, 0, 7, 0x09, 0, 0]] {
+            assert_eq!(
+                RitmRequest::decode_body(&body),
+                Err(ProtoError::Malformed { offset: 5 })
+            );
+        }
+        let gossip_ack = [PROTOCOL_V2, 0, 0, 0, 7, 0x89, 0, 0];
+        match RitmResponse::decode_body(&gossip_ack) {
             Err(TransportError::BadResponse(e)) => {
                 assert_eq!((e.context, e.offset), ("unknown response kind", 5));
             }
@@ -847,7 +819,7 @@ mod tests {
     }
 
     #[test]
-    fn paged_catch_up_roundtrips_and_unpaged_frame_is_unchanged() {
+    fn paged_catch_up_roundtrips() {
         let req = RitmRequest::CatchUpPaged {
             ca: CaId::from_name("PageCA"),
             have: 123_456,
@@ -857,17 +829,6 @@ mod tests {
         assert_eq!(frame.len(), 4 + req.encoded_len());
         let (body, _) = split_frame(&frame).unwrap();
         assert_eq!(RitmRequest::decode_body(body).unwrap(), req);
-
-        // The unpaged request an old server answers must remain
-        // byte-identical: version ‖ kind=0x03 ‖ ca ‖ have.
-        let unpaged = RitmRequest::CatchUp {
-            ca: CaId::from_name("PageCA"),
-            have: 123_456,
-        };
-        let uframe = unpaged.to_frame();
-        let (ubody, _) = split_frame(&uframe).unwrap();
-        assert_eq!(ubody[1], 0x03);
-        assert_eq!(ubody.len(), 18);
     }
 
     #[test]

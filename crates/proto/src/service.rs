@@ -56,11 +56,9 @@ pub trait Service: Send + Sync {
             Ok(req) => self.handle(req),
             Err(e) => RitmResponse::Error(e),
         };
-        // A response the framing layer could never deliver (e.g. a
-        // catch-up bundle past MAX_FRAME_LEN) must degrade to a typed
-        // error, not an unparseable frame on the peer's side. The error
-        // names both sizes so the client can tell "shrink your ask"
-        // (chunked catch-up) apart from a generic server fault.
+        // A response the framing layer could never deliver (anything past
+        // MAX_FRAME_LEN) must degrade to a typed error, not an unparseable
+        // frame on the peer's side. The error names both sizes.
         let overhead = if env.reply_version >= PROTOCOL_V2 {
             4
         } else {
@@ -236,19 +234,24 @@ mod tests {
 
     #[test]
     fn retired_gossip_kind_gets_a_malformed_reply() {
-        // A v2 frame of the retired 0x09 kind (an empty root vector):
-        // answered `Malformed` in the peer's envelope, never handed on.
-        let frame = [0, 0, 0, 8, PROTOCOL_V2, 0, 0, 0, 42, 0x09, 0, 0];
-        let resp_frame = Stub.handle_frame(&frame);
-        let (body, _) = split_frame(&resp_frame).unwrap();
-        assert_eq!(
-            RitmResponse::decode_envelope(body).unwrap(),
-            (
-                PROTOCOL_V2,
-                42,
-                RitmResponse::Error(ProtoError::Malformed { offset: 5 })
-            )
-        );
+        // v2 frames of the retired kinds — 0x09 with an empty root vector,
+        // and the unpaged catch-up 0x03 (ca ‖ have) — are answered
+        // `Malformed` in the peer's envelope, never handed on.
+        let gossip = vec![0, 0, 0, 8, PROTOCOL_V2, 0, 0, 0, 42, 0x09, 0, 0];
+        let mut catch_up = vec![0, 0, 0, 22, PROTOCOL_V2, 0, 0, 0, 42, 0x03];
+        catch_up.extend_from_slice(&[7; 16]);
+        for frame in [gossip, catch_up] {
+            let resp_frame = Stub.handle_frame(&frame);
+            let (body, _) = split_frame(&resp_frame).unwrap();
+            assert_eq!(
+                RitmResponse::decode_envelope(body).unwrap(),
+                (
+                    PROTOCOL_V2,
+                    42,
+                    RitmResponse::Error(ProtoError::Malformed { offset: 5 })
+                )
+            );
+        }
     }
 
     #[test]

@@ -40,10 +40,6 @@ pub fn requests(rng: &mut StdRng) -> Vec<RitmRequest> {
         RitmRequest::FetchFreshness {
             ca: arbitrary_ca(rng),
         },
-        RitmRequest::CatchUp {
-            ca: arbitrary_ca(rng),
-            have: rng.gen(),
-        },
         RitmRequest::CatchUpPaged {
             ca: arbitrary_ca(rng),
             have: rng.gen(),

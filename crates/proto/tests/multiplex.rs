@@ -1,6 +1,6 @@
 //! Acceptance for the v2 multiplexed event stack: v2↔v2 multiplexes with
 //! ids echoed, a v1 reply fails the whole flight and poisons the client,
-//! out-of-order completion (a slow `CatchUp` no longer head-of-line blocks
+//! out-of-order completion (a slow `CatchUpPaged` no longer head-of-line blocks
 //! the `GetStatus` requests behind it), connection-count backpressure (the
 //! acceptor pauses at the cap and resumes as connections close), the
 //! keepalive reaper (idle connections are dropped with a typed goodbye;
@@ -106,7 +106,7 @@ fn v1_reply_fails_the_whole_flight_and_poisons_the_transport() {
 
 const FAST_REQUESTS: u64 = 8;
 
-/// `CatchUp` stalls until every `GetStatus` behind it has been served —
+/// `CatchUpPaged` stalls until every `GetStatus` behind it has been served —
 /// which can only happen if the server completes requests out of order.
 struct GatedCatchUp {
     fast_served: AtomicU64,
@@ -115,7 +115,7 @@ struct GatedCatchUp {
 impl Service for GatedCatchUp {
     fn handle(&self, req: RitmRequest) -> RitmResponse {
         match req {
-            RitmRequest::CatchUp { .. } => {
+            RitmRequest::CatchUpPaged { .. } => {
                 let start = Instant::now();
                 while self.fast_served.load(Ordering::SeqCst) < FAST_REQUESTS {
                     if start.elapsed() > Duration::from_secs(10) {
@@ -145,20 +145,24 @@ fn slow_catch_up_does_not_head_of_line_block_statuses() {
     let ca = CaId::from_name("HolCA");
     // The slow request goes FIRST on the wire; the fast ones ride behind
     // it on the same connection.
-    let mut reqs = vec![RitmRequest::CatchUp { ca, have: 0 }];
+    let mut reqs = vec![RitmRequest::CatchUpPaged {
+        ca,
+        have: 0,
+        limit: 64,
+    }];
     reqs.extend((0..FAST_REQUESTS).map(|i| RitmRequest::GetStatus {
         ca,
         serial: SerialNumber::from_u24(i as u32),
     }));
     let results = t.round_trip_many(&reqs);
     assert_eq!(results.len(), reqs.len());
-    // The gate opened: the statuses were all served while CatchUp waited,
+    // The gate opened: the statuses were all served while the page waited,
     // which is exactly out-of-order completion (in-order serving would
     // have answered Busy after the 10s deadline).
     assert_eq!(
         results[0].as_ref().expect("catch-up completes").response,
         RitmResponse::Error(ProtoError::NotFound),
-        "CatchUp must observe every status served before it finished"
+        "CatchUpPaged must observe every status served before it finished"
     );
     for r in &results[1..] {
         assert_eq!(

@@ -6,12 +6,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ritm::agent::{
     ConsistencyMonitor, FlowTable, InterceptConfig, RaConfig, RevocationAgent, StatusPayload,
+    StatusService,
 };
-use ritm::ca::{EquivocatingCa, View};
+use ritm::ca::{CaService, EquivocatingCa, View};
+use ritm::cdn::{EdgeService, Region};
 use ritm::client::AbortReason;
 use ritm::core::{ConnectionOptions, DeploymentModel, RitmWorld};
 use ritm::crypto::SigningKey;
 use ritm::dictionary::{CaDictionary, CaId, SerialNumber};
+use ritm::proto::{split_frame, ProtoError, RequestEnvelope, RitmResponse, Service, PROTOCOL_V2};
+use std::sync::{Arc, Mutex};
 
 const T0: u64 = 1_397_000_000;
 const DELTA: u64 = 10;
@@ -176,4 +180,27 @@ fn non_ritm_traffic_is_untouched_by_attacked_paths() {
     }
     assert_eq!(lane.stats().flows_bypassed, 1);
     assert_eq!(lane.stats().statuses_injected, 0);
+}
+
+#[test]
+fn retired_catch_up_kind_is_malformed_at_every_service() {
+    // The unpaged catch-up (kind 0x03) is retired: a well-formed v2 frame
+    // of it (ca ‖ have) is an unknown kind to the RA, the CA and the CDN
+    // edge alike, answered `Malformed` in the peer's envelope.
+    let w = RitmWorld::new(34, DELTA, DeploymentModel::CloseToClients);
+    let mut body = vec![PROTOCOL_V2, 0, 0, 0, 42, 0x03];
+    body.extend_from_slice(&w.ca.id().0);
+    body.extend_from_slice(&0u64.to_be_bytes());
+    let services: [Box<dyn Service>; 3] = [
+        Box::new(StatusService::new(w.ra.status_server())),
+        Box::new(CaService::new(Arc::new(Mutex::new(w.ca)))),
+        Box::new(EdgeService::new(w.cdn, Region::Europe, 7)),
+    ];
+    for svc in &services {
+        let frame = svc.serve_envelope(RequestEnvelope::decode(&body)).to_vec();
+        let (reply, _) = split_frame(&frame).unwrap();
+        let malformed = RitmResponse::Error(ProtoError::Malformed { offset: 5 });
+        let reply = RitmResponse::decode_envelope(reply).unwrap();
+        assert_eq!(reply, (PROTOCOL_V2, 42, malformed));
+    }
 }
