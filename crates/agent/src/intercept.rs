@@ -419,10 +419,8 @@ impl FlowTable {
 
     /// Reaps every flow idle for at least `idle_timeout` seconds —
     /// half-open handshakes that never completed included — returning how
-    /// many were evicted. Runs automatically when admission hits
-    /// `max_flows`; call it periodically to bound memory between
-    /// admissions too.
-    pub fn reap(&mut self, now: SimTime) -> usize {
+    /// many were evicted. Runs when admission hits `max_flows`.
+    fn reap(&mut self, now: SimTime) -> usize {
         let mut evicted = 0;
         while let Some(oldest) = self.by_last_seen.first_entry() {
             if now.as_secs().saturating_sub(oldest.key().0) < self.config.idle_timeout {

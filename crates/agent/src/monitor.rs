@@ -94,8 +94,8 @@ impl ConsistencyMonitor {
 /// A point-in-time operational snapshot of one RA: the hit/miss statistics
 /// of both encoded-response caches (`GetStatus` and
 /// single-CA `GetMultiStatus` bodies). This is what an operator dashboard
-/// (or the bench harness) scrapes to see whether hot requests are actually
-/// answered from cached bytes.
+/// scrapes to see whether hot requests are actually answered from cached
+/// bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RaHealthReport {
     /// CAs currently mirrored.
@@ -105,18 +105,6 @@ pub struct RaHealthReport {
     pub encoded_cache: CacheStats,
     /// Counters of the encoded single-CA `GetMultiStatus` response cache.
     pub encoded_multi_cache: CacheStats,
-}
-
-impl RaHealthReport {
-    /// Encoded `GetStatus` cache hit fraction in `[0, 1]`.
-    pub fn encoded_hit_rate(&self) -> f64 {
-        self.encoded_cache.hit_rate()
-    }
-
-    /// Encoded `GetMultiStatus` cache hit fraction in `[0, 1]`.
-    pub fn encoded_multi_hit_rate(&self) -> f64 {
-        self.encoded_multi_cache.hit_rate()
-    }
 }
 
 impl RevocationAgent {
@@ -236,8 +224,8 @@ mod tests {
         let (single, multi) = (health.encoded_cache, health.encoded_multi_cache);
         assert_eq!((single.hits, single.misses), (1, 1));
         assert_eq!((multi.hits, multi.misses), (1, 1));
-        assert!((health.encoded_hit_rate() - 0.5).abs() < 1e-9);
-        assert!((health.encoded_multi_hit_rate() - 0.5).abs() < 1e-9);
+        assert!((single.hit_rate() - 0.5).abs() < 1e-9);
+        assert!((multi.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

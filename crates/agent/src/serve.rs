@@ -129,11 +129,6 @@ impl StatusServer {
         self.cells.read().get(ca).cloned()
     }
 
-    /// CAs currently published.
-    pub fn ca_count(&self) -> usize {
-        self.cells.read().len()
-    }
-
     /// Counter snapshot of the encoded single-status response cache.
     pub fn encoded_cache_stats(&self) -> CacheStats {
         self.encoded.stats()

@@ -36,7 +36,8 @@ impl Deployment {
 
     /// Sanity predicate from the table caption: `nca ≪ nra < ns ≪ ncl` is
     /// relaxed here to the orderings that the formulas rely on.
-    pub fn is_plausible(&self) -> bool {
+    #[cfg(test)]
+    fn is_plausible(&self) -> bool {
         self.cas < self.ras && self.cas < self.servers && self.servers < self.clients
     }
 }

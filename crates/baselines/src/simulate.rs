@@ -110,7 +110,8 @@ impl SchemeParams {
     /// Extra bytes a client must download *during connection establishment*
     /// to learn the revocation status (0 when the scheme pushes data out of
     /// band or staples it).
-    pub fn handshake_extra_bytes(&self, crl_entry_bytes: u64) -> u64 {
+    #[cfg(test)]
+    fn handshake_extra_bytes(&self, crl_entry_bytes: u64) -> u64 {
         match *self {
             SchemeParams::Crl { entries, .. } => entries * crl_entry_bytes,
             // One OCSP response.

@@ -93,14 +93,6 @@ pub fn bytes_per_pull(revocations: u64) -> u64 {
     }
 }
 
-/// Per-RA download volume over a window, given per-period revocation counts.
-pub fn bytes_per_window(per_period_revocations: &[u64]) -> u64 {
-    per_period_revocations
-        .iter()
-        .map(|&r| bytes_per_pull(r))
-        .sum()
-}
-
 /// Splits a bin series into consecutive 30-day billing cycles starting at
 /// the series start, returning the total revocations per cycle.
 pub fn billing_cycles(series: &[Bin], cycles: usize) -> Vec<u64> {

@@ -15,12 +15,17 @@
 //!
 //! where the payload is a serialized
 //! [`RevocationIssuance`]. A crash
-//! mid-append leaves a torn tail: a record whose header or payload is
-//! incomplete, or whose CRC does not match. Recovery parses the longest
-//! clean prefix, truncates the file back to it, and continues from there —
-//! the paper's signed-root verification chain makes anything past the last
-//! fully-written record unrecoverable anyway (its root was never
-//! disseminated).
+//! mid-append leaves a torn tail: a last record whose header or payload is
+//! incomplete. Recovery parses the longest clean prefix, truncates the file
+//! back to it, and continues from there — the paper's signed-root
+//! verification chain makes anything past the last fully-written record
+//! unrecoverable anyway (its root was never disseminated).
+//!
+//! A complete record whose CRC or decoding fails is corruption, not a
+//! crash: good records may follow it. [`IssuanceLog::open`] then reports
+//! [`TailState::Corrupt`] with the prefix before it, leaves the file byte
+//! for byte as it found it, and returns a log whose
+//! [`append`](IssuanceLog::append) refuses to write.
 
 use ritm_dictionary::RevocationIssuance;
 use std::fs::{File, OpenOptions};
@@ -36,16 +41,17 @@ const HEADER_LEN: usize = 8;
 
 pub use ritm_crypto::crc32::crc32;
 
-/// Why a log prefix ended (torn tail taxonomy; all of them truncate).
+/// Why a log prefix ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TailState {
     /// The file ends exactly at a record boundary.
     Clean,
     /// The last record's length/CRC header or payload is incomplete — the
-    /// classic crash-mid-append shape.
+    /// classic crash-mid-append shape. [`IssuanceLog::open`] truncates it.
     Torn,
     /// A complete record whose CRC or payload decoding failed — bit rot or
-    /// a forged log; everything from it on is discarded.
+    /// a forged log. The scan stops there; [`IssuanceLog::open`] keeps the
+    /// file as it is and refuses appends.
     Corrupt,
 }
 
@@ -55,7 +61,7 @@ pub enum TailState {
 pub struct LogScan {
     /// Every fully-verified record, in append order.
     pub records: Vec<RevocationIssuance>,
-    /// Bytes of the clean prefix; recovery truncates the file to this.
+    /// Bytes of the clean prefix; a torn file is truncated to this.
     pub good_len: u64,
     /// How the scan ended.
     pub tail: TailState,
@@ -137,12 +143,18 @@ pub fn encode_record(issuance: &RevocationIssuance) -> Vec<u8> {
 pub struct IssuanceLog {
     path: PathBuf,
     file: File,
+    /// `open` found a corrupt record: appending after the clean prefix
+    /// would overwrite whatever follows it.
+    corrupt: bool,
 }
 
 impl IssuanceLog {
-    /// Opens (creating if absent) the log at `path`, scans it, truncates
-    /// any torn or corrupt tail, and returns the log handle positioned for
-    /// appending plus the scan result.
+    /// Opens (creating if absent) the log at `path`, scans it, truncates a
+    /// torn tail, and returns the log handle positioned for appending plus
+    /// the scan result. A [`TailState::Corrupt`] scan leaves the file
+    /// untouched, and the returned log's [`append`](IssuanceLog::append)
+    /// fails: the caller decides what to do with the records after the
+    /// corrupt one.
     ///
     /// # Errors
     ///
@@ -158,11 +170,19 @@ impl IssuanceLog {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
         let scan = decode_records(&bytes);
-        if scan.good_len < bytes.len() as u64 {
+        if scan.tail == TailState::Torn {
             file.set_len(scan.good_len)?;
         }
         file.seek(SeekFrom::Start(scan.good_len))?;
-        Ok((IssuanceLog { path, file }, scan))
+        let corrupt = scan.tail == TailState::Corrupt;
+        Ok((
+            IssuanceLog {
+                path,
+                file,
+                corrupt,
+            },
+            scan,
+        ))
     }
 
     /// Appends one issuance record and flushes it to stable storage. Called
@@ -172,8 +192,16 @@ impl IssuanceLog {
     /// # Errors
     ///
     /// Propagates I/O errors; on error the file may hold a torn tail,
-    /// which the next [`IssuanceLog::open`] truncates away.
+    /// which the next [`IssuanceLog::open`] truncates away. Fails with
+    /// [`std::io::ErrorKind::InvalidData`], writing nothing, on a log that
+    /// `open` found corrupt.
     pub fn append(&mut self, issuance: &RevocationIssuance) -> std::io::Result<()> {
+        if self.corrupt {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "issuance log has a corrupt record; refusing to append after it",
+            ));
+        }
         self.file.write_all(&encode_record(issuance))?;
         self.file.sync_data()
     }
@@ -302,6 +330,33 @@ mod tests {
         let (_, scan) = IssuanceLog::open(&path).unwrap();
         assert_eq!(scan.records.len(), 3);
         assert_eq!(scan.tail, TailState::Clean);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn open_keeps_a_corrupt_file_and_refuses_appends() {
+        let path = temp_path("corrupt");
+        let _ = std::fs::remove_file(&path);
+        let records = sample_records(3);
+        {
+            let (mut log, _) = IssuanceLog::open(&path).unwrap();
+            for r in &records {
+                log.append(r).unwrap();
+            }
+        }
+        // Bit rot in the middle record: the last one is still good.
+        let mut image = std::fs::read(&path).unwrap();
+        let first = encode_record(&records[0]).len();
+        image[first + HEADER_LEN + 2] ^= 0x40;
+        std::fs::write(&path, &image).unwrap();
+
+        let (mut log, scan) = IssuanceLog::open(&path).unwrap();
+        assert_eq!(scan.records, records[..1]);
+        assert_eq!(scan.tail, TailState::Corrupt);
+        let err = log.append(&records[1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        drop(log);
+        assert_eq!(std::fs::read(&path).unwrap(), image, "file left as found");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -44,6 +44,14 @@ pub enum PublishError {
     UnknownCa,
     /// The signed root in the message did not verify.
     BadSignature,
+    /// A validly signed batch that does not continue the CA's published
+    /// log: its first revocation number is not the next one.
+    OutOfOrder {
+        /// The revocation number the next batch must start at.
+        expected: u64,
+        /// The number this batch starts at.
+        got: u64,
+    },
 }
 
 impl core::fmt::Display for PublishError {
@@ -51,6 +59,10 @@ impl core::fmt::Display for PublishError {
         match self {
             PublishError::UnknownCa => f.write_str("CA not registered at distribution point"),
             PublishError::BadSignature => f.write_str("issuance signature rejected by origin"),
+            PublishError::OutOfOrder { expected, got } => write!(
+                f,
+                "issuance batch starts at revocation {got}, origin expected {expected}"
+            ),
         }
     }
 }
@@ -108,10 +120,14 @@ impl Origin {
             .verify(key)
             .map_err(|_| PublishError::BadSignature)?;
         let log = self.logs.entry(ca).or_default();
-        if issuance.first_number != log.len() as u64 + 1 {
+        let expected = log.len() as u64 + 1;
+        if issuance.first_number != expected {
             // A CA must publish batches in order; anything else is a bug or
             // an equivocation attempt and is refused.
-            return Err(PublishError::BadSignature);
+            return Err(PublishError::OutOfOrder {
+                expected,
+                got: issuance.first_number,
+            });
         }
         log.extend(&issuance.serials);
         self.boundary_roots
@@ -239,7 +255,8 @@ impl Origin {
     }
 
     /// Number of stored objects.
-    pub fn object_count(&self) -> usize {
+    #[cfg(test)]
+    fn object_count(&self) -> usize {
         self.content.len()
     }
 }
@@ -315,6 +332,34 @@ mod tests {
             origin.publish_issuance(ca.ca(), &iss),
             Err(PublishError::BadSignature)
         );
+    }
+
+    #[test]
+    fn out_of_order_batch_is_not_a_forgery() {
+        let (mut ca, mut rng) = ca_dict();
+        let mut origin = Origin::new();
+        origin.register_ca(ca.ca(), ca.verifying_key());
+        let first = ca
+            .insert(&[SerialNumber::from_u24(5)], &mut rng, 1_001)
+            .unwrap();
+        let second = ca
+            .insert(&[SerialNumber::from_u24(6)], &mut rng, 1_002)
+            .unwrap();
+        let err = origin.publish_issuance(ca.ca(), &second).unwrap_err();
+        assert_eq!(
+            err,
+            PublishError::OutOfOrder {
+                expected: 1,
+                got: 2
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "issuance batch starts at revocation 2, origin expected 1"
+        );
+        // Nothing was stored, so the batches still publish in order.
+        origin.publish_issuance(ca.ca(), &first).unwrap();
+        origin.publish_issuance(ca.ca(), &second).unwrap();
     }
 
     #[test]

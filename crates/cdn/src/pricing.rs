@@ -31,7 +31,8 @@ impl TrafficLedger {
 
     /// Records `count` identical downloads at once (the aggregated fast path
     /// for the 230-million-RA cost simulations).
-    pub fn record_bulk(&mut self, region: Region, bytes_each: u64, count: u64) {
+    #[cfg(test)]
+    fn record_bulk(&mut self, region: Region, bytes_each: u64, count: u64) {
         *self.bytes.entry(region).or_default() += bytes_each * count;
         *self.requests.entry(region).or_default() += count;
     }
@@ -60,13 +61,15 @@ impl TrafficLedger {
     }
 
     /// The per-request portion of the bill in USD.
-    pub fn request_cost_usd(&self) -> f64 {
+    #[cfg(test)]
+    fn request_cost_usd(&self) -> f64 {
         self.total_requests() as f64 * REQUEST_FEE_USD
     }
 
     /// The full bill. The paper's Fig. 6 counts bandwidth only (request
     /// fees are a separate line item), so both parts are exposed.
-    pub fn total_cost_usd(&self, include_request_fees: bool) -> f64 {
+    #[cfg(test)]
+    fn total_cost_usd(&self, include_request_fees: bool) -> f64 {
         let mut c = self.bandwidth_cost_usd();
         if include_request_fees {
             c += self.request_cost_usd();

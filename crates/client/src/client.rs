@@ -182,16 +182,6 @@ impl RitmClient {
         self.established && self.aborted.is_none()
     }
 
-    /// Why the client aborted, if it did.
-    pub fn abort_reason(&self) -> Option<&AbortReason> {
-        self.aborted.as_ref()
-    }
-
-    /// The certificate identities of the current connection.
-    pub fn chain_identities(&self) -> &[(CaId, SerialNumber)] {
-        &self.chain
-    }
-
     /// The per-CA newest-accepted-epoch record — carry it into the next
     /// connection via [`RitmClient::with_root_tracker`] for
     /// cross-connection replay protection.
@@ -205,7 +195,8 @@ impl RitmClient {
     }
 
     /// Seconds since the last accepted status, if any.
-    pub fn status_age(&self, now: u64) -> Option<u64> {
+    #[cfg(test)]
+    fn status_age(&self, now: u64) -> Option<u64> {
         self.last_valid.map(|t| now.saturating_sub(t))
     }
 

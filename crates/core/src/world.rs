@@ -6,7 +6,7 @@ use crate::deployment::DeploymentModel;
 use crate::nodes::{ClientNode, ServerNode, CLIENT_TICK_TIMER, SERVER_SEND_BASE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ritm_agent::{FlowTable, InterceptConfig, RaConfig, RaHealthReport, RevocationAgent};
+use ritm_agent::{FlowTable, InterceptConfig, RaConfig, RevocationAgent};
 use ritm_ca::CertificationAuthority;
 use ritm_cdn::network::Cdn;
 use ritm_cdn::service::EdgeService;
@@ -187,18 +187,13 @@ impl RitmWorld {
 
     /// The CA dictionary's current content epoch (every revocation batch
     /// advances it).
-    pub fn dictionary_epoch(&self) -> u64 {
+    #[cfg(test)]
+    fn dictionary_epoch(&self) -> u64 {
         self.ca.dictionary().epoch()
     }
 
-    /// Operational snapshot of the shared RA, including encoded-cache
-    /// hit/miss counters.
-    pub fn ra_health(&self) -> RaHealthReport {
-        self.ra.health_report()
-    }
-
     /// CA publishes its current refresh and the RA pulls (one Δ cycle).
-    pub fn refresh_and_sync(&mut self) {
+    fn refresh_and_sync(&mut self) {
         self.ca
             .refresh(&mut self.cdn, &mut self.rng, self.now)
             .expect("origin accepts refresh");
@@ -230,7 +225,8 @@ impl RitmWorld {
     /// # Errors
     ///
     /// Propagates socket bind failures.
-    pub fn serve_statuses_event(&self) -> std::io::Result<ritm_proto::EventServer> {
+    #[cfg(test)]
+    fn serve_statuses_event(&self) -> std::io::Result<ritm_proto::EventServer> {
         let service = ritm_agent::StatusService::new(self.ra.status_server());
         ritm_proto::EventServer::spawn(Arc::new(service), 2)
     }
@@ -245,7 +241,8 @@ impl RitmWorld {
     /// # Errors
     ///
     /// Propagates socket bind failures.
-    pub fn serve_statuses_event_on(
+    #[cfg(test)]
+    fn serve_statuses_event_on(
         &self,
         handle: &ritm_rt::Handle,
     ) -> std::io::Result<ritm_proto::EventServer> {
@@ -278,7 +275,7 @@ impl RitmWorld {
     /// Revokes a certificate at the CA/CDN only; RAs learn of it at their
     /// next periodic pull — the realistic mid-period case that makes the
     /// attack window 2Δ rather than Δ.
-    pub fn publish_revocation(&mut self, serial: SerialNumber) {
+    fn publish_revocation(&mut self, serial: SerialNumber) {
         self.ca
             .revoke(&[serial], &mut self.cdn, &mut self.rng, self.now)
             .expect("serial was issued");

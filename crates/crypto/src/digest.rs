@@ -73,7 +73,8 @@ impl Digest20 {
     /// # Errors
     ///
     /// Returns [`hex::ParseHexError`] on malformed or wrong-length input.
-    pub fn from_hex(s: &str) -> Result<Self, hex::ParseHexError> {
+    #[cfg(test)]
+    fn from_hex(s: &str) -> Result<Self, hex::ParseHexError> {
         Ok(Digest20(hex::decode_array(s)?))
     }
 }

@@ -398,7 +398,7 @@ impl Point {
     }
 
     /// Affine coordinates `(x, y)`.
-    pub fn to_affine(&self) -> (Fe, Fe) {
+    fn to_affine(self) -> (Fe, Fe) {
         let zinv = self.z.invert();
         (self.x.mul(&zinv), self.y.mul(&zinv))
     }

@@ -33,9 +33,8 @@
 //! level, and a full chunk is never reallocated.
 //!
 //! Every slot materialized by a copy-on-write clone, extend, or truncation is
-//! counted in a thread-local tally ([`slots_materialized`]) so tests and
-//! benches can assert the O(b·log n + chunks) publish cost instead of
-//! trusting it.
+//! counted in a thread-local tally ([`slots_materialized`]) so tests can
+//! assert the O(b·log n + chunks) publish cost instead of trusting it.
 
 use std::cell::Cell;
 use std::sync::Arc;

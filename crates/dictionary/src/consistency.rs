@@ -135,11 +135,6 @@ impl RootObservatory {
         &self.proofs
     }
 
-    /// Number of distinct (CA, size) observations stored.
-    pub fn observed_count(&self) -> usize {
-        self.seen.len()
-    }
-
     /// The latest (largest-size) root observed for `ca`, if any.
     pub fn latest(&self, ca: CaId) -> Option<&SignedRoot> {
         self.seen

@@ -38,7 +38,7 @@ impl PresenceProof {
     }
 
     /// Recomputes the root this proof commits to, given the tree size.
-    pub fn implied_root(&self, size: u64) -> Option<Digest20> {
+    fn implied_root(&self, size: u64) -> Option<Digest20> {
         root_from_path(
             self.index as usize,
             size as usize,

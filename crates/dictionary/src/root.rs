@@ -62,7 +62,7 @@ pub const SIGNED_ROOT_LEN: usize = 8 + 20 + 8 + 20 + 8 + 64;
 
 impl SignedRoot {
     /// Canonical bytes covered by the signature.
-    pub fn signing_bytes(
+    fn signing_bytes(
         ca: CaId,
         root: &Digest20,
         size: u64,

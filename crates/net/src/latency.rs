@@ -61,7 +61,7 @@ impl LatencyModel {
 }
 
 /// One standard-normal draw via Box–Muller.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // u1 in (0, 1] to avoid ln(0).
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();

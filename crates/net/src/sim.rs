@@ -95,13 +95,6 @@ impl Path {
         Path { nodes, hop_latency }
     }
 
-    /// Total one-way propagation latency.
-    pub fn total_latency(&self) -> SimDuration {
-        self.hop_latency
-            .iter()
-            .fold(SimDuration::ZERO, |acc, d| acc + *d)
-    }
-
     fn position_of(&self, node: NodeId) -> Option<usize> {
         self.nodes.iter().position(|&n| n == node)
     }
@@ -234,7 +227,7 @@ impl Simulator {
     }
 
     /// Time of the next pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek().map(|Reverse(e)| e.at)
     }
 
@@ -384,11 +377,6 @@ impl Simulator {
     pub fn node(&self, id: NodeId) -> &dyn NetNode {
         self.nodes[id].as_deref().expect("node present")
     }
-
-    /// Mutable access to a node (e.g. to read results after the run).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Box<dyn NetNode> {
-        self.nodes[id].as_mut().expect("node present")
-    }
 }
 
 impl<N: NetNode> NetNode for std::rc::Rc<std::cell::RefCell<N>> {
@@ -533,10 +521,6 @@ mod tests {
         let n = sim.add_node(Box::new(TimerNode { fired: vec![] }));
         sim.arm_timer(n, SimDuration::from_secs(1), 1);
         sim.run_to_quiescence();
-        // Read back.
-        let boxed = sim.node_mut(n);
-        // We can't downcast without Any; assert via a second run instead.
-        let _ = boxed;
         assert_eq!(sim.now(), SimTime::from_secs(3));
     }
 

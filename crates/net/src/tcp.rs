@@ -132,7 +132,8 @@ impl TcpSegment {
 
     /// On-wire size: a 40-byte IP+TCP header plus payload (used for
     /// bandwidth accounting).
-    pub fn wire_len(&self) -> usize {
+    #[cfg(test)]
+    fn wire_len(&self) -> usize {
         40 + self.payload.len()
     }
 

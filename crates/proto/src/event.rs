@@ -84,7 +84,6 @@ struct ServerStats {
     open_conns: AtomicU64,
     peak_conns: AtomicU64,
     keepalive_drops: AtomicU64,
-    overflow_drops: AtomicU64,
     accept_deferrals: AtomicU64,
 }
 
@@ -213,12 +212,6 @@ impl EventServer {
     /// window.
     pub fn keepalive_drops(&self) -> u64 {
         self.stats.keepalive_drops.load(Ordering::Relaxed)
-    }
-
-    /// Connections shed because their write queue outgrew
-    /// [`EventServerConfig::max_buffered_bytes`].
-    pub fn overflow_drops(&self) -> u64 {
-        self.stats.overflow_drops.load(Ordering::Relaxed)
     }
 
     /// Accept attempts deferred because the server sat at
@@ -526,7 +519,6 @@ async fn handle_v2_request(
         // Write-queue backpressure: the peer is not reading fast enough
         // to be worth buffering for. There is no way to *send* a typed
         // error into a full pipe — shedding the connection is the signal.
-        stats.overflow_drops.fetch_add(1, Ordering::Relaxed);
         conn.kill();
         return;
     }

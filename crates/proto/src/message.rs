@@ -289,7 +289,7 @@ impl RitmRequest {
     /// Appends the v1 frame to `out` — how a whole flight of requests is
     /// encoded into one reusable scratch buffer with no per-request
     /// allocation. Byte-identical to [`RitmRequest::to_frame`].
-    pub fn to_frame_into(&self, out: &mut Vec<u8>) {
+    fn to_frame_into(&self, out: &mut Vec<u8>) {
         let body_len = self.encoded_len();
         let before = out.len();
         out.reserve(4 + body_len);
@@ -549,7 +549,7 @@ impl RitmResponse {
 
     /// Appends the frame in the given envelope `version` to `out`;
     /// byte-identical to [`RitmResponse::to_frame_for`].
-    pub fn to_frame_for_into(&self, version: u8, request_id: u32, out: &mut Vec<u8>) {
+    fn to_frame_for_into(&self, version: u8, request_id: u32, out: &mut Vec<u8>) {
         let body_len = self.encoded_len() + if version >= PROTOCOL_V2 { 4 } else { 0 };
         let before = out.len();
         out.reserve(4 + body_len);

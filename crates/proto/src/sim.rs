@@ -102,7 +102,7 @@ impl SimTransport {
     /// # Panics
     ///
     /// Panics when the latency count does not match the hop count.
-    pub fn with_middleboxes<S: Service + 'static>(
+    fn with_middleboxes<S: Service + 'static>(
         service: S,
         middleboxes: Vec<Box<dyn NetNode>>,
         hop_latency: Vec<SimDuration>,

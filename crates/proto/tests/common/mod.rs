@@ -15,13 +15,13 @@ use ritm_proto::{ProtoError, RitmRequest, RitmResponse, StatusPayload};
 
 pub const T0: u64 = 1_000_000;
 
-pub fn arbitrary_serial(rng: &mut StdRng) -> SerialNumber {
+fn arbitrary_serial(rng: &mut StdRng) -> SerialNumber {
     let len = rng.gen_range(1usize..21);
     let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
     SerialNumber::new(&bytes).expect("1..=20 bytes is valid")
 }
 
-pub fn arbitrary_ca(rng: &mut StdRng) -> CaId {
+fn arbitrary_ca(rng: &mut StdRng) -> CaId {
     let mut b = [0u8; 8];
     rng.fill_bytes(&mut b);
     CaId(b)

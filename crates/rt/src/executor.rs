@@ -65,9 +65,6 @@ struct Shared {
     /// Live (spawned, not yet completed) tasks.
     live: AtomicUsize,
     shutdown: AtomicBool,
-    /// Base readiness-tick interval; the reactor's idle streak scales the
-    /// actual wait (see [`Reactor::sweep_interval`]).
-    poll_interval: Duration,
     /// Worker threads this executor was started with.
     worker_count: usize,
 }
@@ -105,11 +102,6 @@ impl Handle {
         Arc::clone(&self.shared.reactor)
     }
 
-    /// Live (spawned, not yet completed) task count.
-    pub fn live_tasks(&self) -> usize {
-        self.shared.live.load(Ordering::SeqCst)
-    }
-
     /// Worker threads backing this handle's executor — what a server
     /// spawned onto a shared runtime reports as its thread budget.
     pub fn thread_count(&self) -> usize {
@@ -127,12 +119,6 @@ impl Executor {
     /// Starts an executor with `threads` workers, clamped to
     /// `1..=`[`MAX_WORKERS`], using the default readiness tick.
     pub fn new(threads: usize) -> Self {
-        Self::with_poll_interval(threads, DEFAULT_POLL_INTERVAL)
-    }
-
-    /// Starts an executor with an explicit readiness-tick interval
-    /// (shorter = lower I/O latency, more failed syscalls while idle).
-    pub fn with_poll_interval(threads: usize, poll_interval: Duration) -> Self {
         let worker_count = threads.clamp(1, MAX_WORKERS);
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
@@ -140,7 +126,6 @@ impl Executor {
             reactor: Arc::new(Reactor::new()),
             live: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            poll_interval,
             worker_count,
         });
         let workers = (0..worker_count)
@@ -208,8 +193,8 @@ fn worker(shared: &Arc<Shared>) {
                     // re-observe shutdown promptly). The wait adapts:
                     // consecutive no-progress sweeps stretch it toward
                     // MAX_POLL_INTERVAL; any readiness hit or new park
-                    // snaps it back to the configured base.
-                    let interval = shared.reactor.sweep_interval(shared.poll_interval);
+                    // snaps it back to `DEFAULT_POLL_INTERVAL`.
+                    let interval = shared.reactor.sweep_interval(DEFAULT_POLL_INTERVAL);
                     let (guard, _timeout) = shared
                         .available
                         .wait_timeout(queue, interval)

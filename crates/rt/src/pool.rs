@@ -80,18 +80,14 @@ impl BufPool {
 
     /// Total capacity (bytes) parked in the free list — what the pool
     /// currently pins. Bounded by `max_pooled * max_capacity`.
-    pub fn pooled_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn pooled_bytes(&self) -> usize {
         self.free
             .lock()
             .expect("pool lock poisoned")
             .iter()
             .map(Vec::capacity)
             .sum()
-    }
-
-    /// The per-buffer capacity cap.
-    pub fn max_capacity(&self) -> usize {
-        self.max_capacity
     }
 }
 

@@ -154,15 +154,6 @@ impl Reactor {
         debug_assert!(buf.is_empty(), "sweep buffer must be drained before reuse");
         std::mem::swap(&mut *self.parked.lock().expect("reactor parked lock"), buf);
     }
-
-    /// Drains and returns every parked waker. Allocation-free steady state
-    /// needs [`Reactor::take_parked_into`]; this remains for one-shot
-    /// callers and tests.
-    pub fn take_parked(&self) -> Vec<Waker> {
-        let mut buf = Vec::new();
-        self.take_parked_into(&mut buf);
-        buf
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +179,9 @@ mod tests {
         reactor.park(&waker); // double park = double wake; the executor's
                               // queued flag absorbs it
         assert_eq!(reactor.waiters(), 2);
-        for w in reactor.take_parked() {
+        let mut parked = Vec::new();
+        reactor.take_parked_into(&mut parked);
+        for w in parked {
             w.wake();
         }
         assert_eq!(counter.0.load(std::sync::atomic::Ordering::SeqCst), 2);

@@ -239,7 +239,7 @@ impl TrustAnchors {
     }
 
     /// Looks up the key for `ca`.
-    pub fn key_of(&self, ca: CaId) -> Option<&VerifyingKey> {
+    fn key_of(&self, ca: CaId) -> Option<&VerifyingKey> {
         self.anchors.iter().find(|(c, _)| *c == ca).map(|(_, k)| k)
     }
 }

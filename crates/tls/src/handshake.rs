@@ -92,7 +92,7 @@ pub enum HandshakeMessage {
 
 impl HandshakeMessage {
     /// RFC 5246 message type code.
-    pub fn msg_type(&self) -> u8 {
+    fn msg_type(&self) -> u8 {
         match self {
             HandshakeMessage::ClientHello(_) => 1,
             HandshakeMessage::ServerHello(_) => 2,

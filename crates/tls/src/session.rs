@@ -32,7 +32,7 @@ pub struct SessionState {
 impl SessionState {
     /// `true` while the session is within `lifetime` seconds of its
     /// establishment (clock skew towards the past counts as fresh).
-    pub fn is_fresh(&self, now: u64, lifetime: u64) -> bool {
+    fn is_fresh(&self, now: u64, lifetime: u64) -> bool {
         now.saturating_sub(self.established_at) <= lifetime
     }
 }

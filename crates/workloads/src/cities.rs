@@ -81,7 +81,8 @@ impl CityModel {
     }
 
     /// Total population (matches the aggregate exactly).
-    pub fn total_population(&self) -> u64 {
+    #[cfg(test)]
+    fn total_population(&self) -> u64 {
         self.cities.iter().map(|c| c.population).sum()
     }
 

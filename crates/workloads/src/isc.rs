@@ -71,7 +71,8 @@ impl IscDataset {
 
     /// Approximate bytes per entry in the original DER files, derived from
     /// the largest CRL's published size.
-    pub fn bytes_per_entry() -> f64 {
+    #[cfg(test)]
+    fn bytes_per_entry() -> f64 {
         aggregates::LARGEST_CRL_BYTES as f64 / aggregates::LARGEST_CRL as f64
     }
 }

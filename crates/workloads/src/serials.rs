@@ -2,8 +2,11 @@
 //! (§VII-A): serial sizes vary, with 3 bytes the most frequent (32 % of all
 //! revocations), which is why the analyses use 3-byte serials.
 
+#[cfg(test)]
 use rand::Rng;
+#[cfg(test)]
 use ritm_dictionary::SerialNumber;
+#[cfg(test)]
 use std::collections::HashSet;
 
 /// Serial length mix. Only the 3-byte share is published; the remainder is
@@ -19,7 +22,8 @@ pub const LENGTH_MIX: [(usize, f64); 6] = [
 ];
 
 /// Samples one serial length from [`LENGTH_MIX`].
-pub fn sample_length<R: Rng + ?Sized>(rng: &mut R) -> usize {
+#[cfg(test)]
+fn sample_length<R: Rng + ?Sized>(rng: &mut R) -> usize {
     let x: f64 = rng.gen();
     let mut acc = 0.0;
     for (len, share) in LENGTH_MIX {
@@ -32,7 +36,8 @@ pub fn sample_length<R: Rng + ?Sized>(rng: &mut R) -> usize {
 }
 
 /// Generates `n` distinct serial numbers with the observed length mix.
-pub fn generate_unique<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<SerialNumber> {
+#[cfg(test)]
+fn generate_unique<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<SerialNumber> {
     let mut seen = HashSet::with_capacity(n);
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
@@ -48,7 +53,8 @@ pub fn generate_unique<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<SerialNumb
 }
 
 /// Generates `n` distinct 3-byte serials (the analysis default).
-pub fn generate_3byte<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<SerialNumber> {
+#[cfg(test)]
+fn generate_3byte<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<SerialNumber> {
     assert!(n <= 1 << 24, "only 2^24 distinct 3-byte serials exist");
     let mut seen = HashSet::with_capacity(n);
     let mut out = Vec::with_capacity(n);
@@ -63,7 +69,8 @@ pub fn generate_3byte<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<SerialNumbe
 }
 
 /// Average encoded serial size under [`LENGTH_MIX`] (bytes).
-pub fn mean_serial_len() -> f64 {
+#[cfg(test)]
+fn mean_serial_len() -> f64 {
     LENGTH_MIX.iter().map(|(l, s)| *l as f64 * s).sum()
 }
 
