@@ -280,18 +280,15 @@ impl<K: Eq + Hash, V: Clone> ShardedEpochCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ritm_dictionary::proof::PresenceProof;
-    use ritm_dictionary::tree::Leaf;
+    use ritm_dictionary::tree::{Leaf, MerkleTree};
     use ritm_dictionary::{RevocationProof, SerialNumber};
 
     type Cache = EpochKeyedCache<SerialNumber, RevocationProof>;
 
     fn proof(tag: u32) -> RevocationProof {
-        RevocationProof::Present(PresenceProof {
-            leaf: Leaf::new(SerialNumber::from_u24(tag), tag as u64 + 1),
-            index: 0,
-            path: vec![],
-        })
+        let serial = SerialNumber::from_u24(tag);
+        let tree = MerkleTree::from_leaves([Leaf::new(serial, tag as u64 + 1)]);
+        RevocationProof::generate(&tree, &serial)
     }
 
     fn key(v: u32) -> (CaId, SerialNumber) {

@@ -21,8 +21,10 @@
 //! * chain revoked and `reset_revoked` ⇒ drop the held bytes, RST both ways;
 //! * no upstream status ⇒ staple ours as a dedicated `RitmStatus` record
 //!   **in front of** the held bytes;
-//! * upstream status staler by `(size, timestamp)` ⇒ substitute ours for
-//!   its byte range; otherwise leave it (§VIII "Multiple RAs");
+//! * upstream status staler by `(size, timestamp)`, or with a root that is
+//!   not authentic (another CA's, or neither identical to ours nor signed
+//!   under the key the mirror pinned) ⇒ substitute ours for its byte
+//!   range; otherwise leave it (§VIII "Multiple RAs");
 //! * nothing to prove (unknown session, CA not mirrored) ⇒ release as is.
 //!
 //! The status precedes the flight because an abbreviated flight carries the
@@ -309,14 +311,15 @@ pub struct InterceptStats {
     /// their segments could not be reassembled consistently.
     pub flows_reset: u64,
     /// Status payloads stapled into server→client streams (added or
-    /// substituted for a staler upstream one).
+    /// substituted for a staler or unauthenticated upstream one).
     pub statuses_injected: u64,
     /// Total bytes of those stapled records.
     pub bytes_injected: u64,
-    /// Of `statuses_injected`, the ones that replaced a staler upstream
-    /// RA's status (§VIII "Multiple RAs").
+    /// Of `statuses_injected`, the ones that replaced a staler or
+    /// unauthenticated upstream status (§VIII "Multiple RAs").
     pub statuses_replaced: u64,
-    /// Upstream statuses at least as fresh as ours, left in place (§VIII).
+    /// Authenticated upstream statuses at least as fresh as ours, left in
+    /// place (§VIII).
     pub statuses_left_in_place: u64,
     /// Flows reaped after `idle_timeout` seconds without traffic.
     pub flows_evicted_idle: u64,
@@ -376,10 +379,19 @@ fn status_record(ours: &StatusPayload) -> Option<Vec<u8>> {
         .then(|| TlsRecord::new(ContentType::RitmStatus, encoded).to_bytes())
 }
 
-/// The multi-RA freshness order (§VIII): "replaces a revocation status only
-/// if its own version of the dictionary is more recent".
-fn fresher(ours: &SignedRoot, theirs: &SignedRoot) -> bool {
-    (ours.size, ours.timestamp) > (theirs.size, theirs.timestamp)
+/// The multi-RA rule (§VIII): an RA "replaces a revocation status only if
+/// its own version of the dictionary is more recent". An upstream root
+/// counts only once authenticated: it must name our CA and be identical to
+/// ours or verify under the key the mirror pinned (one signature check,
+/// only when it claims to be at least as fresh and differs). Anything else,
+/// a forged `size = u64::MAX` included, is replaced.
+fn keeps_upstream(status: &StatusServer, ours: &SignedRoot, theirs: &SignedRoot) -> bool {
+    theirs.ca == ours.ca
+        && (theirs.size, theirs.timestamp) >= (ours.size, ours.timestamp)
+        && (theirs == ours
+            || status
+                .snapshot(&ours.ca)
+                .is_some_and(|snap| theirs.verify(snap.ca_key()).is_ok()))
 }
 
 impl FlowTable {
@@ -604,7 +616,7 @@ impl FlowTable {
         });
         flow.last_status = now_secs;
         let replaced = match upstream {
-            Some((_, their_root)) if !fresher(&our_root, &their_root) => {
+            Some((_, their_root)) if keeps_upstream(&self.status, &our_root, &their_root) => {
                 self.stats.statuses_left_in_place += 1;
                 return flow.release(tuple, ack, None);
             }

@@ -129,7 +129,9 @@ fn main() {
         black_box(mirror.prove(black_box(&query)));
     });
 
-    // --- Client: proof validation (path recomputation only).
+    // --- Client: proof validation (path recomputation only). The query
+    //     sorts above every serial (0 .. DICT_SIZE), so its absence proof
+    //     is the last leaf and its one audit path.
     let status = mirror.prove(&query);
     let validation = time_op(|| {
         black_box(

@@ -105,6 +105,17 @@ impl Writer {
         self
     }
 
+    /// Appends `v` as a minimal LEB128 varint: seven bits per byte, low
+    /// group first, the high bit set on every byte but the last
+    /// ([`varint_len`] bytes).
+    pub fn varint(&mut self, mut v: u64) -> &mut Self {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.u8(v as u8)
+    }
+
     /// Appends raw bytes.
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.buf.extend_from_slice(v);
@@ -158,6 +169,11 @@ impl Writer {
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
     }
+}
+
+/// Bytes [`Writer::varint`] takes for `v`: one per started 7-bit group.
+pub fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// A cursor-based decoder over a byte slice.
@@ -224,6 +240,26 @@ impl<'a> Reader<'a> {
     pub fn u64(&mut self, context: &'static str) -> Result<u64, DecodeError> {
         let b = self.take(8, context)?;
         Ok(u64::from_be_bytes(b.try_into().expect("8 bytes")))
+    }
+
+    /// Reads a [`Writer::varint`], accepting only the minimal encoding —
+    /// no trailing zero group, nothing past 64 bits — so every value has
+    /// exactly one byte string.
+    pub fn varint(&mut self, context: &'static str) -> Result<u64, DecodeError> {
+        let start = self.pos;
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8(context)?;
+            let group = u64::from(b & 0x7f);
+            if (shift == 63 && b > 1) || (shift > 0 && b == 0) {
+                return Err(DecodeError::new(context, start));
+            }
+            v |= group << shift;
+            if b < 0x80 {
+                return Ok(v);
+            }
+        }
+        unreachable!("the tenth byte is at most 1")
     }
 
     /// Reads exactly `N` bytes into an array.
@@ -317,6 +353,33 @@ mod tests {
         assert_eq!(err.offset, 1);
         // The same bytes read fine as a u16.
         assert_eq!(r.u16("ok").unwrap(), 0x0509);
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_group_boundary() {
+        for shift in 0..64 {
+            for v in [(1u64 << shift) - 1, 1 << shift, (1 << shift) + 1, u64::MAX] {
+                let mut w = Writer::new();
+                w.varint(v);
+                let bytes = w.into_bytes();
+                assert_eq!(bytes.len(), varint_len(v), "{v}");
+                let mut r = Reader::new(&bytes);
+                assert_eq!(r.varint("v").unwrap(), v);
+                assert!(r.finish("end").is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn varints_accept_only_the_minimal_encoding() {
+        // Zero padded to two bytes, 1 padded to three, a value past 64 bits,
+        // and a group that never ends.
+        for bytes in [&[0x80, 0x00][..], &[0x81, 0x80, 0x00], &[0xff; 10], &[0x80]] {
+            assert!(Reader::new(bytes).varint("v").is_err(), "{bytes:?}");
+        }
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        assert_eq!(Reader::new(&max).varint("v").unwrap(), u64::MAX);
     }
 
     #[test]

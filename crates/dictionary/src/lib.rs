@@ -19,8 +19,8 @@
 //! * [`snapshot`] — immutable, epoch-stamped [`DictionarySnapshot`]s
 //!   published RCU-style through [`SnapshotCell`]s for lock-free proof
 //!   serving;
-//! * [`proof`] — presence and absence proofs, plus the compressed
-//!   [`MultiProof`] for certificate chains;
+//! * [`proof`] — presence and absence proofs in one form, the
+//!   [`MultiProof`]: a [`RevocationProof`] is its one-serial case;
 //! * [`root`] — signed roots, Eq. (1);
 //! * [`freshness`] — hash-chain freshness statements, Eq. (2);
 //! * [`dictionary`] — [`CaDictionary`] (`insert`/`refresh`) and
@@ -81,7 +81,7 @@ pub use dictionary::{
 pub use freshness::{FreshnessError, FreshnessStatement};
 pub use issuance_log::SerialLog;
 pub use persistent::PersistentTree;
-pub use proof::{MultiProof, PresenceProof, ProofError, ProvenStatus, RevocationProof};
+pub use proof::{MultiProof, ProofError, ProvenStatus, RevocationProof};
 pub use root::{CaId, SignedRoot};
 pub use serial::{SerialError, SerialNumber};
 pub use snapshot::{DictionarySnapshot, SnapshotCell};

@@ -2,101 +2,35 @@
 //!
 //! The prover (an RA) is untrusted: a client verifies every proof against a
 //! CA-signed root (paper §III, "Revocation Lists"). Because leaves are sorted
-//! by serial, absence is proven either by an adjacent pair of leaves
-//! enclosing the queried serial, or by a boundary leaf, or — for an empty
-//! dictionary — by the well-known empty root.
+//! by serial, a serial is proven revoked by its own leaf, and proven absent
+//! by the adjacent pair of leaves enclosing it, by a boundary leaf, or — for
+//! an empty dictionary — by the well-known empty root.
+//!
+//! There is one proof form, [`MultiProof`]: the leaves that answer a set of
+//! queries plus the union of their audit paths, each sibling once. A
+//! [`RevocationProof`] is a multiproof for one serial (at most two leaves),
+//! so an absence between two leaves ships their shared siblings once.
+//!
+//! Both encode with one grammar (integers as minimal LEB128 varints):
+//!
+//! ```text
+//! proof  = format:u8 (= PROOF_FORMAT)
+//!          leaf_count:varint  leaf*  sibling_count:varint  digest20*
+//! leaf   = index:varint  serial_len:u8  serial  number:varint
+//! ```
 
 use crate::serial::SerialNumber;
-use crate::tree::{empty_root, node_hash, root_from_path, Leaf, TreeReader};
-use ritm_crypto::digest::Digest20;
-use ritm_crypto::wire::{DecodeError, Reader, Writer};
+use crate::tree::{empty_root, node_hash, Leaf, TreeReader};
+use ritm_crypto::digest::{Digest20, DIGEST_LEN};
+use ritm_crypto::wire::{varint_len, DecodeError, Reader, Writer};
 
-/// An audit path proving one leaf's membership at a given index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PresenceProof {
-    /// The leaf being proven.
-    pub leaf: Leaf,
-    /// Index of the leaf in the sorted leaf sequence.
-    pub index: u64,
-    /// Bottom-up sibling hashes.
-    pub path: Vec<Digest20>,
-}
+/// The byte every encoded proof starts with. Values 0–4 were the tags of the
+/// retired five-variant single-serial proof and now decode as unknown.
+pub const PROOF_FORMAT: u8 = 5;
 
-impl PresenceProof {
-    /// Builds the proof for leaf `index` of `tree` (the dictionaries'
-    /// persistent tree or the reference — any [`TreeReader`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn generate<T: TreeReader>(tree: &T, index: usize) -> Self {
-        PresenceProof {
-            leaf: tree.leaf(index),
-            index: index as u64,
-            path: tree.audit_path(index),
-        }
-    }
-
-    /// Recomputes the root this proof commits to, given the tree size.
-    fn implied_root(&self, size: u64) -> Option<Digest20> {
-        root_from_path(
-            self.index as usize,
-            size as usize,
-            self.leaf.hash(),
-            &self.path,
-        )
-    }
-
-    /// Exact encoded size in bytes, computed without serializing — used to
-    /// pre-size [`Writer`] buffers on the proof-injection hot path.
-    pub fn encoded_len(&self) -> usize {
-        8 + 1 + self.leaf.serial.len() + 8 + 2 + 20 * self.path.len()
-    }
-
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.index);
-        w.vec8(self.leaf.serial.as_bytes());
-        w.u64(self.leaf.number);
-        w.u16(self.path.len() as u16);
-        for d in &self.path {
-            w.bytes(d.as_bytes());
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let index = r.u64("presence index")?;
-        let serial_bytes = r.vec8("presence serial")?;
-        let serial = SerialNumber::new(serial_bytes)
-            .map_err(|_| DecodeError::new("invalid serial", r.position()))?;
-        let number = r.u64("presence number")?;
-        let path_len = r.u16("presence path len")? as usize;
-        r.check_count(path_len, 20, "presence path exceeds buffer")?;
-        let mut path = Vec::with_capacity(path_len);
-        for _ in 0..path_len {
-            path.push(Digest20::from_bytes(r.array("presence path digest")?));
-        }
-        Ok(PresenceProof {
-            leaf: Leaf { serial, number },
-            index,
-            path,
-        })
-    }
-}
-
-/// A proof that a serial is or is not in the dictionary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RevocationProof {
-    /// The serial is revoked: membership proof of its leaf.
-    Present(PresenceProof),
-    /// The dictionary holds no revocations at all.
-    AbsentEmpty,
-    /// The serial sorts before every revoked serial; proof of leaf 0.
-    AbsentBelow(PresenceProof),
-    /// The serial sorts after every revoked serial; proof of the last leaf.
-    AbsentAbove(PresenceProof),
-    /// The serial falls strictly between two adjacent leaves.
-    AbsentBetween(PresenceProof, PresenceProof),
-}
+/// Fewest bytes a leaf encodes to: a one-byte index, serial length, serial
+/// and number.
+const MIN_LEAF_LEN: usize = 4;
 
 /// Outcome of a successful proof verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,25 +56,22 @@ impl ProvenStatus {
 pub enum ProofError {
     /// The recomputed root differs from the trusted root.
     RootMismatch,
-    /// The audit path shape does not match the claimed index/size.
+    /// The leaves and siblings do not fit the claimed tree size.
     MalformedPath,
-    /// The proven leaf does not relate to the queried serial as claimed
-    /// (e.g. an "absent" proof whose bounds do not enclose the serial).
+    /// The proven leaves do not bound the queried serial (an absence claim
+    /// without the boundary leaf it needs).
     SerialOutOfRange,
-    /// A boundary proof used an interior index, or adjacency does not hold.
+    /// Leaves out of order, or a pair claimed adjacent that is not.
     WrongIndex,
-    /// An `AbsentEmpty` proof was offered for a non-empty dictionary.
-    NotEmpty,
 }
 
 impl core::fmt::Display for ProofError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let s = match self {
             ProofError::RootMismatch => "recomputed root does not match trusted root",
-            ProofError::MalformedPath => "audit path inconsistent with index and tree size",
+            ProofError::MalformedPath => "proof shape inconsistent with the tree size",
             ProofError::SerialOutOfRange => "proven leaves do not bound the queried serial",
-            ProofError::WrongIndex => "proof indices violate boundary/adjacency requirements",
-            ProofError::NotEmpty => "empty-dictionary proof for a non-empty dictionary",
+            ProofError::WrongIndex => "proof indices violate ordering/adjacency requirements",
         };
         f.write_str(s)
     }
@@ -148,30 +79,35 @@ impl core::fmt::Display for ProofError {
 
 impl std::error::Error for ProofError {}
 
+/// A proof for one serial: the one-serial case of [`MultiProof`] — the
+/// serial's leaf, or the one or two leaves that enclose it (none for an
+/// empty dictionary), with the same siblings, codec and checks. The leaves
+/// are held inline, so building a proof allocates only its siblings.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RevocationProof {
+    /// The answering leaves, ascending, in `leaves[..len]`; the slots past
+    /// `len` hold [`unused_slot`], so equal proofs compare equal.
+    leaves: [(u64, Leaf); 2],
+    len: usize,
+    siblings: Vec<Digest20>,
+}
+
 impl RevocationProof {
     /// Builds the proof for `serial` against `tree` (RA-side `prove`,
     /// Fig. 2). Works over any [`TreeReader`] backend.
     pub fn generate<T: TreeReader>(tree: &T, serial: &SerialNumber) -> Self {
-        if tree.is_empty() {
-            return RevocationProof::AbsentEmpty;
-        }
-        // One search answers both cases: a present serial is its own lower
-        // bound. The leaf there is read once, for the test and the proof.
-        let lb = tree.lower_bound(serial);
-        if lb == tree.len() {
-            return RevocationProof::AbsentAbove(PresenceProof::generate(tree, lb - 1));
-        }
-        let upper = PresenceProof {
-            leaf: tree.leaf(lb),
-            index: lb as u64,
-            path: tree.audit_path(lb),
+        let (leaves, len) = answering_leaves(tree, serial);
+        let mut frontier = leaves.map(|(i, _)| i as usize);
+        let siblings = match len {
+            // One leaf's siblings are its audit path, which the tree reads
+            // in a tighter loop than the general fold.
+            1 => tree.audit_path(frontier[0]),
+            _ => siblings(tree, &mut frontier[..len]),
         };
-        if upper.leaf.serial == *serial {
-            RevocationProof::Present(upper)
-        } else if lb == 0 {
-            RevocationProof::AbsentBelow(upper)
-        } else {
-            RevocationProof::AbsentBetween(PresenceProof::generate(tree, lb - 1), upper)
+        RevocationProof {
+            leaves,
+            len,
+            siblings,
         }
     }
 
@@ -187,129 +123,42 @@ impl RevocationProof {
         root: &Digest20,
         size: u64,
     ) -> Result<ProvenStatus, ProofError> {
-        let check_path = |p: &PresenceProof| -> Result<(), ProofError> {
-            let implied = p.implied_root(size).ok_or(ProofError::MalformedPath)?;
-            if implied == *root {
-                Ok(())
-            } else {
-                Err(ProofError::RootMismatch)
-            }
-        };
-        match self {
-            RevocationProof::Present(p) => {
-                if p.leaf.serial != *serial {
-                    return Err(ProofError::SerialOutOfRange);
-                }
-                check_path(p)?;
-                Ok(ProvenStatus::Revoked {
-                    number: p.leaf.number,
-                })
-            }
-            RevocationProof::AbsentEmpty => {
-                if size != 0 {
-                    return Err(ProofError::NotEmpty);
-                }
-                if *root != empty_root() {
-                    return Err(ProofError::RootMismatch);
-                }
-                Ok(ProvenStatus::NotRevoked)
-            }
-            RevocationProof::AbsentBelow(p) => {
-                if p.index != 0 {
-                    return Err(ProofError::WrongIndex);
-                }
-                if *serial >= p.leaf.serial {
-                    return Err(ProofError::SerialOutOfRange);
-                }
-                check_path(p)?;
-                Ok(ProvenStatus::NotRevoked)
-            }
-            RevocationProof::AbsentAbove(p) => {
-                if size == 0 || p.index != size - 1 {
-                    return Err(ProofError::WrongIndex);
-                }
-                if *serial <= p.leaf.serial {
-                    return Err(ProofError::SerialOutOfRange);
-                }
-                check_path(p)?;
-                Ok(ProvenStatus::NotRevoked)
-            }
-            RevocationProof::AbsentBetween(lo, hi) => {
-                if lo.index + 1 != hi.index {
-                    return Err(ProofError::WrongIndex);
-                }
-                if !(lo.leaf.serial < *serial && *serial < hi.leaf.serial) {
-                    return Err(ProofError::SerialOutOfRange);
-                }
-                check_path(lo)?;
-                check_path(hi)?;
-                Ok(ProvenStatus::NotRevoked)
-            }
-        }
+        let (parts, mut nodes) = (self.parts(), [(0, Digest20::ZERO); 2]);
+        parts.authenticate(root, size, &mut nodes[..self.len])?;
+        answer(parts.leaves, serial, size)
     }
 
     /// Serializes the proof (part of the revocation status piggybacked onto
-    /// TLS traffic; its size drives the §VII-D communication overhead). The
-    /// buffer is pre-sized to [`RevocationProof::encoded_len`], so encoding
-    /// never reallocates.
+    /// TLS traffic; its size drives the §VII-D communication overhead).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(self.encoded_len());
-        match self {
-            RevocationProof::Present(p) => {
-                w.u8(0);
-                p.encode(&mut w);
-            }
-            RevocationProof::AbsentEmpty => {
-                w.u8(1);
-            }
-            RevocationProof::AbsentBelow(p) => {
-                w.u8(2);
-                p.encode(&mut w);
-            }
-            RevocationProof::AbsentAbove(p) => {
-                w.u8(3);
-                p.encode(&mut w);
-            }
-            RevocationProof::AbsentBetween(lo, hi) => {
-                w.u8(4);
-                lo.encode(&mut w);
-                hi.encode(&mut w);
-            }
-        }
-        w.into_bytes()
+        self.parts().to_bytes()
     }
 
-    /// Parses a proof from bytes.
+    /// Parses a proof from bytes: a [`MultiProof`] of at most two leaves.
     ///
     /// # Errors
     ///
     /// Returns [`DecodeError`] on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8("proof tag")?;
-        let proof = match tag {
-            0 => RevocationProof::Present(PresenceProof::decode(&mut r)?),
-            1 => RevocationProof::AbsentEmpty,
-            2 => RevocationProof::AbsentBelow(PresenceProof::decode(&mut r)?),
-            3 => RevocationProof::AbsentAbove(PresenceProof::decode(&mut r)?),
-            4 => RevocationProof::AbsentBetween(
-                PresenceProof::decode(&mut r)?,
-                PresenceProof::decode(&mut r)?,
-            ),
-            _ => return Err(DecodeError::new("unknown proof tag", 0)),
-        };
-        r.finish("proof trailing bytes")?;
-        Ok(proof)
+        let MultiProof { leaves, siblings } = MultiProof::decode(bytes, 2)?;
+        let mut slots = [unused_slot(); 2];
+        slots[..leaves.len()].copy_from_slice(&leaves);
+        Ok(RevocationProof {
+            leaves: slots,
+            len: leaves.len(),
+            siblings,
+        })
     }
 
     /// Exact encoded size in bytes, computed without serializing.
     pub fn encoded_len(&self) -> usize {
-        1 + match self {
-            RevocationProof::Present(p)
-            | RevocationProof::AbsentBelow(p)
-            | RevocationProof::AbsentAbove(p) => p.encoded_len(),
-            RevocationProof::AbsentEmpty => 0,
-            RevocationProof::AbsentBetween(lo, hi) => lo.encoded_len() + hi.encoded_len(),
+        self.parts().encoded_len()
+    }
+
+    fn parts(&self) -> Parts<'_> {
+        Parts {
+            leaves: &self.leaves[..self.len],
+            siblings: &self.siblings,
         }
     }
 }
@@ -318,8 +167,7 @@ impl RevocationProof {
 ///
 /// A certificate chain of k serials would otherwise ship k independent
 /// [`RevocationProof`]s whose audit paths share most of their sibling
-/// nodes (all paths meet at the root, and an absence proof's adjacent pair
-/// shares its entire path above level 0). A `MultiProof` carries the union
+/// nodes (all paths meet at the root). A `MultiProof` carries the union
 /// of the leaves needed to answer every query — the revoked leaf for a
 /// present serial; the enclosing/boundary leaves for an absent one — plus
 /// each sibling hash **once**, in a canonical bottom-up order. This is the
@@ -329,8 +177,7 @@ impl RevocationProof {
 /// Verification recomputes the root in one bottom-up sweep that combines
 /// included nodes with each other where possible and consumes the sibling
 /// stream otherwise, then answers each query from the authenticated leaf
-/// set with exactly the same presence/absence rules as the single-serial
-/// proofs.
+/// set.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MultiProof {
     /// Included leaves with their indices, strictly ascending by index.
@@ -346,54 +193,16 @@ impl MultiProof {
     /// are deduplicated. For an empty tree the proof is empty (the
     /// [`empty_root`] answers every query).
     pub fn generate<T: TreeReader>(tree: &T, serials: &[SerialNumber]) -> Self {
-        let mut needed = std::collections::BTreeMap::new();
-        if tree.is_empty() {
-            return MultiProof::default();
-        }
+        let mut leaves = Vec::with_capacity(2 * serials.len());
         for serial in serials {
-            if let Some(idx) = tree.find(serial) {
-                needed.insert(idx, tree.leaf(idx));
-            } else {
-                let lb = tree.lower_bound(serial);
-                if lb == 0 {
-                    needed.insert(0, tree.leaf(0));
-                } else if lb == tree.len() {
-                    needed.insert(tree.len() - 1, tree.leaf(tree.len() - 1));
-                } else {
-                    needed.insert(lb - 1, tree.leaf(lb - 1));
-                    needed.insert(lb, tree.leaf(lb));
-                }
-            }
+            let (answering, n) = answering_leaves(tree, serial);
+            leaves.extend_from_slice(&answering[..n]);
         }
-        let mut frontier: Vec<usize> = needed.keys().copied().collect();
-        let mut siblings = Vec::new();
-        let mut level_len = tree.len();
-        let mut level = 0usize;
-        while level_len > 1 {
-            let mut next = Vec::with_capacity(frontier.len());
-            let mut i = 0;
-            while i < frontier.len() {
-                let idx = frontier[i];
-                let sib = idx ^ 1;
-                if i + 1 < frontier.len() && frontier[i + 1] == sib {
-                    i += 2; // both children included: combined internally
-                } else {
-                    if sib < level_len {
-                        siblings.push(tree.level_node(level, sib));
-                    }
-                    i += 1;
-                }
-                next.push(idx / 2);
-            }
-            next.dedup();
-            frontier = next;
-            level_len = level_len.div_ceil(2);
-            level += 1;
-        }
-        MultiProof {
-            leaves: needed.into_iter().map(|(i, l)| (i as u64, l)).collect(),
-            siblings,
-        }
+        leaves.sort_unstable_by_key(|&(i, _)| i);
+        leaves.dedup_by_key(|&mut (i, _)| i);
+        let mut frontier: Vec<usize> = leaves.iter().map(|&(i, _)| i as usize).collect();
+        let siblings = siblings(tree, &mut frontier);
+        MultiProof { leaves, siblings }
     }
 
     /// Verifies the proof for `serials` against a trusted `(root, size)`
@@ -415,150 +224,22 @@ impl MultiProof {
             // which must round-trip.
             return Ok(Vec::new());
         }
-        if size == 0 {
-            if !self.leaves.is_empty() || !self.siblings.is_empty() {
-                return Err(ProofError::MalformedPath);
-            }
-            if *root != empty_root() {
-                return Err(ProofError::RootMismatch);
-            }
-            return Ok(vec![ProvenStatus::NotRevoked; serials.len()]);
-        }
-        // Structural sanity: indices strictly ascending and in range, and
-        // leaf serials strictly ascending in index order (an honest sorted
-        // tree guarantees this; any violation is a forgery).
-        if self.leaves.is_empty() {
-            return Err(ProofError::MalformedPath);
-        }
-        for w in self.leaves.windows(2) {
-            if w[0].0 >= w[1].0 || w[0].1.serial >= w[1].1.serial {
-                return Err(ProofError::WrongIndex);
-            }
-        }
-        if self.leaves.last().expect("non-empty").0 >= size {
-            return Err(ProofError::MalformedPath);
-        }
-
-        // One bottom-up sweep authenticates every included leaf at once.
-        let mut nodes: Vec<(usize, Digest20)> = self
-            .leaves
+        let mut nodes = vec![(0, Digest20::ZERO); self.leaves.len()];
+        self.parts().authenticate(root, size, &mut nodes)?;
+        serials
             .iter()
-            .map(|(i, l)| (*i as usize, l.hash()))
-            .collect();
-        let mut level_len = size as usize;
-        let mut sibs = self.siblings.iter();
-        while level_len > 1 {
-            let mut next: Vec<(usize, Digest20)> = Vec::with_capacity(nodes.len());
-            let mut i = 0;
-            while i < nodes.len() {
-                let (idx, h) = nodes[i];
-                let sib = idx ^ 1;
-                let combined = if idx % 2 == 0 && i + 1 < nodes.len() && nodes[i + 1].0 == sib {
-                    let right = nodes[i + 1].1;
-                    i += 2;
-                    node_hash(&h, &right)
-                } else if sib < level_len {
-                    let s = sibs.next().ok_or(ProofError::MalformedPath)?;
-                    i += 1;
-                    if idx % 2 == 0 {
-                        node_hash(&h, s)
-                    } else {
-                        node_hash(s, &h)
-                    }
-                } else {
-                    i += 1;
-                    h // odd node promoted
-                };
-                next.push((idx / 2, combined));
-            }
-            nodes = next;
-            level_len = level_len.div_ceil(2);
-        }
-        if sibs.next().is_some() || nodes.len() != 1 {
-            return Err(ProofError::MalformedPath);
-        }
-        if nodes[0].1 != *root {
-            return Err(ProofError::RootMismatch);
-        }
-
-        // Answer each query from the authenticated leaf set with the same
-        // rules as the single-serial absence proofs.
-        let mut out = Vec::with_capacity(serials.len());
-        for serial in serials {
-            let j = self.leaves.partition_point(|(_, l)| l.serial < *serial);
-            if j < self.leaves.len() && self.leaves[j].1.serial == *serial {
-                out.push(ProvenStatus::Revoked {
-                    number: self.leaves[j].1.number,
-                });
-            } else if j == 0 {
-                // Absent below the smallest included leaf: only sound if
-                // that leaf is the tree's first (index 0).
-                if self.leaves[0].0 != 0 {
-                    return Err(ProofError::SerialOutOfRange);
-                }
-                out.push(ProvenStatus::NotRevoked);
-            } else if j == self.leaves.len() {
-                // Absent above the largest included leaf: must be the
-                // tree's last (index size-1).
-                if self.leaves[j - 1].0 != size - 1 {
-                    return Err(ProofError::SerialOutOfRange);
-                }
-                out.push(ProvenStatus::NotRevoked);
-            } else {
-                // Strictly between two included leaves: they must be
-                // adjacent in the tree.
-                if self.leaves[j - 1].0 + 1 != self.leaves[j].0 {
-                    return Err(ProofError::WrongIndex);
-                }
-                out.push(ProvenStatus::NotRevoked);
-            }
-        }
-        Ok(out)
+            .map(|serial| answer(&self.leaves, serial, size))
+            .collect()
     }
 
     /// Exact encoded size in bytes, computed without serializing.
     pub fn encoded_len(&self) -> usize {
-        2 + self
-            .leaves
-            .iter()
-            .map(|(_, l)| 8 + 1 + l.serial.len() + 8)
-            .sum::<usize>()
-            + 2
-            + 20 * self.siblings.len()
+        self.parts().encoded_len()
     }
 
     /// Serializes the proof (pre-sized; never reallocates).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(self.encoded_len());
-        self.encode(&mut w);
-        w.into_bytes()
-    }
-
-    /// Encodes into an existing writer (for embedding in larger messages).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a count exceeds `u16::MAX` (silent truncation would
-    /// emit an undecodable proof).
-    pub fn encode(&self, w: &mut Writer) {
-        assert!(
-            self.leaves.len() <= u16::MAX as usize,
-            "multiproof leaf count overflow"
-        );
-        assert!(
-            self.siblings.len() <= u16::MAX as usize,
-            "multiproof sibling count overflow"
-        );
-        w.u16(self.leaves.len() as u16);
-        for (idx, leaf) in &self.leaves {
-            w.u64(*idx);
-            w.vec8(leaf.serial.as_bytes());
-            w.u64(leaf.number);
-        }
-        w.u16(self.siblings.len() as u16);
-        for d in &self.siblings {
-            w.bytes(d.as_bytes());
-        }
+        self.parts().to_bytes()
     }
 
     /// Parses a proof from bytes.
@@ -567,37 +248,242 @@ impl MultiProof {
     ///
     /// Returns [`DecodeError`] on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let proof = Self::decode(&mut r)?;
-        r.finish("multiproof trailing bytes")?;
-        Ok(proof)
+        Self::decode(bytes, usize::MAX)
     }
 
-    /// Parses from a reader (for embedding).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on malformed input.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let leaf_count = r.u16("multiproof leaf count")? as usize;
-        // Each leaf costs at least 8 + 1 + 1 + 8 bytes.
-        r.check_count(leaf_count, 18, "multiproof leaf count exceeds buffer")?;
+    /// Parses a proof of at most `max_leaves` leaves. Every count is checked
+    /// against the bytes left before anything is allocated for it.
+    fn decode(bytes: &[u8], max_leaves: usize) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        if r.u8("proof format")? != PROOF_FORMAT {
+            return Err(DecodeError::new("unknown proof format", 0));
+        }
+        let leaf_count = count(&mut r, "proof leaf count")?;
+        if leaf_count > max_leaves {
+            return Err(DecodeError::new("proof holds too many leaves", 1));
+        }
+        r.check_count(leaf_count, MIN_LEAF_LEN, "proof leaf count exceeds buffer")?;
         let mut leaves = Vec::with_capacity(leaf_count);
         for _ in 0..leaf_count {
-            let index = r.u64("multiproof leaf index")?;
-            let serial_bytes = r.vec8("multiproof leaf serial")?;
-            let serial = SerialNumber::new(serial_bytes)
+            let index = r.varint("proof leaf index")?;
+            let serial = SerialNumber::new(r.vec8("proof leaf serial")?)
                 .map_err(|_| DecodeError::new("invalid serial", r.position()))?;
-            let number = r.u64("multiproof leaf number")?;
+            let number = r.varint("proof leaf number")?;
             leaves.push((index, Leaf { serial, number }));
         }
-        let sib_count = r.u16("multiproof sibling count")? as usize;
-        r.check_count(sib_count, 20, "multiproof sibling count exceeds buffer")?;
+        let sib_count = count(&mut r, "proof sibling count")?;
+        r.check_count(sib_count, DIGEST_LEN, "proof sibling count exceeds buffer")?;
         let mut siblings = Vec::with_capacity(sib_count);
         for _ in 0..sib_count {
-            siblings.push(Digest20::from_bytes(r.array("multiproof sibling")?));
+            siblings.push(Digest20::from_bytes(r.array("proof sibling")?));
         }
+        r.finish("proof trailing bytes")?;
         Ok(MultiProof { leaves, siblings })
+    }
+
+    fn parts(&self) -> Parts<'_> {
+        Parts {
+            leaves: &self.leaves,
+            siblings: &self.siblings,
+        }
+    }
+}
+
+/// The leaves and siblings of either proof, as the codec and the checks
+/// see them.
+struct Parts<'a> {
+    leaves: &'a [(u64, Leaf)],
+    siblings: &'a [Digest20],
+}
+
+impl Parts<'_> {
+    /// Checks that the leaves and siblings fold to `root` of a `size`-leaf
+    /// tree, using `nodes` (one slot per leaf) for the running nodes.
+    fn authenticate(
+        &self,
+        root: &Digest20,
+        size: u64,
+        nodes: &mut [(u64, Digest20)],
+    ) -> Result<(), ProofError> {
+        if size == 0 {
+            if !self.leaves.is_empty() || !self.siblings.is_empty() {
+                return Err(ProofError::MalformedPath);
+            }
+            return if *root == empty_root() {
+                Ok(())
+            } else {
+                Err(ProofError::RootMismatch)
+            };
+        }
+        // Structural sanity: indices strictly ascending and in range, and
+        // leaf serials strictly ascending in index order (an honest sorted
+        // tree guarantees this; any violation is a forgery).
+        match self.leaves.last() {
+            Some(&(last, _)) if last < size => {}
+            _ => return Err(ProofError::MalformedPath),
+        }
+        for w in self.leaves.windows(2) {
+            if w[0].0 >= w[1].0 || w[0].1.serial >= w[1].1.serial {
+                return Err(ProofError::WrongIndex);
+            }
+        }
+        for (node, (index, leaf)) in nodes.iter_mut().zip(self.leaves) {
+            *node = (*index, leaf.hash());
+        }
+        // Fold level by level in place: each pass writes a level's nodes
+        // over the level below, which holds at least as many.
+        let (mut n, mut level_len) = (nodes.len(), size);
+        let mut sibs = self.siblings.iter();
+        while level_len > 1 {
+            let (mut i, mut out) = (0, 0);
+            while i < n {
+                let (idx, h) = nodes[i];
+                let sib = idx ^ 1;
+                let combined = if idx % 2 == 0 && i + 1 < n && nodes[i + 1].0 == sib {
+                    i += 1;
+                    node_hash(&h, &nodes[i].1)
+                } else if sib < level_len {
+                    let s = sibs.next().ok_or(ProofError::MalformedPath)?;
+                    if idx % 2 == 0 {
+                        node_hash(&h, s)
+                    } else {
+                        node_hash(s, &h)
+                    }
+                } else {
+                    h // odd node promoted
+                };
+                nodes[out] = (idx / 2, combined);
+                (i, out) = (i + 1, out + 1);
+            }
+            n = out;
+            level_len = level_len.div_ceil(2);
+        }
+        if sibs.next().is_some() || n != 1 {
+            return Err(ProofError::MalformedPath);
+        }
+        if nodes[0].1 != *root {
+            return Err(ProofError::RootMismatch);
+        }
+        Ok(())
+    }
+
+    /// Exact encoded size in bytes, computed without serializing.
+    fn encoded_len(&self) -> usize {
+        1 + varint_len(self.leaves.len() as u64)
+            + self
+                .leaves
+                .iter()
+                .map(|(i, l)| varint_len(*i) + 1 + l.serial.len() + varint_len(l.number))
+                .sum::<usize>()
+            + varint_len(self.siblings.len() as u64)
+            + DIGEST_LEN * self.siblings.len()
+    }
+
+    /// Serializes the proof (pre-sized; never reallocates).
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::with_capacity(self.encoded_len());
+        w.u8(PROOF_FORMAT).varint(self.leaves.len() as u64);
+        for (index, leaf) in self.leaves {
+            w.varint(*index)
+                .vec8(leaf.serial.as_bytes())
+                .varint(leaf.number);
+        }
+        w.varint(self.siblings.len() as u64);
+        for d in self.siblings {
+            w.bytes(d.as_bytes());
+        }
+        w.into_bytes()
+    }
+}
+
+/// What fills a [`RevocationProof`]'s unused leaf slots.
+fn unused_slot() -> (u64, Leaf) {
+    (0, Leaf::new(SerialNumber::from_u24(0), 0))
+}
+
+/// A varint count (saturating on targets narrower than 64 bits, where
+/// [`Reader::check_count`] then rejects it).
+fn count(r: &mut Reader<'_>, context: &'static str) -> Result<usize, DecodeError> {
+    Ok(usize::try_from(r.varint(context)?).unwrap_or(usize::MAX))
+}
+
+/// The leaves that answer `serial`, ascending: its own leaf if revoked,
+/// otherwise the first leaf, the last leaf, or the adjacent pair enclosing
+/// it. One search answers both cases (a present serial is its own lower
+/// bound), and each leaf is read once.
+fn answering_leaves<T: TreeReader>(tree: &T, serial: &SerialNumber) -> ([(u64, Leaf); 2], usize) {
+    let unused = unused_slot();
+    if tree.is_empty() {
+        return ([unused; 2], 0);
+    }
+    let at = |i: usize| (i as u64, tree.leaf(i));
+    let lb = tree.lower_bound(serial);
+    if lb == tree.len() {
+        return ([at(lb - 1), unused], 1);
+    }
+    let upper = at(lb);
+    if upper.1.serial == *serial || lb == 0 {
+        ([upper, unused], 1)
+    } else {
+        ([at(lb - 1), upper], 2)
+    }
+}
+
+/// The siblings that fold `frontier` (strictly ascending leaf indices) up
+/// to the root, bottom-up and ascending per level. `frontier` is scratch:
+/// each level overwrites the one below.
+fn siblings<T: TreeReader>(tree: &T, frontier: &mut [usize]) -> Vec<Digest20> {
+    let mut level_len = tree.len();
+    let depth = (usize::BITS - level_len.saturating_sub(1).leading_zeros()) as usize;
+    let mut out = Vec::with_capacity(frontier.len() * depth);
+    let (mut n, mut level) = (frontier.len(), 0);
+    while level_len > 1 {
+        let (mut i, mut next) = (0, 0);
+        while i < n {
+            let idx = frontier[i];
+            let sib = idx ^ 1;
+            if i + 1 < n && frontier[i + 1] == sib {
+                i += 1; // both children included: combined internally
+            } else if sib < level_len {
+                out.push(tree.level_node(level, sib));
+            }
+            frontier[next] = idx / 2;
+            (i, next) = (i + 1, next + 1);
+        }
+        n = next;
+        level_len = level_len.div_ceil(2);
+        level += 1;
+    }
+    out
+}
+
+/// The verdict for `serial` from `leaves`, already authenticated against a
+/// `size`-leaf tree (an empty list only ever authenticates for size 0).
+fn answer(
+    leaves: &[(u64, Leaf)],
+    serial: &SerialNumber,
+    size: u64,
+) -> Result<ProvenStatus, ProofError> {
+    if leaves.is_empty() {
+        return Ok(ProvenStatus::NotRevoked);
+    }
+    let j = leaves.partition_point(|(_, l)| l.serial < *serial);
+    if j < leaves.len() && leaves[j].1.serial == *serial {
+        Ok(ProvenStatus::Revoked {
+            number: leaves[j].1.number,
+        })
+    } else if j == 0 && leaves[0].0 != 0 {
+        // Absent below the smallest included leaf: only sound if that leaf
+        // is the tree's first.
+        Err(ProofError::SerialOutOfRange)
+    } else if j == leaves.len() && leaves[j - 1].0 != size - 1 {
+        // Absent above the largest included leaf: it must be the last.
+        Err(ProofError::SerialOutOfRange)
+    } else if 0 < j && j < leaves.len() && leaves[j - 1].0 + 1 != leaves[j].0 {
+        // Strictly between two included leaves: they must be adjacent.
+        Err(ProofError::WrongIndex)
+    } else {
+        Ok(ProvenStatus::NotRevoked)
     }
 }
 
@@ -619,32 +505,51 @@ mod tests {
         SerialNumber::from_u24(v)
     }
 
+    /// The one-serial proof with the given leaf indices of `t` (honest or
+    /// forged), with the siblings that fold them.
+    fn proof_of(t: &MerkleTree, indices: &[usize]) -> RevocationProof {
+        let mut leaves = [unused_slot(); 2];
+        for (slot, &i) in leaves.iter_mut().zip(indices) {
+            *slot = (i as u64, t.leaves()[i]);
+        }
+        RevocationProof {
+            leaves,
+            len: indices.len(),
+            siblings: siblings(t, &mut indices.to_vec()),
+        }
+    }
+
     #[test]
     fn presence_proof_verifies() {
         let t = tree_with(&[10, 20, 30, 40, 50]);
         let p = RevocationProof::generate(&t, &sn(30));
         let status = p.verify(&sn(30), &t.root(), t.len() as u64).unwrap();
-        assert!(status.is_revoked());
+        assert_eq!(status, ProvenStatus::Revoked { number: 3 });
     }
 
     #[test]
     fn absence_between_verifies() {
-        let t = tree_with(&[10, 20, 30]);
+        // 25 falls between leaves 1 and 2 of 4: their paths meet at level
+        // 2, so the proof carries d + t − 2 = 2 + 2 − 2 = 2 siblings, not 4.
+        let t = tree_with(&[10, 20, 30, 40]);
         let p = RevocationProof::generate(&t, &sn(25));
-        assert!(matches!(p, RevocationProof::AbsentBetween(_, _)));
-        let status = p.verify(&sn(25), &t.root(), 3).unwrap();
-        assert_eq!(status, ProvenStatus::NotRevoked);
+        assert_eq!(p.len, 2);
+        assert_eq!(p.siblings, vec![t.leaves()[0].hash(), t.leaves()[3].hash()]);
+        assert_eq!(
+            p.verify(&sn(25), &t.root(), 4),
+            Ok(ProvenStatus::NotRevoked)
+        );
     }
 
     #[test]
     fn absence_below_and_above() {
         let t = tree_with(&[10, 20, 30]);
         let below = RevocationProof::generate(&t, &sn(5));
-        assert!(matches!(below, RevocationProof::AbsentBelow(_)));
+        assert_eq!(below.parts().leaves, vec![(0, t.leaves()[0])]);
         assert!(below.verify(&sn(5), &t.root(), 3).is_ok());
 
         let above = RevocationProof::generate(&t, &sn(99));
-        assert!(matches!(above, RevocationProof::AbsentAbove(_)));
+        assert_eq!(above.parts().leaves, vec![(2, t.leaves()[2])]);
         assert!(above.verify(&sn(99), &t.root(), 3).is_ok());
     }
 
@@ -652,26 +557,29 @@ mod tests {
     fn empty_dictionary_absence() {
         let t = MerkleTree::default();
         let p = RevocationProof::generate(&t, &sn(1));
-        assert_eq!(p, RevocationProof::AbsentEmpty);
+        assert_eq!(p.to_bytes(), vec![PROOF_FORMAT, 0, 0]);
         assert!(p.verify(&sn(1), &t.root(), 0).is_ok());
         // But the same proof must not pass for a non-empty dictionary.
         let t2 = tree_with(&[1]);
-        assert_eq!(p.verify(&sn(1), &t2.root(), 1), Err(ProofError::NotEmpty));
+        assert_eq!(
+            p.verify(&sn(1), &t2.root(), 1),
+            Err(ProofError::MalformedPath)
+        );
     }
 
     #[test]
     fn absence_proof_rejected_for_revoked_serial() {
         // A malicious RA tries to hide a revocation by presenting a
-        // *neighbouring* pair as if the serial were absent.
+        // *neighbouring* pair as if the serial were absent: the pair holds
+        // the serial's own leaf, which answers "revoked".
         let t = tree_with(&[10, 20, 30, 40]);
-        let fake = RevocationProof::AbsentBetween(
-            PresenceProof::generate(&t, 0),
-            PresenceProof::generate(&t, 1),
-        );
-        // 20 IS revoked; the pair (10, 20) cannot enclose it strictly.
+        let fake = proof_of(&t, &[0, 1]);
+        assert!(fake.verify(&sn(20), &t.root(), 4).unwrap().is_revoked());
+        // Without its leaf, the pair around it is not adjacent.
+        let fake = proof_of(&t, &[0, 2]);
         assert_eq!(
             fake.verify(&sn(20), &t.root(), 4),
-            Err(ProofError::SerialOutOfRange)
+            Err(ProofError::WrongIndex)
         );
     }
 
@@ -679,10 +587,7 @@ mod tests {
     fn nonadjacent_pair_rejected() {
         // Leaves 10 and 30 exist, 20 exists between them but the RA skips it.
         let t = tree_with(&[10, 20, 30]);
-        let fake = RevocationProof::AbsentBetween(
-            PresenceProof::generate(&t, 0),
-            PresenceProof::generate(&t, 2),
-        );
+        let fake = proof_of(&t, &[0, 2]);
         assert_eq!(
             fake.verify(&sn(15), &t.root(), 3),
             Err(ProofError::WrongIndex)
@@ -695,8 +600,10 @@ mod tests {
         let old = tree_with(&[10, 20, 30]);
         let proof = RevocationProof::generate(&old, &sn(25));
         let new = tree_with(&[10, 20, 25, 30]);
+        assert!(proof.verify(&sn(25), &new.root(), 4).is_err());
+        let swapped = tree_with(&[10, 20, 31]);
         assert_eq!(
-            proof.verify(&sn(25), &new.root(), 4),
+            proof.verify(&sn(25), &swapped.root(), 3),
             Err(ProofError::RootMismatch)
         );
     }
@@ -714,10 +621,10 @@ mod tests {
     #[test]
     fn below_proof_with_interior_index_rejected() {
         let t = tree_with(&[10, 20, 30]);
-        let fake = RevocationProof::AbsentBelow(PresenceProof::generate(&t, 1));
+        let fake = proof_of(&t, &[1]);
         assert_eq!(
             fake.verify(&sn(5), &t.root(), 3),
-            Err(ProofError::WrongIndex)
+            Err(ProofError::SerialOutOfRange)
         );
     }
 
@@ -727,38 +634,82 @@ mod tests {
         for q in [10u32, 15, 5, 99, 40] {
             let p = RevocationProof::generate(&t, &sn(q));
             let bytes = p.to_bytes();
-            let back = RevocationProof::from_bytes(&bytes).unwrap();
-            assert_eq!(back, p, "query {q}");
+            assert_eq!(RevocationProof::from_bytes(&bytes).unwrap(), p, "query {q}");
+            // One codec: the single proof is the one-serial multiproof.
+            assert_eq!(bytes, MultiProof::generate(&t, &[sn(q)]).to_bytes());
         }
-        let empty = RevocationProof::AbsentEmpty;
-        assert_eq!(
-            RevocationProof::from_bytes(&empty.to_bytes()).unwrap(),
-            empty
-        );
+    }
+
+    #[test]
+    fn encoded_len_is_exact_for_all_variants() {
+        // Present, between, below, above, and the empty dictionary; with
+        // indices and numbers past one varint byte.
+        let t = tree_with(&(0..300u32).map(|i| i * 2).collect::<Vec<_>>());
+        for q in [300u32, 301, 0, 9_999] {
+            let p = RevocationProof::generate(&t, &sn(q));
+            assert_eq!(p.to_bytes().len(), p.encoded_len(), "query {q}");
+        }
+        let empty = RevocationProof::generate(&MerkleTree::default(), &sn(1));
+        assert_eq!(empty.to_bytes().len(), empty.encoded_len());
     }
 
     #[test]
     fn decode_rejects_garbage() {
         assert!(RevocationProof::from_bytes(&[]).is_err());
-        assert!(RevocationProof::from_bytes(&[9]).is_err());
+        for tag in 0..=4 {
+            assert!(RevocationProof::from_bytes(&[tag, 0, 0]).is_err(), "{tag}");
+        }
         let t = tree_with(&[10]);
         let mut good = RevocationProof::generate(&t, &sn(10)).to_bytes();
         good.push(0); // trailing byte
         assert!(RevocationProof::from_bytes(&good).is_err());
+        // Three leaves are a multiproof, never a single-serial proof.
+        let t = tree_with(&[10, 20, 30]);
+        let three = MultiProof::generate(&t, &[sn(10), sn(20), sn(30)]).to_bytes();
+        assert!(MultiProof::from_bytes(&three).is_ok());
+        let err = RevocationProof::from_bytes(&three).unwrap_err();
+        assert!(err.context.contains("too many leaves"), "{err}");
     }
 
     #[test]
     fn forged_path_length_rejected_before_allocation() {
-        // A presence proof claiming a 0xffff-digest path (1.3 MB) with an
-        // empty tail must fail the count check up front.
+        // A one-leaf proof claiming 2^32 siblings with no digests behind
+        // it must fail the count check up front.
         let mut w = Writer::new();
-        w.u8(0); // Present tag
-        w.u64(0); // index
-        w.vec8(&[1]); // serial
-        w.u64(1); // number
-        w.u16(u16::MAX); // forged path length, no path bytes follow
+        w.u8(PROOF_FORMAT).varint(1).varint(0).vec8(&[1]).varint(1);
+        w.varint(1 << 32);
         let err = RevocationProof::from_bytes(w.as_bytes()).unwrap_err();
-        assert!(err.context.contains("path"), "{err}");
+        assert!(err.context.contains("sibling count"), "{err}");
+    }
+
+    #[test]
+    fn non_minimal_varints_rejected() {
+        let t = tree_with(&[10, 20, 30]);
+        let good = RevocationProof::generate(&t, &sn(20)).to_bytes();
+        // format, leaf count 1, index 1: pad the index to two bytes.
+        assert_eq!(good[..3], [PROOF_FORMAT, 1, 1]);
+        let mut padded = good[..2].to_vec();
+        padded.extend_from_slice(&[0x81, 0x00]);
+        padded.extend_from_slice(&good[3..]);
+        assert!(RevocationProof::from_bytes(&padded).is_err());
+    }
+
+    #[test]
+    fn extra_or_missing_siblings_rejected() {
+        // Each proof has one shape: a sibling too many or too few is
+        // malformed, not ignored.
+        let t = tree_with(&[10, 20, 30, 40, 50]);
+        let honest = RevocationProof::generate(&t, &sn(25));
+        let mut extra = honest.clone();
+        extra.siblings.push(Digest20::ZERO);
+        let mut short = honest.clone();
+        short.siblings.pop();
+        for forged in [extra, short] {
+            assert_eq!(
+                forged.verify(&sn(25), &t.root(), 5),
+                Err(ProofError::MalformedPath)
+            );
+        }
     }
 
     #[test]
@@ -783,8 +734,10 @@ mod tests {
 
     #[test]
     fn multiproof_compresses_shared_siblings() {
-        // 5 absent serials: individually each needs an AbsentBetween pair
-        // (two full audit paths); the multiproof ships each sibling once.
+        // 5 absent serials: each single proof already ships its pair's
+        // shared siblings once (so the bar is 70 %, not the 60 % it was
+        // against two full paths per pair); the multiproof also shares the
+        // siblings the five pairs have in common.
         let t = tree_with(&(0..1024u32).map(|i| i * 2).collect::<Vec<_>>());
         let queries: Vec<SerialNumber> = [101u32, 301, 501, 701, 901].map(sn).to_vec();
         let mp = MultiProof::generate(&t, &queries);
@@ -794,8 +747,8 @@ mod tests {
             .sum();
         let compressed = mp.encoded_len();
         assert!(
-            compressed * 10 <= individual * 6,
-            "multiproof {compressed}B must be ≤60% of {individual}B"
+            compressed * 10 <= individual * 7,
+            "multiproof {compressed}B must be ≤70% of {individual}B"
         );
         assert!(mp.verify(&queries, &t.root(), 1024).is_ok());
     }
@@ -851,18 +804,21 @@ mod tests {
     }
 
     #[test]
+    fn multiproof_forged_count_rejected_before_allocation() {
+        let mut w = Writer::new();
+        w.u8(PROOF_FORMAT).varint(1 << 32); // leaf count, no bytes behind it
+        let err = MultiProof::from_bytes(w.as_bytes()).unwrap_err();
+        assert!(err.context.contains("leaf count"), "{err}");
+    }
+
+    #[test]
     fn multiproof_forged_gap_rejected() {
         // An RA omits leaf 20 and presents (10, 30) as adjacent to hide a
         // revocation between them: the indices give it away.
         let t = tree_with(&[10, 20, 30]);
         let honest = MultiProof::generate(&t, &[sn(10), sn(30)]);
-        // Forge: drop the middle leaf and claim 15 absent.
-        let forged = MultiProof {
-            leaves: honest.leaves.clone(),
-            siblings: honest.siblings.clone(),
-        };
         assert_eq!(
-            forged.verify(&[sn(15)], &t.root(), 3),
+            honest.verify(&[sn(15)], &t.root(), 3),
             Err(ProofError::WrongIndex)
         );
     }
@@ -880,25 +836,6 @@ mod tests {
             mp.verify(&[sn(99)], &t.root(), 3),
             Err(ProofError::SerialOutOfRange)
         );
-    }
-
-    #[test]
-    fn multiproof_forged_count_rejected_before_allocation() {
-        let mut w = Writer::new();
-        w.u16(u16::MAX); // leaf count with no bytes behind it
-        let err = MultiProof::from_bytes(w.as_bytes()).unwrap_err();
-        assert!(err.context.contains("count"), "{err}");
-    }
-
-    #[test]
-    fn encoded_len_is_exact_for_all_variants() {
-        let t = tree_with(&[10, 20, 30, 40, 50]);
-        for q in [10u32, 15, 5, 99] {
-            let p = RevocationProof::generate(&t, &sn(q));
-            assert_eq!(p.to_bytes().len(), p.encoded_len(), "query {q}");
-        }
-        let empty = RevocationProof::AbsentEmpty;
-        assert_eq!(empty.to_bytes().len(), empty.encoded_len());
     }
 
     #[test]

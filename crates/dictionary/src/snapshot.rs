@@ -23,6 +23,7 @@ use crate::proof::{MultiProof, RevocationProof};
 use crate::root::{CaId, SignedRoot};
 use crate::serial::SerialNumber;
 use parking_lot::RwLock;
+use ritm_crypto::ed25519::VerifyingKey;
 use std::sync::Arc;
 
 /// A frozen, self-consistent view of one mirrored dictionary.
@@ -33,6 +34,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct DictionarySnapshot {
     ca: CaId,
+    /// The CA key the mirror pinned: what its roots were verified under.
+    ca_key: VerifyingKey,
     epoch: u64,
     /// Structurally shared with the mirror it was frozen from: cloning a
     /// [`PersistentTree`] bumps one `Arc` per chunk, so publication costs
@@ -49,6 +52,7 @@ impl DictionarySnapshot {
     /// Freezes the given state. The tree must be proof-ready.
     pub fn new(
         ca: CaId,
+        ca_key: VerifyingKey,
         epoch: u64,
         tree: PersistentTree,
         signed_root: SignedRoot,
@@ -56,6 +60,7 @@ impl DictionarySnapshot {
     ) -> Self {
         DictionarySnapshot {
             ca,
+            ca_key,
             epoch,
             tree,
             signed_root,
@@ -75,6 +80,7 @@ impl DictionarySnapshot {
     ) -> Self {
         DictionarySnapshot {
             ca: self.ca,
+            ca_key: self.ca_key,
             epoch: self.epoch,
             tree: self.tree.clone(),
             signed_root,
@@ -85,6 +91,11 @@ impl DictionarySnapshot {
     /// The CA whose dictionary this snapshot freezes.
     pub fn ca(&self) -> CaId {
         self.ca
+    }
+
+    /// The CA key the mirror pinned, which verified every root it holds.
+    pub fn ca_key(&self) -> &VerifyingKey {
+        &self.ca_key
     }
 
     /// The content epoch this snapshot was taken at. Proofs generated from
@@ -342,6 +353,7 @@ mod tests {
         // the generation keep serving the newer bytes.
         let stale = DictionarySnapshot::new(
             cur.ca(),
+            *cur.ca_key(),
             0,
             // A stale tree from before the batch.
             cell.load().tree.clone(),

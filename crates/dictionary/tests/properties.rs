@@ -5,15 +5,56 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ritm_crypto::wire::Writer;
 use ritm_crypto::{Digest20, SigningKey};
 use ritm_dictionary::chunk::CHUNK;
 use ritm_dictionary::persistent::PersistentTree;
+use ritm_dictionary::proof::PROOF_FORMAT;
 use ritm_dictionary::tree::{empty_root, node_hash, Leaf, MerkleTree};
 use ritm_dictionary::{
-    CaDictionary, CaId, MirrorDictionary, ProvenStatus, RefreshMessage, RevocationIssuance,
-    RevocationProof, RevocationStatus, SerialNumber, SignedRoot, UpdateError,
+    CaDictionary, CaId, MirrorDictionary, MultiProof, ProvenStatus, RefreshMessage,
+    RevocationIssuance, RevocationProof, RevocationStatus, SerialNumber, SignedRoot, UpdateError,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashSet};
+
+/// Counts the bytes the measuring thread allocates, and only while it
+/// measures: the tests of this binary run concurrently.
+struct CountingAlloc;
+
+thread_local! {
+    /// `Some(bytes allocated so far)` while this thread is measuring.
+    static ALLOCATED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.with(|a| a.set(a.get().map(|n| n + layout.size())));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.with(|a| a.set(a.get().map(|n| n + new_size)));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f`, returning its result and the bytes it allocated on this
+/// thread (frees not subtracted).
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    ALLOCATED.with(|a| a.set(Some(0)));
+    let out = f();
+    let bytes = ALLOCATED.with(|a| a.replace(None)).expect("measuring");
+    (out, bytes)
+}
 
 const DELTA: u64 = 10;
 const T0: u64 = 1_000_000;
@@ -779,6 +820,200 @@ proptest! {
             prop_assert_eq!(&snapshot.proof(s).to_bytes(), proof);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Decoding attacker bytes never panics, and allocates no more than the
+    /// input pays for: a leaf takes at least 4 encoded bytes, so its
+    /// decoded entry may cost `size_of::<(u64, Leaf)>() / 4` bytes per
+    /// input byte, and a 20-byte sibling no more than its encoding. Inputs
+    /// are random, random behind the format byte, counts up to 2^64 behind
+    /// it, and honest proofs cut short or extended.
+    #[test]
+    fn proof_decoding_is_total_and_bounded(
+        mode in 0u8..4,
+        count in any::<u64>(),
+        tail in prop::collection::vec(any::<u8>(), 0..400),
+        leaves in 0usize..200,
+        query in 0u32..500,
+        cut in any::<u16>(),
+    ) {
+        let input = match mode {
+            0 => tail,
+            1 => [&[PROOF_FORMAT][..], &tail].concat(),
+            2 => {
+                let mut w = Writer::new();
+                w.u8(PROOF_FORMAT).varint(count % 3).bytes(&tail).varint(count);
+                w.into_bytes()
+            }
+            _ => {
+                let tree = tree_of(&(0..leaves as u32).map(|i| i * 2 + 1).collect::<Vec<_>>());
+                let mut bytes = MultiProof::generate(&tree, &[SerialNumber::from_u24(query)])
+                    .to_bytes();
+                bytes.truncate(cut as usize % (bytes.len() + 1));
+                bytes.extend_from_slice(&tail[..tail.len() % 24]);
+                bytes
+            }
+        };
+        let per_byte = std::mem::size_of::<(u64, Leaf)>().div_ceil(4);
+        let (single, bytes) = allocated_by(|| RevocationProof::from_bytes(&input));
+        prop_assert!(bytes <= per_byte * input.len(), "{} B for {} B", bytes, input.len());
+        let (multi, bytes) = allocated_by(|| MultiProof::from_bytes(&input));
+        prop_assert!(bytes <= per_byte * input.len(), "{} B for {} B", bytes, input.len());
+        if multi.as_ref().is_ok_and(|m| !m.siblings.is_empty()) {
+            prop_assert!(bytes > 0, "the allocator counts nothing");
+        }
+        // One codec: the single form is the multi form of at most two leaves.
+        if let Ok(single) = single {
+            prop_assert_eq!(single.to_bytes(), input.clone());
+        }
+        if let Ok(multi) = multi {
+            prop_assert_eq!(multi.to_bytes(), input);
+        }
+    }
+
+    /// Every single-byte change to an honest encoded proof is caught:
+    /// `from_bytes` rejects it, or `verify` does for the same serial, root
+    /// and size. Each byte is flipped by four masks.
+    #[test]
+    fn every_byte_flip_of_a_proof_is_rejected(
+        serials in prop::collection::vec(0u32..2_000, 0..300),
+        query in 0u32..2_100,
+        mask in 1u8..=255,
+    ) {
+        let tree = tree_of(&serials);
+        let (root, size) = (tree.root(), tree.len() as u64);
+        let serial = SerialNumber::from_u24(query);
+        let bytes = RevocationProof::generate(&tree, &serial).to_bytes();
+        for pos in 0..bytes.len() {
+            for m in [0x01, 0x80, 0xff, mask] {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= m;
+                if let Ok(proof) = RevocationProof::from_bytes(&flipped) {
+                    prop_assert!(
+                        proof.verify(&serial, &root, size).is_err(),
+                        "byte {} ^ {:#x} of {} still verifies", pos, m, bytes.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Each integer has one encoding: padding any varint of an honest proof
+    /// (a count, a leaf index or a revocation number) with an empty 7-bit
+    /// group is rejected, while the unpadded re-encoding is the proof's own
+    /// bytes.
+    #[test]
+    fn non_minimal_varints_are_rejected(
+        serials in prop::collection::vec(0u32..100_000, 1..400),
+        queries in prop::collection::vec(0u32..100_100, 1..4),
+        field in any::<usize>(),
+    ) {
+        let tree = tree_of(&serials);
+        let queries: Vec<SerialNumber> =
+            queries.into_iter().map(SerialNumber::from_u24).collect();
+        let proof = MultiProof::generate(&tree, &queries);
+        let fields = 2 + 2 * proof.leaves.len();
+        prop_assert_eq!(encode_padding(&proof, None), proof.to_bytes());
+        let padded = encode_padding(&proof, Some(field % fields));
+        prop_assert!(MultiProof::from_bytes(&padded).is_err());
+        if queries.len() == 1 {
+            let single = RevocationProof::generate(&tree, &queries[0]);
+            prop_assert_eq!(single.to_bytes(), proof.to_bytes());
+            prop_assert!(RevocationProof::from_bytes(&padded).is_err());
+        }
+    }
+
+    /// The verdict of a decoded one-serial proof is set membership, for a
+    /// serial below the first leaf, above the last, between two, present,
+    /// and any serial of an empty dictionary, on 0, 1, 2^k and 2^k + 1
+    /// leaves.
+    #[test]
+    fn proof_verdict_is_set_membership(
+        k in 0u32..9,
+        shape in 0usize..4,
+        gaps in prop::collection::vec(2u32..9, 257..258),
+        picks in prop::collection::vec(any::<usize>(), 3..4),
+    ) {
+        let n = [0, 1, 1 << k, (1 << k) + 1][shape];
+        // Strictly ascending serials from 10 with gaps of at least 2, so
+        // every adjacent pair has a serial strictly between.
+        let serials: Vec<u32> = gaps[..n]
+            .iter()
+            .scan(10u32, |at, gap| {
+                *at += gap;
+                Some(*at)
+            })
+            .collect();
+        let tree = tree_of(&serials);
+        let (root, size) = (tree.root(), n as u64);
+        let mut queries = vec![0, 5, u32::MAX >> 8];
+        if let (Some(first), Some(last)) = (serials.first(), serials.last()) {
+            let i = picks[0] % n;
+            queries.extend([first - 1, last + 1, serials[i]]);
+            if n > 1 {
+                let j = picks[1] % (n - 1);
+                queries.push(serials[j] + 1);
+                queries.push(serials[j + 1] - 1);
+            }
+        }
+        let model: BTreeSet<u32> = serials.iter().copied().collect();
+        for q in queries {
+            let serial = SerialNumber::from_u24(q);
+            let bytes = RevocationProof::generate(&tree, &serial).to_bytes();
+            let verdict = RevocationProof::from_bytes(&bytes)
+                .expect("honest proof decodes")
+                .verify(&serial, &root, size)
+                .expect("honest proof verifies");
+            prop_assert_eq!(verdict.is_revoked(), model.contains(&q), "n {} query {}", n, q);
+        }
+    }
+}
+
+/// The reference tree over `serials` (first occurrences, numbered in
+/// order).
+fn tree_of(serials: &[u32]) -> MerkleTree {
+    let mut seen = BTreeSet::new();
+    let unique: Vec<SerialNumber> = serials
+        .iter()
+        .filter(|&&s| seen.insert(s))
+        .map(|&s| SerialNumber::from_u24(s))
+        .collect();
+    reference_tree(&unique)
+}
+
+/// `proof` in the documented grammar — format byte; leaf count; per leaf
+/// index, serial and number; sibling count; siblings — with varint
+/// `padded` (counted in that order) written one empty group longer than
+/// it needs.
+fn encode_padding(proof: &MultiProof, padded: Option<usize>) -> Vec<u8> {
+    let mut out = vec![PROOF_FORMAT];
+    let mut field = 0;
+    let mut varint = |out: &mut Vec<u8>, v: u64| {
+        let mut w = Writer::new();
+        w.varint(v);
+        let mut bytes = w.into_bytes();
+        if padded == Some(field) {
+            *bytes.last_mut().expect("a varint has a byte") |= 0x80;
+            bytes.push(0);
+        }
+        field += 1;
+        out.extend_from_slice(&bytes);
+    };
+    varint(&mut out, proof.leaves.len() as u64);
+    for (index, leaf) in &proof.leaves {
+        varint(&mut out, *index);
+        out.push(leaf.serial.len() as u8);
+        out.extend_from_slice(leaf.serial.as_bytes());
+        varint(&mut out, leaf.number);
+    }
+    varint(&mut out, proof.siblings.len() as u64);
+    for sibling in &proof.siblings {
+        out.extend_from_slice(sibling.as_bytes());
+    }
+    out
 }
 
 /// Serials whose 4-byte prefixes tie: a shared `12 34 56 78` and a tail
