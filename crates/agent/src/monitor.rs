@@ -180,7 +180,8 @@ mod tests {
         monitor.register_ca(dict.ca(), dict.verifying_key());
         for i in 0..5u32 {
             monitor.check(*dict.signed_root(), "edge");
-            dict.insert(&[SerialNumber::from_u24(i)], &mut rng, 1_001 + i as u64);
+            dict.insert(&[SerialNumber::from_u24(i)], &mut rng, 1_001 + i as u64)
+                .unwrap();
         }
         assert!(monitor.reports().is_empty());
         assert_eq!(monitor.checks, 5);

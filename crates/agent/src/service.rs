@@ -68,7 +68,8 @@ impl Service for StatusService {
                 None => RitmResponse::Error(ProtoError::UnknownCa(ca)),
             },
             // Dissemination requests belong to CDN edges, manifests to CAs.
-            RitmRequest::FetchDelta { .. }
+            RitmRequest::Pull { .. }
+            | RitmRequest::FetchDelta { .. }
             | RitmRequest::FetchFreshness { .. }
             | RitmRequest::CatchUpPaged { .. }
             | RitmRequest::GetManifest { .. } => RitmResponse::Error(ProtoError::Unsupported),
@@ -224,6 +225,16 @@ mod tests {
         );
         assert_eq!(
             svc.handle(RitmRequest::FetchDelta { ca: nobody }),
+            RitmResponse::Error(ProtoError::Unsupported)
+        );
+        // The RA serves statuses, not feeds: a pull is not its kind.
+        let pull = RitmRequest::Pull {
+            ca: nobody,
+            have: 0,
+            limit: 64,
+        };
+        assert_eq!(
+            svc.handle(pull),
             RitmResponse::Error(ProtoError::Unsupported)
         );
     }

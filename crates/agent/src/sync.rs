@@ -2,30 +2,33 @@
 //! each RA contacts an edge server via an HTTP GET request to pull new
 //! revocations and freshness statements").
 //!
-//! Since the wire-protocol redesign the RA speaks *only*
-//! [`ritm_proto::RitmRequest`] envelopes through a [`Transport`]
-//! ([`RevocationAgent::sync_via`]): the same sync pass runs against an
-//! in-process `Loopback` over a CDN `EdgeService`, a `ritm-net`
+//! The RA speaks *only* [`ritm_proto::RitmRequest`] envelopes through a
+//! [`Transport`] ([`RevocationAgent::sync_via`]): the same sync pass runs
+//! against an in-process `Loopback` over a CDN `EdgeService`, a `ritm-net`
 //! simulated path, or a real TCP connection, moving byte-identical frames.
-//! The pass is batched into pipelined flights
-//! ([`Transport::round_trip_many`]), so on the event-driven transport a
-//! sync round keeps every CA's requests in flight at once (~2 RTTs total)
-//! while sequential transports run the identical frames one at a time. On
-//! an envelope-v2 peer the flight is additionally *multiplexed*: each
-//! request carries a request id and the server may answer out of order,
-//! so one slow delta (a large catch-up page) no longer delays the freshness
-//! statements queued behind it — the transport correlates replies by id
-//! and the sync logic sees them in request order regardless.
-//! The per-Δ download volume measured here is exactly what Fig. 7 plots —
-//! now as actual encoded envelope bytes — and the billed traffic feeds
-//! Fig. 6 / Table II.
+//!
+//! One Δ is one conditional pull per CA: `Pull` reports the consecutive
+//! revocations the mirror holds (§III: "the number of valid consecutive
+//! revocations it has observed"), and the `Update` answering it carries
+//! what the mirror lacks — the serials after that count up to a batch
+//! boundary, under the root the CA signed there, and the CA's current
+//! refresh message. An up-to-date RA downloads its freshness statement
+//! and nothing else; a gap of any size closes in pages, pulled again while
+//! the server says serials remain. Every CA's pull goes out in one
+//! pipelined flight ([`Transport::round_trip_many`]; multiplexed by request
+//! id on an envelope-v2 peer), so a round costs ~1 RTT however many CAs the
+//! RA mirrors. The per-Δ download measured here is exactly what Fig. 7
+//! plots, as encoded envelope bytes, and the billed traffic feeds Fig. 6 /
+//! Table II.
 
 use crate::ra::RevocationAgent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ritm_dictionary::{CaId, RevocationIssuance, UpdateError};
+use ritm_dictionary::{CaId, RevocationIssuance};
 use ritm_net::time::{SimDuration, SimTime};
-use ritm_proto::{ProtoError, RitmRequest, RitmResponse, RoundTrip, Transport, TransportMeta};
+use ritm_proto::{
+    ProtoError, RitmRequest, RitmResponse, RoundTrip, Transport, TransportMeta, Update,
+};
 
 /// Bounded retry with exponential backoff and jitter, applied to every
 /// round trip of a sync pass. A failed round trip (no decodable response)
@@ -84,13 +87,13 @@ impl RetryPolicy {
 pub struct SyncPolicy {
     /// Per-round-trip retry behaviour.
     pub retry: RetryPolicy,
-    /// Serials requested per `CatchUpPaged` page. The default is the
+    /// Serials requested per `Pull` page. The default is the
     /// protocol-wide [`ritm_proto::MAX_PAGE_LIMIT`], the largest page a
     /// server will serve — any gap then converges in the fewest pages
     /// that each still fit [`ritm_proto::MAX_FRAME_LEN`].
     pub page_limit: u32,
-    /// Hard cap on catch-up pages pulled per CA per pass — a backstop
-    /// against a misbehaving server feeding an endless page stream.
+    /// Hard cap on pages pulled per CA per pass — a backstop against a
+    /// misbehaving server feeding an endless page stream.
     pub max_pages: u32,
 }
 
@@ -118,10 +121,10 @@ pub struct SyncReport {
     pub revocations_applied: u64,
     /// Freshness statements applied.
     pub freshness_applied: u64,
-    /// Desynchronized CAs repaired via catch-up this pass.
+    /// CAs whose gap did not fit one page, so their pull continued.
     pub catchups: u64,
-    /// Catch-up pages applied (a gap spanning several issuance batches
-    /// arrives as that many `DeltaPage` responses).
+    /// Pages those continued pulls applied (a gap wider than the page
+    /// limit arrives as that many `Update`s).
     pub catchup_pages: u64,
     /// Messages that failed verification (or arrived as the wrong response
     /// kind) and were discarded.
@@ -197,31 +200,22 @@ fn flight_with_retry<T: Transport>(
 }
 
 impl RevocationAgent {
-    /// One periodic pull (every Δ) over the wire protocol: for each
-    /// mirrored CA, request the latest issuance bundle and freshness
-    /// statement through `transport`, apply them, and repair any detected
-    /// desynchronization with paged `CatchUpPaged` requests.
+    /// One periodic pull (every Δ) over the wire protocol: one `Pull` per
+    /// mirrored CA, all in one pipelined flight; each `Update`'s serials
+    /// are applied under its signed root, then its refresh message. A CA
+    /// whose update says serials remain is pulled again, with every other
+    /// such CA, in a further flight.
     ///
-    /// The pull is batched into at most two pipelined flights
-    /// ([`Transport::round_trip_many`]): every CA's `FetchDelta` and
-    /// `FetchFreshness` go out together, then the first `CatchUpPaged` of
-    /// each desynchronized CA, whose further pages follow one by one. On a
-    /// pipelining transport (the event-driven `EventTransport`) a whole
-    /// sync round without a multi-page gap costs ~2 RTTs
-    /// regardless of how many CAs the RA mirrors; on sequential transports
-    /// the batches degrade to the former one-at-a-time behaviour with
-    /// byte-identical frames. Per CA the application order is unchanged:
-    /// delta, then any catch-up repair, then freshness.
-    ///
-    /// A missing object ([`ProtoError::NotFound`] — the CA has published
+    /// A missing feed ([`ProtoError::NotFound`] — the CA has published
     /// nothing yet) is benign; any other error response, undecodable
-    /// message, or failed verification is counted in the report.
+    /// message, or failed verification is counted in the report, and
+    /// leaves that CA's mirror as the last verified update left it.
     ///
     /// Every round trip runs under the default [`SyncPolicy`]: failed
     /// flights re-send only their failed entries with exponential backoff
-    /// and jitter instead of silently dropping the round, and gaps are
-    /// repaired in pages that each fit a frame, so no gap — however large —
-    /// dead-ends. Use [`RevocationAgent::sync_via_with`] to tune the policy.
+    /// and jitter instead of silently dropping the round, and gaps close in
+    /// pages that each fit a frame, so no gap — however large — dead-ends.
+    /// Use [`RevocationAgent::sync_via_with`] to tune the policy.
     pub fn sync_via<T: Transport>(&mut self, transport: &mut T, now: SimTime) -> SyncReport {
         self.sync_via_with(transport, now, &SyncPolicy::default())
     }
@@ -234,236 +228,109 @@ impl RevocationAgent {
         policy: &SyncPolicy,
     ) -> SyncReport {
         let mut report = SyncReport::default();
-        let now_secs = now.as_secs();
-        let cas: Vec<CaId> = self.followed_cas().copied().collect();
-        if cas.is_empty() {
-            return report;
-        }
         let mut rng = StdRng::seed_from_u64(policy.retry.jitter_seed);
-
-        // Flight 1: delta + freshness for every CA, kept in flight at once.
-        let mut reqs = Vec::with_capacity(cas.len() * 2);
-        for &ca in &cas {
-            reqs.push(RitmRequest::FetchDelta { ca });
-            reqs.push(RitmRequest::FetchFreshness { ca });
-        }
-        let mut flight =
-            flight_with_retry(transport, &reqs, &policy.retry, &mut rng, &mut report).into_iter();
-
-        // Apply deltas as their responses come off the flight, deferring
-        // freshness until after any catch-up repair for the same CA.
-        let mut fresh_pending = Vec::with_capacity(cas.len());
-        let mut catchups: Vec<(CaId, u64)> = Vec::new();
-        for &ca in &cas {
-            let delta = flight.next().expect("one result per request");
-            let fresh = flight.next().expect("one result per request");
-            if let Some(rt) = delta {
-                match rt.response {
-                    RitmResponse::Delta(iss) => {
-                        if let Some(have) = self.apply_delta(ca, iss, now_secs, &mut report) {
-                            catchups.push((ca, have));
-                        }
-                    }
-                    RitmResponse::Error(ProtoError::NotFound) => {}
-                    // An endpoint with no Latest bundle at all (the CA's
-                    // own service): catch up from what we hold instead.
-                    RitmResponse::Error(ProtoError::Unsupported) => {
-                        let have = self
-                            .mirror(&ca)
-                            .expect("followed ca has a mirror")
-                            .consecutive_count();
-                        catchups.push((ca, have));
-                    }
-                    _ => report.rejected += 1,
-                }
-            }
-            fresh_pending.push((ca, fresh));
-        }
-
-        // Flight 2: the paper's catch-up requests for every CA that
-        // detected a gap, paged and pipelined — first page per CA in one
-        // flight, then each CA drains its remaining pages.
-        if !catchups.is_empty() {
-            let reqs: Vec<RitmRequest> = catchups
+        // Each CA still pulling, with the pages its pull has applied.
+        let mut pulling: Vec<(CaId, u32)> = self.followed_cas().map(|&ca| (ca, 0)).collect();
+        while !pulling.is_empty() {
+            let reqs: Vec<RitmRequest> = pulling
                 .iter()
-                .map(|&(ca, have)| RitmRequest::CatchUpPaged {
+                .map(|&(ca, _)| RitmRequest::Pull {
                     ca,
-                    have,
+                    have: self
+                        .mirror(&ca)
+                        .expect("followed ca has a mirror")
+                        .consecutive_count(),
                     limit: policy.page_limit,
                 })
                 .collect();
-            let firsts = flight_with_retry(transport, &reqs, &policy.retry, &mut rng, &mut report);
-            for ((ca, _), first) in catchups.into_iter().zip(firsts) {
-                self.drain_pages(
-                    transport,
-                    ca,
-                    first,
-                    now_secs,
-                    policy,
-                    &mut rng,
-                    &mut report,
-                );
-            }
-        }
-
-        // Freshness statements last, so a repaired mirror judges them
-        // against its post-catch-up root.
-        for (ca, result) in fresh_pending {
-            if let Some(rt) = result {
+            let replies = flight_with_retry(transport, &reqs, &policy.retry, &mut rng, &mut report);
+            let mut again = Vec::new();
+            for ((ca, pages), reply) in pulling.into_iter().zip(replies) {
+                // `None` = retries exhausted, already accounted as gave_up.
+                let Some(rt) = reply else { continue };
                 match rt.response {
-                    RitmResponse::Freshness(msg) => {
-                        let res = self
-                            .mirror_mut(&ca)
-                            .expect("followed ca has a mirror")
-                            .apply_refresh(&msg, now_secs);
-                        match res {
-                            Ok(()) => report.freshness_applied += 1,
-                            Err(_) => report.rejected += 1,
+                    RitmResponse::Update(update) => {
+                        let pages =
+                            self.apply_update(ca, update, pages, now.as_secs(), &mut report);
+                        if let Some(pages) = pages {
+                            if pages < policy.max_pages {
+                                again.push((ca, pages));
+                            } else {
+                                report.rejected += 1;
+                            }
                         }
                     }
                     RitmResponse::Error(ProtoError::NotFound) => {}
                     _ => report.rejected += 1,
                 }
             }
+            pulling = again;
         }
         report
     }
 
-    /// Pulls catch-up pages for one desynchronized CA until the server
-    /// reports nothing remaining, applying each as it lands. `first` is
-    /// the (already retried) response to the first `CatchUpPaged`. Any
-    /// reply other than a page (a `Malformed` refusal included) counts as
-    /// rejected.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_pages<T: Transport>(
+    /// Applies one `Update` for `ca`, whose pull has applied `pages` pages
+    /// before it: the serials (numbered from the mirror's count + 1) under
+    /// the carried root, then the refresh message. Returns the pages
+    /// applied so far when serials remain and the pull should go on. An
+    /// update with serials but no root (or a root but no serials), one
+    /// that fails verification, or one claiming serials remain while
+    /// carrying none counts as rejected and ends the pull.
+    fn apply_update(
         &mut self,
-        transport: &mut T,
         ca: CaId,
-        first: Option<RoundTrip>,
+        update: Update,
+        pages: u32,
         now_secs: u64,
-        policy: &SyncPolicy,
-        rng: &mut StdRng,
         report: &mut SyncReport,
-    ) {
-        let mut result = first;
-        let mut pages = 0u32;
-        // `None` = retries exhausted, already accounted as gave_up.
-        while let Some(rt) = result.take() {
-            let RitmResponse::DeltaPage {
-                issuance,
-                remaining,
-            } = rt.response
-            else {
-                report.rejected += 1;
-                break;
-            };
-            if issuance.serials.is_empty() {
-                // An empty page with `remaining > 0` can never make
-                // progress; empty with 0 means already caught up.
-                if remaining > 0 {
+    ) -> Option<u32> {
+        let Update {
+            serials,
+            signed_root,
+            remaining,
+            refresh,
+        } = update;
+        // One guard: the snapshot is republished once, when it drops.
+        let mut mirror = self.mirror_mut(&ca).expect("followed ca has a mirror");
+        let applied = match (signed_root, serials.len() as u64) {
+            (None, 0) => false,
+            (Some(signed_root), n) if n > 0 => {
+                let issuance = RevocationIssuance {
+                    first_number: mirror.consecutive_count() + 1,
+                    serials,
+                    signed_root,
+                };
+                if mirror.apply_issuance(&issuance, now_secs).is_err() {
                     report.rejected += 1;
+                    return None;
                 }
-                break;
-            }
-            let serials = issuance.serials.len() as u64;
-            let applied = self
-                .mirror_mut(&ca)
-                .expect("followed ca has a mirror")
-                .apply_issuance(&issuance, now_secs)
-                .is_ok();
-            if !applied {
-                report.rejected += 1;
-                break;
-            }
-            report.catchup_pages += 1;
-            report.issuances_applied += 1;
-            report.revocations_applied += serials;
-            pages += 1;
-            if remaining == 0 {
-                break;
-            }
-            if pages >= policy.max_pages {
-                report.rejected += 1;
-                break;
-            }
-            let have = self
-                .mirror(&ca)
-                .expect("followed ca has a mirror")
-                .consecutive_count();
-            result = flight_with_retry(
-                transport,
-                &[RitmRequest::CatchUpPaged {
-                    ca,
-                    have,
-                    limit: policy.page_limit,
-                }],
-                &policy.retry,
-                rng,
-                report,
-            )
-            .pop()
-            .expect("one result per request");
-        }
-        if pages > 0 {
-            report.catchups += 1;
-        }
-    }
-
-    /// Applies one pulled issuance bundle. Returns `Some(have)` when the
-    /// mirror detected a gap and a catch-up from `have` is needed (issued
-    /// by the caller's second flight). A bundle numbered from 0, or past
-    /// `u64::MAX`, is hostile: it counts as rejected.
-    fn apply_delta(
-        &mut self,
-        ca: CaId,
-        issuance: RevocationIssuance,
-        now_secs: u64,
-        report: &mut SyncReport,
-    ) -> Option<u64> {
-        let have = self
-            .mirror(&ca)
-            .expect("followed ca has a mirror")
-            .consecutive_count();
-        let last = match issuance.first_number {
-            0 => None,
-            first => (first - 1).checked_add(issuance.serials.len() as u64),
-        };
-        let Some(last) = last else {
-            report.rejected += 1;
-            return None;
-        };
-        if last <= have {
-            return None; // nothing new in the bundle
-        }
-        // Trim the already-known prefix (the Latest bundle may overlap).
-        let issuance = if issuance.first_number <= have {
-            let skip = (have + 1 - issuance.first_number) as usize;
-            RevocationIssuance {
-                first_number: have + 1,
-                serials: issuance.serials[skip..].to_vec(),
-                signed_root: issuance.signed_root,
-            }
-        } else {
-            issuance
-        };
-        let outcome = {
-            let mut mirror = self.mirror_mut(&ca).expect("followed ca has a mirror");
-            mirror.apply_issuance(&issuance, now_secs)
-            // Guard drops here, republishing the snapshot if the update
-            // landed — before any catch-up round-trip.
-        };
-        match outcome {
-            Ok(()) => {
                 report.issuances_applied += 1;
-                report.revocations_applied += issuance.serials.len() as u64;
-                None
+                report.revocations_applied += n;
+                if pages > 0 || remaining > 0 {
+                    report.catchups += u64::from(pages == 0);
+                    report.catchup_pages += 1;
+                }
+                true
             }
-            // Paper's sync protocol: request everything after `have`.
-            Err(UpdateError::Desynchronized { have, .. }) => Some(have),
-            Err(_) => {
+            _ => {
+                report.rejected += 1;
+                return None;
+            }
+        };
+        if let Some(msg) = refresh {
+            match mirror.apply_refresh(&msg, now_secs) {
+                Ok(()) => report.freshness_applied += 1,
+                Err(_) => report.rejected += 1,
+            }
+        }
+        match remaining {
+            0 => None,
+            // Serials remain, yet none came: the pull cannot progress.
+            _ if !applied => {
                 report.rejected += 1;
                 None
             }
+            _ => Some(pages + 1),
         }
     }
 }
@@ -477,7 +344,6 @@ pub(crate) mod tests {
     use rand::SeedableRng;
     use ritm_ca::CertificationAuthority;
     use ritm_cdn::network::Cdn;
-    use ritm_cdn::origin::ContentKey;
     use ritm_cdn::service::EdgeService;
     use ritm_crypto::ed25519::SigningKey;
     use ritm_dictionary::{RefreshMessage, SerialNumber};
@@ -538,9 +404,10 @@ pub(crate) mod tests {
     fn sync_applies_new_revocations_and_freshness() {
         let mut w = world();
         issue_and_revoke(&mut w, 0..5, T0 + 1);
-        w.ca.refresh(&mut w.cdn, &mut w.rng, T0 + 2).unwrap();
+        // A period later: the batch and the period's statement together.
+        w.ca.refresh(&mut w.cdn, &mut w.rng, T0 + 11).unwrap();
 
-        let report = sync(&mut w, T0 + 2);
+        let report = sync(&mut w, T0 + 11);
         assert_eq!(report.issuances_applied, 1);
         assert_eq!(report.revocations_applied, 5);
         assert_eq!(report.freshness_applied, 1);
@@ -566,45 +433,99 @@ pub(crate) mod tests {
         assert_eq!(w.ra.mirror(&w.ca.id()).unwrap().len(), 3);
     }
 
+    /// The exact frame an `Update` travels in.
+    fn update_frame_len(update: Update) -> u64 {
+        RitmResponse::Update(update).to_frame().len() as u64
+    }
+
     #[test]
-    fn missed_batch_triggers_catchup() {
+    fn missed_batches_arrive_in_the_same_flight() {
         let mut w = world();
         // Two batches published while the RA was offline.
         issue_and_revoke(&mut w, 0..4, T0 + 1);
         issue_and_revoke(&mut w, 4..9, T0 + 2);
 
         let report = sync(&mut w, T0 + 3);
-        // The Latest bundle only carries the second batch, so the RA detects
-        // the gap and issues a catch-up request.
-        assert_eq!(report.catchups, 1);
-        assert_eq!(w.ra.mirror(&w.ca.id()).unwrap().len(), 9);
+        // One update carries both batches under the head root: no
+        // discarded bundle, no second flight, nothing to page.
+        assert_eq!(
+            (report.issuances_applied, report.revocations_applied),
+            (1, 9)
+        );
+        assert_eq!(
+            (report.catchups, report.catchup_pages, report.rejected),
+            (0, 0, 0)
+        );
+        let mirror = w.ra.mirror(&w.ca.id()).unwrap();
+        assert_eq!(mirror.signed_root(), w.ca.dictionary().signed_root());
+        assert_eq!(
+            report.bytes_downloaded,
+            update_frame_len(Update {
+                serials: mirror.issuance_since(0).serials,
+                signed_root: Some(*mirror.signed_root()),
+                ..Update::default()
+            })
+        );
     }
 
     #[test]
-    fn overlapping_bundle_is_trimmed() {
+    fn an_idle_round_moves_no_serial_and_no_root() {
+        let mut w = world();
+        issue_and_revoke(&mut w, 0..3, T0 + 1);
+        sync(&mut w, T0 + 2);
+        let fresh = w.ca.refresh(&mut w.cdn, &mut w.rng, T0 + 11).unwrap();
+        let RefreshMessage::Freshness(statement) = fresh else {
+            panic!("a 2^16-link chain does not rotate after one period");
+        };
+
+        let idle = sync(&mut w, T0 + 11);
+        assert_eq!((idle.revocations_applied, idle.freshness_applied), (0, 1));
+        assert_eq!(
+            idle.bytes_downloaded,
+            update_frame_len(Update {
+                refresh: Some(fresh),
+                ..Update::default()
+            })
+        );
+        assert!(
+            idle.bytes_downloaded < ritm_dictionary::root::SIGNED_ROOT_LEN as u64,
+            "no signed root in {} bytes",
+            idle.bytes_downloaded
+        );
+        assert!(idle.bytes_downloaded + idle.bytes_uploaded <= 50);
+        assert_eq!(w.ra.mirror(&w.ca.id()).unwrap().freshness(), &statement);
+    }
+
+    #[test]
+    fn an_edge_behind_the_ra_leaves_the_mirror_untouched() {
         let mut w = world();
         issue_and_revoke(&mut w, 0..4, T0 + 1);
-        sync(&mut w, T0 + 2);
-        // New batch; the Latest bundle holds only it, no overlap problem —
-        // but craft overlap explicitly via issuance_since(0).
-        issue_and_revoke(&mut w, 4..6, T0 + 3);
-        // Publish the *full* history (overlapping the RA's 4 known entries)
-        // as the Latest bundle; the RA must trim the known prefix.
-        let full = w.ca.dictionary().issuance_since(0);
-        w.cdn
-            .origin
-            .publish_raw(ContentKey::Latest { ca: w.ca.id() }, full.to_bytes());
-        w.cdn.flush_edges();
-        let report = sync(&mut w, T0 + 4);
-        assert_eq!(w.ra.mirror(&w.ca.id()).unwrap().len(), 6);
+        // A second CDN that saw only the first batch, before the second.
+        let mut behind = Cdn::new(SimDuration::from_secs(5));
+        behind.origin.register_ca(w.ca.id(), w.ca.verifying_key());
+        let first = w.ca.dictionary().issuance_since(0);
+        behind.origin.publish_issuance(w.ca.id(), &first).unwrap();
+        issue_and_revoke(&mut w, 4..9, T0 + 2);
+        sync(&mut w, T0 + 3);
+        let before = w.ra.mirror(&w.ca.id()).unwrap().clone();
+
+        let service = EdgeService::new(&mut behind, w.ra.config.region, 17);
+        service.set_now(SimTime::from_secs(T0 + 4));
+        let report =
+            w.ra.sync_via(&mut Loopback::new(service), SimTime::from_secs(T0 + 4));
         assert_eq!(report.rejected, 0);
+        assert_eq!(report.revocations_applied + report.freshness_applied, 0);
+        let after = w.ra.mirror(&w.ca.id()).unwrap();
+        assert_eq!(after.len(), before.len());
+        assert_eq!(after.signed_root(), before.signed_root());
+        assert_eq!(after.freshness(), before.freshness());
     }
 
     #[test]
     fn fig7_shape_freshness_dominates_quiet_periods() {
-        // During a quiet Δ the pull is ~tens of bytes (freshness +
-        // zero-issuance bundle); during a revocation burst it grows with the
-        // batch (the Fig. 7 contrast). Volumes are now true envelope bytes.
+        // During a quiet Δ the pull is ~tens of bytes (the freshness
+        // statement); during a revocation burst it grows with the batch
+        // (the Fig. 7 contrast). Volumes are true envelope bytes.
         let mut w = world();
         issue_and_revoke(&mut w, 0..1, T0 + 1);
         sync(&mut w, T0 + 2);
@@ -649,7 +570,15 @@ pub(crate) mod tests {
         service.set_now(SimTime::from_secs(T0 + 50));
         let mut transport = Loopback::new(service);
         let report = ra.sync_via(&mut transport, SimTime::from_secs(T0 + 50));
-        assert_eq!(report.freshness_applied, 1);
+        // The rotated root arrives in the refresh slot: no serials moved.
+        assert_eq!((report.freshness_applied, report.issuances_applied), (1, 0));
+        assert_eq!(
+            report.bytes_downloaded,
+            update_frame_len(Update {
+                refresh: Some(msg),
+                ..Update::default()
+            })
+        );
         assert_eq!(
             ra.mirror(&ca.id()).unwrap().signed_root(),
             ca.dictionary().signed_root()
@@ -681,13 +610,32 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn sync_round_is_two_pipelined_flights() {
+    fn sync_round_is_one_pipelined_flight() {
         let mut w = world();
-        // Two batches published while the RA was offline: the sync must
-        // need a catch-up, and still issue exactly two flights — one
-        // delta+freshness batch, one catch-up batch.
+        // A second CA beside the first, both with batches the RA missed:
+        // one flight carries one pull per CA, and nothing follows it.
+        let mut other = CertificationAuthority::new(
+            "OtherCA",
+            SigningKey::from_seed([4u8; 32]),
+            10,
+            1 << 16,
+            &mut w.cdn,
+            &mut w.rng,
+            T0,
+        );
+        w.ra.follow_ca(
+            other.id(),
+            other.verifying_key(),
+            *other.dictionary().signed_root(),
+        )
+        .unwrap();
         issue_and_revoke(&mut w, 0..4, T0 + 1);
         issue_and_revoke(&mut w, 4..9, T0 + 2);
+        let key = SigningKey::from_seed([7u8; 32]).verifying_key();
+        let serial = other.issue_certificate("o.com", key, 0, u64::MAX).serial;
+        other
+            .revoke(&[serial], &mut w.cdn, &mut w.rng, T0 + 2)
+            .unwrap();
         let region = w.ra.config.region;
         let service = EdgeService::new(&mut w.cdn, region, 17);
         service.set_now(SimTime::from_secs(T0 + 3));
@@ -696,13 +644,10 @@ pub(crate) mod tests {
             batches: Vec::new(),
         };
         let report = w.ra.sync_via(&mut transport, SimTime::from_secs(T0 + 3));
-        assert_eq!(report.catchups, 1);
+        assert_eq!((report.revocations_applied, report.rejected), (10, 0));
         assert_eq!(w.ra.mirror(&w.ca.id()).unwrap().len(), 9);
-        assert_eq!(
-            transport.batches,
-            vec![2, 1],
-            "delta+freshness in one flight, catch-up in a second"
-        );
+        assert_eq!(w.ra.mirror(&other.id()).unwrap().len(), 1);
+        assert_eq!(transport.batches, vec![2], "one pull per CA, one flight");
     }
 
     #[test]
@@ -715,16 +660,16 @@ pub(crate) mod tests {
         for seed in 0..32u64 {
             let mut w = world();
             issue_and_revoke(&mut w, 0..20, T0 + 1);
-            w.ca.refresh(&mut w.cdn, &mut w.rng, T0 + 2).unwrap();
+            w.ca.refresh(&mut w.cdn, &mut w.rng, T0 + 11).unwrap();
             let region = w.ra.config.region;
             let service = EdgeService::new(&mut w.cdn, region, 17);
-            service.set_now(SimTime::from_secs(T0 + 2));
+            service.set_now(SimTime::from_secs(T0 + 11));
             let mut transport = ritm_proto::FaultTransport::new(
                 Loopback::new(service),
                 ritm_proto::FaultPlan::lossy(0.6),
                 seed,
             );
-            let report = w.ra.sync_via(&mut transport, SimTime::from_secs(T0 + 2));
+            let report = w.ra.sync_via(&mut transport, SimTime::from_secs(T0 + 11));
             saw_failures |= report.transport_failures > 0;
             if report.transport_failures > 0 && report.gave_up == 0 {
                 saw_recovery = true;
@@ -753,9 +698,9 @@ pub(crate) mod tests {
         let mut transport = ritm_proto::FaultTransport::new(Loopback::new(service), plan, 1);
         let report = w.ra.sync_via(&mut transport, SimTime::from_secs(T0 + 2));
         let attempts = RetryPolicy::default().max_attempts as u64;
-        assert_eq!(report.gave_up, 2, "delta + freshness both abandoned");
-        assert_eq!(report.retries, 2 * (attempts - 1));
-        assert_eq!(report.transport_failures, 2 * attempts);
+        assert_eq!(report.gave_up, 1, "the one pull abandoned");
+        assert_eq!(report.retries, attempts - 1);
+        assert_eq!(report.transport_failures, attempts);
         assert_eq!(report.issuances_applied, 0);
         assert_eq!(
             w.ra.mirror(&w.ca.id()).unwrap().len(),
@@ -767,8 +712,8 @@ pub(crate) mod tests {
     #[test]
     fn wide_gap_converges_in_bounded_pages() {
         let mut w = world();
-        // Five batches published while the RA was offline; the Latest
-        // bundle carries only the last, so catch-up pages through the rest.
+        // Five batches of 10 published while the RA was offline, pulled at
+        // 16 serials a page: pages end at batch boundaries, one batch each.
         for b in 0..5u32 {
             issue_and_revoke(&mut w, b * 10..(b + 1) * 10, T0 + 1 + b as u64);
         }
@@ -857,35 +802,89 @@ pub(crate) mod tests {
         assert_eq!(mirror.signed_root(), ca.signed_root());
     }
 
-    /// A hostile sync peer: one fixed bundle for `FetchDelta`, else `NotFound`.
-    struct FixedDelta(RevocationIssuance);
+    /// A hostile sync peer: answers every `Pull` with one fixed update.
+    struct FixedUpdate(Update);
 
-    impl ritm_proto::Service for FixedDelta {
+    impl ritm_proto::Service for FixedUpdate {
         fn handle(&self, req: RitmRequest) -> RitmResponse {
             match req {
-                RitmRequest::FetchDelta { .. } => RitmResponse::Delta(self.0.clone()),
-                _ => RitmResponse::Error(ProtoError::NotFound),
+                RitmRequest::Pull { .. } => RitmResponse::Update(self.0.clone()),
+                _ => RitmResponse::Error(ProtoError::Unsupported),
             }
         }
     }
 
     #[test]
-    fn hostile_bundle_numbers_are_rejected_not_a_panic() {
-        // Numbered from 0 with no serials, or running past u64::MAX.
+    fn hostile_updates_are_rejected_not_a_panic() {
         let mut w = world();
-        let signed_root = *w.ca.dictionary().signed_root();
-        let two = vec![SerialNumber::from_u24(1), SerialNumber::from_u24(2)];
-        for (first_number, serials) in [(0, Vec::new()), (u64::MAX, two)] {
-            let bundle = RevocationIssuance {
-                first_number,
-                serials,
-                signed_root,
-            };
-            let mut transport = Loopback::new(FixedDelta(bundle));
-            let report = w.ra.sync_via(&mut transport, SimTime::from_secs(T0 + 1));
-            assert_eq!((report.rejected, report.issuances_applied), (1, 0));
+        issue_and_revoke(&mut w, 0..4, T0 + 1);
+        sync(&mut w, T0 + 2);
+        issue_and_revoke(&mut w, 4..9, T0 + 3);
+        let genuine = w.ca.dictionary().issuance_since(4);
+        let head = genuine.signed_root;
+        let off_chain = ritm_dictionary::FreshnessStatement::new(
+            ritm_crypto::digest::Digest20::hash(b"off chain"),
+        );
+        let hostile = [
+            // A validly signed root for 9 leaves over 4 + 6 serials, and
+            // over 4 + 4: a root for another size.
+            Update {
+                serials: [&genuine.serials[..], &genuine.serials[..1]].concat(),
+                signed_root: Some(head),
+                ..Update::default()
+            },
+            Update {
+                serials: genuine.serials[1..].to_vec(),
+                signed_root: Some(head),
+                ..Update::default()
+            },
+            // Serials without a root, and a root without serials.
+            Update {
+                serials: genuine.serials.clone(),
+                ..Update::default()
+            },
+            Update {
+                signed_root: Some(head),
+                ..Update::default()
+            },
+            // Serials remaining, yet none sent: a pull that cannot end.
+            Update {
+                remaining: u64::MAX,
+                ..Update::default()
+            },
+            // A freshness statement off the root's chain.
+            Update {
+                refresh: Some(RefreshMessage::Freshness(off_chain)),
+                ..Update::default()
+            },
+            // A genuine page that lies about what remains: the repeat pull
+            // gets the same page again, which no longer fits. Last, since
+            // its genuine part is applied.
+            Update {
+                serials: genuine.serials.clone(),
+                signed_root: Some(head),
+                remaining: 3,
+                refresh: None,
+            },
+        ];
+        for (i, update) in hostile.into_iter().enumerate() {
+            let genuine_page = update.remaining == 3;
+            let before = w.ra.mirror(&w.ca.id()).unwrap().clone();
+            let mut transport = Loopback::new(FixedUpdate(update));
+            let report = w.ra.sync_via(&mut transport, SimTime::from_secs(T0 + 4));
+            assert_eq!(report.rejected, 1, "update {i}");
+            let mirror = w.ra.mirror(&w.ca.id()).unwrap();
+            if genuine_page {
+                assert_eq!(report.revocations_applied, 5);
+                assert_eq!(mirror.signed_root(), &head);
+            } else {
+                assert_eq!(report.revocations_applied, 0, "update {i}");
+                assert_eq!(mirror.len(), before.len(), "update {i}");
+                assert_eq!(mirror.signed_root(), before.signed_root(), "update {i}");
+                assert_eq!(mirror.freshness(), before.freshness(), "update {i}");
+            }
         }
-        assert_eq!(w.ra.mirror(&w.ca.id()).unwrap().len(), 0);
+        assert_eq!(w.ra.mirror(&w.ca.id()).unwrap().len(), 9);
     }
 
     #[test]
@@ -918,8 +917,7 @@ pub(crate) mod tests {
         );
         assert_eq!(sim_report.revocations_applied, 7);
         // Latency now includes the simulated propagation on top of the
-        // edge's sampled serving time: 8 ms each way for each of the two
-        // round trips (delta + freshness).
+        // edge's sampled serving time: 8 ms each way for the one pull.
         assert!(sim_report.latency > loopback_report.latency);
     }
 }

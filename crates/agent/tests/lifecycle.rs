@@ -61,7 +61,7 @@ proptest! {
                     // appends both occur).
                     let serials: Vec<SerialNumber> =
                         payload.iter().map(|&v| SerialNumber::from_u24(v)).collect();
-                    if let Some(iss) = ca.insert(&serials, &mut rng, now) {
+                    if let Ok(iss) = ca.insert(&serials, &mut rng, now) {
                         ra.mirror_mut(&ca_id).unwrap().apply_issuance(&iss, now).unwrap();
                         log.extend(iss.serials.iter().copied());
                     }
@@ -72,7 +72,7 @@ proptest! {
                     // accept the honest bytes.
                     let serials: Vec<SerialNumber> =
                         payload.iter().map(|&v| SerialNumber::from_u24(v)).collect();
-                    if let Some(iss) = ca.insert(&serials, &mut rng, now) {
+                    if let Ok(iss) = ca.insert(&serials, &mut rng, now) {
                         let mut tampered = iss.clone();
                         tampered.serials[0] = SerialNumber::from_u24(0xF0_0000);
                         let err = ra

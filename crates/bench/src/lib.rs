@@ -79,18 +79,30 @@ pub fn quantile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx]
 }
 
-/// Bytes one RA downloads in a Δ-period with `revocations` new entries in
-/// the tracked CA's dictionary: a 20-byte freshness statement always, plus
-/// the issuance message (framing + 3-byte length-prefixed serials + signed
-/// root) when anything was revoked. This is the quantity plotted in Fig. 7
-/// and integrated over a month for Fig. 6.
+/// Bytes one RA moves in a Δ-period for one CA with `revocations` new
+/// entries: its `Pull` and the `Update` answering it, each a whole v1 frame.
+/// An idle period's update carries only the 20-byte freshness statement; a
+/// revoking period's carries the serials (3-byte, length-prefixed) under
+/// the new signed root, whose own anchor is the period's statement. The
+/// request reports a count between 2^14 and 2^21 revocations (a 3-byte
+/// varint; the paper's largest CRL holds 339 557) and asks for the default
+/// page limit. This is the quantity plotted in Fig. 7 and integrated over
+/// a month for Fig. 6; `tests/pull_bytes.rs` holds it to the wire.
 pub fn bytes_per_pull(revocations: u64) -> u64 {
-    const FRESHNESS: u64 = 20;
-    if revocations == 0 {
-        FRESHNESS
-    } else {
-        FRESHNESS + 12 + revocations * 4 + ritm_dictionary::root::SIGNED_ROOT_LEN as u64
-    }
+    use ritm_crypto::wire::varint_len;
+    // Length prefix, version and kind.
+    const FRAME: u64 = 4 + 1 + 1;
+    const CA_ID: u64 = 8;
+    const HAVE: u64 = 3;
+    let limit = varint_len(u64::from(ritm_proto::MAX_PAGE_LIMIT)) as u64;
+    let request = FRAME + CA_ID + HAVE + limit;
+    // Flags, the serial count and `remaining` (0).
+    let header = 1 + varint_len(revocations) as u64 + 1;
+    let body = match revocations {
+        0 => 20,
+        n => n * 4 + ritm_dictionary::root::SIGNED_ROOT_LEN as u64,
+    };
+    request + FRAME + header + body
 }
 
 /// Splits a bin series into consecutive 30-day billing cycles starting at
@@ -132,10 +144,11 @@ mod tests {
 
     #[test]
     fn pull_bytes_shape() {
-        assert_eq!(bytes_per_pull(0), 20);
-        // 1 revocation: 20 + 12 + (1 + 3) + 128 = 164.
-        assert_eq!(bytes_per_pull(1), 164);
-        assert!(bytes_per_pull(1_000) > 4_000);
+        // A 20-byte pull; a 29-byte update around the 20-byte statement.
+        assert_eq!(bytes_per_pull(0), 20 + 29);
+        // 1 revocation: 20 + (6 + 3 + 4 + 128) = 161.
+        assert_eq!(bytes_per_pull(1), 161);
+        assert_eq!(bytes_per_pull(1_000), 20 + 6 + 4 + 4_000 + 128);
     }
 
     #[test]

@@ -23,11 +23,16 @@
 //! - a `GetStatus` reply the RA's encoded cache holds for a serial that is
 //!   not revoked, out of a 40k-leaf dictionary, costs at most 660 B,
 //!   cache entry included (measured 628.1; 965.2 when an absence proof
-//!   shipped two full audit paths).
+//!   shipped two full audit paths);
+//! - the CDN origin holds a published 3-byte revocation, in 100-serial
+//!   batches, in at most 11 B: its feed's log entry plus a share of the
+//!   batch's signed root (measured 10.0; 16.0 when it also kept every
+//!   batch's encoded bytes).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ritm_agent::StatusServer;
+use ritm_cdn::Origin;
 use ritm_crypto::ed25519::SigningKey;
 use ritm_dictionary::{CaDictionary, CaId, MirrorDictionary, SerialNumber};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -279,5 +284,47 @@ fn a_cached_encoded_status_costs_its_bytes() {
     assert!(
         per_status <= 660.0,
         "a cached encoded status holds {per_status:.1} B, budget 660"
+    );
+}
+
+/// Live bytes an origin holds after `n` 3-byte revocations are published
+/// to it in 100-serial batches.
+fn origin_live(n: usize) -> i64 {
+    const BATCH: usize = 100;
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut ca = CaDictionary::new(
+        CaId::from_name("MemCA"),
+        SigningKey::from_seed([5u8; 32]),
+        10,
+        64,
+        &mut rng,
+        T0,
+    );
+    let serials: Vec<SerialNumber> = (0..n as u32).map(three_bytes).collect();
+    let batches: Vec<_> = serials
+        .chunks(BATCH)
+        .map(|batch| ca.insert(batch, &mut rng, T0 + 1).expect("fresh serials"))
+        .collect();
+    let mut origin = Origin::new();
+    origin.register_ca(ca.ca(), ca.verifying_key());
+    let ((), tally) = measured(|| {
+        for batch in &batches {
+            origin.publish_issuance(ca.ca(), batch).expect("in order");
+        }
+    });
+    assert_eq!(
+        origin.fetch_page(ca.ca(), 0, 1).map(|(_, r)| r),
+        Some(n as u64 - BATCH as u64)
+    );
+    tally.live
+}
+
+#[test]
+fn an_origin_holds_a_revocation_once() {
+    let per_revocation = slope(origin_live(SMALL) as f64, origin_live(LARGE) as f64);
+    println!("origin, 3-byte serials in 100-serial batches: {per_revocation:.2} B/revocation");
+    assert!(
+        per_revocation <= 11.0,
+        "the origin holds {per_revocation:.2} B per revocation, budget 11"
     );
 }

@@ -6,7 +6,9 @@ use rand::RngCore;
 use ritm_cdn::network::Cdn;
 use ritm_cdn::origin::PublishError;
 use ritm_crypto::ed25519::{SigningKey, VerifyingKey};
-use ritm_dictionary::{CaDictionary, CaId, RefreshMessage, RevocationIssuance, SerialNumber};
+use ritm_dictionary::{
+    CaDictionary, CaId, InsertError, RefreshMessage, RevocationIssuance, SerialNumber,
+};
 use ritm_tls::certificate::Certificate;
 use std::collections::HashSet;
 
@@ -17,6 +19,9 @@ pub enum CaError {
     DuplicateSerial(SerialNumber),
     /// The serial is unknown to this CA.
     UnknownSerial(SerialNumber),
+    /// The batch held more new serials than one issuance may carry
+    /// ([`ritm_dictionary::MAX_BATCH`]); nothing was revoked.
+    BatchTooLarge(usize),
     /// The CDN refused the publish.
     Publish(PublishError),
     /// The attached issuance log failed to persist a record. The in-memory
@@ -30,6 +35,7 @@ impl core::fmt::Display for CaError {
         match self {
             CaError::DuplicateSerial(s) => write!(f, "serial {s} already issued"),
             CaError::UnknownSerial(s) => write!(f, "serial {s} was not issued by this CA"),
+            CaError::BatchTooLarge(n) => write!(f, "batch of {n} new serials is too large"),
             CaError::Publish(e) => write!(f, "distribution point rejected publish: {e}"),
             CaError::Wal(k) => write!(f, "issuance log append failed: {k:?}"),
         }
@@ -241,7 +247,8 @@ impl CertificationAuthority {
     /// # Errors
     ///
     /// [`CaError::UnknownSerial`] for serials this CA never issued;
-    /// [`CaError::Publish`] if the origin rejects the message.
+    /// [`CaError::BatchTooLarge`] for more new serials than one batch may
+    /// carry; [`CaError::Publish`] if the origin rejects the message.
     pub fn revoke<R: RngCore + ?Sized>(
         &mut self,
         serials: &[SerialNumber],
@@ -254,8 +261,10 @@ impl CertificationAuthority {
                 return Err(CaError::UnknownSerial(*s));
             }
         }
-        let Some(issuance) = self.dictionary.insert(serials, rng, now) else {
-            return Ok(None);
+        let issuance = match self.dictionary.insert(serials, rng, now) {
+            Ok(issuance) => issuance,
+            Err(InsertError::NothingNew) => return Ok(None),
+            Err(InsertError::TooLarge { serials }) => return Err(CaError::BatchTooLarge(serials)),
         };
         // Durability before dissemination: once a peer can observe this
         // batch, a restart must be able to replay it.

@@ -69,11 +69,15 @@ impl EquivocatingCa {
 
         let mut honest_batch = cover.to_vec();
         honest_batch.push(target);
-        honest.insert(&honest_batch, rng, now + 1);
+        honest
+            .insert(&honest_batch, rng, now + 1)
+            .expect("cover plus target is a fresh batch");
 
         let mut hiding_batch = cover.to_vec();
         hiding_batch.push(substitute);
-        hiding.insert(&hiding_batch, rng, now + 1);
+        hiding
+            .insert(&hiding_batch, rng, now + 1)
+            .expect("cover plus substitute is a fresh batch");
 
         debug_assert_eq!(honest.len(), hiding.len(), "views must have equal n");
         EquivocatingCa {

@@ -2,15 +2,17 @@
 //!
 //! Most dissemination flows through the CDN, but two objects are naturally
 //! served by the CA itself (§VIII): the signed `/RITM.json` bootstrap
-//! manifest and authoritative catch-up replies synthesized from the full
-//! issuance log. [`CaService`] exposes exactly those — plus the current
-//! signed root and freshness statement for monitors — while refusing
-//! `FetchDelta` (periodic pulls must hit the CDN so the CA's own link is
-//! never the fan-out bottleneck) and status requests (an RA's job).
+//! manifest and authoritative pulls answered from its own issuance log —
+//! `Pull`, and the paged `CatchUpPaged` — under the feed's one page rule,
+//! so every page carries a root the CA published and answering one signs
+//! nothing. [`CaService`] exposes exactly those — plus the current signed
+//! root and freshness statement for monitors — while refusing `FetchDelta`
+//! (periodic pulls should hit the CDN so the CA's own link is never the
+//! fan-out bottleneck) and status requests (an RA's job).
 
 use crate::authority::CertificationAuthority;
 use ritm_dictionary::RefreshMessage;
-use ritm_proto::{ProtoError, RitmRequest, RitmResponse, Service};
+use ritm_proto::{ProtoError, RitmRequest, RitmResponse, Service, Update};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -73,6 +75,22 @@ impl Service for CaService {
                     issuance,
                     remaining,
                 }
+            }
+            RitmRequest::Pull {
+                ca: id,
+                have,
+                limit,
+            } => {
+                if id != ca.id() {
+                    return RitmResponse::Error(ProtoError::UnknownCa(id));
+                }
+                let dictionary = ca.dictionary();
+                let page = dictionary.issuance_page(have, limit.min(ritm_proto::MAX_PAGE_LIMIT));
+                let now = self.now_secs.load(Ordering::SeqCst);
+                let refresh = dictionary
+                    .current_freshness(now)
+                    .map(RefreshMessage::Freshness);
+                RitmResponse::Update(Update::answer(have, Some(page), refresh))
             }
             RitmRequest::FetchFreshness { ca: id } => {
                 if id != ca.id() {
@@ -167,5 +185,97 @@ mod tests {
             svc.handle(RitmRequest::GetManifest { ca: other }),
             RitmResponse::Error(ProtoError::UnknownCa(other))
         );
+    }
+
+    /// Issues and revokes `n` certificates through the service's CA,
+    /// publishing to `cdn`.
+    fn revoke(
+        svc: &CaService,
+        cdn: &mut Cdn,
+        n: u32,
+        now: u64,
+    ) -> ritm_dictionary::RevocationIssuance {
+        let mut rng = StdRng::seed_from_u64(now);
+        let mut ca = svc.authority().lock().unwrap();
+        cdn.origin.register_ca(ca.id(), ca.verifying_key());
+        let key = SigningKey::from_seed([9u8; 32]).verifying_key();
+        let serials: Vec<_> = (0..n)
+            .map(|i| {
+                ca.issue_certificate(&format!("s{i}"), key, 0, u64::MAX)
+                    .serial
+            })
+            .collect();
+        ca.revoke(&serials, cdn, &mut rng, now).unwrap().unwrap()
+    }
+
+    #[test]
+    fn mid_batch_catch_up_serves_the_published_batch_and_signs_nothing() {
+        let (id, _, svc) = service();
+        let batch = revoke(&svc, &mut Cdn::new(SimDuration::ZERO), 40, T0 + 1);
+        let head = *svc.authority().lock().unwrap().dictionary().signed_root();
+        match svc.handle(RitmRequest::CatchUpPaged {
+            ca: id,
+            have: 10,
+            limit: 1,
+        }) {
+            RitmResponse::DeltaPage {
+                issuance,
+                remaining,
+            } => {
+                assert_eq!(remaining, 0);
+                assert_eq!(issuance.first_number, 11);
+                assert_eq!(issuance.serials, batch.serials[10..]);
+                // The root the CA published for the batch, not a new one
+                // over a prefix of it.
+                assert_eq!(issuance.signed_root, batch.signed_root);
+            }
+            other => panic!("expected a page, got {other:?}"),
+        }
+        let ca = svc.authority().lock().unwrap();
+        assert_eq!(*ca.dictionary().signed_root(), head);
+    }
+
+    #[test]
+    fn pull_answers_the_missing_batches_then_only_freshness() {
+        let (id, _, svc) = service();
+        let mut cdn = Cdn::new(SimDuration::ZERO);
+        let first = revoke(&svc, &mut cdn, 3, T0 + 1);
+        let second = revoke(&svc, &mut cdn, 2, T0 + 2);
+        // Behind by two batches: both, under the head root; the refresh is
+        // that root's own anchor, so it is left out.
+        let pull = |have| RitmRequest::Pull {
+            ca: id,
+            have,
+            limit: 64,
+        };
+        let mut serials = first.serials.clone();
+        serials.extend_from_slice(&second.serials);
+        assert_eq!(
+            svc.handle(pull(0)),
+            RitmResponse::Update(Update {
+                serials,
+                signed_root: Some(second.signed_root),
+                remaining: 0,
+                refresh: None,
+            })
+        );
+        // Up to date a period later: the period's freshness statement only.
+        svc.set_now(T0 + 2 + 10);
+        let fresh = svc
+            .authority()
+            .lock()
+            .unwrap()
+            .dictionary()
+            .current_freshness(T0 + 12)
+            .unwrap();
+        assert_eq!(
+            svc.handle(pull(5)),
+            RitmResponse::Update(Update {
+                refresh: Some(RefreshMessage::Freshness(fresh)),
+                ..Update::default()
+            })
+        );
+        // Ahead of the CA: nothing it could use.
+        assert_eq!(svc.handle(pull(9)), RitmResponse::Update(Update::default()));
     }
 }

@@ -32,6 +32,8 @@ pub struct EdgeServer {
     pub region: Region,
     ttl: SimDuration,
     cache: HashMap<ContentKey, CacheEntry>,
+    /// Entries left by the last sweep of expired ones.
+    live_after_sweep: usize,
     /// Bytes served to RAs (egress the CA pays for).
     pub served_bytes: u64,
     /// Bytes fetched from the origin.
@@ -50,6 +52,7 @@ impl EdgeServer {
             region,
             ttl,
             cache: HashMap::new(),
+            live_after_sweep: 0,
             served_bytes: 0,
             origin_bytes: 0,
             hits: 0,
@@ -67,6 +70,19 @@ impl EdgeServer {
         origin: &Origin,
         now: SimTime,
         rng: &mut R,
+    ) -> Option<(Vec<u8>, PullStats)> {
+        self.pull_with(key, now, rng, || origin.fetch(key).map(<[u8]>::to_vec))
+    }
+
+    /// [`EdgeServer::pull`] of an object the origin builds per request —
+    /// the answer to a conditional pull — which `fetch` builds on a miss.
+    /// Cached under `key` like a stored object.
+    pub fn pull_with<R: rand::Rng + ?Sized>(
+        &mut self,
+        key: &ContentKey,
+        now: SimTime,
+        rng: &mut R,
+        fetch: impl FnOnce() -> Option<Vec<u8>>,
     ) -> Option<(Vec<u8>, PullStats)> {
         let fresh = self
             .cache
@@ -93,16 +109,26 @@ impl EdgeServer {
         }
 
         // Miss: fetch through to the origin.
-        let body = origin.fetch(key)?.to_vec();
+        let body = fetch()?;
         self.misses += 1;
         self.origin_bytes += body.len() as u64;
-        self.cache.insert(
-            key.clone(),
-            CacheEntry {
-                bytes: body.clone(),
-                fetched_at: now,
-            },
-        );
+        if self.ttl > SimDuration::ZERO {
+            self.cache.insert(
+                key.clone(),
+                CacheEntry {
+                    bytes: body.clone(),
+                    fetched_at: now,
+                },
+            );
+            // An expired entry is never served again (conditional pulls
+            // key one per requester count): sweep them once the cache has
+            // doubled since the last sweep.
+            if self.cache.len() >= 2 * self.live_after_sweep.max(64) {
+                let ttl = self.ttl;
+                self.cache.retain(|_, e| now.since(e.fetched_at) <= ttl);
+                self.live_after_sweep = self.cache.len();
+            }
+        }
         self.served_bytes += body.len() as u64;
         let origin_rtt = self.region.origin_latency().sample(rng);
         // Origin→edge transfer typically runs on fatter pipes; charge half

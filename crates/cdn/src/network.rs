@@ -40,8 +40,26 @@ impl Cdn {
         now: SimTime,
         rng: &mut R,
     ) -> Option<(Vec<u8>, PullStats)> {
+        self.pull_with(region, key, now, rng, |origin| {
+            origin.fetch(key).map(<[u8]>::to_vec)
+        })
+    }
+
+    /// [`Cdn::pull`] of an object the origin builds per request with
+    /// `build` — the answer to a conditional pull (paper §III sync
+    /// protocol), keyed by what the RA holds, so same-region RAs holding
+    /// the same count share the edge's cached copy.
+    pub fn pull_with<R: rand::Rng + ?Sized>(
+        &mut self,
+        region: Region,
+        key: &ContentKey,
+        now: SimTime,
+        rng: &mut R,
+        build: impl FnOnce(&Origin) -> Option<Vec<u8>>,
+    ) -> Option<(Vec<u8>, PullStats)> {
         let edge = self.edges.get_mut(&region).expect("all regions present");
-        let (bytes, stats) = edge.pull(key, &self.origin, now, rng)?;
+        let origin = &self.origin;
+        let (bytes, stats) = edge.pull_with(key, now, rng, || build(origin))?;
         self.ledger.record(region, stats.bytes);
         Some((bytes, stats))
     }

@@ -6,13 +6,34 @@
 //! verifies this message and initiates the dissemination process").
 
 use ritm_crypto::ed25519::VerifyingKey;
-use ritm_dictionary::{CaId, RefreshMessage, RevocationIssuance, SerialLog, SignedRoot};
+use ritm_dictionary::{
+    issuance_page, CaId, FreshnessStatement, RefreshMessage, RevocationIssuance, SerialLog,
+    SignedRoot,
+};
 use std::collections::HashMap;
+
+/// Decodes a stored refresh object (tag byte + body), the form
+/// [`Origin::publish_refresh`] stores it in.
+pub(crate) fn decode_refresh(bytes: &[u8]) -> Option<RefreshMessage> {
+    let (tag, body) = bytes.split_first()?;
+    match tag {
+        0 => FreshnessStatement::from_bytes(body)
+            .ok()
+            .map(RefreshMessage::Freshness),
+        1 => SignedRoot::from_bytes(body)
+            .ok()
+            .map(RefreshMessage::NewRoot),
+        _ => None,
+    }
+}
 
 /// Content key addressing one CA's dissemination feed.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ContentKey {
     /// The issuance batch that brought the dictionary to `version` (`n`).
+    /// The origin keeps no per-batch objects (its feed serves every
+    /// batch); measurement workloads publish their own under this key
+    /// with [`Origin::publish_raw`].
     Issuance {
         /// CA whose dictionary this is.
         ca: CaId,
@@ -24,8 +45,7 @@ pub enum ContentKey {
         /// CA whose statement this is.
         ca: CaId,
     },
-    /// The latest full update bundle (what an RA's periodic pull fetches:
-    /// every issuance it is missing plus the current freshness statement).
+    /// The latest issuance batch, as the legacy `FetchDelta` serves it.
     Latest {
         /// CA whose feed this is.
         ca: CaId,
@@ -34,6 +54,21 @@ pub enum ContentKey {
     Manifest {
         /// CA whose manifest this is.
         ca: CaId,
+    },
+    /// The answer to a conditional pull from an RA holding `have`
+    /// revocations (§III sync), at most `limit` to a page, while the CA's
+    /// feed is at `version` ([`Origin::feed_version`]): built by the origin
+    /// per request, cached by edges like any object — and never served
+    /// once the CA publishes again, since the key then changes.
+    Pull {
+        /// CA whose feed is pulled.
+        ca: CaId,
+        /// Consecutive revocations the RA holds.
+        have: u64,
+        /// The page limit asked for.
+        limit: u32,
+        /// The feed's version when the answer was built.
+        version: u64,
     },
 }
 
@@ -69,20 +104,28 @@ impl core::fmt::Display for PublishError {
 
 impl std::error::Error for PublishError {}
 
+/// One CA's issuance feed at the origin: every serial once, by revocation
+/// number (packed, as the dictionaries hold theirs), and the signed root
+/// published at each batch boundary.
+#[derive(Debug, Default)]
+struct Feed {
+    log: SerialLog,
+    /// `(end_count, signed_root)` per published batch, ascending.
+    batch_roots: Vec<(u64, SignedRoot)>,
+    /// Publishes so far, issuances and refreshes alike.
+    version: u64,
+}
+
 /// The origin store.
 #[derive(Debug, Default)]
 pub struct Origin {
     keys: HashMap<CaId, VerifyingKey>,
     content: HashMap<ContentKey, Vec<u8>>,
-    /// Full revocation log per CA (in issuance order) — what lets the
-    /// origin answer the catch-up requests of the paper's synchronization
-    /// protocol ("the RA contacts an edge server specifying the number of
-    /// valid consecutive revocations it has observed", §III). Packed, as
-    /// the dictionaries hold theirs.
-    logs: HashMap<CaId, SerialLog>,
-    /// Per-CA `(end_count, signed_root)` at each published batch boundary,
-    /// ascending — the historical roots paged catch-up replies anchor to.
-    boundary_roots: HashMap<CaId, Vec<(u64, SignedRoot)>>,
+    /// Each CA's issuance feed — what lets the origin answer the pulls of
+    /// the paper's synchronization protocol ("the RA contacts an edge
+    /// server specifying the number of valid consecutive revocations it
+    /// has observed", §III).
+    feeds: HashMap<CaId, Feed>,
     latest_root: HashMap<CaId, SignedRoot>,
     /// Bytes uploaded by CAs (origin ingress, for completeness of the cost
     /// model; CloudFront ingress was free).
@@ -100,11 +143,9 @@ impl Origin {
         self.keys.insert(ca, key);
     }
 
-    /// Publishes a revocation issuance, after verifying the CA's signature.
-    ///
-    /// Stores it both under its version key and as part of the `Latest`
-    /// bundle (issuance bytes followed by the freshness bytes, refreshed by
-    /// [`Origin::publish_refresh`]).
+    /// Publishes a revocation issuance, after verifying the CA's signature:
+    /// appends it to the CA's feed and keeps its bytes as the `Latest`
+    /// object.
     ///
     /// # Errors
     ///
@@ -119,8 +160,8 @@ impl Origin {
             .signed_root
             .verify(key)
             .map_err(|_| PublishError::BadSignature)?;
-        let log = self.logs.entry(ca).or_default();
-        let expected = log.len() as u64 + 1;
+        let feed = self.feeds.entry(ca).or_default();
+        let expected = feed.log.len() as u64 + 1;
         if issuance.first_number != expected {
             // A CA must publish batches in order; anything else is a bug or
             // an equivocation attempt and is refused.
@@ -129,71 +170,44 @@ impl Origin {
                 got: issuance.first_number,
             });
         }
-        log.extend(&issuance.serials);
-        self.boundary_roots
-            .entry(ca)
-            .or_default()
-            .push((log.len() as u64, issuance.signed_root));
+        feed.log.extend(&issuance.serials);
+        feed.version += 1;
+        feed.batch_roots
+            .push((feed.log.len() as u64, issuance.signed_root));
         self.latest_root.insert(ca, issuance.signed_root);
         let bytes = issuance.to_bytes();
         self.ingress_bytes += bytes.len() as u64;
-        self.content.insert(
-            ContentKey::Issuance {
-                ca,
-                version: issuance.signed_root.size,
-            },
-            bytes.clone(),
-        );
         self.content.insert(ContentKey::Latest { ca }, bytes);
         Ok(())
     }
 
-    /// One page of the catch-up replay for an RA holding `have`
-    /// consecutive revocations: roughly `limit` serials ending at a
-    /// published batch boundary, anchored to the root recorded there.
-    /// Returns the page's [`RevocationIssuance`] and how many serials
-    /// remain beyond it (`0` = caught up).
-    ///
-    /// The origin holds no signing key, so it can only anchor pages to
-    /// roots the CA actually published: when a single batch alone exceeds
-    /// `limit`, that batch is served whole (the limit is soft here; the
-    /// CA's own endpoint can synthesize true mid-batch cuts).
+    /// One page of `ca`'s feed for an RA holding `have` consecutive
+    /// revocations, under the feed's one page rule
+    /// ([`ritm_dictionary::issuance_page`]: whole batches, each under the
+    /// root the CA published for it). Returns the page and how many serials
+    /// remain beyond it (`0` = caught up); `None` before the CA's first
+    /// publish.
     pub fn fetch_page(&self, ca: CaId, have: u64, limit: u32) -> Option<(RevocationIssuance, u64)> {
-        let log = self.logs.get(&ca)?;
+        let feed = self.feeds.get(&ca)?;
         let latest = self.latest_root.get(&ca)?;
-        let total = log.len() as u64;
-        let have = have.min(total);
-        if have == total {
-            let issuance = RevocationIssuance {
-                first_number: have + 1,
-                serials: Vec::new(),
-                signed_root: *latest,
-            };
-            return Some((issuance, 0));
-        }
-        let roots = self.boundary_roots.get(&ca)?;
-        let target = have.saturating_add((limit as u64).max(1)).min(total);
-        let hi = roots.partition_point(|(end, _)| *end <= target);
-        let end = match roots[..hi].last().map(|(e, _)| *e).filter(|e| *e > have) {
-            Some(e) => e,
-            // No boundary within the limit: serve the enclosing batch whole.
-            None => {
-                let lo = roots.partition_point(|(e, _)| *e <= have);
-                roots.get(lo).map(|(e, _)| *e)?
-            }
-        };
-        let signed_root = if end == total {
-            *latest
-        } else {
-            let i = roots.binary_search_by_key(&end, |(e, _)| *e).ok()?;
-            roots[i].1
-        };
-        let issuance = RevocationIssuance {
-            first_number: have + 1,
-            serials: log.range(have as usize, end as usize),
-            signed_root,
-        };
-        Some((issuance, total - end))
+        Some(issuance_page(
+            &feed.log,
+            &feed.batch_roots,
+            *latest,
+            have,
+            limit,
+        ))
+    }
+
+    /// How many times `ca` has published an issuance or a refresh: what
+    /// an answer built from its feed is current for.
+    pub fn feed_version(&self, ca: CaId) -> u64 {
+        self.feeds.get(&ca).map_or(0, |f| f.version)
+    }
+
+    /// The CA's current refresh message, as last published.
+    pub fn refresh(&self, ca: CaId) -> Option<RefreshMessage> {
+        decode_refresh(self.fetch(&ContentKey::Freshness { ca })?)
     }
 
     /// Publishes a periodic refresh (freshness statement or rotated root).
@@ -224,6 +238,7 @@ impl Origin {
         };
         self.ingress_bytes += bytes.len() as u64;
         self.content.insert(ContentKey::Freshness { ca }, bytes);
+        self.feeds.entry(ca).or_default().version += 1;
         Ok(())
     }
 
@@ -291,17 +306,18 @@ mod tests {
             .insert(&[SerialNumber::from_u24(5)], &mut rng, 1_001)
             .unwrap();
         origin.publish_issuance(ca.ca(), &iss).unwrap();
-        let got = origin
-            .fetch(&ContentKey::Issuance {
-                ca: ca.ca(),
-                version: 1,
-            })
-            .unwrap();
-        assert_eq!(got, iss.to_bytes());
         assert_eq!(
             origin.fetch(&ContentKey::Latest { ca: ca.ca() }).unwrap(),
             iss.to_bytes()
         );
+        // The batch lives in the feed only: no per-version object.
+        assert_eq!(origin.fetch_page(ca.ca(), 0, 64), Some((iss, 0)));
+        let by_version = ContentKey::Issuance {
+            ca: ca.ca(),
+            version: 1,
+        };
+        assert!(origin.fetch(&by_version).is_none());
+        assert_eq!(origin.object_count(), 1);
         assert!(origin.ingress_bytes > 0);
     }
 

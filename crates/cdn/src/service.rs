@@ -1,12 +1,14 @@
 //! The CDN edge as a wire-protocol [`Service`] endpoint.
 //!
 //! [`EdgeService`] exposes one regional edge of a [`Cdn`] through the
-//! versioned RITM envelope vocabulary: `FetchDelta` and `FetchFreshness`
-//! map to the edge's cached pulls, `CatchUpPaged` to the origin's
-//! parametrized catch-up pages, `GetManifest` to the bootstrap manifest, and
-//! `GetSignedRoot` to the origin's latest verified root. Status requests
-//! are refused with [`ProtoError::Unsupported`] — statuses are the RA's
-//! job, not the CDN's.
+//! versioned RITM envelope vocabulary: `Pull` — the RA's one request per
+//! Δ — to the origin's feed page after the RA's count plus the CA's
+//! current refresh message, `GetManifest` to the bootstrap manifest, and
+//! `GetSignedRoot` to the origin's latest verified root. The older pulls
+//! stay answered for measurement harnesses: `FetchDelta` and
+//! `FetchFreshness` from the edge's cache, `CatchUpPaged` from the feed.
+//! Status requests are refused with [`ProtoError::Unsupported`] — statuses
+//! are the RA's job, not the CDN's.
 //!
 //! `handle` works from `&self` (the service sits behind any transport, on
 //! any number of threads), so the mutable CDN state lives behind a mutex;
@@ -14,13 +16,13 @@
 //! latency-aware transports via [`Service::take_latency`].
 
 use crate::network::Cdn;
-use crate::origin::ContentKey;
+use crate::origin::{decode_refresh, ContentKey, Origin};
 use crate::regions::Region;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ritm_dictionary::{FreshnessStatement, RefreshMessage, RevocationIssuance, SignedRoot};
+use ritm_dictionary::{CaId, RevocationIssuance};
 use ritm_net::time::{SimDuration, SimTime};
-use ritm_proto::{ProtoError, RitmRequest, RitmResponse, Service};
+use ritm_proto::{ProtoError, RitmRequest, RitmResponse, Service, Update};
 use std::borrow::BorrowMut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -74,17 +76,28 @@ impl<C: BorrowMut<Cdn>> EdgeService<C> {
             .fetch_add(latency.as_micros(), Ordering::Relaxed);
     }
 
-    /// One billed edge pull, decoded with `parse`.
+    /// One billed edge pull of a stored object, decoded with `parse`.
     fn pull_decoded<T>(
         &self,
         key: &ContentKey,
+        parse: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Result<T, ProtoError> {
+        self.pull_built(key, |origin| origin.fetch(key).map(<[u8]>::to_vec), parse)
+    }
+
+    /// One billed edge pull of the object `build` makes at the origin on a
+    /// miss, decoded with `parse`.
+    fn pull_built<T>(
+        &self,
+        key: &ContentKey,
+        build: impl FnOnce(&Origin) -> Option<Vec<u8>>,
         parse: impl FnOnce(&[u8]) -> Option<T>,
     ) -> Result<T, ProtoError> {
         let now = SimTime::from_secs(self.now_secs.load(Ordering::SeqCst));
         let mut guard = self.cdn.lock().expect("cdn lock");
         let cdn: &mut Cdn = (*guard).borrow_mut();
         let mut rng = self.rng.lock().expect("rng lock");
-        let Some((bytes, stats)) = cdn.pull(self.region, key, now, &mut *rng) else {
+        let Some((bytes, stats)) = cdn.pull_with(self.region, key, now, &mut *rng, build) else {
             return Err(ProtoError::NotFound);
         };
         self.charge(stats.latency);
@@ -93,25 +106,39 @@ impl<C: BorrowMut<Cdn>> EdgeService<C> {
         // client error.
         parse(&bytes).ok_or(ProtoError::Internal)
     }
-}
 
-/// Decodes the origin's refresh object (tag byte + body).
-fn decode_refresh(bytes: &[u8]) -> Option<RefreshMessage> {
-    let (tag, body) = bytes.split_first()?;
-    match tag {
-        0 => FreshnessStatement::from_bytes(body)
-            .ok()
-            .map(RefreshMessage::Freshness),
-        1 => SignedRoot::from_bytes(body)
-            .ok()
-            .map(RefreshMessage::NewRoot),
-        _ => None,
+    /// Answers `Pull`: the origin's feed page after `have` and the CA's
+    /// current refresh message, as one `Update` the edge caches per
+    /// `(ca, have, limit)` and feed version. `NotFound` when the origin
+    /// has neither.
+    fn pull(&self, ca: CaId, have: u64, limit: u32) -> RitmResponse {
+        let limit = limit.min(ritm_proto::MAX_PAGE_LIMIT);
+        let version = self.with_cdn(|cdn| cdn.origin.feed_version(ca));
+        let build = |origin: &Origin| {
+            let page = origin.fetch_page(ca, have, limit);
+            let refresh = origin.refresh(ca);
+            (page.is_some() || refresh.is_some()).then(|| {
+                // Stored as a v1 body: version ‖ kind ‖ fields.
+                let mut body = RitmResponse::Update(Update::answer(have, page, refresh)).to_frame();
+                body.drain(..4);
+                body
+            })
+        };
+        let key = ContentKey::Pull {
+            ca,
+            have,
+            limit,
+            version,
+        };
+        self.pull_built(&key, build, |b| RitmResponse::decode_body(b).ok())
+            .unwrap_or_else(RitmResponse::Error)
     }
 }
 
 impl<C: BorrowMut<Cdn> + Send> Service for EdgeService<C> {
     fn handle(&self, req: RitmRequest) -> RitmResponse {
         match req {
+            RitmRequest::Pull { ca, have, limit } => self.pull(ca, have, limit),
             RitmRequest::FetchDelta { ca } => {
                 match self.pull_decoded(&ContentKey::Latest { ca }, |b| {
                     RevocationIssuance::from_bytes(b).ok()
@@ -293,5 +320,73 @@ mod tests {
             ));
         }
         assert!(cdn.ledger.bytes_in(Region::India) > 0);
+    }
+}
+
+#[cfg(test)]
+mod pull_tests {
+    use super::*;
+    use ritm_dictionary::{CaDictionary, CaId, RefreshMessage, SerialNumber};
+
+    const T0: u64 = 1_000_000;
+
+    #[test]
+    fn pull_answers_share_the_edge_cache_until_the_ca_publishes() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut ca = CaDictionary::new(
+            CaId::from_name("PullSvcCA"),
+            ritm_crypto::ed25519::SigningKey::from_seed([2u8; 32]),
+            10,
+            256,
+            &mut rng,
+            T0,
+        );
+        let mut cdn = Cdn::new(SimDuration::from_secs(30));
+        cdn.origin.register_ca(ca.ca(), ca.verifying_key());
+        let iss = ca
+            .insert(&[SerialNumber::from_u24(5)], &mut rng, T0 + 1)
+            .unwrap();
+        cdn.origin.publish_issuance(ca.ca(), &iss).unwrap();
+        let svc = EdgeService::new(cdn, Region::Europe, 7);
+        svc.set_now(SimTime::from_secs(T0 + 2));
+        let id = ca.ca();
+        let pull = |have| RitmRequest::Pull {
+            ca: id,
+            have,
+            limit: 64,
+        };
+        let behind = svc.handle(pull(0));
+        let RitmResponse::Update(update) = &behind else {
+            panic!("expected an update, got {behind:?}");
+        };
+        assert_eq!(update.serials, iss.serials);
+        assert_eq!(update.signed_root, Some(iss.signed_root));
+        // A second RA at the same count: the edge's copy.
+        assert_eq!(svc.handle(pull(0)), behind);
+        let hits = |svc: &EdgeService| svc.with_cdn(|cdn| cdn.edge(Region::Europe).hits);
+        assert_eq!(hits(&svc), 1);
+
+        // The CA refreshes within the TTL: the cached answer is not served.
+        let refresh = ca.refresh(&mut rng, T0 + 12);
+        svc.with_cdn(|cdn| cdn.origin.publish_refresh(ca.ca(), &refresh).unwrap());
+        let RitmResponse::Update(update) = svc.handle(pull(1)) else {
+            panic!("expected an update");
+        };
+        assert_eq!(update.refresh, Some(refresh));
+        let RitmResponse::Update(update) = svc.handle(pull(0)) else {
+            panic!("expected an update");
+        };
+        assert!(matches!(update.refresh, Some(RefreshMessage::Freshness(_))));
+        assert_eq!(hits(&svc), 1);
+        // Nothing at all for a CA the origin never heard of.
+        let nobody = RitmRequest::Pull {
+            ca: CaId::from_name("nobody"),
+            have: 0,
+            limit: 64,
+        };
+        assert_eq!(
+            svc.handle(nobody),
+            RitmResponse::Error(ProtoError::NotFound)
+        );
     }
 }

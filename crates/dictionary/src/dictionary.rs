@@ -8,6 +8,7 @@
 //! persisted serial list read ranges of it.
 
 use crate::freshness::{FreshnessError, FreshnessStatement};
+use crate::issuance_log::SerialLog;
 use crate::persistent::PersistentTree;
 use crate::proof::{ProofError, ProvenStatus, RevocationProof};
 use crate::root::{CaId, SignedRoot};
@@ -97,6 +98,38 @@ pub enum RefreshMessage {
     /// The hash chain was exhausted: a brand-new signed root.
     NewRoot(SignedRoot),
 }
+
+/// The most serials one issuance batch may carry. A page of the issuance
+/// feed never cuts a batch, so this bounds every page a server answers
+/// with: 2^20 serials of up to 21 encoded bytes fit one wire frame.
+pub const MAX_BATCH: usize = 1 << 20;
+
+/// Why [`CaDictionary::insert`] disseminates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InsertError {
+    /// Every serial was already revoked (or repeated in the batch).
+    NothingNew,
+    /// More than [`MAX_BATCH`] new serials: the batch is refused whole and
+    /// the dictionary is unchanged. Revoke them in several calls.
+    TooLarge {
+        /// The distinct new serials the batch carried.
+        serials: usize,
+    },
+}
+
+impl core::fmt::Display for InsertError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            InsertError::NothingNew => f.write_str("every serial was already revoked"),
+            InsertError::TooLarge { serials } => write!(
+                f,
+                "batch of {serials} new serials exceeds the {MAX_BATCH}-serial cap"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for InsertError {}
 
 /// The full revocation status an RA sends to a client — Eq. (3):
 /// `proof, {root, n, H^m(v), t}_{K⁻_CA}, H^(m-p)(v)`.
@@ -390,7 +423,8 @@ impl CaDictionary {
             let ok = sr.ca == ca
                 && sr.verify(&verifying).is_ok()
                 && rec.first_number == dict.tree.len() as u64 + 1
-                && !rec.serials.is_empty();
+                && !rec.serials.is_empty()
+                && rec.serials.len() <= MAX_BATCH;
             if !ok {
                 return Err(i);
             }
@@ -464,14 +498,17 @@ impl CaDictionary {
     /// rotates the hash chain, and returns the issuance message to
     /// disseminate.
     ///
-    /// Returns `None` when every serial was already revoked (nothing to
-    /// disseminate).
+    /// # Errors
+    ///
+    /// [`InsertError::NothingNew`] when every serial was already revoked;
+    /// [`InsertError::TooLarge`] when more than [`MAX_BATCH`] serials are
+    /// new. Either way the dictionary is unchanged.
     pub fn insert<R: RngCore + ?Sized>(
         &mut self,
         serials: &[SerialNumber],
         rng: &mut R,
         now: u64,
-    ) -> Option<RevocationIssuance> {
+    ) -> Result<RevocationIssuance, InsertError> {
         let first_number = self.tree.len() as u64 + 1;
         // Sorted by (serial, input index), the first occurrence of a repeat
         // leads its run; `number` holds the input index until renumbering.
@@ -484,7 +521,12 @@ impl CaDictionary {
         batch.dedup_by(|later, first| later.serial == first.serial);
         batch.retain(|l| self.tree.find(&l.serial).is_none());
         if batch.is_empty() {
-            return None;
+            return Err(InsertError::NothingNew);
+        }
+        if batch.len() > MAX_BATCH {
+            return Err(InsertError::TooLarge {
+                serials: batch.len(),
+            });
         }
         // Number the survivors in input order: `number[i]` is input `i`'s
         // revocation number, or 0 if it was skipped.
@@ -510,7 +552,7 @@ impl CaDictionary {
         );
         self.batch_roots
             .push((self.tree.len() as u64, self.signed_root));
-        Some(RevocationIssuance {
+        Ok(RevocationIssuance {
             first_number,
             serials: added,
             signed_root: self.signed_root,
@@ -553,65 +595,19 @@ impl CaDictionary {
         issuance_since(&self.tree, have, self.signed_root)
     }
 
-    /// One page of the catch-up replay for an RA holding `have`
-    /// consecutive revocations: at most `limit` serials, anchored to a
-    /// signed root that covers exactly the prefix the RA holds after
-    /// applying the page. Returns the page and how many serials remain
-    /// beyond it (`0` = caught up).
-    ///
-    /// The page ends at the largest recorded batch boundary within
-    /// `limit`; when a single batch alone exceeds `limit`, the page cuts
-    /// mid-batch and a root over the prefix is synthesized (signed with
-    /// the enclosing batch's timestamp, so the timestamps a mirror sees
-    /// stay monotonic). A page ending at the current size carries the
-    /// *current* signed root, so rotations are never regressed.
+    /// One page of the issuance feed for an RA holding `have` consecutive
+    /// revocations, under the feed's one page rule ([`issuance_page`]):
+    /// whole batches only, each under the root this CA published for it.
+    /// Returns the page and how many serials remain beyond it (`0` =
+    /// caught up). Signs nothing.
     pub fn issuance_page(&self, have: u64, limit: u32) -> (RevocationIssuance, u64) {
-        let total = self.tree.len() as u64;
-        let have = have.min(total);
-        let target = have.saturating_add((limit as u64).max(1)).min(total);
-        // Largest batch boundary in (have, target], if any.
-        let hi = self.batch_roots.partition_point(|(end, _)| *end <= target);
-        let boundary = self.batch_roots[..hi]
-            .last()
-            .map(|(end, _)| *end)
-            .filter(|end| *end > have);
-        let end = boundary.unwrap_or(target);
-        let signed_root = if end == total {
-            self.signed_root
-        } else {
-            match self
-                .batch_roots
-                .binary_search_by_key(&end, |(e, _)| *e)
-                .ok()
-                .map(|i| self.batch_roots[i].1)
-            {
-                Some(sr) => sr,
-                None => self.synthesize_root_at(end),
-            }
-        };
-        let issuance = RevocationIssuance {
-            first_number: have + 1,
-            serials: self.tree.log().range(have as usize, end as usize),
-            signed_root,
-        };
-        (issuance, total - end)
-    }
-
-    /// Signs a root over the first `end` log entries — the mid-batch page
-    /// cut. Timestamp and anchor are borrowed from the enclosing batch's
-    /// root so the sequence of roots a catching-up mirror applies never
-    /// regresses in time (the strict-monotonicity check admits equal
-    /// timestamps).
-    fn synthesize_root_at(&self, end: u64) -> SignedRoot {
-        let idx = self.batch_roots.partition_point(|(e, _)| *e < end);
-        let (ts, anchor) = match self.batch_roots.get(idx) {
-            Some((_, sr)) => (sr.timestamp, sr.anchor),
-            None => (self.signed_root.timestamp, self.signed_root.anchor),
-        };
-        let leaves = checked_batch(&self.tree.log().range(0, end as usize), 1, |_| false);
-        let tree =
-            PersistentTree::from_sorted_leaves(leaves.expect("the log holds distinct serials"));
-        SignedRoot::create(&self.key, self.ca, tree.root(), end, anchor, ts)
+        issuance_page(
+            self.tree.log(),
+            &self.batch_roots,
+            self.signed_root,
+            have,
+            limit,
+        )
     }
 
     /// Builds a full revocation status (Eq. 3) directly from the CA's own
@@ -971,6 +967,48 @@ impl MirrorDictionary {
     }
 }
 
+/// One page of an issuance feed — `log`, every serial by revocation
+/// number, and `batch_roots`, the `(end_count, signed_root)` published at
+/// each batch boundary, ascending — for a requester holding `have`
+/// consecutive revocations (clamped to the log's length). Returns the
+/// page and how many serials remain beyond it (`0` = caught up).
+///
+/// The page rule every feed server (the CA and the CDN origin) answers
+/// with: a page ends at the largest batch boundary within `have + limit`;
+/// when none is, the enclosing batch is served whole — so a page is at
+/// most `max(limit, MAX_BATCH)` serials, and every root a mirror applies
+/// is one the CA published. A page ending at the log's length carries
+/// `latest` instead, so a rotation since the last batch is never
+/// regressed. A requester at (or past) the end gets an empty page under
+/// `latest`.
+pub fn issuance_page(
+    log: &SerialLog,
+    batch_roots: &[(u64, SignedRoot)],
+    latest: SignedRoot,
+    have: u64,
+    limit: u32,
+) -> (RevocationIssuance, u64) {
+    let total = log.len() as u64;
+    let have = have.min(total);
+    let target = have.saturating_add(u64::from(limit.max(1)));
+    // The largest boundary within the limit, else the first one past
+    // `have`: the end of the batch `have` sits in.
+    let hi = batch_roots.partition_point(|(end, _)| *end <= target);
+    let within = batch_roots[..hi].last().filter(|(end, _)| *end > have);
+    let enclosing = || batch_roots.get(batch_roots.partition_point(|(end, _)| *end <= have));
+    let (end, signed_root) = match within.or_else(enclosing) {
+        Some(&(end, _)) if end >= total => (total, latest),
+        Some(&(end, root)) => (end, root),
+        None => (total, latest),
+    };
+    let page = RevocationIssuance {
+        first_number: have + 1,
+        serials: log.range(have as usize, end as usize),
+        signed_root,
+    };
+    (page, total - end)
+}
+
 /// The revocations after `have` in `tree`'s log, numbered from `have + 1`
 /// (`have` clamped to the tree's size), under `signed_root`.
 fn issuance_since(tree: &PersistentTree, have: u64, signed_root: SignedRoot) -> RevocationIssuance {
@@ -986,7 +1024,7 @@ fn issuance_since(tree: &PersistentTree, have: u64, signed_root: SignedRoot) -> 
 /// The leaves for `serials`, numbered in input order from `first_number`
 /// and sorted by serial — or `None` when a serial repeats in the batch or
 /// is already `present`. The one duplicate check of every bulk load: a
-/// mirror's update and restore, and the CA's log replay and page roots.
+/// mirror's update and restore, and the CA's log replay.
 fn checked_batch(
     serials: &[SerialNumber],
     first_number: u64,
@@ -1083,7 +1121,10 @@ mod tests {
         let mut rng = rng();
         let mut ca = ca_dict(&mut rng);
         ca.insert(&serials(1..4), &mut rng, T0 + 1).unwrap();
-        assert!(ca.insert(&serials(1..4), &mut rng, T0 + 2).is_none());
+        assert_eq!(
+            ca.insert(&serials(1..4), &mut rng, T0 + 2),
+            Err(InsertError::NothingNew)
+        );
         assert_eq!(ca.len(), 3);
         // Partial overlap only adds the new ones.
         let iss = ca.insert(&serials(3..6), &mut rng, T0 + 3).unwrap();
@@ -1346,27 +1387,48 @@ mod tests {
     }
 
     #[test]
-    fn mid_batch_page_synthesizes_applicable_root() {
+    fn batch_above_the_limit_is_served_whole() {
         let mut rng = rng();
         let mut ca = ca_dict(&mut rng);
         let mut ra = mirror_of(&ca);
-        // One giant batch forces mid-batch cuts at limit 16.
-        ca.insert(&serials(0..50), &mut rng, T0 + 1).unwrap();
+        // One batch of 50 at limit 16: served whole under its own root.
+        let iss = ca.insert(&serials(0..50), &mut rng, T0 + 1).unwrap();
+        ca.insert(&serials(60..64), &mut rng, T0 + 2).unwrap();
 
-        let mut pages = 0;
-        loop {
-            let have = ra.consecutive_count();
-            let (page, remaining) = ca.issuance_page(have, 16);
-            assert!(page.serials.len() <= 16 && !page.serials.is_empty());
-            ra.apply_issuance(&page, T0 + 2).unwrap();
-            pages += 1;
-            if remaining == 0 {
-                break;
-            }
-        }
-        assert_eq!(pages, 4); // ceil(50 / 16)
-        assert_eq!(ra.consecutive_count(), 50);
+        let (page, remaining) = ca.issuance_page(0, 16);
+        assert_eq!(page, iss);
+        assert_eq!(remaining, 4);
+        // From mid-batch (a requester whose pages came from elsewhere):
+        // the rest of the enclosing batch, still under its published root.
+        let (page, remaining) = ca.issuance_page(20, 1);
+        assert_eq!((page.first_number, page.serials.len()), (21, 30));
+        assert_eq!(page.signed_root, iss.signed_root);
+        assert_eq!(remaining, 4);
+        ra.apply_issuance(&ca.issuance_page(0, 16).0, T0 + 2)
+            .unwrap();
+        ra.apply_issuance(&ca.issuance_page(50, 16).0, T0 + 2)
+            .unwrap();
         assert_eq!(ra.signed_root(), ca.signed_root());
+    }
+
+    #[test]
+    fn oversized_batch_is_refused_whole() {
+        let mut rng = rng();
+        let mut ca = ca_dict(&mut rng);
+        let too_many: Vec<SerialNumber> = (1..=MAX_BATCH as u32 + 1)
+            .map(SerialNumber::from_u24)
+            .collect();
+        let before = *ca.signed_root();
+        assert_eq!(
+            ca.insert(&too_many, &mut rng, T0 + 1),
+            Err(InsertError::TooLarge {
+                serials: MAX_BATCH + 1
+            })
+        );
+        assert_eq!((ca.len(), *ca.signed_root()), (0, before));
+        // The cap itself is accepted.
+        let iss = ca.insert(&too_many[..MAX_BATCH], &mut rng, T0 + 1).unwrap();
+        assert_eq!(iss.serials.len(), MAX_BATCH);
     }
 
     #[test]

@@ -75,8 +75,8 @@ pub mod snapshot;
 pub mod tree;
 
 pub use dictionary::{
-    CaDictionary, MirrorDictionary, MultiRevocationStatus, RefreshMessage, RevocationIssuance,
-    RevocationStatus, StatusError, UpdateError,
+    issuance_page, CaDictionary, InsertError, MirrorDictionary, MultiRevocationStatus,
+    RefreshMessage, RevocationIssuance, RevocationStatus, StatusError, UpdateError, MAX_BATCH,
 };
 pub use freshness::{FreshnessError, FreshnessStatement};
 pub use issuance_log::SerialLog;

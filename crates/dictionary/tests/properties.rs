@@ -75,7 +75,7 @@ fn setup(batches: &[Vec<u32>]) -> (CaDictionary, MirrorDictionary, BTreeSet<u32>
     for (i, batch) in batches.iter().enumerate() {
         let serials: Vec<SerialNumber> = batch.iter().map(|&v| SerialNumber::from_u24(v)).collect();
         let now = T0 + i as u64 + 1;
-        if let Some(iss) = ca.insert(&serials, &mut rng, now) {
+        if let Ok(iss) = ca.insert(&serials, &mut rng, now) {
             ra.apply_issuance(&iss, now).unwrap();
         }
         model.extend(batch.iter().copied().map(|v| v & 0x00ff_ffff));
@@ -548,7 +548,7 @@ proptest! {
         let mut ra = MirrorDictionary::new(ca.ca(), ca.verifying_key(), *ca.signed_root()).unwrap();
         ra.set_delta(DELTA);
         let serials: Vec<SerialNumber> = first.iter().map(|&v| SerialNumber::from_u24(v)).collect();
-        if let Some(iss) = ca.insert(&serials, &mut rng, T0 + 1) {
+        if let Ok(iss) = ca.insert(&serials, &mut rng, T0 + 1) {
             ra.apply_issuance(&iss, T0 + 1).unwrap();
         }
         // Snapshot the old status for the victim before it is revoked.
@@ -556,7 +556,7 @@ proptest! {
         let old_status = ra.prove(&victim_serial);
 
         // CA revokes the victim; much later, the old status must be stale.
-        ca.insert(&[victim_serial], &mut rng, T0 + 2);
+        ca.insert(&[victim_serial], &mut rng, T0 + 2).unwrap();
         let much_later = T0 + 2 + 3 * DELTA;
         let res = old_status.validate(&victim_serial, &ca.verifying_key(), DELTA, much_later);
         prop_assert!(res.is_err(), "stale absence status accepted at +3Δ");
@@ -597,7 +597,7 @@ proptest! {
     /// as it was. Along the way the CA's tree is held to the reference
     /// `MerkleTree` over the same log: its root, its proof bytes for
     /// `queries`, and the root every catch-up page is signed over, pages
-    /// cut mid-batch included; every page's and every `issuance_since`
+    /// asked for from mid-batch included; every page's and every `issuance_since`
     /// reply's serials are the model log's.
     #[test]
     fn batch_checks_agree_with_the_hashset_algorithm(
@@ -617,8 +617,8 @@ proptest! {
             let now = T0 + 1 + i as u64;
             let added = hashset_insert(&log, serials);
             match ca.insert(serials, &mut rng, now) {
-                None => prop_assert!(added.is_empty(), "insert skipped {:?}", added),
-                Some(iss) => {
+                Err(_) => prop_assert!(added.is_empty(), "insert skipped {:?}", added),
+                Ok(iss) => {
                     prop_assert_eq!(iss.first_number, log.len() as u64 + 1);
                     prop_assert_eq!(&iss.serials, &added);
                     log.extend_from_slice(&added);
@@ -782,7 +782,7 @@ proptest! {
     ) {
         let (mut ca, mut mirror, _) = setup(&[initial]);
         let serials: Vec<SerialNumber> = batch.iter().map(|&v| SerialNumber::from_u24(v)).collect();
-        let Some(genuine) = ca.insert(&serials, &mut StdRng::seed_from_u64(9), T0 + 100) else {
+        let Ok(genuine) = ca.insert(&serials, &mut StdRng::seed_from_u64(9), T0 + 100) else {
             return Ok(());
         };
         // One serial swapped for one nobody revoked: same signed root.

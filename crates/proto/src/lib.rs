@@ -46,9 +46,9 @@ pub use event::{EventServer, EventServerConfig, EventTransport};
 pub use fault::{FaultPlan, FaultStats, FaultTransport};
 pub use frame::{Body, Frame, FRAME_HEADER_MAX};
 pub use message::{
-    peek_request_envelope, split_frame, RequestEnvelope, RitmRequest, RitmResponse, MAX_CHAIN_LEN,
-    MAX_FRAME_LEN, MAX_PAGE_LIMIT, MAX_SUPPORTED_VERSION, MIN_SUPPORTED_VERSION, PROTOCOL_V2,
-    PROTOCOL_VERSION,
+    peek_request_envelope, split_frame, RequestEnvelope, RitmRequest, RitmResponse, Update,
+    MAX_CHAIN_LEN, MAX_FRAME_LEN, MAX_PAGE_LIMIT, MAX_SUPPORTED_VERSION, MIN_SUPPORTED_VERSION,
+    PROTOCOL_V2, PROTOCOL_VERSION,
 };
 pub use payload::StatusPayload;
 pub use service::Service;

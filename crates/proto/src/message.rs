@@ -28,7 +28,8 @@
 
 use crate::error::{ProtoError, TransportError};
 use crate::payload::StatusPayload;
-use ritm_crypto::wire::{DecodeError, Reader, Writer};
+use ritm_crypto::wire::{varint_len, DecodeError, Reader, Writer};
+use ritm_dictionary::root::SIGNED_ROOT_LEN;
 use ritm_dictionary::{
     CaId, FreshnessStatement, RefreshMessage, RevocationIssuance, SerialNumber, SignedRoot,
 };
@@ -62,11 +63,12 @@ pub const MAX_SUPPORTED_VERSION: u8 = PROTOCOL_V2;
 /// any size is served as `CatchUpPaged` pages that each fit.
 pub const MAX_FRAME_LEN: usize = 1 << 25;
 
-/// Upper bound servers clamp a paged catch-up `limit` to. Serials encode
-/// to at most 21 bytes each, so a page of `MAX_PAGE_LIMIT` serials plus
-/// the fixed `DeltaPage` overhead is guaranteed to fit [`MAX_FRAME_LEN`]
-/// regardless of what limit the client asked for.
-pub const MAX_PAGE_LIMIT: u32 = 1 << 20;
+/// Upper bound servers clamp a page `limit` to: the dictionary's batch
+/// cap ([`ritm_dictionary::MAX_BATCH`]), since a page never cuts a batch.
+/// Serials encode to at most 21 bytes each, so a page of `MAX_PAGE_LIMIT`
+/// serials plus the fixed `Update` or `DeltaPage` overhead is guaranteed
+/// to fit [`MAX_FRAME_LEN`] regardless of what limit the client asked for.
+pub const MAX_PAGE_LIMIT: u32 = ritm_dictionary::MAX_BATCH as u32;
 
 /// Upper bound on a `GetMultiStatus` chain. One below the status payload's
 /// `0xFF` section marker, so even a fully-uncompressed response stays
@@ -81,6 +83,7 @@ const REQ_GET_MULTI_STATUS: u8 = 0x05;
 const REQ_GET_SIGNED_ROOT: u8 = 0x06;
 const REQ_GET_MANIFEST: u8 = 0x07;
 const REQ_CATCH_UP_PAGED: u8 = 0x08;
+const REQ_PULL: u8 = 0x0A;
 // Retired, never reuse: 0x03 (the unpaged `CatchUp`), 0x09 (`GossipRoots`)
 // and 0x89 (`GossipAck`). They decode as unknown kinds.
 
@@ -90,10 +93,17 @@ const RESP_STATUS: u8 = 0x84;
 const RESP_SIGNED_ROOT: u8 = 0x86;
 const RESP_MANIFEST: u8 = 0x87;
 const RESP_DELTA_PAGE: u8 = 0x88;
+const RESP_UPDATE: u8 = 0x8A;
 const RESP_ERROR: u8 = 0xEE;
 
 const REFRESH_TAG_FRESHNESS: u8 = 0;
 const REFRESH_TAG_NEW_ROOT: u8 = 1;
+
+/// `Update` flags: bit 0 says a signed root follows the serials; bits 1–2
+/// name the refresh slot's content. Every other bit must be clear.
+const UPDATE_ROOT: u8 = 1;
+const UPDATE_FRESHNESS: u8 = 1 << 1;
+const UPDATE_NEW_ROOT: u8 = 2 << 1;
 
 /// One request an endpoint can serve.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,6 +157,20 @@ pub enum RitmRequest {
         /// clamp it further to honor [`MAX_FRAME_LEN`]).
         limit: u32,
     },
+    /// The RA's one request per CA per Δ (§III: the RA reports "the number
+    /// of valid consecutive revocations it has observed"): the serials
+    /// after `have` in pages of about `limit`, and the current refresh
+    /// message, in one [`RitmResponse::Update`]. `have` and `limit` travel
+    /// as varints.
+    Pull {
+        /// CA whose feed is pulled.
+        ca: CaId,
+        /// Consecutive revocations the requester already holds.
+        have: u64,
+        /// Serials the requester wants at most in one page. Pages end at
+        /// batch boundaries, so a batch larger than this arrives whole.
+        limit: u32,
+    },
 }
 
 /// One response. Kind `0xEE` carries the typed error taxonomy; everything
@@ -174,8 +198,153 @@ pub enum RitmResponse {
         /// Serials still missing after this page.
         remaining: u64,
     },
+    /// The answer to a `Pull`.
+    Update(Update),
     /// The request failed; see [`ProtoError`].
     Error(ProtoError),
+}
+
+/// The answer to [`RitmRequest::Pull`]: what the requester is missing, in
+/// one message. On the wire:
+///
+/// ```text
+/// flags (u8) ‖ count (varint) ‖ count × (len u8 ‖ serial)
+///   ‖ [signed root, iff flags bit 0] ‖ remaining (varint)
+///   ‖ [refresh: 20-byte statement iff bits 1–2 = 1, signed root iff = 2]
+/// ```
+///
+/// For an up-to-date requester the whole v1 frame is 9 bytes plus the
+/// refresh: length, version, kind, flags, a zero count, a zero remaining.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Update {
+    /// The serials after the requester's `have`, numbered from `have + 1`,
+    /// up to a published batch boundary. Empty when nothing is new.
+    pub serials: Vec<SerialNumber>,
+    /// The root the CA signed at that boundary (or its rotation, at the
+    /// feed's head): present exactly when `serials` is non-empty.
+    pub signed_root: Option<SignedRoot>,
+    /// Serials still missing after these (`0` = caught up).
+    pub remaining: u64,
+    /// The CA's current refresh message, when the requester reaches the
+    /// feed's head with this update and does not already hold it as the
+    /// carried root's own period-0 anchor.
+    pub refresh: Option<RefreshMessage>,
+}
+
+impl Update {
+    /// What a feed server answers `Pull { have, .. }` with, given `page` —
+    /// the feed's page after `have` and the serials remaining beyond it
+    /// ([`ritm_dictionary::issuance_page`]), `None` for a feed with nothing
+    /// published — and the CA's current `refresh` message. A requester
+    /// ahead of the server gets an empty update; the refresh is left out
+    /// mid-feed (it belongs to the head's root) and where the carried root
+    /// already implies it.
+    pub fn answer(
+        have: u64,
+        page: Option<(RevocationIssuance, u64)>,
+        refresh: Option<RefreshMessage>,
+    ) -> Self {
+        let (serials, signed_root, remaining) = match page {
+            Some((page, _)) if page.first_number <= have => return Update::default(),
+            None if have > 0 => return Update::default(),
+            Some((page, remaining)) if !page.serials.is_empty() => {
+                (page.serials, Some(page.signed_root), remaining)
+            }
+            _ => (Vec::new(), None, 0),
+        };
+        let implied = |msg: &RefreshMessage| match (msg, &signed_root) {
+            (RefreshMessage::Freshness(f), Some(root)) => {
+                *f == FreshnessStatement::new(root.anchor)
+            }
+            (RefreshMessage::NewRoot(r), Some(root)) => r == root,
+            (_, None) => false,
+        };
+        Update {
+            serials,
+            signed_root,
+            remaining,
+            refresh: refresh.filter(|msg| remaining == 0 && !implied(msg)),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + varint_len(self.serials.len() as u64)
+            + self.serials.iter().map(|s| 1 + s.len()).sum::<usize>()
+            + self.signed_root.map_or(0, |_| SIGNED_ROOT_LEN)
+            + varint_len(self.remaining)
+            + match self.refresh {
+                None => 0,
+                Some(RefreshMessage::Freshness(_)) => 20,
+                Some(RefreshMessage::NewRoot(_)) => SIGNED_ROOT_LEN,
+            }
+    }
+
+    fn encode(&self, w: &mut Writer) {
+        let refresh_flag = match self.refresh {
+            None => 0,
+            Some(RefreshMessage::Freshness(_)) => UPDATE_FRESHNESS,
+            Some(RefreshMessage::NewRoot(_)) => UPDATE_NEW_ROOT,
+        };
+        let root_flag = if self.signed_root.is_some() {
+            UPDATE_ROOT
+        } else {
+            0
+        };
+        w.u8(root_flag | refresh_flag);
+        w.varint(self.serials.len() as u64);
+        for s in &self.serials {
+            encode_serial(w, s);
+        }
+        if let Some(root) = &self.signed_root {
+            w.bytes(&root.to_bytes());
+        }
+        w.varint(self.remaining);
+        match &self.refresh {
+            None => {}
+            Some(RefreshMessage::Freshness(f)) => {
+                w.bytes(&f.to_bytes());
+            }
+            Some(RefreshMessage::NewRoot(root)) => {
+                w.bytes(&root.to_bytes());
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let flags_pos = r.position();
+        let flags = r.u8("update flags")?;
+        if flags & !(UPDATE_ROOT | UPDATE_FRESHNESS | UPDATE_NEW_ROOT) != 0
+            || flags & (UPDATE_FRESHNESS | UPDATE_NEW_ROOT) == UPDATE_FRESHNESS | UPDATE_NEW_ROOT
+        {
+            return Err(DecodeError::new("unknown update flags", flags_pos));
+        }
+        let count_pos = r.position();
+        let count = usize::try_from(r.varint("update serial count")?)
+            .map_err(|_| DecodeError::new("update serial count exceeds buffer", count_pos))?;
+        // Each serial costs at least 2 bytes (length + 1 data byte).
+        r.check_count(count, 2, "update serial count exceeds buffer")?;
+        let mut serials = Vec::with_capacity(count);
+        for _ in 0..count {
+            serials.push(decode_serial(r)?);
+        }
+        let signed_root = if flags & UPDATE_ROOT != 0 {
+            Some(SignedRoot::decode(r)?)
+        } else {
+            None
+        };
+        let remaining = r.varint("update remaining")?;
+        let refresh = match flags & (UPDATE_FRESHNESS | UPDATE_NEW_ROOT) {
+            UPDATE_FRESHNESS => Some(RefreshMessage::Freshness(FreshnessStatement::decode(r)?)),
+            UPDATE_NEW_ROOT => Some(RefreshMessage::NewRoot(SignedRoot::decode(r)?)),
+            _ => None,
+        };
+        Ok(Update {
+            serials,
+            signed_root,
+            remaining,
+            refresh,
+        })
+    }
 }
 
 fn encode_ca(w: &mut Writer, ca: &CaId) {
@@ -207,6 +376,7 @@ impl RitmRequest {
             RitmRequest::GetSignedRoot { .. } => "get_signed_root",
             RitmRequest::GetManifest { .. } => "get_manifest",
             RitmRequest::CatchUpPaged { .. } => "catch_up_paged",
+            RitmRequest::Pull { .. } => "pull",
         }
     }
 
@@ -219,6 +389,9 @@ impl RitmRequest {
             | RitmRequest::GetSignedRoot { .. }
             | RitmRequest::GetManifest { .. } => 8,
             RitmRequest::CatchUpPaged { .. } => 20,
+            RitmRequest::Pull { have, limit, .. } => {
+                8 + varint_len(*have) + varint_len(u64::from(*limit))
+            }
             RitmRequest::GetStatus { serial, .. } => 8 + 1 + serial.len(),
             RitmRequest::GetMultiStatus { chain, .. } => {
                 1 + chain.iter().map(|(_, s)| 8 + 1 + s.len()).sum::<usize>() + 1
@@ -273,6 +446,12 @@ impl RitmRequest {
                 encode_ca(w, ca);
                 w.u64(*have);
                 w.u32(*limit);
+            }
+            RitmRequest::Pull { ca, have, limit } => {
+                w.u8(REQ_PULL);
+                encode_ca(w, ca);
+                w.varint(*have);
+                w.varint(u64::from(*limit));
             }
         }
     }
@@ -388,6 +567,14 @@ impl RitmRequest {
                 have: r.u64("catch-up have")?,
                 limit: r.u32("catch-up page limit")?,
             },
+            REQ_PULL => {
+                let ca = decode_ca(r)?;
+                let have = r.varint("pull have")?;
+                let limit_pos = r.position();
+                let limit = u32::try_from(r.varint("pull limit")?)
+                    .map_err(|_| DecodeError::new("pull limit exceeds u32", limit_pos))?;
+                RitmRequest::Pull { ca, have, limit }
+            }
             _ => return Err(DecodeError::new("unknown request kind", pos)),
         };
         r.finish("request trailing bytes")?;
@@ -450,6 +637,7 @@ impl RitmResponse {
             RitmResponse::SignedRoot(_) => "signed_root",
             RitmResponse::Manifest(_) => "manifest",
             RitmResponse::DeltaPage { .. } => "delta_page",
+            RitmResponse::Update(_) => "update",
             RitmResponse::Error(_) => "error",
         }
     }
@@ -470,6 +658,7 @@ impl RitmResponse {
             RitmResponse::SignedRoot(_) => ritm_dictionary::root::SIGNED_ROOT_LEN,
             RitmResponse::Manifest(m) => 4 + m.len(),
             RitmResponse::DeltaPage { issuance, .. } => 4 + issuance.encoded_len() + 8,
+            RitmResponse::Update(u) => u.encoded_len(),
             RitmResponse::Error(e) => e.encoded_len(),
         }
     }
@@ -522,6 +711,10 @@ impl RitmResponse {
                 w.u32(issuance.encoded_len() as u32);
                 issuance.encode_into(w);
                 w.u64(*remaining);
+            }
+            RitmResponse::Update(u) => {
+                w.u8(RESP_UPDATE);
+                u.encode(w);
             }
             RitmResponse::Error(e) => {
                 w.u8(RESP_ERROR);
@@ -641,6 +834,7 @@ impl RitmResponse {
                     remaining: r.u64("page remaining")?,
                 }
             }
+            RESP_UPDATE => RitmResponse::Update(Update::decode(r)?),
             RESP_ERROR => RitmResponse::Error(ProtoError::decode(r)?),
             _ => return Err(DecodeError::new("unknown response kind", pos)),
         };

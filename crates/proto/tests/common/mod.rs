@@ -11,7 +11,7 @@ use ritm_crypto::ed25519::SigningKey;
 use ritm_dictionary::{
     CaDictionary, CaId, MirrorDictionary, RefreshMessage, RevocationIssuance, SerialNumber,
 };
-use ritm_proto::{ProtoError, RitmRequest, RitmResponse, StatusPayload};
+use ritm_proto::{ProtoError, RitmRequest, RitmResponse, StatusPayload, Update};
 
 pub const T0: u64 = 1_000_000;
 
@@ -58,6 +58,11 @@ pub fn requests(rng: &mut StdRng) -> Vec<RitmRequest> {
         },
         RitmRequest::GetManifest {
             ca: arbitrary_ca(rng),
+        },
+        RitmRequest::Pull {
+            ca: arbitrary_ca(rng),
+            have: rng.gen::<u64>() >> rng.gen_range(0u32..64),
+            limit: rng.gen(),
         },
     ]
 }
@@ -122,6 +127,7 @@ pub fn responses(rng: &mut StdRng) -> Vec<RitmResponse> {
         signed_root: *mirror.signed_root(),
     };
 
+    let (update_serials, update_refresh) = (page.serials.clone(), refresh.clone());
     let mut out = vec![
         RitmResponse::Delta(issuance),
         RitmResponse::DeltaPage {
@@ -134,6 +140,17 @@ pub fn responses(rng: &mut StdRng) -> Vec<RitmResponse> {
         RitmResponse::Status(StatusPayload::default()),
         RitmResponse::SignedRoot(*mirror.signed_root()),
         RitmResponse::Manifest((0..rng.gen_range(0usize..200)).map(|_| rng.gen()).collect()),
+        RitmResponse::Update(Update {
+            serials: update_serials,
+            signed_root: Some(*mirror.signed_root()),
+            remaining: rng.gen::<u64>() >> rng.gen_range(0u32..64),
+            refresh: Some(RefreshMessage::NewRoot(*mirror.signed_root())),
+        }),
+        RitmResponse::Update(Update {
+            refresh: Some(update_refresh),
+            ..Update::default()
+        }),
+        RitmResponse::Update(Update::default()),
     ];
     out.extend(
         [

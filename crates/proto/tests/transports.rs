@@ -97,7 +97,9 @@ where
     let sync = ra.sync_via(&mut edge_transport, SimTime::from_secs(T0 + 2));
     assert_eq!(sync.issuances_applied, 1);
     assert_eq!(sync.revocations_applied, 30);
-    assert_eq!(sync.freshness_applied, 1);
+    // The period-0 statement is the batch root's own anchor: the update
+    // carrying the batch leaves it out.
+    assert_eq!(sync.freshness_applied, 0);
     assert_eq!(sync.transport_failures, 0);
     let mirrored_root = *ra.mirror(&ca.id()).unwrap().signed_root();
 
@@ -207,23 +209,23 @@ fn pipeline_is_transport_invariant() {
     assert_eq!(loopback, simulated);
 
     // The v2 event lane moved the exact same protocol bytes plus the
-    // 4-byte request id per frame, each direction: sync is two frames up
-    // and two down (+8/+8), a status fetch one each (+4/+4). Nothing but
-    // the envelope overhead may differ.
+    // 4-byte request id per frame, each direction: sync is one `Pull` up
+    // and one `Update` down (+4/+4), a status fetch one each (+4/+4).
+    // Nothing but the envelope overhead may differ.
     assert_eq!(
         event.sync.bytes_uploaded,
-        loopback.sync.bytes_uploaded + 8,
+        loopback.sync.bytes_uploaded + 4,
         "v2 sync upload must cost exactly one id per request frame"
     );
     assert_eq!(
         event.sync.bytes_downloaded,
-        loopback.sync.bytes_downloaded + 8,
+        loopback.sync.bytes_downloaded + 4,
         "v2 sync download must cost exactly one id per response frame"
     );
     assert_eq!(event.status_meta_bytes.0, loopback.status_meta_bytes.0 + 4);
     assert_eq!(event.status_meta_bytes.1, loopback.status_meta_bytes.1 + 4);
-    event.sync.bytes_uploaded -= 8;
-    event.sync.bytes_downloaded -= 8;
+    event.sync.bytes_uploaded -= 4;
+    event.sync.bytes_downloaded -= 4;
     event.status_meta_bytes.0 -= 4;
     event.status_meta_bytes.1 -= 4;
     assert_eq!(loopback, event);
@@ -236,9 +238,9 @@ fn pipeline_is_transport_invariant() {
     assert_eq!(loopback.manifest_delta, DELTA);
     assert!(loopback.sync.bytes_downloaded > 0 && loopback.sync.bytes_uploaded > 0);
     // The event lane really served every round trip over its sockets:
-    // sync (2) + manifest (1) on the edge server, two status fetches on
+    // sync (1) + manifest (1) on the edge server, two status fetches on
     // the status server — from ≤2 OS threads per server.
-    assert_eq!(event_served, 5);
+    assert_eq!(event_served, 4);
     assert!(event_threads <= 2, "event server must stay on ≤2 threads");
 }
 
@@ -327,5 +329,62 @@ fn unknown_version_yields_typed_error_on_every_transport() {
             assert_eq!(read_reply(&mut stream), edge.handle_frame(request));
         }
     }
+    assert_eq!(server.shutdown(), 4);
+}
+
+#[test]
+fn pull_and_update_are_byte_identical_on_every_lane() {
+    // The RA's one sync kind, answered behind, mid-batch, level and ahead:
+    // every lane returns the same `Update`, in frames of the same size (the
+    // event lane's v2 envelope adds its 4-byte id each way).
+    let (ca, cdn, _) = build_world();
+    let edge = Arc::new(EdgeService::new(cdn, Region::Europe, 99));
+    edge.set_now(SimTime::from_secs(T0 + 2));
+    let pulls: Vec<RitmRequest> = [0, 7, 30, 99]
+        .into_iter()
+        .map(|have| RitmRequest::Pull {
+            ca: ca.id(),
+            have,
+            limit: 16,
+        })
+        .collect();
+    let server = EventServer::spawn(Arc::clone(&edge) as Arc<dyn Service>, 2).unwrap();
+    let loopback = Loopback::new(Arc::clone(&edge)).round_trip_many(&pulls);
+    let simulated =
+        SimTransport::new(Arc::clone(&edge), SimDuration::from_millis(5)).round_trip_many(&pulls);
+    let event = EventTransport::connect(server.addr())
+        .unwrap()
+        .round_trip_many(&pulls);
+    for (i, req) in pulls.iter().enumerate() {
+        let lo = loopback[i].as_ref().unwrap();
+        let sim = simulated[i].as_ref().unwrap();
+        let ev = event[i].as_ref().unwrap();
+        assert!(matches!(lo.response, RitmResponse::Update(_)), "pull {i}");
+        assert_eq!(lo.response, sim.response, "pull {i}");
+        assert_eq!(lo.response, ev.response, "pull {i}");
+        let (req_len, resp_len) = (req.to_frame().len(), lo.response.to_frame().len());
+        assert_eq!(
+            (lo.meta.request_bytes, lo.meta.response_bytes),
+            (req_len as u64, resp_len as u64)
+        );
+        assert_eq!(
+            (sim.meta.request_bytes, sim.meta.response_bytes),
+            (lo.meta.request_bytes, lo.meta.response_bytes)
+        );
+        assert_eq!(
+            (ev.meta.request_bytes, ev.meta.response_bytes),
+            (lo.meta.request_bytes + 4, lo.meta.response_bytes + 4)
+        );
+    }
+    let serials = |i: usize| match &loopback[i].as_ref().unwrap().response {
+        RitmResponse::Update(u) => (u.serials.len(), u.remaining, u.refresh.is_some()),
+        other => panic!("expected an update, got {other:?}"),
+    };
+    // The one batch whole from 0, its rest from mid-batch, then only the
+    // freshness statement, then nothing for a requester ahead.
+    assert_eq!(
+        [serials(0), serials(1), serials(2), serials(3)],
+        [(30, 0, false), (23, 0, false), (0, 0, true), (0, 0, false)]
+    );
     assert_eq!(server.shutdown(), 4);
 }

@@ -76,7 +76,8 @@ fn forged_status_is_rejected_and_real_one_still_counts() {
         &mut rng,
         T0,
     );
-    evil.insert(&[SerialNumber::from_u24(0x999999)], &mut rng, T0 + 1);
+    evil.insert(&[SerialNumber::from_u24(0x999999)], &mut rng, T0 + 1)
+        .unwrap();
     let forged = evil.prove(&victim, T0 + 2).expect("forged status");
 
     // The client pins the honest CA key: the forged status must fail.
@@ -111,7 +112,7 @@ fn replayed_pre_revocation_status_expires() {
     );
     let victim = SerialNumber::from_u24(0x1234);
     let captured = ca.prove(&victim, T0).expect("pre-revocation status");
-    ca.insert(&[victim], &mut rng, T0 + 1);
+    ca.insert(&[victim], &mut rng, T0 + 1).unwrap();
 
     let key = ca.verifying_key();
     // Within the window the replay still passes (this is the 2Δ exposure).

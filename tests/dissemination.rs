@@ -138,10 +138,14 @@ fn partitioned_ra_catches_up() {
         revoke_fresh(&mut ca, 7, &mut cdn, &mut rng, T0 + 10 + k);
     }
 
-    // Reconnect: a single sync must repair the gap via catch-up.
+    // Reconnect: a single pull repairs the gap, all three batches in one
+    // update under the CA's current root.
     let report = sync(&mut ra, &mut cdn, T0 + 20);
     assert_eq!(ra.mirror(&ca.id()).unwrap().len(), 26);
-    assert!(report.catchups >= 1, "expected a catch-up request");
+    assert_eq!(
+        (report.issuances_applied, report.revocations_applied),
+        (1, 21)
+    );
     assert_eq!(
         ra.mirror(&ca.id()).unwrap().signed_root(),
         ca.dictionary().signed_root()
@@ -185,10 +189,10 @@ fn ledger_bills_what_ras_download() {
     revoke_fresh(&mut ca, 1000, &mut cdn, &mut rng, T0 + 1);
     let report = sync(&mut ra, &mut cdn, T0 + 2);
     // The ledger bills the content bytes the edge served; the report counts
-    // full envelope bytes (length prefix + version + kind + embedding), so
-    // it exceeds the bill by a small bounded per-response overhead.
+    // full envelope bytes (the length prefix too), so it exceeds the bill
+    // by a small bounded per-response overhead.
     assert!(report.bytes_downloaded > cdn.ledger.total_bytes());
     assert!(report.bytes_downloaded < cdn.ledger.total_bytes() + 64);
     assert!(cdn.ledger.bandwidth_cost_usd() > 0.0);
-    assert_eq!(cdn.ledger.total_requests(), 2, "Latest + Freshness");
+    assert_eq!(cdn.ledger.total_requests(), 1, "one pull");
 }
