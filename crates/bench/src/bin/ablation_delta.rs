@@ -33,7 +33,7 @@ fn main() {
 
         // Modelled: quiet-period bandwidth (freshness only) per day.
         let pulls_per_day = 86_400 / delta;
-        let daily_kb = pulls_per_day * bytes_per_pull(0) / 1_000;
+        let daily_kb = pulls_per_day * bytes_per_pull(0).total() / 1_000;
 
         rows.push(vec![
             format!("{delta}"),

@@ -4,7 +4,8 @@
 //!
 //! The CA is the one with the largest observed CRL (339,557 entries),
 //! revoking along the Fig. 4 time-series shape; RAs are placed by city
-//! population; pricing is CloudFront's aggregate-usage tier ladder.
+//! population; pricing is CloudFront's aggregate-usage tier ladder, applied
+//! to the updates the CDN sends (data out), not the RAs' pull requests.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,8 +31,8 @@ fn monthly_bill(delta: u64, cycle_revocations: u64, ras_per_region: &[(Region, u
     // period); leftover revocations land in the first periods.
     let base = cycle_revocations / periods;
     let extra_periods = cycle_revocations % periods;
-    let bytes_per_ra =
-        extra_periods * bytes_per_pull(base + 1) + (periods - extra_periods) * bytes_per_pull(base);
+    let bytes_per_ra = extra_periods * bytes_per_pull(base + 1).response
+        + (periods - extra_periods) * bytes_per_pull(base).response;
     let per_region: Vec<(Region, u64)> = ras_per_region
         .iter()
         .map(|(r, n)| (*r, n * bytes_per_ra))

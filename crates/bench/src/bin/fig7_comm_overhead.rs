@@ -49,8 +49,8 @@ fn main() {
         let samples: Vec<f64> = per_period
             .iter()
             .map(|&revs| {
-                let idle_all = (CRL_COUNT as u64 - 1) * bytes_per_pull(0);
-                (bytes_per_pull(revs) + idle_all) as f64 / 1_000.0
+                let idle_all = (CRL_COUNT as u64 - 1) * bytes_per_pull(0).total();
+                (bytes_per_pull(revs).total() + idle_all) as f64 / 1_000.0
             })
             .collect();
         let s = stats(&samples);

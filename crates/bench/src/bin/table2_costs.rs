@@ -1,5 +1,6 @@
 //! Table II: average monthly cost (in thousands of USD) as a function of Δ
-//! and the number of clients served per RA (30 / 250 / 1,000).
+//! and the number of clients served per RA (30 / 250 / 1,000). As in
+//! Fig. 6, the CDN bills the updates it sends, not the RAs' pull requests.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +25,8 @@ fn monthly_bill(delta: u64, revs: u64, ras: &[(Region, u64)]) -> f64 {
     let periods = CYCLE_SECS / delta;
     let base = revs / periods;
     let extra = revs % periods;
-    let bytes_per_ra = extra * bytes_per_pull(base + 1) + (periods - extra) * bytes_per_pull(base);
+    let bytes_per_ra = extra * bytes_per_pull(base + 1).response
+        + (periods - extra) * bytes_per_pull(base).response;
     let per_region: Vec<(Region, u64)> = ras.iter().map(|(r, n)| (*r, n * bytes_per_ra)).collect();
     aggregate_tiered_cost_usd(&per_region)
 }

@@ -79,6 +79,23 @@ pub fn quantile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx]
 }
 
+/// Bytes one RA moves in a Δ-period for one CA, by direction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PullBytes {
+    /// The RA's `Pull` frame (upload).
+    pub request: u64,
+    /// The `Update` frame answering it (download: what a CDN bills as data
+    /// out).
+    pub response: u64,
+}
+
+impl PullBytes {
+    /// Both directions.
+    pub fn total(self) -> u64 {
+        self.request + self.response
+    }
+}
+
 /// Bytes one RA moves in a Δ-period for one CA with `revocations` new
 /// entries: its `Pull` and the `Update` answering it, each a whole v1 frame.
 /// An idle period's update carries only the 20-byte freshness statement; a
@@ -86,23 +103,26 @@ pub fn quantile(sorted: &[f64], p: f64) -> f64 {
 /// the new signed root, whose own anchor is the period's statement. The
 /// request reports a count between 2^14 and 2^21 revocations (a 3-byte
 /// varint; the paper's largest CRL holds 339 557) and asks for the default
-/// page limit. This is the quantity plotted in Fig. 7 and integrated over
-/// a month for Fig. 6; `tests/pull_bytes.rs` holds it to the wire.
-pub fn bytes_per_pull(revocations: u64) -> u64 {
+/// page limit. Fig. 7 plots both directions; Fig. 6 and Table II bill the
+/// response, which is what a CDN charges as data out;
+/// `tests/pull_bytes.rs` holds each half to the wire.
+pub fn bytes_per_pull(revocations: u64) -> PullBytes {
     use ritm_crypto::wire::varint_len;
     // Length prefix, version and kind.
     const FRAME: u64 = 4 + 1 + 1;
     const CA_ID: u64 = 8;
     const HAVE: u64 = 3;
     let limit = varint_len(u64::from(ritm_proto::MAX_PAGE_LIMIT)) as u64;
-    let request = FRAME + CA_ID + HAVE + limit;
     // Flags, the serial count and `remaining` (0).
     let header = 1 + varint_len(revocations) as u64 + 1;
     let body = match revocations {
         0 => 20,
         n => n * 4 + ritm_dictionary::root::SIGNED_ROOT_LEN as u64,
     };
-    request + FRAME + header + body
+    PullBytes {
+        request: FRAME + CA_ID + HAVE + limit,
+        response: FRAME + header + body,
+    }
 }
 
 /// Splits a bin series into consecutive 30-day billing cycles starting at
@@ -144,11 +164,13 @@ mod tests {
 
     #[test]
     fn pull_bytes_shape() {
+        let pull = |request, response| PullBytes { request, response };
         // A 20-byte pull; a 29-byte update around the 20-byte statement.
-        assert_eq!(bytes_per_pull(0), 20 + 29);
-        // 1 revocation: 20 + (6 + 3 + 4 + 128) = 161.
-        assert_eq!(bytes_per_pull(1), 161);
-        assert_eq!(bytes_per_pull(1_000), 20 + 6 + 4 + 4_000 + 128);
+        assert_eq!(bytes_per_pull(0), pull(20, 29));
+        assert_eq!(bytes_per_pull(0).total(), 49);
+        // 1 revocation: 6 + 3 + 4 + 128 = 141.
+        assert_eq!(bytes_per_pull(1), pull(20, 141));
+        assert_eq!(bytes_per_pull(1_000), pull(20, 6 + 4 + 4_000 + 128));
     }
 
     #[test]

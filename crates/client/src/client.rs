@@ -8,9 +8,9 @@
 //! window for long-lived connections (§V "Race Condition").
 
 use crate::validator::{validate_payload_tracked, RootTracker, ValidationError, Verdict};
-use ritm_agent::StatusPayload;
 use ritm_crypto::ed25519::VerifyingKey;
 use ritm_dictionary::{CaId, SerialNumber};
+use ritm_proto::StatusPayload;
 use ritm_tls::alert::AlertDescription;
 use ritm_tls::certificate::TrustAnchors;
 use ritm_tls::connection::{ClientConfig, ClientEvent, TlsError};

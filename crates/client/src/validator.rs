@@ -5,9 +5,9 @@
 //! a valid *absence* proof against a validly-signed root, and (c) the
 //! freshness statement is no older than 2Δ.
 
-use ritm_agent::StatusPayload;
 use ritm_crypto::ed25519::VerifyingKey;
 use ritm_dictionary::{CaId, SerialNumber, SignedRoot, StatusError};
+use ritm_proto::StatusPayload;
 use std::collections::HashMap;
 
 /// The verdict from validating a status payload against a chain.
@@ -109,20 +109,45 @@ pub fn validate_payload(
     )
 }
 
-/// A client's record of the newest dictionary epoch it has accepted per CA.
+/// A client's record of the newest dictionary epoch it has accepted per CA,
+/// and of the signed root it last verified for each.
 ///
-/// The incremental dictionary engine tags every batch with a new epoch; on
-/// the wire that epoch is observable as the signed root's
-/// `(size, timestamp)` pair, which grows monotonically at an honest CA
-/// (dictionaries are append-only). Tracking the largest accepted pair lets a
-/// client reject *replayed* roots: an attacker (or a stale upstream RA)
-/// re-serving a still-fresh status from before the latest revocation batch.
-/// Within the paper's 2Δ freshness window such a replay would otherwise
-/// validate.
+/// **Replay protection.** The incremental dictionary engine tags every
+/// batch with a new epoch; on the wire that epoch is observable as the
+/// signed root's `(size, timestamp)` pair, which grows monotonically at an
+/// honest CA (dictionaries are append-only). Tracking the largest accepted
+/// pair lets a client reject *replayed* roots: an attacker (or a stale
+/// upstream RA) re-serving a still-fresh status from before the latest
+/// revocation batch. Within the paper's 2Δ freshness window such a replay
+/// would otherwise validate.
+///
+/// **The verified-root memo.** Eq. 2's hash-chain freshness exists so that
+/// a CA re-signs its root only when it revokes: between revocations every
+/// status carries the same signed root beside a new freshness statement.
+/// The tracker therefore keeps, per CA, the pinned key and the exact
+/// [`SignedRoot`] of the last accepted payload (the root is fixed-length,
+/// so equal fields are equal bytes).
+/// - *What is skipped:* the Ed25519 check of a status's signed root, when
+///   that root and the caller's pinned key for its CA both equal the CA's
+///   entry — for single statuses and compressed multi-statuses alike.
+/// - *What always runs:* the proof against the root, the freshness walk
+///   and the regression check, on every status. A root that differs in any
+///   byte, or a different pinned key, is verified in full.
+/// - *When it is written:* only in the commit half of validation's
+///   check-then-commit, with the epochs — on acceptance, including a
+///   [`Verdict::Revoked`] one. A rejected payload leaves it untouched.
+/// - *Its bound:* one entry per CA in the caller's key map, because a
+///   status naming a CA without a pinned key is rejected
+///   ([`ValidationError::UnknownCa`]) before anything is recorded.
+///
+/// The untracked [`validate_payload`] uses a tracker that records nothing,
+/// so it always pays the full (cold) cost.
 #[derive(Debug, Clone, Default)]
 pub struct RootTracker {
     /// CA → newest accepted `(size, timestamp)`.
     seen: HashMap<CaId, (u64, u64)>,
+    /// CA → the pinned key and the signed root last verified under it.
+    verified: HashMap<CaId, (VerifyingKey, SignedRoot)>,
     disabled: bool,
 }
 
@@ -132,29 +157,41 @@ impl RootTracker {
         RootTracker::default()
     }
 
-    /// A tracker that accepts everything (used by the untracked
-    /// [`validate_payload`] entry point).
+    /// A tracker that accepts everything and memoises nothing (used by the
+    /// untracked [`validate_payload`] entry point).
     fn disabled() -> Self {
         RootTracker {
-            seen: HashMap::new(),
             disabled: true,
+            ..RootTracker::default()
         }
     }
 
     /// Whether `root` is older than an epoch already known for its CA
     /// (`newer` overrides the stored state, letting callers dry-run a
     /// multi-status payload).
-    fn regresses(&self, root: &SignedRoot, newer: Option<(u64, u64)>) -> bool {
+    fn regresses(&self, root: &SignedRoot, newer: Option<&SignedRoot>) -> bool {
         if self.disabled {
             return false;
         }
-        match newer.or_else(|| self.newest(&root.ca)) {
+        match newer
+            .map(|r| (r.size, r.timestamp))
+            .or_else(|| self.newest(&root.ca))
+        {
             Some((size, ts)) => root.size < size || (root.size == size && root.timestamp < ts),
             None => false,
         }
     }
 
-    /// Records `root` as accepted; rejects epoch regressions.
+    /// Whether `root` is, byte for byte, the root last verified under `key`
+    /// for its CA.
+    fn memoised(&self, root: &SignedRoot, key: &VerifyingKey) -> bool {
+        self.verified
+            .get(&root.ca)
+            .is_some_and(|(k, r)| k == key && r == root)
+    }
+
+    /// Records `root` as accepted; rejects epoch regressions. The root's
+    /// signature is not checked here, so it does not enter the memo.
     ///
     /// # Errors
     ///
@@ -176,21 +213,25 @@ impl RootTracker {
         self.seen.get(ca).copied()
     }
 
-    /// Records a batch of already-regression-checked epochs (the commit
-    /// half of validation's check-then-commit).
-    fn commit(&mut self, pending: &HashMap<CaId, (u64, u64)>) {
+    /// Records a payload's already-regression-checked, signature-verified
+    /// roots, the newest per CA (the commit half of validation's
+    /// check-then-commit).
+    fn commit(&mut self, pending: &HashMap<CaId, (VerifyingKey, &SignedRoot)>) {
         if self.disabled {
             return;
         }
-        for (ca, newest) in pending {
-            self.seen.insert(*ca, *newest);
+        for (ca, (key, root)) in pending {
+            self.seen.insert(*ca, (root.size, root.timestamp));
+            self.verified.insert(*ca, (*key, **root));
         }
     }
 }
 
 /// [`validate_payload`] plus replay protection: every status root must be at
 /// least as new as the newest this client already accepted (per CA), and
-/// accepted roots advance the tracker.
+/// accepted roots advance the tracker. A root the tracker has already
+/// verified, byte for byte under the same key, skips its signature check
+/// (see [`RootTracker`]).
 ///
 /// # Errors
 ///
@@ -223,7 +264,7 @@ pub fn validate_payload_tracked(
     // otherwise the next individual status covers the position. Coverage
     // may end early (a leaf-only payload is a valid prefix), but every
     // payload entry must be consumed.
-    let mut pending: HashMap<CaId, (u64, u64)> = HashMap::new();
+    let mut pending: HashMap<CaId, (VerifyingKey, &SignedRoot)> = HashMap::new();
     let mut singles = payload.statuses.iter();
     let mut multis = payload.multi.iter().peekable();
     let mut pos = 0;
@@ -247,14 +288,17 @@ pub fn validate_payload_tracked(
             let m = multis.next().expect("peeked");
             let end = pos + m.serials.len();
             let key = ca_keys.get(&ca).ok_or(ValidationError::UnknownCa(ca))?;
-            let outcomes = m
-                .validate(key, delta, now)
-                .map_err(ValidationError::Status)?;
             let sr = &m.signed_root;
-            if tracker.regresses(sr, pending.get(&ca).copied()) {
+            let outcomes = if tracker.memoised(sr, key) {
+                m.validate_under_verified_root(delta, now)
+            } else {
+                m.validate(key, delta, now)
+            }
+            .map_err(ValidationError::Status)?;
+            if tracker.regresses(sr, pending.get(&ca).map(|(_, r)| *r)) {
                 return Err(ValidationError::RootRegression { ca });
             }
-            pending.insert(ca, (sr.size, sr.timestamp));
+            pending.insert(ca, (*key, sr));
             for (outcome, (_, cserial)) in outcomes.iter().zip(&chain[pos..end]) {
                 if let ritm_dictionary::ProvenStatus::Revoked { number } = outcome {
                     tracker.commit(&pending);
@@ -274,14 +318,17 @@ pub fn validate_payload_tracked(
             return Err(ValidationError::CaMismatch);
         }
         let key = ca_keys.get(&ca).ok_or(ValidationError::UnknownCa(ca))?;
-        let outcome = status
-            .validate(&serial, key, delta, now)
-            .map_err(ValidationError::Status)?;
         let sr = &status.signed_root;
-        if tracker.regresses(sr, pending.get(&ca).copied()) {
+        let outcome = if tracker.memoised(sr, key) {
+            status.validate_under_verified_root(&serial, delta, now)
+        } else {
+            status.validate(&serial, key, delta, now)
+        }
+        .map_err(ValidationError::Status)?;
+        if tracker.regresses(sr, pending.get(&ca).map(|(_, r)| *r)) {
             return Err(ValidationError::RootRegression { ca });
         }
-        pending.insert(ca, (sr.size, sr.timestamp));
+        pending.insert(ca, (*key, sr));
         if let ritm_dictionary::ProvenStatus::Revoked { number } = outcome {
             tracker.commit(&pending);
             return Ok(Verdict::Revoked { serial, number });
@@ -303,7 +350,7 @@ pub fn validate_payload_tracked(
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use ritm_crypto::ed25519::SigningKey;
     use ritm_dictionary::{CaDictionary, MirrorDictionary};
 
@@ -655,6 +702,288 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, ValidationError::CaMismatch);
         assert_eq!(tracker.newest(&f.ca.ca()), None);
+    }
+
+    /// The byte ranges of a signed root's fixed encoding that
+    /// [`memo_on_and_memo_off_agree`] flips: signature, root, size, anchor
+    /// and timestamp.
+    const ROOT_FIELDS: [std::ops::Range<usize>; 5] = [64..128, 8..28, 28..36, 36..56, 56..64];
+
+    /// Freshness statements relative to the expected period: on time, one
+    /// early or late (accepted), and skipped periods both ways up to the
+    /// stale (> 2Δ) ones.
+    const SKEWS: [i64; 7] = [0, 0, 0, 1, -1, 2, -3];
+
+    /// Two CAs, each with its dictionary and a mirror kept in step, and
+    /// everything handed to the client so far.
+    struct Differential {
+        rng: StdRng,
+        cas: Vec<(CaDictionary, MirrorDictionary)>,
+        now: u64,
+        next_serial: u32,
+        /// Every single status built so far, per CA.
+        singles: Vec<Vec<(SerialNumber, ritm_dictionary::RevocationStatus)>>,
+        /// Every payload presented so far, with its chain.
+        presented: Vec<(StatusPayload, Vec<(CaId, SerialNumber)>)>,
+    }
+
+    impl Differential {
+        fn new(seed: u64) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let revoked: Vec<SerialNumber> = (50..60u32).map(SerialNumber::from_u24).collect();
+            let cas = ["DiffA", "DiffB"]
+                .iter()
+                .zip(1u8..)
+                .map(|(name, seed)| {
+                    let mut ca = CaDictionary::new(
+                        CaId::from_name(name),
+                        SigningKey::from_seed([seed; 32]),
+                        DELTA,
+                        1 << 12,
+                        &mut rng,
+                        T0,
+                    );
+                    let mut mirror =
+                        MirrorDictionary::new(ca.ca(), ca.verifying_key(), *ca.signed_root())
+                            .unwrap();
+                    mirror.set_delta(DELTA);
+                    let iss = ca.insert(&revoked, &mut rng, T0 + 1).unwrap();
+                    mirror.apply_issuance(&iss, T0 + 1).unwrap();
+                    (ca, mirror)
+                })
+                .collect();
+            Differential {
+                rng,
+                cas,
+                now: T0 + 1,
+                next_serial: 1_000,
+                singles: vec![Vec::new(), Vec::new()],
+                presented: Vec::new(),
+            }
+        }
+
+        fn id(&self, ca: usize) -> CaId {
+            self.cas[ca].0.ca()
+        }
+
+        fn revoke(&mut self, ca: usize) {
+            self.next_serial += 1;
+            let serial = SerialNumber::from_u24(self.next_serial);
+            let (dict, mirror) = &mut self.cas[ca];
+            let iss = dict.insert(&[serial], &mut self.rng, self.now).unwrap();
+            mirror.apply_issuance(&iss, self.now).unwrap();
+        }
+
+        /// The CA's statement for the period `now` expects, moved by a
+        /// random skew.
+        fn statement(&mut self, ca: usize) -> ritm_dictionary::FreshnessStatement {
+            let skew = SKEWS[self.rng.gen_range(0..SKEWS.len())];
+            let dict = &self.cas[ca].0;
+            let ts = dict.signed_root().timestamp;
+            let period = (((self.now - ts) / DELTA) as i64 + skew).max(0) as u64;
+            dict.current_freshness(ts + period * DELTA).unwrap()
+        }
+
+        /// A chain of one to three certificates, each from a random CA, some
+        /// revoked (50..60), covered by singles and compressed runs.
+        fn current(&mut self) -> (StatusPayload, Vec<(CaId, SerialNumber)>) {
+            const SERIALS: [u32; 6] = [55, 59, 200, 300, 400, 500];
+            let len = self.rng.gen_range(1..=3usize);
+            let positions: Vec<(usize, SerialNumber)> = (0..len)
+                .map(|_| {
+                    let ca = self.rng.gen_range(0..2usize);
+                    let serial = SERIALS[self.rng.gen_range(0..SERIALS.len())];
+                    (ca, SerialNumber::from_u24(serial))
+                })
+                .collect();
+            let mut payload = StatusPayload::default();
+            let mut pos = 0;
+            while pos < len {
+                let ca = positions[pos].0;
+                let run = positions[pos..]
+                    .iter()
+                    .take_while(|(c, _)| *c == ca)
+                    .count();
+                if run > 1 && self.rng.gen_bool(0.5) {
+                    let serials: Vec<SerialNumber> =
+                        positions[pos..pos + run].iter().map(|(_, s)| *s).collect();
+                    let mut multi = self.cas[ca].1.prove_multi(&serials);
+                    multi.freshness = self.statement(ca);
+                    payload.multi.push(multi);
+                    pos += run;
+                } else {
+                    let serial = positions[pos].1;
+                    let mut status = self.cas[ca].1.prove(&serial);
+                    status.freshness = self.statement(ca);
+                    self.singles[ca].push((serial, status.clone()));
+                    payload.statuses.push(status);
+                    pos += 1;
+                }
+            }
+            let chain = positions.iter().map(|(ca, s)| (self.id(*ca), *s)).collect();
+            (payload, chain)
+        }
+
+        /// Two certificates of `ca`: a current status and the latest one
+        /// handed out under an older root, in either order (new first is
+        /// an in-payload regression).
+        fn mixed_age(&mut self, ca: usize) -> (StatusPayload, Vec<(CaId, SerialNumber)>) {
+            let current = *self.cas[ca].1.signed_root();
+            let old = self.singles[ca]
+                .iter()
+                .rev()
+                .find(|(_, status)| status.signed_root != current)
+                .cloned();
+            let Some((old_serial, old_status)) = old else {
+                return self.current();
+            };
+            let serial = SerialNumber::from_u24(200);
+            let mut status = self.cas[ca].1.prove(&serial);
+            status.freshness = self.statement(ca);
+            let id = self.id(ca);
+            let (mut statuses, mut chain) = (
+                vec![status, old_status],
+                vec![(id, serial), (id, old_serial)],
+            );
+            if self.rng.gen_bool(0.5) {
+                statuses.reverse();
+                chain.reverse();
+            }
+            (StatusPayload::single(statuses), chain)
+        }
+
+        /// A current payload with one bit of one status's signed root
+        /// flipped.
+        fn flipped(&mut self) -> (StatusPayload, Vec<(CaId, SerialNumber)>, SignedRoot) {
+            let (mut payload, chain) = self.current();
+            let field = ROOT_FIELDS[self.rng.gen_range(0..ROOT_FIELDS.len())].clone();
+            let byte = self.rng.gen_range(field);
+            let bit = self.rng.gen_range(0..8u32);
+            let root = match payload.statuses.first_mut() {
+                Some(status) => &mut status.signed_root,
+                None => &mut payload.multi[0].signed_root,
+            };
+            let original = *root;
+            let mut bytes = root.to_bytes();
+            bytes[byte] ^= 1 << bit;
+            *root = SignedRoot::from_bytes(&bytes).unwrap();
+            (payload, chain, original)
+        }
+    }
+
+    #[test]
+    fn memo_on_and_memo_off_agree() {
+        // One long-lived tracker (memo on) against the same calls with the
+        // memo cleared before each (memo off): every input gets the same
+        // `Result`, both trackers hold the same epochs, a rejected payload
+        // leaves the memo as it was, and the memo never outgrows the pinned
+        // keys.
+        let mut tally: HashMap<String, u32> = HashMap::new();
+        for seed in 0..3 {
+            let mut d = Differential::new(seed);
+            let pinned: HashMap<CaId, VerifyingKey> = d
+                .cas
+                .iter()
+                .map(|(ca, _)| (ca.ca(), ca.verifying_key()))
+                .collect();
+            let other = SigningKey::from_seed([9u8; 32]).verifying_key();
+            let (mut on, mut off) = (RootTracker::new(), RootTracker::new());
+            for step in 0..200 {
+                d.now += d.rng.gen_range(0..=DELTA / 2);
+                let mut keys = pinned.clone();
+                let mut flipped_root = None;
+                let (kind, (payload, chain)) = match d.rng.gen_range(0..20u32) {
+                    0..=6 => ("current", d.current()),
+                    7..=9 => {
+                        let (payload, chain, original) = d.flipped();
+                        flipped_root = Some(original);
+                        ("flipped", (payload, chain))
+                    }
+                    10 | 11 => {
+                        let ca = d.rng.gen_range(0..2usize);
+                        keys.insert(d.id(ca), other);
+                        ("other key", d.current())
+                    }
+                    12 | 13 => {
+                        // Recent payloads, so that some are still fresh.
+                        let back = d.rng.gen_range(1..=6usize);
+                        match d.presented.len().checked_sub(back).map(|i| &d.presented[i]) {
+                            Some(old) => ("replay", old.clone()),
+                            None => ("current", d.current()),
+                        }
+                    }
+                    14..=16 => {
+                        let ca = d.rng.gen_range(0..2usize);
+                        ("mixed age", d.mixed_age(ca))
+                    }
+                    _ => {
+                        // The memo may still hold the CA's previous root,
+                        // which the payload presents beside the new one.
+                        let ca = d.rng.gen_range(0..2usize);
+                        d.revoke(ca);
+                        ("after revoke", d.mixed_age(ca))
+                    }
+                };
+                let roots = payload
+                    .statuses
+                    .iter()
+                    .map(|s| &s.signed_root)
+                    .chain(payload.multi.iter().map(|m| &m.signed_root));
+                let hits = roots
+                    .filter(|r| keys.get(&r.ca).is_some_and(|k| on.memoised(r, k)))
+                    .count() as u32;
+                *tally.entry("memo hits".into()).or_default() += hits;
+                if flipped_root.is_some_and(|r| on.memoised(&r, &pinned[&r.ca])) {
+                    *tally.entry("flipped after memo".into()).or_default() += 1;
+                }
+
+                let memo_before = on.verified.clone();
+                let got_on =
+                    validate_payload_tracked(&payload, &chain, &keys, DELTA, d.now, &mut on);
+                off.verified.clear();
+                let got_off =
+                    validate_payload_tracked(&payload, &chain, &keys, DELTA, d.now, &mut off);
+                assert_eq!(got_on, got_off, "seed {seed} step {step} ({kind})");
+                assert_eq!(on.seen, off.seen, "seed {seed} step {step} ({kind})");
+                if got_on.is_err() {
+                    assert_eq!(on.verified, memo_before, "seed {seed} step {step} ({kind})");
+                }
+                assert!(on.verified.len() <= pinned.len());
+                assert!(on.verified.keys().all(|ca| pinned.contains_key(ca)));
+                let outcome = match &got_on {
+                    Ok(Verdict::AllValid) => "valid".to_string(),
+                    Ok(Verdict::Revoked { .. }) => "revoked".to_string(),
+                    Err(ValidationError::Status(e)) => format!("{e:?}"),
+                    Err(e) => format!("{e:?}")
+                        .split([' ', '(', '{'])
+                        .next()
+                        .unwrap()
+                        .into(),
+                };
+                if hits > 0 && outcome == "RootRegression" {
+                    *tally
+                        .entry("regression beside a memo hit".into())
+                        .or_default() += 1;
+                }
+                *tally.entry(outcome).or_default() += 1;
+                d.presented.push((payload, chain));
+            }
+        }
+        for outcome in [
+            "memo hits",
+            "flipped after memo",
+            "valid",
+            "revoked",
+            "BadSignature",
+            "NotFresh(Stale)",
+            "RootRegression",
+            "regression beside a memo hit",
+        ] {
+            assert!(
+                tally.get(outcome).copied().unwrap_or(0) > 0,
+                "no {outcome} among {tally:?}"
+            );
+        }
     }
 
     #[test]

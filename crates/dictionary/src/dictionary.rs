@@ -15,6 +15,7 @@ use crate::root::{CaId, SignedRoot};
 use crate::serial::SerialNumber;
 use crate::tree::Leaf;
 use rand::RngCore;
+use ritm_crypto::digest::Digest20;
 use ritm_crypto::ed25519::{SigningKey, VerifyingKey};
 use ritm_crypto::hashchain::HashChain;
 use ritm_crypto::wire::{DecodeError, Reader, Writer};
@@ -166,6 +167,31 @@ impl core::fmt::Display for StatusError {
 
 impl std::error::Error for StatusError {}
 
+/// The signature half of status validation (§III step 5b's precondition).
+fn verify_signature(signed_root: &SignedRoot, ca_key: &VerifyingKey) -> Result<(), StatusError> {
+    signed_root
+        .verify(ca_key)
+        .map_err(|_| StatusError::BadSignature)
+}
+
+/// The rest of status validation, under a root whose signature has already
+/// verified: the proof against `(root, size)` (step 5b), then the freshness
+/// statement against the root's anchor (step 5c). Single and compressed
+/// statuses differ only in `prove`.
+fn under_verified_root<T>(
+    signed_root: &SignedRoot,
+    freshness: &FreshnessStatement,
+    delta: u64,
+    now: u64,
+    prove: impl FnOnce(&Digest20, u64) -> Result<T, ProofError>,
+) -> Result<T, StatusError> {
+    let status = prove(&signed_root.root, signed_root.size).map_err(StatusError::BadProof)?;
+    freshness
+        .verify(signed_root, delta, now)
+        .map_err(StatusError::NotFresh)?;
+    Ok(status)
+}
+
 impl RevocationStatus {
     /// Client-side validation (§III step 5): signature, proof, freshness.
     ///
@@ -181,17 +207,30 @@ impl RevocationStatus {
         delta: u64,
         now: u64,
     ) -> Result<ProvenStatus, StatusError> {
-        self.signed_root
-            .verify(ca_key)
-            .map_err(|_| StatusError::BadSignature)?;
-        let status = self
-            .proof
-            .verify(serial, &self.signed_root.root, self.signed_root.size)
-            .map_err(StatusError::BadProof)?;
-        self.freshness
-            .verify(&self.signed_root, delta, now)
-            .map_err(StatusError::NotFresh)?;
-        Ok(status)
+        verify_signature(&self.signed_root, ca_key)?;
+        self.validate_under_verified_root(serial, delta, now)
+    }
+
+    /// [`RevocationStatus::validate`] without the signature check: the
+    /// proof and the freshness statement, for a caller that has already
+    /// verified these exact `signed_root` bytes under the CA's key.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failed check as a [`StatusError`].
+    pub fn validate_under_verified_root(
+        &self,
+        serial: &SerialNumber,
+        delta: u64,
+        now: u64,
+    ) -> Result<ProvenStatus, StatusError> {
+        under_verified_root(
+            &self.signed_root,
+            &self.freshness,
+            delta,
+            now,
+            |root, size| self.proof.verify(serial, root, size),
+        )
     }
 
     /// Serializes the status (this is the payload piggybacked onto TLS; its
@@ -267,17 +306,29 @@ impl MultiRevocationStatus {
         delta: u64,
         now: u64,
     ) -> Result<Vec<ProvenStatus>, StatusError> {
-        self.signed_root
-            .verify(ca_key)
-            .map_err(|_| StatusError::BadSignature)?;
-        let statuses = self
-            .proof
-            .verify(&self.serials, &self.signed_root.root, self.signed_root.size)
-            .map_err(StatusError::BadProof)?;
-        self.freshness
-            .verify(&self.signed_root, delta, now)
-            .map_err(StatusError::NotFresh)?;
-        Ok(statuses)
+        verify_signature(&self.signed_root, ca_key)?;
+        self.validate_under_verified_root(delta, now)
+    }
+
+    /// [`MultiRevocationStatus::validate`] without the signature check: the
+    /// compressed proof and the freshness statement, for a caller that has
+    /// already verified these exact `signed_root` bytes under the CA's key.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failed check as a [`StatusError`].
+    pub fn validate_under_verified_root(
+        &self,
+        delta: u64,
+        now: u64,
+    ) -> Result<Vec<ProvenStatus>, StatusError> {
+        under_verified_root(
+            &self.signed_root,
+            &self.freshness,
+            delta,
+            now,
+            |root, size| self.proof.verify(&self.serials, root, size),
+        )
     }
 
     /// Exact encoded size in bytes, computed without serializing.

@@ -518,8 +518,8 @@ impl ClientEngine {
         self.pending_ticket.take()
     }
 
-    /// The established session's state (for caching in a
-    /// [`ClientSessionCache`](crate::session::ClientSessionCache)).
+    /// The established session's state (what a client keeps to resume the
+    /// session later).
     pub fn session_state(&self, now: u64) -> Option<SessionState> {
         if self.state != ClientState::Established {
             return None;

@@ -1,8 +1,9 @@
 //! TLS session resumption (paper §III: "RITM supports two mechanisms of TLS
 //! resumption, namely session identifiers and session tickets").
 //!
-//! Both sides keep small caches; the abbreviated handshake skips the
-//! Certificate message, which is why the RA keeps per-connection state
+//! The server keeps a bounded cache of session ids and mints tickets; a
+//! client carries the [`SessionState`] (and ticket) of the one session it
+//! resumes. The abbreviated handshake skips the Certificate message, which is why the RA keeps per-connection state
 //! (Eq. 4) including the serial seen at full-handshake time — resumed
 //! connections still receive periodic revocation statuses.
 
@@ -190,34 +191,6 @@ impl ServerSessionCache {
     }
 }
 
-/// Client-side session cache, keyed by server name.
-#[derive(Debug, Default)]
-pub struct ClientSessionCache {
-    by_server: HashMap<String, (SessionState, Option<SessionTicket>)>,
-}
-
-impl ClientSessionCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        ClientSessionCache::default()
-    }
-
-    /// Remembers a session (and optional ticket) for `server`.
-    pub fn store(&mut self, server: &str, state: SessionState, ticket: Option<SessionTicket>) {
-        self.by_server.insert(server.to_owned(), (state, ticket));
-    }
-
-    /// Returns the stored session for `server`.
-    pub fn lookup(&self, server: &str) -> Option<&(SessionState, Option<SessionTicket>)> {
-        self.by_server.get(server)
-    }
-
-    /// Forgets the session for `server` (e.g. after a failed resumption).
-    pub fn evict(&mut self, server: &str) {
-        self.by_server.remove(server);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,14 +307,5 @@ mod tests {
             }),
             None
         );
-    }
-
-    #[test]
-    fn client_cache_evicts() {
-        let mut c = ClientSessionCache::new();
-        c.store("example.com", state(1), None);
-        assert!(c.lookup("example.com").is_some());
-        c.evict("example.com");
-        assert!(c.lookup("example.com").is_none());
     }
 }
