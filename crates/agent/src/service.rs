@@ -70,8 +70,6 @@ impl Service for StatusService {
             // Dissemination requests belong to CDN edges, manifests to CAs.
             RitmRequest::Pull { .. }
             | RitmRequest::FetchDelta { .. }
-            | RitmRequest::FetchFreshness { .. }
-            | RitmRequest::CatchUpPaged { .. }
             | RitmRequest::GetManifest { .. } => RitmResponse::Error(ProtoError::Unsupported),
         }
     }

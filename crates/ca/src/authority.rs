@@ -344,12 +344,8 @@ mod tests {
         assert!(ca.is_revoked(&cert.serial));
         assert_eq!(iss.serials, vec![cert.serial]);
 
-        // The issuance is fetchable from the CDN.
-        use ritm_cdn::origin::ContentKey;
-        assert!(cdn
-            .origin
-            .fetch(&ContentKey::Latest { ca: ca.id() })
-            .is_some());
+        // The issuance is in the CDN's feed.
+        assert_eq!(cdn.origin.fetch_page(ca.id(), 0, 64), Some((iss, 0)));
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //!
 //! Most dissemination flows through the CDN, but two objects are naturally
 //! served by the CA itself (§VIII): the signed `/RITM.json` bootstrap
-//! manifest and authoritative pulls answered from its own issuance log —
-//! `Pull`, and the paged `CatchUpPaged` — under the feed's one page rule,
-//! so every page carries a root the CA published and answering one signs
-//! nothing. [`CaService`] exposes exactly those — plus the current signed
-//! root and freshness statement for monitors — while refusing `FetchDelta`
-//! (periodic pulls should hit the CDN so the CA's own link is never the
-//! fan-out bottleneck) and status requests (an RA's job).
+//! manifest and authoritative `Pull`s answered from its own issuance log
+//! under the feed's one page rule, so every `Update` page carries a root
+//! the CA published and answering one signs nothing. [`CaService`] exposes
+//! exactly those — plus the current signed root for monitors — and refuses
+//! everything else with `Unsupported`: `FetchDelta` (no product endpoint
+//! answers it) and status requests (an RA's job).
 
 use crate::authority::CertificationAuthority;
 use ritm_dictionary::RefreshMessage;
@@ -16,7 +15,7 @@ use ritm_proto::{ProtoError, RitmRequest, RitmResponse, Service, Update};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The CA's manifest/catch-up endpoint, shareable with the harness that
+/// The CA's manifest/pull endpoint, shareable with the harness that
 /// keeps issuing and revoking through the same `Arc<Mutex<..>>` handle.
 pub struct CaService {
     ca: Arc<Mutex<CertificationAuthority>>,
@@ -60,22 +59,6 @@ impl Service for CaService {
                 }
                 RitmResponse::SignedRoot(*ca.dictionary().signed_root())
             }
-            RitmRequest::CatchUpPaged {
-                ca: id,
-                have,
-                limit,
-            } => {
-                if id != ca.id() {
-                    return RitmResponse::Error(ProtoError::UnknownCa(id));
-                }
-                let (issuance, remaining) = ca
-                    .dictionary()
-                    .issuance_page(have, limit.min(ritm_proto::MAX_PAGE_LIMIT));
-                RitmResponse::DeltaPage {
-                    issuance,
-                    remaining,
-                }
-            }
             RitmRequest::Pull {
                 ca: id,
                 have,
@@ -91,16 +74,6 @@ impl Service for CaService {
                     .current_freshness(now)
                     .map(RefreshMessage::Freshness);
                 RitmResponse::Update(Update::answer(have, Some(page), refresh))
-            }
-            RitmRequest::FetchFreshness { ca: id } => {
-                if id != ca.id() {
-                    return RitmResponse::Error(ProtoError::UnknownCa(id));
-                }
-                let now = self.now_secs.load(Ordering::SeqCst);
-                match ca.dictionary().current_freshness(now) {
-                    Some(f) => RitmResponse::Freshness(RefreshMessage::Freshness(f)),
-                    None => RitmResponse::Error(ProtoError::NotFound),
-                }
             }
             RitmRequest::FetchDelta { .. }
             | RitmRequest::GetStatus { .. }
@@ -157,34 +130,50 @@ mod tests {
     #[test]
     fn serves_root_freshness_and_catchup_but_not_deltas() {
         let (id, _, svc) = service();
-        assert!(matches!(
+        let head = *svc.authority().lock().unwrap().dictionary().signed_root();
+        assert_eq!(
             svc.handle(RitmRequest::GetSignedRoot { ca: id }),
-            RitmResponse::SignedRoot(_)
-        ));
-        assert!(matches!(
-            svc.handle(RitmRequest::FetchFreshness { ca: id }),
-            RitmResponse::Freshness(RefreshMessage::Freshness(_))
-        ));
-        match svc.handle(RitmRequest::CatchUpPaged {
-            ca: id,
-            have: 0,
-            limit: 64,
-        }) {
-            RitmResponse::DeltaPage {
-                issuance,
-                remaining,
-            } => assert!(issuance.serials.is_empty() && remaining == 0),
-            other => panic!("expected a page, got {other:?}"),
-        }
+            RitmResponse::SignedRoot(head)
+        );
+        // Nothing revoked yet: an empty page, caught up, and the period's
+        // freshness statement.
+        let fresh = svc
+            .authority()
+            .lock()
+            .unwrap()
+            .dictionary()
+            .current_freshness(T0 + 1)
+            .unwrap();
+        assert_eq!(
+            svc.handle(RitmRequest::Pull {
+                ca: id,
+                have: 0,
+                limit: 64,
+            }),
+            RitmResponse::Update(Update {
+                refresh: Some(RefreshMessage::Freshness(fresh)),
+                ..Update::default()
+            })
+        );
         assert_eq!(
             svc.handle(RitmRequest::FetchDelta { ca: id }),
             RitmResponse::Error(ProtoError::Unsupported)
         );
         let other = CaId::from_name("impostor");
-        assert_eq!(
-            svc.handle(RitmRequest::GetManifest { ca: other }),
-            RitmResponse::Error(ProtoError::UnknownCa(other))
-        );
+        for req in [
+            RitmRequest::GetManifest { ca: other },
+            RitmRequest::GetSignedRoot { ca: other },
+            RitmRequest::Pull {
+                ca: other,
+                have: 0,
+                limit: 64,
+            },
+        ] {
+            assert_eq!(
+                svc.handle(req),
+                RitmResponse::Error(ProtoError::UnknownCa(other))
+            );
+        }
     }
 
     /// Issues and revokes `n` certificates through the service's CA,
@@ -213,24 +202,19 @@ mod tests {
         let (id, _, svc) = service();
         let batch = revoke(&svc, &mut Cdn::new(SimDuration::ZERO), 40, T0 + 1);
         let head = *svc.authority().lock().unwrap().dictionary().signed_root();
-        match svc.handle(RitmRequest::CatchUpPaged {
+        // Ten serials into a 40-serial batch, asking for one: the rest of
+        // the batch arrives whole (serials 11..=40), under the root the CA
+        // published for it, not a new one over a prefix of it.
+        let RitmResponse::Update(update) = svc.handle(RitmRequest::Pull {
             ca: id,
             have: 10,
             limit: 1,
-        }) {
-            RitmResponse::DeltaPage {
-                issuance,
-                remaining,
-            } => {
-                assert_eq!(remaining, 0);
-                assert_eq!(issuance.first_number, 11);
-                assert_eq!(issuance.serials, batch.serials[10..]);
-                // The root the CA published for the batch, not a new one
-                // over a prefix of it.
-                assert_eq!(issuance.signed_root, batch.signed_root);
-            }
-            other => panic!("expected a page, got {other:?}"),
-        }
+        }) else {
+            panic!("expected an update");
+        };
+        assert_eq!(update.serials, batch.serials[10..]);
+        assert_eq!(update.signed_root, Some(batch.signed_root));
+        assert_eq!(update.remaining, 0);
         let ca = svc.authority().lock().unwrap();
         assert_eq!(*ca.dictionary().signed_root(), head);
     }

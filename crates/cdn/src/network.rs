@@ -64,35 +64,6 @@ impl Cdn {
         Some((bytes, stats))
     }
 
-    /// One page of a desynchronized RA's catch-up (paper §III sync
-    /// protocol): straight through to the origin (parametrized requests
-    /// are not cacheable), billed like any other download at its encoded
-    /// size. Returns the issuance page, the count of serials remaining
-    /// beyond it, and the pull statistics.
-    pub fn pull_page<R: rand::Rng + ?Sized>(
-        &mut self,
-        region: Region,
-        ca: ritm_dictionary::CaId,
-        have: u64,
-        limit: u32,
-        rng: &mut R,
-    ) -> Option<(ritm_dictionary::RevocationIssuance, u64, PullStats)> {
-        let (page, remaining) = self.origin.fetch_page(ca, have, limit)?;
-        let bytes = page.encoded_len() as u64;
-        self.ledger.record(region, bytes);
-        let latency = region.origin_latency().sample(rng)
-            + region.edge_latency().sample(rng)
-            + ritm_net::time::SimDuration::from_secs_f64(
-                bytes as f64 / region.bandwidth_bytes_per_sec(),
-            );
-        let stats = PullStats {
-            bytes,
-            cache_hit: false,
-            latency,
-        };
-        Some((page, remaining, stats))
-    }
-
     /// Borrow a regional edge (for cache statistics).
     pub fn edge(&self, region: Region) -> &EdgeServer {
         self.edges.get(&region).expect("all regions present")

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 /// Decodes a stored refresh object (tag byte + body), the form
 /// [`Origin::publish_refresh`] stores it in.
-pub(crate) fn decode_refresh(bytes: &[u8]) -> Option<RefreshMessage> {
+fn decode_refresh(bytes: &[u8]) -> Option<RefreshMessage> {
     let (tag, body) = bytes.split_first()?;
     match tag {
         0 => FreshnessStatement::from_bytes(body)
@@ -43,11 +43,6 @@ pub enum ContentKey {
     /// The latest freshness statement for a CA.
     Freshness {
         /// CA whose statement this is.
-        ca: CaId,
-    },
-    /// The latest issuance batch, as the legacy `FetchDelta` serves it.
-    Latest {
-        /// CA whose feed this is.
         ca: CaId,
     },
     /// The `/RITM.json` bootstrap manifest (§VIII).
@@ -144,8 +139,7 @@ impl Origin {
     }
 
     /// Publishes a revocation issuance, after verifying the CA's signature:
-    /// appends it to the CA's feed and keeps its bytes as the `Latest`
-    /// object.
+    /// appends it to the CA's feed.
     ///
     /// # Errors
     ///
@@ -175,9 +169,7 @@ impl Origin {
         feed.batch_roots
             .push((feed.log.len() as u64, issuance.signed_root));
         self.latest_root.insert(ca, issuance.signed_root);
-        let bytes = issuance.to_bytes();
-        self.ingress_bytes += bytes.len() as u64;
-        self.content.insert(ContentKey::Latest { ca }, bytes);
+        self.ingress_bytes += issuance.encoded_len() as u64;
         Ok(())
     }
 
@@ -306,19 +298,16 @@ mod tests {
             .insert(&[SerialNumber::from_u24(5)], &mut rng, 1_001)
             .unwrap();
         origin.publish_issuance(ca.ca(), &iss).unwrap();
-        assert_eq!(
-            origin.fetch(&ContentKey::Latest { ca: ca.ca() }).unwrap(),
-            iss.to_bytes()
-        );
-        // The batch lives in the feed only: no per-version object.
-        assert_eq!(origin.fetch_page(ca.ca(), 0, 64), Some((iss, 0)));
+        // The batch lives in the feed only: no stored object at all.
+        assert_eq!(origin.fetch_page(ca.ca(), 0, 64), Some((iss.clone(), 0)));
         let by_version = ContentKey::Issuance {
             ca: ca.ca(),
             version: 1,
         };
         assert!(origin.fetch(&by_version).is_none());
-        assert_eq!(origin.object_count(), 1);
-        assert!(origin.ingress_bytes > 0);
+        assert_eq!(origin.object_count(), 0);
+        // Ingress counts the batch's encoding, as a CA uploads it.
+        assert_eq!(origin.ingress_bytes, iss.to_bytes().len() as u64);
     }
 
     #[test]
@@ -402,7 +391,7 @@ mod tests {
     fn missing_content_is_none() {
         let origin = Origin::new();
         assert!(origin
-            .fetch(&ContentKey::Latest {
+            .fetch(&ContentKey::Manifest {
                 ca: CaId::from_name("X")
             })
             .is_none());

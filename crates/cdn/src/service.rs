@@ -4,11 +4,10 @@
 //! versioned RITM envelope vocabulary: `Pull` — the RA's one request per
 //! Δ — to the origin's feed page after the RA's count plus the CA's
 //! current refresh message, `GetManifest` to the bootstrap manifest, and
-//! `GetSignedRoot` to the origin's latest verified root. The older pulls
-//! stay answered for measurement harnesses: `FetchDelta` and
-//! `FetchFreshness` from the edge's cache, `CatchUpPaged` from the feed.
-//! Status requests are refused with [`ProtoError::Unsupported`] — statuses
-//! are the RA's job, not the CDN's.
+//! `GetSignedRoot` to the origin's latest verified root. A catch-up page
+//! is an `Update` like any other. Everything else is refused with
+//! [`ProtoError::Unsupported`]: `FetchDelta` (no product endpoint answers
+//! it) and status requests — statuses are the RA's job, not the CDN's.
 //!
 //! `handle` works from `&self` (the service sits behind any transport, on
 //! any number of threads), so the mutable CDN state lives behind a mutex;
@@ -16,11 +15,11 @@
 //! latency-aware transports via [`Service::take_latency`].
 
 use crate::network::Cdn;
-use crate::origin::{decode_refresh, ContentKey, Origin};
+use crate::origin::{ContentKey, Origin};
 use crate::regions::Region;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ritm_dictionary::{CaId, RevocationIssuance};
+use ritm_dictionary::CaId;
 use ritm_net::time::{SimDuration, SimTime};
 use ritm_proto::{ProtoError, RitmRequest, RitmResponse, Service, Update};
 use std::borrow::BorrowMut;
@@ -76,23 +75,13 @@ impl<C: BorrowMut<Cdn>> EdgeService<C> {
             .fetch_add(latency.as_micros(), Ordering::Relaxed);
     }
 
-    /// One billed edge pull of a stored object, decoded with `parse`.
-    fn pull_decoded<T>(
-        &self,
-        key: &ContentKey,
-        parse: impl FnOnce(&[u8]) -> Option<T>,
-    ) -> Result<T, ProtoError> {
-        self.pull_built(key, |origin| origin.fetch(key).map(<[u8]>::to_vec), parse)
-    }
-
     /// One billed edge pull of the object `build` makes at the origin on a
-    /// miss, decoded with `parse`.
-    fn pull_built<T>(
+    /// miss; `NotFound` when there is none.
+    fn pull_built(
         &self,
         key: &ContentKey,
         build: impl FnOnce(&Origin) -> Option<Vec<u8>>,
-        parse: impl FnOnce(&[u8]) -> Option<T>,
-    ) -> Result<T, ProtoError> {
+    ) -> Result<Vec<u8>, ProtoError> {
         let now = SimTime::from_secs(self.now_secs.load(Ordering::SeqCst));
         let mut guard = self.cdn.lock().expect("cdn lock");
         let cdn: &mut Cdn = (*guard).borrow_mut();
@@ -101,10 +90,7 @@ impl<C: BorrowMut<Cdn>> EdgeService<C> {
             return Err(ProtoError::NotFound);
         };
         self.charge(stats.latency);
-        // The stored object was verified at publish time; if it no longer
-        // decodes, the origin store is corrupt — an internal fault, not a
-        // client error.
-        parse(&bytes).ok_or(ProtoError::Internal)
+        Ok(bytes)
     }
 
     /// Answers `Pull`: the origin's feed page after `have` and the CA's
@@ -130,8 +116,14 @@ impl<C: BorrowMut<Cdn>> EdgeService<C> {
             limit,
             version,
         };
-        self.pull_built(&key, build, |b| RitmResponse::decode_body(b).ok())
-            .unwrap_or_else(RitmResponse::Error)
+        match self.pull_built(&key, build) {
+            // The origin built the body itself; if it no longer decodes,
+            // the edge's store is corrupt — an internal fault, not a client
+            // error.
+            Ok(body) => RitmResponse::decode_body(&body)
+                .unwrap_or(RitmResponse::Error(ProtoError::Internal)),
+            Err(e) => RitmResponse::Error(e),
+        }
     }
 }
 
@@ -139,38 +131,10 @@ impl<C: BorrowMut<Cdn> + Send> Service for EdgeService<C> {
     fn handle(&self, req: RitmRequest) -> RitmResponse {
         match req {
             RitmRequest::Pull { ca, have, limit } => self.pull(ca, have, limit),
-            RitmRequest::FetchDelta { ca } => {
-                match self.pull_decoded(&ContentKey::Latest { ca }, |b| {
-                    RevocationIssuance::from_bytes(b).ok()
-                }) {
-                    Ok(iss) => RitmResponse::Delta(iss),
-                    Err(e) => RitmResponse::Error(e),
-                }
-            }
-            RitmRequest::FetchFreshness { ca } => {
-                match self.pull_decoded(&ContentKey::Freshness { ca }, decode_refresh) {
-                    Ok(msg) => RitmResponse::Freshness(msg),
-                    Err(e) => RitmResponse::Error(e),
-                }
-            }
-            RitmRequest::CatchUpPaged { ca, have, limit } => {
-                let limit = limit.min(ritm_proto::MAX_PAGE_LIMIT);
-                let mut guard = self.cdn.lock().expect("cdn lock");
-                let cdn: &mut Cdn = (*guard).borrow_mut();
-                let mut rng = self.rng.lock().expect("rng lock");
-                match cdn.pull_page(self.region, ca, have, limit, &mut *rng) {
-                    Some((issuance, remaining, stats)) => {
-                        self.charge(stats.latency);
-                        RitmResponse::DeltaPage {
-                            issuance,
-                            remaining,
-                        }
-                    }
-                    None => RitmResponse::Error(ProtoError::NotFound),
-                }
-            }
             RitmRequest::GetManifest { ca } => {
-                match self.pull_decoded(&ContentKey::Manifest { ca }, |b| Some(b.to_vec())) {
+                let key = ContentKey::Manifest { ca };
+                let build = |origin: &Origin| origin.fetch(&key).map(<[u8]>::to_vec);
+                match self.pull_built(&key, build) {
                     Ok(bytes) => RitmResponse::Manifest(bytes),
                     Err(e) => RitmResponse::Error(e),
                 }
@@ -183,9 +147,9 @@ impl<C: BorrowMut<Cdn> + Send> Service for EdgeService<C> {
                     None => RitmResponse::Error(ProtoError::UnknownCa(ca)),
                 }
             }
-            RitmRequest::GetStatus { .. } | RitmRequest::GetMultiStatus { .. } => {
-                RitmResponse::Error(ProtoError::Unsupported)
-            }
+            RitmRequest::FetchDelta { .. }
+            | RitmRequest::GetStatus { .. }
+            | RitmRequest::GetMultiStatus { .. } => RitmResponse::Error(ProtoError::Unsupported),
         }
     }
 
@@ -217,7 +181,7 @@ mod tests {
     }
 
     #[test]
-    fn serves_delta_freshness_root_and_manifest() {
+    fn serves_pull_root_and_manifest_but_not_deltas() {
         let (mut ca, mut cdn, mut rng) = world();
         let iss = ca
             .insert(&[SerialNumber::from_u24(5)], &mut rng, T0 + 1)
@@ -230,13 +194,27 @@ mod tests {
         let svc = EdgeService::new(cdn, Region::Europe, 7);
         svc.set_now(SimTime::from_secs(T0 + 2));
 
+        let pull = |have| RitmRequest::Pull {
+            ca: ca.ca(),
+            have,
+            limit: 64,
+        };
+        // Behind: the batch under its root. Up to date: the refresh alone.
+        let RitmResponse::Update(behind) = svc.handle(pull(0)) else {
+            panic!("expected an update");
+        };
+        assert_eq!(behind.serials, iss.serials);
+        assert_eq!(behind.signed_root, Some(iss.signed_root));
         assert_eq!(
-            svc.handle(RitmRequest::FetchDelta { ca: ca.ca() }),
-            RitmResponse::Delta(iss.clone())
+            svc.handle(pull(1)),
+            RitmResponse::Update(Update {
+                refresh: Some(refresh),
+                ..Update::default()
+            })
         );
         assert_eq!(
-            svc.handle(RitmRequest::FetchFreshness { ca: ca.ca() }),
-            RitmResponse::Freshness(refresh)
+            svc.handle(RitmRequest::FetchDelta { ca: ca.ca() }),
+            RitmResponse::Error(ProtoError::Unsupported)
         );
         assert_eq!(
             svc.handle(RitmRequest::GetSignedRoot { ca: ca.ca() }),
@@ -265,21 +243,18 @@ mod tests {
             cdn.origin.publish_issuance(ca.ca(), &iss).unwrap();
         }
         let svc = EdgeService::new(cdn, Region::Japan, 7);
-        match svc.handle(RitmRequest::CatchUpPaged {
+        let RitmResponse::Update(update) = svc.handle(RitmRequest::Pull {
             ca: ca.ca(),
             have: 1,
             limit: 64,
-        }) {
-            RitmResponse::DeltaPage {
-                issuance,
-                remaining,
-            } => {
-                assert_eq!(issuance.first_number, 2);
-                assert_eq!(issuance.serials.len(), 2);
-                assert_eq!(remaining, 0);
-            }
-            other => panic!("expected DeltaPage, got {other:?}"),
-        }
+        }) else {
+            panic!("expected an update");
+        };
+        // Revocations 2 and 3, under the head root.
+        let suffix = [SerialNumber::from_u24(11), SerialNumber::from_u24(12)];
+        assert_eq!(update.serials, suffix);
+        assert_eq!(update.signed_root, Some(*ca.signed_root()));
+        assert_eq!(update.remaining, 0);
     }
 
     #[test]
@@ -288,7 +263,7 @@ mod tests {
         let svc = EdgeService::new(cdn, Region::Europe, 7);
         let nobody = CaId::from_name("nobody");
         assert_eq!(
-            svc.handle(RitmRequest::FetchDelta { ca: nobody }),
+            svc.handle(RitmRequest::GetManifest { ca: nobody }),
             RitmResponse::Error(ProtoError::NotFound)
         );
         assert_eq!(
@@ -314,10 +289,12 @@ mod tests {
         {
             let svc = EdgeService::new(&mut cdn, Region::India, 3);
             svc.set_now(SimTime::from_secs(T0 + 1));
-            assert!(matches!(
-                svc.handle(RitmRequest::FetchDelta { ca: ca.ca() }),
-                RitmResponse::Delta(_)
-            ));
+            let pull = RitmRequest::Pull {
+                ca: ca.ca(),
+                have: 0,
+                limit: 64,
+            };
+            assert!(matches!(svc.handle(pull), RitmResponse::Update(_)));
         }
         assert!(cdn.ledger.bytes_in(Region::India) > 0);
     }

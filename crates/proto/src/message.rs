@@ -60,14 +60,14 @@ pub const MAX_SUPPORTED_VERSION: u8 = PROTOCOL_V2;
 /// A response that would exceed this cap degrades to a typed
 /// [`ProtoError::ResponseTooLarge`] (carrying the would-be size and this
 /// cap) at the service choke point. Catch-up never reaches it: a gap of
-/// any size is served as `CatchUpPaged` pages that each fit.
+/// any size is served as `Update` pages that each fit.
 pub const MAX_FRAME_LEN: usize = 1 << 25;
 
 /// Upper bound servers clamp a page `limit` to: the dictionary's batch
 /// cap ([`ritm_dictionary::MAX_BATCH`]), since a page never cuts a batch.
 /// Serials encode to at most 21 bytes each, so a page of `MAX_PAGE_LIMIT`
-/// serials plus the fixed `Update` or `DeltaPage` overhead is guaranteed
-/// to fit [`MAX_FRAME_LEN`] regardless of what limit the client asked for.
+/// serials plus the fixed `Update` overhead is guaranteed to fit
+/// [`MAX_FRAME_LEN`] regardless of what limit the client asked for.
 pub const MAX_PAGE_LIMIT: u32 = ritm_dictionary::MAX_BATCH as u32;
 
 /// Upper bound on a `GetMultiStatus` chain. One below the status payload's
@@ -77,27 +77,22 @@ pub const MAX_PAGE_LIMIT: u32 = ritm_dictionary::MAX_BATCH as u32;
 pub const MAX_CHAIN_LEN: usize = 254;
 
 const REQ_FETCH_DELTA: u8 = 0x01;
-const REQ_FETCH_FRESHNESS: u8 = 0x02;
 const REQ_GET_STATUS: u8 = 0x04;
 const REQ_GET_MULTI_STATUS: u8 = 0x05;
 const REQ_GET_SIGNED_ROOT: u8 = 0x06;
 const REQ_GET_MANIFEST: u8 = 0x07;
-const REQ_CATCH_UP_PAGED: u8 = 0x08;
 const REQ_PULL: u8 = 0x0A;
-// Retired, never reuse: 0x03 (the unpaged `CatchUp`), 0x09 (`GossipRoots`)
-// and 0x89 (`GossipAck`). They decode as unknown kinds.
+// Retired, never reuse: 0x02 (`FetchFreshness`), 0x03 (the unpaged
+// `CatchUp`), 0x08 (`CatchUpPaged`), 0x09 (`GossipRoots`), 0x82
+// (`Freshness`) and 0x89 (`GossipAck`). They decode as unknown kinds.
 
 const RESP_DELTA: u8 = 0x81;
-const RESP_FRESHNESS: u8 = 0x82;
 const RESP_STATUS: u8 = 0x84;
 const RESP_SIGNED_ROOT: u8 = 0x86;
 const RESP_MANIFEST: u8 = 0x87;
 const RESP_DELTA_PAGE: u8 = 0x88;
 const RESP_UPDATE: u8 = 0x8A;
 const RESP_ERROR: u8 = 0xEE;
-
-const REFRESH_TAG_FRESHNESS: u8 = 0;
-const REFRESH_TAG_NEW_ROOT: u8 = 1;
 
 /// `Update` flags: bit 0 says a signed root follows the serials; bits 1–2
 /// name the refresh slot's content. Every other bit must be clear.
@@ -108,14 +103,12 @@ const UPDATE_NEW_ROOT: u8 = 2 << 1;
 /// One request an endpoint can serve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RitmRequest {
-    /// The latest issuance bundle for a CA (the RA's periodic Δ pull).
+    /// The latest issuance bundle for a CA. No product endpoint sends or
+    /// answers it, nor `Delta` or `DeltaPage` (servers reply
+    /// `Unsupported`); the benchmark package still frames all three, and
+    /// they go once it counts and times `Update` (ROADMAP 2-II(i)).
     FetchDelta {
         /// CA whose feed is pulled.
-        ca: CaId,
-    },
-    /// The latest freshness statement (or rotated root) for a CA.
-    FetchFreshness {
-        /// CA whose statement is pulled.
         ca: CaId,
     },
     /// One certificate's full revocation status (proof + root + freshness).
@@ -143,25 +136,13 @@ pub enum RitmRequest {
         /// CA whose manifest is requested.
         ca: CaId,
     },
-    /// The §III catch-up request of a desynchronized RA holding `have`
-    /// consecutive revocations, paged: at most `limit` serials per reply,
-    /// so any gap — even one whose full bundle would blow past
-    /// [`MAX_FRAME_LEN`] — converges in bounded pages, each anchored to a
-    /// historical signed root.
-    CatchUpPaged {
-        /// CA to catch up on.
-        ca: CaId,
-        /// Consecutive revocations the requester already holds.
-        have: u64,
-        /// Maximum serials the requester wants in this page (servers may
-        /// clamp it further to honor [`MAX_FRAME_LEN`]).
-        limit: u32,
-    },
     /// The RA's one request per CA per Δ (§III: the RA reports "the number
     /// of valid consecutive revocations it has observed"): the serials
     /// after `have` in pages of about `limit`, and the current refresh
-    /// message, in one [`RitmResponse::Update`]. `have` and `limit` travel
-    /// as varints.
+    /// message, in one [`RitmResponse::Update`]. A gap of any size — even
+    /// one whose whole bundle would blow past [`MAX_FRAME_LEN`] — converges
+    /// in bounded pages, each under a root the CA published. `have` and
+    /// `limit` travel as varints.
     Pull {
         /// CA whose feed is pulled.
         ca: CaId,
@@ -177,20 +158,20 @@ pub enum RitmRequest {
 /// else is the success payload for the matching request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RitmResponse {
-    /// An issuance bundle (answers `FetchDelta`).
+    /// An issuance bundle. No product endpoint sends it; kept for the
+    /// benchmark package, as [`RitmRequest::FetchDelta`] says.
     Delta(RevocationIssuance),
-    /// A freshness statement or rotated root (answers `FetchFreshness`).
-    Freshness(RefreshMessage),
     /// A status payload (answers `GetStatus` and `GetMultiStatus`).
     Status(StatusPayload),
     /// A signed root (answers `GetSignedRoot`).
     SignedRoot(SignedRoot),
     /// Opaque manifest bytes (answers `GetManifest`).
     Manifest(Vec<u8>),
-    /// One page of a paged catch-up (answers `CatchUpPaged`): an issuance
-    /// bundle ending at a (possibly historical) signed root, plus how many
-    /// serials remain beyond it. `remaining == 0` means the requester is
-    /// caught up once this page is applied.
+    /// One catch-up page as an issuance bundle ending at a (possibly
+    /// historical) signed root, plus how many serials remain beyond it.
+    /// No product endpoint sends it — catch-up pages travel as
+    /// [`RitmResponse::Update`]; kept for the benchmark package, as
+    /// [`RitmRequest::FetchDelta`] says.
     DeltaPage {
         /// The page's issuance bundle; its signed root covers exactly the
         /// dictionary prefix the requester holds after applying it.
@@ -370,12 +351,10 @@ impl RitmRequest {
     pub fn kind_name(&self) -> &'static str {
         match self {
             RitmRequest::FetchDelta { .. } => "fetch_delta",
-            RitmRequest::FetchFreshness { .. } => "fetch_freshness",
             RitmRequest::GetStatus { .. } => "get_status",
             RitmRequest::GetMultiStatus { .. } => "get_multi_status",
             RitmRequest::GetSignedRoot { .. } => "get_signed_root",
             RitmRequest::GetManifest { .. } => "get_manifest",
-            RitmRequest::CatchUpPaged { .. } => "catch_up_paged",
             RitmRequest::Pull { .. } => "pull",
         }
     }
@@ -385,10 +364,8 @@ impl RitmRequest {
     pub fn encoded_len(&self) -> usize {
         2 + match self {
             RitmRequest::FetchDelta { .. }
-            | RitmRequest::FetchFreshness { .. }
             | RitmRequest::GetSignedRoot { .. }
             | RitmRequest::GetManifest { .. } => 8,
-            RitmRequest::CatchUpPaged { .. } => 20,
             RitmRequest::Pull { have, limit, .. } => {
                 8 + varint_len(*have) + varint_len(u64::from(*limit))
             }
@@ -414,10 +391,6 @@ impl RitmRequest {
                 w.u8(REQ_FETCH_DELTA);
                 encode_ca(w, ca);
             }
-            RitmRequest::FetchFreshness { ca } => {
-                w.u8(REQ_FETCH_FRESHNESS);
-                encode_ca(w, ca);
-            }
             RitmRequest::GetStatus { ca, serial } => {
                 w.u8(REQ_GET_STATUS);
                 encode_ca(w, ca);
@@ -440,12 +413,6 @@ impl RitmRequest {
             RitmRequest::GetManifest { ca } => {
                 w.u8(REQ_GET_MANIFEST);
                 encode_ca(w, ca);
-            }
-            RitmRequest::CatchUpPaged { ca, have, limit } => {
-                w.u8(REQ_CATCH_UP_PAGED);
-                encode_ca(w, ca);
-                w.u64(*have);
-                w.u32(*limit);
             }
             RitmRequest::Pull { ca, have, limit } => {
                 w.u8(REQ_PULL);
@@ -534,7 +501,6 @@ impl RitmRequest {
         let pos = r.position();
         let req = match r.u8("request kind")? {
             REQ_FETCH_DELTA => RitmRequest::FetchDelta { ca: decode_ca(r)? },
-            REQ_FETCH_FRESHNESS => RitmRequest::FetchFreshness { ca: decode_ca(r)? },
             REQ_GET_STATUS => RitmRequest::GetStatus {
                 ca: decode_ca(r)?,
                 serial: decode_serial(r)?,
@@ -562,11 +528,6 @@ impl RitmRequest {
             }
             REQ_GET_SIGNED_ROOT => RitmRequest::GetSignedRoot { ca: decode_ca(r)? },
             REQ_GET_MANIFEST => RitmRequest::GetManifest { ca: decode_ca(r)? },
-            REQ_CATCH_UP_PAGED => RitmRequest::CatchUpPaged {
-                ca: decode_ca(r)?,
-                have: r.u64("catch-up have")?,
-                limit: r.u32("catch-up page limit")?,
-            },
             REQ_PULL => {
                 let ca = decode_ca(r)?;
                 let have = r.varint("pull have")?;
@@ -632,7 +593,6 @@ impl RitmResponse {
     pub fn kind_name(&self) -> &'static str {
         match self {
             RitmResponse::Delta(_) => "delta",
-            RitmResponse::Freshness(_) => "freshness",
             RitmResponse::Status(_) => "status",
             RitmResponse::SignedRoot(_) => "signed_root",
             RitmResponse::Manifest(_) => "manifest",
@@ -650,12 +610,8 @@ impl RitmResponse {
     pub fn encoded_len(&self) -> usize {
         2 + match self {
             RitmResponse::Delta(iss) => 4 + iss.encoded_len(),
-            RitmResponse::Freshness(RefreshMessage::Freshness(_)) => 1 + 20,
-            RitmResponse::Freshness(RefreshMessage::NewRoot(_)) => {
-                1 + ritm_dictionary::root::SIGNED_ROOT_LEN
-            }
             RitmResponse::Status(p) => 4 + p.encoded_len(),
-            RitmResponse::SignedRoot(_) => ritm_dictionary::root::SIGNED_ROOT_LEN,
+            RitmResponse::SignedRoot(_) => SIGNED_ROOT_LEN,
             RitmResponse::Manifest(m) => 4 + m.len(),
             RitmResponse::DeltaPage { issuance, .. } => 4 + issuance.encoded_len() + 8,
             RitmResponse::Update(u) => u.encoded_len(),
@@ -678,16 +634,6 @@ impl RitmResponse {
                 w.u8(RESP_DELTA);
                 w.u32(iss.encoded_len() as u32);
                 iss.encode_into(w);
-            }
-            RitmResponse::Freshness(RefreshMessage::Freshness(f)) => {
-                w.u8(RESP_FRESHNESS);
-                w.u8(REFRESH_TAG_FRESHNESS);
-                w.bytes(&f.to_bytes());
-            }
-            RitmResponse::Freshness(RefreshMessage::NewRoot(sr)) => {
-                w.u8(RESP_FRESHNESS);
-                w.u8(REFRESH_TAG_NEW_ROOT);
-                w.bytes(&sr.to_bytes());
             }
             RitmResponse::Status(p) => {
                 w.u8(RESP_STATUS);
@@ -808,18 +754,6 @@ impl RitmResponse {
             RESP_DELTA => {
                 let raw = read_embedded(r, "issuance bytes")?;
                 RitmResponse::Delta(RevocationIssuance::from_bytes(raw)?)
-            }
-            RESP_FRESHNESS => {
-                let tag_pos = r.position();
-                match r.u8("refresh tag")? {
-                    REFRESH_TAG_FRESHNESS => RitmResponse::Freshness(RefreshMessage::Freshness(
-                        FreshnessStatement::decode(r)?,
-                    )),
-                    REFRESH_TAG_NEW_ROOT => {
-                        RitmResponse::Freshness(RefreshMessage::NewRoot(SignedRoot::decode(r)?))
-                    }
-                    _ => return Err(DecodeError::new("unknown refresh tag", tag_pos)),
-                }
             }
             RESP_STATUS => {
                 let raw = read_embedded(r, "status payload bytes")?;
@@ -951,25 +885,32 @@ mod tests {
     }
 
     #[test]
-    fn retired_gossip_kinds_are_unknown_kinds() {
+    fn retired_kinds_are_unknown_kinds() {
         // Well-formed v2 bodies as the retired kinds framed them — the
-        // unpaged catch-up request 0x03 (ca ‖ have), and the gossip request
-        // 0x09 and reply 0x89 (an empty root vector) — must now fail as
-        // unknown kinds at the kind byte, right after the 4-byte id.
-        let mut catch_up = vec![PROTOCOL_V2, 0, 0, 0, 7, 0x03];
-        catch_up.extend_from_slice(&[7; 16]);
-        for body in [catch_up, vec![PROTOCOL_V2, 0, 0, 0, 7, 0x09, 0, 0]] {
+        // freshness pull 0x02 (ca), the unpaged catch-up 0x03 (ca ‖ have),
+        // the paged catch-up 0x08 (ca ‖ u64 have ‖ u32 limit), the gossip
+        // request 0x09 and reply 0x89 (an empty root vector), and the
+        // freshness reply 0x82 (tag 0 ‖ 20-byte statement) — must now fail
+        // as unknown kinds at the kind byte, right after the 4-byte id.
+        let body = |kind: u8, fields: &[u8]| [&[PROTOCOL_V2, 0, 0, 0, 7, kind], fields].concat();
+        for request in [
+            body(0x02, &[7; 8]),
+            body(0x03, &[7; 16]),
+            body(0x08, &[7; 20]),
+            body(0x09, &[0, 0]),
+        ] {
             assert_eq!(
-                RitmRequest::decode_body(&body),
+                RitmRequest::decode_body(&request),
                 Err(ProtoError::Malformed { offset: 5 })
             );
         }
-        let gossip_ack = [PROTOCOL_V2, 0, 0, 0, 7, 0x89, 0, 0];
-        match RitmResponse::decode_body(&gossip_ack) {
-            Err(TransportError::BadResponse(e)) => {
-                assert_eq!((e.context, e.offset), ("unknown response kind", 5));
+        for reply in [body(0x89, &[0, 0]), body(0x82, &[0; 21])] {
+            match RitmResponse::decode_body(&reply) {
+                Err(TransportError::BadResponse(e)) => {
+                    assert_eq!((e.context, e.offset), ("unknown response kind", 5));
+                }
+                other => panic!("expected an unknown response kind, got {other:?}"),
             }
-            other => panic!("expected an unknown response kind, got {other:?}"),
         }
     }
 
@@ -1010,19 +951,6 @@ mod tests {
         w.u8(250); // claims 250 entries, but nothing follows
         let err = RitmRequest::decode_body(w.as_bytes()).unwrap_err();
         assert!(matches!(err, ProtoError::Malformed { .. }));
-    }
-
-    #[test]
-    fn paged_catch_up_roundtrips() {
-        let req = RitmRequest::CatchUpPaged {
-            ca: CaId::from_name("PageCA"),
-            have: 123_456,
-            limit: 65_536,
-        };
-        let frame = req.to_frame();
-        assert_eq!(frame.len(), 4 + req.encoded_len());
-        let (body, _) = split_frame(&frame).unwrap();
-        assert_eq!(RitmRequest::decode_body(body).unwrap(), req);
     }
 
     #[test]

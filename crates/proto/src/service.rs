@@ -233,14 +233,28 @@ mod tests {
     }
 
     #[test]
-    fn retired_gossip_kind_gets_a_malformed_reply() {
-        // v2 frames of the retired kinds — 0x09 with an empty root vector,
-        // and the unpaged catch-up 0x03 (ca ‖ have) — are answered
-        // `Malformed` in the peer's envelope, never handed on.
-        let gossip = vec![0, 0, 0, 8, PROTOCOL_V2, 0, 0, 0, 42, 0x09, 0, 0];
-        let mut catch_up = vec![0, 0, 0, 22, PROTOCOL_V2, 0, 0, 0, 42, 0x03];
-        catch_up.extend_from_slice(&[7; 16]);
-        for frame in [gossip, catch_up] {
+    fn retired_kinds_get_a_malformed_reply() {
+        // v2 frames of the retired kinds — the freshness pull 0x02 (ca),
+        // the unpaged catch-up 0x03 (ca ‖ have), the paged catch-up 0x08
+        // (ca ‖ u64 have ‖ u32 limit), 0x09 with an empty root vector, and
+        // the freshness reply 0x82 (tag 0 ‖ statement) sent as a request —
+        // are answered `Malformed` in the peer's envelope, never handed on.
+        let frame = |kind: u8, fields: &[u8]| {
+            let len = (6 + fields.len()) as u32;
+            [
+                &len.to_be_bytes()[..],
+                &[PROTOCOL_V2, 0, 0, 0, 42, kind],
+                fields,
+            ]
+            .concat()
+        };
+        for frame in [
+            frame(0x02, &[7; 8]),
+            frame(0x03, &[7; 16]),
+            frame(0x08, &[7; 20]),
+            frame(0x09, &[0, 0]),
+            frame(0x82, &[0; 21]),
+        ] {
             let resp_frame = Stub.handle_frame(&frame);
             let (body, _) = split_frame(&resp_frame).unwrap();
             assert_eq!(

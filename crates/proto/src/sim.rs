@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn frames_ride_segments_and_latency_is_simulated() {
         let mut t = SimTransport::new(Fixed, SimDuration::from_millis(10));
-        let req = RitmRequest::FetchFreshness {
+        let req = RitmRequest::GetSignedRoot {
             ca: CaId::from_name("SimCA"),
         };
         let rt = t.round_trip(&req).unwrap();

@@ -37,14 +37,6 @@ pub fn requests(rng: &mut StdRng) -> Vec<RitmRequest> {
         RitmRequest::FetchDelta {
             ca: arbitrary_ca(rng),
         },
-        RitmRequest::FetchFreshness {
-            ca: arbitrary_ca(rng),
-        },
-        RitmRequest::CatchUpPaged {
-            ca: arbitrary_ca(rng),
-            have: rng.gen(),
-            limit: rng.gen(),
-        },
         RitmRequest::GetStatus {
             ca: arbitrary_ca(rng),
             serial: arbitrary_serial(rng),
@@ -127,15 +119,13 @@ pub fn responses(rng: &mut StdRng) -> Vec<RitmResponse> {
         signed_root: *mirror.signed_root(),
     };
 
-    let (update_serials, update_refresh) = (page.serials.clone(), refresh.clone());
+    let update_serials = page.serials.clone();
     let mut out = vec![
         RitmResponse::Delta(issuance),
         RitmResponse::DeltaPage {
             issuance: page,
             remaining: rng.gen(),
         },
-        RitmResponse::Freshness(refresh),
-        RitmResponse::Freshness(RefreshMessage::NewRoot(*mirror.signed_root())),
         RitmResponse::Status(payload),
         RitmResponse::Status(StatusPayload::default()),
         RitmResponse::SignedRoot(*mirror.signed_root()),
@@ -147,7 +137,7 @@ pub fn responses(rng: &mut StdRng) -> Vec<RitmResponse> {
             refresh: Some(RefreshMessage::NewRoot(*mirror.signed_root())),
         }),
         RitmResponse::Update(Update {
-            refresh: Some(update_refresh),
+            refresh: Some(refresh),
             ..Update::default()
         }),
         RitmResponse::Update(Update::default()),

@@ -29,7 +29,7 @@ pub const PREFIX_LEN: usize = 4;
 /// Capacity (bytes) a [`FrameReader`] retains across frames. A completed
 /// frame at most this large is copied out and the buffer kept warm; a
 /// larger frame's buffer is handed off to the caller instead, so one
-/// megabyte `DeltaPage` does not pin a megabyte per idle connection.
+/// megabyte `Update` page does not pin a megabyte per idle connection.
 pub const DEFAULT_RETAIN_CAPACITY: usize = 64 * 1024;
 
 /// Longest header [`FrameWriter::queue_shared`] accepts (inline storage):

@@ -6,7 +6,7 @@
 //! buffer (its capacity warm from previous use), `put` returns one. Two
 //! caps bound what the pool may pin: at most `max_pooled` buffers are
 //! retained, and a buffer whose capacity exceeds `max_capacity` is dropped
-//! rather than pooled, so one oversized frame (a megabyte `DeltaPage`)
+//! rather than pooled, so one oversized frame (a megabyte `Update` page)
 //! never parks a megabyte in the free list forever.
 //!
 //! The pool is `Clone` (handles share one free list) and thread-safe; the
