@@ -271,8 +271,6 @@ impl Flow {
 pub struct InterceptConfig {
     /// Re-staple interval in seconds (the paper's Δ).
     pub delta: u64,
-    /// Compress same-CA chain runs into `MultiRevocationStatus` entries.
-    pub compress: bool,
     /// Reset flows whose chain contains a revoked certificate (the
     /// hard-fail deployment; `false` still staples the revoked status and
     /// leaves the verdict to the client).
@@ -291,7 +289,6 @@ impl Default for InterceptConfig {
     fn default() -> Self {
         InterceptConfig {
             delta: 10,
-            compress: true,
             reset_revoked: true,
             max_flows: 65_536,
             idle_timeout: 60,
@@ -602,7 +599,7 @@ impl FlowTable {
         flow.chain = chain;
         let ours = self
             .status
-            .build_status(&flow.chain, self.config.compress)
+            .build_status(&flow.chain)
             .and_then(|ours| Some((*ours.primary_root()?, status_record(&ours)?)));
         let Some((our_root, record)) = ours else {
             // Nothing to prove for this flow.
@@ -652,7 +649,7 @@ impl FlowTable {
             if self.config.reset_revoked && any_revoked(&self.status, &flow.chain) {
                 return Self::reset(&mut self.stats, seg.tuple, flow);
             }
-            flow.pending_status = self.status.build_status(&flow.chain, self.config.compress);
+            flow.pending_status = self.status.build_status(&flow.chain);
         }
 
         // Staple only at a record boundary: the classifier's reassembler is

@@ -42,7 +42,7 @@ pub mod serve;
 pub mod service;
 pub mod sync;
 
-pub use cache::{CacheStats, EpochKeyedCache, ShardedEpochCache};
+pub use cache::{CacheStats, ShardedEpochCache};
 pub use dpi::{classify, Classification, ServerFlight, StreamClassifier};
 pub use intercept::{
     FlowStage, FlowTable, InterceptConfig, InterceptStats, StreamFault, TcpBuffer,

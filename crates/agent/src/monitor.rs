@@ -92,10 +92,9 @@ impl ConsistencyMonitor {
 }
 
 /// A point-in-time operational snapshot of one RA: the hit/miss statistics
-/// of both encoded-response caches (`GetStatus` and
-/// single-CA `GetMultiStatus` bodies). This is what an operator dashboard
-/// scrapes to see whether hot requests are actually answered from cached
-/// bytes.
+/// of its encoded `GetStatus` response cache. This is what an operator
+/// dashboard scrapes to see whether hot requests are actually answered from
+/// cached bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RaHealthReport {
     /// CAs currently mirrored.
@@ -103,19 +102,16 @@ pub struct RaHealthReport {
     /// Counters (hits, misses, evictions) of the encoded `GetStatus`
     /// response cache — the one the wire path serves from.
     pub encoded_cache: CacheStats,
-    /// Counters of the encoded single-CA `GetMultiStatus` response cache.
-    pub encoded_multi_cache: CacheStats,
 }
 
 impl RevocationAgent {
-    /// Snapshots the RA's operational counters, including both
-    /// encoded-response caches' hit/miss statistics.
+    /// Snapshots the RA's operational counters, including the encoded
+    /// response cache's hit/miss statistics.
     pub fn health_report(&self) -> RaHealthReport {
         let server = self.status_server();
         RaHealthReport {
             mirrored_cas: self.followed_cas().count(),
             encoded_cache: server.encoded_cache_stats(),
-            encoded_multi_cache: server.encoded_multi_cache_stats(),
         }
     }
 }
@@ -210,23 +206,18 @@ mod tests {
             .apply_issuance(&iss, 1_001)
             .unwrap();
 
-        // One serial and one compressed 3-cert chain, each served twice:
-        // the second pass hits the respective encoded cache.
-        let chain: Vec<(CaId, SerialNumber)> = [1u32, 11, 21]
-            .iter()
-            .map(|&v| (ca.ca(), SerialNumber::from_u24(v)))
-            .collect();
+        // One serial served twice: the second pass hits the encoded cache.
         let server = ra.status_server();
         for _ in 0..2 {
-            server.encoded_status(&chain[0].0, &chain[0].1).unwrap();
-            server.encoded_multi_status(&chain, true).unwrap();
+            server
+                .encoded_status(&ca.ca(), &SerialNumber::from_u24(1))
+                .unwrap();
         }
         let health = ra.health_report();
-        let (single, multi) = (health.encoded_cache, health.encoded_multi_cache);
+        assert_eq!(health.mirrored_cas, 1);
+        let single = health.encoded_cache;
         assert_eq!((single.hits, single.misses), (1, 1));
-        assert_eq!((multi.hits, multi.misses), (1, 1));
         assert!((single.hit_rate() - 0.5).abs() < 1e-9);
-        assert!((multi.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -705,9 +705,9 @@ mod tests {
         let chain = [(f.ca.ca(), SerialNumber::from_u24(105))];
         let server = f.ra.status_server();
 
-        let first = server.build_status(&chain, true).unwrap();
+        let first = server.build_status(&chain).unwrap();
         for _ in 0..5 {
-            let again = server.build_status(&chain, true).unwrap();
+            let again = server.build_status(&chain).unwrap();
             assert_eq!(again, first, "repeated builds compose the same status");
         }
 
@@ -718,7 +718,7 @@ mod tests {
             .unwrap()
             .apply_refresh(&msg, T0 + 11)
             .unwrap();
-        let refreshed = server.build_status(&chain, true).unwrap();
+        let refreshed = server.build_status(&chain).unwrap();
         assert_eq!(refreshed.statuses[0].proof, first.statuses[0].proof);
         assert_eq!(
             &refreshed.statuses[0].freshness,
@@ -735,7 +735,7 @@ mod tests {
             .unwrap()
             .apply_issuance(&iss, T0 + 12)
             .unwrap();
-        let after = server.build_status(&chain, true).unwrap();
+        let after = server.build_status(&chain).unwrap();
         assert_ne!(after.statuses[0].proof, first.statuses[0].proof);
         let outcome = after.statuses[0]
             .validate(
@@ -753,7 +753,7 @@ mod tests {
         let f = fixture();
         let payload =
             f.ra.status_server()
-                .build_status(&[(f.ca.ca(), SerialNumber::from_u24(105))], true)
+                .build_status(&[(f.ca.ca(), SerialNumber::from_u24(105))])
                 .unwrap();
         let back = StatusPayload::from_bytes(&payload.to_bytes()).unwrap();
         assert_eq!(back, payload);

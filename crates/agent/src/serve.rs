@@ -4,7 +4,7 @@
 //! freshness refreshes to its mirrors) and many readers (handshake flows
 //! needing revocation statuses *now*). [`StatusServer`] is the read side:
 //! it holds one [`SnapshotCell`] per mirrored CA plus the generation-keyed
-//! caches of encoded responses, and builds complete status payloads from
+//! cache of encoded `GetStatus` responses, and builds complete status payloads from
 //! `&self` — so an `Arc<StatusServer>` can be handed to any number of
 //! threads while the owning [`crate::ra::RevocationAgent`] keeps mutating
 //! its mirrors. Writers publish a fresh [`DictionarySnapshot`] after every
@@ -12,24 +12,15 @@
 //! readers pick it up on their next load without ever blocking on the
 //! update itself.
 
-use crate::cache::{CacheStats, EpochKeyedCache, ShardedEpochCache};
+use crate::cache::{CacheStats, ShardedEpochCache};
 use crate::ra::StatusPayload;
 use parking_lot::RwLock;
 use ritm_dictionary::{
-    CaId, DictionarySnapshot, MultiRevocationStatus, RevocationStatus, SerialNumber, SnapshotCell,
+    CaId, DictionarySnapshot, MultiRevocationStatus, SerialNumber, SnapshotCell,
 };
 use ritm_proto::RitmResponse;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Bound on cached chain responses (distinct hot chains are few — bounded
-/// by the server-certificate working set, not by flows).
-const ENCODED_MULTI_CAPACITY: usize = 1_024;
-
-/// Cache key for an encoded multi-status body: the exact chain asked
-/// for, plus whether compression was requested (the two produce
-/// different bytes).
-type EncodedMultiKey = (Vec<(CaId, SerialNumber)>, bool);
 
 /// The shared, `&self`-only proof-serving surface of an RA.
 #[derive(Debug)]
@@ -41,11 +32,6 @@ pub struct StatusServer {
     /// advancing the epoch. A hit skips proof building, payload
     /// assembly, and encoding in one lookup.
     encoded: ShardedEpochCache<SerialNumber, Arc<[u8]>>,
-    /// Encoded `GetMultiStatus` bodies for single-CA chains, keyed by
-    /// `(chain, compress)` under the same generation policy. Multi-CA
-    /// chains are never cached here: the key's generation belongs to one
-    /// cell, and another CA's republish would not invalidate it.
-    encoded_multi: EpochKeyedCache<EncodedMultiKey, Arc<[u8]>>,
 }
 
 impl Default for StatusServer {
@@ -60,7 +46,6 @@ impl StatusServer {
         StatusServer {
             cells: RwLock::new(HashMap::new()),
             encoded: ShardedEpochCache::default(),
-            encoded_multi: EpochKeyedCache::new(ENCODED_MULTI_CAPACITY),
         }
     }
 
@@ -113,7 +98,6 @@ impl StatusServer {
     pub fn retire(&self, ca: &CaId) {
         self.cells.write().remove(ca);
         self.encoded.purge_ca(ca);
-        self.encoded_multi.purge_ca(ca);
     }
 
     /// The current snapshot for `ca`, if mirrored. Cheap (`Arc` clone);
@@ -129,70 +113,45 @@ impl StatusServer {
         self.cells.read().get(ca).cloned()
     }
 
-    /// Counter snapshot of the encoded single-status response cache.
+    /// Counter snapshot of the encoded `GetStatus` response cache.
     pub fn encoded_cache_stats(&self) -> CacheStats {
         self.encoded.stats()
     }
 
-    /// Counter snapshot of the encoded chain-status response cache.
-    pub fn encoded_multi_cache_stats(&self) -> CacheStats {
-        self.encoded_multi.stats()
-    }
-
-    /// Builds one full status for `serial`. The proof, signed root and
-    /// freshness all come from one snapshot, so the composed status always
-    /// verifies against its own root.
-    pub fn status_for(&self, ca: &CaId, serial: &SerialNumber) -> Option<RevocationStatus> {
-        let snap = self.snapshot(ca)?;
-        Some(snap.status(serial))
-    }
-
-    /// Builds the status payload for a chain of `(issuer, serial)` pairs.
-    /// Returns `None` when any named CA is not mirrored (the RA then stays
+    /// Builds the status payload for a chain of `(issuer, serial)` pairs —
+    /// the RA's one composition rule, shared by the interception lane and
+    /// every `GetStatus`/`GetMultiStatus` request. Returns `None` when the
+    /// chain is empty or any named CA is not mirrored (the RA then stays
     /// silent rather than injecting garbage).
     ///
     /// The **leaf (position 0) is always an individual status**, so
     /// `StatusPayload::primary_root` — what the §VIII multi-RA freshness
-    /// comparison keys on — is always the leaf CA's root regardless of
-    /// compression. With `compress` set, consecutive same-CA runs of two
-    /// or more certificates *after the leaf* are proven with one
-    /// compressed [`MultiRevocationStatus`] (one multiproof + one
-    /// root + one freshness statement) instead of independent statuses —
-    /// the Fig. 7 communication-overhead optimization. Single certificates
-    /// and CA-alternating chains fall back to individual statuses, keeping
-    /// the wire format identical to the uncompressed path for the common
-    /// leaf-only case.
-    pub fn build_status(
-        &self,
-        certs: &[(CaId, SerialNumber)],
-        compress: bool,
-    ) -> Option<StatusPayload> {
-        if certs.is_empty() {
-            return None;
-        }
+    /// comparison keys on — is always the leaf CA's root. Each same-CA run
+    /// of two or more certificates *after the leaf* is proven with one
+    /// [`MultiRevocationStatus`] (one multiproof + one root + one freshness
+    /// statement) — the Fig. 7 communication-overhead optimization. Every
+    /// other certificate gets an individual status, so a leaf-only chain
+    /// encodes exactly like a `GetStatus` answer.
+    pub fn build_status(&self, certs: &[(CaId, SerialNumber)]) -> Option<StatusPayload> {
+        let ((leaf_ca, leaf), rest) = certs.split_first()?;
         let mut statuses = Vec::with_capacity(certs.len());
-        let mut multi: Vec<MultiRevocationStatus> = Vec::new();
-        // Leaf first, uncompressed: primary_root() must name the leaf CA.
-        statuses.push(self.status_for(&certs[0].0, &certs[0].1)?);
-        let mut i = 1;
-        while i < certs.len() {
-            let (ca, _) = certs[i];
-            let mut run = i + 1;
-            while run < certs.len() && certs[run].0 == ca {
-                run += 1;
-            }
-            // One snapshot load per CA run: every status of the run
-            // composes from the same epoch.
-            let snap = self.snapshot(&ca)?;
-            if compress && run - i >= 2 {
-                let serials: Vec<SerialNumber> = certs[i..run].iter().map(|(_, s)| *s).collect();
-                multi.push(multi_status_from(&snap, serials));
+        let mut multi = Vec::new();
+        statuses.push(self.snapshot(leaf_ca)?.status(leaf));
+        // One snapshot load per CA run: every status of the run composes
+        // from the same epoch.
+        for run in rest.chunk_by(|a, b| a.0 == b.0) {
+            let snap = self.snapshot(&run[0].0)?;
+            if run.len() >= 2 {
+                let serials: Vec<SerialNumber> = run.iter().map(|(_, s)| *s).collect();
+                multi.push(MultiRevocationStatus {
+                    proof: snap.multi_proof(&serials),
+                    serials,
+                    signed_root: *snap.signed_root(),
+                    freshness: *snap.freshness(),
+                });
             } else {
-                for (_, serial) in &certs[i..run] {
-                    statuses.push(snap.status(serial));
-                }
+                statuses.push(snap.status(&run[0].1));
             }
-            i = run;
         }
         Some(StatusPayload { statuses, multi })
     }
@@ -215,70 +174,6 @@ impl StatusServer {
             RitmResponse::Status(StatusPayload::single(vec![snap.status(serial)])).to_shared_body()
         }))
     }
-
-    /// The fully encoded `GetMultiStatus` response body for a single-CA
-    /// `chain` (leaf individual, the rest compressed per `compress` —
-    /// byte-identical to [`StatusServer::build_status`]'s payload).
-    /// `None` for empty chains, chains spanning more than one CA (their
-    /// bytes cannot be invalidated by one cell's generation), or an
-    /// unmirrored CA.
-    pub fn encoded_multi_status(
-        &self,
-        chain: &[(CaId, SerialNumber)],
-        compress: bool,
-    ) -> Option<Arc<[u8]>> {
-        let (first_ca, _) = chain.first()?;
-        if chain.iter().any(|(ca, _)| ca != first_ca) {
-            return None;
-        }
-        let cell = self.cell(first_ca)?;
-        let generation = cell.generation();
-        let snap = cell.load();
-        Some(self.encoded_multi.get_or_insert(
-            *first_ca,
-            (chain.to_vec(), compress),
-            generation,
-            || RitmResponse::Status(single_ca_payload(&snap, chain, compress)).to_shared_body(),
-        ))
-    }
-}
-
-/// One compressed status for a same-CA serial run: proof, signed root and
-/// freshness all from `snap`, like [`DictionarySnapshot::status`].
-fn multi_status_from(
-    snap: &DictionarySnapshot,
-    serials: Vec<SerialNumber>,
-) -> MultiRevocationStatus {
-    MultiRevocationStatus {
-        proof: snap.multi_proof(&serials),
-        serials,
-        signed_root: *snap.signed_root(),
-        freshness: *snap.freshness(),
-    }
-}
-
-/// [`StatusServer::build_status`] specialized to a one-CA chain over one
-/// already-loaded snapshot: the leaf stays individual; the rest of the chain
-/// is one compressed run (when `compress` and it has ≥2 certificates) or
-/// individual statuses, all composed from the same snapshot.
-fn single_ca_payload(
-    snap: &DictionarySnapshot,
-    chain: &[(CaId, SerialNumber)],
-    compress: bool,
-) -> StatusPayload {
-    let mut statuses = Vec::with_capacity(chain.len());
-    let mut multi = Vec::new();
-    statuses.push(snap.status(&chain[0].1));
-    let rest = &chain[1..];
-    if compress && rest.len() >= 2 {
-        let serials: Vec<SerialNumber> = rest.iter().map(|(_, s)| *s).collect();
-        multi.push(multi_status_from(snap, serials));
-    } else {
-        for (_, serial) in rest {
-            statuses.push(snap.status(serial));
-        }
-    }
-    StatusPayload { statuses, multi }
 }
 
 #[cfg(test)]
@@ -315,8 +210,8 @@ mod tests {
         let server = StatusServer::new();
         assert!(server.publish(m.snapshot()));
         let serial = SerialNumber::from_u24(4);
-        let first = server.status_for(&ca.ca(), &serial).unwrap();
-        let second = server.status_for(&ca.ca(), &serial).unwrap();
+        let first = server.snapshot(&ca.ca()).unwrap().status(&serial);
+        let second = server.snapshot(&ca.ca()).unwrap().status(&serial);
         assert_eq!(first, second);
         assert!(first
             .validate(&serial, &ca.verifying_key(), 10, T0 + 2)
@@ -333,7 +228,7 @@ mod tests {
             .iter()
             .map(|&v| (ca.ca(), SerialNumber::from_u24(v)))
             .collect();
-        let payload = server.build_status(&chain, true).unwrap();
+        let payload = server.build_status(&chain).unwrap();
         // Leaf stays individual (primary_root = leaf CA's root); the rest
         // of the same-CA run compresses into one entry.
         assert_eq!(payload.statuses.len(), 1);
@@ -349,13 +244,13 @@ mod tests {
         assert!(statuses.iter().all(|s| !s.is_revoked()));
 
         // A second build must compose an identical payload.
-        let again = server.build_status(&chain, true).unwrap();
+        let again = server.build_status(&chain).unwrap();
         assert_eq!(again, payload);
 
-        // Uncompressed fallback keeps the classic shape.
-        let plain = server.build_status(&chain, false).unwrap();
-        assert_eq!(plain.statuses.len(), 3);
-        assert!(plain.multi.is_empty());
+        // A run of one past the leaf stays individual.
+        let pair = server.build_status(&chain[..2]).unwrap();
+        assert_eq!(pair.statuses.len(), 2);
+        assert!(pair.multi.is_empty());
     }
 
     #[test]
@@ -372,9 +267,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // The cached bytes are exactly the response the build path
         // would encode.
-        let built = RitmResponse::Status(StatusPayload::single(vec![server
-            .status_for(&ca.ca(), &serial)
-            .unwrap()]));
+        let built = RitmResponse::Status(server.build_status(&[(ca.ca(), serial)]).unwrap());
         assert_eq!(&first[..], &built.to_shared_body()[..]);
 
         // A freshness-only refresh changes the served bytes without
@@ -390,37 +283,14 @@ mod tests {
     }
 
     #[test]
-    fn encoded_multi_status_matches_build_status_and_skips_multi_ca() {
-        let (ca, m) = setup(50);
-        let server = StatusServer::new();
-        assert!(server.publish(m.snapshot()));
-        let chain: Vec<(CaId, SerialNumber)> = [1u32, 21, 41]
-            .iter()
-            .map(|&v| (ca.ca(), SerialNumber::from_u24(v)))
-            .collect();
-        let encoded = server.encoded_multi_status(&chain, true).unwrap();
-        let built = RitmResponse::Status(server.build_status(&chain, true).unwrap());
-        assert_eq!(&encoded[..], &built.to_shared_body()[..]);
-        // Uncompressed variant caches under its own key.
-        let plain = server.encoded_multi_status(&chain, false).unwrap();
-        let built_plain = RitmResponse::Status(server.build_status(&chain, false).unwrap());
-        assert_eq!(&plain[..], &built_plain.to_shared_body()[..]);
-        // A chain spanning two CAs is never cached: one cell's
-        // generation could not invalidate the other CA's bytes.
-        let mut mixed = chain.clone();
-        mixed.push((CaId::from_name("OtherCA"), SerialNumber::from_u24(1)));
-        assert!(server.encoded_multi_status(&mixed, true).is_none());
-        assert!(server.encoded_multi_status(&[], true).is_none());
-    }
-
-    #[test]
     fn unknown_ca_stays_silent() {
         let (_, m) = setup(4);
         let server = StatusServer::new();
         assert!(server.publish(m.snapshot()));
         let other = CaId::from_name("NotMirrored");
         assert!(server
-            .build_status(&[(other, SerialNumber::from_u24(1))], true)
+            .build_status(&[(other, SerialNumber::from_u24(1))])
             .is_none());
+        assert!(server.build_status(&[]).is_none());
     }
 }

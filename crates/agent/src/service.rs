@@ -1,8 +1,9 @@
 //! The RA's read path as a wire-protocol [`Service`] endpoint.
 //!
 //! [`StatusService`] wraps the `Arc`-shared, lock-free [`StatusServer`]:
-//! `GetStatus` and `GetMultiStatus` build statuses exactly like the in-path
-//! piggybacking does (same snapshots), and `GetSignedRoot` serves the
+//! `GetStatus` (a chain of one) and `GetMultiStatus` are composed by the
+//! same [`StatusServer::build_status`] the in-path piggybacking uses (same
+//! snapshots, same bytes), and `GetSignedRoot` serves the
 //! current mirrored root for consistency cross-checks. Because [`StatusServer`] is already `&self`-only, the
 //! service needs no interior mutability at all — any number of transport
 //! threads (loopback callers, simulator events, TCP pool workers) serve
@@ -12,8 +13,7 @@
 use crate::serve::StatusServer;
 use ritm_proto::message::RequestEnvelope;
 use ritm_proto::{
-    Frame, ProtoError, RitmRequest, RitmResponse, Service, StatusPayload, MAX_FRAME_LEN,
-    PROTOCOL_V2,
+    Frame, ProtoError, RitmRequest, RitmResponse, Service, MAX_FRAME_LEN, PROTOCOL_V2,
 };
 use std::sync::Arc;
 
@@ -21,19 +21,13 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct StatusService {
     server: Arc<StatusServer>,
-    /// Whether `GetMultiStatus` requests may compress same-CA chain runs
-    /// when the requester allows it.
-    pub allow_compression: bool,
 }
 
 impl StatusService {
     /// Wraps a status server handle (see
     /// [`crate::ra::RevocationAgent::status_server`]).
     pub fn new(server: Arc<StatusServer>) -> Self {
-        StatusService {
-            server,
-            allow_compression: true,
-        }
+        StatusService { server }
     }
 
     /// The wrapped server handle.
@@ -45,24 +39,20 @@ impl StatusService {
 impl Service for StatusService {
     fn handle(&self, req: RitmRequest) -> RitmResponse {
         match req {
-            RitmRequest::GetStatus { ca, serial } => match self.server.status_for(&ca, &serial) {
-                Some(status) => RitmResponse::Status(StatusPayload::single(vec![status])),
-                None => RitmResponse::Error(ProtoError::UnknownCa(ca)),
-            },
-            RitmRequest::GetMultiStatus { chain, compress } => {
-                if chain.is_empty() {
-                    return RitmResponse::Error(ProtoError::NotFound);
-                }
-                match self
-                    .server
-                    .build_status(&chain, compress && self.allow_compression)
-                {
+            RitmRequest::GetStatus { ca, serial } => {
+                match self.server.build_status(&[(ca, serial)]) {
                     Some(payload) => RitmResponse::Status(payload),
-                    // Some CA in the chain is not mirrored: stay silent
-                    // about which (the RA injects nothing it cannot prove).
-                    None => RitmResponse::Error(ProtoError::NotFound),
+                    None => RitmResponse::Error(ProtoError::UnknownCa(ca)),
                 }
             }
+            // The request's `compress` byte is ignored: the RA always
+            // composes by the one rule of `build_status`.
+            RitmRequest::GetMultiStatus { chain, .. } => match self.server.build_status(&chain) {
+                Some(payload) => RitmResponse::Status(payload),
+                // An empty chain, or some CA in it is not mirrored: stay
+                // silent about which (the RA injects nothing it cannot prove).
+                None => RitmResponse::Error(ProtoError::NotFound),
+            },
             RitmRequest::GetSignedRoot { ca } => match self.server.snapshot(&ca) {
                 Some(snap) => RitmResponse::SignedRoot(*snap.signed_root()),
                 None => RitmResponse::Error(ProtoError::UnknownCa(ca)),
@@ -74,19 +64,16 @@ impl Service for StatusService {
         }
     }
 
-    /// The zero-copy hot path: `GetStatus` and single-CA `GetMultiStatus`
-    /// answer straight from the server's encoded-response cache as a
-    /// shared-body [`Frame`] — no proof building, no payload assembly, no
-    /// encoding, and no copy of the response bytes. Everything else (and
-    /// any response too large for the framing layer) falls through to
-    /// [`Service::handle_envelope`], so the wire bytes are identical to
-    /// the owned path in every case.
+    /// The zero-copy hot path: `GetStatus` answers straight from the
+    /// server's encoded-response cache as a shared-body [`Frame`] — no
+    /// proof building, no payload assembly, no encoding, and no copy of
+    /// the response bytes. Everything else (`GetMultiStatus` is built per
+    /// request, and any response too large for the framing layer) falls
+    /// through to [`Service::handle_envelope`], so the wire bytes are
+    /// identical to the owned path in every case.
     fn serve_envelope(&self, env: RequestEnvelope) -> Frame {
         let body = match &env.request {
             Ok(RitmRequest::GetStatus { ca, serial }) => self.server.encoded_status(ca, serial),
-            Ok(RitmRequest::GetMultiStatus { chain, compress }) if !chain.is_empty() => self
-                .server
-                .encoded_multi_status(chain, *compress && self.allow_compression),
             _ => None,
         };
         if let Some(body) = body {
@@ -207,7 +194,33 @@ mod tests {
         // The v2 replays were served from the encoded cache (one shared
         // body covers both envelope versions).
         assert!(svc.server().encoded_cache_stats().hits >= 1);
-        assert!(svc.server().encoded_multi_cache_stats().hits >= 1);
+    }
+
+    #[test]
+    fn multi_status_ignores_the_compress_byte() {
+        let (ca, svc) = setup(20);
+        let chain: Vec<(CaId, SerialNumber)> = [0u32, 2, 6]
+            .iter()
+            .map(|&v| (ca.ca(), SerialNumber::from_u24(v)))
+            .collect();
+        let req = |compress| RitmRequest::GetMultiStatus {
+            chain: chain.clone(),
+            compress,
+        };
+        for (plain, packed) in [
+            (req(false).to_frame(), req(true).to_frame()),
+            (req(false).to_frame_v2(7), req(true).to_frame_v2(7)),
+        ] {
+            let answer = svc.handle_frame(&packed);
+            assert_eq!(svc.handle_frame(&plain), answer);
+            assert_eq!(svc.serve_frame(&plain).to_vec(), answer);
+            assert_eq!(svc.serve_frame(&packed).to_vec(), answer);
+        }
+        // One rule answers both: the leaf individual, the rest one multiproof.
+        let RitmResponse::Status(p) = svc.handle(req(false)) else {
+            panic!("expected a status");
+        };
+        assert_eq!((p.statuses.len(), p.multi.len()), (1, 1));
     }
 
     #[test]

@@ -30,8 +30,6 @@ enum Op {
     Refresh,
     /// Serve one serial through the encoded cache and check its root.
     Serve(u8),
-    /// Serve a 3-cert single-CA chain through the encoded multi cache.
-    ServeChain(u8, bool),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -39,7 +37,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (1..8u8).prop_map(Op::Batch),
         Just(Op::Refresh),
         (0..96u8).prop_map(Op::Serve),
-        ((0..96u8), any::<bool>()).prop_map(|(s, c)| Op::ServeChain(s, c)),
     ]
 }
 
@@ -117,31 +114,6 @@ proptest! {
                         current.freshness(),
                         "cached freshness is stale"
                     );
-                }
-                Op::ServeChain(s, compress) => {
-                    let chain: Vec<(CaId, SerialNumber)> = (0..3u32)
-                        .map(|i| (ca_id, SerialNumber::from_u24(s as u32 + i)))
-                        .collect();
-                    let body =
-                        server.encoded_multi_status(&chain, compress).unwrap();
-                    let RitmResponse::Status(payload) = decode_shared(&body) else {
-                        panic!("expected a status response");
-                    };
-                    let current = server.snapshot(&ca_id).unwrap();
-                    // Leaf status and (if compressed) the multi entry must
-                    // both carry the live root and freshness.
-                    prop_assert_eq!(
-                        &payload.statuses[0].signed_root,
-                        current.signed_root()
-                    );
-                    prop_assert_eq!(
-                        &payload.statuses[0].freshness,
-                        current.freshness()
-                    );
-                    for multi in &payload.multi {
-                        prop_assert_eq!(&multi.signed_root, current.signed_root());
-                        prop_assert_eq!(&multi.freshness, current.freshness());
-                    }
                 }
             }
         }

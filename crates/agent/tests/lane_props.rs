@@ -10,7 +10,9 @@
 //!   parses as whole TLS records;
 //! * a later client ACK comes out in the server's sequence space — also
 //!   after the downstream lane replaced a status with a *shorter* one (the
-//!   upstream lane staples uncompressed, the downstream one compressed).
+//!   fresher mirror holds serial 500, so the chain's serials 501–505 prove
+//!   absence between two sibling leaves, a shorter proof than the staler
+//!   mirror's absence between 114 and 999).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -52,12 +54,11 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(mirror: &MirrorDictionary, compress: bool) -> Self {
+    fn new(mirror: &MirrorDictionary) -> Self {
         let status = Arc::new(StatusServer::new());
         assert!(status.publish(mirror.snapshot()));
         let config = InterceptConfig {
             delta: DELTA,
-            compress,
             ..Default::default()
         };
         Lane {
@@ -203,7 +204,7 @@ proptest! {
         upstream in upstream_strategy(),
         cuts in prop::collection::vec(cut_strategy(), 1..10),
     ) {
-        // A CA, a mirror of it at 8 revocations and one at 9.
+        // A CA, a mirror of it at 9 revocations and one at 10.
         let mut rng = StdRng::seed_from_u64(5);
         let ca_key = SigningKey::from_seed([1u8; 32]);
         let mut ca = CaDictionary::new(
@@ -217,26 +218,28 @@ proptest! {
         let mut stale =
             MirrorDictionary::new(ca.ca(), ca.verifying_key(), *ca.signed_root()).unwrap();
         stale.set_delta(DELTA);
-        let revoked: Vec<SerialNumber> =
-            (0..8).map(|i| SerialNumber::from_u24(100 + 2 * i)).collect();
+        let revoked: Vec<SerialNumber> = (0..8)
+            .map(|i| SerialNumber::from_u24(100 + 2 * i))
+            .chain([SerialNumber::from_u24(999)])
+            .collect();
         let iss = ca.insert(&revoked, &mut rng, T0 + 1).unwrap();
         stale.apply_issuance(&iss, T0 + 1).unwrap();
         let mut fresh = stale.clone();
-        let iss = ca.insert(&[SerialNumber::from_u24(999)], &mut rng, T0 + 2).unwrap();
+        let iss = ca.insert(&[SerialNumber::from_u24(500)], &mut rng, T0 + 2).unwrap();
         fresh.apply_issuance(&iss, T0 + 2).unwrap();
         let freshest = fresh.signed_root().size;
 
-        // lanes[0] is nearest the client and staples compressed; the
-        // upstream one staples uncompressed, so replacing its status shrinks
-        // the stream.
+        // lanes[0] is nearest the client. Against the fresh mirror the
+        // chain's serials fall between the sibling leaves 500 and 999, so
+        // replacing a stale upstream status shrinks the stream.
         let (near_client, near_server) = match upstream {
             Upstream::Absent => (&fresh, None),
             Upstream::Equal => (&fresh, Some(&fresh)),
             Upstream::Staler => (&fresh, Some(&stale)),
             Upstream::Fresher => (&stale, Some(&fresh)),
         };
-        let mut lanes = vec![Lane::new(near_client, true)];
-        lanes.extend(near_server.map(|m| Lane::new(m, false)));
+        let mut lanes = vec![Lane::new(near_client)];
+        lanes.extend(near_server.map(Lane::new));
 
         // A server with a three-certificate chain under that CA (the two
         // above the leaf are what compression folds into one multiproof),

@@ -117,7 +117,7 @@ proptest! {
                 queries.push(*first);
             }
             for q in &queries {
-                let status = server.status_for(&ca_id, q).expect("mirrored CA");
+                let status = server.snapshot(&ca_id).expect("mirrored CA").status(q);
                 let outcome = status
                     .validate(q, &key, DELTA, now)
                     .expect("served status must validate against its own root");

@@ -75,8 +75,9 @@ fn snapshot_readers_race_one_writer_without_stale_roots() {
                     let finished = done.load(Ordering::SeqCst) == 1;
                     let serial = SerialNumber::from_u24(query % (BATCHES as u32 * BATCH_SIZE));
                     let status = server_ref
-                        .status_for(&ca_id, &serial)
-                        .expect("CA is mirrored");
+                        .snapshot(&ca_id)
+                        .expect("CA is mirrored")
+                        .status(&serial);
                     let size = status.signed_root.size;
                     assert!(
                         size >= floor,

@@ -27,14 +27,19 @@
 //! - the CDN origin holds a published 3-byte revocation, in 100-serial
 //!   batches, in at most 11 B: its feed's log entry plus a share of the
 //!   batch's signed root (measured 10.0; 16.0 when it also kept every
-//!   batch's encoded bytes).
+//!   batch's encoded bytes);
+//! - a CDN edge copies a cached 1 MiB object once per hit (a peak of two
+//!   copies when the hit cloned the clone) and holds two copies on a miss,
+//!   its cache's and the caller's (three when the miss cloned the fetched
+//!   body for its return).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ritm_agent::StatusServer;
-use ritm_cdn::Origin;
+use ritm_cdn::{ContentKey, EdgeServer, Origin, Region};
 use ritm_crypto::ed25519::SigningKey;
 use ritm_dictionary::{CaDictionary, CaId, MirrorDictionary, SerialNumber};
+use ritm_net::time::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -326,5 +331,37 @@ fn an_origin_holds_a_revocation_once() {
     assert!(
         per_revocation <= 11.0,
         "the origin holds {per_revocation:.2} B per revocation, budget 11"
+    );
+}
+
+#[test]
+fn an_edge_copies_a_cached_object_once() {
+    const BODY: usize = 1 << 20;
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut edge = EdgeServer::new(Region::Europe, SimDuration::from_secs(60));
+    let key = ContentKey::Manifest {
+        ca: CaId::from_name("MemCA"),
+    };
+    let now = SimTime::from_secs(T0);
+    let (miss, missed) = measured(|| edge.pull_with(&key, now, &mut rng, || Some(vec![7; BODY])));
+    let (hit, hitting) = measured(|| edge.pull_with(&key, now, &mut rng, || None));
+    let (miss, hit) = (miss.expect("fetched"), hit.expect("cached"));
+    assert!(!miss.1.cache_hit && hit.1.cache_hit);
+    assert_eq!(hit.0, miss.0);
+    let copies = |bytes: i64| bytes as f64 / BODY as f64;
+    println!(
+        "edge, {BODY} B object: miss peak {:.2} copies, hit peak {:.2}",
+        copies(missed.peak),
+        copies(hitting.peak)
+    );
+    assert!(
+        copies(hitting.peak) < 1.5,
+        "an edge hit peaked at {:.2} copies of the body, budget 1",
+        copies(hitting.peak)
+    );
+    assert!(
+        copies(missed.peak) < 2.5,
+        "an edge miss peaked at {:.2} copies of the body, budget 2",
+        copies(missed.peak)
     );
 }

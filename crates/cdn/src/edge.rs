@@ -95,13 +95,14 @@ impl EdgeServer {
         if fresh {
             let entry = self.cache.get(key).expect("checked fresh");
             let bytes = entry.bytes.clone();
+            let len = bytes.len() as u64;
             self.hits += 1;
-            self.served_bytes += bytes.len() as u64;
-            let latency = edge_rtt + SimDuration::from_secs_f64(bytes.len() as f64 / bw);
+            self.served_bytes += len;
+            let latency = edge_rtt + SimDuration::from_secs_f64(len as f64 / bw);
             return Some((
-                bytes.clone(),
+                bytes,
                 PullStats {
-                    bytes: bytes.len() as u64,
+                    bytes: len,
                     cache_hit: true,
                     latency,
                 },
@@ -110,8 +111,9 @@ impl EdgeServer {
 
         // Miss: fetch through to the origin.
         let body = fetch()?;
+        let len = body.len() as u64;
         self.misses += 1;
-        self.origin_bytes += body.len() as u64;
+        self.origin_bytes += len;
         if self.ttl > SimDuration::ZERO {
             self.cache.insert(
                 key.clone(),
@@ -129,18 +131,18 @@ impl EdgeServer {
                 self.live_after_sweep = self.cache.len();
             }
         }
-        self.served_bytes += body.len() as u64;
+        self.served_bytes += len;
         let origin_rtt = self.region.origin_latency().sample(rng);
         // Origin→edge transfer typically runs on fatter pipes; charge half
         // the edge-link serialization cost.
         let latency = edge_rtt
             + origin_rtt
-            + SimDuration::from_secs_f64(body.len() as f64 / bw)
-            + SimDuration::from_secs_f64(body.len() as f64 / (2.0 * bw));
+            + SimDuration::from_secs_f64(len as f64 / bw)
+            + SimDuration::from_secs_f64(len as f64 / (2.0 * bw));
         Some((
-            body.clone(),
+            body,
             PullStats {
-                bytes: body.len() as u64,
+                bytes: len,
                 cache_hit: false,
                 latency,
             },

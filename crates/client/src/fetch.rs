@@ -80,13 +80,17 @@ fn unwrap_status(
 pub fn fetch_status<T: Transport>(
     transport: &mut T,
     chain: &[(CaId, SerialNumber)],
-    compress: bool,
 ) -> Result<(StatusPayload, TransportMeta), FetchError> {
-    let req = RitmRequest::GetMultiStatus {
+    unwrap_status(transport.round_trip(&status_request(chain)))
+}
+
+/// The `GetMultiStatus` request for `chain`. The RA ignores its `compress`
+/// byte: a same-CA run past the leaf always comes back as one multiproof.
+fn status_request(chain: &[(CaId, SerialNumber)]) -> RitmRequest {
+    RitmRequest::GetMultiStatus {
         chain: chain.to_vec(),
-        compress,
-    };
-    unwrap_status(transport.round_trip(&req))
+        compress: true,
+    }
 }
 
 /// Fetches `chain`'s statuses and runs the full acceptance policy
@@ -127,13 +131,7 @@ pub fn fetch_and_validate_many<T: Transport>(
     now: u64,
     tracker: &mut RootTracker,
 ) -> Vec<Result<FetchedStatus, FetchError>> {
-    let reqs: Vec<RitmRequest> = chains
-        .iter()
-        .map(|chain| RitmRequest::GetMultiStatus {
-            chain: chain.to_vec(),
-            compress: true,
-        })
-        .collect();
+    let reqs: Vec<RitmRequest> = chains.iter().map(|chain| status_request(chain)).collect();
     let round_trips = transport.round_trip_many(&reqs);
     chains
         .iter()
@@ -252,7 +250,7 @@ mod tests {
         let (_, ra, _) = world(&[]);
         let mut transport = Loopback::new(StatusService::new(ra.status_server()));
         let chain = [(CaId::from_name("stranger"), SerialNumber::from_u24(1))];
-        match fetch_status(&mut transport, &chain, true) {
+        match fetch_status(&mut transport, &chain) {
             // The RA stays silent about *which* CA it cannot prove.
             Err(FetchError::Service(ProtoError::NotFound)) => {}
             other => panic!("expected NotFound, got {other:?}"),

@@ -115,7 +115,7 @@ fn check_revoked(
     serial: SerialNumber,
     now: u64,
 ) -> SignedRoot {
-    let (payload, _) = fetch_status(transport, &[(ca, serial)], false).unwrap();
+    let (payload, _) = fetch_status(transport, &[(ca, serial)]).unwrap();
     let status = &payload.statuses[0];
     let outcome = status.validate(&serial, key, DELTA, now).unwrap();
     assert!(outcome.is_revoked(), "serial {serial} must be revoked");

@@ -118,12 +118,15 @@ pub enum RitmRequest {
         /// Certificate serial to prove.
         serial: SerialNumber,
     },
-    /// Statuses for a whole certificate chain, optionally compressing
-    /// same-CA runs into multiproofs.
+    /// Statuses for a whole certificate chain. The RA answers the leaf
+    /// with an individual status and each same-CA run of two or more
+    /// certificates after it with one multiproof.
     GetMultiStatus {
         /// `(issuer, serial)` per chain position, leaf first.
         chain: Vec<(CaId, SerialNumber)>,
-        /// Whether same-CA runs may be compressed.
+        /// Decoded and ignored: the RA composes every chain by the rule
+        /// above, whatever this byte says. It stays on the wire so that
+        /// existing encoders keep their frame layout.
         compress: bool,
     },
     /// The CA's current signed root (consistency monitoring, bootstrap).

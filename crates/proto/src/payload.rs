@@ -25,8 +25,9 @@ pub struct StatusPayload {
     /// Individual revocation statuses, aligned with the (uncompressed)
     /// certificate-chain positions.
     pub statuses: Vec<RevocationStatus>,
-    /// Compressed same-CA chain segments (empty unless the RA compresses
-    /// multi-certificate chains).
+    /// Compressed same-CA chain segments: the RA proves every same-CA run
+    /// of two or more certificates after the leaf as one entry, so this is
+    /// empty only for chains without such a run.
     pub multi: Vec<MultiRevocationStatus>,
 }
 

@@ -96,7 +96,7 @@ fn main() {
         let chain = [(ca.id(), cert.serial)];
         let payload = ra
             .status_server()
-            .build_status(&chain, true)
+            .build_status(&chain)
             .expect("CA is mirrored");
         println!(
             "status for {} is {} bytes on the wire",

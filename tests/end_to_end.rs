@@ -127,7 +127,7 @@ fn statuses_are_small_on_the_wire() {
     let w = RitmWorld::new(8, 10, DeploymentModel::CloseToClients);
     let payload =
         w.ra.status_server()
-            .build_status(&[(w.ca.id(), w.server_serial())], true)
+            .build_status(&[(w.ca.id(), w.server_serial())])
             .expect("mirrored");
     let len = payload.to_bytes().len();
     // 157 B over the world's small dictionary.
