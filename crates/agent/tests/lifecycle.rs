@@ -1,5 +1,5 @@
 //! Snapshot/publish lifecycle property test: random issuance batches,
-//! tampered-batch rollbacks, freshness refreshes, and root rotations are
+//! rejected tampered batches, freshness refreshes, and root rotations are
 //! driven through `mirror_mut` (which republishes on drop) and served back
 //! through the `StatusServer`. Every served status must validate against
 //! its own snapshot's root, served epochs must never regress, and the
@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ritm_agent::ra::{RaConfig, RevocationAgent};
 use ritm_crypto::ed25519::SigningKey;
-use ritm_dictionary::tree::{Leaf, MerkleTree};
+use ritm_dictionary::tree::{Leaf, MerkleTree, TreeReader};
 use ritm_dictionary::{CaDictionary, CaId, RevocationProof, SerialNumber, UpdateError};
 
 const DELTA: u64 = 10;
@@ -67,9 +67,9 @@ proptest! {
                     }
                 }
                 2 => {
-                    // Tampered batch: the mirror must roll the application
-                    // back (remove_sorted_batch path), reject, and then
-                    // accept the honest bytes.
+                    // Tampered batch: the mirror must reject it, keeping
+                    // the tree it had (the batch went to a copy-on-write
+                    // clone it drops), and then accept the honest bytes.
                     let serials: Vec<SerialNumber> =
                         payload.iter().map(|&v| SerialNumber::from_u24(v)).collect();
                     if let Ok(iss) = ca.insert(&serials, &mut rng, now) {

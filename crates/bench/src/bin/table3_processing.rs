@@ -232,7 +232,7 @@ fn main() {
     println!();
     println!("incremental dictionary engine ({DICT_SIZE}-entry dictionary):");
     {
-        use ritm_dictionary::tree::{Leaf, MerkleTree};
+        use ritm_dictionary::tree::{Leaf, MerkleTree, TreeReader};
         use ritm_dictionary::PersistentTree;
         let leaves: Vec<Leaf> = (0..DICT_SIZE)
             .map(|i| Leaf::new(SerialNumber::from_u24(i * 2), i as u64 + 1))

@@ -5,25 +5,29 @@
 //! Each per-leaf figure is a slope between a 20k- and a 40k-leaf
 //! dictionary, so fixed costs (keys, hash chains, the last partly filled
 //! chunk of each sequence) cancel out. Both dictionaries hold the same
-//! tree: an 8-byte entry per leaf (serial prefix and revocation number),
-//! level 0 and levels ≥ 3, and each serial once, in the tree's packed log.
-//! The gates:
-//! - with 3-byte serials, a mirror and a CA each hold at most 43.5 B per
-//!   leaf (measured 41.4);
-//! - with 16-byte serials, at most 57 B per leaf (measured 55.0), below
-//!   the 58.5 and 75.6 B the mirror and the CA held when every leaf carried
-//!   a whole `SerialNumber` and the CA a second copy in its own log;
+//! crit-bit trie: a 9-byte node (crit bit and two `u32` children) per
+//! internal node over at most four leaves, a 29-byte node with its digest
+//! over more, no leaf hashes, and each serial once, in the tree's packed
+//! log. The gates:
+//! - with 3-byte serials, a mirror and a CA each hold at most 24.5 B per
+//!   leaf (measured 22.9; the paper's §VII-D figure is 26 B; 41.4 for the
+//!   sorted positional tree, which stored every leaf hash);
+//! - with 16-byte serials, at most 38.5 B per leaf (measured 36.5; 55.0
+//!   for the positional tree, and 58.5 and 75.6 B for the mirror and the
+//!   CA when every leaf carried a whole `SerialNumber` and the CA a second
+//!   copy in its own log);
 //! - each dictionary's `memory_bytes()` self-report is within 2 B per leaf
 //!   of the allocator's slope;
 //! - a 40k-leaf `apply_issuance` peaks at most 34 B per leaf above what it
-//!   leaves live: the sorted batch of leaves, and no second per-leaf copy
-//!   such as a vector of their hashes;
+//!   leaves live (measured 32.0): the sorted batch of leaves, and no
+//!   second per-leaf copy such as a vector of their hashes;
 //! - a 100-leaf mirror holds at most 16 KiB in all: a sequence's last
 //!   chunk is sized to its contents, not allocated whole;
 //! - a `GetStatus` reply the RA's encoded cache holds for a serial that is
 //!   not revoked, out of a 40k-leaf dictionary, costs at most 660 B,
-//!   cache entry included (measured 628.1; 965.2 when an absence proof
-//!   shipped two full audit paths);
+//!   cache entry included (measured 647.5 with a format-6 proof, 628.1
+//!   with format 5; 965.2 when an absence proof shipped two full audit
+//!   paths);
 //! - the CDN origin holds a published 3-byte revocation, in 100-serial
 //!   batches, in at most 11 B: its feed's log entry plus a share of the
 //!   batch's signed root (measured 10.0; 16.0 when it also kept every
@@ -227,7 +231,7 @@ fn assert_within(s: &Slopes, budget: f64, serials: &str) {
 #[test]
 fn dictionaries_stay_within_their_bytes_per_leaf() {
     let (small, large) = (sample(SMALL, three_bytes), sample(LARGE, three_bytes));
-    assert_within(&slopes(&small, &large), 43.5, "3-byte");
+    assert_within(&slopes(&small, &large), 24.5, "3-byte");
     let peak = large.mirror_peak_above_live as f64 / LARGE as f64;
     println!("apply_issuance peak above live {peak:.2} B/leaf");
     assert!(
@@ -239,7 +243,7 @@ fn dictionaries_stay_within_their_bytes_per_leaf() {
 #[test]
 fn long_serials_cost_less_than_a_serial_per_leaf() {
     let (small, large) = (sample(SMALL, sixteen_bytes), sample(LARGE, sixteen_bytes));
-    assert_within(&slopes(&small, &large), 57.0, "16-byte");
+    assert_within(&slopes(&small, &large), 38.5, "16-byte");
 }
 
 #[test]

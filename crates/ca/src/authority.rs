@@ -60,9 +60,11 @@ pub struct CertificationAuthority {
     id: CaId,
     key: SigningKey,
     dictionary: CaDictionary,
-    /// Serials only: `revoke` asks whether this CA issued a serial and
-    /// nothing reads the certificate back, so it is not kept.
-    issued: HashSet<SerialNumber>,
+    /// Serials this CA issued and has not revoked: `revoke` asks whether
+    /// this CA issued a serial and nothing reads the certificate back, so
+    /// it is not kept. A revoked serial moves to the dictionary, which
+    /// holds it anyway, so no revocation is held twice.
+    unrevoked: HashSet<SerialNumber>,
     next_serial: u32,
     delta: u64,
     /// Crash-durability hook: when attached, every issuance is appended
@@ -75,7 +77,7 @@ impl core::fmt::Debug for CertificationAuthority {
         f.debug_struct("CertificationAuthority")
             .field("name", &self.name)
             .field("id", &self.id)
-            .field("issued", &self.issued.len())
+            .field("unrevoked", &self.unrevoked.len())
             .field("revoked", &self.dictionary.len())
             .field("epoch", &self.dictionary.epoch())
             .finish()
@@ -147,7 +149,7 @@ impl CertificationAuthority {
             id,
             key,
             dictionary,
-            issued: HashSet::new(),
+            unrevoked: HashSet::new(),
             next_serial: 1,
             delta,
             wal: None,
@@ -237,7 +239,7 @@ impl CertificationAuthority {
             subject_key,
             false,
         );
-        self.issued.insert(serial);
+        self.unrevoked.insert(serial);
         cert
     }
 
@@ -257,7 +259,7 @@ impl CertificationAuthority {
         now: u64,
     ) -> Result<Option<RevocationIssuance>, CaError> {
         for s in serials {
-            if !self.issued.contains(s) {
+            if !self.unrevoked.contains(s) && !self.dictionary.contains(s) {
                 return Err(CaError::UnknownSerial(*s));
             }
         }
@@ -270,6 +272,9 @@ impl CertificationAuthority {
         // batch, a restart must be able to replay it.
         if let Some(wal) = &mut self.wal {
             wal.append(&issuance).map_err(|e| CaError::Wal(e.kind()))?;
+        }
+        for s in &issuance.serials {
+            self.unrevoked.remove(s);
         }
         cdn.origin.publish_issuance(self.id, &issuance)?;
         // Keep the freshness object in sync with the new chain.
@@ -358,13 +363,14 @@ mod tests {
                     .serial
             })
             .collect();
-        assert!(format!("{ca:?}").contains("issued: 1000"));
+        assert!(format!("{ca:?}").contains("unrevoked: 1000"));
 
         let half = &serials[..500];
         let iss = ca.revoke(half, &mut cdn, &mut rng, 1_001).unwrap().unwrap();
         assert_eq!(iss.serials.len(), 500);
         assert_eq!(ca.revocation_count(), 500);
         assert!(half.iter().all(|s| ca.is_revoked(s)));
+        assert!(format!("{ca:?}").contains("unrevoked: 500"));
         assert!(serials[500..].iter().all(|s| !ca.is_revoked(s)));
 
         // A serial this CA never issued is refused, alone or inside a batch

@@ -6,6 +6,7 @@
 //! verifies this message and initiates the dissemination process").
 
 use ritm_crypto::ed25519::VerifyingKey;
+use ritm_dictionary::chunk::ChunkedVec;
 use ritm_dictionary::{
     issuance_page, CaId, FreshnessStatement, RefreshMessage, RevocationIssuance, SerialLog,
     SignedRoot,
@@ -105,8 +106,9 @@ impl std::error::Error for PublishError {}
 #[derive(Debug, Default)]
 struct Feed {
     log: SerialLog,
-    /// `(end_count, signed_root)` per published batch, ascending.
-    batch_roots: Vec<(u64, SignedRoot)>,
+    /// `(end_count, signed_root)` per published batch, ascending; chunked,
+    /// as the CA keeps them, so no doubled vector's unused half is held.
+    batch_roots: ChunkedVec<(u64, SignedRoot)>,
     /// Publishes so far, issuances and refreshes alike.
     version: u64,
 }

@@ -1,36 +1,29 @@
 //! Copy-on-write chunked sequences — the storage layer of the persistent
-//! tree ([`crate::persistent`]).
+//! tree ([`crate::persistent`]) and of the serial logs.
 //!
 //! A [`ChunkedVec`] stores its elements in fixed-size chunks, each behind an
 //! [`Arc`]. Cloning the sequence clones only the chunk *spine* (one `Arc`
 //! bump per chunk); mutating an element or truncating inside a chunk
 //! materializes a private copy of just that chunk. Two sequences that share
 //! history therefore share every chunk neither has touched — which is what
-//! turns snapshot publication from an O(n) level copy into O(chunks) `Arc`
+//! turns snapshot publication from an O(n) copy into O(chunks) `Arc`
 //! bumps, with O(dirty chunks) copying paid by the *writer* at mutation
 //! time.
 //!
 //! The chunk size trades sharing granularity against spine overhead: at
-//! [`CHUNK`] = 1024 a 1M-leaf dictionary has ~1k leaf-level chunks (an 8 KB
-//! spine) and a 100-leaf *append* batch — the common issuance pattern,
-//! fresh serials sorting after old ones — dirties at most two chunks per
-//! level. A batch landing mid-tree (or a rollback) rewrites each level's
-//! suffix from the first changed position, dirtying
-//! O((n − dirty_from)/CHUNK) chunks per level: values are copied but never
-//! rehashed, and everything left of the front stays shared.
+//! [`CHUNK`] = 1024 a 1M-entry log has ~1k chunks (an 8 KB spine) and an
+//! append dirties only its tail chunk. A sequence may pick its own size:
+//! the trie's node arenas use smaller chunks, since a batch writes nodes
+//! all over them ([`crate::persistent::NODE_CHUNK`]).
 //!
-//! Those suffix rewrites go through the bulk operations, never one element
-//! at a time: [`ChunkedVec::extend_from_range`] and
-//! [`ChunkedVec::extend_from_slice`] top up the tail chunk once and then
-//! build fresh full chunks, copying whole slices. Moving elements one at a
-//! time paid a copy-on-write check or a division each; the bulk path
-//! roughly halved the mirror's batch apply plus publish (5.7 → 3.0 ms for 5
-//! serials into 50k leaves).
+//! Appends go through the bulk operations, never one element at a time
+//! where a slice will do: [`ChunkedVec::extend_from_slice`] tops up the
+//! tail chunk once and then builds fresh full chunks, copying whole slices.
 //!
-//! Only whole chunks are allocated at [`CHUNK`] slots. A sequence's last
-//! chunk starts at the size it needs and doubles up to [`CHUNK`] as it
-//! fills, so a small tree costs its leaves, not a full chunk per stored
-//! level, and a full chunk is never reallocated.
+//! Only whole chunks are allocated at full size. A sequence's last chunk
+//! starts at the size it needs and doubles up to a full chunk as it fills,
+//! so a small tree costs its contents, not a full chunk per sequence, and a
+//! full chunk is never reallocated.
 //!
 //! Every slot materialized by a copy-on-write clone, extend, or truncation is
 //! counted in a thread-local tally ([`slots_materialized`]) so tests can
@@ -60,33 +53,34 @@ fn note(slots: usize) {
 
 /// The capacity a chunk of capacity `cap` needs to hold `need` elements:
 /// unchanged while they fit, otherwise doubled (at least to `need`) and
-/// never past [`CHUNK`].
-fn grown(cap: usize, need: usize) -> usize {
-    debug_assert!(need <= CHUNK, "a chunk holds at most CHUNK elements");
+/// never past `chunk`.
+fn grown(cap: usize, need: usize, chunk: usize) -> usize {
+    debug_assert!(need <= chunk, "a chunk holds at most its size");
     if need <= cap {
         cap
     } else {
-        need.max((2 * cap).min(CHUNK))
+        need.max((2 * cap).min(chunk))
     }
 }
 
 /// Makes room in `chunk` for `extra` more elements by the [`grown`] rule.
-fn reserve<T>(chunk: &mut Vec<T>, extra: usize) {
-    let cap = grown(chunk.capacity(), chunk.len() + extra);
+fn reserve<T>(chunk: &mut Vec<T>, extra: usize, size: usize) {
+    let cap = grown(chunk.capacity(), chunk.len() + extra, size);
     chunk.reserve_exact(cap - chunk.len());
 }
 
 /// A chunked sequence with `Arc`-shared, copy-on-write chunks.
 ///
-/// Invariant: every chunk except the last holds exactly [`CHUNK`] elements;
-/// the last holds `1..=CHUNK`; an empty sequence has no chunks.
+/// `C` elements make a chunk: `C` unless a sequence picks its own.
+/// Invariant: every chunk except the last holds exactly `C` elements; the
+/// last holds `1..=C`; an empty sequence has no chunks.
 #[derive(Debug, Clone)]
-pub struct ChunkedVec<T> {
+pub struct ChunkedVec<T, const C: usize = CHUNK> {
     chunks: Vec<Arc<Vec<T>>>,
     len: usize,
 }
 
-impl<T> Default for ChunkedVec<T> {
+impl<T, const C: usize> Default for ChunkedVec<T, C> {
     fn default() -> Self {
         ChunkedVec {
             chunks: Vec::new(),
@@ -95,7 +89,7 @@ impl<T> Default for ChunkedVec<T> {
     }
 }
 
-impl<T: Clone> ChunkedVec<T> {
+impl<T: Clone, const C: usize> ChunkedVec<T, C> {
     /// An empty sequence.
     pub fn new() -> Self {
         ChunkedVec {
@@ -121,7 +115,23 @@ impl<T: Clone> ChunkedVec<T> {
     /// Panics when `index >= len()`.
     pub fn get(&self, index: usize) -> &T {
         debug_assert!(index < self.len, "chunked index out of bounds");
-        &self.chunks[index / CHUNK][index % CHUNK]
+        &self.chunks[index / C][index % C]
+    }
+
+    /// A unique reference to the element at `index`, its chunk copied
+    /// first when shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index >= len()`.
+    pub fn get_mut(&mut self, index: usize) -> &mut T {
+        &mut self.chunk_mut(index / C, 0)[index % C]
+    }
+
+    /// Appends one element, returning its index.
+    pub fn push(&mut self, value: T) -> usize {
+        self.extend([value]);
+        self.len - 1
     }
 
     /// The elements from `index` to the end of the chunk holding it.
@@ -130,7 +140,7 @@ impl<T: Clone> ChunkedVec<T> {
     ///
     /// Panics when `index >= len()`.
     pub fn rest_of_chunk(&self, index: usize) -> &[T] {
-        &self.chunks[index / CHUNK][index % CHUNK..]
+        &self.chunks[index / C][index % C..]
     }
 
     /// Chunks this sequence shares with `other` (same `Arc`), for sharing
@@ -156,25 +166,25 @@ impl<T: Clone> ChunkedVec<T> {
         let arc = &mut self.chunks[ci];
         if Arc::get_mut(arc).is_none() {
             note(arc.len());
-            let mut copy = Vec::with_capacity(grown(arc.capacity(), arc.len() + extra));
+            let mut copy = Vec::with_capacity(grown(arc.capacity(), arc.len() + extra, C));
             copy.extend_from_slice(arc);
             *arc = Arc::new(copy);
         }
         let chunk = Arc::get_mut(arc).expect("chunk unique after copy-on-write");
-        reserve(chunk, extra);
+        reserve(chunk, extra, C);
         chunk
     }
 
     /// Appends every element of `iter`, a chunk at a time: the tail chunk
     /// is topped up through one copy-on-write check, then each further
-    /// [`CHUNK`] elements become one fresh chunk. Materializes the added
+    /// `C` elements become one fresh chunk. Materializes the added
     /// slots plus, when the tail chunk is shared, one copy of it.
     pub fn extend(&mut self, iter: impl IntoIterator<Item = T>) {
         let mut iter = iter.into_iter().peekable();
         let mut added = 0;
         while iter.peek().is_some() {
-            let room = CHUNK - self.len % CHUNK;
-            if room == CHUNK {
+            let room = C - self.len % C;
+            if room == C {
                 self.chunks.push(Arc::new(Vec::new()));
             }
             let ci = self.chunks.len() - 1;
@@ -183,7 +193,7 @@ impl<T: Clone> ChunkedVec<T> {
             let before = tail.len();
             for item in iter.by_ref().take(room) {
                 if tail.len() == tail.capacity() {
-                    reserve(tail, 1);
+                    reserve(tail, 1, C);
                 }
                 tail.push(item);
             }
@@ -199,8 +209,8 @@ impl<T: Clone> ChunkedVec<T> {
     pub fn suffix_to_vec(&self, from: usize) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len.saturating_sub(from));
         if from < self.len {
-            let first = from / CHUNK;
-            out.extend_from_slice(&self.chunks[first][from % CHUNK..]);
+            let first = from / C;
+            out.extend_from_slice(&self.chunks[first][from % C..]);
             for chunk in &self.chunks[first + 1..] {
                 out.extend_from_slice(chunk);
             }
@@ -215,10 +225,10 @@ impl<T: Clone> ChunkedVec<T> {
         if new_len >= self.len {
             return;
         }
-        let keep = new_len.div_ceil(CHUNK);
+        let keep = new_len.div_ceil(C);
         self.chunks.truncate(keep);
         if keep > 0 {
-            let tail_len = new_len - (keep - 1) * CHUNK;
+            let tail_len = new_len - (keep - 1) * C;
             let ci = keep - 1;
             if self.chunks[ci].len() != tail_len {
                 match Arc::get_mut(&mut self.chunks[ci]) {
@@ -234,12 +244,6 @@ impl<T: Clone> ChunkedVec<T> {
             }
         }
         self.len = new_len;
-    }
-
-    /// Drops every element.
-    pub fn clear(&mut self) {
-        self.chunks.clear();
-        self.len = 0;
     }
 
     /// Iterates the elements in order.
@@ -263,21 +267,6 @@ impl<T: Clone> ChunkedVec<T> {
         lo
     }
 
-    /// Binary-searches with a comparator, as `slice::binary_search_by`.
-    pub fn binary_search_by(&self, f: impl Fn(&T) -> core::cmp::Ordering) -> Result<usize, usize> {
-        use core::cmp::Ordering;
-        let (mut lo, mut hi) = (0usize, self.len);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match f(self.get(mid)) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return Ok(mid),
-            }
-        }
-        Err(lo)
-    }
-
     /// Approximate heap bytes held by the chunks (shared chunks counted in
     /// full — this measures reachable storage, not unique ownership).
     pub fn heap_bytes(&self) -> usize {
@@ -289,13 +278,13 @@ impl<T: Clone> ChunkedVec<T> {
     }
 }
 
-impl<T: Copy> ChunkedVec<T> {
+impl<T: Copy, const C: usize> ChunkedVec<T, C> {
     /// Appends `items` with slice copies: the tail chunk is topped up
-    /// through one copy-on-write check, then each further [`CHUNK`]
+    /// through one copy-on-write check, then each further `C`
     /// elements become one fresh chunk.
     pub fn extend_from_slice(&mut self, mut items: &[T]) {
         note(items.len());
-        let room = (CHUNK - self.len % CHUNK) % CHUNK;
+        let room = (C - self.len % C) % C;
         self.len += items.len();
         if room > 0 && !items.is_empty() {
             let (head, rest) = items.split_at(room.min(items.len()));
@@ -303,7 +292,7 @@ impl<T: Copy> ChunkedVec<T> {
             self.chunk_mut(ci, head.len()).extend_from_slice(head);
             items = rest;
         }
-        for part in items.chunks(CHUNK) {
+        for part in items.chunks(C) {
             self.chunks.push(Arc::new(part.to_vec()));
         }
     }
@@ -318,8 +307,8 @@ impl<T: Copy> ChunkedVec<T> {
         assert!(from + out.len() <= self.len, "chunked range out of bounds");
         let mut done = 0;
         while done < out.len() {
-            let chunk = &self.chunks[from / CHUNK];
-            let at = from % CHUNK;
+            let chunk = &self.chunks[from / C];
+            let at = from % C;
             let n = (out.len() - done).min(chunk.len() - at);
             out[done..done + n].copy_from_slice(&chunk[at..at + n]);
             (done, from) = (done + n, from + n);
@@ -330,15 +319,15 @@ impl<T: Copy> ChunkedVec<T> {
     pub fn extend_from_range(&mut self, other: &Self, range: core::ops::Range<usize>) {
         let mut at = range.start;
         while at < range.end {
-            let base = at / CHUNK * CHUNK;
-            let stop = range.end.min(base + CHUNK);
-            self.extend_from_slice(&other.chunks[at / CHUNK][at - base..stop - base]);
+            let base = at / C * C;
+            let stop = range.end.min(base + C);
+            self.extend_from_slice(&other.chunks[at / C][at - base..stop - base]);
             at = stop;
         }
     }
 }
 
-impl<T: Clone> FromIterator<T> for ChunkedVec<T> {
+impl<T: Clone, const C: usize> FromIterator<T> for ChunkedVec<T, C> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut out = ChunkedVec::new();
         out.extend(iter);
@@ -526,7 +515,6 @@ mod tests {
         let v = filled(CHUNK + 77);
         assert_eq!(v.partition_point(|&x| x < 500), 500);
         assert_eq!(v.partition_point(|&x| x < 1_000_000), v.len());
-        assert_eq!(v.binary_search_by(|x| x.cmp(&600)), Ok(600));
-        assert_eq!(v.binary_search_by(|x| x.cmp(&1_000_000)), Err(v.len()));
+        assert_eq!(v.partition_point(|&x| x < 1), 1);
     }
 }

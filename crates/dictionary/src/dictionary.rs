@@ -3,17 +3,18 @@
 //! [`CaDictionary`] is the trusted, CA-side structure implementing `insert`
 //! and `refresh`; [`MirrorDictionary`] is the untrusted copy every RA keeps,
 //! implementing `update` and `prove`. Both write through the same
-//! structurally-shared [`PersistentTree`], whose packed serial log is each
-//! side's one copy of its serials: the CA's catch-up pages and the mirror's
-//! persisted serial list read ranges of it.
+//! structurally-shared crit-bit trie, [`PersistentTree`], whose packed
+//! serial log is each side's one copy of its serials: the CA's catch-up
+//! pages and the mirror's persisted serial list read ranges of it.
 
+use crate::chunk::ChunkedVec;
 use crate::freshness::{FreshnessError, FreshnessStatement};
 use crate::issuance_log::SerialLog;
 use crate::persistent::PersistentTree;
 use crate::proof::{ProofError, ProvenStatus, RevocationProof};
 use crate::root::{CaId, SignedRoot};
 use crate::serial::SerialNumber;
-use crate::tree::Leaf;
+use crate::tree::{Leaf, TreeReader};
 use rand::RngCore;
 use ritm_crypto::digest::Digest20;
 use ritm_crypto::ed25519::{SigningKey, VerifyingKey};
@@ -405,8 +406,9 @@ pub struct CaDictionary {
     /// Historical `(end_count, signed_root)` per applied batch, in
     /// ascending `end_count` order — the per-version roots paged catch-up
     /// replies anchor to. Fed by [`CaDictionary::insert`] and by log
-    /// replay after a crash.
-    batch_roots: Vec<(u64, SignedRoot)>,
+    /// replay after a crash. Chunked, so a long-lived CA never holds a
+    /// doubled vector's unused half.
+    batch_roots: ChunkedVec<(u64, SignedRoot)>,
     chain: HashChain,
     chain_len: u64,
     delta: u64,
@@ -433,7 +435,7 @@ impl CaDictionary {
             ca,
             key,
             tree,
-            batch_roots: Vec::new(),
+            batch_roots: ChunkedVec::new(),
             chain,
             chain_len,
             delta,
@@ -446,7 +448,8 @@ impl CaDictionary {
     /// way a mirror would verify it — signature, contiguous numbering, no
     /// duplicate serials, and the rebuilt root matching the record's signed
     /// root — so a corrupt or forged log can never resurrect a dictionary
-    /// that disagrees with what was disseminated.
+    /// that disagrees with what was disseminated. Each record is an
+    /// O(b·log n) tree write: N revocations cost O(N·log N) node hashes.
     ///
     /// The hash-chain preimages die with the crashed process, so recovery
     /// rotates: a fresh chain is generated and a new root (same tree, same
@@ -679,8 +682,7 @@ impl CaDictionary {
     /// Paper §VII-D memory metric: bytes to hold the built dictionary
     /// (its serial log included) and its per-batch roots.
     pub fn memory_bytes(&self) -> usize {
-        self.tree.memory_bytes()
-            + self.batch_roots.capacity() * core::mem::size_of::<(u64, SignedRoot)>()
+        self.tree.memory_bytes() + self.batch_roots.heap_bytes()
     }
 }
 
@@ -855,10 +857,10 @@ impl MirrorDictionary {
         &self.signed_root
     }
 
-    /// Monotonic content epoch: advances whenever the mirrored tree is
-    /// mutated (every accepted issuance; a rejected one rolls content back
-    /// but still advances the epoch, harmlessly). Freshness-only refreshes
-    /// do not advance it — audit paths stay valid across them.
+    /// Monotonic content epoch: advances with every accepted issuance (a
+    /// rejected one leaves the tree, and the epoch, as they were).
+    /// Freshness-only refreshes do not advance it — proofs stay valid
+    /// across them.
     pub fn epoch(&self) -> u64 {
         self.tree.epoch()
     }
@@ -870,8 +872,9 @@ impl MirrorDictionary {
 
     /// Fig. 2 `update`: verifies and applies an issuance batch.
     ///
-    /// The tree is rebuilt with the new serials and the changes are kept
-    /// only if the rebuilt root and size match the signed root exactly.
+    /// The batch is applied to a copy-on-write clone of the tree, which
+    /// replaces the tree only if its root and size match the signed root
+    /// exactly.
     ///
     /// # Errors
     ///
@@ -901,14 +904,14 @@ impl MirrorDictionary {
             self.tree.find(s).is_some()
         })
         .ok_or(UpdateError::DuplicateSerial)?;
-        // Verify-then-commit without an O(n) scratch clone: apply the batch
-        // incrementally, and roll it back (removing exactly the inserted
-        // leaves) if the resulting root does not match the signed root.
-        self.tree.apply_sorted_batch(&batch);
-        if self.tree.root() != sr.root || self.tree.len() as u64 != sr.size {
-            self.tree.remove_sorted_batch(&issuance.serials);
+        // Verify, then commit: the clone shares every chunk with the tree
+        // (O(chunks) `Arc` bumps), and the batch copies only those it dirties.
+        let mut tree = self.tree.clone();
+        tree.apply_sorted_batch(&batch);
+        if tree.root() != sr.root || tree.len() as u64 != sr.size {
             return Err(UpdateError::RootMismatch);
         }
+        self.tree = tree;
         self.signed_root = *sr;
         self.freshness = FreshnessStatement::new(sr.anchor);
         Ok(())
@@ -957,7 +960,7 @@ impl MirrorDictionary {
         self.tree.find(serial).is_some()
     }
 
-    /// Generates the bare audit-path proof for `serial` — the cacheable
+    /// Generates the bare proof for `serial` — the cacheable
     /// part of a status; it stays valid while [`MirrorDictionary::epoch`]
     /// is unchanged.
     pub fn proof(&self, serial: &SerialNumber) -> RevocationProof {
@@ -1034,7 +1037,7 @@ impl MirrorDictionary {
 /// `latest`.
 pub fn issuance_page(
     log: &SerialLog,
-    batch_roots: &[(u64, SignedRoot)],
+    batch_roots: &ChunkedVec<(u64, SignedRoot)>,
     latest: SignedRoot,
     have: u64,
     limit: u32,
@@ -1044,9 +1047,13 @@ pub fn issuance_page(
     let target = have.saturating_add(u64::from(limit.max(1)));
     // The largest boundary within the limit, else the first one past
     // `have`: the end of the batch `have` sits in.
+    let at = |i: usize| (i < batch_roots.len()).then(|| batch_roots.get(i));
     let hi = batch_roots.partition_point(|(end, _)| *end <= target);
-    let within = batch_roots[..hi].last().filter(|(end, _)| *end > have);
-    let enclosing = || batch_roots.get(batch_roots.partition_point(|(end, _)| *end <= have));
+    let within = hi
+        .checked_sub(1)
+        .and_then(at)
+        .filter(|(end, _)| *end > have);
+    let enclosing = || at(batch_roots.partition_point(|(end, _)| *end <= have));
     let (end, signed_root) = match within.or_else(enclosing) {
         Some(&(end, _)) if end >= total => (total, latest),
         Some(&(end, root)) => (end, root),
@@ -1556,6 +1563,40 @@ mod tests {
             }
         }
         assert_eq!(ra.signed_root(), ca2.signed_root());
+    }
+
+    #[test]
+    fn replay_costs_grow_as_n_log_n() {
+        // Each record is an O(b·log n) tree write: replaying twice the
+        // 100-serial records costs a little over twice the node hashes (a
+        // tree that rehashed from each batch's first position paid ~4×).
+        let mut seeded = rng();
+        let mut ca = ca_dict(&mut seeded);
+        let records: Vec<RevocationIssuance> = (0..200u64)
+            .map(|r| {
+                let batch: Vec<SerialNumber> = (0..100)
+                    .map(|i| {
+                        SerialNumber::from_u64((r * 100 + i).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                    })
+                    .collect();
+                ca.insert(&batch, &mut seeded, T0 + 1).unwrap()
+            })
+            .collect();
+        let hashes = |records: &[RevocationIssuance]| {
+            let before = crate::tree::node_hash_calls();
+            let key = SigningKey::from_seed([1u8; 32]);
+            let dict = CaDictionary::replay(ca.ca(), key, DELTA, 64, records, &mut rng(), T0 + 2)
+                .expect("clean replay");
+            assert_eq!(
+                dict.signed_root().root,
+                records.last().unwrap().signed_root.root
+            );
+            crate::tree::node_hash_calls() - before
+        };
+        let (half, full) = (hashes(&records[..100]), hashes(&records));
+        let ratio = full as f64 / half as f64;
+        println!("{full} / {half} node hashes = {ratio:.2}");
+        assert!(ratio <= 2.5, "{full} / {half} node hashes = {ratio:.2}");
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //! stored as `len ‖ bytes` instead of a 21-byte [`SerialNumber`].
 //!
 //! It is the one serial store of a dictionary, on the CA and the RA alike:
-//! [`crate::PersistentTree`] owns one, and its sorted leaf array holds only
-//! a serial prefix and a revocation number per leaf, reading the serial
-//! from here. The CDN origin keeps its catch-up copy in the same type.
+//! [`crate::PersistentTree`] owns one, and its trie points at a leaf by
+//! revocation number, reading the serial from here. The CDN origin keeps
+//! its catch-up copy in the same type.
 //!
 //! Both parts live in copy-on-write [`ChunkedVec`]s, so cloning a log (what
 //! publishing a snapshot of the tree does) costs O(chunks) `Arc` bumps, and
-//! a truncation after the clone — a mirror rolling back a rejected batch —
-//! copies at most one chunk per part, leaving the clone's entries intact.
+//! an append after the clone — a mirror applying its next batch to a copy
+//! of its tree — copies at most one chunk per part, leaving the clone's
+//! entries intact.
 //!
 //! A 3-byte serial costs 4 bytes plus a 4-byte offset. Offsets are `u32`,
 //! so one log holds at most 4 GiB of entries: more than 200 M 20-byte
@@ -136,35 +137,6 @@ impl SerialLog {
         self.bytes.extend_from_slice(&staged);
     }
 
-    /// Drops every entry from `len` on. The bytes are cut where the dropped
-    /// entries start when they fill the end of the log — a whole batch, as
-    /// a rollback drops — and after the last kept entry otherwise.
-    pub(crate) fn truncate(&mut self, len: usize) {
-        if len >= self.len() {
-            return;
-        }
-        let dropped = (len..self.len()).map(|i| *self.offsets.get(i) as usize);
-        let (first, size) = dropped.fold((usize::MAX, 0), |(first, size), at| {
-            (first.min(at), size + self.entry_len(at))
-        });
-        let end = if first + size == self.bytes.len() {
-            first
-        } else {
-            (0..len)
-                .map(|i| *self.offsets.get(i) as usize)
-                .map(|at| at + self.entry_len(at))
-                .max()
-                .unwrap_or(0)
-        };
-        self.offsets.truncate(len);
-        self.bytes.truncate(end);
-    }
-
-    /// Bytes the entry at byte offset `at` takes, its length byte included.
-    fn entry_len(&self, at: usize) -> usize {
-        1 + *self.bytes.get(at) as usize
-    }
-
     /// Chunks (across bytes and offsets) this log shares with `other`.
     pub fn shared_chunks_with(&self, other: &Self) -> usize {
         self.bytes.shared_chunks_with(&other.bytes)
@@ -259,17 +231,8 @@ mod tests {
             log.append_numbered(&leaves);
         }
         assert_eq!(log.range(0, log.len()), plain);
-        // Whole batches and cuts inside one truncate to a readable prefix.
-        // Cutting whole batches off leaves exactly the kept entries' bytes;
-        // a cut inside a batch may leave some of its bytes unreferenced.
-        for len in [630, 540, 500, 451, 1, 0] {
-            log.truncate(len);
-            assert_eq!(log.range(0, len), plain[..len]);
-            let kept: usize = plain[..len].iter().map(|s| 1 + s.len()).sum();
-            if len >= 540 || len == 0 {
-                assert_eq!(log.bytes.len(), kept);
-            }
-        }
+        let bytes: usize = plain.iter().map(|s| 1 + s.len()).sum();
+        assert_eq!(log.bytes.len(), bytes);
     }
 
     #[test]
@@ -287,20 +250,19 @@ mod tests {
     }
 
     #[test]
-    fn a_truncated_clone_keeps_its_entries() {
+    fn a_clone_keeps_its_entries_as_the_log_grows() {
         let plain = every_length(3 * CHUNK as u32);
         let mut log = SerialLog::default();
-        log.extend(&plain);
+        log.extend(&plain[..CHUNK + 5]);
         let before = slots_materialized();
         let published = log.clone();
         assert_eq!(slots_materialized(), before, "a clone copies nothing");
         assert_eq!(
             published.shared_chunks_with(&log),
-            log.bytes.chunk_count() + 3
+            log.bytes.chunk_count() + 2
         );
-        log.truncate(CHUNK + 5);
-        log.extend(&plain[..7]);
-        assert_eq!(published.range(0, published.len()), plain);
-        assert_eq!(log.range(CHUNK + 5, log.len()), plain[..7]);
+        log.extend(&plain[CHUNK + 5..]);
+        assert_eq!(published.range(0, published.len()), plain[..CHUNK + 5]);
+        assert_eq!(log.range(0, log.len()), plain);
     }
 }

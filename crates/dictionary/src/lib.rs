@@ -1,21 +1,23 @@
 //! # ritm-dictionary — RITM's authenticated dictionary (paper §III, Fig. 2)
 //!
-//! The central data structure of RITM: every CA maintains an append-only,
-//! sorted-leaf hash tree of its revocations; every RA mirrors it; clients
-//! verify logarithmic presence/absence proofs against CA-signed roots kept
-//! fresh with hash-chain statements.
+//! The central data structure of RITM: every CA maintains an append-only
+//! hash tree of its revocations — a crit-bit trie whose leaves read in
+//! serial order; every RA mirrors it; clients verify logarithmic
+//! presence/absence proofs against CA-signed roots kept fresh with
+//! hash-chain statements.
 //!
-//! * [`serial`] — certificate serial numbers (the leaf keys);
-//! * [`tree`] — leaf and node hashing, audit-path verification, the
+//! * [`serial`] — certificate serial numbers (the leaf keys) and their trie
+//!   key bits;
+//! * [`tree`] — leaf and node hashing, leaf [`tree::Path`]s, the
 //!   [`tree::TreeReader`] trait proofs are generated against, and the
 //!   built-once reference [`tree::MerkleTree`] tests compare with;
 //! * [`chunk`] / [`persistent`] — the copy-on-write chunked storage and the
 //!   structurally-shared [`PersistentTree`] both dictionaries write through,
-//!   with incremental batch application
+//!   with O(b·log n) batch insertion
 //!   ([`PersistentTree::apply_sorted_batch`]); mirrors publish snapshots
-//!   from it in O(chunks) instead of O(n). The tree's sorted leaves hold a
-//!   serial prefix and a revocation number; every serial is held once, in
-//!   the tree's packed [`SerialLog`];
+//!   from it in O(chunks) instead of O(n). The trie points at its leaves by
+//!   revocation number; every serial is held once, in the tree's packed
+//!   [`SerialLog`];
 //! * [`snapshot`] — immutable, epoch-stamped [`DictionarySnapshot`]s
 //!   published RCU-style through [`SnapshotCell`]s for lock-free proof
 //!   serving;

@@ -1,35 +1,44 @@
 //! Presence and absence proofs over the authenticated dictionary.
 //!
 //! The prover (an RA) is untrusted: a client verifies every proof against a
-//! CA-signed root (paper §III, "Revocation Lists"). Because leaves are sorted
-//! by serial, a serial is proven revoked by its own leaf, and proven absent
-//! by the adjacent pair of leaves enclosing it, by a boundary leaf, or — for
-//! an empty dictionary — by the well-known empty root.
+//! CA-signed root (paper §III, "Revocation Lists"). The dictionary's
+//! crit-bit trie ([`crate::tree`]) reads its leaves left to right in serial
+//! order, so a serial is proven revoked by its own leaf, and proven absent
+//! by the two adjacent leaves enclosing it, by the first or last leaf, or —
+//! for an empty dictionary — by the well-known empty root.
+//!
+//! Each leaf comes with its [`Path`] from the root. Leaf and node hashes are
+//! domain-separated, so a path that folds to the root ends at a real leaf,
+//! and paths alone show adjacency: a predecessor's is `X·0·1*` and its
+//! successor's `X·1·0*`; the first leaf's is all left, the last's all right.
 //!
 //! There is one proof form, [`MultiProof`]: the leaves that answer a set of
-//! queries plus the union of their audit paths, each sibling once. A
-//! [`RevocationProof`] is a multiproof for one serial (at most two leaves),
-//! so an absence between two leaves ships their shared siblings once.
+//! queries plus every sibling their paths need, once each, left to right;
+//! the verifier folds it from the root down. A [`RevocationProof`] is its
+//! one-serial case (at most two leaves).
 //!
-//! Both encode with one grammar (integers as minimal LEB128 varints):
+//! Both encode with one grammar (integers as minimal LEB128 varints; a path
+//! packed most significant bit first, with zero padding):
 //!
 //! ```text
 //! proof  = format:u8 (= PROOF_FORMAT)
 //!          leaf_count:varint  leaf*  sibling_count:varint  digest20*
-//! leaf   = index:varint  serial_len:u8  serial  number:varint
+//! leaf   = depth:u8  path:byte[⌈depth/8⌉]  serial_len:u8  serial  number:varint
 //! ```
 
 use crate::serial::SerialNumber;
-use crate::tree::{empty_root, node_hash, Leaf, TreeReader};
+use crate::tree::{empty_root, node_hash, Leaf, Path, TreeReader};
 use ritm_crypto::digest::{Digest20, DIGEST_LEN};
 use ritm_crypto::wire::{varint_len, DecodeError, Reader, Writer};
 
-/// The byte every encoded proof starts with. Values 0–4 were the tags of the
-/// retired five-variant single-serial proof and now decode as unknown.
-pub const PROOF_FORMAT: u8 = 5;
+/// The byte every encoded proof starts with. Retired, never to be reused:
+/// 0–4, the tags of the five-variant single-serial proof, and 5, the
+/// multiproof over the sorted positional tree that addressed leaves by
+/// index. They decode as unknown.
+pub const PROOF_FORMAT: u8 = 6;
 
-/// Fewest bytes a leaf encodes to: a one-byte index, serial length, serial
-/// and number.
+/// Fewest bytes a leaf encodes to: an empty path's depth, serial length,
+/// serial and number.
 const MIN_LEAF_LEN: usize = 4;
 
 /// Outcome of a successful proof verification.
@@ -56,7 +65,8 @@ impl ProvenStatus {
 pub enum ProofError {
     /// The recomputed root differs from the trusted root.
     RootMismatch,
-    /// The leaves and siblings do not fit the claimed tree size.
+    /// The paths and siblings do not fold to one root, or leaves are
+    /// claimed for an empty dictionary (or none for a non-empty one).
     MalformedPath,
     /// The proven leaves do not bound the queried serial (an absence claim
     /// without the boundary leaf it needs).
@@ -69,9 +79,9 @@ impl core::fmt::Display for ProofError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let s = match self {
             ProofError::RootMismatch => "recomputed root does not match trusted root",
-            ProofError::MalformedPath => "proof shape inconsistent with the tree size",
+            ProofError::MalformedPath => "proof shape inconsistent with the tree",
             ProofError::SerialOutOfRange => "proven leaves do not bound the queried serial",
-            ProofError::WrongIndex => "proof indices violate ordering/adjacency requirements",
+            ProofError::WrongIndex => "proof paths violate ordering/adjacency requirements",
         };
         f.write_str(s)
     }
@@ -87,7 +97,7 @@ impl std::error::Error for ProofError {}
 pub struct RevocationProof {
     /// The answering leaves, ascending, in `leaves[..len]`; the slots past
     /// `len` hold [`unused_slot`], so equal proofs compare equal.
-    leaves: [(u64, Leaf); 2],
+    leaves: [(Path, Leaf); 2],
     len: usize,
     siblings: Vec<Digest20>,
 }
@@ -96,14 +106,12 @@ impl RevocationProof {
     /// Builds the proof for `serial` against `tree` (RA-side `prove`,
     /// Fig. 2). Works over any [`TreeReader`] backend.
     pub fn generate<T: TreeReader>(tree: &T, serial: &SerialNumber) -> Self {
-        let (leaves, len) = answering_leaves(tree, serial);
-        let mut frontier = leaves.map(|(i, _)| i as usize);
-        let siblings = match len {
-            // One leaf's siblings are its audit path, which the tree reads
-            // in a tighter loop than the general fold.
-            1 => tree.audit_path(frontier[0]),
-            _ => siblings(tree, &mut frontier[..len]),
-        };
+        let (targets, n) = targets(tree, serial);
+        let (mut leaves, mut len) = ([unused_slot(); 2], 0);
+        let siblings = gather(tree, &targets[..n], |leaf| {
+            leaves[len] = leaf;
+            len += 1;
+        });
         RevocationProof {
             leaves,
             len,
@@ -123,9 +131,9 @@ impl RevocationProof {
         root: &Digest20,
         size: u64,
     ) -> Result<ProvenStatus, ProofError> {
-        let (parts, mut nodes) = (self.parts(), [(0, Digest20::ZERO); 2]);
-        parts.authenticate(root, size, &mut nodes[..self.len])?;
-        answer(parts.leaves, serial, size)
+        let parts = self.parts();
+        parts.authenticate(root, size)?;
+        answer(parts.leaves, serial)
     }
 
     /// Serializes the proof (part of the revocation status piggybacked onto
@@ -166,23 +174,20 @@ impl RevocationProof {
 /// A compressed proof for a *set* of serials against one root.
 ///
 /// A certificate chain of k serials would otherwise ship k independent
-/// [`RevocationProof`]s whose audit paths share most of their sibling
-/// nodes (all paths meet at the root). A `MultiProof` carries the union
-/// of the leaves needed to answer every query — the revoked leaf for a
-/// present serial; the enclosing/boundary leaves for an absent one — plus
-/// each sibling hash **once**, in a canonical bottom-up order. This is the
-/// §VII-D communication-overhead optimization for multi-certificate chains
-/// (Fig. 7).
+/// [`RevocationProof`]s whose paths share most of their sibling nodes (all
+/// paths meet at the root). A `MultiProof` carries the union of the leaves
+/// needed to answer every query — the revoked leaf for a present serial;
+/// the enclosing/boundary leaves for an absent one — plus each sibling hash
+/// **once**, left to right. This is the §VII-D communication-overhead
+/// optimization for multi-certificate chains (Fig. 7).
 ///
-/// Verification recomputes the root in one bottom-up sweep that combines
-/// included nodes with each other where possible and consumes the sibling
-/// stream otherwise, then answers each query from the authenticated leaf
-/// set.
+/// Verification recomputes the root in one top-down fold over the leaves'
+/// paths, then answers each query from the authenticated leaf set.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MultiProof {
-    /// Included leaves with their indices, strictly ascending by index.
-    pub leaves: Vec<(u64, Leaf)>,
-    /// Deduplicated sibling hashes, bottom-up, ascending index per level.
+    /// Included leaves with their paths, strictly ascending.
+    pub leaves: Vec<(Path, Leaf)>,
+    /// Deduplicated sibling hashes, left to right.
     pub siblings: Vec<Digest20>,
 }
 
@@ -193,15 +198,15 @@ impl MultiProof {
     /// are deduplicated. For an empty tree the proof is empty (the
     /// [`empty_root`] answers every query).
     pub fn generate<T: TreeReader>(tree: &T, serials: &[SerialNumber]) -> Self {
-        let mut leaves = Vec::with_capacity(2 * serials.len());
+        let mut wanted = Vec::with_capacity(2 * serials.len());
         for serial in serials {
-            let (answering, n) = answering_leaves(tree, serial);
-            leaves.extend_from_slice(&answering[..n]);
+            let (found, n) = targets(tree, serial);
+            wanted.extend_from_slice(&found[..n]);
         }
-        leaves.sort_unstable_by_key(|&(i, _)| i);
-        leaves.dedup_by_key(|&mut (i, _)| i);
-        let mut frontier: Vec<usize> = leaves.iter().map(|&(i, _)| i as usize).collect();
-        let siblings = siblings(tree, &mut frontier);
+        wanted.sort_unstable();
+        wanted.dedup();
+        let mut leaves = Vec::with_capacity(wanted.len());
+        let siblings = gather(tree, &wanted, |leaf| leaves.push(leaf));
         MultiProof { leaves, siblings }
     }
 
@@ -224,11 +229,10 @@ impl MultiProof {
             // which must round-trip.
             return Ok(Vec::new());
         }
-        let mut nodes = vec![(0, Digest20::ZERO); self.leaves.len()];
-        self.parts().authenticate(root, size, &mut nodes)?;
+        self.parts().authenticate(root, size)?;
         serials
             .iter()
-            .map(|serial| answer(&self.leaves, serial, size))
+            .map(|serial| answer(&self.leaves, serial))
             .collect()
     }
 
@@ -265,11 +269,14 @@ impl MultiProof {
         r.check_count(leaf_count, MIN_LEAF_LEN, "proof leaf count exceeds buffer")?;
         let mut leaves = Vec::with_capacity(leaf_count);
         for _ in 0..leaf_count {
-            let index = r.varint("proof leaf index")?;
+            let depth = usize::from(r.u8("proof leaf depth")?);
+            let packed = r.slice(depth.div_ceil(8), "proof leaf path")?;
+            let path = Path::from_packed(depth, packed)
+                .ok_or_else(|| DecodeError::new("invalid path", r.position()))?;
             let serial = SerialNumber::new(r.vec8("proof leaf serial")?)
                 .map_err(|_| DecodeError::new("invalid serial", r.position()))?;
             let number = r.varint("proof leaf number")?;
-            leaves.push((index, Leaf { serial, number }));
+            leaves.push((path, Leaf { serial, number }));
         }
         let sib_count = count(&mut r, "proof sibling count")?;
         r.check_count(sib_count, DIGEST_LEN, "proof sibling count exceeds buffer")?;
@@ -292,21 +299,16 @@ impl MultiProof {
 /// The leaves and siblings of either proof, as the codec and the checks
 /// see them.
 struct Parts<'a> {
-    leaves: &'a [(u64, Leaf)],
+    leaves: &'a [(Path, Leaf)],
     siblings: &'a [Digest20],
 }
 
 impl Parts<'_> {
     /// Checks that the leaves and siblings fold to `root` of a `size`-leaf
-    /// tree, using `nodes` (one slot per leaf) for the running nodes.
-    fn authenticate(
-        &self,
-        root: &Digest20,
-        size: u64,
-        nodes: &mut [(u64, Digest20)],
-    ) -> Result<(), ProofError> {
-        if size == 0 {
-            if !self.leaves.is_empty() || !self.siblings.is_empty() {
+    /// tree.
+    fn authenticate(&self, root: &Digest20, size: u64) -> Result<(), ProofError> {
+        if size == 0 || self.leaves.is_empty() {
+            if size != 0 || !self.siblings.is_empty() || !self.leaves.is_empty() {
                 return Err(ProofError::MalformedPath);
             }
             return if *root == empty_root() {
@@ -315,53 +317,19 @@ impl Parts<'_> {
                 Err(ProofError::RootMismatch)
             };
         }
-        // Structural sanity: indices strictly ascending and in range, and
-        // leaf serials strictly ascending in index order (an honest sorted
-        // tree guarantees this; any violation is a forgery).
-        match self.leaves.last() {
-            Some(&(last, _)) if last < size => {}
-            _ => return Err(ProofError::MalformedPath),
-        }
+        // Paths and serials strictly ascending together: an honest trie
+        // reads its leaves in serial order, so any violation is a forgery.
         for w in self.leaves.windows(2) {
             if w[0].0 >= w[1].0 || w[0].1.serial >= w[1].1.serial {
                 return Err(ProofError::WrongIndex);
             }
         }
-        for (node, (index, leaf)) in nodes.iter_mut().zip(self.leaves) {
-            *node = (*index, leaf.hash());
-        }
-        // Fold level by level in place: each pass writes a level's nodes
-        // over the level below, which holds at least as many.
-        let (mut n, mut level_len) = (nodes.len(), size);
         let mut sibs = self.siblings.iter();
-        while level_len > 1 {
-            let (mut i, mut out) = (0, 0);
-            while i < n {
-                let (idx, h) = nodes[i];
-                let sib = idx ^ 1;
-                let combined = if idx % 2 == 0 && i + 1 < n && nodes[i + 1].0 == sib {
-                    i += 1;
-                    node_hash(&h, &nodes[i].1)
-                } else if sib < level_len {
-                    let s = sibs.next().ok_or(ProofError::MalformedPath)?;
-                    if idx % 2 == 0 {
-                        node_hash(&h, s)
-                    } else {
-                        node_hash(s, &h)
-                    }
-                } else {
-                    h // odd node promoted
-                };
-                nodes[out] = (idx / 2, combined);
-                (i, out) = (i + 1, out + 1);
-            }
-            n = out;
-            level_len = level_len.div_ceil(2);
-        }
-        if sibs.next().is_some() || n != 1 {
+        let folded = fold(self.leaves, 0, &mut sibs)?;
+        if sibs.next().is_some() {
             return Err(ProofError::MalformedPath);
         }
-        if nodes[0].1 != *root {
+        if folded != *root {
             return Err(ProofError::RootMismatch);
         }
         Ok(())
@@ -373,7 +341,7 @@ impl Parts<'_> {
             + self
                 .leaves
                 .iter()
-                .map(|(i, l)| varint_len(*i) + 1 + l.serial.len() + varint_len(l.number))
+                .map(|(p, l)| 1 + p.packed().len() + 1 + l.serial.len() + varint_len(l.number))
                 .sum::<usize>()
             + varint_len(self.siblings.len() as u64)
             + DIGEST_LEN * self.siblings.len()
@@ -383,8 +351,9 @@ impl Parts<'_> {
     fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(self.encoded_len());
         w.u8(PROOF_FORMAT).varint(self.leaves.len() as u64);
-        for (index, leaf) in self.leaves {
-            w.varint(*index)
+        for (path, leaf) in self.leaves {
+            w.u8(path.len() as u8)
+                .bytes(path.packed())
                 .vec8(leaf.serial.as_bytes())
                 .varint(leaf.number);
         }
@@ -396,9 +365,63 @@ impl Parts<'_> {
     }
 }
 
+/// The hash of the node at depth `depth` above `leaves` (non-empty,
+/// ascending, sharing their first `depth` directions). Each node down to
+/// where the paths part (or to the one leaf) takes one sibling: left ones
+/// top-down before the subtree, right ones bottom-up after it.
+fn fold(
+    leaves: &[(Path, Leaf)],
+    depth: usize,
+    sibs: &mut core::slice::Iter<'_, Digest20>,
+) -> Result<Digest20, ProofError> {
+    let (first, last) = (&leaves[0].0, &leaves[leaves.len() - 1].0);
+    let fork = match leaves {
+        [_] => first.len(),
+        _ => (depth..first.len().min(last.len()))
+            .find(|&i| first.bit(i) != last.bit(i))
+            // A path that ends above the fork ends at an internal node.
+            .ok_or(ProofError::MalformedPath)?,
+    };
+    let lefts = (depth..fork).filter(|&i| first.bit(i)).count();
+    let left_sibs = take(sibs, lefts)?;
+    let mut hash = match leaves {
+        [(_, leaf)] => leaf.hash(),
+        _ => {
+            let mid = leaves.partition_point(|(path, _)| !path.bit(fork));
+            let left = fold(&leaves[..mid], fork + 1, sibs)?;
+            node_hash(&left, &fold(&leaves[mid..], fork + 1, sibs)?)
+        }
+    };
+    let right_sibs = take(sibs, fork - depth - lefts)?;
+    let (mut left, mut right) = (lefts, 0);
+    for i in (depth..fork).rev() {
+        hash = if first.bit(i) {
+            left -= 1;
+            node_hash(&left_sibs[left], &hash)
+        } else {
+            right += 1;
+            node_hash(&hash, &right_sibs[right - 1])
+        };
+    }
+    Ok(hash)
+}
+
+/// The next `n` siblings.
+fn take<'a>(
+    sibs: &mut core::slice::Iter<'a, Digest20>,
+    n: usize,
+) -> Result<&'a [Digest20], ProofError> {
+    let (taken, rest) = sibs
+        .as_slice()
+        .split_at_checked(n)
+        .ok_or(ProofError::MalformedPath)?;
+    *sibs = rest.iter();
+    Ok(taken)
+}
+
 /// What fills a [`RevocationProof`]'s unused leaf slots.
-fn unused_slot() -> (u64, Leaf) {
-    (0, Leaf::new(SerialNumber::from_u24(0), 0))
+fn unused_slot() -> (Path, Leaf) {
+    (Path::default(), Leaf::new(SerialNumber::from_u24(0), 0))
 }
 
 /// A varint count (saturating on targets narrower than 64 bits, where
@@ -407,63 +430,87 @@ fn count(r: &mut Reader<'_>, context: &'static str) -> Result<usize, DecodeError
     Ok(usize::try_from(r.varint(context)?).unwrap_or(usize::MAX))
 }
 
-/// The leaves that answer `serial`, ascending: its own leaf if revoked,
-/// otherwise the first leaf, the last leaf, or the adjacent pair enclosing
-/// it. One search answers both cases (a present serial is its own lower
-/// bound), and each leaf is read once.
-fn answering_leaves<T: TreeReader>(tree: &T, serial: &SerialNumber) -> ([(u64, Leaf); 2], usize) {
-    let unused = unused_slot();
-    if tree.is_empty() {
-        return ([unused; 2], 0);
+/// Paths [`Path::toward`] the leaves that answer `serial` (its own leaf,
+/// or the first, the last or the adjacent pair enclosing it), ascending.
+///
+/// A walk along the serial's key bits ends at the leaf sharing its longest
+/// key prefix. The serial would join the subtree at the first node on that
+/// walk splitting at or after their first differing bit, as its leftmost or
+/// rightmost leaf: one neighbour is that subtree's extreme leaf, the other
+/// the extreme leaf past the walk's last turn the other way.
+fn targets<T: TreeReader>(tree: &T, serial: &SerialNumber) -> ([Path; 2], usize) {
+    let (mut crits, mut depth) = ([0u8; Path::MAX_LEN], 0);
+    let walk = tree.descend(|crit| {
+        crits[depth] = crit as u8;
+        depth += 1;
+        serial.key_bit(crit)
+    });
+    let Some((at, path)) = walk else {
+        return ([Path::default(); 2], 0);
+    };
+    let other = tree.leaf(at).serial;
+    if other == *serial {
+        return ([path; 2], 1);
     }
-    let at = |i: usize| (i as u64, tree.leaf(i));
-    let lb = tree.lower_bound(serial);
-    if lb == tree.len() {
-        return ([at(lb - 1), unused], 1);
-    }
-    let upper = at(lb);
-    if upper.1.serial == *serial || lb == 0 {
-        ([upper, unused], 1)
+    let crit = serial.crit_bit(&other);
+    let depth = crits[..path.len()].partition_point(|&c| usize::from(c) < crit);
+    // `above`: the serial sorts after every leaf of the subtree it joins.
+    let above = serial.key_bit(crit);
+    let near = path.prefix(depth).toward(above);
+    let Some(turn) = (0..depth).rev().find(|&i| path.bit(i) != above) else {
+        return ([near; 2], 1);
+    };
+    let mut beyond = path.prefix(turn);
+    beyond.push(above);
+    let far = beyond.toward(!above);
+    if above {
+        ([near, far], 2)
     } else {
-        ([at(lb - 1), upper], 2)
+        ([far, near], 2)
     }
 }
 
-/// The siblings that fold `frontier` (strictly ascending leaf indices) up
-/// to the root, bottom-up and ascending per level. `frontier` is scratch:
-/// each level overwrites the one below.
-fn siblings<T: TreeReader>(tree: &T, frontier: &mut [usize]) -> Vec<Digest20> {
-    let mut level_len = tree.len();
-    let depth = (usize::BITS - level_len.saturating_sub(1).leading_zeros()) as usize;
-    let mut out = Vec::with_capacity(frontier.len() * depth);
-    let (mut n, mut level) = (frontier.len(), 0);
-    while level_len > 1 {
-        let (mut i, mut next) = (0, 0);
-        while i < n {
-            let idx = frontier[i];
-            let sib = idx ^ 1;
-            if i + 1 < n && frontier[i + 1] == sib {
-                i += 1; // both children included: combined internally
-            } else if sib < level_len {
-                out.push(tree.level_node(level, sib));
+/// Walks to the leaves at `targets` (ascending), handing each leaf and its
+/// path to `found` once, left to right, and returns the siblings that fold
+/// them up to the root, in the order [`fold`] takes them.
+fn gather<T: TreeReader>(
+    tree: &T,
+    targets: &[Path],
+    mut found: impl FnMut((Path, Leaf)),
+) -> Vec<Digest20> {
+    fn walk<T: TreeReader>(
+        tree: &T,
+        node: T::Node,
+        path: Path,
+        targets: &[Path],
+        found: &mut impl FnMut((Path, Leaf)),
+        out: &mut Vec<Digest20>,
+    ) {
+        let Some((_, children)) = tree.split(node) else {
+            return found((path, tree.leaf(node)));
+        };
+        let mid = targets.partition_point(|t| !t.bit(path.len()));
+        for (right, part) in [(false, &targets[..mid]), (true, &targets[mid..])] {
+            let child = children[usize::from(right)];
+            if part.is_empty() {
+                out.push(tree.digest(child));
+            } else {
+                let mut below = path;
+                below.push(right);
+                walk(tree, child, below, part, found, out);
             }
-            frontier[next] = idx / 2;
-            (i, next) = (i + 1, next + 1);
         }
-        n = next;
-        level_len = level_len.div_ceil(2);
-        level += 1;
+    }
+    let mut out = Vec::with_capacity(24 * targets.len());
+    if let (Some(top), false) = (tree.top(), targets.is_empty()) {
+        walk(tree, top, Path::default(), targets, &mut found, &mut out);
     }
     out
 }
 
-/// The verdict for `serial` from `leaves`, already authenticated against a
-/// `size`-leaf tree (an empty list only ever authenticates for size 0).
-fn answer(
-    leaves: &[(u64, Leaf)],
-    serial: &SerialNumber,
-    size: u64,
-) -> Result<ProvenStatus, ProofError> {
+/// The verdict for `serial` from `leaves`, already authenticated (an empty
+/// list only ever authenticates for an empty dictionary).
+fn answer(leaves: &[(Path, Leaf)], serial: &SerialNumber) -> Result<ProvenStatus, ProofError> {
     if leaves.is_empty() {
         return Ok(ProvenStatus::NotRevoked);
     }
@@ -472,19 +519,30 @@ fn answer(
         Ok(ProvenStatus::Revoked {
             number: leaves[j].1.number,
         })
-    } else if j == 0 && leaves[0].0 != 0 {
+    } else if j == 0 && !leaves[0].0.all(false) {
         // Absent below the smallest included leaf: only sound if that leaf
         // is the tree's first.
         Err(ProofError::SerialOutOfRange)
-    } else if j == leaves.len() && leaves[j - 1].0 != size - 1 {
+    } else if j == leaves.len() && !leaves[j - 1].0.all(true) {
         // Absent above the largest included leaf: it must be the last.
         Err(ProofError::SerialOutOfRange)
-    } else if 0 < j && j < leaves.len() && leaves[j - 1].0 + 1 != leaves[j].0 {
+    } else if 0 < j && j < leaves.len() && !adjacent(&leaves[j - 1].0, &leaves[j].0) {
         // Strictly between two included leaves: they must be adjacent.
         Err(ProofError::WrongIndex)
     } else {
         Ok(ProvenStatus::NotRevoked)
     }
+}
+
+/// Whether leaf paths `pred < succ` are adjacent left to right: `X·0·1*`
+/// and `X·1·0*`.
+fn adjacent(pred: &Path, succ: &Path) -> bool {
+    let fork = (0..pred.len().min(succ.len())).find(|&i| pred.bit(i) != succ.bit(i));
+    fork.is_some_and(|x| {
+        !pred.bit(x)
+            && (x + 1..pred.len()).all(|i| pred.bit(i))
+            && (x + 1..succ.len()).all(|i| !succ.bit(i))
+    })
 }
 
 #[cfg(test)]
@@ -505,18 +563,31 @@ mod tests {
         SerialNumber::from_u24(v)
     }
 
-    /// The one-serial proof with the given leaf indices of `t` (honest or
-    /// forged), with the siblings that fold them.
-    fn proof_of(t: &MerkleTree, indices: &[usize]) -> RevocationProof {
-        let mut leaves = [unused_slot(); 2];
-        for (slot, &i) in leaves.iter_mut().zip(indices) {
-            *slot = (i as u64, t.leaves()[i]);
-        }
+    /// The one-serial proof made of the leaves of `t` for `present` serials
+    /// (honest or forged), with the siblings that fold them.
+    fn proof_of(t: &MerkleTree, present: &[u32]) -> RevocationProof {
+        let wanted: Vec<Path> = present
+            .iter()
+            .map(|&s| match targets(t, &sn(s)) {
+                (found, 1) => found[0],
+                _ => panic!("{s} is not a leaf"),
+            })
+            .collect();
+        let (mut leaves, mut len) = ([unused_slot(); 2], 0);
+        let siblings = gather(t, &wanted, |leaf| {
+            leaves[len] = leaf;
+            len += 1;
+        });
         RevocationProof {
             leaves,
-            len: indices.len(),
-            siblings: siblings(t, &mut indices.to_vec()),
+            len,
+            siblings,
         }
+    }
+
+    /// The leaves a proof carries, without their paths.
+    fn leaves_of(p: &RevocationProof) -> Vec<Leaf> {
+        p.parts().leaves.iter().map(|&(_, l)| l).collect()
     }
 
     #[test]
@@ -529,8 +600,8 @@ mod tests {
 
     #[test]
     fn absence_between_verifies() {
-        // 25 falls between leaves 1 and 2 of 4: their paths meet at level
-        // 2, so the proof carries d + t − 2 = 2 + 2 − 2 = 2 siblings, not 4.
+        // 25 falls between 20 and 30, which share a parent under the root's
+        // left child: the proof carries the leaves 10 and 40 as siblings.
         let t = tree_with(&[10, 20, 30, 40]);
         let p = RevocationProof::generate(&t, &sn(25));
         assert_eq!(p.len, 2);
@@ -545,11 +616,13 @@ mod tests {
     fn absence_below_and_above() {
         let t = tree_with(&[10, 20, 30]);
         let below = RevocationProof::generate(&t, &sn(5));
-        assert_eq!(below.parts().leaves, vec![(0, t.leaves()[0])]);
+        assert_eq!(leaves_of(&below), [t.leaves()[0]]);
+        assert!(below.parts().leaves[0].0.all(false), "the leftmost leaf");
         assert!(below.verify(&sn(5), &t.root(), 3).is_ok());
 
         let above = RevocationProof::generate(&t, &sn(99));
-        assert_eq!(above.parts().leaves, vec![(2, t.leaves()[2])]);
+        assert_eq!(leaves_of(&above), [t.leaves()[2]]);
+        assert!(above.parts().leaves[0].0.all(true), "the rightmost leaf");
         assert!(above.verify(&sn(99), &t.root(), 3).is_ok());
     }
 
@@ -573,10 +646,10 @@ mod tests {
         // *neighbouring* pair as if the serial were absent: the pair holds
         // the serial's own leaf, which answers "revoked".
         let t = tree_with(&[10, 20, 30, 40]);
-        let fake = proof_of(&t, &[0, 1]);
+        let fake = proof_of(&t, &[10, 20]);
         assert!(fake.verify(&sn(20), &t.root(), 4).unwrap().is_revoked());
         // Without its leaf, the pair around it is not adjacent.
-        let fake = proof_of(&t, &[0, 2]);
+        let fake = proof_of(&t, &[10, 30]);
         assert_eq!(
             fake.verify(&sn(20), &t.root(), 4),
             Err(ProofError::WrongIndex)
@@ -587,7 +660,7 @@ mod tests {
     fn nonadjacent_pair_rejected() {
         // Leaves 10 and 30 exist, 20 exists between them but the RA skips it.
         let t = tree_with(&[10, 20, 30]);
-        let fake = proof_of(&t, &[0, 2]);
+        let fake = proof_of(&t, &[10, 30]);
         assert_eq!(
             fake.verify(&sn(15), &t.root(), 3),
             Err(ProofError::WrongIndex)
@@ -621,7 +694,7 @@ mod tests {
     #[test]
     fn below_proof_with_interior_index_rejected() {
         let t = tree_with(&[10, 20, 30]);
-        let fake = proof_of(&t, &[1]);
+        let fake = proof_of(&t, &[20]);
         assert_eq!(
             fake.verify(&sn(5), &t.root(), 3),
             Err(ProofError::SerialOutOfRange)
@@ -656,7 +729,7 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(RevocationProof::from_bytes(&[]).is_err());
-        for tag in 0..=4 {
+        for tag in 0..=5 {
             assert!(RevocationProof::from_bytes(&[tag, 0, 0]).is_err(), "{tag}");
         }
         let t = tree_with(&[10]);
@@ -686,11 +759,10 @@ mod tests {
     fn non_minimal_varints_rejected() {
         let t = tree_with(&[10, 20, 30]);
         let good = RevocationProof::generate(&t, &sn(20)).to_bytes();
-        // format, leaf count 1, index 1: pad the index to two bytes.
-        assert_eq!(good[..3], [PROOF_FORMAT, 1, 1]);
-        let mut padded = good[..2].to_vec();
-        padded.extend_from_slice(&[0x81, 0x00]);
-        padded.extend_from_slice(&good[3..]);
+        // format, leaf count 1: pad the count to two bytes.
+        assert_eq!(good[..2], [PROOF_FORMAT, 1]);
+        let mut padded = vec![PROOF_FORMAT, 0x81, 0x00];
+        padded.extend_from_slice(&good[2..]);
         assert!(RevocationProof::from_bytes(&padded).is_err());
     }
 
@@ -792,8 +864,8 @@ mod tests {
         let old = tree_with(&[10, 20, 30]);
         let queries = [sn(20), sn(25)];
         let mp = MultiProof::generate(&old, &queries);
-        // Size change reshapes the sweep (MalformedPath); same-size content
-        // change yields RootMismatch. Either way the stale proof dies.
+        // A new leaf changes the root; so does a same-shape change of one
+        // leaf. Either way the stale proof dies.
         let new = tree_with(&[10, 20, 25, 30]);
         assert!(mp.verify(&queries, &new.root(), 4).is_err());
         let swapped = tree_with(&[10, 20, 31]);
@@ -848,5 +920,27 @@ mod tests {
         // 1024/16 = 64x more leaves but only +6 path entries (120 bytes).
         assert!(pb > ps);
         assert!(pb - ps <= 6 * 20 + 8, "growth should be ~6 digests");
+    }
+
+    #[test]
+    fn paths_must_be_canonical_and_end_at_leaves() {
+        let t = tree_with(&[10, 20, 30, 40, 50]);
+        let honest = MultiProof::generate(&t, &[sn(30)]);
+        // The leaf's path with a padding bit set does not decode.
+        let mut bytes = honest.to_bytes();
+        let depth = honest.leaves[0].0.len();
+        assert!(!depth.is_multiple_of(8));
+        bytes[3] |= 1;
+        assert!(MultiProof::from_bytes(&bytes).is_err());
+        // A path one step short names an internal node: its hash is a node
+        // hash, never the leaf's.
+        let mut short = honest.clone();
+        short.leaves[0].0 = short.leaves[0].0.prefix(depth - 1);
+        short.siblings.pop();
+        assert!(short.verify(&[sn(30)], &t.root(), 5).is_err());
+        // Two leaves on one path: the shorter one would be internal.
+        let mut nested = MultiProof::generate(&t, &[sn(30), sn(40)]);
+        nested.leaves[0].0 = nested.leaves[1].0.prefix(1);
+        assert!(nested.verify(&[sn(30)], &t.root(), 5).is_err());
     }
 }

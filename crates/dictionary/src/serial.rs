@@ -123,11 +123,24 @@ impl SerialNumber {
         }
     }
 
-    /// The first 4 bytes, zero-padded, as a big-endian integer. Serials
-    /// whose prefixes differ compare as their prefixes do; equal prefixes
-    /// say nothing.
-    pub(crate) fn prefix(&self) -> u32 {
-        u32::from_be_bytes(self.bytes[..4].try_into().expect("4 bytes"))
+    /// Bit `i` of the serial's trie key: each byte as `1‖b` (9 bits, most
+    /// significant first), then a final `0`; bits past the key read `0`.
+    /// Keys compare as serials do — a prefix first — and no key is a prefix
+    /// of another, so two distinct serials differ at [`Self::crit_bit`].
+    pub fn key_bit(&self, i: usize) -> bool {
+        let (byte, bit) = (i / 9, i % 9);
+        byte < self.len() && (bit == 0 || (self.bytes[byte] >> (8 - bit)) & 1 == 1)
+    }
+
+    /// The first key bit at which this serial and a *different* `other`
+    /// differ: the bit a crit-bit trie splits the two at.
+    pub fn crit_bit(&self, other: &Self) -> usize {
+        let (a, b) = (self.as_bytes(), other.as_bytes());
+        let common = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+        match (a.get(common), b.get(common)) {
+            (Some(x), Some(y)) => 9 * common + 1 + (x ^ y).leading_zeros() as usize,
+            _ => 9 * common,
+        }
     }
 }
 
@@ -207,6 +220,29 @@ mod tests {
     fn display_is_hex() {
         let s = SerialNumber::new(&[0xde, 0xad]).unwrap();
         assert_eq!(s.to_string(), "dead");
+    }
+
+    #[test]
+    fn key_bits_order_like_serials() {
+        let serials: Vec<SerialNumber> = [&[0u8][..], &[0, 0], &[1], &[1, 0], &[1, 0x80], &[0xff]]
+            .iter()
+            .map(|b| SerialNumber::new(b).unwrap())
+            .collect();
+        let key = |s: &SerialNumber| {
+            (0..9 * s.len() + 1)
+                .map(|i| s.key_bit(i))
+                .collect::<Vec<_>>()
+        };
+        for a in &serials {
+            assert!(!a.key_bit(9 * a.len()), "terminator of {a}");
+            for b in serials.iter().filter(|b| *b != a) {
+                let c = a.crit_bit(b);
+                assert_eq!(c, b.crit_bit(a));
+                assert_eq!(key(a)[..c], key(b)[..c], "{a} and {b} agree before {c}");
+                assert_ne!(a.key_bit(c), b.key_bit(c));
+                assert_eq!(a < b, b.key_bit(c), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

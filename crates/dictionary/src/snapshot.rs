@@ -22,6 +22,7 @@ use crate::persistent::PersistentTree;
 use crate::proof::{MultiProof, RevocationProof};
 use crate::root::{CaId, SignedRoot};
 use crate::serial::SerialNumber;
+use crate::tree::TreeReader;
 use parking_lot::RwLock;
 use ritm_crypto::ed25519::VerifyingKey;
 use std::sync::Arc;
@@ -41,8 +42,8 @@ pub struct DictionarySnapshot {
     /// [`PersistentTree`] bumps one `Arc` per chunk, so publication costs
     /// O(chunks) regardless of dictionary size, and republications share
     /// every chunk the writer has not dirtied since. That includes the
-    /// tree's serial log: the mirror truncating it to roll a rejected batch
-    /// back copies the chunks it cuts, so the snapshot keeps its serials.
+    /// tree's serial log: a batch appended after the publish copies the
+    /// chunks it writes, so the snapshot keeps its serials.
     tree: PersistentTree,
     signed_root: SignedRoot,
     freshness: FreshnessStatement,
@@ -129,7 +130,7 @@ impl DictionarySnapshot {
         self.tree.find(serial).is_some()
     }
 
-    /// Generates the bare audit-path proof for `serial` (`&self`; any
+    /// Generates the bare proof for `serial` (`&self`; any
     /// number of threads may prove concurrently).
     pub fn proof(&self, serial: &SerialNumber) -> RevocationProof {
         RevocationProof::generate(&self.tree, serial)

@@ -10,7 +10,7 @@ use ritm_crypto::{Digest20, SigningKey};
 use ritm_dictionary::chunk::CHUNK;
 use ritm_dictionary::persistent::PersistentTree;
 use ritm_dictionary::proof::PROOF_FORMAT;
-use ritm_dictionary::tree::{empty_root, node_hash, Leaf, MerkleTree};
+use ritm_dictionary::tree::{empty_root, node_hash, Leaf, MerkleTree, Path, TreeReader};
 use ritm_dictionary::{
     CaDictionary, CaId, MirrorDictionary, MultiProof, ProvenStatus, RefreshMessage,
     RevocationIssuance, RevocationProof, RevocationStatus, SerialNumber, SignedRoot, UpdateError,
@@ -166,9 +166,8 @@ proptest! {
 
     /// The incremental engine is bit-identical to full rebuilds: for any
     /// sequence of batches, `PersistentTree::apply_sorted_batch` produces
-    /// the same root and the same audit path for every leaf as the
-    /// reference built from scratch, and the epoch advances with every
-    /// applied batch.
+    /// the same leaves, root and proof bytes for every leaf as the reference
+    /// built from scratch, and the epoch advances with every applied batch.
     #[test]
     fn incremental_batches_match_full_rebuild(
         batches in prop::collection::vec(prop::collection::vec(0u32..10_000, 1..60), 1..8),
@@ -180,20 +179,9 @@ proptest! {
             // Canonicalize like the dictionary layer: drop serials already
             // present (and intra-batch duplicates), number in issuance
             // order, sort by serial.
-            let mut fresh: Vec<Leaf> = Vec::new();
-            for &v in batch {
-                let serial = SerialNumber::from_u24(v);
-                if incremental.find(&serial).is_none()
-                    && fresh.iter().all(|l| l.serial != serial)
-                {
-                    number += 1;
-                    fresh.push(Leaf::new(serial, number));
-                }
-            }
-            fresh.sort_by_key(|l| l.serial);
+            let fresh = fresh_leaves(&incremental, batch, &mut number);
             let epoch_before = incremental.epoch();
-            let fast_path = incremental.apply_sorted_batch(&fresh);
-            prop_assert!(fast_path, "canonical batches must take the incremental path");
+            incremental.apply_sorted_batch(&fresh);
             if fresh.is_empty() {
                 prop_assert_eq!(incremental.epoch(), epoch_before);
             } else {
@@ -202,14 +190,15 @@ proptest! {
             epochs_seen.push(incremental.epoch());
 
             // Reference: identical leaves, built from scratch.
-            let reference = MerkleTree::from_leaves(incremental.iter_leaves().copied());
+            let reference = logged_reference(&incremental);
+            prop_assert_eq!(in_order(&incremental), reference.leaves());
             prop_assert_eq!(reference.root(), incremental.root());
             prop_assert_eq!(reference.len(), incremental.len());
-            for i in 0..incremental.len() {
+            for leaf in reference.leaves() {
                 prop_assert_eq!(
-                    reference.audit_path(i),
-                    incremental.audit_path(i),
-                    "audit path {} diverged after batch", i
+                    RevocationProof::generate(&reference, &leaf.serial).to_bytes(),
+                    RevocationProof::generate(&incremental, &leaf.serial).to_bytes(),
+                    "proof of {:?} diverged after batch", leaf.serial
                 );
             }
         }
@@ -219,42 +208,30 @@ proptest! {
         );
     }
 
-    /// Rolling back a batch (`remove_sorted_batch`) restores the exact
-    /// pre-batch root and audit paths — the mirror's verify-then-commit
-    /// guarantee without an O(n) scratch clone.
+    /// Rolling back a batch — dropping the copy-on-write clone it was
+    /// applied to, as a mirror does when the batch's signed root does not
+    /// match — leaves the tree's root and every proof exactly as before.
     #[test]
     fn batch_rollback_restores_previous_tree(
         initial in prop::collection::vec(0u32..5_000, 1..80),
         batch in prop::collection::vec(5_000u32..6_000, 1..30),
     ) {
-        let mut tree = PersistentTree::new();
-        let mut leaves: Vec<Leaf> = initial
-            .iter()
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .enumerate()
-            .map(|(i, &v)| Leaf::new(SerialNumber::from_u24(v), i as u64 + 1))
-            .collect();
-        leaves.sort_by_key(|l| l.serial);
-        tree.apply_sorted_batch(&leaves);
-        let reference = MerkleTree::from_leaves(leaves);
+        let mut number = 0;
+        let tree = PersistentTree::from_sorted_leaves(fresh_leaves(&PersistentTree::new(), &initial, &mut number));
+        let reference = logged_reference(&tree);
         prop_assert_eq!(tree.root(), reference.root());
 
-        let fresh: Vec<Leaf> = batch
-            .iter()
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .enumerate()
-            .map(|(i, &v)| Leaf::new(SerialNumber::from_u24(v), (tree.len() + 1 + i) as u64))
-            .collect();
-        tree.apply_sorted_batch(&fresh);
-        prop_assert_ne!(tree.root(), reference.root());
-        let serials: Vec<SerialNumber> = fresh.iter().map(|l| l.serial).collect();
-        let removed = tree.remove_sorted_batch(&serials);
-        prop_assert_eq!(removed, fresh.len());
+        let mut applied = tree.clone();
+        applied.apply_sorted_batch(&fresh_leaves(&tree, &batch, &mut number));
+        prop_assert_ne!(applied.root(), reference.root());
+        drop(applied);
         prop_assert_eq!(tree.root(), reference.root());
-        for i in 0..reference.len() {
-            prop_assert_eq!(tree.audit_path(i), reference.audit_path(i));
+        prop_assert_eq!(in_order(&tree), reference.leaves());
+        for s in initial.iter().chain(&batch).map(|&v| SerialNumber::from_u24(v)) {
+            prop_assert_eq!(
+                RevocationProof::generate(&tree, &s).to_bytes(),
+                RevocationProof::generate(&reference, &s).to_bytes()
+            );
         }
     }
 
@@ -334,12 +311,12 @@ proptest! {
     }
 
     /// The structurally-shared tree is bit-equivalent to the reference:
-    /// over a random interleaving of batches, rollbacks, and publishes
-    /// (clones), it holds the leaves a plain model says it should, and its
-    /// root, audit paths, and proof and multiproof bytes equal those of a
-    /// `MerkleTree` built from scratch after every step — and every
-    /// published snapshot keeps serving its frozen epoch's exact root and
-    /// paths while the writer keeps mutating.
+    /// over a random interleaving of batches, rejected batches (applied to
+    /// a clone that is then dropped), and publishes (clones), it holds the
+    /// leaves a plain model says it should, and its root and proof and
+    /// multiproof bytes equal those of a `MerkleTree` built from scratch
+    /// after every step — and every published snapshot keeps serving its
+    /// frozen epoch's exact root and proofs while the writer keeps mutating.
     #[test]
     fn persistent_tree_matches_dense_over_interleavings(
         rounds in prop::collection::vec(
@@ -355,88 +332,66 @@ proptest! {
         // The leaves the tree should hold, in no particular order.
         let mut model: Vec<Leaf> = Vec::new();
         let mut number = 0u64;
-        // Published snapshots with the reference root frozen at publish time.
-        let mut published: Vec<(PersistentTree, ritm_crypto::digest::Digest20, usize)> = Vec::new();
+        // Published snapshots with the reference root and the proof bytes
+        // for `queries` frozen at publish time.
+        let mut published: Vec<(PersistentTree, Digest20, Vec<u8>)> = Vec::new();
         let qs: Vec<SerialNumber> = queries.iter().map(|&v| SerialNumber::from_u24(v)).collect();
 
         for (batch, action) in &rounds {
-            // Canonicalize like the dictionary layer: unique fresh serials,
-            // numbered in issuance order, sorted by serial.
-            let mut fresh: Vec<Leaf> = Vec::new();
-            for &v in batch {
-                let serial = SerialNumber::from_u24(v);
-                if persistent.find(&serial).is_none() && fresh.iter().all(|l| l.serial != serial) {
-                    number += 1;
-                    fresh.push(Leaf::new(serial, number));
-                }
-            }
-            fresh.sort_by_key(|l| l.serial);
-            prop_assert!(persistent.apply_sorted_batch(&fresh));
-            model.extend_from_slice(&fresh);
-
-            if action % 3 == 1 && !fresh.is_empty() {
-                // Roll the batch straight back out.
-                let serials: Vec<SerialNumber> = fresh.iter().map(|l| l.serial).collect();
-                prop_assert_eq!(persistent.remove_sorted_batch(&serials), fresh.len());
-                model.truncate(model.len() - fresh.len());
-                number -= fresh.len() as u64;
+            let before = number;
+            let fresh = fresh_leaves(&persistent, batch, &mut number);
+            if action % 3 == 1 {
+                // A rejected batch: applied to a clone, then dropped.
+                let mut applied = persistent.clone();
+                applied.apply_sorted_batch(&fresh);
+                number = before;
+            } else {
+                persistent.apply_sorted_batch(&fresh);
+                model.extend_from_slice(&fresh);
             }
 
             // Bit-equivalence with the reference after every round.
             let reference = MerkleTree::from_leaves(model.iter().copied());
-            prop_assert!(persistent.iter_leaves().eq(reference.leaves()), "leaves diverged");
+            prop_assert_eq!(in_order(&persistent), reference.leaves(), "leaves diverged");
             prop_assert_eq!(persistent.root(), reference.root());
-            for i in 0..reference.len() {
-                prop_assert_eq!(persistent.audit_path(i), reference.audit_path(i), "path {}", i);
-            }
             prop_assert_eq!(
-                ritm_dictionary::MultiProof::generate(&reference, &qs).to_bytes(),
-                ritm_dictionary::MultiProof::generate(&persistent, &qs).to_bytes(),
+                MultiProof::generate(&reference, &qs).to_bytes(),
+                MultiProof::generate(&persistent, &qs).to_bytes(),
                 "multiproof bytes diverged"
             );
-            for q in &qs {
+            for q in qs.iter().chain(model.iter().map(|l| &l.serial)) {
                 prop_assert_eq!(
-                    ritm_dictionary::RevocationProof::generate(&reference, q).to_bytes(),
-                    ritm_dictionary::RevocationProof::generate(&persistent, q).to_bytes()
+                    RevocationProof::generate(&reference, q).to_bytes(),
+                    RevocationProof::generate(&persistent, q).to_bytes()
                 );
             }
 
             if action % 3 == 0 {
                 // Publish: freeze the persistent tree (O(chunks) clone).
-                published.push((persistent.clone(), reference.root(), reference.len()));
+                let proof = MultiProof::generate(&reference, &qs).to_bytes();
+                published.push((persistent.clone(), reference.root(), proof));
             }
         }
 
         // Every snapshot published along the way still serves its frozen
         // state — later copy-on-write mutations must never reach into a
         // shared chunk.
-        for (snap, root, len) in &published {
+        for (snap, root, proof) in &published {
             prop_assert_eq!(snap.root(), *root);
-            prop_assert_eq!(snap.len(), *len);
-            if *len > 0 {
-                let i = len - 1;
-                let path = snap.audit_path(i);
-                let got = ritm_dictionary::tree::root_from_path(
-                    i,
-                    *len,
-                    snap.leaf(i).hash(),
-                    &path,
-                );
-                prop_assert_eq!(got, Some(*root), "published snapshot path broke");
-            }
+            prop_assert_eq!(&MultiProof::generate(snap, &qs).to_bytes(), proof);
+            let size = snap.len() as u64;
+            prop_assert!(MultiProof::generate(snap, &qs).verify(&qs, root, size).is_ok());
         }
     }
 
-    /// The persistent tree's whole-chunk merge at the chunk boundaries it
-    /// creates: a dictionary of `k·CHUNK − 1`, `k·CHUNK` or `k·CHUNK + 1`
-    /// leaves, a dirty front just before, at or just after a chunk edge,
-    /// and a batch of `CHUNK − 1`, `CHUNK` or `CHUNK + 1` leaves (or a
-    /// couple), clustered in one gap or spread, with a snapshot published
-    /// before the batch and held across it. Persistent ≡ reference (root,
-    /// every audit path, multiproof bytes); every chunk left of the front stays
-    /// shared with the snapshot; and rolling the batch back — what a mirror
-    /// does when the batch's signed root does not commit to it — leaves the
-    /// tree bit-identical to the snapshot.
+    /// Copy-on-write at the chunk boundaries: a dictionary of `k·CHUNK − 1`,
+    /// `k·CHUNK` or `k·CHUNK + 1` leaves, and a batch of `CHUNK − 1`,
+    /// `CHUNK` or `CHUNK + 1` leaves (or a couple), clustered in one gap or
+    /// spread, with a snapshot published before the batch and held across
+    /// it. Persistent ≡ reference (root, leaves, multiproof bytes); the
+    /// snapshot keeps its root and proofs; and dropping the batch's clone —
+    /// what a mirror does when the batch's signed root does not commit to
+    /// it — leaves the tree bit-identical to the snapshot.
     #[test]
     fn persistent_merge_at_chunk_boundaries(
         k in 1usize..=3,
@@ -464,19 +419,13 @@ proptest! {
             .collect();
         batch.sort_by_key(|l| l.serial);
 
-        let mut persistent = PersistentTree::new();
-        persistent.apply_sorted_batch(&base);
-        let snapshot = persistent.clone();
-        let levels = 1 + (usize::BITS - (n + batch_len - 1).leading_zeros()) as usize;
-
-        prop_assert!(persistent.apply_sorted_batch(&batch));
+        let snapshot = PersistentTree::from_sorted_leaves(base.iter().copied());
+        let mut persistent = snapshot.clone();
+        persistent.apply_sorted_batch(&batch);
         let reference = MerkleTree::from_leaves(base.iter().chain(&batch).copied());
         prop_assert_eq!(persistent.root(), reference.root());
         prop_assert_eq!(persistent.len(), n + batch_len);
-        for i in 0..reference.len() {
-            prop_assert_eq!(persistent.leaf(i), reference.leaves()[i]);
-            prop_assert_eq!(persistent.audit_path(i), reference.audit_path(i), "path {}", i);
-        }
+        prop_assert_eq!(in_order(&persistent), reference.leaves());
         let probes = [0, front.saturating_sub(1), front, CHUNK - 1, CHUNK, CHUNK + 1, reference.len() - 1];
         let mut queries: Vec<SerialNumber> = probes
             .iter()
@@ -485,47 +434,26 @@ proptest! {
         queries.push(SerialNumber::from_u64(((front as u64) << 16) + 0x8000)); // absent
         queries.push(SerialNumber::from_u64(u64::MAX)); // absent, past the end
         prop_assert_eq!(
-            ritm_dictionary::MultiProof::generate(&persistent, &queries).to_bytes(),
-            ritm_dictionary::MultiProof::generate(&reference, &queries).to_bytes()
+            MultiProof::generate(&persistent, &queries).to_bytes(),
+            MultiProof::generate(&reference, &queries).to_bytes()
         );
 
-        // Leaves and level 0 are cut at the front, level l at front >> l:
-        // every whole chunk left of that cut is still the snapshot's. Only
-        // level 0 and levels >= 3 are stored.
-        let left_of_front = front / CHUNK
-            + (0..levels)
-                .filter(|&l| l == 0 || l >= 3)
-                .map(|l| (front >> l) / CHUNK)
-                .sum::<usize>();
-        prop_assert_eq!(persistent.shared_chunks_with(&snapshot), left_of_front);
+        // The snapshot still serves the base dictionary.
+        let base_reference = MerkleTree::from_leaves(base.iter().copied());
         prop_assert_eq!(snapshot.len(), n);
-        for i in [0, front.saturating_sub(1), n - 1] {
-            prop_assert_eq!(
-                ritm_dictionary::tree::root_from_path(i, n, snapshot.leaf(i).hash(), &snapshot.audit_path(i)),
-                Some(snapshot.root())
-            );
-        }
+        prop_assert_eq!(snapshot.root(), base_reference.root());
+        prop_assert_eq!(
+            MultiProof::generate(&snapshot, &queries).to_bytes(),
+            MultiProof::generate(&base_reference, &queries).to_bytes()
+        );
 
         // A forged signed root: one batch leaf's revocation number changed.
         let mut forged_batch = batch.clone();
         forged_batch[0].number += 1;
         let forged = MerkleTree::from_leaves(base.iter().chain(&forged_batch).copied());
         prop_assert_ne!(persistent.root(), forged.root());
-        // Roll back as the mirror does, serials in issuance order.
-        let mut issued: Vec<Leaf> = batch.clone();
-        issued.sort_by_key(|l| l.number);
-        let serials: Vec<SerialNumber> = issued.iter().map(|l| l.serial).collect();
-        prop_assert_eq!(persistent.remove_sorted_batch(&serials), batch_len);
-        let reference = MerkleTree::from_leaves(base);
-        prop_assert_eq!(persistent.root(), snapshot.root());
-        prop_assert_eq!(persistent.root(), reference.root());
-        prop_assert_eq!(persistent.len(), n);
-        for i in 0..n {
-            prop_assert_eq!(persistent.leaf(i), snapshot.leaf(i));
-            let path = persistent.audit_path(i);
-            prop_assert_eq!(&path, &snapshot.audit_path(i), "path {} after rollback", i);
-            prop_assert_eq!(&path, &reference.audit_path(i));
-        }
+        drop(persistent);
+        prop_assert_eq!(in_order(&snapshot), base_reference.leaves());
     }
 
     /// A replayed (stale) signed root from before the latest insert must not
@@ -721,13 +649,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The tree's 8-byte entries compare serial prefixes and read the log
-    /// only on a tie. Over serials that tie: ones sharing a 4-byte prefix,
-    /// ones of every length from 1 to 20 bytes under one first byte, and
-    /// `[1,2,3]` padded with 0–17 zero bytes, batches applied one by one
-    /// land on the reference's root, leaves, audit paths and multiproof
-    /// bytes; `find` and `lower_bound` agree with a byte-order search of
-    /// the reference's leaves; and the log reads back in issuance order.
+    /// Serials whose keys tie on long prefixes: ones sharing a 4-byte
+    /// prefix, ones of every length from 1 to 20 bytes under one first
+    /// byte, and `[1,2,3]` padded with 0–17 zero bytes (each a prefix of
+    /// the next). Batches applied one by one land on the reference's root,
+    /// leaves and proof and multiproof bytes, and on the root of the trie
+    /// by definition; `find` agrees with a byte-order search of the
+    /// reference's leaves; and the log reads back in issuance order.
     #[test]
     fn prefix_ties_match_the_reference(
         batches in prop::collection::vec(prop::collection::vec(tie_serial(), 1..40), 1..5),
@@ -744,28 +672,62 @@ proptest! {
             }
             log.extend(fresh.iter().map(|l| l.serial));
             fresh.sort_by_key(|l| l.serial);
-            prop_assert!(tree.apply_sorted_batch(&fresh));
+            tree.apply_sorted_batch(&fresh);
 
             let reference = reference_tree(&log);
             prop_assert_eq!(tree.root(), reference.root());
             prop_assert_eq!(tree.root(), reference_root(&log));
-            for i in 0..reference.len() {
-                prop_assert_eq!(tree.leaf(i), reference.leaves()[i]);
-                prop_assert_eq!(tree.audit_path(i), reference.audit_path(i), "path {}", i);
-            }
+            prop_assert_eq!(in_order(&tree), reference.leaves());
             let leaves = reference.leaves();
             for q in queries.iter().chain(&log) {
-                let below = leaves.partition_point(|l| l.serial.as_bytes() < q.as_bytes());
-                prop_assert_eq!(tree.lower_bound(q), below, "lower_bound {:?}", q);
-                let at = leaves.iter().position(|l| l.serial == *q);
-                prop_assert_eq!(tree.find(q), at, "find {:?}", q);
+                let at = leaves.iter().find(|l| l.serial.as_bytes() == q.as_bytes());
+                prop_assert_eq!(tree.find(q), at.copied(), "find {:?}", q);
+                prop_assert_eq!(
+                    RevocationProof::generate(&tree, q).to_bytes(),
+                    RevocationProof::generate(&reference, q).to_bytes()
+                );
             }
             prop_assert_eq!(
-                ritm_dictionary::MultiProof::generate(&tree, &queries).to_bytes(),
-                ritm_dictionary::MultiProof::generate(&reference, &queries).to_bytes()
+                MultiProof::generate(&tree, &queries).to_bytes(),
+                MultiProof::generate(&reference, &queries).to_bytes()
             );
             prop_assert_eq!(tree.log().range(0, tree.len()), log.clone());
         }
+    }
+
+    /// The trie is history-independent: one set of leaves inserted in any
+    /// order of serials (each numbered as it arrives) and cut into any
+    /// batches reaches the root of a bulk load of the same leaves, the
+    /// reference's, and the root by definition.
+    #[test]
+    fn any_order_or_batching_of_one_set_gives_one_root(
+        serials in prop::collection::vec(0u32..100_000, 1..300),
+        order in prop::collection::vec(any::<u32>(), 300),
+        cuts in prop::collection::vec(any::<u16>(), 0..6),
+    ) {
+        let serials: BTreeSet<u32> = serials.into_iter().collect();
+        let mut arrival: Vec<SerialNumber> = serials.iter().map(|&v| SerialNumber::from_u24(v)).collect();
+        let keys: Vec<u32> = order[..arrival.len()].to_vec();
+        let mut by_key: Vec<(u32, SerialNumber)> = keys.into_iter().zip(arrival).collect();
+        by_key.sort();
+        arrival = by_key.into_iter().map(|(_, s)| s).collect();
+        let leaves: Vec<Leaf> = arrival.iter().zip(1..).map(|(&s, n)| Leaf::new(s, n)).collect();
+
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % (leaves.len() + 1)).collect();
+        cuts.extend([0, leaves.len()]);
+        cuts.sort_unstable();
+        let mut batched = PersistentTree::new();
+        for w in cuts.windows(2) {
+            let mut batch = leaves[w[0]..w[1]].to_vec();
+            batch.sort_by_key(|l| l.serial);
+            batched.apply_sorted_batch(&batch);
+        }
+        let mut sorted = leaves.clone();
+        sorted.sort_by_key(|l| l.serial);
+        let bulk = PersistentTree::from_sorted_leaves(sorted);
+        prop_assert_eq!(batched.root(), bulk.root());
+        prop_assert_eq!(batched.root(), MerkleTree::from_leaves(leaves).root());
+        prop_assert_eq!(batched.root(), reference_root(&arrival));
     }
 
     /// A mirror that rejects a validly signed batch whose serials do not
@@ -827,7 +789,7 @@ proptest! {
 
     /// Decoding attacker bytes never panics, and allocates no more than the
     /// input pays for: a leaf takes at least 4 encoded bytes, so its
-    /// decoded entry may cost `size_of::<(u64, Leaf)>() / 4` bytes per
+    /// decoded entry may cost `size_of::<(Path, Leaf)>() / 4` bytes per
     /// input byte, and a 20-byte sibling no more than its encoding. Inputs
     /// are random, random behind the format byte, counts up to 2^64 behind
     /// it, and honest proofs cut short or extended.
@@ -857,7 +819,7 @@ proptest! {
                 bytes
             }
         };
-        let per_byte = std::mem::size_of::<(u64, Leaf)>().div_ceil(4);
+        let per_byte = std::mem::size_of::<(Path, Leaf)>().div_ceil(4);
         let (single, bytes) = allocated_by(|| RevocationProof::from_bytes(&input));
         prop_assert!(bytes <= per_byte * input.len(), "{} B for {} B", bytes, input.len());
         let (multi, bytes) = allocated_by(|| MultiProof::from_bytes(&input));
@@ -902,9 +864,8 @@ proptest! {
     }
 
     /// Each integer has one encoding: padding any varint of an honest proof
-    /// (a count, a leaf index or a revocation number) with an empty 7-bit
-    /// group is rejected, while the unpadded re-encoding is the proof's own
-    /// bytes.
+    /// (a count or a revocation number) with an empty 7-bit group is
+    /// rejected, while the unpadded re-encoding is the proof's own bytes.
     #[test]
     fn non_minimal_varints_are_rejected(
         serials in prop::collection::vec(0u32..100_000, 1..400),
@@ -915,7 +876,7 @@ proptest! {
         let queries: Vec<SerialNumber> =
             queries.into_iter().map(SerialNumber::from_u24).collect();
         let proof = MultiProof::generate(&tree, &queries);
-        let fields = 2 + 2 * proof.leaves.len();
+        let fields = 2 + proof.leaves.len();
         prop_assert_eq!(encode_padding(&proof, None), proof.to_bytes());
         let padded = encode_padding(&proof, Some(field % fields));
         prop_assert!(MultiProof::from_bytes(&padded).is_err());
@@ -985,9 +946,9 @@ fn tree_of(serials: &[u32]) -> MerkleTree {
 }
 
 /// `proof` in the documented grammar — format byte; leaf count; per leaf
-/// index, serial and number; sibling count; siblings — with varint
-/// `padded` (counted in that order) written one empty group longer than
-/// it needs.
+/// path depth, packed path, serial and number; sibling count; siblings —
+/// with varint `padded` (counted in that order) written one empty group
+/// longer than it needs.
 fn encode_padding(proof: &MultiProof, padded: Option<usize>) -> Vec<u8> {
     let mut out = vec![PROOF_FORMAT];
     let mut field = 0;
@@ -1003,8 +964,9 @@ fn encode_padding(proof: &MultiProof, padded: Option<usize>) -> Vec<u8> {
         out.extend_from_slice(&bytes);
     };
     varint(&mut out, proof.leaves.len() as u64);
-    for (index, leaf) in &proof.leaves {
-        varint(&mut out, *index);
+    for (path, leaf) in &proof.leaves {
+        out.push(path.len() as u8);
+        out.extend_from_slice(path.packed());
         out.push(leaf.serial.len() as u8);
         out.extend_from_slice(leaf.serial.as_bytes());
         varint(&mut out, leaf.number);
@@ -1088,29 +1050,74 @@ fn reference_tree(log: &[SerialNumber]) -> MerkleTree {
     MerkleTree::from_leaves(log.iter().zip(1..).map(|(&s, n)| Leaf::new(s, n)))
 }
 
-/// The root by definition, independent of `SerialNumber`'s `Ord`: leaves
-/// numbered in `log` order and sorted by their bytes, hashed, then paired
-/// level by level with an odd node promoted.
+/// The root by definition, independent of `SerialNumber`'s `Ord` and of
+/// its key bits: leaves numbered in `log` order, keyed by their bytes
+/// spelled out as bits (`1‖b` per byte, then `0`), and split recursively at
+/// the first position where their keys differ.
 fn reference_root(log: &[SerialNumber]) -> Digest20 {
-    let mut leaves: Vec<Leaf> = log
-        .iter()
-        .zip(1u64..)
-        .map(|(&s, n)| Leaf::new(s, n))
-        .collect();
-    leaves.sort_by(|a, b| a.serial.as_bytes().cmp(b.serial.as_bytes()));
-    let mut level: Vec<Digest20> = leaves.iter().map(Leaf::hash).collect();
-    if level.is_empty() {
+    fn key(serial: &SerialNumber) -> Vec<bool> {
+        let mut bits = Vec::new();
+        for &byte in serial.as_bytes() {
+            bits.push(true);
+            bits.extend((0..8).rev().map(|i| (byte >> i) & 1 == 1));
+        }
+        bits.push(false);
+        bits
+    }
+    fn split(set: &[(Vec<bool>, Leaf)]) -> Digest20 {
+        let width = set.iter().map(|(k, _)| k.len()).min().expect("a leaf");
+        let Some(differs) = (0..width).find(|&i| set.iter().any(|(k, _)| k[i] != set[0].0[i]))
+        else {
+            // One leaf — or one serial repeated, which no trie holds: its
+            // leaves are chained into a root no dictionary signs.
+            let mut hashes = set.iter().map(|(_, leaf)| leaf.hash());
+            let first = hashes.next().expect("a leaf");
+            return hashes.fold(first, |acc, h| node_hash(&acc, &h));
+        };
+        let (left, right): (Vec<_>, Vec<_>) = set.iter().cloned().partition(|(k, _)| !k[differs]);
+        node_hash(&split(&left), &split(&right))
+    }
+    if log.is_empty() {
         return empty_root();
     }
-    while level.len() > 1 {
-        level = level
-            .chunks(2)
-            .map(|pair| match pair {
-                [left, right] => node_hash(left, right),
-                [odd] => *odd,
-                _ => unreachable!("chunks(2)"),
-            })
-            .collect();
+    let keyed: Vec<(Vec<bool>, Leaf)> = log
+        .iter()
+        .zip(1u64..)
+        .map(|(s, n)| (key(s), Leaf::new(*s, n)))
+        .collect();
+    split(&keyed)
+}
+
+/// The leaves of `tree`, left to right.
+fn in_order<T: TreeReader>(tree: &T) -> Vec<Leaf> {
+    let mut stack: Vec<T::Node> = tree.top().into_iter().collect();
+    let mut out = Vec::new();
+    while let Some(mut at) = stack.pop() {
+        while let Some((_, [left, right])) = tree.split(at) {
+            stack.push(right);
+            at = left;
+        }
+        out.push(tree.leaf(at));
     }
-    level[0]
+    out
+}
+
+/// The reference over `tree`'s leaves, read from its log.
+fn logged_reference(tree: &PersistentTree) -> MerkleTree {
+    reference_tree(&tree.log().range(0, tree.len()))
+}
+
+/// The leaves for the serials of `batch` neither in `tree` nor repeated,
+/// numbered on from `number` in batch order, sorted by serial.
+fn fresh_leaves(tree: &PersistentTree, batch: &[u32], number: &mut u64) -> Vec<Leaf> {
+    let mut fresh: Vec<Leaf> = Vec::new();
+    for &v in batch {
+        let serial = SerialNumber::from_u24(v);
+        if tree.find(&serial).is_none() && fresh.iter().all(|l| l.serial != serial) {
+            *number += 1;
+            fresh.push(Leaf::new(serial, *number));
+        }
+    }
+    fresh.sort_by_key(|l| l.serial);
+    fresh
 }

@@ -30,15 +30,16 @@
 //! RITM's scaling story rests on RAs answering per-connection proofs
 //! locally. Three pieces make that cheap here:
 //!
-//! 1. **Incremental Merkle updates** — applying a revocation batch rehashes
-//!    only the node paths at or after the first changed leaf position
+//! 1. **Incremental Merkle updates** — the dictionary is a crit-bit trie
+//!    whose shape depends only on its serials, so applying a revocation
+//!    batch rehashes only the nodes on the new serials' paths
 //!    ([`dictionary::PersistentTree::apply_sorted_batch`], the one tree
-//!    the CA and its mirrors both write through); for the
-//!    common append-heavy issuance pattern that is O(b·log n) instead of a
-//!    full O(n) rebuild (the `table3_processing` bin prints both for a
-//!    100-serial batch into a 339 557-leaf dictionary).
+//!    the CA and its mirrors both write through): O(b·log n) wherever the
+//!    serials land, instead of a full O(n) rebuild (the `table3_processing`
+//!    bin prints both for a 100-serial batch into a 339 557-leaf
+//!    dictionary).
 //! 2. **Epochs** — every applied batch advances a monotonic epoch on the
-//!    tree and its dictionaries; audit paths are valid exactly while the
+//!    tree and its dictionaries; proofs are valid exactly while the
 //!    epoch is unchanged.
 //! 3. **Response caching** — the RA caches the fully encoded response per
 //!    `(CA, serial)`, keyed by the publication generation of the CA's
