@@ -15,8 +15,6 @@ use std::collections::HashSet;
 /// Errors from CA operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CaError {
-    /// A certificate with this serial was already issued.
-    DuplicateSerial(SerialNumber),
     /// The serial is unknown to this CA.
     UnknownSerial(SerialNumber),
     /// The batch held more new serials than one issuance may carry
@@ -33,7 +31,6 @@ pub enum CaError {
 impl core::fmt::Display for CaError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            CaError::DuplicateSerial(s) => write!(f, "serial {s} already issued"),
             CaError::UnknownSerial(s) => write!(f, "serial {s} was not issued by this CA"),
             CaError::BatchTooLarge(n) => write!(f, "batch of {n} new serials is too large"),
             CaError::Publish(e) => write!(f, "distribution point rejected publish: {e}"),

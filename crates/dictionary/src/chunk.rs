@@ -204,48 +204,6 @@ impl<T: Clone, const C: usize> ChunkedVec<T, C> {
         note(added);
     }
 
-    /// Copies the elements at `from..len()` out, whole chunk slices at a
-    /// time (empty when `from >= len()`).
-    pub fn suffix_to_vec(&self, from: usize) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len.saturating_sub(from));
-        if from < self.len {
-            let first = from / C;
-            out.extend_from_slice(&self.chunks[first][from % C..]);
-            for chunk in &self.chunks[first + 1..] {
-                out.extend_from_slice(chunk);
-            }
-        }
-        out
-    }
-
-    /// Shortens the sequence to `new_len` elements. Whole dropped chunks
-    /// cost nothing; a cut inside a shared chunk copies only the kept
-    /// prefix.
-    pub fn truncate(&mut self, new_len: usize) {
-        if new_len >= self.len {
-            return;
-        }
-        let keep = new_len.div_ceil(C);
-        self.chunks.truncate(keep);
-        if keep > 0 {
-            let tail_len = new_len - (keep - 1) * C;
-            let ci = keep - 1;
-            if self.chunks[ci].len() != tail_len {
-                match Arc::get_mut(&mut self.chunks[ci]) {
-                    Some(chunk) => chunk.truncate(tail_len),
-                    None => {
-                        note(tail_len);
-                        // Exactly the kept prefix: the next extend grows
-                        // it by the doubling rule.
-                        let prefix = self.chunks[ci][..tail_len].to_vec();
-                        self.chunks[ci] = Arc::new(prefix);
-                    }
-                }
-            }
-        }
-        self.len = new_len;
-    }
-
     /// Iterates the elements in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.chunks.iter().flat_map(|c| c.iter())
@@ -314,17 +272,6 @@ impl<T: Copy, const C: usize> ChunkedVec<T, C> {
             (done, from) = (done + n, from + n);
         }
     }
-
-    /// Appends `other[range]`, one chunk slice at a time.
-    pub fn extend_from_range(&mut self, other: &Self, range: core::ops::Range<usize>) {
-        let mut at = range.start;
-        while at < range.end {
-            let base = at / C * C;
-            let stop = range.end.min(base + C);
-            self.extend_from_slice(&other.chunks[at / C][at - base..stop - base]);
-            at = stop;
-        }
-    }
 }
 
 impl<T: Clone, const C: usize> FromIterator<T> for ChunkedVec<T, C> {
@@ -375,26 +322,8 @@ mod tests {
         assert_eq!(snap.len(), 4 * CHUNK);
         assert_eq!(*v.get(4 * CHUNK), 99);
 
-        // Truncating inside a shared chunk copies only that chunk's prefix.
-        let before = slots_materialized();
-        v.truncate(CHUNK + 10);
-        assert!(slots_materialized() - before <= 10);
-        assert_eq!(snap.shared_chunks_with(&v), 1);
         // The retained snapshot still sees every original element.
         assert_eq!(*snap.get(4 * CHUNK - 1), (4 * CHUNK - 1) as u32);
-    }
-
-    #[test]
-    fn truncate_then_extend_matches_vec() {
-        let mut v = filled(2 * CHUNK + 100);
-        let _keep = v.clone();
-        v.truncate(CHUNK - 3);
-        v.extend(1000..1100u32);
-        let expect: Vec<u32> = (0..(CHUNK - 3) as u32).chain(1000..1100).collect();
-        assert_eq!(v.iter().copied().collect::<Vec<_>>(), expect);
-        v.truncate(0);
-        assert!(v.is_empty());
-        assert_eq!(v.chunk_count(), 0);
     }
 
     #[test]
@@ -421,28 +350,6 @@ mod tests {
                     base.chunk_count()
                 };
                 assert_eq!(bulk.shared_chunks_with(&base), untouched);
-            }
-        }
-    }
-
-    #[test]
-    fn extend_from_range_matches_vec() {
-        let edges = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3];
-        let src = filled(5 * CHUNK);
-        for start in edges {
-            for from in edges {
-                for len in edges {
-                    let mut v = filled(start);
-                    let _published = v.clone(); // the tail chunk is shared
-                    let before = slots_materialized();
-                    v.extend_from_range(&src, from..from + len);
-                    let tail_copy = if len > 0 { start % CHUNK } else { 0 };
-                    assert_eq!(slots_materialized() - before, (len + tail_copy) as u64);
-                    let expect = (0..start as u32).chain(from as u32..(from + len) as u32);
-                    assert!(v.iter().copied().eq(expect), "{start} + {from}..+{len}");
-                    assert_eq!(v.len(), start + len);
-                    assert_eq!(v.chunk_count(), (start + len).div_ceil(CHUNK));
-                }
             }
         }
     }
@@ -480,34 +387,12 @@ mod tests {
         );
         assert!(v.iter().copied().eq(0..CHUNK as u32 + 1));
 
-        // A copy-on-write cut keeps exactly the prefix; a shared tail copy
-        // gets the capacity its top-up needs.
-        let mut v = filled(CHUNK + 10);
-        let _published = v.clone();
-        v.truncate(CHUNK + 4);
+        // A shared tail copy gets the capacity its top-up needs.
+        let mut v = filled(CHUNK + 4);
         assert_eq!(capacities(&v), [CHUNK, 4]);
         let _published = v.clone();
         v.extend([7]);
         assert_eq!(capacities(&v), [CHUNK, 8]);
-    }
-
-    #[test]
-    fn suffix_to_vec_matches_skip() {
-        let v = filled(2 * CHUNK + 37);
-        for from in [
-            0,
-            1,
-            CHUNK - 1,
-            CHUNK,
-            CHUNK + 1,
-            2 * CHUNK,
-            v.len() - 1,
-            v.len(),
-            v.len() + 5,
-        ] {
-            let expect: Vec<u32> = v.iter().skip(from).copied().collect();
-            assert_eq!(v.suffix_to_vec(from), expect, "from {from}");
-        }
     }
 
     #[test]

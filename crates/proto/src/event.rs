@@ -23,9 +23,30 @@
 //! the in-process transports use, so an unsupported version gets the same
 //! typed `UnsupportedVersion` reply bytes on every transport.
 //!
+//! # One read per burst, one write per executor pass
+//!
+//! A connection's [`ritm_rt::FrameReader`] reads up to
+//! [`ritm_rt::codec::READ_AHEAD`] (16 KiB) per syscall and cuts every whole
+//! frame in that window before reading again, so a pipelined flight costs
+//! one `read`, not two per request; between frames it pins at most that
+//! window. Replies are flushed once per executor pass: the first v2
+//! handler to queue a reply takes on the flush and yields once, so the
+//! handlers already queued behind it add theirs, then it drains the lot in
+//! one vectored write (up to 64 replies); the others return as soon as
+//! they have queued. This cannot head-of-line block: no handler awaits
+//! another. The flusher only lets the tasks queued before it take their
+//! turn once, as a single worker would before polling it again anyway; a
+//! slow `Update` page in that pass delays the flush by its one serve, and
+//! no reply ever waits for a page to be *written* or for a request that
+//! arrived after it.
+//!
 //! # Backpressure and keepalive
 //!
-//! [`EventServerConfig`] bounds what a peer can cost the server:
+//! A connection has at most 128 v2 requests in flight; at that cap it
+//! stops reading until handlers return, so a peer pipelining thousands of
+//! frames costs 128 tasks, and its backlog waits in the kernel. No frame
+//! is dropped. [`EventServerConfig`] bounds the rest of what a peer can
+//! cost the server:
 //! * `max_connections` — the acceptor pauses (parks) while at the cap and
 //!   resumes as connections close; the backlog queues in the kernel.
 //! * `max_buffered_bytes` — a connection whose peer stops reading while
@@ -77,10 +98,16 @@ impl Default for EventServerConfig {
     }
 }
 
+/// v2 requests one connection may have in flight; at the cap it stops
+/// reading (see the module doc's backpressure section).
+const MAX_INFLIGHT: u64 = 128;
+
 /// Shared per-server counters.
 #[derive(Debug, Default)]
 struct ServerStats {
     served: AtomicU64,
+    write_calls: AtomicU64,
+    peak_inflight: AtomicU64,
     open_conns: AtomicU64,
     peak_conns: AtomicU64,
     keepalive_drops: AtomicU64,
@@ -195,6 +222,18 @@ impl EventServer {
     /// Requests served so far, across all connections.
     pub fn served(&self) -> u64 {
         self.stats.served.load(Ordering::Relaxed)
+    }
+
+    /// Write syscalls made on connections so far — one per flush pass,
+    /// however many replies it carries.
+    pub fn write_calls(&self) -> u64 {
+        self.stats.write_calls.load(Ordering::Relaxed)
+    }
+
+    /// The most v2 requests ever in flight on one connection; at most
+    /// 128, however deep a peer pipelines.
+    pub fn peak_inflight(&self) -> u64 {
+        self.stats.peak_inflight.load(Ordering::Relaxed)
     }
 
     /// Connections currently open.
@@ -335,9 +374,16 @@ struct Conn {
     /// shed, handler panic); every task on the connection observes it
     /// within one tick and exits.
     dead: AtomicBool,
-    /// v2 requests decoded but not yet replied — keepalive never fires
-    /// while work is in flight.
+    /// v2 handler tasks spawned and not yet returned — keepalive never
+    /// fires while work is in flight, and reading pauses at
+    /// [`MAX_INFLIGHT`].
     inflight: AtomicU64,
+    /// Whether a handler has taken on the next flush (see
+    /// [`handle_v2_request`]).
+    flushing: AtomicBool,
+    /// v2 replies queued (each before its count) since a flusher last
+    /// took the count; it adds them to `served` once its drain completes.
+    unflushed: AtomicU64,
 }
 
 impl Conn {
@@ -378,6 +424,8 @@ async fn serve_connection(
         writer: Mutex::new(FrameWriter::with_pool(pool.clone())),
         dead: AtomicBool::new(false),
         inflight: AtomicU64::new(0),
+        flushing: AtomicBool::new(false),
+        unflushed: AtomicU64::new(0),
     });
     let mut reader = FrameReader::with_pool(MAX_FRAME_LEN, pool.clone());
     let mut last_frame = Instant::now();
@@ -385,6 +433,11 @@ async fn serve_connection(
         let step = rt_io(&reactor, || {
             if closing.load(Ordering::SeqCst) || conn.dead.load(Ordering::SeqCst) {
                 return IoPoll::Ready(ReadStep::Close);
+            }
+            if conn.inflight.load(Ordering::SeqCst) >= MAX_INFLIGHT {
+                // Work in flight is activity for the keepalive window too.
+                last_frame = Instant::now();
+                return IoPoll::WouldBlock;
             }
             match reader.poll_frame(&mut &conn.stream) {
                 FrameRead::Frame(f) => IoPoll::Ready(ReadStep::Frame(f)),
@@ -437,7 +490,8 @@ async fn serve_connection(
                     // v2: out-of-order — each request gets its own handler
                     // task; the reply carries the echoed id, so completion
                     // order is free to differ from arrival order.
-                    conn.inflight.fetch_add(1, Ordering::SeqCst);
+                    let live = conn.inflight.fetch_add(1, Ordering::SeqCst) + 1;
+                    stats.peak_inflight.fetch_max(live, Ordering::Relaxed);
                     tasks.fetch_add(1, Ordering::SeqCst);
                     let service = Arc::clone(&service);
                     let conn = Arc::clone(&conn);
@@ -464,7 +518,7 @@ async fn serve_connection(
                         break;
                     };
                     resp.queue_onto(&mut conn.lock_writer());
-                    if drive_flush(&conn, &reactor, &closing).await {
+                    if drive_flush(&conn, &stats, &reactor, &closing).await {
                         stats.served.fetch_add(1, Ordering::Relaxed);
                     } else {
                         break;
@@ -490,7 +544,10 @@ async fn serve_connection(
 }
 
 /// One v2 request's handler task: serve, enqueue the tagged reply, shed
-/// the connection if the write queue overflows, flush otherwise.
+/// the connection if the write queue overflows. The first handler to queue
+/// a reply after a flush takes on the next one: it yields once, so every
+/// handler already in the run queue adds its reply first, then drains them
+/// all in one vectored write. Every other handler returns after queueing.
 async fn handle_v2_request(
     env: RequestEnvelope,
     service: Arc<dyn Service>,
@@ -513,6 +570,7 @@ async fn handle_v2_request(
     let overflow = {
         let mut w = conn.lock_writer();
         reply.queue_onto(&mut w);
+        conn.unflushed.fetch_add(1, Ordering::Relaxed);
         w.buffered_bytes() > config.max_buffered_bytes
     };
     if overflow {
@@ -522,8 +580,19 @@ async fn handle_v2_request(
         conn.kill();
         return;
     }
-    if drive_flush(conn, reactor, closing).await {
-        stats.served.fetch_add(1, Ordering::Relaxed);
+    if conn.flushing.swap(true, Ordering::AcqRel) {
+        return;
+    }
+    ritm_rt::yield_now().await;
+    // Cleared before the drain. A handler that still saw the flag set had
+    // queued its reply under the writer lock before this store, so the
+    // drain below, which takes that lock after it, writes the reply; one
+    // that sees the flag clear flushes itself. Every reply the swap counts
+    // was likewise queued before the drain starts.
+    conn.flushing.store(false, Ordering::Release);
+    let replies = conn.unflushed.swap(0, Ordering::Relaxed);
+    if drive_flush(conn, stats, reactor, closing).await {
+        stats.served.fetch_add(replies, Ordering::Relaxed);
     }
 }
 
@@ -533,6 +602,7 @@ async fn handle_v2_request(
 /// `false` when the connection died or the server is closing.
 async fn drive_flush(
     conn: &Arc<Conn>,
+    stats: &ServerStats,
     reactor: &Arc<ritm_rt::Reactor>,
     closing: &Arc<AtomicBool>,
 ) -> bool {
@@ -541,7 +611,11 @@ async fn drive_flush(
             return IoPoll::Ready(false);
         }
         let mut w = conn.lock_writer();
-        match w.poll_write(&mut &conn.stream) {
+        let calls = w.write_calls();
+        let written = w.poll_write(&mut &conn.stream);
+        let calls = w.write_calls() - calls;
+        stats.write_calls.fetch_add(calls, Ordering::Relaxed);
+        match written {
             FrameWrite::Done => IoPoll::Ready(true),
             FrameWrite::WouldBlock => IoPoll::WouldBlock,
             FrameWrite::Err(_) => {

@@ -17,15 +17,16 @@ use ritm_proto::event::{EventServer, EventTransport};
 use ritm_proto::{RitmRequest, RitmResponse, Service, Transport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 const T0: u64 = 1_000_000;
 const CLIENTS: u32 = 64;
 const FLIGHTS_PER_CLIENT: u32 = 3;
 const FLIGHT_SIZE: u32 = 4;
 
-#[test]
-fn sixty_four_concurrent_clients_on_two_threads() {
-    // CA with 200 revocations, mirrored by an RA.
+/// A CA with 200 revocations (the even serials below 400), mirrored by an
+/// RA.
+fn status_world() -> (CaDictionary, RevocationAgent, StdRng) {
     let mut rng = StdRng::seed_from_u64(2025);
     let mut ca = CaDictionary::new(
         CaId::from_name("EvSmokeCA"),
@@ -44,7 +45,12 @@ fn sixty_four_concurrent_clients_on_two_threads() {
         .unwrap()
         .apply_issuance(&iss, T0 + 1)
         .unwrap();
+    (ca, ra, rng)
+}
 
+#[test]
+fn sixty_four_concurrent_clients_on_two_threads() {
+    let (mut ca, mut ra, mut rng) = status_world();
     let service = Arc::new(StatusService::new(ra.status_server()));
     let server = EventServer::spawn(Arc::clone(&service) as Arc<dyn Service>, 2).unwrap();
     assert!(server.thread_count() <= 2, "the whole point of the server");
@@ -123,6 +129,102 @@ fn sixty_four_concurrent_clients_on_two_threads() {
         encoded.hits > 0,
         "hot serials must hit the encoded cache: {encoded:?}"
     );
+}
+
+/// Waits until `server` has counted `n` requests served (a reply reaches
+/// the client just before the flush that sent it is counted).
+fn await_served(server: &EventServer, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.served() < n {
+        assert!(
+            Instant::now() < deadline,
+            "served {} of {n}",
+            server.served()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_sixty_four_deep_flight_costs_at_most_four_writes() {
+    let (ca, ra, _) = status_world();
+    let server = EventServer::spawn(Arc::new(StatusService::new(ra.status_server())), 1).unwrap();
+    let mut t = EventTransport::connect(server.addr()).unwrap();
+    let reqs: Vec<RitmRequest> = (0..64u32)
+        .map(|i| RitmRequest::GetStatus {
+            ca: ca.ca(),
+            serial: SerialNumber::from_u24(i),
+        })
+        .collect();
+    // The first flight builds every proof, the second is served from the
+    // encoded cache as shared bodies: one flush pass each, whatever the
+    // serving cost.
+    for flight in 1..=2u64 {
+        let before = server.write_calls();
+        for result in t.round_trip_many(&reqs) {
+            let rt = result.expect("pipelined status");
+            assert!(matches!(rt.response, RitmResponse::Status(_)));
+        }
+        await_served(&server, 64 * flight);
+        let writes = server.write_calls() - before;
+        assert!(
+            writes <= 4,
+            "flight {flight}: 64 replies took {writes} write syscalls"
+        );
+    }
+    drop(t);
+    assert_eq!(server.shutdown(), 128);
+}
+
+#[test]
+fn ten_thousand_pipelined_frames_stay_under_the_inflight_cap() {
+    use ritm_proto::ProtoError;
+    use std::io::{Read, Write};
+
+    struct Nope;
+    impl Service for Nope {
+        fn handle(&self, _req: RitmRequest) -> RitmResponse {
+            RitmResponse::Error(ProtoError::NotFound)
+        }
+    }
+
+    const FRAMES: u32 = 10_000;
+    let server = EventServer::spawn(Arc::new(Nope), 2).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let ca = CaId::from_name("PipeCA");
+    let wire: Vec<u8> = (0..FRAMES)
+        .flat_map(|id| RitmRequest::GetManifest { ca }.to_frame_v2(id))
+        .collect();
+    // The whole backlog is written before anything is read; the writer
+    // runs on its own thread in case the kernel buffers fill first.
+    let writer = {
+        let mut stream = stream.try_clone().unwrap();
+        std::thread::spawn(move || stream.write_all(&wire))
+    };
+    std::thread::sleep(Duration::from_millis(300));
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut answered = vec![0u8; FRAMES as usize];
+    for _ in 0..FRAMES {
+        let mut prefix = [0u8; 4];
+        stream.read_exact(&mut prefix).expect("a reply prefix");
+        let mut body = vec![0u8; u32::from_be_bytes(prefix) as usize];
+        stream.read_exact(&mut body).expect("a reply body");
+        let (_, id, response) = RitmResponse::decode_envelope(&body).expect("a v2 reply");
+        assert_eq!(response, RitmResponse::Error(ProtoError::NotFound));
+        answered[id as usize] += 1;
+    }
+    writer.join().unwrap().expect("the backlog was written");
+    assert!(answered.iter().all(|&n| n == 1), "a frame answered ≠ once");
+    assert!(
+        (1..=128).contains(&server.peak_inflight()),
+        "{} v2 requests in flight on one connection",
+        server.peak_inflight()
+    );
+    await_served(&server, FRAMES as u64);
+    drop(stream);
+    server.shutdown();
 }
 
 #[test]

@@ -9,14 +9,26 @@
 //! drains queued frames across short writes and `WouldBlock`. Neither
 //! knows anything about what the body means — framing only.
 //!
-//! Both ends are built not to allocate per frame on a steady-state
-//! connection: the reader keeps its buffer across frames (copying small
-//! frames out into pooled buffers, handing off oversized ones so a single
-//! large frame never pins its capacity — see
-//! [`DEFAULT_RETAIN_CAPACITY`]), and the writer queues *segments* — owned
-//! frames, or an inline header plus an `Arc`-shared body that is written
-//! in place via vectored I/O and never copied. Drained owned segments are
-//! recycled into a [`BufPool`] when one is attached.
+//! Both ends batch syscalls: a pipelined flight costs one `read` per
+//! burst of frames and one vectored `write` per burst of replies, not one
+//! (or two) per frame.
+//!
+//! * **The read window.** Each `read` asks for up to [`READ_AHEAD`] bytes;
+//!   every whole frame in the window is cut out without another syscall,
+//!   and a partial frame moves to the front before the next read. A frame
+//!   longer than the window grows the buffer to exactly its own end (never
+//!   reading past it) and leaves with that buffer, so at a frame boundary
+//!   a reader pins at most `READ_AHEAD` bytes however large past frames
+//!   were. The length prefix is checked against the reader's cap before
+//!   the buffer grows.
+//! * **The gather.** [`FrameWriter`] queues *segments* — owned frames, or
+//!   an inline header plus an `Arc`-shared body written in place — and
+//!   hands up to 128 of them (64 header + body replies) to one
+//!   `write_vectored`, without a coalescing copy.
+//!
+//! Neither end allocates per frame on a steady-state connection: small
+//! frames are copied out of the window into pooled buffers, and drained
+//! owned segments are recycled into a [`BufPool`] when one is attached.
 
 use crate::pool::BufPool;
 use std::collections::VecDeque;
@@ -26,19 +38,26 @@ use std::sync::Arc;
 /// Length-prefix size: a big-endian `u32` body length.
 pub const PREFIX_LEN: usize = 4;
 
-/// Capacity (bytes) a [`FrameReader`] retains across frames. A completed
-/// frame at most this large is copied out and the buffer kept warm; a
-/// larger frame's buffer is handed off to the caller instead, so one
-/// megabyte `Update` page does not pin a megabyte per idle connection.
+/// Bytes one [`FrameReader`] read asks for, and the window it keeps
+/// between frames: 16 KiB holds a 64-deep flight of requests, or about
+/// thirty status replies, per syscall.
+pub const READ_AHEAD: usize = 16 * 1024;
+
+/// Most capacity a [`FrameReader`] keeps resident at a frame boundary. Its
+/// window is [`READ_AHEAD`]; a frame larger than the window is handed off
+/// in its own buffer, so one megabyte `Update` page does not pin a
+/// megabyte per idle connection.
 pub const DEFAULT_RETAIN_CAPACITY: usize = 64 * 1024;
+
+const _: () = assert!(READ_AHEAD <= DEFAULT_RETAIN_CAPACITY);
 
 /// Longest header [`FrameWriter::queue_shared`] accepts (inline storage):
 /// `u32 len ‖ version ‖ u32 request-id` is 9 bytes; a little slack keeps
 /// the constant honest if a header grows a field.
 pub const MAX_SHARED_HEADER_LEN: usize = 12;
 
-/// Most segments one vectored write gathers.
-const MAX_IOVECS: usize = 8;
+/// Most segments one vectored write gathers: 64 header + body replies.
+const MAX_IOVECS: usize = 128;
 
 /// Outcome of one [`FrameReader::poll_frame`] attempt.
 #[derive(Debug)]
@@ -59,15 +78,12 @@ pub enum FrameRead {
 #[derive(Debug)]
 pub struct FrameReader {
     max_body_len: usize,
-    /// The current frame's buffer, sized to what is known of the frame so
-    /// far (the prefix, then prefix + body); reads land directly in its
-    /// tail — no intermediate copy, no per-poll scratch to zero.
+    /// The read window: `buf[start..filled]` is read but not yet cut into
+    /// frames. Its length is [`READ_AHEAD`] once allocated, or exactly one
+    /// frame's length while a frame longer than the window arrives.
     buf: Vec<u8>,
-    /// Bytes of `buf` actually filled.
+    start: usize,
     filled: usize,
-    /// Frames at most this large are copied out and `buf` retained;
-    /// larger frames take `buf` with them (the shrink policy).
-    retain_capacity: usize,
     /// Source of the copied-out frame buffers, when attached.
     pool: Option<BufPool>,
 }
@@ -79,8 +95,8 @@ impl FrameReader {
         FrameReader {
             max_body_len,
             buf: Vec::new(),
+            start: 0,
             filled: 0,
-            retain_capacity: DEFAULT_RETAIN_CAPACITY,
             pool: None,
         }
     }
@@ -95,14 +111,8 @@ impl FrameReader {
         }
     }
 
-    /// Bytes of the in-progress frame buffered so far (0 at boundaries).
-    pub fn buffered(&self) -> usize {
-        self.filled
-    }
-
-    /// Capacity (bytes) the reader currently pins between frames. Bounded
-    /// by [`DEFAULT_RETAIN_CAPACITY`] at frame boundaries however large
-    /// past frames were.
+    /// Capacity (bytes) the reader currently pins. At a frame boundary it
+    /// is at most [`READ_AHEAD`] however large past frames were.
     pub fn resident_capacity(&self) -> usize {
         self.buf.capacity()
     }
@@ -113,42 +123,44 @@ impl FrameReader {
     /// is lost).
     pub fn poll_frame(&mut self, io: &mut impl Read) -> FrameRead {
         loop {
-            // Total bytes this frame needs, as far as the prefix reveals.
-            let target = if self.filled < PREFIX_LEN {
-                PREFIX_LEN
-            } else {
-                let len = u32::from_be_bytes(self.buf[..PREFIX_LEN].try_into().expect("4 bytes"))
-                    as usize;
-                if len > self.max_body_len {
-                    return FrameRead::Err(std::io::Error::new(
-                        ErrorKind::InvalidData,
-                        "frame length prefix exceeds cap",
-                    ));
+            let window = &self.buf[self.start..self.filled];
+            // Total bytes the next frame needs, as far as the prefix
+            // reveals.
+            let need = match window.get(..PREFIX_LEN) {
+                None => PREFIX_LEN,
+                Some(prefix) => {
+                    let len = u32::from_be_bytes(prefix.try_into().expect("4 bytes")) as usize;
+                    if len > self.max_body_len {
+                        return FrameRead::Err(std::io::Error::new(
+                            ErrorKind::InvalidData,
+                            "frame length prefix exceeds cap",
+                        ));
+                    }
+                    PREFIX_LEN + len
                 }
-                PREFIX_LEN + len
             };
-            if self.filled >= PREFIX_LEN && self.filled == target {
-                self.filled = 0;
-                let frame = if self.buf.capacity() > self.retain_capacity {
-                    // Oversized frame: hand the grown buffer off with it
-                    // and start small again, rather than pinning the
-                    // capacity on an idle connection forever.
+            if window.len() >= need {
+                let frame = if self.buf.len() > READ_AHEAD {
+                    // The buffer grew to hold exactly this frame: hand it
+                    // off with the frame rather than pin its capacity.
+                    self.filled = 0;
                     std::mem::take(&mut self.buf)
                 } else {
-                    let mut out = match &self.pool {
-                        Some(pool) => pool.get(),
-                        None => Vec::new(),
-                    };
-                    out.extend_from_slice(&self.buf[..target]);
-                    self.buf.clear();
+                    let mut out = self.pool.as_ref().map_or_else(Vec::new, BufPool::get);
+                    out.extend_from_slice(&window[..need]);
+                    self.start += need;
                     out
                 };
                 return FrameRead::Frame(frame);
             }
-            if self.buf.len() != target {
-                self.buf.resize(target, 0);
-            }
-            match io.read(&mut self.buf[self.filled..target]) {
+            // No whole frame left: the partial one moves to the front and
+            // the next read lands behind it. A frame longer than the window
+            // is read to exactly its end, so its buffer holds it alone.
+            self.buf.copy_within(self.start..self.filled, 0);
+            (self.start, self.filled) = (0, self.filled - self.start);
+            let end = need.max(READ_AHEAD);
+            self.buf.resize(end, 0);
+            match io.read(&mut self.buf[self.filled..end]) {
                 Ok(0) => {
                     return if self.filled == 0 {
                         FrameRead::Eof
@@ -202,15 +214,17 @@ impl Seg {
 }
 
 /// Incremental frame encoder-side: queue whole frames, drain them across
-/// short writes and not-ready signals. Adjacent segments drain through one
-/// vectored write, so a header + shared body go out in a single syscall
-/// without a coalescing copy.
+/// short writes and not-ready signals. Up to 128 queued segments drain
+/// through one vectored write, so 64 header + shared body replies go out
+/// in a single syscall without a coalescing copy.
 #[derive(Debug, Default)]
 pub struct FrameWriter {
     queue: VecDeque<Seg>,
     /// Bytes of the front segment already written.
     offset: usize,
     written: u64,
+    /// `write_vectored` calls made, `WouldBlock` attempts included.
+    write_calls: u64,
     /// Queued-but-unwritten bytes across all frames (the backpressure
     /// signal: a peer that stops reading makes this grow).
     buffered: usize,
@@ -281,10 +295,15 @@ impl FrameWriter {
         self.written
     }
 
+    /// Write syscalls attempted so far (one per vectored write).
+    pub fn write_calls(&self) -> u64 {
+        self.write_calls
+    }
+
     /// Pushes queued bytes into `io` until done or not ready. Safe to call
     /// again after [`FrameWrite::WouldBlock`] — the offset into the
-    /// current segment is kept. Up to `MAX_IOVECS` queued segments go
-    /// out per vectored write.
+    /// current segment is kept. Up to 128 queued segments go out per
+    /// vectored write.
     pub fn poll_write(&mut self, io: &mut impl Write) -> FrameWrite {
         loop {
             // Retire fully-written front segments (recycling owned
@@ -310,6 +329,7 @@ impl FrameWriter {
                     slices[count] = IoSlice::new(if i == 0 { &s[self.offset..] } else { s });
                     count += 1;
                 }
+                self.write_calls += 1;
                 io.write_vectored(&slices[..count])
             };
             match result {
@@ -503,6 +523,128 @@ mod tests {
         assert_eq!(pool.pooled(), 0);
     }
 
+    /// An in-memory stream that hands each read as much as it asks for,
+    /// counting the reads.
+    struct Counting<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for Counting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn sixty_four_frames_cost_one_read_per_window() {
+        // Status-reply-sized frames: 64 of them span three windows.
+        let frames: Vec<Vec<u8>> = (0..64u8).map(|i| frame(&[i; 540])).collect();
+        let stream = frames.concat();
+        let mut io = Counting {
+            bytes: &stream,
+            reads: 0,
+        };
+        let mut reader = FrameReader::new(1 << 20);
+        for f in &frames {
+            match reader.poll_frame(&mut io) {
+                FrameRead::Frame(got) => assert_eq!(&got, f),
+                other => panic!("expected a frame, got {other:?}"),
+            }
+        }
+        let bound = stream.len().div_ceil(READ_AHEAD) + 1;
+        assert!(
+            io.reads <= bound,
+            "{} reads for {} bytes (bound {bound})",
+            io.reads,
+            stream.len()
+        );
+        assert!(reader.resident_capacity() <= READ_AHEAD);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Any split of a stream of frames (small, window-sized and larger
+        /// than the window), with a `WouldBlock` between every two pieces,
+        /// yields the identical frames; an over-cap prefix at the end is
+        /// rejected before the buffer grows for it.
+        #[test]
+        fn any_split_of_a_frame_stream_yields_the_same_frames(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            const CAP: usize = 3 * READ_AHEAD;
+            let frames: Vec<Vec<u8>> = (0..rng.gen_range(1usize..24))
+                .map(|i| {
+                    let len = match rng.gen_range(0u8..4) {
+                        0 => rng.gen_range(0..16),
+                        1 => rng.gen_range(16..READ_AHEAD),
+                        2 => rng.gen_range(READ_AHEAD - 8..READ_AHEAD + 8),
+                        _ => rng.gen_range(READ_AHEAD..=CAP),
+                    };
+                    frame(&vec![i as u8; len])
+                })
+                .collect();
+            let over_cap = rng.gen_bool(0.5);
+            let mut stream = frames.concat();
+            if over_cap {
+                stream.extend_from_slice(&(CAP as u32 + 1).to_be_bytes());
+                stream.extend_from_slice(&[0xEE; 64]);
+            }
+            let mut script = VecDeque::new();
+            let mut at = 0;
+            while at < stream.len() {
+                let piece = rng.gen_range(1..=(stream.len() - at).min(2 * READ_AHEAD));
+                script.push_back(Some(stream[at..at + piece].to_vec()));
+                script.push_back(None);
+                at += piece;
+            }
+            let mut io = Split { script };
+            let mut reader = FrameReader::new(CAP);
+            let mut got = Vec::new();
+            let end = loop {
+                match reader.poll_frame(&mut io) {
+                    FrameRead::Frame(f) => got.push(f),
+                    FrameRead::WouldBlock => continue,
+                    other => break other,
+                }
+            };
+            proptest::prop_assert_eq!(got, frames);
+            if over_cap {
+                let FrameRead::Err(e) = end else {
+                    panic!("over-cap prefix accepted: {end:?}");
+                };
+                proptest::prop_assert_eq!(e.kind(), ErrorKind::InvalidData);
+                proptest::prop_assert!(reader.resident_capacity() <= READ_AHEAD);
+            } else {
+                proptest::prop_assert!(matches!(end, FrameRead::Eof));
+            }
+        }
+    }
+
+    /// Like [`Scripted`], but a piece longer than the read's ask is split
+    /// and its rest served next.
+    struct Split {
+        script: VecDeque<Option<Vec<u8>>>,
+    }
+
+    impl Read for Split {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.script.pop_front() {
+                Some(Some(mut bytes)) => {
+                    if bytes.len() > buf.len() {
+                        self.script.push_front(Some(bytes.split_off(buf.len())));
+                    }
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+                Some(None) => Err(ErrorKind::WouldBlock.into()),
+                None => Ok(0),
+            }
+        }
+    }
+
     /// A writer accepting at most `cap` bytes per call, interleaving
     /// `WouldBlock` on a stride.
     struct Dribble {
@@ -533,6 +675,7 @@ mod tests {
     struct Gather {
         accepted: Vec<u8>,
         cap: usize,
+        calls: usize,
     }
 
     impl Write for Gather {
@@ -541,6 +684,7 @@ mod tests {
         }
 
         fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
             let mut left = self.cap;
             let mut n = 0;
             for b in bufs {
@@ -643,6 +787,7 @@ mod tests {
         let mut io = Gather {
             accepted: Vec::new(),
             cap: 7,
+            calls: 0,
         };
         loop {
             match writer.poll_write(&mut io) {
@@ -666,6 +811,7 @@ mod tests {
         let mut io = Gather {
             accepted: Vec::new(),
             cap: usize::MAX,
+            calls: 0,
         };
         loop {
             match writer.poll_write(&mut io) {
@@ -675,5 +821,29 @@ mod tests {
             }
         }
         assert_eq!(pool.pooled(), 2, "both drained frames returned to pool");
+    }
+
+    #[test]
+    fn sixty_four_shared_replies_leave_in_one_vectored_write() {
+        let body: Arc<[u8]> = Arc::from(&[0x5Au8; 535][..]);
+        let mut writer = FrameWriter::new();
+        let mut expected = Vec::new();
+        for id in 0..64u32 {
+            let mut header = ((body.len() + 5) as u32).to_be_bytes().to_vec();
+            header.push(2);
+            header.extend_from_slice(&id.to_be_bytes());
+            writer.queue_shared(&header, Arc::clone(&body));
+            expected.extend_from_slice(&header);
+            expected.extend_from_slice(&body);
+        }
+        let mut io = Gather {
+            accepted: Vec::new(),
+            cap: usize::MAX,
+            calls: 0,
+        };
+        assert!(matches!(writer.poll_write(&mut io), FrameWrite::Done));
+        assert_eq!(io.calls, 1, "64 replies took {} writes", io.calls);
+        assert_eq!(writer.write_calls(), 1);
+        assert_eq!(io.accepted, expected);
     }
 }

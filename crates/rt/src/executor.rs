@@ -353,6 +353,35 @@ mod tests {
     }
 
     #[test]
+    fn a_yielded_task_runs_after_the_tasks_queued_before_it() {
+        let exec = Executor::new(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        {
+            // Spawned from inside the executor, so the queue is exactly
+            // [yielder, b, c] before any of them runs.
+            let handle = exec.handle();
+            let order = Arc::clone(&order);
+            exec.handle().spawn(async move {
+                let o = Arc::clone(&order);
+                handle.spawn(async move {
+                    o.lock().unwrap().push("yielder before");
+                    crate::yield_now().await;
+                    o.lock().unwrap().push("yielder after");
+                });
+                for name in ["b", "c"] {
+                    let o = Arc::clone(&order);
+                    handle.spawn(async move { o.lock().unwrap().push(name) });
+                }
+            });
+        }
+        exec.shutdown();
+        assert_eq!(
+            *order.lock().unwrap(),
+            ["yielder before", "b", "c", "yielder after"]
+        );
+    }
+
+    #[test]
     fn tasks_can_spawn_tasks() {
         let exec = Executor::new(2);
         let counter = Arc::new(AtomicU32::new(0));

@@ -30,9 +30,11 @@
 //! * [`codec::FrameReader`] / [`codec::FrameWriter`] — incremental codecs
 //!   for the `u32 len ‖ body` envelope framing: decoding resumes across
 //!   arbitrarily-split partial reads and encoding resumes across short
-//!   writes, so one in-flight frame never blocks an OS thread.
+//!   writes, so one in-flight frame never blocks an OS thread; a burst of
+//!   frames costs one read and one vectored write.
 //! * [`io`] — the adapter between the two: wraps a `WouldBlock`-signalling
-//!   closure as a future that parks in the reactor.
+//!   closure as a future that parks in the reactor; [`yield_now`] lets
+//!   every task already in the run queue go first.
 //! * [`net`] — async `accept` / `read_some` / `write_all` over
 //!   non-blocking `std::net` sockets, built on [`io`]; what `ritm-tls`
 //!   uses to drive handshake engines as tasks.
@@ -128,6 +130,22 @@ where
         op,
         parked: false,
     }
+}
+
+/// Yields once: the task goes back to the tail of the run queue, so every
+/// task queued before it runs first.
+pub async fn yield_now() {
+    let mut yielded = false;
+    std::future::poll_fn(|cx| {
+        if std::mem::replace(&mut yielded, true) {
+            return Poll::Ready(());
+        }
+        // The executor clears a task's queued flag before polling it, so
+        // this wake puts the task at the tail of the run queue.
+        cx.waker().wake_by_ref();
+        Poll::Pending
+    })
+    .await;
 }
 
 #[cfg(test)]
