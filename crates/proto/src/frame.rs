@@ -114,16 +114,8 @@ impl Frame {
     /// writes the parts without joining them.
     pub fn to_vec(&self) -> Vec<u8> {
         match &self.body {
-            Body::Owned(v) if self.header_len == 0 => v.clone(),
-            body => {
-                let mut out = Vec::with_capacity(self.len());
-                out.extend_from_slice(self.header());
-                match body {
-                    Body::Owned(v) => out.extend_from_slice(v),
-                    Body::Shared(b) => out.extend_from_slice(b),
-                }
-                out
-            }
+            Body::Owned(v) => v.clone(),
+            Body::Shared(b) => [self.header(), b].concat(),
         }
     }
 
@@ -132,21 +124,8 @@ impl Frame {
     /// out by reference, never copied into the writer).
     pub fn queue_onto(self, writer: &mut FrameWriter) {
         match self.body {
-            Body::Owned(mut v) => {
-                if self.header_len > 0 {
-                    // Owned body behind a stamped header (not produced
-                    // today, but the type permits it): coalesce.
-                    let mut whole = Vec::with_capacity(self.header_len as usize + v.len());
-                    whole.extend_from_slice(&self.header[..self.header_len as usize]);
-                    whole.append(&mut v);
-                    writer.queue(whole);
-                } else {
-                    writer.queue(v);
-                }
-            }
-            Body::Shared(b) => {
-                writer.queue_shared(&self.header[..self.header_len as usize], b);
-            }
+            Body::Owned(v) => writer.queue(v),
+            Body::Shared(b) => writer.queue_shared(&self.header[..self.header_len as usize], b),
         }
     }
 }
