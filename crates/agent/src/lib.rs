@@ -15,11 +15,11 @@
 //!   staler upstream RA's status or leave a fresher one (§VIII) — and
 //!   releases. Established flows are re-stapled at least every Δ, with TCP
 //!   sequence numbers translated for every byte added or removed,
-//! * serves proofs lock-free from `Arc`-shared, epoch-stamped dictionary
-//!   snapshots ([`serve`]): writers publish a new snapshot per epoch,
-//!   readers never block on issuance or refresh,
-//! * answers hot status requests from fully encoded responses cached per
-//!   publication generation ([`cache`]), invalidated on every republish,
+//! * serves proofs from one publication per mirrored CA ([`serve`]): the
+//!   CA's `Arc`-shared, epoch-stamped dictionary snapshot together with the
+//!   `GetStatus` bodies encoded from it. A hot request is answered from
+//!   those bytes; every republish swaps in the new snapshot and drops the
+//!   old bodies with it, and readers never block on issuance or refresh,
 //! * exposes that read path as a wire-protocol endpoint ([`service`])
 //!   servable over any `ritm-proto` transport,
 //! * resumes mirrors across restarts from their issuance logs
@@ -32,7 +32,6 @@
 //! payload type itself now lives in `ritm-proto`, where every wire format
 //! belongs).
 
-pub mod cache;
 pub mod dpi;
 pub mod intercept;
 pub mod monitor;
@@ -42,13 +41,12 @@ pub mod serve;
 pub mod service;
 pub mod sync;
 
-pub use cache::{CacheStats, ShardedEpochCache};
 pub use dpi::{classify, Classification, ServerFlight, StreamClassifier};
 pub use intercept::{
     FlowStage, FlowTable, InterceptConfig, InterceptStats, StreamFault, TcpBuffer,
 };
 pub use monitor::{ConsistencyMonitor, MisbehaviorReport, RaHealthReport};
 pub use ra::{MirrorWriteGuard, RaConfig, RevocationAgent, StatusPayload};
-pub use serve::StatusServer;
+pub use serve::{CacheStats, StatusServer};
 pub use service::StatusService;
 pub use sync::{RetryPolicy, SyncPolicy, SyncReport};

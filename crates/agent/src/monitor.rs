@@ -8,8 +8,8 @@
 //! divergent versions, which this monitor turns into a transferable
 //! [`EquivocationProof`] reported to, e.g., software vendors.
 
-use crate::cache::CacheStats;
 use crate::ra::RevocationAgent;
+use crate::serve::CacheStats;
 use ritm_dictionary::consistency::{EquivocationProof, Observation, RootObservatory};
 use ritm_dictionary::{CaId, SignedRoot};
 
@@ -91,16 +91,17 @@ impl ConsistencyMonitor {
     }
 }
 
-/// A point-in-time operational snapshot of one RA: the hit/miss statistics
-/// of its encoded `GetStatus` response cache. This is what an operator
-/// dashboard scrapes to see whether hot requests are actually answered from
-/// cached bytes.
+/// A point-in-time operational snapshot of one RA: how many CAs it mirrors
+/// and how often its `GetStatus` bodies were served as cached. This is what
+/// an operator dashboard scrapes to see whether hot requests are actually
+/// answered from cached bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RaHealthReport {
     /// CAs currently mirrored.
     pub mirrored_cas: usize,
-    /// Counters (hits, misses, evictions) of the encoded `GetStatus`
-    /// response cache — the one the wire path serves from.
+    /// Hits and misses of the encoded `GetStatus` bodies the wire path
+    /// serves from. Nothing is evicted: a publish drops the bodies of the
+    /// snapshot it replaces, and a miss past the bound is served uncached.
     pub encoded_cache: CacheStats,
 }
 

@@ -49,8 +49,8 @@ pub struct RevocationAgent {
     /// Configuration.
     pub config: RaConfig,
     pub(crate) mirrors: HashMap<CaId, MirrorDictionary>,
-    /// The lock-free read side: per-CA snapshot cells + encoded-response
-    /// caches.
+    /// The lock-free read side: one publication per CA, its snapshot and
+    /// the status bodies encoded from it.
     server: Arc<StatusServer>,
 }
 
@@ -104,20 +104,8 @@ impl Drop for MirrorWriteGuard<'_> {
         if after == self.before {
             return;
         }
-        if after.0 == self.before.0 {
-            // Same epoch ⇒ the tree (and every audit path) is unchanged:
-            // a freshness-only refresh or root rotation. Republish sharing
-            // the already-frozen tree; if the cell rejects it as stale (or
-            // the CA was never published), fall through to a full publish,
-            // which with the structurally-shared tree is itself only
-            // O(chunks) Arc bumps.
-            if self
-                .server
-                .publish_refresh(&self.mirror.ca(), after.1, after.2)
-            {
-                return;
-            }
-        }
+        // A snapshot shares the mirror's tree structurally, so even a
+        // freshness-only refresh republishes in O(chunks) `Arc` bumps.
         let installed = self.server.publish(self.mirror.snapshot());
         // This RA is the only writer for its mirrors and mirror epochs are
         // monotonic, so the writer's own publish is never stale.
@@ -156,16 +144,10 @@ impl RevocationAgent {
 
     /// Installs an already-built mirror (harnesses delivering state out of
     /// band — warm standbys, tests, experiments) and publishes its current
-    /// snapshot. Any previously-cached responses for the CA are purged with
-    /// its publication cell, whose generation counter restarts.
+    /// snapshot. The CA's publication is replaced outright, with every
+    /// body cached from it: a fresh mirror restarts its epoch counter.
     pub fn install_mirror(&mut self, ca: CaId, mirror: MirrorDictionary) {
-        if self.mirrors.contains_key(&ca) {
-            self.server.retire(&ca);
-        }
-        // The cell was just retired (or never existed), so this publish
-        // creates it and cannot be rejected as stale.
-        let installed = self.server.publish(mirror.snapshot());
-        debug_assert!(installed, "fresh mirror's snapshot rejected as stale");
+        self.server.install(mirror.snapshot());
         self.mirrors.insert(ca, mirror);
     }
 

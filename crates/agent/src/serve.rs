@@ -3,119 +3,152 @@
 //! A production RA splits into one writer (applying issuance batches and
 //! freshness refreshes to its mirrors) and many readers (handshake flows
 //! needing revocation statuses *now*). [`StatusServer`] is the read side:
-//! it holds one [`SnapshotCell`] per mirrored CA plus the generation-keyed
-//! cache of encoded `GetStatus` responses, and builds complete status payloads from
-//! `&self` — so an `Arc<StatusServer>` can be handed to any number of
+//! it holds one publication per mirrored CA — the CA's current
+//! [`DictionarySnapshot`] together with the `GetStatus` bodies encoded from
+//! exactly that snapshot — and builds complete status payloads from
+//! `&self`, so an `Arc<StatusServer>` can be handed to any number of
 //! threads while the owning [`crate::ra::RevocationAgent`] keeps mutating
-//! its mirrors. Writers publish a fresh [`DictionarySnapshot`] after every
-//! mirror change (the RA's `mirror_mut` guard does this automatically);
-//! readers pick it up on their next load without ever blocking on the
-//! update itself.
+//! its mirrors. The writer publishes a fresh snapshot after every mirror
+//! change (the RA's `mirror_mut` guard does this on drop); a publish
+//! replaces the snapshot and empties its bodies in one swap, so no body
+//! outlives the snapshot it was encoded from, and readers pick the new
+//! snapshot up on their next lookup without ever blocking on the update
+//! itself.
 
-use crate::cache::{CacheStats, ShardedEpochCache};
 use crate::ra::StatusPayload;
 use parking_lot::RwLock;
-use ritm_dictionary::{
-    CaId, DictionarySnapshot, MultiRevocationStatus, SerialNumber, SnapshotCell,
-};
+use ritm_dictionary::{CaId, DictionarySnapshot, MultiRevocationStatus, SerialNumber};
 use ritm_proto::RitmResponse;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// The shared, `&self`-only proof-serving surface of an RA.
-#[derive(Debug)]
-pub struct StatusServer {
-    cells: RwLock<HashMap<CaId, Arc<SnapshotCell>>>,
-    /// Fully encoded `GetStatus` response bodies (`kind ‖ fields`),
-    /// keyed by the cell's publication *generation* — not the epoch,
-    /// because a freshness-only refresh changes the served bytes without
-    /// advancing the epoch. A hit skips proof building, payload
-    /// assembly, and encoding in one lookup.
-    encoded: ShardedEpochCache<SerialNumber, Arc<[u8]>>,
+/// Bound on the encoded bodies held across every CA (an encoded status is
+/// a few hundred bytes, so this tops out around a few MB). A miss past it
+/// is served uncached.
+const MAX_CACHED_BODIES: usize = 16_384;
+
+/// Hit/miss counters of the encoded `GetStatus` bodies, surfaced through
+/// the RA health report (`ritm_agent::monitor`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Bodies served as cached.
+    pub hits: u64,
+    /// Bodies encoded because the CA's current publication held none.
+    pub misses: u64,
 }
 
-impl Default for StatusServer {
-    fn default() -> Self {
-        StatusServer::new()
+impl CacheStats {
+    /// Hit fraction in `[0, 1]`; `0` before any lookup.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
     }
+}
+
+/// One CA's publication: its current snapshot and the `GetStatus` response
+/// bodies (`kind ‖ fields`) encoded from that snapshot and no other.
+#[derive(Debug)]
+struct Published {
+    snapshot: Arc<DictionarySnapshot>,
+    bodies: HashMap<SerialNumber, Arc<[u8]>>,
+}
+
+impl Published {
+    fn new(snapshot: DictionarySnapshot) -> Self {
+        Published {
+            snapshot: Arc::new(snapshot),
+            bodies: HashMap::new(),
+        }
+    }
+}
+
+/// The shared, `&self`-only proof-serving surface of an RA.
+#[derive(Debug, Default)]
+pub struct StatusServer {
+    slots: RwLock<HashMap<CaId, RwLock<Published>>>,
+    /// Bodies held across every slot, at most `MAX_CACHED_BODIES`.
+    cached: AtomicUsize,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl StatusServer {
     /// Creates an empty server (no CAs published yet).
     pub fn new() -> Self {
-        StatusServer {
-            cells: RwLock::new(HashMap::new()),
-            encoded: ShardedEpochCache::default(),
-        }
+        StatusServer::default()
     }
 
-    /// Publishes `snapshot` as the current view of its CA (RCU swap; the
-    /// cell is created on first publish). Called by the writer side after
-    /// every mirror mutation. Returns `false` when the cell rejected the
-    /// snapshot as older than the one it already serves (see
-    /// [`SnapshotCell::publish`]) — readers keep the newer view.
+    /// Publishes `snapshot` as the current view of its CA (the slot is
+    /// created on first publish) and drops the bodies encoded from the
+    /// view it replaces. Called by the writer side after every mirror
+    /// mutation. **Epoch-guarded**: a snapshot older than the one the
+    /// slot serves is rejected (returns `false`), so a delayed publish
+    /// built from a stale view can never re-serve a pre-batch root;
+    /// same-epoch publishes replace (that is how freshness refreshes and
+    /// root rotations propagate).
     #[must_use = "a rejected (stale) publish leaves readers on the newer snapshot"]
     pub fn publish(&self, snapshot: DictionarySnapshot) -> bool {
         let ca = snapshot.ca();
-        if let Some(cell) = self.cells.read().get(&ca) {
-            return cell.publish(snapshot);
+        let next = Published::new(snapshot);
+        if let Some(slot) = self.slots.read().get(&ca) {
+            return self.replace(slot, next);
         }
-        let mut cells = self.cells.write();
-        match cells.get(&ca) {
-            Some(cell) => cell.publish(snapshot),
-            None => {
-                cells.insert(ca, Arc::new(SnapshotCell::new(snapshot)));
+        match self.slots.write().entry(ca) {
+            Entry::Occupied(slot) => self.replace(slot.get(), next),
+            Entry::Vacant(vacant) => {
+                vacant.insert(RwLock::new(next));
                 true
             }
         }
     }
 
-    /// Republishes `ca`'s snapshot with a new signed root and freshness
-    /// statement but the **same epoch and tree** (freshness-only refresh
-    /// or root rotation): an `Arc` clone of the frozen tree instead of an
-    /// O(n) copy. Returns `false` when the CA has no published snapshot
-    /// yet, or when the cell rejected the republish as stale (a newer
-    /// content snapshot landed between load and publish); the caller
-    /// should fall back to a full [`StatusServer::publish`].
-    pub fn publish_refresh(
-        &self,
-        ca: &CaId,
-        signed_root: ritm_dictionary::SignedRoot,
-        freshness: ritm_dictionary::FreshnessStatement,
-    ) -> bool {
-        let Some(cell) = self.cell(ca) else {
-            return false;
+    /// The epoch-guarded swap behind [`StatusServer::publish`]. The old
+    /// publication is dropped outside the slot's lock.
+    fn replace(&self, slot: &RwLock<Published>, next: Published) -> bool {
+        let old = {
+            let mut published = slot.write();
+            if next.snapshot.epoch() < published.snapshot.epoch() {
+                return false;
+            }
+            std::mem::replace(&mut *published, next)
         };
-        let current = cell.load();
-        cell.publish(current.with_root_and_freshness(signed_root, freshness))
+        self.cached.fetch_sub(old.bodies.len(), Ordering::Relaxed);
+        true
     }
 
-    /// Drops a CA's publication slot and purges its cached responses.
-    /// Called when the RA stops mirroring the CA; also run before
-    /// re-installing a fresh mirror, whose restarted generation counter
-    /// would otherwise be blocked from caching by leftover
-    /// higher-generation entries.
-    pub fn retire(&self, ca: &CaId) {
-        self.cells.write().remove(ca);
-        self.encoded.purge_ca(ca);
+    /// Replaces the CA's slot outright, with no epoch guard: a freshly
+    /// installed mirror restarts its epoch counter.
+    pub(crate) fn install(&self, snapshot: DictionarySnapshot) {
+        let ca = snapshot.ca();
+        let old = self
+            .slots
+            .write()
+            .insert(ca, RwLock::new(Published::new(snapshot)));
+        if let Some(old) = old {
+            self.cached
+                .fetch_sub(old.into_inner().bodies.len(), Ordering::Relaxed);
+        }
     }
 
     /// The current snapshot for `ca`, if mirrored. Cheap (`Arc` clone);
-    /// hold the cell via [`StatusServer::cell`] instead when polling in a
-    /// tight loop.
+    /// the snapshot stays valid however many publishes follow.
     pub fn snapshot(&self, ca: &CaId) -> Option<Arc<DictionarySnapshot>> {
-        self.cells.read().get(ca).map(|c| c.load())
+        let slots = self.slots.read();
+        let snapshot = Arc::clone(&slots.get(ca)?.read().snapshot);
+        Some(snapshot)
     }
 
-    /// The publication cell for `ca`, letting hot reader loops reload
-    /// without the map lookup.
-    pub fn cell(&self, ca: &CaId) -> Option<Arc<SnapshotCell>> {
-        self.cells.read().get(ca).cloned()
-    }
-
-    /// Counter snapshot of the encoded `GetStatus` response cache.
+    /// Counter snapshot of the encoded `GetStatus` bodies.
     pub fn encoded_cache_stats(&self) -> CacheStats {
-        self.encoded.stats()
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
     }
 
     /// Builds the status payload for a chain of `(issuer, serial)` pairs —
@@ -161,18 +194,46 @@ impl StatusServer {
     /// every connection and both envelope versions. `None` when `ca` is
     /// not mirrored (the service then answers its usual typed error).
     ///
-    /// The generation is read **before** the snapshot is loaded: a
-    /// racing publish between the two can only make the cached bytes
-    /// *newer* than the generation key (the next reader at the advanced
-    /// generation misses and re-encodes), never leave stale bytes served
-    /// under a current key.
+    /// A hit is a read lock and a map lookup. A miss builds the status
+    /// outside every lock and caches it only if the slot still holds the
+    /// snapshot it was built from: bytes of a replaced snapshot are
+    /// returned to their caller but never cached.
     pub fn encoded_status(&self, ca: &CaId, serial: &SerialNumber) -> Option<Arc<[u8]>> {
-        let cell = self.cell(ca)?;
-        let generation = cell.generation();
-        let snap = cell.load();
-        Some(self.encoded.get_or_insert(*ca, *serial, generation, || {
-            RitmResponse::Status(StatusPayload::single(vec![snap.status(serial)])).to_shared_body()
-        }))
+        let snapshot = {
+            let slots = self.slots.read();
+            let published = slots.get(ca)?.read();
+            if let Some(body) = published.bodies.get(serial) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(Arc::clone(body));
+            }
+            Arc::clone(&published.snapshot)
+        };
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        Some(self.encode(&snapshot, serial))
+    }
+
+    /// Encodes `serial`'s status from `snapshot`, caching the body only if
+    /// `snapshot` is still its CA's current one and the bound has room.
+    fn encode(&self, snapshot: &Arc<DictionarySnapshot>, serial: &SerialNumber) -> Arc<[u8]> {
+        let body = RitmResponse::Status(StatusPayload::single(vec![snapshot.status(serial)]))
+            .to_shared_body();
+        let room = || {
+            self.cached
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                    (n < MAX_CACHED_BODIES).then_some(n + 1)
+                })
+                .is_ok()
+        };
+        let slots = self.slots.read();
+        if let Some(mut published) = slots.get(&snapshot.ca()).map(RwLock::write) {
+            if Arc::ptr_eq(&published.snapshot, snapshot)
+                && !published.bodies.contains_key(serial)
+                && room()
+            {
+                published.bodies.insert(*serial, Arc::clone(&body));
+            }
+        }
+        body
     }
 }
 
@@ -187,9 +248,13 @@ mod tests {
     const T0: u64 = 1_000_000;
 
     fn setup(n: u32) -> (CaDictionary, MirrorDictionary) {
+        setup_ca("ServeCA", n)
+    }
+
+    fn setup_ca(name: &str, n: u32) -> (CaDictionary, MirrorDictionary) {
         let mut rng = StdRng::seed_from_u64(17);
         let mut ca = CaDictionary::new(
-            CaId::from_name("ServeCA"),
+            CaId::from_name(name),
             SigningKey::from_seed([1u8; 32]),
             10,
             64,
@@ -202,6 +267,28 @@ mod tests {
         let iss = ca.insert(&serials, &mut rng, T0 + 1).unwrap();
         m.apply_issuance(&iss, T0 + 1).unwrap();
         (ca, m)
+    }
+
+    /// Revokes `serial` on the CA and applies it to the mirror at `now`.
+    fn revoke(ca: &mut CaDictionary, m: &mut MirrorDictionary, serial: u32, now: u64) {
+        let mut rng = StdRng::seed_from_u64(now);
+        let iss = ca
+            .insert(&[SerialNumber::from_u24(serial)], &mut rng, now)
+            .unwrap();
+        m.apply_issuance(&iss, now).unwrap();
+    }
+
+    /// A same-epoch freshness refresh of the mirror at `now`, through the
+    /// CA's real refresh message.
+    fn refresh(ca: &mut CaDictionary, m: &mut MirrorDictionary, now: u64) {
+        let mut rng = StdRng::seed_from_u64(now);
+        let msg = ca.refresh(&mut rng, now);
+        m.apply_refresh(&msg, now).unwrap();
+    }
+
+    /// The body a miss encodes for `serial` from `snap`.
+    fn body_from(snap: &DictionarySnapshot, serial: &SerialNumber) -> Arc<[u8]> {
+        RitmResponse::Status(StatusPayload::single(vec![snap.status(serial)])).to_shared_body()
     }
 
     #[test]
@@ -255,13 +342,15 @@ mod tests {
 
     #[test]
     fn encoded_statuses_cache_by_generation_and_refresh_invalidates() {
-        let (ca, m) = setup(20);
+        let (mut ca, mut m) = setup(20);
         let server = StatusServer::new();
+        let stale = m.snapshot();
+        revoke(&mut ca, &mut m, 77, T0 + 2);
         assert!(server.publish(m.snapshot()));
         let serial = SerialNumber::from_u24(4);
         let first = server.encoded_status(&ca.ca(), &serial).unwrap();
         let second = server.encoded_status(&ca.ca(), &serial).unwrap();
-        // Same generation: the very same shared allocation is served.
+        // Same publication: the very same shared allocation is served.
         assert!(Arc::ptr_eq(&first, &second));
         let stats = server.encoded_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -271,15 +360,176 @@ mod tests {
         assert_eq!(&first[..], &built.to_shared_body()[..]);
 
         // A freshness-only refresh changes the served bytes without
-        // advancing the epoch — the generation key must still
-        // invalidate the encoded entry.
-        let snap = server.snapshot(&ca.ca()).unwrap();
-        let fresher = ritm_dictionary::FreshnessStatement::new(
-            ritm_crypto::digest::Digest20::hash(b"next period preimage"),
-        );
-        assert!(server.publish_refresh(&ca.ca(), *snap.signed_root(), fresher));
+        // advancing the epoch: its same-epoch republish is accepted and
+        // the next lookup re-encodes.
+        let epoch = m.epoch();
+        refresh(&mut ca, &mut m, T0 + 13);
+        assert_eq!(m.epoch(), epoch);
+        assert!(server.publish(m.snapshot()));
         let after = server.encoded_status(&ca.ca(), &serial).unwrap();
         assert_ne!(&first[..], &after[..], "refresh must re-encode");
+        assert_eq!(server.encoded_cache_stats().misses, 2);
+
+        // A rejected (stale) publish changes nothing: the refreshed bytes
+        // stay cached and are served as they are.
+        assert!(!server.publish(stale));
+        let again = server.encoded_status(&ca.ca(), &serial).unwrap();
+        assert!(Arc::ptr_eq(&after, &again));
+        assert_eq!(
+            server.encoded_cache_stats(),
+            CacheStats { hits: 2, misses: 2 }
+        );
+    }
+
+    #[test]
+    fn old_snapshot_survives_publish() {
+        let (mut ca, mut m) = setup(5);
+        let server = StatusServer::new();
+        assert!(server.publish(m.snapshot()));
+        let old = server.snapshot(&ca.ca()).unwrap();
+
+        // The writer advances the mirror and publishes the new epoch.
+        revoke(&mut ca, &mut m, 99, T0 + 2);
+        assert!(server.publish(m.snapshot()));
+
+        let new = server.snapshot(&ca.ca()).unwrap();
+        assert!(new.epoch() > old.epoch());
+        assert_eq!(old.len(), 5, "a retained snapshot still serves its epoch");
+        assert_eq!(new.len(), 6);
+        // The old snapshot's proofs still verify against the old root.
+        let s = SerialNumber::from_u24(2);
+        assert!(old
+            .proof(&s)
+            .verify(&s, &old.signed_root().root, old.signed_root().size)
+            .is_ok());
+    }
+
+    #[test]
+    fn stale_refresh_republish_cannot_clobber_newer_content() {
+        // A republish built from an older view of the mirror must never
+        // swap in over newer content and re-serve a pre-batch root inside
+        // the 2Δ window: publish is epoch-guarded.
+        let (mut ca, mut m) = setup(5);
+        let server = StatusServer::new();
+        assert!(server.publish(m.snapshot()));
+
+        // A refresher freezes the current view... and stalls.
+        let stale_view = m.snapshot();
+
+        // Meanwhile a content batch lands and is published.
+        revoke(&mut ca, &mut m, 77, T0 + 2);
+        assert!(server.publish(m.snapshot()));
+        let content = server.snapshot(&ca.ca()).unwrap();
+        assert!(content.contains(&SerialNumber::from_u24(77)));
+
+        // The stalled refresher wakes up and publishes its stale view:
+        // rejected, and readers never regress.
+        assert!(!server.publish(stale_view), "stale republish rejected");
+        let now = server.snapshot(&ca.ca()).unwrap();
+        assert_eq!(now.epoch(), content.epoch(), "epoch must not regress");
+        assert_eq!(now.signed_root(), content.signed_root());
+        assert!(now.contains(&SerialNumber::from_u24(77)));
+
+        // A same-epoch republish (a genuine refresh of the current view)
+        // still replaces.
+        refresh(&mut ca, &mut m, T0 + 13);
+        assert!(server.publish(m.snapshot()));
+        let refreshed = server.snapshot(&ca.ca()).unwrap();
+        assert_eq!(refreshed.epoch(), content.epoch());
+        assert_eq!(refreshed.freshness(), m.freshness());
+        assert_ne!(refreshed.freshness(), content.freshness());
+    }
+
+    #[test]
+    fn bytes_built_from_a_replaced_snapshot_are_served_but_not_cached() {
+        let (mut ca, mut m) = setup(20);
+        let server = StatusServer::new();
+        assert!(server.publish(m.snapshot()));
+        let serial = SerialNumber::from_u24(4);
+        // A lagging reader loads the current snapshot, then a publish
+        // replaces it before the reader's miss is encoded.
+        let lagging = server.snapshot(&ca.ca()).unwrap();
+        revoke(&mut ca, &mut m, 77, T0 + 2);
+        assert!(server.publish(m.snapshot()));
+
+        // The lagging reader gets the bytes of its own snapshot...
+        let stale = server.encode(&lagging, &serial);
+        assert_eq!(stale, body_from(&lagging, &serial));
+        assert_eq!(server.cached.load(Ordering::Relaxed), 0, "never cached");
+        // ...and the current publication neither serves nor keeps them.
+        let current = server.encoded_status(&ca.ca(), &serial).unwrap();
+        assert_ne!(current, stale);
+        assert_eq!(
+            current,
+            body_from(&server.snapshot(&ca.ca()).unwrap(), &serial)
+        );
+        let hit = server.encoded_status(&ca.ca(), &serial).unwrap();
+        assert!(Arc::ptr_eq(&current, &hit));
+        assert_eq!(
+            server.encoded_cache_stats(),
+            CacheStats { hits: 1, misses: 1 }
+        );
+    }
+
+    #[test]
+    fn one_bound_spans_every_ca_and_a_publish_returns_its_share() {
+        let (a, m_a) = setup_ca("BoundA", 4);
+        let (mut b, mut m_b) = setup_ca("BoundB", 4);
+        let server = StatusServer::new();
+        assert!(server.publish(m_a.snapshot()));
+        assert!(server.publish(m_b.snapshot()));
+        for i in 0..MAX_CACHED_BODIES as u32 {
+            server.encoded_status(&a.ca(), &SerialNumber::from_u24(i));
+        }
+        assert_eq!(server.cached.load(Ordering::Relaxed), MAX_CACHED_BODIES);
+
+        // Full: B's miss is served, uncached.
+        let serial = SerialNumber::from_u24(1);
+        let first = server.encoded_status(&b.ca(), &serial).unwrap();
+        let second = server.encoded_status(&b.ca(), &serial).unwrap();
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(server.encoded_cache_stats().hits, 0);
+
+        // A's republish drops A's bodies and returns their room: B caches.
+        assert!(server.publish(m_a.snapshot()));
+        assert_eq!(server.cached.load(Ordering::Relaxed), 0);
+        let cached = server.encoded_status(&b.ca(), &serial).unwrap();
+        let hit = server.encoded_status(&b.ca(), &serial).unwrap();
+        assert!(Arc::ptr_eq(&cached, &hit));
+
+        // Installing a mirror replaces the slot outright, with its bodies
+        // and without the epoch guard: a fresh mirror restarts its epoch.
+        revoke(&mut b, &mut m_b, 99, T0 + 2);
+        assert!(server.publish(m_b.snapshot()));
+        server.encoded_status(&b.ca(), &serial).unwrap();
+        assert_eq!(server.cached.load(Ordering::Relaxed), 1);
+        let (_, fresh) = setup_ca("BoundB", 4);
+        assert!(fresh.epoch() < m_b.epoch());
+        server.install(fresh.snapshot());
+        assert_eq!(server.cached.load(Ordering::Relaxed), 0);
+        assert_eq!(server.snapshot(&b.ca()).unwrap().epoch(), fresh.epoch());
+    }
+
+    #[test]
+    fn concurrent_lookups_share_one_cache() {
+        let (ca, m) = setup(20);
+        let server = StatusServer::new();
+        assert!(server.publish(m.snapshot()));
+        let serial = SerialNumber::from_u24(9);
+        let expected = body_from(&server.snapshot(&ca.ca()).unwrap(), &serial);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..100 {
+                        assert_eq!(server.encoded_status(&ca.ca(), &serial).unwrap(), expected);
+                    }
+                });
+            }
+        });
+        let stats = server.encoded_cache_stats();
+        assert_eq!(stats.hits + stats.misses, 800);
+        assert!(stats.hits >= 792, "at most one miss per thread: {stats:?}");
+        assert_eq!(server.cached.load(Ordering::Relaxed), 1);
     }
 
     #[test]

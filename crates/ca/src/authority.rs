@@ -277,7 +277,7 @@ impl CertificationAuthority {
         // Keep the freshness object in sync with the new chain.
         if let Some(f) = self.dictionary.current_freshness(now) {
             cdn.origin
-                .publish_refresh(self.id, &RefreshMessage::Freshness(f))?;
+                .publish_freshness(self.id, &RefreshMessage::Freshness(f))?;
         }
         Ok(Some(issuance))
     }
@@ -295,7 +295,7 @@ impl CertificationAuthority {
         now: u64,
     ) -> Result<RefreshMessage, CaError> {
         let msg = self.dictionary.refresh(rng, now);
-        cdn.origin.publish_refresh(self.id, &msg)?;
+        cdn.origin.publish_freshness(self.id, &msg)?;
         Ok(msg)
     }
 

@@ -14,7 +14,7 @@ use ritm_dictionary::{
 use std::collections::HashMap;
 
 /// Decodes a stored refresh object (tag byte + body), the form
-/// [`Origin::publish_refresh`] stores it in.
+/// [`Origin::publish_freshness`] stores it in.
 fn decode_refresh(bytes: &[u8]) -> Option<RefreshMessage> {
     let (tag, body) = bytes.split_first()?;
     match tag {
@@ -211,7 +211,11 @@ impl Origin {
     /// See [`PublishError`]. Freshness statements are hash-chain values
     /// whose authenticity RAs check against their signed root; the origin
     /// stores them opaquely.
-    pub fn publish_refresh(&mut self, ca: CaId, msg: &RefreshMessage) -> Result<(), PublishError> {
+    pub fn publish_freshness(
+        &mut self,
+        ca: CaId,
+        msg: &RefreshMessage,
+    ) -> Result<(), PublishError> {
         if !self.keys.contains_key(&ca) {
             return Err(PublishError::UnknownCa);
         }
@@ -375,13 +379,13 @@ mod tests {
         let mut origin = Origin::new();
         origin.register_ca(ca.ca(), ca.verifying_key());
         let m1 = ca.refresh(&mut rng, 1_010);
-        origin.publish_refresh(ca.ca(), &m1).unwrap();
+        origin.publish_freshness(ca.ca(), &m1).unwrap();
         let first = origin
             .fetch(&ContentKey::Freshness { ca: ca.ca() })
             .unwrap()
             .to_vec();
         let m2 = ca.refresh(&mut rng, 1_020);
-        origin.publish_refresh(ca.ca(), &m2).unwrap();
+        origin.publish_freshness(ca.ca(), &m2).unwrap();
         let second = origin
             .fetch(&ContentKey::Freshness { ca: ca.ca() })
             .unwrap();

@@ -188,7 +188,7 @@ mod tests {
             .unwrap();
         cdn.origin.publish_issuance(ca.ca(), &iss).unwrap();
         let refresh = ca.refresh(&mut rng, T0 + 2);
-        cdn.origin.publish_refresh(ca.ca(), &refresh).unwrap();
+        cdn.origin.publish_freshness(ca.ca(), &refresh).unwrap();
         cdn.origin.publish_manifest(ca.ca(), b"{}".to_vec());
 
         let svc = EdgeService::new(cdn, Region::Europe, 7);
@@ -345,7 +345,7 @@ mod pull_tests {
 
         // The CA refreshes within the TTL: the cached answer is not served.
         let refresh = ca.refresh(&mut rng, T0 + 12);
-        svc.with_cdn(|cdn| cdn.origin.publish_refresh(ca.ca(), &refresh).unwrap());
+        svc.with_cdn(|cdn| cdn.origin.publish_freshness(ca.ca(), &refresh).unwrap());
         let RitmResponse::Update(update) = svc.handle(pull(1)) else {
             panic!("expected an update");
         };

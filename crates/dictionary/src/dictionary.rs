@@ -991,8 +991,7 @@ impl MirrorDictionary {
     /// [`crate::snapshot::DictionarySnapshot`] for lock-free serving. With
     /// the structurally-shared tree this is O(chunks) `Arc` bumps — no
     /// leaf or level data is copied — so writers can republish after every
-    /// batch at any issuance frequency (publishers swap it in with
-    /// [`crate::snapshot::SnapshotCell::publish`]).
+    /// batch at any issuance frequency.
     pub fn snapshot(&self) -> crate::snapshot::DictionarySnapshot {
         crate::snapshot::DictionarySnapshot::new(
             self.ca,

@@ -18,8 +18,8 @@
 //!   from it in O(chunks) instead of O(n). The trie points at its leaves by
 //!   revocation number; every serial is held once, in the tree's packed
 //!   [`SerialLog`];
-//! * [`snapshot`] — immutable, epoch-stamped [`DictionarySnapshot`]s
-//!   published RCU-style through [`SnapshotCell`]s for lock-free proof
+//! * [`snapshot`] — immutable, epoch-stamped [`DictionarySnapshot`]s a
+//!   mirror freezes in O(chunks) and publishes for lock-free proof
 //!   serving;
 //! * [`proof`] — presence and absence proofs in one form, the
 //!   [`MultiProof`]: a [`RevocationProof`] is its one-serial case;
@@ -86,4 +86,4 @@ pub use persistent::PersistentTree;
 pub use proof::{MultiProof, ProofError, ProvenStatus, RevocationProof};
 pub use root::{CaId, SignedRoot};
 pub use serial::{SerialError, SerialNumber};
-pub use snapshot::{DictionarySnapshot, SnapshotCell};
+pub use snapshot::DictionarySnapshot;

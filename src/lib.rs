@@ -19,7 +19,7 @@
 //! | [`proto`] | `ritm-proto` | the versioned RITM wire protocol: request/response envelopes, the transport-agnostic `Service` trait, loopback / simulator / blocking-TCP / event-driven transports with request pipelining |
 //! | [`cdn`] | `ritm-cdn` | the dissemination network: origin, TTL edge caches, CloudFront-style billing |
 //! | [`ca`] | `ritm-ca` | certification authorities, their crash-durable issuance log, bootstrap manifests, a misbehaving CA |
-//! | [`agent`] | `ritm-agent` | the Revocation Agent: the mirror writer, and its one interception lane (`FlowTable`: DPI, Eq. 4 flow state, hold-decide-release stapling, the §VIII multi-RA rule, revoked-flow resets); lock-free status serving with a generation-keyed cache of encoded responses, CDN sync, health/consistency monitoring |
+//! | [`agent`] | `ritm-agent` | the Revocation Agent: the mirror writer, and its one interception lane (`FlowTable`: DPI, Eq. 4 flow state, hold-decide-release stapling, the §VIII multi-RA rule, revoked-flow resets); status serving from one publication per CA (its snapshot and the responses encoded from it), CDN sync, health/consistency monitoring |
 //! | [`client`] | `ritm-client` | the RITM client: step-5 validation, 2Δ enforcement, epoch-tagged root tracking (replay protection), downgrade protection |
 //! | [`baselines`] | `ritm-baselines` | CRL/OCSP/stapling/CRLSet/SLC/RevCast/log-based comparison models |
 //! | [`workloads`] | `ritm-workloads` | ISC CRL, Heartbleed, city-population, PlanetLab synthesizers |
@@ -42,10 +42,11 @@
 //!    tree and its dictionaries; proofs are valid exactly while the
 //!    epoch is unchanged.
 //! 3. **Response caching** — the RA caches the fully encoded response per
-//!    `(CA, serial)`, keyed by the publication generation of the CA's
-//!    snapshot ([`agent::serve::StatusServer::encoded_status`]), so hot
+//!    serial inside the CA's publication, beside the snapshot it was
+//!    encoded from ([`agent::serve::StatusServer::encoded_status`]), so hot
 //!    serials across concurrent connections share one allocation until the
-//!    next republish (issuance or freshness refresh). Hit/miss counters
+//!    next republish (issuance or freshness refresh) drops it with its
+//!    snapshot. Hit/miss counters
 //!    surface through [`agent::monitor::RaHealthReport`], and clients
 //!    reject replayed (older-epoch) roots via
 //!    [`client::validator::RootTracker`].

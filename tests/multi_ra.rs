@@ -13,7 +13,11 @@ use ritm::cdn::network::Cdn;
 use ritm::client::{AbortReason, DowngradePolicy, RitmClient, RitmClientConfig, RitmEvent};
 use ritm::core::nodes::{ClientNode, ServerNode};
 use ritm::crypto::SigningKey;
-use ritm::dictionary::{CaDictionary, CaId, MirrorDictionary, SerialNumber, SignedRoot};
+use ritm::dictionary::tree::{Leaf, TreeReader};
+use ritm::dictionary::{
+    CaDictionary, CaId, DictionarySnapshot, MirrorDictionary, PersistentTree, SerialNumber,
+    SignedRoot,
+};
 use ritm::net::middlebox::MiddleboxNode;
 use ritm::net::sim::{Path, Simulator};
 use ritm::net::tcp::{Addr, FourTuple, SocketAddr};
@@ -184,9 +188,26 @@ fn serving(mirror: &MirrorDictionary) -> Arc<StatusServer> {
 /// `root` instead of the mirror's own: what an upstream forger (or a
 /// confused upstream RA) serves.
 fn serving_under(mirror: &MirrorDictionary, root: SignedRoot) -> Arc<StatusServer> {
+    // `mirrored_ca` revokes serials 0, 2, 4, … in one batch, numbered from 1.
+    let tree = PersistentTree::from_sorted_leaves(
+        (0..mirror.len() as u32)
+            .map(|i| Leaf::new(SerialNumber::from_u24(i * 2), u64::from(i) + 1)),
+    );
+    assert_eq!(
+        tree.root(),
+        mirror.signed_root().root,
+        "the mirror's own tree"
+    );
+    let forged = DictionarySnapshot::new(
+        mirror.ca(),
+        *mirror.snapshot().ca_key(),
+        mirror.epoch(),
+        tree,
+        root,
+        *mirror.freshness(),
+    );
     let server = Arc::new(StatusServer::new());
-    let snapshot = mirror.snapshot();
-    assert!(server.publish(snapshot.with_root_and_freshness(root, *snapshot.freshness())));
+    assert!(server.publish(forged));
     server
 }
 
