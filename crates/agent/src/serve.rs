@@ -344,8 +344,6 @@ mod tests {
     fn encoded_statuses_cache_by_generation_and_refresh_invalidates() {
         let (mut ca, mut m) = setup(20);
         let server = StatusServer::new();
-        let stale = m.snapshot();
-        revoke(&mut ca, &mut m, 77, T0 + 2);
         assert!(server.publish(m.snapshot()));
         let serial = SerialNumber::from_u24(4);
         let first = server.encoded_status(&ca.ca(), &serial).unwrap();
@@ -369,15 +367,44 @@ mod tests {
         let after = server.encoded_status(&ca.ca(), &serial).unwrap();
         assert_ne!(&first[..], &after[..], "refresh must re-encode");
         assert_eq!(server.encoded_cache_stats().misses, 2);
+    }
+
+    #[test]
+    fn every_accepted_publish_re_encodes_including_refreshes() {
+        let (mut ca, mut m) = setup(3);
+        let server = StatusServer::new();
+        let stale = m.snapshot();
+        assert!(server.publish(m.snapshot()));
+        let serial = SerialNumber::from_u24(2);
+        let initial = server.encoded_status(&ca.ca(), &serial).unwrap();
+        assert_eq!(server.encoded_cache_stats().misses, 1);
+
+        // Content publish: the epoch advances and the next lookup
+        // re-encodes from the new snapshot.
+        revoke(&mut ca, &mut m, 50, T0 + 2);
+        assert!(server.publish(m.snapshot()));
+        let content = server.encoded_status(&ca.ca(), &serial).unwrap();
+        assert!(!Arc::ptr_eq(&initial, &content));
+        assert_eq!(server.encoded_cache_stats().misses, 2);
+
+        // Freshness-only refresh: the epoch stays put, but the served
+        // bytes change, so the publish must drop the cached body.
+        let epoch = m.epoch();
+        refresh(&mut ca, &mut m, T0 + 13);
+        assert_eq!(m.epoch(), epoch);
+        assert!(server.publish(m.snapshot()));
+        let refreshed = server.encoded_status(&ca.ca(), &serial).unwrap();
+        assert_ne!(&content[..], &refreshed[..], "refresh must re-encode");
+        assert_eq!(server.encoded_cache_stats().misses, 3);
 
         // A rejected (stale) publish changes nothing: the refreshed bytes
         // stay cached and are served as they are.
         assert!(!server.publish(stale));
         let again = server.encoded_status(&ca.ca(), &serial).unwrap();
-        assert!(Arc::ptr_eq(&after, &again));
+        assert!(Arc::ptr_eq(&refreshed, &again));
         assert_eq!(
             server.encoded_cache_stats(),
-            CacheStats { hits: 2, misses: 2 }
+            CacheStats { hits: 1, misses: 3 }
         );
     }
 
