@@ -67,6 +67,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::{Shutdown, TcpStream};
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Most out-of-order bytes one direction of one flow may park (an unscaled
 /// TCP receive window).
@@ -783,6 +784,10 @@ impl Middlebox for FlowTable {
 /// [`TcpSegment`]s. A [`FlowStage::Reset`] verdict tears both sockets
 /// down; EOF on either side half-closes the other.
 ///
+/// `now` is the table's clock at the call; each segment is stamped `now`
+/// plus the wall time elapsed since, so idle reaping and the Δ re-staple
+/// see a long-lived connection age.
+///
 /// # Errors
 ///
 /// Socket setup errors (`set_nonblocking`, `try_clone`).
@@ -798,6 +803,7 @@ pub fn spawn_inline_relay(
     server.set_nonblocking(true)?;
     let client_w = client.try_clone()?;
     let server_w = server.try_clone()?;
+    let clock = (now, Instant::now());
     spawn_pump(
         handle,
         Arc::clone(&table),
@@ -805,7 +811,7 @@ pub fn spawn_inline_relay(
         Direction::ToServer,
         client,
         server_w,
-        now,
+        clock,
     );
     spawn_pump(
         handle,
@@ -814,7 +820,7 @@ pub fn spawn_inline_relay(
         Direction::ToClient,
         server,
         client_w,
-        now,
+        clock,
     );
     Ok(())
 }
@@ -823,7 +829,8 @@ pub fn spawn_inline_relay(
 /// write surviving payloads to `to`. The table re-emits segments for the
 /// pumped direction, plus — rarely — the other one's: RSTs, which close
 /// both sockets, and server bytes still withheld when the *client* closes,
-/// which go back out through `from`.
+/// which go back out through `from`. `clock` pairs the table's time with
+/// the instant it was read.
 fn spawn_pump(
     handle: &Handle,
     table: Arc<Mutex<FlowTable>>,
@@ -831,7 +838,7 @@ fn spawn_pump(
     direction: Direction,
     from: TcpStream,
     to: TcpStream,
-    now: SimTime,
+    clock: (SimTime, Instant),
 ) {
     let reactor = handle.reactor();
     handle.spawn(async move {
@@ -847,6 +854,7 @@ fn spawn_pump(
             } else {
                 segmenter.push(&buf[..n])
             };
+            let now = clock.0 + SimDuration::from_micros(clock.1.elapsed().as_micros() as u64);
             let outs = table.lock().process(seg, now);
             let mut reset = false;
             for out in &outs {
@@ -895,7 +903,7 @@ mod tests {
     use ritm_crypto::ed25519::SigningKey;
     use ritm_dictionary::{CaDictionary, MirrorDictionary};
     use ritm_tls::certificate::{Certificate, CertificateChain, TrustAnchors};
-    use ritm_tls::connection::{ClientConfig, ServerContext, ServerEvent};
+    use ritm_tls::connection::{ClientConfig, ServerContext};
     use ritm_tls::engine::{Action, ClientEngine, ServerEngine};
 
     const T0: u64 = 1_000_000;
@@ -975,6 +983,20 @@ mod tests {
         drive_through_at(tuple(), table, client, ctx)
     }
 
+    /// The bytes of each `SendBytes` in `actions`, one segment apiece; an
+    /// abort is an error.
+    fn sent(actions: Vec<Action>) -> Result<Vec<Vec<u8>>, String> {
+        let mut segments = Vec::new();
+        for action in actions {
+            match action {
+                Action::SendBytes(b) => segments.push(b),
+                Action::Abort { alert } => return Err(format!("aborted: {alert:?}")),
+                _ => {}
+            }
+        }
+        Ok(segments)
+    }
+
     /// [`drive_through`] on an explicit 4-tuple.
     fn drive_through_at(
         tuple: FourTuple,
@@ -986,11 +1008,10 @@ mod tests {
         let mut engine_client = Vec::new(); // status payloads seen
         let mut to_server_seq = 0u64;
         let mut to_client_seq = 0u64;
-        let mut to_server = vec![client.start()];
+        let mut to_server = vec![client.start().to_bytes()];
         for _ in 0..8 {
             let mut to_client = Vec::new();
-            for rec in to_server.drain(..) {
-                let bytes = rec.to_bytes();
+            for bytes in to_server.drain(..) {
                 let s = seg_at(tuple, Direction::ToServer, to_server_seq, bytes.clone());
                 to_server_seq += bytes.len() as u64;
                 for out in table.process(s, now()) {
@@ -1000,16 +1021,10 @@ mod tests {
                     if out.direction != Direction::ToServer || out.payload.is_empty() {
                         continue;
                     }
-                    for r in TlsRecord::parse_stream(&out.payload).map_err(|e| e.to_string())? {
-                        let (outs, _evs): (Vec<TlsRecord>, Vec<ServerEvent>) = server
-                            .process_record(&r, T0 + 2)
-                            .map_err(|e| e.to_string())?;
-                        to_client.extend(outs);
-                    }
+                    to_client.extend(sent(server.feed(T0 + 2, &out.payload))?);
                 }
             }
-            for rec in to_client.drain(..) {
-                let bytes = rec.to_bytes();
+            for bytes in to_client.drain(..) {
                 let s = seg_at(tuple, Direction::ToClient, to_client_seq, bytes.clone());
                 to_client_seq += bytes.len() as u64;
                 for out in table.process(s, now()) {
@@ -1019,15 +1034,12 @@ mod tests {
                     if out.direction != Direction::ToClient || out.payload.is_empty() {
                         continue;
                     }
-                    for r in TlsRecord::parse_stream(&out.payload).map_err(|e| e.to_string())? {
-                        let (outs, evs) = client
-                            .process_record(&r, T0 + 2)
-                            .map_err(|e| e.to_string())?;
-                        to_server.extend(outs);
-                        for ev in evs {
-                            if let ritm_tls::connection::ClientEvent::RitmStatus(p) = ev {
-                                engine_client.push(p);
-                            }
+                    for action in client.feed(T0 + 2, &out.payload) {
+                        match action {
+                            Action::SendBytes(b) => to_server.push(b),
+                            Action::RitmStatus(p) => engine_client.push(p),
+                            Action::Abort { alert } => return Err(format!("aborted: {alert:?}")),
+                            _ => {}
                         }
                     }
                 }
@@ -1409,11 +1421,7 @@ mod tests {
 
         // And the server flight arriving byte-by-byte still staples.
         let mut server = ServerEngine::new(ctx, [1u8; 32]);
-        let mut flight = Vec::new();
-        for r in TlsRecord::parse_stream(&ch).unwrap() {
-            let (outs, _) = server.process_record(&r, T0 + 2).unwrap();
-            flight.extend(TlsRecord::encode_stream(&outs));
-        }
+        let flight = sent(server.feed(T0 + 2, &ch)).unwrap().concat();
         let mut stapled = Vec::new();
         for (i, byte) in flight.iter().enumerate() {
             for out in table.process(seg(Direction::ToClient, i as u64, vec![*byte]), now()) {
@@ -1447,11 +1455,7 @@ mod tests {
         let ch = client.start().to_bytes();
         table.process(seg(Direction::ToServer, 0, ch.clone()), now());
         let mut server = ServerEngine::new(ctx, [1u8; 32]);
-        let mut flight = Vec::new();
-        for r in TlsRecord::parse_stream(&ch).unwrap() {
-            let (outs, _) = server.process_record(&r, T0 + 2).unwrap();
-            flight.extend(TlsRecord::encode_stream(&outs));
-        }
+        let flight = sent(server.feed(T0 + 2, &ch)).unwrap().concat();
         let outs = table.process(seg(Direction::ToClient, 0, flight.clone()), now());
         assert_eq!(outs.len(), 2, "status record + flight");
         let injected = outs[0].payload.len() as u64;
@@ -1602,10 +1606,7 @@ mod tests {
             to_server_seq += to_server.len() as u64;
             let mut flight = Vec::new();
             for out in table.process(s, now()) {
-                for r in TlsRecord::parse_stream(&out.payload).unwrap() {
-                    let (outs, _) = server.process_record(&r, T0 + 2).unwrap();
-                    flight.extend(TlsRecord::encode_stream(&outs));
-                }
+                flight.extend(sent(server.feed(T0 + 2, &out.payload)).unwrap().concat());
             }
             to_server.clear();
             let s = seg(Direction::ToClient, to_client_seq, flight.clone());

@@ -45,7 +45,7 @@ pub use dpi::{classify, Classification, ServerFlight, StreamClassifier};
 pub use intercept::{
     FlowStage, FlowTable, InterceptConfig, InterceptStats, StreamFault, TcpBuffer,
 };
-pub use monitor::{ConsistencyMonitor, MisbehaviorReport, RaHealthReport};
+pub use monitor::{ConsistencyMonitor, MisbehaviorReport};
 pub use ra::{MirrorWriteGuard, RaConfig, RevocationAgent, StatusPayload};
 pub use serve::{CacheStats, StatusServer};
 pub use service::StatusService;

@@ -9,7 +9,6 @@
 //! [`EquivocationProof`] reported to, e.g., software vendors.
 
 use crate::ra::RevocationAgent;
-use crate::serve::CacheStats;
 use ritm_dictionary::consistency::{EquivocationProof, Observation, RootObservatory};
 use ritm_dictionary::{CaId, SignedRoot};
 
@@ -91,36 +90,10 @@ impl ConsistencyMonitor {
     }
 }
 
-/// A point-in-time operational snapshot of one RA: how many CAs it mirrors
-/// and how often its `GetStatus` bodies were served as cached. This is what
-/// an operator dashboard scrapes to see whether hot requests are actually
-/// answered from cached bytes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RaHealthReport {
-    /// CAs currently mirrored.
-    pub mirrored_cas: usize,
-    /// Hits and misses of the encoded `GetStatus` bodies the wire path
-    /// serves from. Nothing is evicted: a publish drops the bodies of the
-    /// snapshot it replaces, and a miss past the bound is served uncached.
-    pub encoded_cache: CacheStats,
-}
-
-impl RevocationAgent {
-    /// Snapshots the RA's operational counters, including the encoded
-    /// response cache's hit/miss statistics.
-    pub fn health_report(&self) -> RaHealthReport {
-        let server = self.status_server();
-        RaHealthReport {
-            mirrored_cas: self.followed_cas().count(),
-            encoded_cache: server.encoded_cache_stats(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ra::{RaConfig, RevocationAgent};
+    use crate::ra::RaConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ritm_ca::misbehavior::{EquivocatingCa, View};
@@ -182,43 +155,6 @@ mod tests {
         }
         assert!(monitor.reports().is_empty());
         assert_eq!(monitor.checks, 5);
-    }
-
-    #[test]
-    fn health_report_surfaces_encoded_cache_counters() {
-        use ritm_crypto::ed25519::SigningKey as Sk;
-        let mut rng = StdRng::seed_from_u64(51);
-        let mut ca = ritm_dictionary::CaDictionary::new(
-            CaId::from_name("HealthCA"),
-            Sk::from_seed([5u8; 32]),
-            10,
-            128,
-            &mut rng,
-            1_000,
-        );
-        let mut ra = RevocationAgent::new(RaConfig::default());
-        ra.follow_ca(ca.ca(), ca.verifying_key(), *ca.signed_root())
-            .unwrap();
-        let serials: Vec<SerialNumber> =
-            (0..40u32).map(|i| SerialNumber::from_u24(i * 2)).collect();
-        let iss = ca.insert(&serials, &mut rng, 1_001).unwrap();
-        ra.mirror_mut(&ca.ca())
-            .unwrap()
-            .apply_issuance(&iss, 1_001)
-            .unwrap();
-
-        // One serial served twice: the second pass hits the encoded cache.
-        let server = ra.status_server();
-        for _ in 0..2 {
-            server
-                .encoded_status(&ca.ca(), &SerialNumber::from_u24(1))
-                .unwrap();
-        }
-        let health = ra.health_report();
-        assert_eq!(health.mirrored_cas, 1);
-        let single = health.encoded_cache;
-        assert_eq!((single.hits, single.misses), (1, 1));
-        assert!((single.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

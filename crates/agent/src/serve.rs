@@ -28,8 +28,8 @@ use std::sync::Arc;
 /// is served uncached.
 const MAX_CACHED_BODIES: usize = 16_384;
 
-/// Hit/miss counters of the encoded `GetStatus` bodies, surfaced through
-/// the RA health report (`ritm_agent::monitor`).
+/// Hit/miss counters of the encoded `GetStatus` bodies, read through
+/// [`StatusServer::encoded_cache_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Bodies served as cached.
@@ -352,6 +352,7 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second));
         let stats = server.encoded_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
         // The cached bytes are exactly the response the build path
         // would encode.
         let built = RitmResponse::Status(server.build_status(&[(ca.ca(), serial)]).unwrap());

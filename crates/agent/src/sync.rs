@@ -20,6 +20,13 @@
 //! RA mirrors. The per-Δ download measured here is exactly what Fig. 7
 //! plots, as encoded envelope bytes, and the billed traffic feeds Fig. 6 /
 //! Table II.
+//!
+//! Retries are accounted, not waited: a failed round trip's backoff
+//! ([`RetryPolicy`]) is charged to [`SyncReport::backoff`] as simulated
+//! time and never slept. A sync pass is a plain synchronous call with no
+//! clock of its own, so over a real socket a failed pull is re-sent at
+//! once, up to [`RetryPolicy::max_attempts`] times in one pass; a driver
+//! that wants wall-clock spacing spaces the passes it runs (one per Δ).
 
 use crate::ra::RevocationAgent;
 use rand::rngs::StdRng;
@@ -37,7 +44,8 @@ use ritm_proto::{
 /// with equal jitter (half fixed, half uniform) drawn from a seeded
 /// stream so a failing pass replays deterministically. Pauses are charged
 /// to the report as simulated time ([`SyncReport::backoff`]), consistent
-/// with how every other latency in the stack is accounted.
+/// with how every other latency in the stack is accounted, and never
+/// slept: over a real socket the retries of one pass go out back to back.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Total attempts per request, the first included (1 = no retry).

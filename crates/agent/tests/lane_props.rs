@@ -25,8 +25,7 @@ use ritm_net::middlebox::Middlebox;
 use ritm_net::tcp::{Direction, FourTuple, SocketAddr, TcpSegment};
 use ritm_net::time::SimTime;
 use ritm_tls::{
-    Action, Certificate, CertificateChain, RecordAssembler, ServerContext, ServerEngine, TlsRecord,
-    TrustAnchors,
+    Action, Certificate, CertificateChain, ServerContext, ServerEngine, TlsRecord, TrustAnchors,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -128,7 +127,6 @@ fn handshake(
         lane.stream.clear();
     }
     let mut server = ServerEngine::new(ctx, [3u8; 32]);
-    let mut records = RecordAssembler::new();
     let mut events = Vec::new();
     // Bytes each endpoint has sent, and the last byte the client received
     // (in its own view of the stream).
@@ -153,14 +151,11 @@ fn handshake(
             sent_down = seg.seq_end();
             for out in pass(lanes, seg)? {
                 client_got = out.seq_end();
-                records.push(&out.payload);
-                while let Some(record) = records.next_record().expect("TLS all the way") {
-                    let (outs, evs) = client.process_record(&record, NOW).map_err(|e| {
-                        TestCaseError::fail(format!("client: {e:?} after {events:?}"))
-                    })?;
-                    up.extend(TlsRecord::encode_stream(&outs));
-                    events.extend(evs);
-                }
+                let (out, evs) = client
+                    .feed(NOW, &out.payload)
+                    .map_err(|e| TestCaseError::fail(format!("client: {e:?} after {events:?}")))?;
+                up.extend(out);
+                events.extend(evs);
             }
         }
         if up.is_empty() && client.is_established() {

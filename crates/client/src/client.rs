@@ -13,8 +13,8 @@ use ritm_dictionary::{CaId, SerialNumber};
 use ritm_proto::StatusPayload;
 use ritm_tls::alert::AlertDescription;
 use ritm_tls::certificate::TrustAnchors;
-use ritm_tls::connection::{ClientConfig, ClientEvent, TlsError};
-use ritm_tls::engine::ClientEngine;
+use ritm_tls::connection::{ClientConfig, TlsError};
+use ritm_tls::engine::{Action, ClientEngine};
 use ritm_tls::record::TlsRecord;
 use ritm_tls::session::SessionState;
 use std::collections::HashMap;
@@ -103,7 +103,9 @@ pub struct RitmClient {
     /// Time of the last accepted status.
     last_valid: Option<u64>,
     established: bool,
-    resumed_chain: bool,
+    /// Whether `chain` holds the chain the server sent in this handshake
+    /// (rather than the identities remembered for a resumption).
+    chain_from_server: bool,
     server_confirmed: bool,
     aborted: Option<AbortReason>,
 }
@@ -161,8 +163,8 @@ impl RitmClient {
         RitmClient {
             tls,
             config,
-            resumed_chain: !chain.is_empty(),
             chain,
+            chain_from_server: false,
             pending_status: Vec::new(),
             root_tracker,
             last_valid: None,
@@ -208,28 +210,24 @@ impl RitmClient {
         }
     }
 
-    fn abort(
-        &mut self,
-        reason: AbortReason,
-        out: &mut Vec<TlsRecord>,
-        events: &mut Vec<RitmEvent>,
-    ) {
+    /// Tears the connection down for `reason`, returning the alert record
+    /// to send and the event to report.
+    fn abort(&mut self, reason: AbortReason) -> (TlsRecord, RitmEvent) {
         let desc = match reason {
             AbortReason::Revoked { .. } => AlertDescription::CertificateRevoked,
             AbortReason::MissingStatus | AbortReason::StaleStatus => {
                 AlertDescription::CertificateUnknown
             }
         };
-        out.push(self.tls.abort(desc));
-        events.push(RitmEvent::Aborted(reason.clone()));
-        self.aborted = Some(reason);
+        self.aborted = Some(reason.clone());
+        (self.tls.abort(desc), RitmEvent::Aborted(reason))
     }
 
     fn handle_status_bytes(
         &mut self,
         bytes: &[u8],
         now: u64,
-        out: &mut Vec<TlsRecord>,
+        out: &mut Vec<u8>,
         events: &mut Vec<RitmEvent>,
     ) {
         let Ok(payload) = StatusPayload::from_bytes(bytes) else {
@@ -253,8 +251,18 @@ impl RitmClient {
             }
             return;
         }
+        self.validate_status(&payload, now, out, events);
+    }
+
+    fn validate_status(
+        &mut self,
+        payload: &StatusPayload,
+        now: u64,
+        out: &mut Vec<u8>,
+        events: &mut Vec<RitmEvent>,
+    ) {
         match validate_payload_tracked(
-            &payload,
+            payload,
             &self.chain,
             &self.config.ca_keys,
             self.config.delta,
@@ -266,60 +274,66 @@ impl RitmClient {
                 events.push(RitmEvent::StatusAccepted);
             }
             Ok(Verdict::Revoked { serial, .. }) => {
-                self.abort(AbortReason::Revoked { serial }, out, events);
+                let (alert, event) = self.abort(AbortReason::Revoked { serial });
+                out.extend_from_slice(&alert.to_bytes());
+                events.push(event);
             }
             Err(e) => events.push(RitmEvent::StatusRejected(e)),
         }
     }
 
-    /// Feeds one inbound record; returns records to send and events.
+    /// Feeds bytes received from the server, at any fragmentation; returns
+    /// the bytes to send back and the events, in order.
+    ///
+    /// The chain the server presented is taken up by the call that
+    /// delivered it: statuses that arrived earlier are validated then, and
+    /// a revoked chain aborts before the client's second flight is handed
+    /// back.
     ///
     /// # Errors
     ///
-    /// TLS-level failures are returned as [`TlsError`]; RITM policy
-    /// violations surface as [`RitmEvent::Aborted`] plus an alert record.
-    pub fn process_record(
-        &mut self,
-        record: &TlsRecord,
-        now: u64,
-    ) -> Result<(Vec<TlsRecord>, Vec<RitmEvent>), TlsError> {
+    /// A TLS failure is [`TlsError::FatalAlert`] with the alert that ended
+    /// the connection (the peer's, or the one the engine raised locally),
+    /// and [`TlsError::Closed`] once the client aborted. RITM policy
+    /// violations are not errors: they surface as [`RitmEvent::Aborted`]
+    /// plus the alert bytes to send.
+    pub fn feed(&mut self, now: u64, bytes: &[u8]) -> Result<(Vec<u8>, Vec<RitmEvent>), TlsError> {
         if self.aborted.is_some() {
             return Err(TlsError::Closed);
         }
-        let (mut out, tls_events) = self.tls.process_record(record, now)?;
+        let actions = self.tls.feed(now, bytes);
+        let mut out = Vec::new();
         let mut events = Vec::new();
-        for ev in tls_events {
-            match ev {
-                ClientEvent::CertificateReceived(chain) => {
-                    self.chain = chain.0.iter().map(|c| (c.issuer, c.serial)).collect();
-                    // Drain any early-arriving statuses.
-                    let pending = std::mem::take(&mut self.pending_status);
-                    for p in pending {
-                        let bytes = p.to_bytes();
-                        self.handle_status_bytes(&bytes, now, &mut out, &mut events);
-                    }
+        if let Some(chain) = self.tls.server_chain().filter(|_| !self.chain_from_server) {
+            self.chain = chain.0.iter().map(|c| (c.issuer, c.serial)).collect();
+            self.chain_from_server = true;
+            for payload in std::mem::take(&mut self.pending_status) {
+                self.validate_status(&payload, now, &mut out, &mut events);
+                if self.aborted.is_some() {
+                    return Ok((out, events));
                 }
-                ClientEvent::RitmStatus(bytes) => {
+            }
+        }
+        for action in actions {
+            match action {
+                Action::SendBytes(bytes) => out.extend_from_slice(&bytes),
+                Action::RitmStatus(bytes) => {
                     self.handle_status_bytes(&bytes, now, &mut out, &mut events);
                 }
-                ClientEvent::HandshakeComplete {
-                    resumed,
-                    server_confirms_ritm,
-                } => {
-                    self.server_confirmed = server_confirms_ritm;
-                    if resumed && !self.resumed_chain {
-                        // Resumed without remembered identities: statuses
-                        // cannot be validated; treat per policy below.
-                    }
+                Action::HandshakeComplete { resumed, .. } => {
+                    self.server_confirmed = self.tls.server_confirms_ritm();
                     if self.requires_status() && self.last_valid.is_none() {
-                        self.abort(AbortReason::MissingStatus, &mut out, &mut events);
+                        let (alert, event) = self.abort(AbortReason::MissingStatus);
+                        out.extend_from_slice(&alert.to_bytes());
+                        events.push(event);
                     } else {
                         self.established = true;
                         events.push(RitmEvent::Established { resumed });
                     }
                 }
-                ClientEvent::ReceivedData(d) => events.push(RitmEvent::Data(d)),
-                ClientEvent::ConnectionClosed => {}
+                Action::ReceivedData(d) => events.push(RitmEvent::Data(d)),
+                Action::Abort { alert } => return Err(TlsError::FatalAlert(alert)),
+                Action::NeedMoreData | Action::Closed => {}
             }
             if self.aborted.is_some() {
                 break;
@@ -340,14 +354,7 @@ impl RitmClient {
             Some(t) => now.saturating_sub(t) > 2 * self.config.delta,
             None => true,
         };
-        if stale {
-            let mut out = Vec::new();
-            let mut events = Vec::new();
-            self.abort(AbortReason::StaleStatus, &mut out, &mut events);
-            Some((out.remove(0), events.remove(0)))
-        } else {
-            None
-        }
+        stale.then(|| self.abort(AbortReason::StaleStatus))
     }
 
     /// Sends application data.
@@ -477,8 +484,19 @@ mod tests {
         }
     }
 
-    /// Drives the handshake through the RA, record by record, collecting
-    /// client events.
+    /// The bytes of each `SendBytes` in `actions`, one segment apiece.
+    fn segments(actions: Vec<Action>) -> Vec<Vec<u8>> {
+        actions
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::SendBytes(b) => Some(b),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Drives the handshake through the RA, one segment per `feed` call,
+    /// collecting client events.
     fn drive(w: &mut World, now: u64) -> Vec<RitmEvent> {
         drive_with(w, now, |_| {})
     }
@@ -491,47 +509,60 @@ mod tests {
         mut edit: impl FnMut(&mut Vec<TlsRecord>),
     ) -> Vec<RitmEvent> {
         let mut events = Vec::new();
-        let mut to_server = vec![w.client.start()];
+        let mut to_server = vec![w.client.start().to_bytes()];
         for _ in 0..8 {
             let mut to_client = Vec::new();
-            for rec in to_server.drain(..) {
+            for bytes in to_server.drain(..) {
                 // client → RA → server
-                let seg =
-                    TcpSegment::data(tuple(), Direction::ToServer, w.seq_up, 0, rec.to_bytes());
-                w.seq_up += rec.encoded_len() as u64;
+                let seg = TcpSegment::data(tuple(), Direction::ToServer, w.seq_up, 0, bytes);
+                w.seq_up = seg.seq_end();
                 for out_seg in w.lane.process(seg, SimTime::from_secs(now)) {
-                    for r in TlsRecord::parse_stream(&out_seg.payload).unwrap() {
-                        // A fatal alert from the client legitimately kills
-                        // the server side; stop feeding it afterwards.
-                        match w.server.process_record(&r, now) {
-                            Ok((outs, _)) => to_client.extend(outs),
-                            Err(_) => return events,
-                        }
+                    // A fatal alert from the client legitimately kills
+                    // the server side; stop feeding it afterwards.
+                    let actions = w.server.feed(now, &out_seg.payload);
+                    if actions.iter().any(|a| matches!(a, Action::Abort { .. })) {
+                        return events;
                     }
+                    to_client.extend(segments(actions));
                 }
             }
-            for rec in to_client.drain(..) {
+            for bytes in to_client.drain(..) {
                 // server → RA → client
-                let seg =
-                    TcpSegment::data(tuple(), Direction::ToClient, w.seq_down, 0, rec.to_bytes());
-                w.seq_down += rec.encoded_len() as u64;
+                let seg = TcpSegment::data(tuple(), Direction::ToClient, w.seq_down, 0, bytes);
+                w.seq_down = seg.seq_end();
                 for out_seg in w.lane.process(seg, SimTime::from_secs(now)) {
                     let mut records = TlsRecord::parse_stream(&out_seg.payload).unwrap();
                     edit(&mut records);
-                    for r in records {
-                        match w.client.process_record(&r, now) {
-                            Ok((outs, evs)) => {
-                                to_server.extend(outs);
-                                events.extend(evs);
+                    match w.client.feed(now, &TlsRecord::encode_stream(&records)) {
+                        Ok((out, evs)) => {
+                            if !out.is_empty() {
+                                to_server.push(out);
                             }
-                            Err(_) => return events,
+                            events.extend(evs);
                         }
+                        Err(_) => return events,
                     }
                 }
             }
             if to_server.is_empty() && w.client.is_established() {
                 break;
             }
+        }
+        events
+    }
+
+    /// Drives the handshake straight between client and server, with no
+    /// RA on the path, collecting client events.
+    fn drive_direct(w: &mut World, now: u64) -> Vec<RitmEvent> {
+        let mut events = Vec::new();
+        let mut to_server = w.client.start().to_bytes();
+        while !to_server.is_empty() {
+            let to_client = segments(w.server.feed(now, &to_server)).concat();
+            let Ok((out, evs)) = w.client.feed(now, &to_client) else {
+                break;
+            };
+            events.extend(evs);
+            to_server = out;
         }
         events
     }
@@ -565,26 +596,7 @@ mod tests {
         // AlwaysRequire + no RA on path (adversary tunnelled around it):
         // the handshake completes at the TLS layer but RITM policy aborts.
         let mut w = world(false, DowngradePolicy::AlwaysRequire);
-        let mut events = Vec::new();
-        let mut to_server = vec![w.client.start()];
-        for _ in 0..8 {
-            let mut to_client = Vec::new();
-            for rec in to_server.drain(..) {
-                match w.server.process_record(&rec, T0 + 2) {
-                    Ok((outs, _)) => to_client.extend(outs),
-                    Err(_) => break,
-                }
-            }
-            for rec in to_client.drain(..) {
-                if let Ok((outs, evs)) = w.client.process_record(&rec, T0 + 2) {
-                    to_server.extend(outs);
-                    events.extend(evs);
-                }
-            }
-            if to_server.is_empty() {
-                break;
-            }
-        }
+        let events = drive_direct(&mut w, T0 + 2);
         assert!(
             events.contains(&RitmEvent::Aborted(AbortReason::MissingStatus)),
             "{events:?}"
@@ -594,26 +606,12 @@ mod tests {
     #[test]
     fn allow_missing_policy_permits_no_ra() {
         let mut w = world(false, DowngradePolicy::AllowMissing);
-        let mut to_server = vec![w.client.start()];
-        let mut established = false;
-        for _ in 0..8 {
-            let mut to_client = Vec::new();
-            for rec in to_server.drain(..) {
-                let (outs, _) = w.server.process_record(&rec, T0 + 2).unwrap();
-                to_client.extend(outs);
-            }
-            for rec in to_client.drain(..) {
-                let (outs, evs) = w.client.process_record(&rec, T0 + 2).unwrap();
-                to_server.extend(outs);
-                established |= evs
-                    .iter()
-                    .any(|e| matches!(e, RitmEvent::Established { .. }));
-            }
-            if to_server.is_empty() {
-                break;
-            }
-        }
-        assert!(established);
+        let events = drive_direct(&mut w, T0 + 2);
+        assert!(
+            events.contains(&RitmEvent::Established { resumed: false }),
+            "{events:?}"
+        );
+        assert!(w.client.is_established());
     }
 
     #[test]
@@ -639,12 +637,10 @@ mod tests {
         let seg = TcpSegment::data(tuple(), Direction::ToClient, w.seq_down, 0, data.to_bytes());
         let mut aborted = false;
         for out_seg in w.lane.process(seg, SimTime::from_secs(now)) {
-            for r in TlsRecord::parse_stream(&out_seg.payload).unwrap() {
-                if let Ok((_, evs)) = w.client.process_record(&r, now) {
-                    aborted |= evs
-                        .iter()
-                        .any(|e| matches!(e, RitmEvent::Aborted(AbortReason::Revoked { .. })));
-                }
+            if let Ok((_, evs)) = w.client.feed(now, &out_seg.payload) {
+                aborted |= evs
+                    .iter()
+                    .any(|e| matches!(e, RitmEvent::Aborted(AbortReason::Revoked { .. })));
             }
         }
         assert!(
@@ -674,7 +670,7 @@ mod tests {
         let mut w = world(false, DowngradePolicy::AlwaysRequire);
         drive(&mut w, T0 + 2);
         let rec = TlsRecord::new(ritm_tls::record::ContentType::RitmStatus, vec![0xFF; 40]);
-        let (_, evs) = w.client.process_record(&rec, T0 + 3).unwrap();
+        let (_, evs) = w.client.feed(T0 + 3, &rec.to_bytes()).unwrap();
         assert!(matches!(evs[0], RitmEvent::StatusRejected(_)));
         assert!(w.client.is_established(), "garbage must not DoS the client");
     }

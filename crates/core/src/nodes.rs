@@ -2,15 +2,15 @@
 //!
 //! These wrap [`RitmClient`] and [`ServerEngine`] as
 //! [`NetNode`]s so full RITM connections run over the packet-level network
-//! simulator with an RA middlebox in between.
+//! simulator with an RA middlebox in between. Each segment's payload is fed
+//! to the endpoint as it arrives, whatever records it splits.
 
 use ritm_client::{RitmClient, RitmEvent};
 use ritm_net::sim::{Context, NetNode};
 use ritm_net::tcp::{Direction, FourTuple, TcpSegment};
 use ritm_net::time::SimDuration;
 use ritm_tls::connection::TlsError;
-use ritm_tls::engine::ServerEngine;
-use ritm_tls::record::TlsRecord;
+use ritm_tls::engine::{Action, ServerEngine};
 
 /// Timer id used by the client's periodic staleness check.
 pub const CLIENT_TICK_TIMER: u64 = 1;
@@ -56,12 +56,11 @@ impl ClientNode {
     /// Builds the opening segment (ClientHello). Inject it via
     /// [`ritm_net::Simulator::inject`] to start the connection.
     pub fn start_segment(&mut self) -> TcpSegment {
-        let rec = self.client.start();
-        self.segment_for(rec)
+        let hello = self.client.start().to_bytes();
+        self.segment_for(hello)
     }
 
-    fn segment_for(&mut self, rec: TlsRecord) -> TcpSegment {
-        let bytes = rec.to_bytes();
+    fn segment_for(&mut self, bytes: Vec<u8>) -> TcpSegment {
         let seg = TcpSegment::data(
             self.tuple,
             Direction::ToServer,
@@ -71,13 +70,6 @@ impl ClientNode {
         );
         self.sent_bytes = seg.seq_end();
         seg
-    }
-
-    fn emit(&mut self, records: Vec<TlsRecord>, ctx: &mut Context) {
-        for rec in records {
-            let seg = self.segment_for(rec);
-            ctx.send(seg);
-        }
     }
 }
 
@@ -93,20 +85,15 @@ impl NetNode for ClientNode {
             return;
         }
         self.recv_bytes = self.recv_bytes.max(segment.seq_end());
-        let Ok(records) = TlsRecord::parse_stream(&segment.payload) else {
-            return;
-        };
-        for rec in records {
-            match self.client.process_record(&rec, now) {
-                Ok((outs, evs)) => {
-                    self.events.extend(evs.into_iter().map(|e| (now, e)));
-                    self.emit(outs, ctx);
-                }
-                Err(e) => {
-                    self.error = Some(e);
-                    return;
+        match self.client.feed(now, &segment.payload) {
+            Ok((out, events)) => {
+                self.events.extend(events.into_iter().map(|e| (now, e)));
+                if !out.is_empty() {
+                    let seg = self.segment_for(out);
+                    ctx.send(seg);
                 }
             }
+            Err(e) => self.error = Some(e),
         }
     }
 
@@ -117,7 +104,7 @@ impl NetNode for ClientNode {
         let now = ctx.now.as_secs();
         if let Some((alert, ev)) = self.client.tick(now) {
             self.events.push((now, ev));
-            let seg = self.segment_for(alert);
+            let seg = self.segment_for(alert.to_bytes());
             ctx.send(seg);
             return; // connection over; stop ticking
         }
@@ -164,8 +151,7 @@ impl ServerNode {
         self.scheduled.len() as u64 - 1
     }
 
-    fn segment_for(&mut self, rec: TlsRecord) -> TcpSegment {
-        let bytes = rec.to_bytes();
+    fn segment_for(&mut self, bytes: Vec<u8>) -> TcpSegment {
         let seg = TcpSegment::data(
             self.tuple,
             Direction::ToClient,
@@ -185,26 +171,20 @@ impl NetNode for ServerNode {
         }
         self.recv_bytes = self.recv_bytes.max(segment.seq_end());
         let now = ctx.now.as_secs();
-        let Ok(records) = TlsRecord::parse_stream(&segment.payload) else {
-            return;
-        };
-        for rec in records {
-            match self.conn.process_record(&rec, now) {
-                Ok((outs, evs)) => {
-                    for ev in evs {
-                        if let ritm_tls::connection::ServerEvent::ReceivedData(d) = ev {
-                            self.received.push(d);
-                        }
-                    }
-                    for out in outs {
-                        let seg = self.segment_for(out);
-                        ctx.send(seg);
-                    }
+        for action in self.conn.feed(now, &segment.payload) {
+            match action {
+                // On a local failure this is the engine's alert, sent
+                // ahead of the abort.
+                Action::SendBytes(bytes) => {
+                    let seg = self.segment_for(bytes);
+                    ctx.send(seg);
                 }
-                Err(e) => {
-                    self.error = Some(e);
+                Action::ReceivedData(d) => self.received.push(d),
+                Action::Abort { alert } => {
+                    self.error = Some(TlsError::FatalAlert(alert));
                     return;
                 }
+                _ => {}
             }
         }
     }
@@ -218,7 +198,7 @@ impl NetNode for ServerNode {
             return;
         };
         if let Ok(rec) = self.conn.send_data(&data) {
-            let seg = self.segment_for(rec);
+            let seg = self.segment_for(rec.to_bytes());
             ctx.send(seg);
         }
     }

@@ -9,6 +9,8 @@
 //! * The CI `handshake-smoke` shape: many concurrent handshakes with mixed
 //!   chains on one shared 2-thread runtime — every revoked flow reset,
 //!   zero benign flows reset.
+//! * A long-lived flow is re-stapled once Δ has passed on the relay's
+//!   clock.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -25,9 +27,10 @@ use ritm_rt::{Executor, Handle};
 use ritm_tls::alert::AlertDescription;
 use ritm_tls::certificate::{Certificate, CertificateChain, TrustAnchors};
 use ritm_tls::connection::{ClientConfig, ServerContext};
-use ritm_tls::engine::{ClientEngine, ServerEngine};
+use ritm_tls::engine::{Action, ClientEngine, ServerEngine};
 use ritm_tls::event::{drive_handshake_task, HandshakeOutcome, HandshakeTaskError};
 use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -414,5 +417,134 @@ fn concurrent_mixed_handshakes_on_shared_runtime() {
     );
     assert_eq!(stats.flows_tracked, u64::from(flows));
     assert!(stats.statuses_injected >= u64::from(benign_ok));
+    exec.shutdown();
+}
+
+/// Reads from `stream` into `feed` — writing every `SendBytes` back — until
+/// `done` holds for the actions seen so far, and returns those actions.
+fn exchange(
+    stream: &mut TcpStream,
+    mut feed: impl FnMut(&[u8]) -> Vec<Action>,
+    done: impl Fn(&[Action]) -> bool,
+) -> Vec<Action> {
+    let mut seen = Vec::new();
+    let mut buf = [0u8; 4096];
+    while !done(&seen) {
+        let n = stream
+            .read(&mut buf)
+            .unwrap_or_else(|e| panic!("no read within the timeout ({e}) after {seen:?}"));
+        assert!(n > 0, "peer closed early after {seen:?}");
+        for action in feed(&buf[..n]) {
+            if let Action::SendBytes(bytes) = &action {
+                stream.write_all(bytes).expect("write");
+            }
+            seen.push(action);
+        }
+    }
+    seen
+}
+
+fn has(actions: &[Action], wanted: fn(&Action) -> bool) -> bool {
+    actions.iter().any(wanted)
+}
+
+#[test]
+fn long_lived_flow_through_the_relay_is_restapled_after_delta() {
+    // The relay must hand the table a clock that moves: with Δ = 1 s, a
+    // server record written just over a second after the handshake is
+    // re-stapled (§VIII), so the client reads a fresh status beside it.
+    let world = World::new();
+    let table = Arc::new(Mutex::new(FlowTable::new(
+        Arc::clone(&world.status),
+        InterceptConfig {
+            delta: 1,
+            ..Default::default()
+        },
+    )));
+    let exec = Executor::new(2);
+    let server_listener = TcpListener::bind("127.0.0.1:0").expect("bind server");
+    let mb_listener = TcpListener::bind("127.0.0.1:0").expect("bind middlebox");
+    let mut client_stream = TcpStream::connect(mb_listener.local_addr().unwrap()).unwrap();
+    let (client_side, _) = mb_listener.accept().expect("middlebox accept");
+    let server_side = TcpStream::connect(server_listener.local_addr().unwrap()).unwrap();
+    let (mut server_stream, _) = server_listener.accept().expect("server accept");
+    ritm_agent::intercept::spawn_inline_relay(
+        &exec.handle(),
+        Arc::clone(&table),
+        tuple(1),
+        client_side,
+        server_side,
+        SimTime::from_secs(NOW),
+    )
+    .expect("relay spawned");
+    for stream in [&client_stream, &server_stream] {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+    }
+
+    let (chain, anchors) = world.chain(Kind::Benign, 11);
+    let mut server = ServerEngine::new(ServerContext::new(chain.clone(), [9u8; 20]), [1u8; 32]);
+    let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
+    let sends = |a: &Action| matches!(a, Action::SendBytes(_));
+    let completes = |a: &Action| matches!(a, Action::HandshakeComplete { .. });
+    client_stream.write_all(&client.start().to_bytes()).unwrap();
+    exchange(
+        &mut server_stream,
+        |b| server.feed(NOW, b),
+        |s| has(s, sends),
+    );
+    let first = exchange(
+        &mut client_stream,
+        |b| client.feed(NOW, b),
+        |s| has(s, sends),
+    );
+    assert!(has(&first, |a| matches!(a, Action::RitmStatus(_))));
+    exchange(
+        &mut server_stream,
+        |b| server.feed(NOW, b),
+        |s| has(s, completes),
+    );
+    exchange(
+        &mut client_stream,
+        |b| client.feed(NOW, b),
+        |s| has(s, completes),
+    );
+    assert!(client.is_established());
+
+    std::thread::sleep(Duration::from_millis(1_100));
+    let record = server.send_data(b"still here").unwrap();
+    server_stream.write_all(&record.to_bytes()).unwrap();
+    let late = exchange(
+        &mut client_stream,
+        |b| client.feed(NOW + 1, b),
+        |s| s.len() >= 2 || has(s, |a| matches!(a, Action::Abort { .. })),
+    );
+    let late: Vec<&Action> = late
+        .iter()
+        .filter(|a| !matches!(a, Action::NeedMoreData))
+        .collect();
+    // The lane staples at the record boundary right behind the segment
+    // that triggered the re-staple.
+    let [Action::ReceivedData(data), Action::RitmStatus(status)] = late.as_slice() else {
+        panic!("expected the record and a fresh status, got {late:?}");
+    };
+    assert_eq!(data, b"still here");
+    let payload = StatusPayload::from_bytes(status).expect("decodes");
+    let wire_chain: Vec<(CaId, SerialNumber)> =
+        chain.0.iter().map(|c| (c.issuer, c.serial)).collect();
+    let verdict = validate_payload_tracked(
+        &payload,
+        &wire_chain,
+        &world.ca_keys(),
+        world.delta,
+        NOW + 1,
+        &mut RootTracker::new(),
+    )
+    .expect("the re-stapled status validates");
+    assert_eq!(verdict, Verdict::AllValid);
+    assert_eq!(table.lock().stats().statuses_injected, 2);
+    // Closing both ends lets the relay's pumps finish.
+    drop((client_stream, server_stream));
     exec.shutdown();
 }

@@ -59,6 +59,11 @@ pub const MAX_SHARED_HEADER_LEN: usize = 12;
 /// Most segments one vectored write gathers: 64 header + body replies.
 const MAX_IOVECS: usize = 128;
 
+/// Slots gathered when the queue holds no more than this many segments (a
+/// few header + body replies), so a shallow write does not clear all
+/// [`MAX_IOVECS`] of them.
+const FEW_IOVECS: usize = 8;
+
 /// Outcome of one [`FrameReader::poll_frame`] attempt.
 #[derive(Debug)]
 pub enum FrameRead {
@@ -191,6 +196,23 @@ pub enum FrameWrite {
     Err(std::io::Error),
 }
 
+/// Writes the first `N` segments of `queue` (the first from `offset` on)
+/// in one vectored call.
+fn write_gathered<const N: usize>(
+    queue: &VecDeque<Seg>,
+    offset: usize,
+    io: &mut impl Write,
+) -> std::io::Result<usize> {
+    let mut slices = [IoSlice::new(&[]); N];
+    let mut count = 0;
+    for (slot, seg) in slices.iter_mut().zip(queue) {
+        let s = seg.as_slice();
+        *slot = IoSlice::new(if count == 0 { &s[offset..] } else { s });
+        count += 1;
+    }
+    io.write_vectored(&slices[..count])
+}
+
 /// One queued run of bytes: a whole owned frame, a shared response body,
 /// or a small inline header stamped in front of one.
 #[derive(Debug)]
@@ -321,16 +343,11 @@ impl FrameWriter {
             if self.queue.is_empty() {
                 return FrameWrite::Done;
             }
-            let result = {
-                let mut slices: [IoSlice; MAX_IOVECS] = std::array::from_fn(|_| IoSlice::new(&[]));
-                let mut count = 0;
-                for (i, seg) in self.queue.iter().take(MAX_IOVECS).enumerate() {
-                    let s = seg.as_slice();
-                    slices[count] = IoSlice::new(if i == 0 { &s[self.offset..] } else { s });
-                    count += 1;
-                }
-                self.write_calls += 1;
-                io.write_vectored(&slices[..count])
+            self.write_calls += 1;
+            let result = if self.queue.len() <= FEW_IOVECS {
+                write_gathered::<FEW_IOVECS>(&self.queue, self.offset, io)
+            } else {
+                write_gathered::<MAX_IOVECS>(&self.queue, self.offset, io)
             };
             match result {
                 Ok(0) => {

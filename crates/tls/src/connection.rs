@@ -1,6 +1,6 @@
-//! The types both TLS endpoints share — configuration, the server's
-//! long-lived context, the events a driver sees, the error type — and an
-//! in-memory handshake driver over the engines in [`crate::engine`].
+//! The types both TLS endpoints share: configuration, the server's
+//! long-lived context and the error type. The endpoints themselves are the
+//! engines in [`crate::engine`].
 //!
 //! The protocol is enough of TLS 1.2 for RITM's purposes: plaintext
 //! negotiation carrying real certificate chains (what the RA's DPI
@@ -11,8 +11,6 @@
 
 use crate::alert::Alert;
 use crate::certificate::{CertError, CertificateChain, TrustAnchors};
-use crate::engine::{ClientEngine, ServerEngine};
-use crate::record::TlsRecord;
 use crate::session::ServerSessionCache;
 use parking_lot::Mutex;
 use ritm_crypto::digest::Digest20;
@@ -32,7 +30,10 @@ pub enum TlsError {
     BadFinished,
     /// No common cipher suite.
     NoCipherOverlap,
-    /// The peer sent a fatal alert.
+    /// A fatal alert ended the connection. Inside the engines it is always
+    /// the peer's; a wrapper driving an engine through `feed` also reports
+    /// the engine's own [`Action::Abort`](crate::engine::Action::Abort)
+    /// this way.
     FatalAlert(Alert),
     /// The connection was already closed or failed.
     Closed,
@@ -46,7 +47,7 @@ impl core::fmt::Display for TlsError {
             TlsError::Certificate(e) => write!(f, "certificate validation failed: {e}"),
             TlsError::BadFinished => f.write_str("finished verify-data mismatch"),
             TlsError::NoCipherOverlap => f.write_str("no common cipher suite"),
-            TlsError::FatalAlert(a) => write!(f, "peer sent fatal alert {:?}", a.description),
+            TlsError::FatalAlert(a) => write!(f, "fatal alert {:?}", a.description),
             TlsError::Closed => f.write_str("connection closed"),
         }
     }
@@ -133,20 +134,6 @@ impl ServerContext {
     }
 }
 
-/// Events a server connection reports to its driver.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServerEvent {
-    /// Handshake finished (`resumed` = abbreviated handshake).
-    HandshakeComplete {
-        /// Whether this was a resumption.
-        resumed: bool,
-    },
-    /// Application data arrived.
-    ReceivedData(Vec<u8>),
-    /// The peer closed or failed the connection.
-    ConnectionClosed,
-}
-
 /// Client-side configuration.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -158,66 +145,14 @@ pub struct ClientConfig {
     pub enable_ritm: bool,
 }
 
-/// Events a client connection reports to its driver.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientEvent {
-    /// Handshake finished; for a full handshake the validated chain was
-    /// already surfaced via [`ClientEvent::CertificateReceived`].
-    HandshakeComplete {
-        /// Whether this was a resumption.
-        resumed: bool,
-        /// Whether the server confirmed RITM support (close-to-server
-        /// deployment, §IV) — used for downgrade protection.
-        server_confirms_ritm: bool,
-    },
-    /// The server's chain passed standard validation (client step 5a).
-    CertificateReceived(CertificateChain),
-    /// Application data arrived.
-    ReceivedData(Vec<u8>),
-    /// A RITM revocation-status record arrived (opaque payload; the
-    /// `ritm-client` crate decodes and enforces it).
-    RitmStatus(Vec<u8>),
-    /// The connection ended.
-    ConnectionClosed,
-}
-
-/// Drives a full in-memory handshake between `client` and `server`,
-/// returning all events both sides emitted. Used heavily by tests and by
-/// higher-level crates that do not need packet-level simulation.
-pub fn drive_handshake(
-    client: &mut ClientEngine,
-    server: &mut ServerEngine,
-    now: u64,
-) -> Result<(Vec<ClientEvent>, Vec<ServerEvent>), TlsError> {
-    let mut client_events = Vec::new();
-    let mut server_events = Vec::new();
-    let mut to_server = vec![client.start()];
-    let mut to_client: Vec<TlsRecord> = Vec::new();
-    for _ in 0..8 {
-        for rec in to_server.drain(..) {
-            let (outs, evs) = server.process_record(&rec, now)?;
-            to_client.extend(outs);
-            server_events.extend(evs);
-        }
-        for rec in to_client.drain(..) {
-            let (outs, evs) = client.process_record(&rec, now)?;
-            to_server.extend(outs);
-            client_events.extend(evs);
-        }
-        if client.is_established() && server.is_established() && to_server.is_empty() {
-            break;
-        }
-    }
-    Ok((client_events, server_events))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alert::AlertDescription;
     use crate::certificate::{Certificate, TrustAnchors};
+    use crate::engine::{Action, ClientEngine, ServerEngine};
     use crate::handshake::DEFAULT_CIPHER_SUITE;
-    use crate::record::ContentType;
+    use crate::record::{ContentType, TlsRecord};
     use crate::session::SessionState;
     use ritm_crypto::ed25519::SigningKey;
     use ritm_dictionary::{CaId, SerialNumber};
@@ -251,21 +186,69 @@ mod tests {
         }
     }
 
+    fn sent(actions: &[Action]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for action in actions {
+            if let Action::SendBytes(b) = action {
+                bytes.extend_from_slice(b);
+            }
+        }
+        bytes
+    }
+
+    /// Runs a handshake in memory, one whole flight per `feed` call, until
+    /// neither side has anything to send; returns every action of each
+    /// side (client's first).
+    fn handshake(
+        client: &mut ClientEngine,
+        server: &mut ServerEngine,
+        now: u64,
+    ) -> (Vec<Action>, Vec<Action>) {
+        let (mut client_actions, mut server_actions) = (Vec::new(), Vec::new());
+        let mut to_server = client.start().to_bytes();
+        while !to_server.is_empty() {
+            let actions = server.feed(now, &to_server);
+            let to_client = sent(&actions);
+            server_actions.extend(actions);
+            to_server.clear();
+            if !to_client.is_empty() {
+                let actions = client.feed(now, &to_client);
+                to_server = sent(&actions);
+                client_actions.extend(actions);
+            }
+        }
+        (client_actions, server_actions)
+    }
+
+    /// The `resumed` flag of the handshake's completion, if it completed.
+    fn completed(actions: &[Action]) -> Option<bool> {
+        actions.iter().find_map(|a| match a {
+            Action::HandshakeComplete { resumed, .. } => Some(*resumed),
+            _ => None,
+        })
+    }
+
     #[test]
     fn full_handshake_completes() {
         let (chain, anchors) = test_pki();
         let ctx = ServerContext::new(chain.clone(), [9u8; 20]);
         let mut server = ServerEngine::new(ctx, [1u8; 32]);
         let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
-        let (cev, sev) = drive_handshake(&mut client, &mut server, NOW).unwrap();
+        let (cev, sev) = handshake(&mut client, &mut server, NOW);
         assert!(client.is_established());
         assert!(server.is_established());
-        assert!(cev.contains(&ClientEvent::HandshakeComplete {
+        assert!(cev.contains(&Action::HandshakeComplete {
+            chain: Some(chain.clone()),
+            ticket: None,
             resumed: false,
-            server_confirms_ritm: false
         }));
-        assert!(sev.contains(&ServerEvent::HandshakeComplete { resumed: false }));
+        assert!(sev.contains(&Action::HandshakeComplete {
+            chain: None,
+            ticket: None,
+            resumed: false,
+        }));
         assert_eq!(client.server_chain(), Some(&chain));
+        assert!(!client.server_confirms_ritm());
     }
 
     #[test]
@@ -274,14 +257,9 @@ mod tests {
         let ctx = ServerContext::new_ritm_terminator(chain, [9u8; 20]);
         let mut server = ServerEngine::new(ctx, [1u8; 32]);
         let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
-        let (cev, _) = drive_handshake(&mut client, &mut server, NOW).unwrap();
-        assert!(cev.iter().any(|e| matches!(
-            e,
-            ClientEvent::HandshakeComplete {
-                server_confirms_ritm: true,
-                ..
-            }
-        )));
+        let (cev, _) = handshake(&mut client, &mut server, NOW);
+        assert_eq!(completed(&cev), Some(false));
+        assert!(client.server_confirms_ritm());
     }
 
     #[test]
@@ -290,20 +268,21 @@ mod tests {
         let ctx = ServerContext::new(chain, [9u8; 20]);
         let mut server = ServerEngine::new(ctx.clone(), [1u8; 32]);
         let mut client = ClientEngine::new(client_config(anchors.clone()), [2u8; 32], None);
-        drive_handshake(&mut client, &mut server, NOW).unwrap();
+        handshake(&mut client, &mut server, NOW);
         let session = client.session_state(NOW).unwrap();
 
         let mut server2 = ServerEngine::new(ctx, [3u8; 32]);
         let mut client2 = ClientEngine::new(client_config(anchors), [4u8; 32], Some(session));
-        let (cev, sev) = drive_handshake(&mut client2, &mut server2, NOW + 10).unwrap();
-        assert!(cev
-            .iter()
-            .any(|e| matches!(e, ClientEvent::HandshakeComplete { resumed: true, .. })));
-        assert!(sev.contains(&ServerEvent::HandshakeComplete { resumed: true }));
+        let (cev, sev) = handshake(&mut client2, &mut server2, NOW + 10);
+        assert_eq!(completed(&cev), Some(true));
+        assert_eq!(completed(&sev), Some(true));
         // No Certificate message was delivered on resumption.
-        assert!(!cev
-            .iter()
-            .any(|e| matches!(e, ClientEvent::CertificateReceived(_))));
+        assert!(cev.contains(&Action::HandshakeComplete {
+            chain: None,
+            ticket: None,
+            resumed: true,
+        }));
+        assert!(client2.server_chain().is_none());
     }
 
     #[test]
@@ -312,8 +291,13 @@ mod tests {
         let ctx = ServerContext::new(chain, [9u8; 20]).with_tickets();
         let mut server = ServerEngine::new(ctx.clone(), [1u8; 32]);
         let mut client = ClientEngine::new(client_config(anchors.clone()), [2u8; 32], None);
-        drive_handshake(&mut client, &mut server, NOW).unwrap();
+        let (cev, _) = handshake(&mut client, &mut server, NOW);
         let ticket = client.take_ticket().expect("ticket issued");
+        // The completion carried the same ticket.
+        assert!(cev.iter().any(|a| matches!(
+            a,
+            Action::HandshakeComplete { ticket: Some(t), .. } if *t == ticket
+        )));
         // The server can recover session state from its own ticket.
         let recovered = ctx
             .cache
@@ -335,13 +319,9 @@ mod tests {
             established_at: NOW,
         };
         let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], Some(bogus));
-        let (cev, _) = drive_handshake(&mut client, &mut server, NOW).unwrap();
-        assert!(cev
-            .iter()
-            .any(|e| matches!(e, ClientEvent::HandshakeComplete { resumed: false, .. })));
-        assert!(cev
-            .iter()
-            .any(|e| matches!(e, ClientEvent::CertificateReceived(_))));
+        let (cev, _) = handshake(&mut client, &mut server, NOW);
+        assert_eq!(completed(&cev), Some(false));
+        assert!(client.server_chain().is_some());
     }
 
     #[test]
@@ -352,7 +332,7 @@ mod tests {
         let ctx = ServerContext::new(chain, [9u8; 20]);
         let mut server = ServerEngine::new(ctx.clone(), [1u8; 32]);
         let mut client = ClientEngine::new(client_config(anchors.clone()), [2u8; 32], None);
-        drive_handshake(&mut client, &mut server, NOW).unwrap();
+        handshake(&mut client, &mut server, NOW);
         let session = client.session_state(NOW).unwrap();
 
         // Just inside the lifetime the session still resumes.
@@ -362,29 +342,22 @@ mod tests {
             [6u8; 32],
             Some(session.clone()),
         );
-        let (cev, _) = drive_handshake(
+        let (cev, _) = handshake(
             &mut client3,
             &mut server3,
             NOW + crate::session::SESSION_LIFETIME_SECS - 1,
-        )
-        .unwrap();
-        assert!(cev
-            .iter()
-            .any(|e| matches!(e, ClientEvent::HandshakeComplete { resumed: true, .. })));
+        );
+        assert_eq!(completed(&cev), Some(true));
 
         // Well past SESSION_LIFETIME_SECS: full handshake with certificate
         // (whose `store` also drops the expired session from the cache).
         let later = NOW + crate::session::SESSION_LIFETIME_SECS + 1;
         let mut server2 = ServerEngine::new(ctx, [3u8; 32]);
         let mut client2 = ClientEngine::new(client_config(anchors), [4u8; 32], Some(session));
-        let (cev, sev) = drive_handshake(&mut client2, &mut server2, later).unwrap();
-        assert!(cev
-            .iter()
-            .any(|e| matches!(e, ClientEvent::HandshakeComplete { resumed: false, .. })));
-        assert!(sev.contains(&ServerEvent::HandshakeComplete { resumed: false }));
-        assert!(cev
-            .iter()
-            .any(|e| matches!(e, ClientEvent::CertificateReceived(_))));
+        let (cev, sev) = handshake(&mut client2, &mut server2, later);
+        assert_eq!(completed(&cev), Some(false));
+        assert_eq!(completed(&sev), Some(false));
+        assert!(client2.server_chain().is_some());
     }
 
     #[test]
@@ -399,16 +372,15 @@ mod tests {
         let full_handshake = |seed: u8| {
             let mut server = ServerEngine::new(ctx.clone(), [seed; 32]);
             let mut client = ClientEngine::new(client_config(anchors.clone()), [seed; 32], None);
-            drive_handshake(&mut client, &mut server, NOW).unwrap();
+            handshake(&mut client, &mut server, NOW);
             client.session_state(NOW).unwrap()
         };
         let resumes = |session: SessionState| {
             let mut server = ServerEngine::new(ctx.clone(), [7u8; 32]);
             let mut client =
                 ClientEngine::new(client_config(anchors.clone()), [8u8; 32], Some(session));
-            let (cev, _) = drive_handshake(&mut client, &mut server, NOW).unwrap();
-            cev.iter()
-                .any(|e| matches!(e, ClientEvent::HandshakeComplete { resumed: true, .. }))
+            let (cev, _) = handshake(&mut client, &mut server, NOW);
+            completed(&cev) == Some(true)
         };
 
         let first = full_handshake(1);
@@ -431,8 +403,17 @@ mod tests {
         let ctx = ServerContext::new(chain, [9u8; 20]);
         let mut server = ServerEngine::new(ctx, [1u8; 32]);
         let mut client = ClientEngine::new(client_config(TrustAnchors::new()), [2u8; 32], None);
-        let err = drive_handshake(&mut client, &mut server, NOW).unwrap_err();
-        assert!(matches!(err, TlsError::Certificate(_)));
+        let (cev, sev) = handshake(&mut client, &mut server, NOW);
+        let bad_certificate = Action::Abort {
+            alert: Alert::fatal(AlertDescription::BadCertificate),
+        };
+        assert_eq!(cev.last(), Some(&bad_certificate));
+        assert_eq!(
+            sev.last(),
+            Some(&bad_certificate),
+            "the server reads our alert"
+        );
+        assert!(!client.is_established() && client.server_chain().is_none());
     }
 
     #[test]
@@ -444,21 +425,19 @@ mod tests {
         let mut server = ServerEngine::new(ctx, [1u8; 32]);
         let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
 
-        let ch = client.start();
-        let (srv_out, _) = server.process_record(&ch, NOW).unwrap();
+        let ch = client.start().to_bytes();
+        let mut flight = sent(&server.feed(NOW, &ch));
         // Tamper: flip a byte of the server random inside the first record.
-        let mut tampered = srv_out[0].clone();
-        tampered.payload[10] ^= 0xff;
-        let (cli_out, _) = client.process_record(&tampered, NOW).unwrap();
+        flight[15] ^= 0xff;
+        let cli_out = sent(&client.feed(NOW, &flight));
         // Client's Finished is now computed over a different transcript;
         // the server must reject it.
-        let mut failed = false;
-        for rec in cli_out {
-            if server.process_record(&rec, NOW).is_err() {
-                failed = true;
-            }
-        }
-        assert!(failed, "server accepted a handshake with tampered bytes");
+        let actions = server.feed(NOW, &cli_out);
+        assert!(
+            matches!(actions.last(), Some(Action::Abort { .. })),
+            "server accepted a handshake with tampered bytes: {actions:?}"
+        );
+        assert!(!server.is_established());
     }
 
     #[test]
@@ -467,15 +446,19 @@ mod tests {
         let ctx = ServerContext::new(chain, [9u8; 20]);
         let mut server = ServerEngine::new(ctx, [1u8; 32]);
         let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
-        drive_handshake(&mut client, &mut server, NOW).unwrap();
+        handshake(&mut client, &mut server, NOW);
 
         let rec = client.send_data(b"GET /").unwrap();
-        let (_, evs) = server.process_record(&rec, NOW).unwrap();
-        assert_eq!(evs, vec![ServerEvent::ReceivedData(b"GET /".to_vec())]);
+        assert_eq!(
+            server.feed(NOW, &rec.to_bytes()),
+            vec![Action::ReceivedData(b"GET /".to_vec())]
+        );
 
         let rec = server.send_data(b"200 OK").unwrap();
-        let (_, evs) = client.process_record(&rec, NOW).unwrap();
-        assert_eq!(evs, vec![ClientEvent::ReceivedData(b"200 OK".to_vec())]);
+        assert_eq!(
+            client.feed(NOW, &rec.to_bytes()),
+            vec![Action::ReceivedData(b"200 OK".to_vec())]
+        );
     }
 
     #[test]
@@ -487,7 +470,10 @@ mod tests {
         assert!(client.send_data(b"x").is_err());
         assert!(server.send_data(b"x").is_err());
         let rec = TlsRecord::new(ContentType::ApplicationData, vec![1]);
-        assert!(server.process_record(&rec, NOW).is_err());
+        assert!(matches!(
+            server.feed(NOW, &rec.to_bytes()).last(),
+            Some(Action::Abort { .. })
+        ));
     }
 
     #[test]
@@ -496,13 +482,14 @@ mod tests {
         let ctx = ServerContext::new(chain, [9u8; 20]);
         let mut server = ServerEngine::new(ctx, [1u8; 32]);
         let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
-        drive_handshake(&mut client, &mut server, NOW).unwrap();
-        let rec = TlsRecord::new(ContentType::RitmStatus, vec![0xAB; 64]);
-        let (_, evs) = client.process_record(&rec, NOW).unwrap();
-        assert_eq!(evs, vec![ClientEvent::RitmStatus(vec![0xAB; 64])]);
+        handshake(&mut client, &mut server, NOW);
+        let rec = TlsRecord::new(ContentType::RitmStatus, vec![0xAB; 64]).to_bytes();
+        assert_eq!(
+            client.feed(NOW, &rec),
+            vec![Action::RitmStatus(vec![0xAB; 64])]
+        );
         // And servers ignore stray status records.
-        let (outs, evs) = server.process_record(&rec, NOW).unwrap();
-        assert!(outs.is_empty() && evs.is_empty());
+        assert_eq!(server.feed(NOW, &rec), vec![Action::NeedMoreData]);
     }
 
     #[test]
@@ -511,10 +498,14 @@ mod tests {
         let ctx = ServerContext::new(chain, [9u8; 20]);
         let mut server = ServerEngine::new(ctx, [1u8; 32]);
         let mut client = ClientEngine::new(client_config(anchors), [2u8; 32], None);
-        drive_handshake(&mut client, &mut server, NOW).unwrap();
+        handshake(&mut client, &mut server, NOW);
         let alert = client.abort(AlertDescription::CertificateRevoked);
-        let err = server.process_record(&alert, NOW).unwrap_err();
-        assert!(matches!(err, TlsError::FatalAlert(_)));
+        assert_eq!(
+            server.feed(NOW, &alert.to_bytes()),
+            vec![Action::Abort {
+                alert: Alert::fatal(AlertDescription::CertificateRevoked)
+            }]
+        );
         assert!(client.send_data(b"x").is_err(), "client is closed");
     }
 }

@@ -6,24 +6,19 @@
 //! flight, a single byte, a record split at any boundary — into
 //! [`ClientEngine::feed`] / [`ServerEngine::feed`] and gets back
 //! [`Action`]s telling it what to do: write bytes, wait for more input,
-//! surface a completed handshake, or tear the connection down with an alert. An internal [`RecordAssembler`]
-//! (shaped like `ritm-rt`'s `FrameReader`) buffers partial records across
-//! calls, so one engine instance survives `WouldBlock` at any byte boundary
-//! — exactly the property the event runtime needs to drive thousands of
-//! concurrent handshakes on a two-thread executor (see [`crate::event`]).
-//!
-//! The record-level entry points ([`ClientEngine::process_record`] /
-//! [`ServerEngine::process_record`]) are public so packet-granular callers
-//! (the discrete-event simulator, [`crate::connection::drive_handshake`])
-//! can drive the same state machine on whole records; `feed` is the
-//! byte-granular path layered on top. Both paths share every state
-//! transition, so the byte stream an engine emits is bit-identical
-//! regardless of how its input was fragmented (property-tested in
-//! `tests/properties.rs`).
+//! surface a completed handshake, or tear the connection down with an
+//! alert. That is the engines' only input and only output. An internal
+//! [`RecordAssembler`] (shaped like `ritm-rt`'s `FrameReader`) buffers
+//! partial records across calls, so one engine instance survives
+//! `WouldBlock` at any byte boundary — exactly the property the event
+//! runtime needs to drive thousands of concurrent handshakes on a
+//! two-thread executor (see [`crate::event`]). The bytes an engine emits do
+//! not depend on how its input was fragmented (property-tested in
+//! `tests/properties.rs` against one whole record per `feed` call).
 
-use crate::alert::{Alert, AlertDescription};
+use crate::alert::{Alert, AlertDescription, AlertLevel};
 use crate::certificate::{CertError, CertificateChain};
-use crate::connection::{ClientConfig, ClientEvent, ServerContext, ServerEvent, TlsError};
+use crate::connection::{ClientConfig, ServerContext, TlsError};
 use crate::extensions::Extension;
 use crate::handshake::{
     ClientHello, HandshakeMessage, ServerHello, SessionTicket, DEFAULT_CIPHER_SUITE,
@@ -145,6 +140,106 @@ fn abort_description(err: &TlsError) -> AlertDescription {
     }
 }
 
+/// What both engines keep of their inbound stream: the partial record
+/// buffered so far, and the alert that ended the connection, once one did.
+#[derive(Debug, Default)]
+struct Inbound {
+    assembler: RecordAssembler,
+    aborted: Option<Alert>,
+}
+
+/// The per-record half of an engine; [`feed_records`] is the other half.
+trait RecordStep {
+    fn inbound(&mut self) -> &mut Inbound;
+
+    /// Consumes one inbound record, appending the records it answers with
+    /// to `out` and every other action to `actions`.
+    fn step(
+        &mut self,
+        record: TlsRecord,
+        now: u64,
+        out: &mut Vec<u8>,
+        actions: &mut Vec<Action>,
+    ) -> Result<(), TlsError>;
+
+    /// Refuses every later record.
+    fn set_failed(&mut self);
+}
+
+/// The byte loop of both `feed`s: buffer `bytes`, run every record that
+/// completed through the engine's record step, and latch the first failure.
+/// A record's answer goes out as one [`Action::SendBytes`] in front of that
+/// record's other actions; a record that fails leaves only the abort.
+fn feed_records(engine: &mut impl RecordStep, now: u64, bytes: &[u8]) -> Vec<Action> {
+    let inbound = engine.inbound();
+    if let Some(alert) = inbound.aborted {
+        return vec![Action::Abort { alert }];
+    }
+    inbound.assembler.push(bytes);
+    let mut actions = Vec::new();
+    loop {
+        let mark = actions.len();
+        let stepped = match engine.inbound().assembler.next_record() {
+            Ok(None) => break,
+            Ok(Some(record)) => {
+                let mut out = Vec::new();
+                engine.step(record, now, &mut out, &mut actions).map(|()| {
+                    if !out.is_empty() {
+                        actions.insert(mark, Action::SendBytes(out));
+                    }
+                })
+            }
+            Err(e) => Err(TlsError::Decode(e)),
+        };
+        if let Err(err) = stepped {
+            actions.truncate(mark);
+            engine.set_failed();
+            fail(&mut engine.inbound().aborted, err, &mut actions);
+            return actions;
+        }
+    }
+    if actions.is_empty() {
+        actions.push(Action::NeedMoreData);
+    }
+    actions
+}
+
+/// Latches the abort, emitting the alert bytes (unless the *peer* aborted)
+/// and the [`Action::Abort`].
+fn fail(aborted: &mut Option<Alert>, err: TlsError, actions: &mut Vec<Action>) {
+    let alert = match err {
+        TlsError::FatalAlert(alert) => {
+            // The peer killed the connection; nothing to send back.
+            *aborted = Some(alert);
+            actions.push(Action::Abort { alert });
+            return;
+        }
+        other => Alert::fatal(abort_description(&other)),
+    };
+    *aborted = Some(alert);
+    actions.push(Action::SendBytes(
+        TlsRecord::new(ContentType::Alert, alert.to_bytes()).to_bytes(),
+    ));
+    actions.push(Action::Abort { alert });
+}
+
+/// Reads the peer's alert record: a fatal one is the peer's abort, anything
+/// else (close_notify, a warning) closes the connection.
+fn peer_alert(payload: &[u8]) -> Result<(), TlsError> {
+    let alert = Alert::from_bytes(payload)?;
+    if alert.level == AlertLevel::Fatal && alert.description != AlertDescription::CloseNotify {
+        return Err(TlsError::FatalAlert(alert));
+    }
+    Ok(())
+}
+
+/// Appends one handshake record carrying `msgs` to `out`.
+fn push_handshake(out: &mut Vec<u8>, msgs: &[HandshakeMessage]) {
+    out.extend_from_slice(
+        &TlsRecord::new(ContentType::Handshake, HandshakeMessage::encode_all(msgs)).to_bytes(),
+    );
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServerState {
     AwaitClientHello,
@@ -165,9 +260,7 @@ pub struct ServerEngine {
     transcript: Vec<u8>,
     session_id: Vec<u8>,
     cert_chain_hash: Digest20,
-    now: u64,
-    assembler: RecordAssembler,
-    aborted: Option<Alert>,
+    inbound: Inbound,
 }
 
 impl ServerEngine {
@@ -182,9 +275,7 @@ impl ServerEngine {
             transcript: Vec::new(),
             session_id: Vec::new(),
             cert_chain_hash,
-            now: 0,
-            assembler: RecordAssembler::new(),
-            aborted: None,
+            inbound: Inbound::default(),
         }
     }
 
@@ -193,62 +284,12 @@ impl ServerEngine {
         self.state == ServerState::Established
     }
 
-    /// Consumes one inbound record and produces response records + events —
-    /// the record-granular entry point.
-    ///
-    /// # Errors
-    ///
-    /// Any [`TlsError`]; the engine then refuses further input.
-    pub fn process_record(
-        &mut self,
-        record: &TlsRecord,
-        now: u64,
-    ) -> Result<(Vec<TlsRecord>, Vec<ServerEvent>), TlsError> {
-        self.now = now;
-        if self.state == ServerState::Failed {
-            return Err(TlsError::Closed);
-        }
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-        match record.content_type {
-            ContentType::Handshake => {
-                for msg in HandshakeMessage::parse_all(&record.payload)? {
-                    self.handle_handshake(msg, &mut out, &mut events)
-                        .inspect_err(|_| self.state = ServerState::Failed)?;
-                }
-            }
-            ContentType::ApplicationData => {
-                if self.state != ServerState::Established {
-                    self.state = ServerState::Failed;
-                    return Err(TlsError::UnexpectedMessage("data before established"));
-                }
-                events.push(ServerEvent::ReceivedData(record.payload.clone()));
-            }
-            ContentType::Alert => {
-                let alert = Alert::from_bytes(&record.payload)?;
-                self.state = ServerState::Failed;
-                events.push(ServerEvent::ConnectionClosed);
-                if alert.level == crate::alert::AlertLevel::Fatal
-                    && alert.description != AlertDescription::CloseNotify
-                {
-                    return Err(TlsError::FatalAlert(alert));
-                }
-            }
-            ContentType::ChangeCipherSpec => {}
-            ContentType::RitmStatus => {
-                // Servers ignore RITM records (they are for the client; a
-                // stray one indicates an RA bug but must not kill the
-                // connection — RAs are non-invasive, §VII-F).
-            }
-        }
-        Ok((out, events))
-    }
-
     fn handle_handshake(
         &mut self,
         msg: HandshakeMessage,
-        out: &mut Vec<TlsRecord>,
-        events: &mut Vec<ServerEvent>,
+        now: u64,
+        out: &mut Vec<u8>,
+        actions: &mut Vec<Action>,
     ) -> Result<(), TlsError> {
         match (&self.state, msg) {
             (ServerState::AwaitClientHello, HandshakeMessage::ClientHello(ch)) => {
@@ -266,7 +307,7 @@ impl ServerEngine {
                         .ctx
                         .cache
                         .lock()
-                        .lookup_fresh(&ch.session_id, self.now, SESSION_LIFETIME_SECS)
+                        .lookup_fresh(&ch.session_id, now, SESSION_LIFETIME_SECS)
                         .is_some();
                 let mut extensions = Vec::new();
                 if self.ctx.ritm_terminator {
@@ -285,10 +326,7 @@ impl ServerEngine {
                     let vd = finished_verify_data(&self.transcript, b"server finished");
                     let fin = HandshakeMessage::Finished(vd);
                     self.transcript.extend_from_slice(&fin.to_bytes());
-                    out.push(TlsRecord::new(
-                        ContentType::Handshake,
-                        HandshakeMessage::encode_all(&[sh, fin]),
-                    ));
+                    push_handshake(out, &[sh, fin]);
                     self.state = ServerState::AwaitClientFinished { resumed: true };
                 } else {
                     self.session_id = self.ctx.next_session_id();
@@ -304,10 +342,7 @@ impl ServerEngine {
                     for m in [&sh, &cert, &done] {
                         self.transcript.extend_from_slice(&m.to_bytes());
                     }
-                    out.push(TlsRecord::new(
-                        ContentType::Handshake,
-                        HandshakeMessage::encode_all(&[sh, cert, done]),
-                    ));
+                    push_handshake(out, &[sh, cert, done]);
                     self.state = ServerState::AwaitClientKeyExchange;
                 }
                 Ok(())
@@ -333,7 +368,7 @@ impl ServerEngine {
                         session_id: self.session_id.clone(),
                         cipher_suite: DEFAULT_CIPHER_SUITE,
                         cert_chain_hash: self.cert_chain_hash,
-                        established_at: self.now,
+                        established_at: now,
                     };
                     let mut msgs = Vec::new();
                     if self.ctx.offer_tickets {
@@ -351,19 +386,17 @@ impl ServerEngine {
                     let fin = HandshakeMessage::Finished(vd);
                     self.transcript.extend_from_slice(&fin.to_bytes());
                     msgs.push(fin);
-                    out.push(TlsRecord::new(
-                        ContentType::Handshake,
-                        HandshakeMessage::encode_all(&msgs),
-                    ));
+                    push_handshake(out, &msgs);
                 }
                 self.state = ServerState::Established;
-                events.push(ServerEvent::HandshakeComplete { resumed });
+                actions.push(Action::HandshakeComplete {
+                    chain: None,
+                    ticket: None,
+                    resumed,
+                });
                 Ok(())
             }
-            (state, msg) => {
-                let _ = (state, msg);
-                Err(TlsError::UnexpectedMessage("server state machine"))
-            }
+            _ => Err(TlsError::UnexpectedMessage("server state machine")),
         }
     }
 
@@ -379,78 +412,60 @@ impl ServerEngine {
         Ok(TlsRecord::new(ContentType::ApplicationData, data.to_vec()))
     }
 
-    /// Byte-granular entry point: buffer `bytes` (any fragmentation),
-    /// process every record that completed, and return the resulting
-    /// [`Action`]s in order. Once the engine aborted, every further call
-    /// returns the latched [`Action::Abort`].
+    /// Buffers `bytes` (any fragmentation), processes every record that
+    /// completed, and returns the resulting [`Action`]s in order. Once the
+    /// engine aborted, every further call returns the latched
+    /// [`Action::Abort`].
     pub fn feed(&mut self, now: u64, bytes: &[u8]) -> Vec<Action> {
-        if let Some(alert) = self.aborted {
-            return vec![Action::Abort { alert }];
-        }
-        self.assembler.push(bytes);
-        let mut actions = Vec::new();
-        loop {
-            match self.assembler.next_record() {
-                Ok(Some(record)) => match self.process_record(&record, now) {
-                    Ok((outs, events)) => {
-                        if !outs.is_empty() {
-                            actions.push(Action::SendBytes(TlsRecord::encode_stream(&outs)));
-                        }
-                        for ev in events {
-                            match ev {
-                                ServerEvent::HandshakeComplete { resumed } => {
-                                    actions.push(Action::HandshakeComplete {
-                                        chain: None,
-                                        ticket: None,
-                                        resumed,
-                                    });
-                                }
-                                ServerEvent::ReceivedData(d) => {
-                                    actions.push(Action::ReceivedData(d));
-                                }
-                                ServerEvent::ConnectionClosed => actions.push(Action::Closed),
-                            }
-                        }
-                    }
-                    Err(err) => {
-                        fail(&mut self.aborted, err, &mut actions);
-                        self.state = ServerState::Failed;
-                        return actions;
-                    }
-                },
-                Ok(None) => break,
-                Err(e) => {
-                    fail(&mut self.aborted, TlsError::Decode(e), &mut actions);
-                    self.state = ServerState::Failed;
-                    return actions;
-                }
-            }
-        }
-        if actions.is_empty() {
-            actions.push(Action::NeedMoreData);
-        }
-        actions
+        feed_records(self, now, bytes)
     }
 }
 
-/// Shared failure path of the two `feed` implementations: latch the abort,
-/// emit the alert bytes (unless the *peer* aborted) and the
-/// [`Action::Abort`].
-fn fail(aborted: &mut Option<Alert>, err: TlsError, actions: &mut Vec<Action>) {
-    let alert = match err {
-        TlsError::FatalAlert(alert) => {
-            // The peer killed the connection; nothing to send back.
-            *aborted = Some(alert);
-            actions.push(Action::Abort { alert });
-            return;
+impl RecordStep for ServerEngine {
+    fn inbound(&mut self) -> &mut Inbound {
+        &mut self.inbound
+    }
+
+    fn step(
+        &mut self,
+        record: TlsRecord,
+        now: u64,
+        out: &mut Vec<u8>,
+        actions: &mut Vec<Action>,
+    ) -> Result<(), TlsError> {
+        if self.state == ServerState::Failed {
+            return Err(TlsError::Closed);
         }
-        other => Alert::fatal(abort_description(&other)),
-    };
-    *aborted = Some(alert);
-    actions.push(Action::SendBytes(
-        TlsRecord::new(ContentType::Alert, alert.to_bytes()).to_bytes(),
-    ));
-    actions.push(Action::Abort { alert });
+        match record.content_type {
+            ContentType::Handshake => {
+                for msg in HandshakeMessage::parse_all(&record.payload)? {
+                    self.handle_handshake(msg, now, out, actions)?;
+                }
+            }
+            ContentType::ApplicationData => {
+                if self.state != ServerState::Established {
+                    return Err(TlsError::UnexpectedMessage("data before established"));
+                }
+                actions.push(Action::ReceivedData(record.payload));
+            }
+            ContentType::Alert => {
+                peer_alert(&record.payload)?;
+                self.state = ServerState::Failed;
+                actions.push(Action::Closed);
+            }
+            ContentType::ChangeCipherSpec => {}
+            ContentType::RitmStatus => {
+                // Servers ignore RITM records (they are for the client; a
+                // stray one indicates an RA bug but must not kill the
+                // connection — RAs are non-invasive, §VII-F).
+            }
+        }
+        Ok(())
+    }
+
+    fn set_failed(&mut self) {
+        self.state = ServerState::Failed;
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -475,8 +490,7 @@ pub struct ClientEngine {
     pending_ticket: Option<SessionTicket>,
     session_id: Vec<u8>,
     server_confirms_ritm: bool,
-    assembler: RecordAssembler,
-    aborted: Option<Alert>,
+    inbound: Inbound,
 }
 
 impl ClientEngine {
@@ -493,8 +507,7 @@ impl ClientEngine {
             pending_ticket: None,
             session_id: Vec::new(),
             server_confirms_ritm: false,
-            assembler: RecordAssembler::new(),
-            aborted: None,
+            inbound: Inbound::default(),
         }
     }
 
@@ -503,7 +516,9 @@ impl ClientEngine {
         self.state == ClientState::Established
     }
 
-    /// The validated server chain (present after a full handshake).
+    /// The server chain, once it passed standard validation (client step
+    /// 5a; full handshakes only). It is set by the `feed` call that
+    /// delivered the `Certificate` message.
     pub fn server_chain(&self) -> Option<&CertificateChain> {
         self.server_chain.as_ref()
     }
@@ -564,60 +579,12 @@ impl ClientEngine {
         TlsRecord::new(ContentType::Handshake, HandshakeMessage::encode_all(&[ch]))
     }
 
-    /// Consumes one inbound record and produces response records + events —
-    /// the record-granular entry point.
-    ///
-    /// # Errors
-    ///
-    /// Any [`TlsError`]; the engine then refuses further input.
-    pub fn process_record(
-        &mut self,
-        record: &TlsRecord,
-        now: u64,
-    ) -> Result<(Vec<TlsRecord>, Vec<ClientEvent>), TlsError> {
-        if self.state == ClientState::Failed {
-            return Err(TlsError::Closed);
-        }
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-        match record.content_type {
-            ContentType::Handshake => {
-                for msg in HandshakeMessage::parse_all(&record.payload)? {
-                    self.handle_handshake(msg, now, &mut out, &mut events)
-                        .inspect_err(|_| self.state = ClientState::Failed)?;
-                }
-            }
-            ContentType::ApplicationData => {
-                if self.state != ClientState::Established {
-                    self.state = ClientState::Failed;
-                    return Err(TlsError::UnexpectedMessage("data before established"));
-                }
-                events.push(ClientEvent::ReceivedData(record.payload.clone()));
-            }
-            ContentType::RitmStatus => {
-                events.push(ClientEvent::RitmStatus(record.payload.clone()));
-            }
-            ContentType::Alert => {
-                let alert = Alert::from_bytes(&record.payload)?;
-                self.state = ClientState::Failed;
-                events.push(ClientEvent::ConnectionClosed);
-                if alert.level == crate::alert::AlertLevel::Fatal
-                    && alert.description != AlertDescription::CloseNotify
-                {
-                    return Err(TlsError::FatalAlert(alert));
-                }
-            }
-            ContentType::ChangeCipherSpec => {}
-        }
-        Ok((out, events))
-    }
-
     fn handle_handshake(
         &mut self,
         msg: HandshakeMessage,
         now: u64,
-        out: &mut Vec<TlsRecord>,
-        events: &mut Vec<ClientEvent>,
+        out: &mut Vec<u8>,
+        actions: &mut Vec<Action>,
     ) -> Result<(), TlsError> {
         match (&self.state, msg) {
             (ClientState::AwaitServerHello, HandshakeMessage::ServerHello(sh)) => {
@@ -642,7 +609,6 @@ impl ClientEngine {
                 chain.validate(&self.config.anchors, now)?;
                 self.transcript
                     .extend_from_slice(&HandshakeMessage::Certificate(chain.clone()).to_bytes());
-                events.push(ClientEvent::CertificateReceived(chain.clone()));
                 self.server_chain = Some(chain);
                 Ok(())
             }
@@ -657,10 +623,7 @@ impl ClientEngine {
                 let vd = finished_verify_data(&self.transcript, b"client finished");
                 let fin = HandshakeMessage::Finished(vd);
                 self.transcript.extend_from_slice(&fin.to_bytes());
-                out.push(TlsRecord::new(
-                    ContentType::Handshake,
-                    HandshakeMessage::encode_all(&[cke, fin]),
-                ));
+                push_handshake(out, &[cke, fin]);
                 self.state = ClientState::AwaitServerFinished { resumed: false };
                 Ok(())
             }
@@ -683,22 +646,17 @@ impl ClientEngine {
                     let vd = finished_verify_data(&self.transcript, b"client finished");
                     let fin = HandshakeMessage::Finished(vd);
                     self.transcript.extend_from_slice(&fin.to_bytes());
-                    out.push(TlsRecord::new(
-                        ContentType::Handshake,
-                        HandshakeMessage::encode_all(&[fin]),
-                    ));
+                    push_handshake(out, &[fin]);
                 }
                 self.state = ClientState::Established;
-                events.push(ClientEvent::HandshakeComplete {
+                actions.push(Action::HandshakeComplete {
+                    chain: self.server_chain.clone(),
+                    ticket: self.pending_ticket.clone(),
                     resumed,
-                    server_confirms_ritm: self.server_confirms_ritm,
                 });
                 Ok(())
             }
-            (state, msg) => {
-                let _ = (state, msg);
-                Err(TlsError::UnexpectedMessage("client state machine"))
-            }
+            _ => Err(TlsError::UnexpectedMessage("client state machine")),
         }
     }
 
@@ -720,64 +678,59 @@ impl ClientEngine {
     pub fn abort(&mut self, description: AlertDescription) -> TlsRecord {
         self.state = ClientState::Failed;
         let alert = Alert::fatal(description);
-        self.aborted = Some(alert);
+        self.inbound.aborted = Some(alert);
         TlsRecord::new(ContentType::Alert, alert.to_bytes())
     }
 
-    /// Byte-granular entry point: buffer `bytes` (any fragmentation),
-    /// process every record that completed, and return the resulting
-    /// [`Action`]s in order. Once the engine aborted, every further call
-    /// returns the latched [`Action::Abort`].
+    /// Buffers `bytes` (any fragmentation), processes every record that
+    /// completed, and returns the resulting [`Action`]s in order. Once the
+    /// engine aborted, every further call returns the latched
+    /// [`Action::Abort`].
     pub fn feed(&mut self, now: u64, bytes: &[u8]) -> Vec<Action> {
-        if let Some(alert) = self.aborted {
-            return vec![Action::Abort { alert }];
+        feed_records(self, now, bytes)
+    }
+}
+
+impl RecordStep for ClientEngine {
+    fn inbound(&mut self) -> &mut Inbound {
+        &mut self.inbound
+    }
+
+    fn step(
+        &mut self,
+        record: TlsRecord,
+        now: u64,
+        out: &mut Vec<u8>,
+        actions: &mut Vec<Action>,
+    ) -> Result<(), TlsError> {
+        if self.state == ClientState::Failed {
+            return Err(TlsError::Closed);
         }
-        self.assembler.push(bytes);
-        let mut actions = Vec::new();
-        loop {
-            match self.assembler.next_record() {
-                Ok(Some(record)) => match self.process_record(&record, now) {
-                    Ok((outs, events)) => {
-                        if !outs.is_empty() {
-                            actions.push(Action::SendBytes(TlsRecord::encode_stream(&outs)));
-                        }
-                        for ev in events {
-                            match ev {
-                                ClientEvent::HandshakeComplete { resumed, .. } => {
-                                    actions.push(Action::HandshakeComplete {
-                                        chain: self.server_chain.clone(),
-                                        ticket: self.pending_ticket.clone(),
-                                        resumed,
-                                    });
-                                }
-                                // The chain is surfaced on completion.
-                                ClientEvent::CertificateReceived(_) => {}
-                                ClientEvent::ReceivedData(d) => {
-                                    actions.push(Action::ReceivedData(d));
-                                }
-                                ClientEvent::RitmStatus(p) => actions.push(Action::RitmStatus(p)),
-                                ClientEvent::ConnectionClosed => actions.push(Action::Closed),
-                            }
-                        }
-                    }
-                    Err(err) => {
-                        fail(&mut self.aborted, err, &mut actions);
-                        self.state = ClientState::Failed;
-                        return actions;
-                    }
-                },
-                Ok(None) => break,
-                Err(e) => {
-                    fail(&mut self.aborted, TlsError::Decode(e), &mut actions);
-                    self.state = ClientState::Failed;
-                    return actions;
+        match record.content_type {
+            ContentType::Handshake => {
+                for msg in HandshakeMessage::parse_all(&record.payload)? {
+                    self.handle_handshake(msg, now, out, actions)?;
                 }
             }
+            ContentType::ApplicationData => {
+                if self.state != ClientState::Established {
+                    return Err(TlsError::UnexpectedMessage("data before established"));
+                }
+                actions.push(Action::ReceivedData(record.payload));
+            }
+            ContentType::RitmStatus => actions.push(Action::RitmStatus(record.payload)),
+            ContentType::Alert => {
+                peer_alert(&record.payload)?;
+                self.state = ClientState::Failed;
+                actions.push(Action::Closed);
+            }
+            ContentType::ChangeCipherSpec => {}
         }
-        if actions.is_empty() {
-            actions.push(Action::NeedMoreData);
-        }
-        actions
+        Ok(())
+    }
+
+    fn set_failed(&mut self) {
+        self.state = ClientState::Failed;
     }
 }
 

@@ -15,10 +15,11 @@
 //!   substitute);
 //! * [`session`] — session-id and session-ticket resumption;
 //! * [`alert`] — connection interruption;
-//! * [`engine`] — sans-io resumable client/server handshake engines
-//!   (`feed` bytes in, typed [`engine::Action`]s out, any fragmentation);
+//! * [`engine`] — sans-io resumable client/server handshake engines: their
+//!   one interface is `feed` bytes in, typed [`engine::Action`]s out, at
+//!   any fragmentation;
 //! * [`connection`] — the types both endpoints share (configuration,
-//!   server context, events, errors) and an in-memory handshake driver;
+//!   server context, errors);
 //! * [`event`] — adapters driving an engine as a `ritm-rt` task over a
 //!   non-blocking socket.
 //!
@@ -26,7 +27,7 @@
 //!
 //! ```
 //! use ritm_tls::certificate::{Certificate, CertificateChain, TrustAnchors};
-//! use ritm_tls::{drive_handshake, ClientConfig, ClientEngine, ServerContext, ServerEngine};
+//! use ritm_tls::{Action, ClientConfig, ClientEngine, ServerContext, ServerEngine};
 //! use ritm_crypto::SigningKey;
 //! use ritm_dictionary::{CaId, SerialNumber};
 //!
@@ -47,9 +48,24 @@
 //!     [2u8; 32],
 //!     None,
 //! );
-//! drive_handshake(&mut client, &mut server, now)?;
-//! assert!(client.is_established());
-//! # Ok::<(), ritm_tls::TlsError>(())
+//! // Hand each side the bytes the other asked to send, until neither has
+//! // anything left to say.
+//! let mut to_server = client.start().to_bytes();
+//! while !to_server.is_empty() {
+//!     let mut to_client = Vec::new();
+//!     for action in server.feed(now, &to_server) {
+//!         if let Action::SendBytes(bytes) = action {
+//!             to_client.extend(bytes);
+//!         }
+//!     }
+//!     to_server.clear();
+//!     for action in client.feed(now, &to_client) {
+//!         if let Action::SendBytes(bytes) = action {
+//!             to_server.extend(bytes);
+//!         }
+//!     }
+//! }
+//! assert!(client.is_established() && server.is_established());
 //! ```
 
 pub mod alert;
@@ -64,9 +80,7 @@ pub mod session;
 
 pub use alert::{Alert, AlertDescription, AlertLevel};
 pub use certificate::{CertError, Certificate, CertificateChain, TrustAnchors};
-pub use connection::{
-    drive_handshake, ClientConfig, ClientEvent, ServerContext, ServerEvent, TlsError,
-};
+pub use connection::{ClientConfig, ServerContext, TlsError};
 pub use engine::{Action, ClientEngine, RecordAssembler, ServerEngine};
 pub use event::{drive_handshake_task, HandshakeEngine, HandshakeOutcome, HandshakeTaskError};
 pub use extensions::{Extension, RITM_CONFIRM_EXTENSION_TYPE, RITM_EXTENSION_TYPE};

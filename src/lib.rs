@@ -47,7 +47,8 @@
 //!    serials across concurrent connections share one allocation until the
 //!    next republish (issuance or freshness refresh) drops it with its
 //!    snapshot. Hit/miss counters
-//!    surface through [`agent::monitor::RaHealthReport`], and clients
+//!    surface through [`agent::serve::StatusServer::encoded_cache_stats`],
+//!    and clients
 //!    reject replayed (older-epoch) roots via
 //!    [`client::validator::RootTracker`].
 //!

@@ -16,8 +16,7 @@ use ritm::net::tcp::{Direction, FourTuple, SocketAddr, TcpSegment};
 use ritm::net::time::SimTime;
 use ritm::tls::certificate::{Certificate, CertificateChain, TrustAnchors};
 use ritm::tls::connection::ServerContext;
-use ritm::tls::engine::ServerEngine;
-use ritm::tls::record::TlsRecord;
+use ritm::tls::engine::{Action, ServerEngine};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -112,26 +111,25 @@ fn connect(
     let mut client = RitmClient::new(w.config.clone(), [w.next_port as u8; 32], resume);
     let mut server = ServerEngine::new(w.ctx.clone(), [3u8; 32]);
     let mut events = Vec::new();
-    let mut to_server = vec![client.start()];
+    let mut to_server = vec![client.start().to_bytes()];
     let (mut seq_up, mut seq_down) = (0u64, 0u64);
     for _ in 0..8 {
         let mut to_client = Vec::new();
-        for rec in to_server.drain(..) {
-            let seg =
-                TcpSegment::data(tuple, Direction::ToServer, seq_up, seq_down, rec.to_bytes());
+        for bytes in to_server.drain(..) {
+            let seg = TcpSegment::data(tuple, Direction::ToServer, seq_up, seq_down, bytes);
             seq_up = seg.seq_end();
             for out in w.lane.process(seg, SimTime::from_secs(now)) {
-                for r in TlsRecord::parse_stream(&out.payload).unwrap() {
-                    match server.process_record(&r, now) {
-                        Ok((outs, _)) => to_client.extend(outs),
-                        Err(_) => return (client, events, Vec::new()),
+                for action in server.feed(now, &out.payload) {
+                    match action {
+                        Action::SendBytes(b) => to_client.push(b),
+                        Action::Abort { .. } => return (client, events, Vec::new()),
+                        _ => {}
                     }
                 }
             }
         }
-        for rec in to_client.drain(..) {
-            let seg =
-                TcpSegment::data(tuple, Direction::ToClient, seq_down, seq_up, rec.to_bytes());
+        for bytes in to_client.drain(..) {
+            let seg = TcpSegment::data(tuple, Direction::ToClient, seq_down, seq_up, bytes);
             seq_down = seg.seq_end();
             let outs = w.lane.process(seg, SimTime::from_secs(now));
             if outs.iter().any(|o| o.flags.rst) {
@@ -139,14 +137,14 @@ fn connect(
                 return (client, events, resets);
             }
             for out in outs {
-                for r in TlsRecord::parse_stream(&out.payload).unwrap() {
-                    match client.process_record(&r, now) {
-                        Ok((outs, evs)) => {
-                            to_server.extend(outs);
-                            events.extend(evs);
+                match client.feed(now, &out.payload) {
+                    Ok((bytes, evs)) => {
+                        if !bytes.is_empty() {
+                            to_server.push(bytes);
                         }
-                        Err(_) => return (client, events, Vec::new()),
+                        events.extend(evs);
                     }
+                    Err(_) => return (client, events, Vec::new()),
                 }
             }
         }
@@ -233,23 +231,19 @@ fn resumption_without_ra_is_blocked_by_policy() {
     let mut client2 = RitmClient::new(w.config.clone(), [99u8; 32], Some(resume));
     let mut server = ServerEngine::new(w.ctx.clone(), [4u8; 32]);
     let mut events = Vec::new();
-    let mut to_server = vec![client2.start()];
-    for _ in 0..8 {
+    let mut to_server = client2.start().to_bytes();
+    while !to_server.is_empty() {
         let mut to_client = Vec::new();
-        for rec in to_server.drain(..) {
-            if let Ok((outs, _)) = server.process_record(&rec, T0 + 3) {
-                to_client.extend(outs);
+        for action in server.feed(T0 + 3, &to_server) {
+            if let Action::SendBytes(b) = action {
+                to_client.extend(b);
             }
         }
-        for rec in to_client.drain(..) {
-            if let Ok((outs, evs)) = client2.process_record(&rec, T0 + 3) {
-                to_server.extend(outs);
-                events.extend(evs);
-            }
-        }
-        if to_server.is_empty() {
+        let Ok((bytes, evs)) = client2.feed(T0 + 3, &to_client) else {
             break;
-        }
+        };
+        events.extend(evs);
+        to_server = bytes;
     }
     assert!(
         events.contains(&RitmEvent::Aborted(AbortReason::MissingStatus)),
