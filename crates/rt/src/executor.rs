@@ -157,8 +157,15 @@ impl Executor {
     /// flag within one tick. A task that never completes makes this hang —
     /// the caller owns its tasks' termination condition.
     pub fn shutdown(self) {
-        self.handle.shared.shutdown.store(true, Ordering::SeqCst);
-        self.handle.shared.available.notify_all();
+        let shared = &self.handle.shared;
+        {
+            // Set under the queue lock: a worker checks the flag and starts
+            // its untimed wait while holding that lock, so it either sees
+            // the flag or is already waiting when the notify below fires.
+            let _queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            shared.shutdown.store(true, Ordering::SeqCst);
+        }
+        shared.available.notify_all();
         for w in self.workers {
             let _ = w.join();
         }
@@ -399,5 +406,24 @@ mod tests {
         }
         exec.shutdown();
         assert_eq!(counter.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn shutdown_wakes_workers_that_just_went_idle() {
+        // A worker that has seen `shutdown` unset but not yet begun its
+        // untimed wait must still be woken by the shutdown's notify. Each
+        // round shuts a fresh executor down while its workers start, the
+        // moment that race is likeliest; a helper thread runs the rounds so
+        // a lost wakeup fails here instead of hanging the test.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..2_000 {
+                Executor::new(2).shutdown();
+            }
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("an idle executor's shutdown hung");
     }
 }
