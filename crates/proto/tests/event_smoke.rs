@@ -6,7 +6,8 @@
 //! the idle-cost half of the story: 1k+ concurrent connections parked on
 //! one shared runtime decay the reactor tick to its 50ms ceiling (no
 //! sub-millisecond sweeps while nothing is ready), and a live request
-//! snaps the tick back.
+//! snaps the tick back; under load, 2 000 depth-1 round trips never wait
+//! for a backed-off tick.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -177,6 +178,41 @@ fn a_sixty_four_deep_flight_costs_at_most_four_writes() {
 }
 
 #[test]
+fn depth_one_round_trips_never_wait_for_a_backed_off_tick() {
+    // Sequential GetStatus round trips on a 2-worker runtime: between two
+    // requests the server's connection task parks, and each request is
+    // noticed at the executor's next sweep deadline. While requests keep
+    // coming that deadline stays within a few 250 µs base ticks, so a
+    // round trip over 2 ms (8 ticks) waited for a tick that had backed off
+    // under load, which is what taking wake-ups for ticks causes.
+    const ROUND_TRIPS: usize = 2_000;
+    let (ca, ra, _) = status_world();
+    let server = EventServer::spawn(Arc::new(StatusService::new(ra.status_server())), 2).unwrap();
+    let mut t = EventTransport::connect(server.addr()).unwrap();
+    let mut slow = 0;
+    for i in 0..ROUND_TRIPS {
+        let req = RitmRequest::GetStatus {
+            ca: ca.ca(),
+            serial: SerialNumber::from_u24(i as u32 % 8),
+        };
+        let started = Instant::now();
+        let rt = t.round_trip(&req).expect("depth-1 status");
+        if started.elapsed() > Duration::from_millis(2) {
+            slow += 1;
+        }
+        assert!(matches!(rt.response, RitmResponse::Status(_)));
+    }
+    // Under 2.5 %: room for a loaded machine's preemptions; an executor
+    // that takes wake-ups for ticks puts 15–35 % of them over.
+    assert!(
+        slow * 40 < ROUND_TRIPS,
+        "{slow} of {ROUND_TRIPS} depth-1 round trips took over 2 ms"
+    );
+    drop(t);
+    assert_eq!(server.shutdown(), ROUND_TRIPS as u64);
+}
+
+#[test]
 fn ten_thousand_pipelined_frames_stay_under_the_inflight_cap() {
     use ritm_proto::ProtoError;
     use std::io::{Read, Write};
@@ -327,8 +363,8 @@ fn a_thousand_idle_connections_cost_no_busy_ticks() {
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
 
-    // Let the idle streak decay the tick to its ceiling (500µs doubling
-    // to 50ms takes ~7 sweeps ≈ 120ms; give it a comfortable margin).
+    // Let the idle streak decay the tick to its ceiling (250µs doubling
+    // to 50ms takes 8 sweeps ≈ 64ms; give it a comfortable margin).
     std::thread::sleep(std::time::Duration::from_millis(400));
     let reactor = handle.reactor();
     // A sweep empties the park list at once and the woken tasks refill it
@@ -350,11 +386,12 @@ fn a_thousand_idle_connections_cost_no_busy_ticks() {
 
     let sweeps = after.sweeps - before.sweeps;
     let backoff = after.backoff_sweeps - before.backoff_sweeps;
-    // At the 50ms ceiling, two phase-aligned workers perform ≲ 2 sweeps
-    // per period — call it ≤120/s with scheduling jitter. The old fixed
-    // 500µs tick did ~4000/s: this is the idle-CPU win.
+    // Both workers follow the executor's one sweep deadline, so at the
+    // 50ms ceiling the runtime sweeps ~20/s — call it ≤40/s with
+    // scheduling jitter. A fixed 250µs tick would do ~4000/s: this is the
+    // idle-CPU win.
     assert!(
-        sweeps <= 120,
+        sweeps <= 40,
         "idle runtime swept {sweeps}× in 1s — backoff did not engage"
     );
     assert!(backoff > 0, "no sweep ever reached the backoff ceiling");

@@ -2,13 +2,17 @@
 //!
 //! Tasks are `async` blocks boxed behind an [`std::task::Wake`]-based
 //! waker. The run queue is a mutex-protected deque with a condvar; when
-//! the queue is empty but tasks are parked on I/O, workers wait with a
-//! timeout and wake every parked task on expiry — the reactor's
+//! the queue is empty but tasks are parked on I/O, workers wait toward the
+//! executor's **one sweep deadline**, kept beside the queue under the same
+//! lock, and wake every parked task when it falls due — the reactor's
 //! level-triggered readiness tick rides the executor's idle path, so the
 //! whole runtime costs exactly the configured worker threads and nothing
-//! more. The wait timeout is the reactor's *adaptive* sweep interval
-//! (see [`crate::reactor`]): sub-millisecond while woken tasks make
-//! progress, decaying toward ~50ms across consecutive no-progress sweeps.
+//! more. A notify (a spawn, a wake, a completion) only re-checks the
+//! queue: it is never a tick and never postpones the deadline, which is
+//! set `min(deadline, now + interval)` by whichever worker goes idle. The
+//! interval is the reactor's *adaptive* sweep interval (see
+//! [`crate::reactor`]): 250µs while woken tasks make progress, decaying
+//! toward the 50ms ceiling across consecutive no-progress sweeps.
 //!
 //! One executor is also one **shared runtime**: any number of servers can
 //! spawn their accept loops and connections onto the same [`Handle`]
@@ -24,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Hard cap on worker threads. The event-driven stack's contract is that
 /// concurrency comes from multiplexing, not threads; two workers keep one
@@ -58,8 +62,17 @@ impl Wake for Task {
     }
 }
 
+/// The run queue and the executor's one sweep deadline, under one lock.
+#[derive(Default)]
+struct RunQueue {
+    tasks: VecDeque<Arc<Task>>,
+    /// When the next readiness tick is due: set by the first worker to go
+    /// idle with tasks parked, only ever pulled in, cleared by the sweep.
+    next_sweep: Option<Instant>,
+}
+
 struct Shared {
-    queue: Mutex<VecDeque<Arc<Task>>>,
+    queue: Mutex<RunQueue>,
     available: Condvar,
     reactor: Arc<Reactor>,
     /// Live (spawned, not yet completed) tasks.
@@ -71,7 +84,7 @@ struct Shared {
 
 impl Shared {
     fn enqueue(&self, task: Arc<Task>) {
-        self.queue.lock().expect("run queue lock").push_back(task);
+        self.queue.lock().expect("run queue").tasks.push_back(task);
         self.available.notify_one();
     }
 }
@@ -121,7 +134,7 @@ impl Executor {
     pub fn new(threads: usize) -> Self {
         let worker_count = threads.clamp(1, MAX_WORKERS);
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(RunQueue::default()),
             available: Condvar::new(),
             reactor: Arc::new(Reactor::new()),
             live: AtomicUsize::new(0),
@@ -175,8 +188,8 @@ impl Executor {
 /// What a worker decided to do after draining or waiting on the queue.
 enum Step {
     Run(Arc<Task>),
-    /// Run a readiness tick; carries the interval the worker waited
-    /// (fed back into the reactor's sweep accounting).
+    /// Run a readiness tick; carries the interval in force when the
+    /// deadline fell due (fed back into the reactor's sweep accounting).
     Sweep(Duration),
 }
 
@@ -188,7 +201,7 @@ fn worker(shared: &Arc<Shared>) {
         let step: Step = {
             let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                if let Some(t) = queue.pop_front() {
+                if let Some(t) = queue.tasks.pop_front() {
                     break Step::Run(t);
                 }
                 if shared.shutdown.load(Ordering::SeqCst) && shared.live.load(Ordering::SeqCst) == 0
@@ -196,20 +209,26 @@ fn worker(shared: &Arc<Shared>) {
                     return;
                 }
                 if shared.reactor.waiters() > 0 || shared.shutdown.load(Ordering::SeqCst) {
-                    // Timed wait: on expiry run a readiness tick (and
-                    // re-observe shutdown promptly). The wait adapts:
-                    // consecutive no-progress sweeps stretch it toward
-                    // MAX_POLL_INTERVAL; any readiness hit or new park
-                    // snaps it back to `DEFAULT_POLL_INTERVAL`.
+                    // Timed wait toward the executor's one sweep deadline.
+                    // A notify never postpones it (the earlier deadline
+                    // wins) and is never a tick: only `now >= due` sweeps.
+                    // The interval adapts (`Reactor::sweep_interval`).
                     let interval = shared.reactor.sweep_interval(DEFAULT_POLL_INTERVAL);
-                    let (guard, _timeout) = shared
-                        .available
-                        .wait_timeout(queue, interval)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    queue = guard;
-                    if queue.is_empty() && shared.reactor.waiters() > 0 {
-                        break Step::Sweep(interval);
+                    let now = Instant::now();
+                    let fresh = now + interval;
+                    let due = queue.next_sweep.map_or(fresh, |d| d.min(fresh));
+                    if now >= due {
+                        queue.next_sweep = None;
+                        if shared.reactor.waiters() > 0 {
+                            break Step::Sweep(interval);
+                        }
+                        continue; // draining shutdown: nothing to tick
                     }
+                    queue.next_sweep = Some(due);
+                    (queue, _) = shared
+                        .available
+                        .wait_timeout(queue, due - now)
+                        .unwrap_or_else(PoisonError::into_inner);
                 } else {
                     queue = shared
                         .available
@@ -335,7 +354,7 @@ mod tests {
                 .await;
             });
         }
-        // Long enough for the streak to climb 500µs → 50ms and take a few
+        // Long enough for the streak to climb 250µs → 50ms and take a few
         // fully-backed-off sweeps.
         std::thread::sleep(Duration::from_millis(400));
         let stats = reactor.stats();
@@ -347,7 +366,7 @@ mod tests {
             stats.last_interval_micros >= 10_000,
             "idle sweeps still sub-10ms: {stats:?}"
         );
-        // A genuinely idle runtime must sweep ~20×/s, not ~2000×/s.
+        // A genuinely idle runtime must sweep ~20×/s, not ~4000×/s.
         assert!(
             stats.sweeps < 100,
             "an idle runtime swept {} times in 400ms",
@@ -357,6 +376,58 @@ mod tests {
         exec.shutdown();
         // The readiness hit on the parked task counts as activity.
         assert!(reactor.stats().activity_marks >= 2);
+    }
+
+    #[test]
+    fn a_wake_up_is_not_a_tick() {
+        // Every spawn notifies a worker and every completion notifies all
+        // of them; none of those wake-ups may count as a readiness tick.
+        // Sweeps follow the one deadline schedule, so over the spawning
+        // window there are at most window / base of them (plus slack for
+        // the sweeps either side of it). A helper thread runs the scenario
+        // so a stuck executor fails here instead of hanging the test.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let exec = Executor::new(2);
+            let reactor = exec.handle().reactor();
+            let stop = Arc::new(AtomicBool::new(false));
+            {
+                let reactor = Arc::clone(&reactor);
+                let stop = Arc::clone(&stop);
+                exec.handle().spawn(async move {
+                    crate::io(&reactor, move || {
+                        if stop.load(Ordering::SeqCst) {
+                            crate::IoPoll::Ready(())
+                        } else {
+                            crate::IoPoll::WouldBlock
+                        }
+                    })
+                    .await;
+                });
+            }
+            while reactor.waiters() == 0 {
+                std::thread::yield_now();
+            }
+            let before = reactor.stats().sweeps;
+            let started = std::time::Instant::now();
+            for _ in 0..2_000 {
+                exec.handle().spawn(async {});
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            let window = started.elapsed();
+            let sweeps = reactor.stats().sweeps - before;
+            stop.store(true, Ordering::SeqCst);
+            exec.shutdown();
+            let _ = done.send((sweeps, window));
+        });
+        let (sweeps, window) = finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the executor hung");
+        let schedule = (window.as_micros() / DEFAULT_POLL_INTERVAL.as_micros()) as u64 + 4;
+        assert!(
+            sweeps <= schedule,
+            "{sweeps} sweeps in {window:?}: wake-ups were taken for ticks (schedule allows {schedule})"
+        );
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //!   parked wakers (a level-triggered poll tick), each woken task
 //!   re-attempts its syscall, and tasks that are still not ready simply
 //!   park again. No readiness is ever *stored*, so no edge can be lost —
-//!   the cost is one failed syscall per parked task per tick. The tick is
-//!   **adaptive**: sub-millisecond while woken tasks make progress,
-//!   decaying toward [`MAX_POLL_INTERVAL`] (~50ms) across consecutive
-//!   no-progress sweeps, so a fleet of idle connections costs ~20 sweeps
-//!   per second instead of ~2000 (see [`reactor`]).
+//!   the cost is one failed syscall per parked task per tick. A tick is
+//!   the executor's **one sweep deadline** falling due, shared by its
+//!   workers; a notify that wakes a worker is never a tick. The tick is
+//!   **adaptive**: [`DEFAULT_POLL_INTERVAL`] (250µs) while woken tasks make
+//!   progress, decaying toward [`MAX_POLL_INTERVAL`] (50ms) across
+//!   consecutive no-progress sweeps, so a fleet of idle connections costs
+//!   ~20 sweeps per second instead of ~4000 (see [`reactor`]).
 //! * [`Executor`] / [`Handle`] — a small single- or dual-thread task
 //!   executor with real [`std::task::Waker`]s (via [`std::task::Wake`]),
 //!   so ordinary `async fn` connection handlers run unchanged. The thread

@@ -10,18 +10,23 @@
 //!
 //! # Adaptive idle backoff
 //!
-//! A fixed sub-millisecond tick costs ~2k failed syscalls per second per
+//! A fixed sub-millisecond tick costs ~4k failed syscalls per second per
 //! parked task whenever *anything* is parked — even a fleet of completely
 //! idle connections. The reactor therefore tracks a **no-progress streak**:
 //! every sweep that produces neither a readiness hit nor a newly-parked
 //! task doubles the suggested tick interval ([`Reactor::sweep_interval`]),
-//! decaying from the executor's base (default 500µs) toward
-//! [`MAX_POLL_INTERVAL`] (~50ms). Any sign of life —
-//! [`Reactor::note_activity`], called on a readiness hit or a *new* park —
-//! snaps the interval back to the base, so a loaded runtime still sees
-//! sub-millisecond latency while an idle one performs ~20 sweeps/second
-//! instead of ~2000. The trade: the first byte after a long idle period
-//! can wait up to one backed-off tick (~50ms) before being noticed.
+//! decaying from the executor's base (default 250µs) toward
+//! [`MAX_POLL_INTERVAL`] (50ms, reached after 8 doublings). Any sign of
+//! life — [`Reactor::note_activity`], called on a readiness hit or a *new*
+//! park — snaps the interval back to the base, so a loaded runtime still
+//! sees sub-millisecond latency while an idle one performs ~20 sweeps per
+//! second instead of ~4000. The trade: the first byte after a long idle
+//! period can wait up to one backed-off tick (~50ms) before being noticed.
+//!
+//! A sweep is one executor's deadline falling due, not a worker waking:
+//! the executor keeps one deadline for all its workers, and a notify that
+//! wakes a worker early is never counted as a tick (see
+//! [`crate::executor`]).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -31,7 +36,7 @@ use std::time::Duration;
 /// Default interval between readiness ticks while any task is parked and
 /// the runtime is making progress. Small enough that a ready socket waits
 /// sub-millisecond.
-pub const DEFAULT_POLL_INTERVAL: Duration = Duration::from_micros(500);
+pub const DEFAULT_POLL_INTERVAL: Duration = Duration::from_micros(250);
 
 /// Ceiling the tick interval decays toward while every parked task stays
 /// not-ready: an idle runtime sweeps ~20 times per second, total, no
